@@ -8,9 +8,11 @@ distributivity propagate through an event queue, with a full
 triple-loop sweep certifying the axioms before completion is
 reported).
 
-The compiled kernel in `_enumcore` is a translation of this module
+The compiled kernel in `_enumcore` is a translation of the enumerator
 onto flat C arrays; both produce identical tables (fixed deduction
-order, merges always keep the smaller element id).
+order, merges always keep the smaller element id).  The Kauffman
+bracket contraction here is the only one the library calls; the
+2^c state sum left in `_enumcore` serves as a brute-force reference.
 
 Status codes: 0 = completed, 1 = cap exceeded.
 """
@@ -23,42 +25,76 @@ COMPLETED = 0
 CAP_EXCEEDED = 1
 
 
+def contraction_order(crossings):
+    """Greedy crossing order for `bracket_statesum`, with the frontier
+    left after each step.
+
+    Starts at crossing 0, then repeatedly takes the unprocessed crossing
+    sharing the most arcs with the frontier (lowest index on ties).  The
+    frontier is the set of arcs with exactly one end among the processed
+    crossings; its largest size along the order is the width.
+    """
+    where: dict[int, list[int]] = {}
+    for k, quad in enumerate(crossings):
+        for a in quad:
+            where.setdefault(a, []).append(k)
+    score = [0] * len(crossings)
+    todo = set(range(len(crossings)))
+    frontier: dict[int, None] = {}
+    order, frontiers = [], []
+    while todo:
+        k = max(todo, key=lambda i: (score[i], -i))
+        todo.remove(k)
+        for a in dict.fromkeys(crossings[k]):
+            if a in frontier:
+                del frontier[a]
+            elif where[a] != [k, k]:
+                frontier[a] = None
+                first, second = where[a]
+                score[second if first == k else first] += 1
+        order.append(k)
+        frontiers.append(tuple(frontier))
+    return order, frontiers
+
+
 def bracket_statesum(crossings, arc_count):
     """Kauffman bracket state sum, exact counts per smoothing outcome.
 
     Returns {(exponent, circles): multiplicity} over all 2**c states,
     where exponent is (#A-smoothings - #B-smoothings) and circles the
     number of closed loops the state produces.
+
+    Planar contraction (Bar-Natan, arXiv:math/0606318): crossings are
+    added in `contraction_order`, and the running state maps each
+    pairing of the open frontier arcs (which arc the smoothed strand
+    entering at an arc leaves by) to a counter of (#A, closed loops).
+    The cost grows with the frontier width, not with the crossing count.
     """
+    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    frontier: tuple[int, ...] = ()
+    for k, after in zip(*contraction_order(crossings)):
+        a, b, c, d = crossings[k]
+        smoothings = ((1, ((a, b), (c, d))), (0, ((a, d), (b, c))))
+        nxt: dict[tuple, dict[tuple[int, int], int]] = {}
+        for key, counts in states.items():
+            for is_a, pairs in smoothings:
+                # glue the strand ends meeting at this crossing
+                mate = dict(zip(frontier, key))
+                closed = 0
+                for x, y in pairs:
+                    px, py = mate.pop(x, x), mate.pop(y, y)
+                    if px == y:
+                        closed += 1
+                    else:
+                        mate[px], mate[py] = py, px
+                target = nxt.setdefault(tuple(mate[x] for x in after), {})
+                for (n_a, loops), mult in counts.items():
+                    out_key = (n_a + is_a, loops + closed)
+                    target[out_key] = target.get(out_key, 0) + mult
+        frontier, states = after, nxt
     c = len(crossings)
-    flat = [x for quad in crossings for x in quad]
-    out: dict[tuple[int, int], int] = {}
-    identity = list(range(arc_count))
-    for state in range(1 << c):
-        parent = identity.copy()
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        a_count = 0
-        for i in range(c):
-            a, b, cc, dd = flat[4 * i : 4 * i + 4]
-            if state >> i & 1:
-                pairs = ((a, dd), (b, cc))
-            else:
-                a_count += 1
-                pairs = ((a, b), (cc, dd))
-            for x, y in pairs:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-        circles = sum(1 for x in range(arc_count) if find(x) == x)
-        key = (2 * a_count - c, circles)
-        out[key] = out.get(key, 0) + 1
-    return out
+    return {(2 * n_a - c, loops): mult
+            for (n_a, loops), mult in states[()].items()}
 
 
 def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):

@@ -18,8 +18,8 @@ from .braids import conjugacy_census, coxeter_quotient, burau_image, verify_redu
 from .coloring import col_group, has_nontrivial_colorings
 from .corpus import CORPUS_EXPECTED, corpus, corpus_names
 from .diagrams import LinkDiagram, parse_braid, parse_pd
-from .errors import TangleKitError
-from .jones import five_move_obstruction, jones, jones_at_fifth_root
+from .errors import TangleKitError, TooLarge
+from .jones import five_move_obstruction, five_move_verdict, jones, jones_at_fifth_root
 from .kei import check_axioms, kei_isomorphic, parse_kei
 from .presentation import (
     burnside_kei,
@@ -257,7 +257,7 @@ def cmd_jones5(args) -> int:
         {
             "value_coordinates": list(value.coords),
             "is_zero": value.is_zero(),
-            "verdict": five_move_obstruction(d),
+            "verdict": five_move_verdict(value),
         },
     )
 
@@ -265,6 +265,10 @@ def cmd_jones5(args) -> int:
 def cmd_invariants(args) -> int:
     d = load_diagram(args.diagram)
     bq = burnside_kei(d, 5, cap=args.cap)
+    try:
+        verdict = five_move_obstruction(d)
+    except TooLarge:
+        verdict = "diagram too large"
     return emit(
         args,
         "invariants",
@@ -277,9 +281,7 @@ def cmd_invariants(args) -> int:
             "col5_nontrivial": has_nontrivial_colorings(d, 5),
             "bq5_size": bq.size,
             "bq5_completed": bq.completed,
-            "jones5_verdict": five_move_obstruction(d)
-            if d.crossing_count <= 16
-            else "diagram too large",
+            "jones5_verdict": verdict,
         },
     )
 

@@ -34,7 +34,7 @@ class InvalidMoveSite(TangleKitError):
 
 
 class TooLarge(TangleKitError):
-    """Diagram exceeds the crossing cap of an exponential algorithm."""
+    """Diagram exceeds the frontier-width cap of the bracket contraction."""
 
 
 class CorpusError(TangleKitError):

@@ -7,6 +7,11 @@ The bracket is the state sum over all smoothings:
     one extra circle contributes delta = -A^2 - A^-2,
     normalized so a single circle has bracket 1.
 
+The state sum is contracted crossing by crossing in shared Python
+(`_enumpy.bracket_statesum`), so its cost grows with the width of the
+frontier between processed and unprocessed crossings, not with the
+crossing count; diagrams wider than `BRACKET_WIDTH_CAP` are refused.
+
 The Jones polynomial V = (-A^3)^(-w) <D> is rewritten in s = t^(1/2)
 via s = A^-2.  Evaluation at t = e^(i pi/5) happens in the cyclotomic
 integers Z[s]/(s^8 - s^6 + s^4 - s^2 + 1), where the zero test is
@@ -20,28 +25,22 @@ from dataclasses import dataclass
 from .diagrams import LinkDiagram
 from .errors import TooLarge
 from .laurent import LaurentPoly
-from . import _enumpy
+from . import _enumpy as _kernel
 
-try:
-    from . import _enumcore as _kernel
-except ImportError:
-    _kernel = _enumpy
-
-BRACKET_CROSSING_CAP = 16
+BRACKET_WIDTH_CAP = 16
 
 
-def kauffman_bracket(d: LinkDiagram, backend: str | None = None) -> LaurentPoly:
+def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """State-sum bracket in the variable A, single circle normalized to 1."""
-    c = d.crossing_count
-    if c > BRACKET_CROSSING_CAP:
-        raise TooLarge(f"{c} crossings exceeds the bracket cap {BRACKET_CROSSING_CAP}")
-    if c == 0 and d.unknotted_split_circles == 0:
+    if d.crossing_count == 0 and d.unknotted_split_circles == 0:
         raise ValueError("the empty diagram has no bracket")
-    kernel = _enumpy if backend == "pure" else _kernel
-    if c == 0:
-        counts = {(0, 0): 1}
-    else:
-        counts = kernel.bracket_statesum(d.crossings, d.arc_count)
+    _, frontiers = _kernel.contraction_order(d.crossings)
+    width = max(map(len, frontiers), default=0)
+    if width > BRACKET_WIDTH_CAP:
+        raise TooLarge(
+            f"frontier width {width} exceeds the bracket cap {BRACKET_WIDTH_CAP}"
+        )
+    counts = _kernel.bracket_statesum(d.crossings, d.arc_count)
     delta = LaurentPoly({2: -1, -2: -1})
     deltas: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
 
@@ -204,14 +203,17 @@ def jones_at_fifth_root(d: LinkDiagram) -> CyclotomicValue:
     return eval_at_fifth_root(jones(d))
 
 
-def five_move_obstruction(d: LinkDiagram) -> str:
+def five_move_verdict(value: CyclotomicValue) -> str:
     """'not-5-move-trivializable' when the fifth-root value vanishes.
 
     Trivial links evaluate to (-s - s^-1)^(n-1) != 0, and 5-moves only
     change the value by a unit, which cannot turn zero into nonzero.
     """
-    value = jones_at_fifth_root(d)
     return "not-5-move-trivializable" if value.is_zero() else "inconclusive"
+
+
+def five_move_obstruction(d: LinkDiagram) -> str:
+    return five_move_verdict(jones_at_fifth_root(d))
 
 
 def determinant(d: LinkDiagram) -> int:

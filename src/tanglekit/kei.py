@@ -114,16 +114,7 @@ def group_product(g1, g2):
 
 
 def kei_product(k1: FiniteKei, k2: FiniteKei) -> FiniteKei:
-    n1, n2 = k1.size, k2.size
-    out = []
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = []
-            for b1 in range(n1):
-                for b2 in range(n2):
-                    row.append(k1.table[a1][b1] * n2 + k2.table[a2][b2])
-            out.append(tuple(row))
-    return FiniteKei(tuple(out))
+    return FiniteKei(group_product(k1.table, k2.table))
 
 
 def check_axioms(k: FiniteKei) -> list[tuple]:

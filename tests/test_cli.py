@@ -169,3 +169,16 @@ def test_stdin_diagram(capsys, monkeypatch):
     code, report = run_cli(capsys, "color", "-", "--n", "3")
     assert code == 0
     assert report["results"]["order"] == 9
+
+
+def test_invariants_reports_bracket_limit(capsys, monkeypatch):
+    import io
+
+    from tanglekit.diagrams import braid, braid_closure
+
+    wide = braid_closure(braid(list(range(1, 10)) * 10))  # frontier width 20
+    monkeypatch.setattr("sys.stdin", io.StringIO(wide.serialize()))
+    code, report = run_cli(capsys, "invariants", "-", "--cap", "5")
+    assert code == 0
+    assert report["results"]["crossings"] == 90
+    assert report["results"]["jones5_verdict"] == "diagram too large"

@@ -1,8 +1,13 @@
 import random
+import time
+from math import prod
 
 import pytest
 
-from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
+from tanglekit import _enumpy
+from tanglekit.coloring import coloring_matrix, smith_normal_form
+from tanglekit.corpus import corpus
+from tanglekit.diagrams import LinkDiagram, braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import TooLarge
 from tanglekit.jones import (
     CyclotomicValue,
@@ -15,6 +20,7 @@ from tanglekit.jones import (
     writhe,
 )
 from tanglekit.laurent import LaurentPoly
+from tanglekit.tangles import closure_diagram, parse_expr
 
 TREFOIL = braid_closure(braid([1, 1, 1], strands=2))
 FIG8 = braid_closure(braid([1, -2, 1, -2]))
@@ -49,10 +55,99 @@ def test_bracket_mirror_inverts_variable():
         assert bm == LaurentPoly({-e: c for e, c in b.coeffs.items()})
 
 
+def statesum_oracle(crossings, arc_count):
+    """Brute-force 2^c state sum: {(#A - #B, circles): multiplicity}."""
+    out = {}
+    for state in range(1 << len(crossings)):
+        parent = list(range(arc_count))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for i, (a, b, c, d) in enumerate(crossings):
+            pairs = ((a, d), (b, c)) if state >> i & 1 else ((a, b), (c, d))
+            for x, y in pairs:
+                parent[find(x)] = find(y)
+        key = (len(crossings) - 2 * bin(state).count("1"),
+               sum(find(x) == x for x in range(arc_count)))
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def shuffled(d, rng):
+    """The same diagram with its crossings reordered (and some crossing
+    tuples rotated by two positions, which names the same crossing)."""
+    crossings = [q[2:] + q[:2] if rng.random() < 0.5 else q for q in d.crossings]
+    rng.shuffle(crossings)
+    return LinkDiagram(tuple(crossings), d.arc_count, d.unknotted_split_circles)
+
+
+def seeded_closures(rng, max_crossings=12):
+    out = []
+    for c in range(1, max_crossings + 1):
+        for strands in (2, 3, 4):
+            gens = [g for g in range(1 - strands, strands) if g]
+            out.append(braid_closure(braid([rng.choice(gens) for _ in range(c)], strands)))
+    while len(out) < 3 * max_crossings + 20:
+        leaves = [f"(tw {rng.choice((-3, -2, -1, 1, 2, 3))} {rng.choice((-2, 1, 2))})"
+                  for _ in range(rng.randint(2, 3))]
+        expr = leaves[0]
+        for leaf in leaves[1:]:
+            expr = f"(comp {rng.randint(0, 1)} {rng.randint(0, 1)} {expr} {leaf})"
+        d = closure_diagram(parse_expr(expr), "numerator")
+        if 0 < d.crossing_count <= max_crossings:
+            out.append(d)
+    return out
+
+
+def test_bracket_statesum_matches_oracle():
+    rng = random.Random(2005)
+    diagrams = [d for d in corpus().values() if d.crossing_count]
+    diagrams += [parse_pd("X 0 1 1 0"), parse_pd("X 0 1 1 0\nX 2 3 3 2")]
+    diagrams += seeded_closures(rng)
+    for d in diagrams:
+        want = statesum_oracle(d.crossings, d.arc_count)
+        for copy in (d, shuffled(d, rng), shuffled(d, rng)):
+            assert _enumpy.bracket_statesum(copy.crossings, copy.arc_count) == want
+
+
+def test_bracket_split_circles():
+    delta = LaurentPoly({2: -1, -2: -1})
+    for d in (parse_pd("X 0 1 1 0"), TREFOIL, FIG8):
+        for k in (1, 2, 3):
+            with_circles = LinkDiagram(d.crossings, d.arc_count, k)
+            assert kauffman_bracket(with_circles) == kauffman_bracket(d) * delta ** k
+
+
 def test_bracket_cap():
+    # 17 crossings, but the frontier is only 4 arcs wide
     big = braid_closure(braid([1] * 17, strands=2))
+    assert sum(jones(big).coeffs.values()) == 1  # V(1) of a knot
+    assert determinant(big) == 17
+
+
+def test_bracket_cap_refuses_wide_diagram_before_contracting(monkeypatch):
+    wide = braid_closure(braid(list(range(1, 10)) * 10))  # frontier width 20
+
+    def no_contraction(*args):
+        raise AssertionError("contraction started on a diagram over the cap")
+
+    monkeypatch.setattr(_enumpy, "bracket_statesum", no_contraction)
     with pytest.raises(TooLarge):
-        kauffman_bracket(big)
+        kauffman_bracket(wide)
+
+
+def test_bracket_forty_crossing_three_braid():
+    rng = random.Random(40)
+    d = braid_closure(braid([rng.choice((-2, -1, 1, 2)) for _ in range(40)], 3))
+    t0 = time.perf_counter()
+    det = determinant(d)
+    assert time.perf_counter() - t0 < 1.0
+    factors = smith_normal_form(coloring_matrix(d).rows)
+    assert len(factors) == coloring_matrix(d).cols - 1
+    assert det == prod(factors)
 
 
 def test_bracket_kinked_unknot():
