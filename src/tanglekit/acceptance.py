@@ -7,6 +7,7 @@ suites are seeded and deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -49,43 +50,51 @@ class CheckResult:
     seconds: float
 
 
-def _result(criterion, name, passed, detail, t0) -> CheckResult:
-    return CheckResult(criterion, name, bool(passed), detail, time.time() - t0)
+def _check(criterion: int, name: str):
+    """Give a check its criterion and name, and time every call.
+
+    The decorated body returns (passed, detail); callers get a
+    `CheckResult` whose `seconds` come from `time.perf_counter()`.
+    """
+
+    def decorate(body):
+        @functools.wraps(body)
+        def timed(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            seconds = time.perf_counter() - t0
+            return CheckResult(criterion, name, bool(passed), detail, seconds)
+
+        timed.check_name = name
+        return timed
+
+    return decorate
 
 
-def check_coxeter_quotient() -> CheckResult:
-    t0 = time.time()
+@_check(1, "coxeter-quotient")
+def check_coxeter_quotient():
     q = coxeter_quotient()
     census = conjugacy_census(q)
     short = sum(1 for r in census if r["min_length"] <= 8)
     ok = q.order == 600 and len(census) == 45 and short >= 36
-    return _result(
-        1,
-        "coxeter-quotient",
-        ok,
-        f"order={q.order} classes={len(census)} short-classes={short}",
-        t0,
-    )
+    return ok, f"order={q.order} classes={len(census)} short-classes={short}"
 
 
-def check_reduction_chains() -> CheckResult:
-    t0 = time.time()
+@_check(2, "reduction-chain-steps")
+def check_reduction_chains():
     steps = verify_reduction_chains()
     q = coxeter_quotient()
     full_twist = q.image(braid([1, 2] * 30, 3)) == 0
     failed = [s.label for s in steps if not s.passed]
     ok = not failed and full_twist
-    return _result(
-        2,
-        "reduction-chain-steps",
+    return (
         ok,
         f"steps={len(steps)} failed={failed or 'none'} thirtieth-power-trivial={full_twist}",
-        t0,
     )
 
 
-def check_kei_cardinalities(cap: int = 8000) -> CheckResult:
-    t0 = time.time()
+@_check(3, "free-burnside-kei-sizes")
+def check_kei_cardinalities(cap: int = 8000):
     facts = []
     for m, n, want in ((2, 3, 3), (3, 3, 9), (4, 3, 81), (3, 4, 96)):
         r = q_kei(m, n, cap=cap)
@@ -102,17 +111,11 @@ def check_kei_cardinalities(cap: int = 8000) -> CheckResult:
         r = q_kei(1, n, cap=cap)
         facts.append((f"Q(1,{n})", r.size == 1))
     bad = [name for name, ok in facts if not ok]
-    return _result(
-        3,
-        "free-burnside-kei-sizes",
-        not bad,
-        f"checked={len(facts)} failed={bad or 'none'}",
-        t0,
-    )
+    return not bad, f"checked={len(facts)} failed={bad or 'none'}"
 
 
-def check_exceptional_burnside() -> CheckResult:
-    t0 = time.time()
+@_check(4, "exceptional-knot-burnside-kei")
+def check_exceptional_burnside():
     entries = corpus()
     core55 = core_kei(group_product(cyclic_group(5), cyclic_group(5)))
     results = {}
@@ -128,17 +131,11 @@ def check_exceptional_burnside() -> CheckResult:
             and not check_axioms(k49)
         )
     sizes = {n: r.size for n, r in results.items()}
-    return _result(
-        4,
-        "exceptional-knot-burnside-kei",
-        ok,
-        f"sizes={sizes} both isomorphic to core(Z5+Z5)={ok}",
-        t0,
-    )
+    return ok, f"sizes={sizes} both isomorphic to core(Z5+Z5)={ok}"
 
 
-def check_fundamental_kei_sizes(cap: int = 4000) -> CheckResult:
-    t0 = time.time()
+@_check(5, "fundamental-kei-sizes")
+def check_fundamental_kei_sizes(cap: int = 4000):
     entries = corpus()
     facts = []
     for name, want in (("trefoil", 3), ("4_1", 5)):
@@ -148,13 +145,11 @@ def check_fundamental_kei_sizes(cap: int = 4000) -> CheckResult:
     r = enumerate_kei(fundamental_kei(five_halves), cap=cap)
     facts.append(("N(5/2)", r.size == 5))
     bad = [name for name, ok in facts if not ok]
-    return _result(
-        5, "fundamental-kei-sizes", not bad, f"failed={bad or 'none'}", t0
-    )
+    return not bad, f"failed={bad or 'none'}"
 
 
-def check_coloring_groups() -> CheckResult:
-    t0 = time.time()
+@_check(6, "coloring-groups")
+def check_coloring_groups():
     facts = []
     for n in range(2, 8):
         for m in range(1, 5):
@@ -182,17 +177,11 @@ def check_coloring_groups() -> CheckResult:
             )
         )
     bad = [name for name, ok in facts if not ok]
-    return _result(
-        6,
-        "coloring-groups",
-        not bad,
-        f"checked={len(facts)} failed={bad or 'none'}",
-        t0,
-    )
+    return not bad, f"checked={len(facts)} failed={bad or 'none'}"
 
 
-def check_jones_obstruction() -> CheckResult:
-    t0 = time.time()
+@_check(7, "jones-fifth-root")
+def check_jones_obstruction():
     entries = corpus()
     facts = [("V(4_1) at root", jones_at_fifth_root(entries["4_1"]).is_zero())]
     minus_s_pair = LaurentPoly({1: -1, -1: -1})
@@ -201,7 +190,7 @@ def check_jones_obstruction() -> CheckResult:
         facts.append((f"V(U_{n}) formula", jones(un) == minus_s_pair ** (n - 1)))
         facts.append((f"V(U_{n}) nonzero", not jones_at_fifth_root(un).is_zero()))
     bad = [name for name, ok in facts if not ok]
-    return _result(7, "jones-fifth-root", not bad, f"failed={bad or 'none'}", t0)
+    return not bad, f"failed={bad or 'none'}"
 
 
 # --- seeded move-invariance suites --------------------------------------
@@ -236,8 +225,8 @@ def _insert_power(rng: random.Random, word: list[int], n: int) -> list[int]:
     return word[:pos] + [gen] * n + word[pos:]
 
 
-def suite_five_halves_move(seed: int, instances: int) -> CheckResult:
-    t0 = time.time()
+@_check(8, "suite-5/2-move-col5")
+def suite_five_halves_move(seed: int, instances: int):
     rng = random.Random(seed)
     done = failures = 0
     while done < instances:
@@ -256,17 +245,11 @@ def suite_five_halves_move(seed: int, instances: int) -> CheckResult:
             done += 1
             if done >= instances:
                 break
-    return _result(
-        8,
-        "suite-5/2-move-col5",
-        failures == 0,
-        f"instances={done} failures={failures}",
-        t0,
-    )
+    return failures == 0, f"instances={done} failures={failures}"
 
 
-def suite_power_insertion_coloring(seed: int, instances: int) -> CheckResult:
-    t0 = time.time()
+@_check(8, "suite-n-move-coln")
+def suite_power_insertion_coloring(seed: int, instances: int):
     rng = random.Random(seed + 1)
     done = failures = 0
     while done < instances:
@@ -278,17 +261,11 @@ def suite_power_insertion_coloring(seed: int, instances: int) -> CheckResult:
         if before != after:
             failures += 1
         done += 1
-    return _result(
-        8,
-        "suite-n-move-coln",
-        failures == 0,
-        f"instances={done} failures={failures}",
-        t0,
-    )
+    return failures == 0, f"instances={done} failures={failures}"
 
 
-def suite_power_insertion_jones(seed: int, instances: int) -> CheckResult:
-    t0 = time.time()
+@_check(8, "suite-5-move-jones-zeroness")
+def suite_power_insertion_jones(seed: int, instances: int):
     rng = random.Random(seed + 2)
     done = failures = 0
     while done < instances:
@@ -299,19 +276,11 @@ def suite_power_insertion_jones(seed: int, instances: int) -> CheckResult:
         if before != after:
             failures += 1
         done += 1
-    return _result(
-        8,
-        "suite-5-move-jones-zeroness",
-        failures == 0,
-        f"instances={done} failures={failures}",
-        t0,
-    )
+    return failures == 0, f"instances={done} failures={failures}"
 
 
-def suite_power_insertion_burnside(
-    seed: int, instances: int, cap: int = 8000
-) -> CheckResult:
-    t0 = time.time()
+@_check(8, "suite-3-move-bq3-iso")
+def suite_power_insertion_burnside(seed: int, instances: int, cap: int = 8000):
     rng = random.Random(seed + 3)
     done = failures = capped = 0
     while done < instances:
@@ -325,25 +294,16 @@ def suite_power_insertion_burnside(
         if kei_isomorphic(r1.kei, r2.kei) is None:
             failures += 1
         done += 1
-    return _result(
-        8,
-        "suite-3-move-bq3-iso",
-        failures == 0,
-        f"instances={done} failures={failures} capped={capped}",
-        t0,
-    )
+    return failures == 0, f"instances={done} failures={failures} capped={capped}"
 
 
-def check_scope_note() -> CheckResult:
-    t0 = time.time()
-    return _result(
-        9,
-        "excluded-scope",
+@_check(9, "excluded-scope")
+def check_scope_note():
+    return (
         True,
         "full 3-braid classification, Burnside-group machinery and "
         "figure-driven reductions are out of scope; covered indirectly by "
         "criteria 1-3 and 8",
-        t0,
     )
 
 
@@ -354,18 +314,19 @@ def run_acceptance(
 ) -> list[CheckResult]:
     """Run the acceptance checks; `only` filters by substring of the name
     before anything executes."""
+    suite_args = (seed, instances)
     checks = [
-        ("coxeter-quotient", check_coxeter_quotient),
-        ("reduction-chain-steps", check_reduction_chains),
-        ("free-burnside-kei-sizes", check_kei_cardinalities),
-        ("exceptional-knot-burnside-kei", check_exceptional_burnside),
-        ("fundamental-kei-sizes", check_fundamental_kei_sizes),
-        ("coloring-groups", check_coloring_groups),
-        ("jones-fifth-root", check_jones_obstruction),
-        ("suite-5/2-move-col5", lambda: suite_five_halves_move(seed, instances)),
-        ("suite-n-move-coln", lambda: suite_power_insertion_coloring(seed, instances)),
-        ("suite-5-move-jones-zeroness", lambda: suite_power_insertion_jones(seed, instances)),
-        ("suite-3-move-bq3-iso", lambda: suite_power_insertion_burnside(seed, instances)),
-        ("excluded-scope", check_scope_note),
+        (check_coxeter_quotient, ()),
+        (check_reduction_chains, ()),
+        (check_kei_cardinalities, ()),
+        (check_exceptional_burnside, ()),
+        (check_fundamental_kei_sizes, ()),
+        (check_coloring_groups, ()),
+        (check_jones_obstruction, ()),
+        (suite_five_halves_move, suite_args),
+        (suite_power_insertion_coloring, suite_args),
+        (suite_power_insertion_jones, suite_args),
+        (suite_power_insertion_burnside, suite_args),
+        (check_scope_note, ()),
     ]
-    return [fn() for name, fn in checks if not only or only in name]
+    return [fn(*args) for fn, args in checks if not only or only in fn.check_name]

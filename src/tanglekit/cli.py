@@ -56,7 +56,7 @@ def emit(args, command: str, inputs: dict, results: dict, passed: bool | None = 
     if passed is not None:
         report["passed"] = passed
     if args.timings:
-        report["wall_time_s"] = round(time.time() - args._t0, 3)
+        report["wall_time_s"] = round(time.perf_counter() - args._t0, 3)
     json.dump(report, sys.stdout, sort_keys=True, indent=2, default=str)
     sys.stdout.write("\n")
     return 0 if passed in (None, True) else 1
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._t0 = time.time()
+    args._t0 = time.perf_counter()
     try:
         return args.fn(args)
     except (TangleKitError, ValueError, OSError) as exc:

@@ -28,18 +28,21 @@ class ColoringMatrix:
         return [sum(r) for r in self.rows]
 
 
-def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
-    classes = d.strand_classes()
-    n_strands = (max(classes) + 1) if classes else 0
-    cols = n_strands + d.unknotted_split_circles
+def coloring_rows(crossings, classes: list[int], cols: int):
+    """One row per crossing over `cols` columns: under + under - 2 * over."""
     rows = []
-    for a, b, c, _ in d.crossings:
+    for a, b, c, _ in crossings:
         row = [0] * cols
         row[classes[a]] += 1
         row[classes[c]] += 1
         row[classes[b]] -= 2
         rows.append(tuple(row))
-    return ColoringMatrix(tuple(rows), cols)
+    return tuple(rows)
+
+
+def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
+    cols = d.strand_count()
+    return ColoringMatrix(coloring_rows(d.crossings, d.strand_classes(), cols), cols)
 
 
 def smith_normal_form(matrix) -> list[int]:
@@ -151,15 +154,19 @@ class AbelianGroupStructure:
         return " + ".join(f"Z{o}" for o in self.cyclic_orders)
 
 
-def col_group(d: LinkDiagram, n: int) -> AbelianGroupStructure:
-    """The group of Fox n-colorings, trivial (constant) colorings included."""
+def solution_group(rows, cols: int, n: int) -> AbelianGroupStructure:
+    """Solutions mod n of an integer system in `cols` unknowns."""
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
-    mat = coloring_matrix(d)
-    factors = smith_normal_form(mat.rows) if mat.rows else []
-    rank = len(factors)
-    orders = [gcd(n, f) for f in factors] + [n] * (mat.cols - rank)
+    factors = smith_normal_form(rows) if rows else []
+    orders = [gcd(n, f) for f in factors] + [n] * (cols - len(factors))
     return AbelianGroupStructure(_divisor_chain(orders))
+
+
+def col_group(d: LinkDiagram, n: int) -> AbelianGroupStructure:
+    """The group of Fox n-colorings, trivial (constant) colorings included."""
+    mat = coloring_matrix(d)
+    return solution_group(mat.rows, mat.cols, n)
 
 
 def count_colorings_brute(d: LinkDiagram, n: int) -> int:
@@ -177,7 +184,3 @@ def count_colorings_brute(d: LinkDiagram, n: int) -> int:
 def has_nontrivial_colorings(d: LinkDiagram, n: int) -> bool:
     """True iff the coloring group outnumbers component-wise constants."""
     return col_group(d, n).order > n ** d.component_count()
-
-
-def col_order(d: LinkDiagram, n: int) -> int:
-    return col_group(d, n).order

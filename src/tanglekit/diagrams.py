@@ -7,22 +7,23 @@ diagram (segments between crossing ends); the two over-strand edges at
 a crossing belong to the same strand of the link, and `strand_classes`
 merges them into the arcs used by colorings and Kei presentations.
 Crossing-free circles are carried as an explicit counter.
+
+This is the package's one PD layer.  `Wiring` turns crossing ports and
+the wires joining them into dense PD data, for braid closures here and
+for tangle expressions and their closures in `tangles`, so every
+construction numbers its arcs the same way (and arc numbering fixes
+the generator order of a Kei presentation).  `strand_classes` serves
+closed diagrams and open tangles alike, and `trace_components` gives
+the component walks that `component_count` counts and `jones.writhe`
+orients.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import MalformedDiagram, ParseError
-
-
-def _unionfind_roots(parent: list[int]) -> None:
-    for i in range(len(parent)):
-        r = i
-        while parent[r] != r:
-            r = parent[r]
-        while parent[i] != r:
-            parent[i], i = r, parent[i]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -30,6 +31,12 @@ def _find(parent: list[int], x: int) -> int:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
 
 
 @dataclass(frozen=True)
@@ -62,39 +69,15 @@ class LinkDiagram:
         return len(self.crossings)
 
     def strand_classes(self) -> list[int]:
-        """Map each arc id to its strand (over-strand edges merged).
-
-        Returns a dense relabeling arc id -> strand id; strands are the
-        coloring variables of the diagram.
-        """
-        parent = list(range(self.arc_count))
-        for _, b, _, d in self.crossings:
-            rb, rd = _find(parent, b), _find(parent, d)
-            if rb != rd:
-                parent[max(rb, rd)] = min(rb, rd)
-        _unionfind_roots(parent)
-        label: dict[int, int] = {}
-        out = []
-        for a in range(self.arc_count):
-            r = parent[a]
-            if r not in label:
-                label[r] = len(label)
-            out.append(label[r])
-        return out
+        """Map each arc id to its strand (over-strand edges merged)."""
+        return strand_classes(self.crossings, self.arc_count)
 
     def strand_count(self) -> int:
-        classes = self.strand_classes()
-        return (max(classes) + 1 if classes else 0) + self.unknotted_split_circles
+        """Coloring variables: one per strand, then one per split circle."""
+        return max(self.strand_classes(), default=-1) + 1 + self.unknotted_split_circles
 
     def component_count(self) -> int:
-        parent = list(range(self.arc_count))
-        for a, b, c, d in self.crossings:
-            for x, y in ((a, c), (b, d)):
-                rx, ry = _find(parent, x), _find(parent, y)
-                if rx != ry:
-                    parent[max(rx, ry)] = min(rx, ry)
-        roots = {_find(parent, a) for a in range(self.arc_count)}
-        return len(roots) + self.unknotted_split_circles
+        return len(trace_components(self)) + self.unknotted_split_circles
 
     def mirror(self) -> "LinkDiagram":
         """Switch every crossing by rotating its tuple one position."""
@@ -120,6 +103,110 @@ class LinkDiagram:
         if self.unknotted_split_circles:
             lines.append(f"O {self.unknotted_split_circles}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def strand_classes(crossings, arc_count: int) -> list[int]:
+    """Dense relabeling arc id -> strand id of PD data, open or closed.
+
+    The two over-strand edges of each crossing are merged; strands are
+    numbered in order of their lowest arc id and are the coloring
+    variables of the diagram.
+    """
+    parent = list(range(arc_count))
+    for _, b, _, d in crossings:
+        _union(parent, b, d)
+    label: dict[int, int] = {}
+    return [label.setdefault(_find(parent, a), len(label)) for a in range(arc_count)]
+
+
+Slot = tuple[int, int]  # (crossing index, position in its tuple)
+
+
+def trace_components(d: LinkDiagram) -> list[list[tuple[int, Slot, Slot]]]:
+    """Components as walks: lists of (arc, tail slot, head slot).
+
+    A walk runs along each arc from the slot it leaves (tail) to the
+    slot it enters (head), and leaves that crossing at the slot
+    opposite the head.  Each walk starts at the first appearance of its
+    lowest arc; split circles have no walk.
+    """
+    appearances: dict[int, list[Slot]] = {}
+    for k, quad in enumerate(d.crossings):
+        for pos, a in enumerate(quad):
+            appearances.setdefault(a, []).append((k, pos))
+    seen: set[int] = set()
+    components = []
+    for start in range(d.arc_count):
+        if start in seen:
+            continue
+        walk = []
+        tail = first = appearances[start][0]
+        while True:
+            arc = d.crossings[tail[0]][tail[1]]
+            seen.add(arc)
+            ends = appearances[arc]
+            head = ends[1] if ends[0] == tail else ends[0]
+            walk.append((arc, tail, head))
+            tail = (head[0], (head[1] + 2) % 4)
+            if tail == first:
+                break
+        components.append(walk)
+    return components
+
+
+class Wiring:
+    """Wire ends (integer tokens), joins that glue them, and crossings.
+
+    Every construction that builds a diagram from pieces (braid
+    closures, tangle expressions and their closures) records crossing
+    tuples over port tokens, joins ports and wire ends, and calls
+    `assemble`; that one routine decides what the PD arcs are and how
+    they are numbered.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.joins: list[tuple[int, int]] = []
+        self.crossings: list[tuple[int, int, int, int]] = []
+
+    def token(self) -> int:
+        self.n += 1
+        return self.n - 1
+
+    def join(self, a: int, b: int) -> None:
+        self.joins.append((a, b))
+
+    def wire(self) -> tuple[int, int]:
+        a, b = self.token(), self.token()
+        self.join(a, b)
+        return a, b
+
+    def assemble(self, open_ends=()):
+        """Dense PD data: (crossings, arc count, open-end arcs, circles).
+
+        Joined tokens form one arc.  Arcs are numbered in order of first
+        use along the crossing tuples, then along `open_ends` (the
+        dangling boundary ends of an open tangle); token classes that
+        reach neither are crossing-free circles.  Every arc must have
+        exactly two ends, counting crossing ports and open ends.
+        """
+        parent = list(range(self.n))
+        for a, b in self.joins:
+            _union(parent, a, b)
+        ports = [_find(parent, t) for quad in self.crossings for t in quad]
+        open_roots = [_find(parent, t) for t in open_ends]
+        uses = Counter(ports + open_roots)
+        if any(k != 2 for k in uses.values()):
+            raise MalformedDiagram("wiring produced a bad arc valence")
+        label = {r: i for i, r in enumerate(uses)}  # in order of first use
+        circles = len({_find(parent, t) for t in range(self.n)}) - len(label)
+        arcs = [label[r] for r in ports]
+        crossings = tuple(tuple(arcs[i:i + 4]) for i in range(0, len(arcs), 4))
+        return crossings, len(label), tuple(label[r] for r in open_roots), circles
+
+    def link(self) -> LinkDiagram:
+        crossings, arcs, _, circles = self.assemble()
+        return LinkDiagram(crossings, arcs, circles)
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -235,58 +322,19 @@ def braid_closure(w: BraidWord) -> LinkDiagram:
     letter takes strand i over strand i+1; its PD tuple starts at the
     incoming upper-right under-end, a negative letter's at upper-left.
     """
-    n = w.strands
-    # ends[i] = current dangling edge token at strand position i
-    ends = [("top", i) for i in range(n)]
-    touched = [False] * n
-    joins: list[tuple[object, object]] = []
-    crossings_ports = []
-    for k, g in enumerate(w.letters):
+    wiring = Wiring()
+    tops = [wiring.token() for _ in range(w.strands)]
+    ends = list(tops)  # dangling token at each strand position
+    for g in w.letters:
         i = abs(g) - 1
-        touched[i] = touched[i + 1] = True
-        nw, ne = (k, 0), (k, 1)
-        sw, se = (k, 2), (k, 3)
-        joins.append((ends[i], nw))
-        joins.append((ends[i + 1], ne))
-        if g > 0:
-            crossings_ports.append((ne, nw, sw, se))
-        else:
-            crossings_ports.append((nw, sw, se, ne))
+        nw, ne, sw, se = (wiring.token() for _ in range(4))
+        wiring.join(ends[i], nw)
+        wiring.join(ends[i + 1], ne)
+        wiring.crossings.append((ne, nw, sw, se) if g > 0 else (nw, sw, se, ne))
         ends[i], ends[i + 1] = sw, se
-    circles = 0
-    for i in range(n):
-        if touched[i]:
-            joins.append((ends[i], ("top", i)))
-        else:
-            circles += 1
-
-    # connected chains of joins become the PD edges
-    tokens: dict[object, int] = {}
-
-    def tid(tok):
-        if tok not in tokens:
-            tokens[tok] = len(tokens)
-        return tokens[tok]
-
-    for k in range(len(w.letters)):
-        for p in range(4):
-            tid((k, p))
-    parent = list(range(len(tokens) + 2 * len(joins)))
-    for a, b in joins:
-        ra, rb = _find(parent, tid(a)), _find(parent, tid(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    label: dict[int, int] = {}
-    pd = []
-    for k in range(len(w.letters)):
-        quad = []
-        for port in crossings_ports[k]:
-            r = _find(parent, tokens[port])
-            if r not in label:
-                label[r] = len(label)
-            quad.append(label[r])
-        pd.append(tuple(quad))
-    return LinkDiagram(tuple(pd), len(label), circles)
+    for top, end in zip(tops, ends):
+        wiring.join(end, top)  # an untouched strand joins its top to itself
+    return wiring.link()
 
 
 def unlink(m: int) -> LinkDiagram:

@@ -22,7 +22,7 @@ of unity, so the residue ring is an integral domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .diagrams import LinkDiagram
+from .diagrams import LinkDiagram, trace_components
 from .errors import TooLarge
 from .laurent import LaurentPoly
 from . import _enumpy as _kernel
@@ -56,37 +56,6 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     return total
 
 
-def trace_components(d: LinkDiagram) -> list[list[tuple[int, int]]]:
-    """Components as walks: lists of (arc, entry appearance index).
-
-    Appearances of an arc are its two slots among the crossing tuples;
-    a walk leaves a crossing at the slot opposite the one it entered.
-    """
-    appearances: dict[int, list[tuple[int, int]]] = {}
-    for k, quad in enumerate(d.crossings):
-        for pos, a in enumerate(quad):
-            appearances.setdefault(a, []).append((k, pos))
-    seen: set[int] = set()
-    components = []
-    for start in range(d.arc_count):
-        if start in seen:
-            continue
-        walk = []
-        arc, entry = start, 0
-        while True:
-            seen.add(arc)
-            walk.append((arc, entry))
-            k, pos = appearances[arc][1 - entry]
-            nxt = d.crossings[k][(pos + 2) % 4]
-            nk, npos = (k, (pos + 2) % 4)
-            which = appearances[nxt].index((nk, npos))
-            arc, entry = nxt, which
-            if arc == start and entry == 0:
-                break
-        components.append(walk)
-    return components
-
-
 def writhe(d: LinkDiagram, orientation: tuple[bool, ...] | None = None) -> int:
     """Sum of crossing signs for the chosen per-component directions."""
     comps = trace_components(d)
@@ -94,20 +63,11 @@ def writhe(d: LinkDiagram, orientation: tuple[bool, ...] | None = None) -> int:
         orientation = (False,) * len(comps)
     if len(orientation) != len(comps):
         raise ValueError(f"need {len(comps)} orientation flags")
-    appearances: dict[int, list[tuple[int, int]]] = {}
-    for k, quad in enumerate(d.crossings):
-        for pos, a in enumerate(quad):
-            appearances.setdefault(a, []).append((k, pos))
-    # exit_slot[(k, pos)] = True when the strand leaves the crossing there
+    # exits[(k, pos)] = True when the strand leaves crossing k at pos
     exits: dict[tuple[int, int], bool] = {}
     for walk, flip in zip(comps, orientation):
-        for arc, entry in walk:
-            into = appearances[arc][1 - entry]
-            outof = appearances[arc][entry]
-            if flip:
-                into, outof = outof, into
-            exits[into] = False
-            exits[outof] = True
+        for _, tail, head in walk:
+            exits[tail], exits[head] = not flip, flip
     w = 0
     for k in range(d.crossing_count):
         pu = 0 if not exits[(k, 0)] else 2

@@ -145,10 +145,6 @@ def check_axioms(k: FiniteKei) -> list[tuple]:
     return out
 
 
-def is_kei(table) -> bool:
-    return not check_axioms(FiniteKei(tuple(tuple(r) for r in table)))
-
-
 def _refine_colors(k: FiniteKei) -> tuple[tuple[int, ...], int]:
     """Iterated structural refinement; isomorphism-invariant coloring."""
     n = k.size
@@ -171,12 +167,6 @@ def _refine_colors(k: FiniteKei) -> tuple[tuple[int, ...], int]:
         if len(lookup) == classes and new == colors:
             return tuple(colors), classes
         colors, classes = new, len(lookup)
-
-
-def canonical_fingerprint(k: FiniteKei) -> tuple:
-    """Isomorphism-invariant hash material (not a complete invariant)."""
-    colors, _ = _refine_colors(k)
-    return (k.size, tuple(sorted(colors)))
 
 
 def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:

@@ -32,10 +32,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
     def var(cls, exp: int = 1) -> "LaurentPoly":
         return cls({exp: 1})
 
@@ -103,28 +99,6 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by var**k."""
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
-
-    def substitute_square(self) -> "LaurentPoly":
-        """Rewrite p(x) as q(y) under x = y**2 (all exponents double)."""
-        return LaurentPoly({2 * e: c for e, c in self.coeffs.items()})
-
-    def eval_unit(self, order: int) -> tuple:
-        """Evaluate at a formal root of unity of the given order.
-
-        Returns the coefficient vector of the result in the basis
-        1, z, ..., z**(order-1) with z**order = 1 (no cyclotomic
-        reduction beyond exponent folding).
-        """
-        out = [0] * order
-        for e, c in self.coeffs.items():
-            out[e % order] += c
-        return tuple(out)
-
-    def degrees(self) -> tuple[int, int]:
-        """(min exponent, max exponent); (0, 0) for the zero polynomial."""
-        if not self.coeffs:
-            return (0, 0)
-        return (min(self.coeffs), max(self.coeffs))
 
     def __repr__(self):
         return f"LaurentPoly({self.format()})"

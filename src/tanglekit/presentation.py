@@ -7,7 +7,7 @@ imposing it on all element pairs yields the free objects Q(m, n) and
 the Burnside quotient of a link's fundamental Kei.
 
 Enumeration is a completion procedure (see `_enumpy`); the compiled
-kernel `_enumcore` is preferred when it importable, and either kernel
+kernel `_enumcore` is preferred when it is importable, and either kernel
 can be forced through the `backend` argument.
 """
 
@@ -209,9 +209,7 @@ def enumerate_kei(
         bool(universal_on_all_pairs),
         int(cap),
     )
-    name = "compiled" if (backend is None and _enumcore is not None) else (
-        backend or "pure"
-    )
+    name = "compiled" if kernel is _enumcore else "pure"
     if status != 0:
         return EnumerationResult(False, None, None, merges, cap, name)
     kei = FiniteKei(tuple(tuple(r) for r in rows))
@@ -231,12 +229,10 @@ def fundamental_kei(d: LinkDiagram) -> KeiPresentation:
     """One generator per strand (plus split circles), one relation per
     crossing: outgoing under-strand = incoming under-strand * over-strand."""
     classes = d.strand_classes()
-    n_strands = (max(classes) + 1) if classes else 0
-    m = n_strands + d.unknotted_split_circles
     relations = []
     for a, b, c, _ in d.crossings:
         relations.append(((classes[c],), (classes[a], classes[b])))
-    return KeiPresentation(m, tuple(relations))
+    return KeiPresentation(d.strand_count(), tuple(relations))
 
 
 def burnside_kei(
@@ -264,9 +260,7 @@ def core_group_presentation(d: LinkDiagram) -> GroupPresentationRecord:
     """Arc generators with one relator y_over y_in^-1 y_over y_out^-1 per
     crossing.  No solving is attempted."""
     classes = d.strand_classes()
-    n_strands = (max(classes) + 1) if classes else 0
-    m = n_strands + d.unknotted_split_circles
-    names = tuple(f"y{i}" for i in range(m))
+    names = tuple(f"y{i}" for i in range(d.strand_count()))
     relators = []
     for a, b, c, _ in d.crossings:
         yi, yj, yk = names[classes[b]], names[classes[a]], names[classes[c]]

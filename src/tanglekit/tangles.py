@@ -10,6 +10,13 @@ A twist word [a1, a2, ..., ak] names the rational tangle with fraction
 ak + 1/(a_{k-1} + 1/(... + 1/a1)), built by alternating twist stages
 that end with a horizontal stage, so [2, 2] is the 5/2 tangle and [n]
 the n/1 tangle of the n-move.
+
+Geometric realization builds an expression out of crossing ports and
+wires on a `diagrams.Wiring`, which numbers the arcs for the open
+tangle (`tangle_diagram`, boundary ends left dangling) and for its
+closures (`closure_diagram`) exactly as it does for braid closures.
+The coloring counts of an open tangle reuse `diagrams.strand_classes`
+and the coloring rows and solution groups of `coloring`.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .coloring import AbelianGroupStructure, _divisor_chain, col_group, smith_normal_form
-from .diagrams import LinkDiagram
-from .errors import InvalidModulus, InvalidMoveSite, MalformedDiagram, ParseError
+from .coloring import col_group, coloring_rows, solution_group
+from .diagrams import LinkDiagram, Wiring, strand_classes
+from .errors import InvalidMoveSite, ParseError
 
 
 @dataclass(frozen=True)
@@ -222,51 +229,27 @@ def apply_rational_move(
 
 # --- geometric realization ------------------------------------------------
 
-
-class _Assembler:
-    """Port/wire bookkeeping: tokens are wire ends, joins glue them."""
-
-    def __init__(self):
-        self.n = 0
-        self.joins: list[tuple[int, int]] = []
-        self.crossings: list[tuple[int, int, int, int]] = []
-
-    def token(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def join(self, a: int, b: int) -> None:
-        self.joins.append((a, b))
-
-    def wire(self) -> tuple[int, int]:
-        a, b = self.token(), self.token()
-        self.join(a, b)
-        return a, b
-
-    def crossing(self, kind: str) -> tuple[int, int, int, int]:
-        """Returns boundary (nw, ne, sw, se); records the PD tuple.
-
-        Tuples run counterclockwise from an under-strand end: x+ has
-        the SW-NE strand under, x- the SE-NW strand.
-        """
-        nw, ne, sw, se = (self.token() for _ in range(4))
-        if kind == "x+":
-            self.crossings.append((sw, se, ne, nw))
-        else:
-            self.crossings.append((se, ne, nw, sw))
-        return nw, ne, sw, se
-
-
 Bounds = tuple[int, int, int, int]  # nw, ne, sw, se
 
 
-def _h_compose(asm: _Assembler, a: Bounds, b: Bounds) -> Bounds:
+def _crossing(asm: Wiring, kind: str) -> Bounds:
+    """Returns boundary (nw, ne, sw, se); records the PD tuple.
+
+    Tuples run counterclockwise from an under-strand end: x+ has
+    the SW-NE strand under, x- the SE-NW strand.
+    """
+    nw, ne, sw, se = (asm.token() for _ in range(4))
+    asm.crossings.append((sw, se, ne, nw) if kind == "x+" else (se, ne, nw, sw))
+    return nw, ne, sw, se
+
+
+def _h_compose(asm: Wiring, a: Bounds, b: Bounds) -> Bounds:
     asm.join(a[1], b[0])
     asm.join(a[3], b[2])
     return (a[0], b[1], a[2], b[3])
 
 
-def _v_compose(asm: _Assembler, top: Bounds, bot: Bounds) -> Bounds:
+def _v_compose(asm: Wiring, top: Bounds, bot: Bounds) -> Bounds:
     asm.join(top[2], bot[0])
     asm.join(top[3], bot[1])
     return (top[0], top[1], bot[2], bot[3])
@@ -278,30 +261,30 @@ def _rotated(b: Bounds, times: int) -> Bounds:
     return b
 
 
-def _build_t0(asm: _Assembler) -> Bounds:
+def _build_t0(asm: Wiring) -> Bounds:
     nw, ne = asm.wire()
     sw, se = asm.wire()
     return (nw, ne, sw, se)
 
 
-def _build_tinf(asm: _Assembler) -> Bounds:
+def _build_tinf(asm: Wiring) -> Bounds:
     nw, sw = asm.wire()
     ne, se = asm.wire()
     return (nw, ne, sw, se)
 
 
-def _build_twist_stage(asm: _Assembler, count: int, horizontal: bool) -> Bounds:
+def _build_twist_stage(asm: Wiring, count: int, horizontal: bool) -> Bounds:
     kind = "x+" if count > 0 else "x-"
     if count == 0:
         return _build_t0(asm) if horizontal else _build_tinf(asm)
-    cur = asm.crossing(kind)
+    cur = _crossing(asm, kind)
     for _ in range(abs(count) - 1):
-        nxt = asm.crossing(kind)
+        nxt = _crossing(asm, kind)
         cur = _h_compose(asm, cur, nxt) if horizontal else _v_compose(asm, cur, nxt)
     return cur
 
 
-def _build_twists(asm: _Assembler, twists: tuple[int, ...]) -> Bounds:
+def _build_twists(asm: Wiring, twists: tuple[int, ...]) -> Bounds:
     if not twists:
         return _build_t0(asm)
     k = len(twists)
@@ -318,13 +301,13 @@ def _build_twists(asm: _Assembler, twists: tuple[int, ...]) -> Bounds:
     return cur
 
 
-def _build(asm: _Assembler, t: TangleExpr) -> Bounds:
+def _build(asm: Wiring, t: TangleExpr) -> Bounds:
     if isinstance(t, Leaf):
         if t.kind == "t0":
             return _build_t0(asm)
         if t.kind == "tinf":
             return _build_tinf(asm)
-        return asm.crossing(t.kind)
+        return _crossing(asm, t.kind)
     if isinstance(t, TwistLeaf):
         return _build_twists(asm, t.twists)
     left = _rotated(_build(asm, t.left), t.i)
@@ -342,138 +325,46 @@ class TangleDiagram:
     circles: int
 
 
-def _finalize(asm: _Assembler, bounds: Bounds, closure: str | None):
-    if closure == "numerator":
-        asm.join(bounds[0], bounds[1])
-        asm.join(bounds[2], bounds[3])
-    elif closure == "denominator":
-        asm.join(bounds[0], bounds[2])
-        asm.join(bounds[1], bounds[3])
-    elif closure is not None:
-        raise ValueError(f"unknown closure kind {closure!r}")
-
-    parent = list(range(asm.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in asm.joins:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    label: dict[int, int] = {}
-    port_uses: dict[int, int] = {}
-    for quad in asm.crossings:
-        for tok in quad:
-            r = find(tok)
-            if r not in label:
-                label[r] = len(label)
-            port_uses[r] = port_uses.get(r, 0) + 1
-    boundary_roots = [find(tok) for tok in bounds]
-    if closure is None:
-        for r in boundary_roots:
-            if r not in label:
-                label[r] = len(label)
-    # classes touching neither a crossing nor the boundary are circles
-    roots = {find(x) for x in range(asm.n)}
-    circles = sum(1 for r in roots if r not in label)
-    # every arc has exactly two ends, counting crossing ports and
-    # (for an open tangle) dangling boundary ends
-    ends: dict[int, int] = dict(port_uses)
-    if closure is None:
-        for r in boundary_roots:
-            ends[r] = ends.get(r, 0) + 1
-    for r, uses in ends.items():
-        if uses != 2:
-            raise MalformedDiagram("tangle wiring produced a bad arc valence")
-    crossings = tuple(tuple(label[find(tok)] for tok in quad) for quad in asm.crossings)
-    if closure is None:
-        return TangleDiagram(
-            crossings,
-            len(label),
-            tuple(label[r] for r in boundary_roots),
-            circles,
-        )
-    return LinkDiagram(crossings, len(label), circles)
-
-
 def closure_diagram(t: TangleExpr, kind: str = "numerator") -> LinkDiagram:
-    """Close the tangle without new crossings and return its PD diagram."""
+    """Close the tangle without new crossings and return its PD diagram.
+
+    The numerator closure joins NW-NE and SW-SE, the denominator
+    closure NW-SW and NE-SE.
+    """
     if kind in ("num", "numerator"):
-        kind = "numerator"
+        pairs = ((0, 1), (2, 3))
     elif kind in ("den", "denominator"):
-        kind = "denominator"
+        pairs = ((0, 2), (1, 3))
     else:
         raise ValueError(f"closure kind must be numerator or denominator, got {kind!r}")
-    asm = _Assembler()
+    asm = Wiring()
     bounds = _build(asm, t)
-    return _finalize(asm, bounds, kind)
+    for i, j in pairs:
+        asm.join(bounds[i], bounds[j])
+    return asm.link()
 
 
 def tangle_diagram(t: TangleExpr) -> TangleDiagram:
-    asm = _Assembler()
-    bounds = _build(asm, t)
-    return _finalize(asm, bounds, None)
+    asm = Wiring()
+    crossings, arcs, boundary, circles = asm.assemble(_build(asm, t))
+    return TangleDiagram(crossings, arcs, boundary, circles)
 
 
 # --- the coloring obstruction to tangle embedding -------------------------
 
 
-def _strand_classes_open(td: TangleDiagram) -> list[int]:
-    parent = list(range(td.arc_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, b, _, dd in td.crossings:
-        rb, rd = find(b), find(dd)
-        if rb != rd:
-            parent[max(rb, rd)] = min(rb, rd)
-    label: dict[int, int] = {}
-    out = []
-    for a in range(td.arc_count):
-        r = find(a)
-        if r not in label:
-            label[r] = len(label)
-        out.append(label[r])
-    return out
-
-
 def tangle_coloring_counts(t: TangleExpr, n: int) -> tuple[int, int]:
     """(all tangle colorings, colorings vanishing on the boundary) mod n."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
     td = tangle_diagram(t)
-    classes = _strand_classes_open(td)
-    n_strands = (max(classes) + 1) if classes else 0
-    cols = n_strands + td.circles
-    rows = []
-    for a, b, c, _ in td.crossings:
-        row = [0] * cols
-        row[classes[a]] += 1
-        row[classes[c]] += 1
-        row[classes[b]] -= 2
-        rows.append(row)
-
-    def solution_count(mat) -> int:
-        factors = smith_normal_form(mat) if mat else []
-        orders = [gcd(n, f) for f in factors] + [n] * (cols - len(factors))
-        return AbelianGroupStructure(_divisor_chain(orders)).order
-
-    total = solution_count(rows)
-    pinned = list(rows)
-    for strand in sorted({classes[a] for a in td.boundary}):
-        row = [0] * cols
-        row[strand] = 1
-        pinned.append(row)
-    return total, solution_count(pinned)
+    classes = strand_classes(td.crossings, td.arc_count)
+    cols = max(classes, default=-1) + 1 + td.circles
+    rows = coloring_rows(td.crossings, classes, cols)
+    pins = tuple(
+        tuple(int(j == strand) for j in range(cols))
+        for strand in sorted({classes[a] for a in td.boundary})
+    )
+    total = solution_group(rows, cols, n).order
+    return total, solution_group(rows + pins, cols, n).order
 
 
 def embedding_obstruction(t: TangleExpr, target: LinkDiagram, n: int) -> str:
