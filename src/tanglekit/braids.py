@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .diagrams import BraidWord, braid
 from .errors import EnumerationFailure, UnsupportedStrandCount
 from .laurent import LaurentPoly
@@ -79,7 +77,6 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
 # --- coset enumeration -------------------------------------------------
 
 _INV = {0: 1, 1: 0, 2: 3, 3: 2}
-_LETTER = {1: 0, -1: 1, 2: 2, -2: 3}
 
 
 def _coset_enumerate(relators: list[list[int]], max_cosets: int) -> list[list[int]]:
@@ -199,22 +196,22 @@ class QuotientGroup:
     shortest representative word per element (letters +-1, +-2).
     """
 
-    mult: np.ndarray
+    mult: tuple[tuple[int, ...], ...]
     words: tuple[tuple[int, ...], ...]
     s1: int
     s2: int
 
     @property
     def order(self) -> int:
-        return int(self.mult.shape[0])
+        return len(self.mult)
 
     def inverse(self, x: int) -> int:
-        return int(np.nonzero(self.mult[x] == 0)[0][0])
+        return self.mult[x].index(0)
 
     def element_order(self, x: int) -> int:
         k, y = 1, x
         while y != 0:
-            y = int(self.mult[y, x])
+            y = self.mult[y][x]
             k += 1
         return k
 
@@ -227,17 +224,18 @@ class QuotientGroup:
             e = gens[abs(g)]
             if g < 0:
                 e = self.inverse(e)
-            x = int(self.mult[x, e])
+            x = self.mult[x][e]
         return x
 
     def is_central(self, x: int) -> bool:
-        return bool(np.array_equal(self.mult[x, :], self.mult[:, x]))
+        return all(v == row[x] for v, row in zip(self.mult[x], self.mult))
 
     def conjugacy_classes(self) -> list[list[int]]:
         n = self.order
         cls = [-1] * n
         classes = []
-        conjugators = [self.s1, self.s2, self.inverse(self.s1), self.inverse(self.s2)]
+        i1, i2 = self.inverse(self.s1), self.inverse(self.s2)
+        conjugators = [(i1, self.s1), (i2, self.s2), (self.s1, i1), (self.s2, i2)]  # (g^-1, g)
         for x in range(n):
             if cls[x] != -1:
                 continue
@@ -247,8 +245,8 @@ class QuotientGroup:
             while head < len(orbit):
                 y = orbit[head]
                 head += 1
-                for g in conjugators:
-                    z = int(self.mult[int(self.mult[self.inverse(g), y]), g])
+                for g_inv, g in conjugators:
+                    z = self.mult[self.mult[g_inv][y]][g]
                     if cls[z] == -1:
                         cls[z] = len(classes)
                         orbit.append(z)
@@ -270,40 +268,34 @@ def coxeter_quotient(power: int = 5, max_cosets: int = 100000) -> QuotientGroup:
         [0, 2, 0, 3, 1, 3],  # s1 s2 s1 s2^-1 s1^-1 s2^-1
         [0] * power,
     ]
-    table = _coset_enumerate(relators, max_cosets)
-    n = len(table)
-    action = np.array(table, dtype=np.int32)  # action[x][letter] = x * letter
+    action = _coset_enumerate(relators, max_cosets)  # action[x][letter] = x * letter
+    n = len(action)
     letters_sym = {0: 1, 1: -1, 2: 2, 3: -2}
 
-    # shortest representative words by BFS over right multiplication
+    # shortest representative words by BFS over right multiplication, and
+    # the full multiplication table one column per element along the BFS
+    # tree: column y = x * letter is column x acted on by the letter
     words: list[tuple[int, ...] | None] = [None] * n
     words[0] = ()
+    cols: list[list[int]] = [[]] * n
+    cols[0] = list(range(n))
     queue = [0]
     head = 0
     while head < len(queue):
         x = queue[head]
         head += 1
         for letter in range(4):
-            y = int(action[x, letter])
+            y = action[x][letter]
             if words[y] is None:
                 words[y] = words[x] + (letters_sym[letter],)
+                cols[y] = [action[v][letter] for v in cols[x]]
                 queue.append(y)
 
-    # full multiplication table, one column per element along the BFS tree
-    mult = np.zeros((n, n), dtype=np.int32)
-    mult[:, 0] = np.arange(n, dtype=np.int32)
-    for y in queue[1:]:
-        w = words[y]
-        parent = 0
-        for letter in w[:-1]:
-            parent = int(action[parent, _LETTER[letter]])
-        mult[:, y] = action[mult[:, parent], _LETTER[w[-1]]]
-
     q = QuotientGroup(
-        mult=mult,
+        mult=tuple(zip(*cols)),
         words=tuple(words),  # type: ignore[arg-type]
-        s1=int(action[0, 0]),
-        s2=int(action[0, 2]),
+        s1=action[0][0],
+        s2=action[0][2],
     )
     _QUOTIENT_CACHE[power] = q
     return q

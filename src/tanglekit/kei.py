@@ -12,9 +12,8 @@ Elements are dense indices 0..size-1; `table[a][b]` holds a*b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
-from .errors import NotAGroup
+from .errors import NotAGroup, ParseError
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class FiniteKei:
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.table, dtype=np.int64)
-
     def serialize(self) -> str:
         lines = [str(self.size)]
         lines += [" ".join(str(v) for v in row) for row in self.table]
@@ -45,10 +41,16 @@ class FiniteKei:
 
 def parse_kei(text: str) -> FiniteKei:
     tokens = text.split()
-    n = int(tokens[0])
-    vals = [int(t) for t in tokens[1:]]
+    if not tokens:
+        raise ParseError("empty Kei table")
+    try:
+        n, *vals = map(int, tokens)
+    except ValueError as exc:
+        raise ParseError(f"non-integer token in Kei table: {exc}") from exc
+    if n < 0:
+        raise ParseError(f"negative Kei table size {n}")
     if len(vals) != n * n:
-        raise ValueError(f"expected {n * n} table entries, got {len(vals)}")
+        raise ParseError(f"expected {n * n} table entries, got {len(vals)}")
     return FiniteKei(tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n)))
 
 
@@ -87,9 +89,8 @@ def core_kei(group_table) -> FiniteKei:
                 break
         if inv[a] is None:
             raise NotAGroup(f"element {a} has no inverse")
-    arr = np.array(t, dtype=np.int64)
-    # (ab)c vs a(bc) on all triples
-    if not np.array_equal(arr[arr, :], arr[:, arr]):
+    # (ab)c vs a(bc) on all triples, one row of c at a time
+    if any(t[t[a][b]] != [t[a][x] for x in t[b]] for a in range(n) for b in range(n)):
         raise NotAGroup("multiplication is not associative")
     return FiniteKei(
         tuple(tuple(t[b][t[inv[a]][b]] for b in range(n)) for a in range(n))
@@ -118,30 +119,20 @@ def kei_product(k1: FiniteKei, k2: FiniteKei) -> FiniteKei:
 
 
 def check_axioms(k: FiniteKei) -> list[tuple]:
-    """All axiom violations as (axiom index, offending elements...)."""
-    t = k.as_array()
+    """All axiom violations as (axiom index, offending elements...).
+
+    Ordered by axiom, then (i) by a, (ii) by b then a, (iii) by c, a, b.
+    """
+    t = k.table
     n = k.size
-    out: list[tuple] = []
-    if n == 0:
-        return out
-    idx = np.arange(n)
-
-    bad = np.nonzero(np.diagonal(t) != idx)[0]
-    out += [(1, int(a)) for a in bad]
-
-    # (a*b)*b = a, column by column
+    out: list[tuple] = [(1, a) for a in range(n) if t[a][a] != a]
     for b in range(n):
-        col = t[:, b]
-        bad = np.nonzero(col[col] != idx)[0]
-        out += [(2, int(a), b) for a in bad]
-
-    # (a*b)*c = (a*c)*(b*c), plane by plane in c
+        out += [(2, a, b) for a in range(n) if t[t[a][b]][b] != a]
     for c in range(n):
-        rho = t[:, c]
-        lhs = rho[t]
-        rhs = t[np.ix_(rho, rho)]
-        for a, b in zip(*np.nonzero(lhs != rhs)):
-            out.append((3, int(a), int(b), c))
+        rho = [row[c] for row in t]  # rho[x] = x*c
+        for a in range(n):
+            ta, rc = t[a], t[rho[a]]
+            out += [(3, a, b, c) for b in range(n) if rho[ta[b]] != rc[rho[b]]]
     return out
 
 

@@ -13,7 +13,6 @@ can be forced through the `backend` argument.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .diagrams import LinkDiagram
@@ -44,16 +43,6 @@ def _kernel(backend: str | None):
     if backend == "pure":
         return _enumpy
     raise ValueError(f"unknown backend {backend!r}")
-
-
-def default_cap() -> int:
-    env = os.environ.get("TANGLEKIT_CAP")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_CAP
 
 
 def r_n_relation(n: int) -> tuple[LeftNormedWord, LeftNormedWord]:
@@ -199,7 +188,7 @@ def enumerate_kei(
     outcome.
     """
     if cap is None:
-        cap = default_cap()
+        cap = DEFAULT_CAP
     kernel = _kernel(backend)
     pattern = () if p.burnside_exponent is None else _rn_pattern(p.burnside_exponent)
     status, rows, images, merges = kernel.run_enumeration(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,6 +19,19 @@ from tanglekit.laurent import LaurentPoly
 
 def w(letters):
     return braid(letters, strands=3)
+
+
+def test_quotient_golden_digest():
+    """Recorded from the numpy-built table this tuple-built one replaced."""
+    q = coxeter_quotient()
+    blob = json.dumps(
+        [[list(row) for row in q.mult], [list(x) for x in q.words], q.s1, q.s2],
+        separators=(",", ":"),
+    )
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "90bcaf45f9c728833c512170e80eba55b57bfb53082c41c9a139126e51f9c72f"
+    )
 
 
 def test_braid_relation():

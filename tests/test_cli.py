@@ -94,6 +94,14 @@ def test_kei_iso(capsys, tmp_path):
     assert code == 0 and report["results"]["isomorphic"] is True
 
 
+def test_kei_check_empty_table(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for argv in (["check", str(empty)], ["iso", str(empty), str(empty)]):
+        assert main(["kei", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_tangle_closure(capsys):
     code, report = run_cli(capsys, "tangle", "closure", "(tw 2 2)", "--kind", "num")
     assert code == 0

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
-from tanglekit.errors import NotAGroup
+from tanglekit.errors import NotAGroup, ParseError
 from tanglekit.kei import (
     FiniteKei,
     LeftNormedWord,
@@ -76,6 +79,59 @@ def test_distributivity_violation_reported():
     table[0][1] = 0  # perturb
     violations = check_axioms(FiniteKei(tuple(map(tuple, table))))
     assert any(v[0] == 3 for v in violations)
+
+
+def perturbed(table, seed, count):
+    """`table` with `count` seeded entries overwritten by seeded values."""
+    rng = random.Random(seed)
+    rows = [list(r) for r in table]
+    n = len(rows)
+    for _ in range(count):
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    return FiniteKei(tuple(map(tuple, rows)))
+
+
+def random_table(n, seed):
+    rng = random.Random(seed)
+    return FiniteKei(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+
+
+# Recorded from the numpy-vectorised check_axioms this pure version
+# replaced: count, SHA-256 of the whole ordered list as compact JSON,
+# and its first entries.
+AXIOM_GOLDEN = {
+    "dihedral7": (
+        lambda: perturbed(dihedral_kei(7).table, 7, 2),
+        63,
+        "76882f7c5d7184ecb42e138683031c1094502f2af90534d2256245a9301d39b7",
+        [(1, 0), (2, 0, 0), (2, 1, 3), (2, 5, 3), (3, 0, 0, 0), (3, 0, 1, 0)],
+    ),
+    "core_z5z5": (
+        lambda: perturbed(
+            core_kei(group_product(cyclic_group(5), cyclic_group(5))).table, 25, 3
+        ),
+        359,
+        "1c800cb1bf25887d3a18d1d1ea8207491fae7d533865c653cfb2b024013cd384",
+        [(2, 6, 0), (2, 24, 0), (2, 9, 20), (2, 11, 20), (2, 1, 24), (2, 17, 24),
+         (3, 0, 12, 0), (3, 0, 24, 0)],
+    ),
+    "random30": (
+        lambda: random_table(30, 30),
+        26866,
+        "6e785acebe41d1f5198b6f04017b67fae762fa309f84023c5ebac35b243f05d8",
+        [(1, 0), (1, 1), (1, 2), (1, 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_GOLDEN))
+def test_axiom_violations_golden_order(name):
+    make, count, digest, head = AXIOM_GOLDEN[name]
+    violations = check_axioms(make())
+    assert violations[: len(head)] == head
+    assert len(violations) == count
+    blob = json.dumps([list(v) for v in violations], separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_isomorphism_identity():
@@ -163,3 +219,15 @@ def test_derived_left_norm_identity(size):
 def test_serialize_round_trip():
     k = dihedral_kei(4)
     assert parse_kei(k.serialize()).table == k.table
+
+
+@pytest.mark.parametrize(
+    "text", ["", "  \n", "2\n0 x\n1 1\n", "-1\n", "2\n0 0\n1\n", "2\n0 0 1 1 0\n"]
+)
+def test_parse_kei_rejects_malformed_tables(text):
+    with pytest.raises(ParseError):
+        parse_kei(text)
+
+
+def test_parse_kei_empty_table():
+    assert parse_kei("0\n").size == 0

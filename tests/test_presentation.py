@@ -253,17 +253,6 @@ def test_memory_guard_reports_cap(monkeypatch):
     assert q_kei(3, 4, cap=8000, backend="compiled").size == 96
 
 
-def test_env_cap_override(monkeypatch):
-    from tanglekit.presentation import default_cap
-
-    monkeypatch.setenv("TANGLEKIT_CAP", "123")
-    assert default_cap() == 123
-    monkeypatch.setenv("TANGLEKIT_CAP", "junk")
-    assert default_cap() == 20000
-    monkeypatch.delenv("TANGLEKIT_CAP")
-    assert default_cap() == 20000
-
-
 def test_moving_universal_relation_preserves_iso_class():
     import random
 
