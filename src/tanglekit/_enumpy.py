@@ -8,6 +8,15 @@ distributivity propagate through an event queue, with a full
 triple-loop sweep certifying the axioms before completion is
 reported).
 
+The defined entries are also indexed by row and by column (Python ints
+used as bitsets), so that, as in Felsch-style coset enumeration (Holt,
+Eick, O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5),
+a deduction is processed only where it can act: an event visits only
+the elements that complete a distributivity instance, and a merge
+walks only the dead element's defined entries.  This matters on the
+sparse tables of runs that stop at their cap; see `run_enumeration`
+for why the skipping is exact.
+
 The compiled kernel in `_enumcore` is a translation of the enumerator
 onto flat C arrays; both produce identical tables (fixed deduction
 order, merges always keep the smaller element id).  The Kauffman
@@ -109,9 +118,24 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
       pairs (True) or on generator pairs only (False).
 
     Returns (status, table_rows, generator_images, merge_count).
+
+    `put` and `take` are the only writes to `tab`, which maps (x, z) to
+    x*z, and keep the bitsets `row` and `col` in step with it.  An event
+    on an entry a*b visits z in ascending order, but only the z where
+    one of its three distributivity patterns has both inputs defined:
+    row[a] & (row[b] | col[b]) | col[a] & col[b].  At any other z a
+    visit would only call `find`, so the deduction order, the tables
+    and the merge count are exactly those of visiting every z.  The
+    mask is rebuilt from the current roots after every visit, so
+    entries defined and merges made during the scan are still seen.  A
+    merge likewise walks only the z with an entry in the dead element's
+    row or column; at every other z there is nothing to move.
     """
     parent: list[int] = []
     tab: dict[tuple[int, int], int] = {}
+    # bit z of row[x], and bit x of col[z], is set iff (x, z) is in tab
+    row: list[int] = []
+    col: list[int] = []
     events: deque[tuple[int, int]] = deque()
     merges = 0
 
@@ -121,10 +145,24 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
             x = parent[x]
         return x
 
+    def put(a: int, b: int, v: int) -> None:
+        tab[(a, b)] = v
+        row[a] |= 1 << b
+        col[b] |= 1 << a
+
+    def take(a: int, b: int) -> int | None:
+        v = tab.pop((a, b), None)
+        if v is not None:
+            row[a] ^= 1 << b
+            col[b] ^= 1 << a
+        return v
+
     def new_element() -> int:
         e = len(parent)
         parent.append(e)
-        tab[(e, e)] = e
+        row.append(0)
+        col.append(0)
+        put(e, e, e)
         events.append((e, e))
         return e
 
@@ -147,25 +185,27 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
             parent[ry] = rx
             merges += 1
             # fold the dead row/column into the survivor
-            val = tab.pop((ry, ry), None)
+            val = take(ry, ry)
             if val is not None:
                 queue.append((val, rx))
-            for z in range(len(parent)):
-                if parent[z] != z:
-                    continue
-                val = tab.pop((ry, z), None)
+            zs = row[ry] | col[ry]
+            while zs:
+                low = zs & -zs
+                zs ^= low
+                z = low.bit_length() - 1
+                val = take(ry, z)
                 if val is not None:
                     cur = tab.get((rx, z))
                     if cur is None:
-                        tab[(rx, z)] = val
+                        put(rx, z, val)
                         events.append((rx, z))
                     elif cur != val:
                         queue.append((cur, val))
-                val = tab.pop((z, ry), None)
+                val = take(z, ry)
                 if val is not None:
                     cur = tab.get((z, rx))
                     if cur is None:
-                        tab[(z, rx)] = val
+                        put(z, rx, val)
                         events.append((z, rx))
                     elif cur != val:
                         queue.append((cur, val))
@@ -174,7 +214,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         a, b, c = find(a), find(b), find(c)
         cur = tab.get((a, b))
         if cur is None:
-            tab[(a, b)] = c
+            put(a, b, c)
             events.append((a, b))
         elif find(cur) != c:
             merge(cur, c)
@@ -204,11 +244,15 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
             c = find(c)
             # involution: (a*b)*b = a
             set_entry(c, rb, ra)
-            zs = live_elements()
-            for z in zs:
-                if parent[z] != z:
-                    continue
+            # visit, in ascending order, only the z where one of the
+            # patterns below has both inputs defined
+            z = -1
+            while True:
                 ra, rb = find(ra), find(rb)
+                zs = (row[ra] & (row[rb] | col[rb]) | col[ra] & col[rb]) >> (z + 1)
+                if not zs:
+                    break
+                z += (zs & -zs).bit_length()
                 c = find(c)
                 # entry as p*q in (p*q)*z = (p*z)*(q*z)
                 e, f = lookup(ra, z), lookup(rb, z)
@@ -230,7 +274,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         if v is not None:
             return find(v)
         e = new_element()
-        tab[(x, y)] = e
+        put(x, y, e)
         events.append((x, y))
         return e
 

@@ -185,10 +185,12 @@ def enumerate_kei(
 
     CapExceeded is reported as a result, not raised: finiteness of the
     presented Kei is in general unknown, so hitting the cap is a normal
-    outcome.
+    outcome.  A cap below 1 is refused with ValueError.
     """
     if cap is None:
         cap = DEFAULT_CAP
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     kernel = _kernel(backend)
     pattern = () if p.burnside_exponent is None else _rn_pattern(p.burnside_exponent)
     status, rows, images, merges = kernel.run_enumeration(

@@ -83,6 +83,15 @@ def test_kei_enum_and_check(capsys, tmp_path):
     assert code == 0 and report["passed"] is True
 
 
+def test_kei_enum_rejects_cap_below_one(capsys, tmp_path):
+    pres = tmp_path / "q23.kei"
+    pres.write_text("gens 2\nburnside 3\n")
+    assert main(["kei", "enum", str(pres), "--cap", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cap must be >= 1\n"
+
+
 def test_kei_iso(capsys, tmp_path):
     from tanglekit.kei import dihedral_kei
 

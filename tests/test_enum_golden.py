@@ -1,0 +1,135 @@
+"""Pure-kernel enumeration output pinned to recorded digests.
+
+Each pin is a SHA-256 over compact JSON of (status, table rows,
+generator images, deduction count).  A change to which deductions the
+enumerator makes, or to the order in which it creates elements, moves
+the table or the count and so the digest, even when the Kei it finds
+is isomorphic.  A capped run yields only its status and count, so its
+pin sees less.  The cases cover completed and capped runs, both
+universal-relation modes and seeded presentations with relations.
+Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
+pins Q(3,4).
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from tanglekit.corpus import corpus
+from tanglekit.diagrams import braid, braid_closure, parse_pd
+from tanglekit.presentation import (
+    enumerate_kei,
+    free_burnside_presentation,
+    fundamental_kei,
+)
+
+TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
+
+
+def free(m, n, cap, all_pairs=True):
+    return lambda: (free_burnside_presentation(m, n), cap, all_pairs)
+
+
+def fund(diagram, cap, n=None):
+    def make():
+        pres = fundamental_kei(diagram())
+        return (pres if n is None else pres.with_burnside(n)), cap, True
+    return make
+
+
+def seeded(seed):
+    """Fundamental Kei of a seeded closure of a 2- to 4-strand braid of
+    2-7 letters, with an optional universal relation r_3..r_5."""
+    def make():
+        rng = random.Random(seed)
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(2, 7))]
+        pres = fundamental_kei(braid_closure(braid(word, strands)))
+        n = rng.choice((None, 3, 4, 5))
+        if n is not None:
+            pres = pres.with_burnside(n)
+        return pres, rng.choice((20, 60, 150, 400)), rng.random() < 0.5
+    return make
+
+
+CASES = [
+    *((f"Q({m},{n})", free(m, n, 4000))
+      for m, n in [(1, 5), (2, 3), (2, 5), (2, 9), (3, 2), (3, 3)]),
+    ("fund(trefoil)", fund(lambda: TREFOIL, 1000)),
+    ("fund(1-2-1-2)", fund(lambda: braid_closure(braid([1, -2, 1, -2])), 1000)),
+    ("BQ5(1 1 -2 x3)", fund(lambda: braid_closure(braid([1, 1, -2] * 3)), 20000, 5)),
+    ("Q(3,3)-cap5", free(3, 3, 5)),
+    ("Q(2,4)-genpairs", free(2, 4, 500, all_pairs=False)),
+    ("Q(3,3)-genpairs-cap1000", free(3, 3, 1000, all_pairs=False)),
+    ("Q(4,4)-cap200", free(4, 4, 200)),
+    ("fund(9_2_40)-cap200", fund(lambda: corpus()["9_2_40"], 200)),
+    ("fund(8_18)-cap200", fund(lambda: corpus()["8_18"], 200)),
+    ("BQ5(8_18)", fund(lambda: corpus()["8_18"], 20000, 5)),
+    ("BQ4(3 2 1 2 3 1 3 3)-cap10",
+     fund(lambda: braid_closure(braid([3, 2, 1, 2, 3, 1, 3, 3], 4)), 10, 4)),
+    ("BQ4(-2 2 -1 2 2 2 -1)-cap20",
+     fund(lambda: braid_closure(braid([-2, 2, -1, 2, 2, 2, -1], 3)), 20, 4)),
+    *((f"seeded-{seed}", seeded(seed)) for seed in range(20)),
+]
+
+GOLDEN = {
+    "Q(1,5)": "abc3ce6dee68eb4363319a765c09cde24fbb8ee4caec445a77192b71675b5a7b",
+    "Q(2,3)": "3887609adfd69622820dd531d1765a247f85d831854963025d39eb2f2f54f1de",
+    "Q(2,5)": "bfb116df557cea92147dc404a78df31111006b6bd234eaae34d0a6721b5638bd",
+    "Q(2,9)": "64c3688abdb005a397e3690be1195151610c49e837bb833d6d257ebc71177879",
+    "Q(3,2)": "a6b521217da697f3a0f4b9cc76993604c520a261bae7d08cc347d7bafd08b0f7",
+    "Q(3,3)": "848e15cedf1986930eacb453fc2b4f680e009db78fe2d6d590552057ac8a97ec",
+    "fund(trefoil)": "89b2c6e7f9747023d48374051917b5369d43cef5204afca7c4e5bc5e0576554d",
+    "fund(1-2-1-2)": "babf43ef3173f79f468d01e204fa73dd7ac36f63e30c12c44d11e57968d2bf6f",
+    "BQ5(1 1 -2 x3)": "2355eb6cbd4f5632006a2ce24ae54a7241ed7c1a97c6ae943606ebd975c5d2e1",
+    "Q(3,3)-cap5": "2d3b9c6d5934bbaf313566cd4bf71dc6bad3efdccca24bef554c952e52e06a6f",
+    "Q(2,4)-genpairs": "4f8abf12efb499ee96fab15f8ca5e6ac9c3a42254a8357bf9135f0f82a70e871",
+    "Q(3,3)-genpairs-cap1000": "2d3b9c6d5934bbaf313566cd4bf71dc6bad3efdccca24bef554c952e52e06a6f",
+    "Q(4,4)-cap200": "324de2f9aa8467f96f5ffd873fba7504677cc7173e488a7aaabc4066b6ec7498",
+    "fund(9_2_40)-cap200": "2d3b9c6d5934bbaf313566cd4bf71dc6bad3efdccca24bef554c952e52e06a6f",
+    "fund(8_18)-cap200": "2d3b9c6d5934bbaf313566cd4bf71dc6bad3efdccca24bef554c952e52e06a6f",
+    "BQ5(8_18)": "07f96a9487f4645c32357f5af8e64cfcbeb20888c12e09c0e397489d25241a6b",
+    "BQ4(3 2 1 2 3 1 3 3)-cap10": "8889401a45a20ca68c2d8f23ceba6ea86b5684cd3a25824c6b58102dee723b9c",
+    "BQ4(-2 2 -1 2 2 2 -1)-cap20": "194f2f1d9f6b5988e3db30f2479d4b4e5f3cb97c2d4ee2cb2f627379bbbb4032",
+    "seeded-0": "696ffbe04d6be658c841174268be5558bc37c8e5dba4ad61cd6408761b8bccb9",
+    "seeded-1": "36bfab94bb19abbc4ef7ef3ea88927ed506fec8cdef1601efa36fdac64815f3e",
+    "seeded-2": "5d9b784048e9db7b8005845034e7d1bccfb9315c32b1559db5a9936251a21861",
+    "seeded-3": "5e9d1c0c5b4c94f143955d512220be52745a6465e8966b68338727861d23f8f9",
+    "seeded-4": "a9caf5932782b52734d0bce163241ceed7e4eef8dbc0e6f3ad296a6a66b1febc",
+    "seeded-5": "ed4ce21d07329f71a6ad368d0613d8ad23a16b3a6ecde48d5d919c64944987ba",
+    "seeded-6": "011b55cfe0245f20abd41a38f27b69ad0df633152f9b68670424c8ab647d71ea",
+    "seeded-7": "20bb5813e1fe1b9d2292e517ee3e6a407dc77328277ba0727fd260a10c268a4f",
+    "seeded-8": "3af4556f9d5f9665aac624de8588f2547e9098df69248729396d4246b9dc52eb",
+    "seeded-9": "36bfab94bb19abbc4ef7ef3ea88927ed506fec8cdef1601efa36fdac64815f3e",
+    "seeded-10": "57480e32f095d67b128681dec2a436154f4d4e126db71174fa4abd8299c957e0",
+    "seeded-11": "1a4e5944d746736435d5a9f53f1de2ce99f836e793f7f7d54c44be9cb687092d",
+    "seeded-12": "3af4556f9d5f9665aac624de8588f2547e9098df69248729396d4246b9dc52eb",
+    "seeded-13": "4a0fdb65055db649c20e827aadab2ec87d2811692bfd5565120cea90445e9315",
+    "seeded-14": "382c88fb55b3bacd98c416852a36ec0e68b36c78e430397af4a16069463ebda0",
+    "seeded-15": "5d9b784048e9db7b8005845034e7d1bccfb9315c32b1559db5a9936251a21861",
+    "seeded-16": "7433c64a0f8c27835061b0d5fcbbe745cff61b55e86df5d117a343591fc63291",
+    "seeded-17": "43b5c3652ef9a7bb74b113320b81ce89c52458efe224835bd5ed7df9e72e258c",
+    "seeded-18": "57032d80e7ecab2b206253741316890c2547d0a5e84aa68cf9df8a70cd652450",
+    "seeded-19": "42c237433b5737ec2c76aca10e61c84bd14152c3ea24f56a398083fe7543fe28",
+}
+
+
+def run_digest(make) -> str:
+    pres, cap, all_pairs = make()
+    r = enumerate_kei(pres, cap, universal_on_all_pairs=all_pairs, backend="pure")
+    record = [
+        0 if r.completed else 1,
+        r.kei.table if r.completed else None,
+        r.generator_images,
+        r.deductions,
+    ]
+    text = json.dumps(record, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cid,make", CASES, ids=[c for c, _ in CASES])
+def test_enumeration_golden(cid, make):
+    assert run_digest(make) == GOLDEN[cid]

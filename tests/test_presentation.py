@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
@@ -148,12 +151,24 @@ def test_cap_exceeded_is_reported_not_raised():
     assert r.kei is None and r.size is None
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        q_kei(2, 3, cap=cap)
+
+
 def test_determinism():
     a = q_kei(3, 4, cap=4000)
     b = q_kei(3, 4, cap=4000)
     assert a.kei.table == b.kei.table
     assert a.generator_images == b.generator_images
     assert a.deductions == b.deductions
+    # pinned here rather than in test_enum_golden.py, which stays fast
+    record = json.dumps([a.kei.table, a.generator_images, a.deductions],
+                        separators=(",", ":"))
+    assert hashlib.sha256(record.encode()).hexdigest() == (
+        "5df66457fb6ddee3b29dae7712b5338568a7e5d3fc00eeaa9f5f899f86393712"
+    )
 
 
 def test_universal_on_generator_pairs_differs():
