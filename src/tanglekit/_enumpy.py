@@ -4,9 +4,10 @@ Completion procedure over a partial operation table.  Relation
 instances are scanned HLT-style: every product needed along a trace is
 defined on the spot and the final step is closed as a deduction, which
 feeds the union-find congruence machinery (involution and
-distributivity propagate through an event queue, with a full
-triple-loop sweep certifying the axioms before completion is
-reported).
+distributivity propagate through an event queue).  Once the queue is
+drained and the table is total, it satisfies the axioms, so no final
+checking pass is made; `presentation.enumerate_kei` certifies every
+completed table outside the kernel.
 
 The defined entries are also indexed by row and by column (Python ints
 used as bitsets), so that, as in Felsch-style coset enumeration (Holt,
@@ -130,6 +131,23 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     entries defined and merges made during the scan are still seen.  A
     merge likewise walks only the z with an entry in the dead element's
     row or column; at every other z there is nothing to move.
+
+    Completion stops once the events are drained, neither the relations
+    nor r_n deduce anything and the table is total.  As in Felsch-style
+    coset enumeration, that table already satisfies the axioms, so no
+    final sweep checks them:
+    (i)   x*x = x is defined when x is created, and a merge folding y
+          into x merges y*y with x;
+    (ii)  every entry a*b = c has an event, which applies the
+          involution c*b = a;
+    (iii) an instance (p*q)*r = (p*r)*(q*r) is seen by the event of
+          whichever of its inputs p*q, p*r, q*r is defined last, which
+          closes it if either side is defined.  If both sides were
+          still undefined then, take e = p*r and f = q*r: by (ii) the
+          companion instance (e*f)*r = (e*r)*(f*r) has the right side
+          p*q, which is defined.  Once e*f is defined (at the latest by
+          totalizing), the companion is seen and closes (e*f)*r = p*q,
+          whose involution gives (p*q)*r = e*f.
     """
     parent: list[int] = []
     tab: dict[tuple[int, int], int] = {}
@@ -334,42 +352,6 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                     return True
         return progress_marker() != before
 
-    def full_sweep() -> bool:
-        """Certify all three axioms on the current table; returns True
-        if anything new was deduced."""
-        before = progress_marker()
-        zs = live_elements()
-        for p in zs:
-            if parent[p] != p:
-                continue
-            v = lookup(p, p)
-            if v is not None and v != p:
-                merge(v, p)
-            for q in zs:
-                if parent[p] != p or parent[q] != q:
-                    continue
-                c = lookup(p, q)
-                if c is not None:
-                    set_entry(c, q, p)
-        for p in zs:
-            for q in zs:
-                if parent[p] != p or parent[q] != q:
-                    continue
-                d = lookup(p, q)
-                if d is None:
-                    continue
-                for r in zs:
-                    if parent[r] != r:
-                        continue
-                    e, f = lookup(p, r), lookup(q, r)
-                    if e is None or f is None:
-                        continue
-                    d = lookup(p, q)
-                    if d is None:
-                        break
-                    confront((d, r), lookup(d, r), (e, f), lookup(e, f))
-        return progress_marker() != before
-
     gen_slots = [new_element() for _ in range(m)]
 
     while True:
@@ -384,25 +366,10 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
 
         # totalize: define the first undefined product in scan order
         zs = live_elements()
-        missing = None
-        for a in zs:
-            if parent[a] != a:
-                continue
-            for b in zs:
-                if parent[b] != b:
-                    continue
-                if (a, b) not in tab:
-                    missing = (a, b)
-                    break
-            if missing:
-                break
-        if missing is not None:
-            fill_product(missing[0], missing[1])
-            continue
-
-        if full_sweep():
-            continue
-        break
+        missing = next(((a, b) for a in zs for b in zs if (a, b) not in tab), None)
+        if missing is None:
+            break
+        fill_product(*missing)
 
     # compact to a dense table in discovery order
     zs = live_elements()

@@ -26,7 +26,8 @@ class UnsupportedStrandCount(TangleKitError):
 
 
 class EnumerationFailure(TangleKitError):
-    """Coset enumeration exceeded its internal capacity."""
+    """An enumeration failed: coset enumeration exceeded its capacity, or a
+    completed Kei table failed its certificate."""
 
 
 class InvalidMoveSite(TangleKitError):

@@ -8,7 +8,9 @@ the Burnside quotient of a link's fundamental Kei.
 
 Enumeration is a completion procedure (see `_enumpy`); the compiled
 kernel `_enumcore` is preferred when it is importable, and either kernel
-can be forced through the `backend` argument.
+can be forced through the `backend` argument.  Whichever kernel runs,
+`enumerate_kei` certifies each completed table once: it must be a Kei
+in which the generator images satisfy every relation and r_n.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .diagrams import LinkDiagram
-from .errors import ParseError
-from .kei import FiniteKei, LeftNormedWord, phi_eval
+from .errors import EnumerationFailure, ParseError
+from .kei import FiniteKei, LeftNormedWord, check_axioms, phi_eval
 from . import _enumpy
 
 try:
@@ -175,6 +177,26 @@ def _rn_pattern(n: int) -> tuple[int, ...]:
     return tuple(0 if x == "a" else 1 for x in rhs.letters)
 
 
+def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
+    """Raise EnumerationFailure unless `kei` satisfies the axioms and,
+    under `images`, every relation and r_n on the pairs it was imposed on."""
+    t = kei.table
+
+    def value(word, env):
+        x = env[word[0]]
+        for sym in word[1:]:
+            x = t[x][env[sym]]
+        return x
+
+    if check_axioms(kei):
+        raise EnumerationFailure("enumerated table violates the Kei axioms")
+    if any(value(lhs, images) != value(rhs, images) for lhs, rhs in p.relations):
+        raise EnumerationFailure("generator images violate a relation")
+    domain = range(kei.size) if universal_on_all_pairs else set(images)
+    if pattern and any(value(pattern, (u, w)) != u for u in domain for w in domain):
+        raise EnumerationFailure("enumerated table violates the universal relation")
+
+
 def enumerate_kei(
     p: KeiPresentation,
     cap: int | None = None,
@@ -185,7 +207,8 @@ def enumerate_kei(
 
     CapExceeded is reported as a result, not raised: finiteness of the
     presented Kei is in general unknown, so hitting the cap is a normal
-    outcome.  A cap below 1 is refused with ValueError.
+    outcome.  A cap below 1 is refused with ValueError; a completed table
+    that fails its certificate raises EnumerationFailure.
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -204,6 +227,7 @@ def enumerate_kei(
     if status != 0:
         return EnumerationResult(False, None, None, merges, cap, name)
     kei = FiniteKei(tuple(tuple(r) for r in rows))
+    _certify(p, kei, images, pattern, universal_on_all_pairs)
     return EnumerationResult(True, kei, tuple(images), merges, cap, name)
 
 

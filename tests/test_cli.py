@@ -199,3 +199,23 @@ def test_invariants_reports_bracket_limit(capsys, monkeypatch):
     assert code == 0
     assert report["results"]["crossings"] == 90
     assert report["results"]["jones5_verdict"] == "diagram too large"
+
+
+def test_kei_enum_reports_failed_certificate(capsys, monkeypatch, tmp_path):
+    from tanglekit import presentation
+    from tanglekit.kei import trivial_kei
+
+    class Kernel:
+        @staticmethod
+        def run_enumeration(m, relations, pattern, all_pairs, cap):
+            return 0, trivial_kei(2).table, [0, 1], 0
+
+    monkeypatch.setattr(presentation, "_kernel", lambda backend: Kernel)
+    pres = tmp_path / "q23.kei"
+    pres.write_text("gens 2\nburnside 3\n")
+    assert main(["kei", "enum", str(pres)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumerated table violates the universal relation\n"
+    )

@@ -8,7 +8,8 @@ is isomorphic.  A capped run yields only its status and count, so its
 pin sees less.  The cases cover completed and capped runs, both
 universal-relation modes and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
-pins Q(3,4).
+pins them.  `test_random_presentations_golden` pins one digest over 150
+seeded random presentations.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import pytest
 from tanglekit.corpus import corpus
 from tanglekit.diagrams import braid, braid_closure, parse_pd
 from tanglekit.presentation import (
+    KeiPresentation,
     enumerate_kei,
     free_burnside_presentation,
     fundamental_kei,
@@ -117,19 +119,43 @@ GOLDEN = {
 }
 
 
-def run_digest(make) -> str:
-    pres, cap, all_pairs = make()
+def random_presentation(seed):
+    """1-4 generators, up to 4 relations between words of 1-4 letters,
+    an optional r_2..r_5 in either universal mode, cap 20-200."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+
+    def word():
+        return tuple(rng.randrange(m) for _ in range(rng.randint(1, 4)))
+
+    relations = tuple((word(), word()) for _ in range(rng.randint(0, 4)))
+    pres = KeiPresentation(m, relations, rng.choice((None, 2, 3, 4, 5)))
+    return pres, rng.choice((20, 50, 100, 200)), rng.random() < 0.5
+
+
+RANDOM_GOLDEN = "33f212f8f9d1fbbb0e209280c816533e90bc597c3aa01f5128b5650acaca2b6f"
+
+
+def run_record(pres, cap, all_pairs) -> list:
     r = enumerate_kei(pres, cap, universal_on_all_pairs=all_pairs, backend="pure")
-    record = [
+    return [
         0 if r.completed else 1,
         r.kei.table if r.completed else None,
         r.generator_images,
         r.deductions,
     ]
+
+
+def digest(record) -> str:
     text = json.dumps(record, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("cid,make", CASES, ids=[c for c, _ in CASES])
 def test_enumeration_golden(cid, make):
-    assert run_digest(make) == GOLDEN[cid]
+    assert digest(run_record(*make())) == GOLDEN[cid]
+
+
+def test_random_presentations_golden():
+    records = [run_record(*random_presentation(seed)) for seed in range(150)]
+    assert digest(records) == RANDOM_GOLDEN

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
+from tanglekit.errors import EnumerationFailure
 from tanglekit.kei import (
     check_axioms,
     core_kei,
@@ -169,6 +170,12 @@ def test_determinism():
     assert hashlib.sha256(record.encode()).hexdigest() == (
         "5df66457fb6ddee3b29dae7712b5338568a7e5d3fc00eeaa9f5f899f86393712"
     )
+    c = q_kei(4, 3, cap=4000)
+    record = json.dumps([c.kei.table, c.generator_images, c.deductions],
+                        separators=(",", ":"))
+    assert hashlib.sha256(record.encode()).hexdigest() == (
+        "fcb9a8b78369e0d8d0baa4491515d9abc16ec2da6312d19e87c18871f8b9a664"
+    )
 
 
 def test_universal_on_generator_pairs_differs():
@@ -281,3 +288,42 @@ def test_moving_universal_relation_preserves_iso_class():
         r2 = burnside_kei(braid_closure(braid(inserted, 3)), 3, cap=4000)
         assert r1.completed and r2.completed
         assert kei_isomorphic(r1.kei, r2.kei) is not None
+
+
+def fake_kernel(monkeypatch, rows, images):
+    """Make every enumeration 'complete' with the given table and images."""
+    from tanglekit import presentation
+
+    class Kernel:
+        @staticmethod
+        def run_enumeration(m, relations, pattern, all_pairs, cap):
+            return 0, rows, images, 0
+
+    monkeypatch.setattr(presentation, "_kernel", lambda backend: Kernel)
+
+
+@pytest.mark.parametrize(
+    "text,rows,images,match",
+    [
+        ("gens 2\n", dihedral_kei(3).table[::-1], [0, 1], "Kei axioms"),
+        ("gens 2\nrel x0*x1 = x0\n", dihedral_kei(3).table, [0, 1],
+         "violate a relation"),
+        ("gens 2\nburnside 3\n", trivial_kei(2).table, [0, 1],
+         "universal relation"),
+    ],
+    ids=["axioms", "relation", "universal"],
+)
+def test_certificate_refuses_wrong_table(monkeypatch, text, rows, images, match):
+    fake_kernel(monkeypatch, rows, images)
+    with pytest.raises(EnumerationFailure, match=match):
+        enumerate_kei(parse_presentation(text))
+
+
+def test_certificate_checks_universal_relation_where_imposed(monkeypatch):
+    # r_3 fails on the pair (0, 1) but holds on the image pair (0, 0)
+    fake_kernel(monkeypatch, trivial_kei(2).table, [0])
+    pres = parse_presentation("gens 1\nburnside 3\n")
+    r = enumerate_kei(pres, universal_on_all_pairs=False)
+    assert r.completed and r.size == 2
+    with pytest.raises(EnumerationFailure):
+        enumerate_kei(pres)
