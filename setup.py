@@ -1,25 +1,19 @@
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("TANGLEKIT_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "tanglekit._enumcore",
-                    ["src/tanglekit/_enumcore.pyx"],
-                    extra_compile_args=["-O3"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
+    # The checked-in C file, generated by Cython from _enumcore.pyx, so
+    # the build needs only a C compiler.  optional=True: if it does not
+    # compile, install with the pure-Python kernel only.
+    ext_modules = [
+        Extension(
+            "tanglekit._enumcore",
+            ["src/tanglekit/_enumcore.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
         )
-    except ImportError:
-        # No Cython available: install with the pure-Python kernel only.
-        ext_modules = []
+    ]
 
 setup(ext_modules=ext_modules)

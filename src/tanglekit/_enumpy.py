@@ -1,10 +1,12 @@
 """Pure-Python kernel for finitely presented Kei enumeration.
 
 Completion procedure over a partial operation table.  Relation
-instances are scanned HLT-style: every product needed along a trace is
-defined on the spot and the final step is closed as a deduction, which
-feeds the union-find congruence machinery (involution and
-distributivity propagate through an event queue).  Once the queue is
+instances are scanned HLT-style by one routine, `trace_relation`, for
+the presentation's relations and for the universal relation alike:
+every product needed along a trace is defined on the spot and the
+final step is closed as a deduction, which feeds the union-find
+congruence machinery (every table write schedules an event, and the
+events propagate involution and distributivity).  Once the queue is
 drained and the table is total, it satisfies the axioms, so no final
 checking pass is made; `presentation.enumerate_kei` certifies every
 completed table outside the kernel.
@@ -120,17 +122,23 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
 
     Returns (status, table_rows, generator_images, merge_count).
 
+    `trace_relation(lhs, rhs, env)` traces each relation under the
+    current roots of the generators, and each universal instance
+    r_n(u, w) as the relation ((0,), rn_pattern) under env (u, w).
+
     `put` and `take` are the only writes to `tab`, which maps (x, z) to
-    x*z, and keep the bitsets `row` and `col` in step with it.  An event
-    on an entry a*b visits z in ascending order, but only the z where
-    one of its three distributivity patterns has both inputs defined:
-    row[a] & (row[b] | col[b]) | col[a] & col[b].  At any other z a
-    visit would only call `find`, so the deduction order, the tables
-    and the merge count are exactly those of visiting every z.  The
-    mask is rebuilt from the current roots after every visit, so
-    entries defined and merges made during the scan are still seen.  A
-    merge likewise walks only the z with an entry in the dead element's
-    row or column; at every other z there is nothing to move.
+    x*z, and keep the bitsets `row` and `col` in step with it; `put`
+    also schedules the entry's event, so (ii) below holds by
+    construction.  An event on an entry a*b visits z in ascending
+    order, but only the z where one of its three distributivity
+    patterns has both inputs defined: row[a] & (row[b] | col[b]) |
+    col[a] & col[b].  At any other z a visit would only call `find`, so
+    the deduction order, the tables and the merge count are exactly
+    those of visiting every z.  The mask is rebuilt from the current
+    roots after every visit, so entries defined and merges made during
+    the scan are still seen.  A merge likewise walks only the z with an
+    entry in the dead element's row or column; at every other z there
+    is nothing to move.
 
     Completion stops once the events are drained, neither the relations
     nor r_n deduce anything and the table is total.  As in Felsch-style
@@ -164,9 +172,11 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         return x
 
     def put(a: int, b: int, v: int) -> None:
+        """Define a*b = v and schedule the entry's event."""
         tab[(a, b)] = v
         row[a] |= 1 << b
         col[b] |= 1 << a
+        events.append((a, b))
 
     def take(a: int, b: int) -> int | None:
         v = tab.pop((a, b), None)
@@ -181,7 +191,6 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         row.append(0)
         col.append(0)
         put(e, e, e)
-        events.append((e, e))
         return e
 
     def live_elements() -> list[int]:
@@ -216,7 +225,6 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                     cur = tab.get((rx, z))
                     if cur is None:
                         put(rx, z, val)
-                        events.append((rx, z))
                     elif cur != val:
                         queue.append((cur, val))
                 val = take(z, ry)
@@ -224,7 +232,6 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                     cur = tab.get((z, rx))
                     if cur is None:
                         put(z, rx, val)
-                        events.append((z, rx))
                     elif cur != val:
                         queue.append((cur, val))
 
@@ -233,7 +240,6 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         cur = tab.get((a, b))
         if cur is None:
             put(a, b, c)
-            events.append((a, b))
         elif find(cur) != c:
             merge(cur, c)
 
@@ -286,35 +292,32 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                     confront((d, rb), lookup(d, rb), (e, c), lookup(e, c))
 
     def fill_product(x: int, y: int) -> int:
-        """x*y, defining a fresh element if the product is missing."""
-        x, y = find(x), find(y)
+        """x*y for roots x and y, defining a fresh element if the product
+        is missing."""
         v = tab.get((x, y))
         if v is not None:
             return find(v)
         e = new_element()
         put(x, y, e)
-        events.append((x, y))
         return e
 
-    def scan_word_fill(letters, env) -> int:
-        x = find(env[letters[0]])
-        for sym in letters[1:]:
-            x = fill_product(x, find(env[sym]))
-        return find(x)
-
-    def scan_close(letters, env, target: int) -> None:
-        """Trace a word, filling all products but closing the last one
-        as a deduction against `target`."""
-        if len(letters) == 1:
-            v = find(env[letters[0]])
-            if v != find(target):
-                merge(v, target)
+    def trace_relation(lhs, rhs, env) -> None:
+        """Trace lhs = rhs under `env`, a sequence of roots: fill every
+        product along both words, except that the last product of rhs is
+        closed as a deduction against the value of lhs.  Filling never
+        merges, so the roots in `env` and the values found stay roots
+        until that deduction."""
+        x = env[lhs[0]]
+        for sym in lhs[1:]:
+            x = fill_product(x, env[sym])
+        y = env[rhs[0]]
+        if len(rhs) == 1:
+            if y != x:
+                merge(y, x)
             return
-        x = find(env[letters[0]])
-        for sym in letters[1:-1]:
-            x = fill_product(x, find(env[sym]))
-            x = find(x)
-        set_entry(x, find(env[letters[-1]]), find(target))
+        for sym in rhs[1:-1]:
+            y = fill_product(y, env[sym])
+        set_entry(y, env[rhs[-1]], x)
 
     def progress_marker():
         return (len(parent), merges, len(tab))
@@ -322,10 +325,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     def trace_concrete() -> bool:
         before = progress_marker()
         for lhs, rhs in relations:
-            gens_now = [find(g) for g in gen_slots]
-            target = scan_word_fill(lhs, gens_now)
-            gens_now = [find(g) for g in gen_slots]
-            scan_close(rhs, gens_now, target)
+            trace_relation(lhs, rhs, [find(g) for g in gen_slots])
             process_events()
             if live_count() > cap:
                 return True
@@ -346,7 +346,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                 ru, rw = find(u), find(w)
                 if ru == rw:
                     continue
-                scan_close(rn_pattern, (ru, rw), ru)
+                trace_relation((0,), rn_pattern, (ru, rw))
                 process_events()
                 if live_count() > cap:
                     return True

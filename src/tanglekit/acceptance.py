@@ -38,6 +38,8 @@ from .tangles import (
 )
 
 DEFAULT_SEED = 20050129
+KEI_CAP = 8000  # element cap of the Burnside Kei enumerations
+FUNDAMENTAL_KEI_CAP = 4000  # element cap of the fundamental Kei enumerations
 
 
 @dataclass(frozen=True)
@@ -93,21 +95,21 @@ def check_reduction_chains():
 
 
 @_check(3, "free-burnside-kei-sizes")
-def check_kei_cardinalities(cap: int = 8000):
+def check_kei_cardinalities():
     facts = []
     for m, n, want in ((2, 3, 3), (3, 3, 9), (4, 3, 81), (3, 4, 96)):
-        r = q_kei(m, n, cap=cap)
+        r = q_kei(m, n, cap=KEI_CAP)
         facts.append((f"Q({m},{n})", r.size == want))
     for n in range(2, 10):
-        r = q_kei(2, n, cap=cap)
+        r = q_kei(2, n, cap=KEI_CAP)
         iso = r.completed and kei_isomorphic(r.kei, dihedral_kei(n)) is not None
         facts.append((f"Q(2,{n})~dihedral", iso))
     for m in range(1, 7):
-        r = q_kei(m, 2, cap=cap)
+        r = q_kei(m, 2, cap=KEI_CAP)
         iso = r.completed and kei_isomorphic(r.kei, trivial_kei(m)) is not None
         facts.append((f"Q({m},2)~trivial", iso))
     for n in range(2, 10):
-        r = q_kei(1, n, cap=cap)
+        r = q_kei(1, n, cap=KEI_CAP)
         facts.append((f"Q(1,{n})", r.size == 1))
     bad = [name for name, ok in facts if not ok]
     return not bad, f"checked={len(facts)} failed={bad or 'none'}"
@@ -132,14 +134,14 @@ def check_exceptional_burnside():
 
 
 @_check(5, "fundamental-kei-sizes")
-def check_fundamental_kei_sizes(cap: int = 4000):
+def check_fundamental_kei_sizes():
     entries = corpus()
     facts = []
     for name, want in (("trefoil", 3), ("4_1", 5)):
-        r = enumerate_kei(fundamental_kei(entries[name]), cap=cap)
+        r = enumerate_kei(fundamental_kei(entries[name]), cap=FUNDAMENTAL_KEI_CAP)
         facts.append((name, r.size == want))
     five_halves = closure_diagram(TwistLeaf((2, 2)), "numerator")
-    r = enumerate_kei(fundamental_kei(five_halves), cap=cap)
+    r = enumerate_kei(fundamental_kei(five_halves), cap=FUNDAMENTAL_KEI_CAP)
     facts.append(("N(5/2)", r.size == 5))
     bad = [name for name, ok in facts if not ok]
     return not bad, f"failed={bad or 'none'}"
@@ -277,14 +279,14 @@ def suite_power_insertion_jones(seed: int, instances: int):
 
 
 @_check(8, "suite-3-move-bq3-iso")
-def suite_power_insertion_burnside(seed: int, instances: int, cap: int = 8000):
+def suite_power_insertion_burnside(seed: int, instances: int):
     rng = random.Random(seed + 3)
     done = failures = capped = 0
     while done < instances:
         word = _random_b3_word(rng, 10)
         inserted = _insert_power(rng, word, 3)
-        r1 = burnside_kei(braid_closure(braid(word, 3)), 3, cap=cap)
-        r2 = burnside_kei(braid_closure(braid(inserted, 3)), 3, cap=cap)
+        r1 = burnside_kei(braid_closure(braid(word, 3)), 3, cap=KEI_CAP)
+        r2 = burnside_kei(braid_closure(braid(inserted, 3)), 3, cap=KEI_CAP)
         if not (r1.completed and r2.completed):
             capped += 1
             continue

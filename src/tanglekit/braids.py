@@ -9,11 +9,13 @@ Two oracles:
   the 600-element quotient, in which equality models 5-move
   equivalence of 3-braids (the fifth power of every conjugate of a
   generator dies, so inserting five equal letters anywhere is
-  invisible).
+  invisible).  The fifth power is the only one the paper uses, so
+  `coxeter_quotient` builds that quotient alone, once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .diagrams import BraidWord, braid
@@ -77,10 +79,12 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
 # --- coset enumeration -------------------------------------------------
 
 _INV = {0: 1, 1: 0, 2: 3, 3: 2}
+COSET_CAP = 100000
 
 
-def _coset_enumerate(relators: list[list[int]], max_cosets: int) -> list[list[int]]:
-    """HLT coset enumeration over the trivial subgroup, 2 generators.
+def _coset_enumerate(relators: list[list[int]]) -> list[list[int]]:
+    """HLT coset enumeration over the trivial subgroup, 2 generators,
+    refusing to define more than COSET_CAP cosets.
 
     Returns the completed table with live rows compacted in BFS order.
     """
@@ -94,8 +98,8 @@ def _coset_enumerate(relators: list[list[int]], max_cosets: int) -> list[list[in
         return x
 
     def define(alpha: int, x: int) -> int:
-        if len(table) >= max_cosets:
-            raise EnumerationFailure(f"coset cap {max_cosets} exceeded")
+        if len(table) >= COSET_CAP:
+            raise EnumerationFailure(f"coset cap {COSET_CAP} exceeded")
         beta = len(table)
         table.append([None] * 4)
         p.append(beta)
@@ -254,21 +258,15 @@ class QuotientGroup:
         return classes
 
 
-_QUOTIENT_CACHE: dict[int, QuotientGroup] = {}
-
-
-def coxeter_quotient(power: int = 5, max_cosets: int = 100000) -> QuotientGroup:
-    """The quotient of B_3 by the normal closure of s1**power.
-
-    For power 5 this is Coxeter's finite group of order 600.
-    """
-    if power in _QUOTIENT_CACHE:
-        return _QUOTIENT_CACHE[power]
+@functools.cache
+def coxeter_quotient() -> QuotientGroup:
+    """The quotient of B_3 by the normal closure of s1**5, Coxeter's
+    finite group of order 600."""
     relators = [
         [0, 2, 0, 3, 1, 3],  # s1 s2 s1 s2^-1 s1^-1 s2^-1
-        [0] * power,
+        [0] * 5,
     ]
-    action = _coset_enumerate(relators, max_cosets)  # action[x][letter] = x * letter
+    action = _coset_enumerate(relators)  # action[x][letter] = x * letter
     n = len(action)
     letters_sym = {0: 1, 1: -1, 2: 2, 3: -2}
 
@@ -291,18 +289,16 @@ def coxeter_quotient(power: int = 5, max_cosets: int = 100000) -> QuotientGroup:
                 cols[y] = [action[v][letter] for v in cols[x]]
                 queue.append(y)
 
-    q = QuotientGroup(
+    return QuotientGroup(
         mult=tuple(zip(*cols)),
         words=tuple(words),  # type: ignore[arg-type]
         s1=action[0][0],
         s2=action[0][2],
     )
-    _QUOTIENT_CACHE[power] = q
-    return q
 
 
-def quotient_image(w: BraidWord, power: int = 5) -> int:
-    return coxeter_quotient(power).image(w)
+def quotient_image(w: BraidWord) -> int:
+    return coxeter_quotient().image(w)
 
 
 def conjugacy_census(q: QuotientGroup) -> list[dict]:

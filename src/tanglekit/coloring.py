@@ -121,22 +121,6 @@ def smith_normal_form(matrix) -> list[int]:
     return factors
 
 
-def _divisor_chain(orders) -> tuple[int, ...]:
-    vals = [int(v) for v in orders if int(v) != 1]
-    changed = True
-    while changed:
-        changed = False
-        vals.sort()
-        for i in range(len(vals) - 1):
-            a, b = vals[i], vals[i + 1]
-            if b % a:
-                g = gcd(a, b)
-                vals[i], vals[i + 1] = g, a * b // g
-                changed = True
-        vals = [v for v in vals if v != 1]
-    return tuple(vals)
-
-
 @dataclass(frozen=True)
 class AbelianGroupStructure:
     """Finite abelian group in divisor-chain form: each order divides the next."""
@@ -159,8 +143,10 @@ def solution_group(rows, cols: int, n: int) -> AbelianGroupStructure:
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
     factors = smith_normal_form(rows) if rows else []
+    # the invariant factors divide each other, gcd with n keeps that
+    # order and n ends the chain: already a divisor chain
     orders = [gcd(n, f) for f in factors] + [n] * (cols - len(factors))
-    return AbelianGroupStructure(_divisor_chain(orders))
+    return AbelianGroupStructure(tuple(o for o in orders if o != 1))
 
 
 def col_group(d: LinkDiagram, n: int) -> AbelianGroupStructure:

@@ -95,21 +95,6 @@ def jones(d: LinkDiagram, orientation: tuple[bool, ...] | None = None) -> Lauren
 _RED8 = (-1, 0, 1, 0, -1, 0, 1, 0)
 
 
-def _power_table() -> list[tuple[int, ...]]:
-    table = []
-    vec = [1, 0, 0, 0, 0, 0, 0, 0]
-    for _ in range(20):
-        table.append(tuple(vec))
-        carry = vec[7]
-        vec = [0] + vec[:7]
-        if carry:
-            vec = [v + carry * r for v, r in zip(vec, _RED8)]
-    return table
-
-
-_POW20 = _power_table()
-
-
 @dataclass(frozen=True)
 class CyclotomicValue:
     """Element of Z[s]/(s^8 - s^6 + s^4 - s^2 + 1) as 8 coordinates."""
@@ -145,6 +130,12 @@ class CyclotomicValue:
         return cls((1, 0, 0, 0, 0, 0, 0, 0))
 
 
+_S = CyclotomicValue((0, 1, 0, 0, 0, 0, 0, 0))
+_POW20 = [CyclotomicValue.one()]  # s^0 .. s^19; s has order 20
+while len(_POW20) < 20:
+    _POW20.append(_POW20[-1] * _S)
+
+
 def eval_at_fifth_root(p: LaurentPoly) -> CyclotomicValue:
     """Evaluate a polynomial in s at the primitive 20th root of unity.
 
@@ -153,7 +144,7 @@ def eval_at_fifth_root(p: LaurentPoly) -> CyclotomicValue:
     """
     acc = [0] * 8
     for e, c in p.coeffs.items():
-        vec = _POW20[e % 20]
+        vec = _POW20[e % 20].coords
         for k in range(8):
             acc[k] += c * vec[k]
     return CyclotomicValue(tuple(acc))

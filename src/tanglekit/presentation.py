@@ -10,16 +10,18 @@ Enumeration is a completion procedure (see `_enumpy`); the compiled
 kernel `_enumcore` is preferred when it is importable, and either kernel
 can be forced through the `backend` argument.  Whichever kernel runs,
 `enumerate_kei` certifies each completed table once: it must be a Kei
-in which the generator images satisfy every relation and r_n.
+generated by the generator images, and the images must satisfy every
+relation and r_n.  Generation lets the certificate check axioms 2 and
+3 at the images' columns only (see `_certify`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .diagrams import LinkDiagram
 from .errors import EnumerationFailure, ParseError
-from .kei import FiniteKei, LeftNormedWord, check_axioms, phi_eval
+from .kei import FiniteKei, LeftNormedWord, phi_eval
 from . import _enumpy
 
 try:
@@ -62,7 +64,8 @@ def r_n_relation(n: int) -> tuple[LeftNormedWord, LeftNormedWord]:
 
 @dataclass(frozen=True)
 class KeiPresentation:
-    """Generators 0..m-1 with left-normed word relations.
+    """Generators 0..m-1, written x0..x{m-1}, with left-normed word
+    relations.
 
     `relations` holds pairs of generator-index tuples; `burnside_exponent`,
     when set, additionally imposes r_n(u, w) for all element pairs of the
@@ -72,7 +75,6 @@ class KeiPresentation:
     generator_count: int
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
     burnside_exponent: int | None = None
-    generator_names: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.generator_count < 0:
@@ -85,24 +87,15 @@ class KeiPresentation:
                     raise ValueError("relation references an unknown generator")
         if self.burnside_exponent is not None and self.burnside_exponent < 2:
             raise ValueError("burnside exponent must be >= 2")
-        if not self.generator_names:
-            object.__setattr__(
-                self,
-                "generator_names",
-                tuple(f"x{i}" for i in range(self.generator_count)),
-            )
 
     def with_burnside(self, n: int) -> "KeiPresentation":
-        return KeiPresentation(
-            self.generator_count, self.relations, n, self.generator_names
-        )
+        return replace(self, burnside_exponent=n)
 
     def serialize(self) -> str:
-        names = self.generator_names
         lines = [f"gens {self.generator_count}"]
         for lhs, rhs in self.relations:
-            left = "*".join(names[g] for g in lhs)
-            right = "*".join(names[g] for g in rhs)
+            left = "*".join(f"x{g}" for g in lhs)
+            right = "*".join(f"x{g}" for g in rhs)
             lines.append(f"rel {left} = {right}")
         if self.burnside_exponent is not None:
             lines.append(f"burnside {self.burnside_exponent}")
@@ -111,7 +104,6 @@ class KeiPresentation:
 
 def parse_presentation(text: str) -> KeiPresentation:
     m = None
-    names: list[str] = []
     index: dict[str, int] = {}
     relations = []
     burnside = None
@@ -131,8 +123,7 @@ def parse_presentation(text: str) -> KeiPresentation:
                 m = int(rest)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad generator count") from exc
-            names = [f"x{i}" for i in range(m)]
-            index = {n: i for i, n in enumerate(names)}
+            index = {f"x{i}": i for i in range(m)}
         elif head == "rel":
             if m is None:
                 raise ParseError(f"line {ln}: rel before gens")
@@ -153,7 +144,7 @@ def parse_presentation(text: str) -> KeiPresentation:
             raise ParseError(f"line {ln}: unknown record {head!r}")
     if m is None:
         raise ParseError("missing 'gens' record")
-    return KeiPresentation(m, tuple(relations), burnside, tuple(names))
+    return KeiPresentation(m, tuple(relations), burnside)
 
 
 @dataclass(frozen=True)
@@ -178,8 +169,21 @@ def _rn_pattern(n: int) -> tuple[int, ...]:
 
 
 def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
-    """Raise EnumerationFailure unless `kei` satisfies the axioms and,
-    under `images`, every relation and r_n on the pairs it was imposed on."""
+    """Raise EnumerationFailure unless the images generate `kei`, `kei`
+    satisfies the axioms, and under `images` every relation holds and
+    r_n holds on the pairs it was imposed on.
+
+    Generation is checked first: right multiplication by the images
+    must reach every element from the images.  Axiom 1, x*x = x, is
+    then checked at every x, but axioms 2 and 3 only at the images'
+    columns.  Write R_y for x -> x*y; axioms 2 and 3 at column y say
+    that R_y is an involution and an endomorphism.  If they hold at
+    column g, then z*(y*g) = ((z*g)*y)*g, so R_{y*g} = R_g R_y R_g is
+    the conjugate of R_y by R_g and is an involutive endomorphism
+    whenever R_y is (Joyce, J. Pure Appl. Algebra 23, 1982).  Every
+    element is an image or some y*g with g an image and y reached
+    earlier, so axioms 2 and 3 hold at every column.
+    """
     t = kei.table
 
     def value(word, env):
@@ -188,11 +192,24 @@ def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
             x = t[x][env[sym]]
         return x
 
-    if check_axioms(kei):
+    gens = set(images)
+    reached, fresh = set(gens), gens
+    while fresh:
+        fresh = {t[x][g] for x in fresh for g in gens} - reached
+        reached |= fresh
+    if len(reached) != kei.size:
+        raise EnumerationFailure("generator images do not generate the enumerated table")
+    if any(t[x][x] != x for x in range(kei.size)):
         raise EnumerationFailure("enumerated table violates the Kei axioms")
+    for g in gens:
+        col = [r[g] for r in t]
+        if any(col[y] != x for x, y in enumerate(col)) or any(
+            [col[v] for v in r] != [t[col[x]][c] for c in col] for x, r in enumerate(t)
+        ):
+            raise EnumerationFailure("enumerated table violates the Kei axioms")
     if any(value(lhs, images) != value(rhs, images) for lhs, rhs in p.relations):
         raise EnumerationFailure("generator images violate a relation")
-    domain = range(kei.size) if universal_on_all_pairs else set(images)
+    domain = range(kei.size) if universal_on_all_pairs else gens
     if pattern and any(value(pattern, (u, w)) != u for u in domain for w in domain):
         raise EnumerationFailure("enumerated table violates the universal relation")
 
@@ -253,8 +270,6 @@ def fundamental_kei(d: LinkDiagram) -> KeiPresentation:
 def burnside_kei(
     d: LinkDiagram, n: int, cap: int | None = None, backend: str | None = None
 ) -> EnumerationResult:
-    if n < 2:
-        raise ValueError("burnside exponent must be >= 2")
     return enumerate_kei(fundamental_kei(d).with_burnside(n), cap, backend=backend)
 
 

@@ -10,6 +10,7 @@ from tanglekit.coloring import (
     count_colorings_brute,
     has_nontrivial_colorings,
     smith_normal_form,
+    solution_group,
 )
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import InvalidModulus
@@ -158,3 +159,21 @@ def test_group_order_is_product_of_orders():
     assert g.order == prod(g.cyclic_orders)
     for a, b in zip(g.cyclic_orders, g.cyclic_orders[1:]):
         assert b % a == 0
+
+
+def test_solution_group_is_a_divisor_chain_of_the_solution_count():
+    """Random systems: the orders are a divisor chain without 1s, and
+    their product counts the solutions found by trying every vector."""
+    rng = random.Random(29)
+    for _ in range(300):
+        rows, cols, n = rng.randint(0, 4), rng.randint(1, 3), rng.randint(2, 12)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        orders = solution_group(m, cols, n).cyclic_orders
+        assert 1 not in orders
+        for a, b in zip(orders, orders[1:]):
+            assert b % a == 0
+        count = sum(
+            all(sum(c * x for c, x in zip(r, v)) % n == 0 for r in m)
+            for v in itertools.product(range(n), repeat=cols)
+        )
+        assert prod(orders) == count

@@ -310,8 +310,22 @@ def fake_kernel(monkeypatch, rows, images):
          "violate a relation"),
         ("gens 2\nburnside 3\n", trivial_kei(2).table, [0, 1],
          "universal relation"),
+        # x*x = x holds and every element is an image, so only the
+        # checks of axioms 2 and 3 at the images' columns can refuse
+        # these two: (1*0)*0 = 2*0 = 2, so column 0 is not an involution
+        ("gens 3\n", ((0, 0, 0), (2, 1, 1), (2, 2, 2)), [0, 1, 2],
+         "Kei axioms"),
+        # column 1 swaps 0 and 2, but (1*0)*1 = 0 != (1*1)*(0*1) = 1
+        ("gens 3\n", ((0, 2, 0), (2, 1, 1), (1, 0, 2)), [0, 1, 2],
+         "Kei axioms"),
+        # the image 0 reaches only itself
+        ("gens 1\n", trivial_kei(2).table, [0], "do not generate"),
+        # column 1 is not an involution, which the axiom checks at the
+        # images' columns alone would miss
+        ("gens 1\n", ((0, 1), (1, 1)), [0], "do not generate"),
     ],
-    ids=["axioms", "relation", "universal"],
+    ids=["axioms", "relation", "universal", "involution", "distributivity",
+         "ungenerated-kei", "ungenerated-bad-column"],
 )
 def test_certificate_refuses_wrong_table(monkeypatch, text, rows, images, match):
     fake_kernel(monkeypatch, rows, images)
@@ -320,10 +334,13 @@ def test_certificate_refuses_wrong_table(monkeypatch, text, rows, images, match)
 
 
 def test_certificate_checks_universal_relation_where_imposed(monkeypatch):
-    # r_3 fails on the pair (0, 1) but holds on the image pair (0, 0)
-    fake_kernel(monkeypatch, trivial_kei(2).table, [0])
-    pres = parse_presentation("gens 1\nburnside 3\n")
+    # imposed on generator pairs only, r_3 leaves a 6-element Kei
+    # generated by its images, in which r_3 fails on the pair (0, 5)
+    pres = parse_presentation("gens 3\nrel x0*x2*x1 = x2*x0\nburnside 3\n")
+    genp = enumerate_kei(pres, universal_on_all_pairs=False)
+    assert genp.size == 6 and genp.generator_images == (0, 1, 2)
+    fake_kernel(monkeypatch, genp.kei.table, list(genp.generator_images))
     r = enumerate_kei(pres, universal_on_all_pairs=False)
-    assert r.completed and r.size == 2
-    with pytest.raises(EnumerationFailure):
+    assert r.completed and r.kei == genp.kei
+    with pytest.raises(EnumerationFailure, match="universal relation"):
         enumerate_kei(pres)
