@@ -36,7 +36,6 @@ from .jones import (
 )
 from .kei import (
     FiniteKei,
-    LeftNormedWord,
     check_axioms,
     core_kei,
     dihedral_kei,

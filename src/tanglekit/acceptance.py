@@ -313,6 +313,8 @@ def run_acceptance(
 ) -> list[CheckResult]:
     """Run the acceptance checks; `only` filters by substring of the name
     before anything executes."""
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     suite_args = (seed, instances)
     checks = [
         (check_coxeter_quotient, ()),

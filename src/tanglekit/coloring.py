@@ -126,7 +126,6 @@ class AbelianGroupStructure:
     """Finite abelian group in divisor-chain form: each order divides the next."""
 
     cyclic_orders: tuple[int, ...]
-    free_rank: int = 0
 
     @property
     def order(self) -> int:

@@ -230,48 +230,25 @@ def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class LeftNormedWord:
-    """(...((x1*x2)*x3)...)*xk as the plain letter sequence x1..xk."""
+def phi_eval(w: tuple[int, ...]) -> int:
+    """Value of a two-generator free Kei word, a tuple of letters 0 and 1,
+    under the dihedral model on Z with 0 -> 0 and 1 -> 1.
 
-    letters: tuple
-
-    def __post_init__(self):
-        if len(self.letters) == 0:
-            raise ValueError("a left-normed word needs at least one letter")
-        object.__setattr__(self, "letters", tuple(self.letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return "*".join(str(x) for x in self.letters)
-
-
-def word(text: str) -> LeftNormedWord:
-    return LeftNormedWord(tuple(text.replace(" ", "").split("*")))
-
-
-def phi_eval(w: LeftNormedWord) -> int:
-    """Value of the two-generator free Kei word under a=0, b=1.
-
-    The dihedral model on Z gives the fold phi(w*x) = 2 phi(x) - phi(w).
+    The model gives the fold phi(w*x) = 2 phi(x) - phi(w).
     """
-    base = {"a": 0, "b": 1, 0: 0, 1: 1}
-    letters = w.letters if isinstance(w, LeftNormedWord) else tuple(w)
-    try:
-        val = base[letters[0]]
-        for x in letters[1:]:
-            val = 2 * base[x] - val
-    except KeyError as exc:
-        raise ValueError("phi_eval expects letters in {a, b}") from exc
+    if not w or any(x not in (0, 1) for x in w):
+        raise ValueError("phi_eval expects a non-empty word in the letters 0 and 1")
+    val = w[0]
+    for x in w[1:]:
+        val = 2 * x - val
     return val
 
 
-def eval_word(k: FiniteKei, w, env) -> int:
-    """Evaluate a left-normed word in a finite Kei under a letter->element map."""
-    letters = w.letters if isinstance(w, LeftNormedWord) else tuple(w)
-    val = env[letters[0]]
-    for x in letters[1:]:
-        val = k.table[val][env[x]]
+def eval_word(k: FiniteKei, w: tuple[int, ...], env) -> int:
+    """Evaluate the left-normed word w, a tuple of generator indices, in a
+    finite Kei with generator g sent to env[g]."""
+    t = k.table
+    val = env[w[0]]
+    for g in w[1:]:
+        val = t[val][env[g]]
     return val

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .diagrams import LinkDiagram
 from .errors import EnumerationFailure, ParseError
-from .kei import FiniteKei, LeftNormedWord, phi_eval
+from .kei import FiniteKei, eval_word, phi_eval
 from . import _enumpy
 
 try:
@@ -49,17 +49,14 @@ def _kernel(backend: str | None):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def r_n_relation(n: int) -> tuple[LeftNormedWord, LeftNormedWord]:
-    """The pair (a, alternating word of length n) with dihedral value n."""
+def r_n_relation(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pair (u, alternating word of length n in u and w with dihedral
+    value n), as letter tuples with 0 = u and 1 = w."""
     if n < 2:
         raise ValueError("the universal relation needs n >= 2")
-    if n % 2:
-        letters = tuple("b" if i % 2 == 0 else "a" for i in range(n))
-    else:
-        letters = tuple("a" if i % 2 == 0 else "b" for i in range(n))
-    rhs = LeftNormedWord(letters)
+    rhs = tuple((n + i) % 2 for i in range(n))
     assert phi_eval(rhs) == n
-    return LeftNormedWord(("a",)), rhs
+    return (0,), rhs
 
 
 @dataclass(frozen=True)
@@ -163,11 +160,6 @@ class EnumerationResult:
         return self.kei.size if self.kei is not None else None
 
 
-def _rn_pattern(n: int) -> tuple[int, ...]:
-    _, rhs = r_n_relation(n)
-    return tuple(0 if x == "a" else 1 for x in rhs.letters)
-
-
 def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
     """Raise EnumerationFailure unless the images generate `kei`, `kei`
     satisfies the axioms, and under `images` every relation holds and
@@ -185,13 +177,6 @@ def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
     earlier, so axioms 2 and 3 hold at every column.
     """
     t = kei.table
-
-    def value(word, env):
-        x = env[word[0]]
-        for sym in word[1:]:
-            x = t[x][env[sym]]
-        return x
-
     gens = set(images)
     reached, fresh = set(gens), gens
     while fresh:
@@ -207,10 +192,15 @@ def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
             [col[v] for v in r] != [t[col[x]][c] for c in col] for x, r in enumerate(t)
         ):
             raise EnumerationFailure("enumerated table violates the Kei axioms")
-    if any(value(lhs, images) != value(rhs, images) for lhs, rhs in p.relations):
+    if any(
+        eval_word(kei, lhs, images) != eval_word(kei, rhs, images)
+        for lhs, rhs in p.relations
+    ):
         raise EnumerationFailure("generator images violate a relation")
     domain = range(kei.size) if universal_on_all_pairs else gens
-    if pattern and any(value(pattern, (u, w)) != u for u in domain for w in domain):
+    if pattern and any(
+        eval_word(kei, pattern, (u, w)) != u for u in domain for w in domain
+    ):
         raise EnumerationFailure("enumerated table violates the universal relation")
 
 
@@ -232,7 +222,7 @@ def enumerate_kei(
     if cap < 1:
         raise ValueError("cap must be >= 1")
     kernel = _kernel(backend)
-    pattern = () if p.burnside_exponent is None else _rn_pattern(p.burnside_exponent)
+    pattern = () if p.burnside_exponent is None else r_n_relation(p.burnside_exponent)[1]
     status, rows, images, merges = kernel.run_enumeration(
         p.generator_count,
         tuple(p.relations),

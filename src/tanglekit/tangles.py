@@ -35,18 +35,17 @@ class RationalTangle:
 
     p: int
     q: int
-    twist_word: tuple[int, ...] | None = None
 
     @staticmethod
-    def make(p: int, q: int, twist_word=None) -> "RationalTangle":
+    def make(p: int, q: int) -> "RationalTangle":
         if q == 0:
-            return RationalTangle(1, 0, twist_word)
+            return RationalTangle(1, 0)
         if q < 0:
             p, q = -p, -q
         g = gcd(abs(p), q)
         if g > 1:
             p, q = p // g, q // g
-        return RationalTangle(p, q, twist_word)
+        return RationalTangle(p, q)
 
     @property
     def is_infinity(self) -> bool:
@@ -63,19 +62,17 @@ def fraction_of_twists(twists) -> RationalTangle:
     """Continued-fraction value of a twist word; [] is the 0-tangle."""
     twists = tuple(int(a) for a in twists)
     if not twists:
-        return RationalTangle.make(0, 1, twists)
+        return RationalTangle.make(0, 1)
     p, q = twists[0], 1
     for a in twists[1:]:
         # a + 1/(p/q)
         p, q = a * p + q, p
-    return RationalTangle.make(p, q, twists)
+    return RationalTangle.make(p, q)
 
 
 def rotate(t: RationalTangle) -> RationalTangle:
     """Quarter-turn rotation: p/q -> -q/p."""
-    rt = RationalTangle.make(-t.q, t.p)
-    word = None if rt.q == 0 else tuple(cf_expand(rt.p, rt.q))
-    return RationalTangle.make(rt.p, rt.q, word)
+    return RationalTangle.make(-t.q, t.p)
 
 
 def cf_expand(p: int, q: int) -> list[int]:
@@ -222,7 +219,9 @@ def apply_rational_move(
             raise InvalidMoveSite("site walks past a leaf")
         if path[0] == 0:
             return Comp(node.i, node.j, rebuild(node.left, path[1:]), node.right)
-        return Comp(node.i, node.j, node.left, rebuild(node.right, path[1:]))
+        if path[0] == 1:
+            return Comp(node.i, node.j, node.left, rebuild(node.right, path[1:]))
+        raise InvalidMoveSite(f"site step {path[0]} is neither 0 nor 1")
 
     return rebuild(t, tuple(site))
 

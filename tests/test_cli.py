@@ -126,6 +126,15 @@ def test_tangle_move(capsys):
     assert report["results"]["result"] == "(tw 2 2)"
 
 
+def test_tangle_move_bad_site_step(capsys):
+    for site in ("7", "-1"):
+        code = main(["tangle", "move", "(comp 0 0 x+ t0)", "--site", site])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_tangle_obstruct(capsys):
     expr = "(comp 0 0 (tw 2 2) (comp 0 0 tinf tinf))"
     code, report = run_cli(capsys, "tangle", "obstruct", expr, "unknot", "--n", "5")
@@ -164,6 +173,14 @@ def test_corpus_verify_filtered(capsys):
     names = [c["name"] for c in report["results"]["checks"]]
     assert names and all("jones" in n for n in names)
     assert report["passed"] is True
+
+
+def test_corpus_verify_rejects_instances_below_one(capsys):
+    for n in ("0", "-5"):
+        code = main(["corpus", "verify", "--instances", n, "--only", "coloring"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 def test_corpus_verify_corrupted_diagram(capsys, tmp_path):

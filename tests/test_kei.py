@@ -8,7 +8,6 @@ import pytest
 from tanglekit.errors import NotAGroup, ParseError
 from tanglekit.kei import (
     FiniteKei,
-    LeftNormedWord,
     check_axioms,
     core_kei,
     cyclic_group,
@@ -19,7 +18,6 @@ from tanglekit.kei import (
     parse_kei,
     phi_eval,
     trivial_kei,
-    word,
 )
 
 
@@ -175,31 +173,31 @@ def test_isomorphism_after_relabeling():
      ("b*a*b*a", -3), ("a*b*a*b", 4), ("b*a*b*a*b", 5)],
 )
 def test_phi_values(text, value):
-    assert phi_eval(word(text)) == value
+    """Words written with a = 0 and b = 1."""
+    assert phi_eval(tuple("ab".index(x) for x in text.split("*"))) == value
 
 
 def test_phi_alternating_bijection():
-    """Alternating left-normed words in a, b hit each integer exactly once
+    """Alternating left-normed words in 0, 1 hit each integer exactly once
     over lengths up to 12."""
     values = {}
     for length in range(1, 13):
-        for first in "ab":
-            letters = tuple(
-                first if i % 2 == 0 else ("b" if first == "a" else "a")
-                for i in range(length)
-            )
-            v = phi_eval(LeftNormedWord(letters))
+        for first in (0, 1):
+            letters = tuple(first if i % 2 == 0 else 1 - first for i in range(length))
+            v = phi_eval(letters)
             assert v not in values, (letters, values[v])
             values[v] = letters
     assert len(values) == 24
-    # b-initial odd words give the odd positive values
+    # 1-initial odd words give the odd positive values
     for k in range(6):
-        assert values[2 * k + 1][0] == "b" and len(values[2 * k + 1]) == 2 * k + 1
+        assert values[2 * k + 1][0] == 1 and len(values[2 * k + 1]) == 2 * k + 1
 
 
 def test_phi_rejects_other_letters():
     with pytest.raises(ValueError):
-        phi_eval(word("a*c"))
+        phi_eval((0, 2))
+    with pytest.raises(ValueError):
+        phi_eval(())
 
 
 @pytest.mark.parametrize("size", [3, 5, 6, 8, 10])

@@ -33,13 +33,14 @@ FIG8 = braid_closure(braid([1, -2, 1, -2]))
 
 @pytest.mark.parametrize(
     "n,rhs",
-    [(2, ("a", "b")), (3, ("b", "a", "b")), (4, ("a", "b", "a", "b")),
-     (5, ("b", "a", "b", "a", "b"))],
+    [(2, (0, 1)), (3, (1, 0, 1)), (4, (0, 1, 0, 1)), (5, (1, 0, 1, 0, 1)),
+     (6, (0, 1, 0, 1, 0, 1)), (7, (1, 0, 1, 0, 1, 0, 1)),
+     (8, (0, 1, 0, 1, 0, 1, 0, 1)), (9, (1, 0, 1, 0, 1, 0, 1, 0, 1))],
 )
 def test_r_n_words(n, rhs):
     lhs, right = r_n_relation(n)
-    assert lhs.letters == ("a",)
-    assert right.letters == rhs
+    assert lhs == (0,)
+    assert right == rhs
 
 
 def test_r_n_rejects_small():

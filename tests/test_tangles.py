@@ -52,6 +52,14 @@ def test_rotate_examples():
     assert rotate(RationalTangle.make(1, 0)).fraction() == (0, 1)
 
 
+def test_equal_fractions_compare_equal():
+    """A rational tangle is its fraction (Conway), whichever twist word
+    or rotation produced it."""
+    assert fraction_of_twists([2, 2]) == RationalTangle.make(5, 2)
+    assert fraction_of_twists([1, 1, 2]) == fraction_of_twists([2, 2])
+    assert rotate(RationalTangle.make(-2, 5)) == RationalTangle.make(5, 2)
+
+
 def test_rotate_involution():
     rng = random.Random(6)
     for _ in range(30):
@@ -160,6 +168,9 @@ def test_apply_move_bad_site():
         apply_rational_move(XPLUS, (), 5, 2, 1)
     with pytest.raises(InvalidMoveSite):
         apply_rational_move(Comp(0, 0, T0, XPLUS), (1,), 5, 2, 1)
+    for site in ((2,), (-1,)):
+        with pytest.raises(InvalidMoveSite):
+            apply_rational_move(Comp(0, 0, XPLUS, T0), site, 5, 2, 1)
     with pytest.raises(ValueError):
         apply_rational_move(T0, (), 4, 2, 1)  # not a reduced fraction
 
