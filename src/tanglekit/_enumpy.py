@@ -17,8 +17,12 @@ Eick, O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5),
 a deduction is processed only where it can act: an event visits only
 the elements that complete a distributivity instance, and a merge
 walks only the dead element's defined entries.  This matters on the
-sparse tables of runs that stop at their cap; see `run_enumeration`
-for why the skipping is exact.
+sparse tables of runs that stop at their cap.  Every value in the
+table is kept a root: an occurrence index lists the entries holding
+each value, and a merge rewrites the dead element's occurrences at
+once, so the event loop reads entries without `find`.  This matters on
+the dense tables of runs that complete.  See `run_enumeration` for why
+both are exact.
 
 The compiled kernel in `_enumcore` is a translation of the enumerator
 onto flat C arrays; both produce identical tables (fixed deduction
@@ -134,11 +138,29 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     patterns has both inputs defined: row[a] & (row[b] | col[b]) |
     col[a] & col[b].  At any other z a visit would only call `find`, so
     the deduction order, the tables and the merge count are exactly
-    those of visiting every z.  The mask is rebuilt from the current
-    roots after every visit, so entries defined and merges made during
-    the scan are still seen.  A merge likewise walks only the z with an
-    entry in the dead element's row or column; at every other z there
-    is nothing to move.
+    those of visiting every z.  The mask is rebuilt after every visit,
+    so entries defined and merges made during the scan are still seen.
+    A merge likewise walks only the z with an entry in the dead
+    element's row or column; at every other z there is nothing to move.
+
+    Keys and values of `tab` are always roots.  Keys are, because a
+    merge moves the dead element's row and column.  Values are, because
+    `put` records each key in `occ[v]`, the occurrence list of its
+    value v, and a merge folding ry into rx rewrites every entry whose
+    value is still ry to rx, right after `parent[ry] = rx` and before
+    it moves ry's row and column.  A key leaves `tab` only when one of
+    its elements dies, and is never put again, so a key listed in
+    `occ[ry]` and still in `tab` holds exactly ry; keys taken since
+    stay listed until their value dies, when the whole list is dropped.
+    A read of `tab` thus gives the value `find` would give, and the
+    event loop calls `find` on its roots ra, rb and c only after a merge
+    has happened; path compression is not observable.  The event loop
+    calls `confront` only when its two sides differ: with both missing
+    or both equal it writes nothing and merges nothing.  After a
+    `confront`, the entries the next pattern reads are read again,
+    since it may have written or merged them.  So the order of table
+    writes is that of calling `find` on every read and `confront` on
+    every instance.
 
     Completion stops once the events are drained, neither the relations
     nor r_n deduce anything and the table is total.  As in Felsch-style
@@ -162,6 +184,9 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     # bit z of row[x], and bit x of col[z], is set iff (x, z) is in tab
     row: list[int] = []
     col: list[int] = []
+    # occ[v]: the keys put with value v or rewritten to it; None once
+    # v is dead
+    occ: list[list[tuple[int, int]] | None] = []
     events: deque[tuple[int, int]] = deque()
     merges = 0
 
@@ -172,11 +197,13 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         return x
 
     def put(a: int, b: int, v: int) -> None:
-        """Define a*b = v and schedule the entry's event."""
-        tab[(a, b)] = v
+        """Define a*b = v, v a root, and schedule the entry's event."""
+        key = (a, b)
+        tab[key] = v
+        occ[v].append(key)
         row[a] |= 1 << b
         col[b] |= 1 << a
-        events.append((a, b))
+        events.append(key)
 
     def take(a: int, b: int) -> int | None:
         v = tab.pop((a, b), None)
@@ -190,6 +217,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         parent.append(e)
         row.append(0)
         col.append(0)
+        occ.append([])
         put(e, e, e)
         return e
 
@@ -211,6 +239,12 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                 rx, ry = ry, rx
             parent[ry] = rx
             merges += 1
+            # keep every value a root
+            keys, occ[ry] = occ[ry], None
+            for key in keys:
+                if tab.get(key) == ry:
+                    tab[key] = rx
+                    occ[rx].append(key)
             # fold the dead row/column into the survivor
             val = take(ry, ry)
             if val is not None:
@@ -240,63 +274,72 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         cur = tab.get((a, b))
         if cur is None:
             put(a, b, c)
-        elif find(cur) != c:
+        elif cur != c:
             merge(cur, c)
 
-    def lookup(a: int, b: int) -> int | None:
-        v = tab.get((a, b))
-        return None if v is None else find(v)
-
     def confront(gkey, g, hkey, h) -> None:
-        """Two sides of one distributivity instance: g and h may be None."""
-        if g is None and h is None:
-            return
+        """Two differing sides of one distributivity instance: g or h
+        may be None."""
         if g is None:
             set_entry(gkey[0], gkey[1], h)
         elif h is None:
             set_entry(hkey[0], hkey[1], g)
-        elif g != h:
+        else:
             merge(g, h)
 
     def process_events() -> None:
+        get = tab.get
         while events:
             a, b = events.popleft()
             ra, rb = find(a), find(b)
-            c = tab.get((ra, rb))
+            c = get((ra, rb))
             if c is None:
                 continue
-            c = find(c)
+            seen = merges
             # involution: (a*b)*b = a
             set_entry(c, rb, ra)
             # visit, in ascending order, only the z where one of the
             # patterns below has both inputs defined
             z = -1
             while True:
-                ra, rb = find(ra), find(rb)
+                if merges != seen:
+                    seen = merges
+                    ra, rb, c = find(ra), find(rb), find(c)
                 zs = (row[ra] & (row[rb] | col[rb]) | col[ra] & col[rb]) >> (z + 1)
                 if not zs:
                     break
                 z += (zs & -zs).bit_length()
-                c = find(c)
-                # entry as p*q in (p*q)*z = (p*z)*(q*z)
-                e, f = lookup(ra, z), lookup(rb, z)
-                if e is not None and f is not None:
-                    confront((c, z), lookup(c, z), (e, f), lookup(e, f))
-                # entry as p*r in (p*q)*b = (p*b)*(q*b), q = z
-                d, f = lookup(ra, z), lookup(z, rb)
-                if d is not None and f is not None:
-                    confront((d, rb), lookup(d, rb), (c, f), lookup(c, f))
+                d = get((ra, z))
+                if d is not None:
+                    # entry as p*q in (p*q)*z = (p*z)*(q*z)
+                    f = get((rb, z))
+                    if f is not None:
+                        g, h = get((c, z)), get((d, f))
+                        if g != h:
+                            confront((c, z), g, (d, f), h)
+                            d = get((ra, z))
+                    # entry as p*r in (p*q)*b = (p*b)*(q*b), q = z
+                    if d is not None:
+                        f = get((z, rb))
+                        if f is not None:
+                            g, h = get((d, rb)), get((c, f))
+                            if g != h:
+                                confront((d, rb), g, (c, f), h)
                 # entry as q*r in (z*a)*b = (z*b)*(a*b)
-                d, e = lookup(z, ra), lookup(z, rb)
-                if d is not None and e is not None:
-                    confront((d, rb), lookup(d, rb), (e, c), lookup(e, c))
+                d = get((z, ra))
+                if d is not None:
+                    e = get((z, rb))
+                    if e is not None:
+                        g, h = get((d, rb)), get((e, c))
+                        if g != h:
+                            confront((d, rb), g, (e, c), h)
 
     def fill_product(x: int, y: int) -> int:
         """x*y for roots x and y, defining a fresh element if the product
         is missing."""
         v = tab.get((x, y))
         if v is not None:
-            return find(v)
+            return v
         e = new_element()
         put(x, y, e)
         return e
@@ -378,6 +421,6 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     rows = [[0] * size for _ in range(size)]
     for a in zs:
         for b in zs:
-            rows[relabel[a]][relabel[b]] = relabel[find(tab[(a, b)])]
+            rows[relabel[a]][relabel[b]] = relabel[tab[(a, b)]]
     images = [relabel[find(g)] for g in gen_slots]
     return COMPLETED, [tuple(r) for r in rows], images, merges

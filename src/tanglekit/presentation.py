@@ -116,6 +116,8 @@ def parse_presentation(text: str) -> KeiPresentation:
             continue
         head, _, rest = line.partition(" ")
         if head == "gens":
+            if m is not None:
+                raise ParseError(f"line {ln}: duplicate 'gens' record")
             try:
                 m = int(rest)
             except ValueError as exc:
@@ -133,6 +135,8 @@ def parse_presentation(text: str) -> KeiPresentation:
                 raise ParseError(f"line {ln}: empty word in relation")
             relations.append((lhs, rhs))
         elif head == "burnside":
+            if burnside is not None:
+                raise ParseError(f"line {ln}: duplicate 'burnside' record")
             try:
                 burnside = int(rest)
             except ValueError as exc:

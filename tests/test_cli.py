@@ -92,6 +92,15 @@ def test_kei_enum_rejects_cap_below_one(capsys, tmp_path):
     assert captured.err == "error: cap must be >= 1\n"
 
 
+def test_kei_enum_rejects_duplicate_record(capsys, tmp_path):
+    pres = tmp_path / "q22.kei"
+    pres.write_text("gens 2\nburnside 2\nburnside 3\n")
+    assert main(["kei", "enum", str(pres)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: duplicate 'burnside' record\n"
+
+
 def test_kei_iso(capsys, tmp_path):
     from tanglekit.kei import dihedral_kei
 

@@ -9,15 +9,18 @@ pin sees less.  The cases cover completed and capped runs, both
 universal-relation modes and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
 pins them.  `test_random_presentations_golden` pins one digest over 150
-seeded random presentations.
+seeded random presentations.  `test_write_order_golden` pins the order
+of the table writes themselves, which these outputs cannot see.
 """
 
 import hashlib
 import json
 import random
+from collections import deque
 
 import pytest
 
+from tanglekit import _enumpy
 from tanglekit.corpus import corpus
 from tanglekit.diagrams import braid, braid_closure, parse_pd
 from tanglekit.presentation import (
@@ -159,3 +162,28 @@ def test_enumeration_golden(cid, make):
 def test_random_presentations_golden():
     records = [run_record(*random_presentation(seed)) for seed in range(150)]
     assert digest(records) == RANDOM_GOLDEN
+
+
+WRITE_ORDER_GOLDEN = "f3a84884adda6e02091f674618726c701696bf055cfaab6cec14c88e700f4e02"
+
+
+def test_write_order_golden(monkeypatch):
+    """`put` schedules exactly one event per table write, so an event
+    queue that logs every append logs the order of the writes."""
+    log = []
+
+    class WriteLog(deque):
+        def append(self, key):
+            log.append(key)
+            super().append(key)
+
+    monkeypatch.setattr(_enumpy, "deque", WriteLog)
+    inputs = ([make() for _, make in CASES]
+              + [random_presentation(seed) for seed in range(150)]
+              + [(free_burnside_presentation(4, 3), 4000, True)])
+    records = []
+    for pres, cap, all_pairs in inputs:
+        record = run_record(pres, cap, all_pairs)
+        records.append([log[:], record])
+        log.clear()
+    assert digest(records) == WRITE_ORDER_GOLDEN

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
-from tanglekit.errors import EnumerationFailure
+from tanglekit.errors import EnumerationFailure, ParseError
 from tanglekit.kei import (
     check_axioms,
     core_kei,
@@ -209,6 +209,15 @@ def test_presentation_validation():
         KeiPresentation(2, (((0,), (2,)),))
     with pytest.raises(ValueError):
         KeiPresentation(1, (), 1)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("gens 2\nburnside 2\nburnside 3\n", "line 3: duplicate 'burnside' record"),
+    ("gens 3\nburnside 3\ngens 2\n", "line 3: duplicate 'gens' record"),
+])
+def test_parse_presentation_refuses_duplicate_records(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_presentation(text)
 
 
 def test_core_group_presentation():
