@@ -49,7 +49,6 @@ from .presentation import (
     EnumerationResult,
     KeiPresentation,
     burnside_kei,
-    core_group_presentation,
     enumerate_kei,
     fundamental_kei,
     kernel_backend,

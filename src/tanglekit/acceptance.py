@@ -312,7 +312,8 @@ def run_acceptance(
     only: str | None = None,
 ) -> list[CheckResult]:
     """Run the acceptance checks; `only` filters by substring of the name
-    before anything executes."""
+    before anything executes, and a filter that keeps no check is a
+    ValueError."""
     if instances < 1:
         raise ValueError("instances must be >= 1")
     suite_args = (seed, instances)
@@ -330,4 +331,7 @@ def run_acceptance(
         (suite_power_insertion_burnside, suite_args),
         (check_scope_note, ()),
     ]
-    return [fn(*args) for fn, args in checks if not only or only in fn.check_name]
+    chosen = [(fn, args) for fn, args in checks if not only or only in fn.check_name]
+    if not chosen:
+        raise ValueError(f"no check name contains {only!r}")
+    return [fn(*args) for fn, args in chosen]

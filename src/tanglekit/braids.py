@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .diagrams import BraidWord, braid
+from .diagrams import BraidWord, _find, braid
 from .errors import EnumerationFailure, UnsupportedStrandCount
 from .laurent import LaurentPoly
 
@@ -82,20 +82,18 @@ _INV = {0: 1, 1: 0, 2: 3, 3: 2}
 COSET_CAP = 100000
 
 
-def _coset_enumerate(relators: list[list[int]]) -> list[list[int]]:
+def _coset_enumerate(
+    relators: list[list[int]],
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """HLT coset enumeration over the trivial subgroup, 2 generators,
     refusing to define more than COSET_CAP cosets.
 
-    Returns the completed table with live rows compacted in BFS order.
+    Returns the completed table with live rows compacted in BFS order
+    from the identity coset, and that BFS tree: coset i >= 1 is first
+    reached as coset x times letter, where (x, letter) = tree[i - 1].
     """
     table: list[list[int | None]] = [[None] * 4]
     p = [0]
-
-    def rep(x: int) -> int:
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
 
     def define(alpha: int, x: int) -> int:
         if len(table) >= COSET_CAP:
@@ -111,7 +109,7 @@ def _coset_enumerate(relators: list[list[int]]) -> list[list[int]]:
         queue: list[int] = []
 
         def merge(x: int, y: int) -> None:
-            x, y = rep(x), rep(y)
+            x, y = _find(p, x), _find(p, y)
             if x == y:
                 return
             if x > y:
@@ -129,7 +127,7 @@ def _coset_enumerate(relators: list[list[int]]) -> list[list[int]]:
                 if d is None:
                     continue
                 table[d][_INV[x]] = None
-                mu, nu = rep(y), rep(d)
+                mu, nu = _find(p, y), _find(p, d)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x])
                 elif table[nu][_INV[x]] is not None:
@@ -163,33 +161,29 @@ def _coset_enumerate(relators: list[list[int]]) -> list[list[int]]:
 
     alpha = 0
     while alpha < len(table):
-        if rep(alpha) == alpha:
+        if _find(p, alpha) == alpha:
             for rel in relators:
                 scan_and_fill(alpha, rel)
-                if rep(alpha) != alpha:
+                if _find(p, alpha) != alpha:
                     break
-            if rep(alpha) == alpha:
+            if _find(p, alpha) == alpha:
                 for x in range(4):
                     if table[alpha][x] is None:
                         define(alpha, x)
         alpha += 1
 
-    # compact live cosets in BFS order from the identity coset
-    order: list[int] = [rep(0)]
-    index = {rep(0): 0}
-    head = 0
-    while head < len(order):
-        c = order[head]
-        head += 1
+    order: list[int] = [_find(p, 0)]
+    index = {_find(p, 0): 0}
+    tree: list[tuple[int, int]] = []
+    for head, c in enumerate(order):  # order grows while it is walked
         for x in range(4):
-            d = rep(table[c][x])
+            d = _find(p, table[c][x])
             if d not in index:
                 index[d] = len(order)
                 order.append(d)
-    out = []
-    for c in order:
-        out.append([index[rep(table[c][x])] for x in range(4)])
-    return out
+                tree.append((head, x))
+    action = [[index[_find(p, table[c][x])] for x in range(4)] for c in order]
+    return action, tree
 
 
 @dataclass(frozen=True)
@@ -266,32 +260,21 @@ def coxeter_quotient() -> QuotientGroup:
         [0, 2, 0, 3, 1, 3],  # s1 s2 s1 s2^-1 s1^-1 s2^-1
         [0] * 5,
     ]
-    action = _coset_enumerate(relators)  # action[x][letter] = x * letter
-    n = len(action)
+    action, tree = _coset_enumerate(relators)  # action[x][letter] = x * letter
     letters_sym = {0: 1, 1: -1, 2: 2, 3: -2}
 
-    # shortest representative words by BFS over right multiplication, and
-    # the full multiplication table one column per element along the BFS
-    # tree: column y = x * letter is column x acted on by the letter
-    words: list[tuple[int, ...] | None] = [None] * n
-    words[0] = ()
-    cols: list[list[int]] = [[]] * n
-    cols[0] = list(range(n))
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        x = queue[head]
-        head += 1
-        for letter in range(4):
-            y = action[x][letter]
-            if words[y] is None:
-                words[y] = words[x] + (letters_sym[letter],)
-                cols[y] = [action[v][letter] for v in cols[x]]
-                queue.append(y)
+    # the BFS tree gives shortest representative words, and the full
+    # multiplication table one column per element along it: column
+    # y = x * letter is column x acted on by the letter
+    words: list[tuple[int, ...]] = [()]
+    cols = [list(range(len(action)))]
+    for x, letter in tree:
+        words.append(words[x] + (letters_sym[letter],))
+        cols.append([action[v][letter] for v in cols[x]])
 
     return QuotientGroup(
         mult=tuple(zip(*cols)),
-        words=tuple(words),  # type: ignore[arg-type]
+        words=tuple(words),
         s1=action[0][0],
         s2=action[0][2],
     )

@@ -40,19 +40,20 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
         raise TooLarge(
             f"frontier width {width} exceeds the bracket cap {BRACKET_WIDTH_CAP}"
         )
-    counts = _kernel.bracket_statesum(d.crossings, d.arc_count)
+    # the states with k circles contribute delta^(k-1) times their
+    # A-polynomial; one running power of delta serves every k
+    by_circles: dict[int, dict[int, int]] = {}
+    for (exponent, circles), mult in _kernel.bracket_statesum(
+        d.crossings, d.arc_count
+    ).items():
+        by_circles.setdefault(circles + d.unknotted_split_circles, {})[exponent] = mult
     delta = LaurentPoly({2: -1, -2: -1})
-    deltas: dict[int, LaurentPoly] = {0: LaurentPoly.one()}
-
-    def delta_pow(k: int) -> LaurentPoly:
-        if k not in deltas:
-            deltas[k] = delta_pow(k - 1) * delta
-        return deltas[k]
-
+    power, k = LaurentPoly.one(), 1  # power = delta^(k-1)
     total = LaurentPoly.zero()
-    for (exponent, circles), mult in sorted(counts.items()):
-        circles += d.unknotted_split_circles
-        total = total + delta_pow(circles - 1).shift(exponent) * mult
+    for circles in sorted(by_circles):
+        while k < circles:
+            power, k = power * delta, k + 1
+        total = total + power * LaurentPoly(by_circles[circles])
     return total
 
 

@@ -204,30 +204,41 @@ def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
                 stack.append((t1[z][a], t2[fz][b]))
         return True
 
-    def undo(trail: list[int], mark: int):
-        while len(trail) > mark:
+    def undo(trail: list[int]):
+        while trail:
             a = trail.pop()
             used[mapping[a]] = False
             mapping[a] = None
 
-    def search() -> bool:
+    def choose() -> int | None:
         pending = [x for x in range(n) if mapping[x] is None]
-        if not pending:
-            return True
-        x = min(pending, key=lambda v: len(candidates[v]))
-        trail: list[int] = []
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            mark = len(trail)
-            if assign(x, y, trail) and search():
-                return True
-            undo(trail, mark)
+        return min(pending, key=lambda v: len(candidates[v])) if pending else None
+
+    def advance(x: int, ys, trail: list[int]) -> bool:
+        """Assign x its next consistent candidate from ys."""
+        for y in ys:
+            if not used[y]:
+                if assign(x, y, trail):
+                    return True
+                undo(trail)
         return False
 
-    if search():
-        return [int(v) for v in mapping]
-    return None
+    # one (element, remaining candidates, trail) per open decision, so
+    # the search depth is not bounded by the recursion limit
+    decisions: list = []
+    x = choose()
+    while x is not None:
+        decisions.append((x, iter(candidates[x]), []))
+        while decisions:
+            x, ys, trail = decisions[-1]
+            undo(trail)
+            if advance(x, ys, trail):
+                break
+            decisions.pop()
+        else:
+            return None
+        x = choose()
+    return [int(v) for v in mapping]
 
 
 def phi_eval(w: tuple[int, ...]) -> int:

@@ -266,27 +266,3 @@ def burnside_kei(
 ) -> EnumerationResult:
     return enumerate_kei(fundamental_kei(d).with_burnside(n), cap, backend=backend)
 
-
-@dataclass(frozen=True)
-class GroupPresentationRecord:
-    """Core-group presentation of a diagram, exported as text only."""
-
-    generators: tuple[str, ...]
-    relators: tuple[str, ...]
-
-    def text(self) -> str:
-        lines = [f"generators {' '.join(self.generators)}"]
-        lines += [f"relator {r}" for r in self.relators]
-        return "\n".join(lines) + "\n"
-
-
-def core_group_presentation(d: LinkDiagram) -> GroupPresentationRecord:
-    """Arc generators with one relator y_over y_in^-1 y_over y_out^-1 per
-    crossing.  No solving is attempted."""
-    classes = d.strand_classes()
-    names = tuple(f"y{i}" for i in range(d.strand_count()))
-    relators = []
-    for a, b, c, _ in d.crossings:
-        yi, yj, yk = names[classes[b]], names[classes[a]], names[classes[c]]
-        relators.append(f"{yi} {yj}^-1 {yi} {yk}^-1")
-    return GroupPresentationRecord(names, tuple(relators))

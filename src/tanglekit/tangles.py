@@ -135,11 +135,16 @@ def serialize_expr(t: TangleExpr) -> str:
     return f"(comp {t.i} {t.j} {serialize_expr(t.left)} {serialize_expr(t.right)})"
 
 
+# The parser and the tree walkers recurse once per nesting level, so a
+# parsed expression may nest at most this many parenthesised nodes.
+MAX_NESTING = 200
+
+
 def parse_expr(text: str) -> TangleExpr:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> TangleExpr:
+    def parse(depth: int) -> TangleExpr:
         nonlocal pos
         if pos >= len(tokens):
             raise ParseError("unexpected end of tangle expression")
@@ -149,6 +154,10 @@ def parse_expr(text: str) -> TangleExpr:
             return Leaf(tok)
         if tok != "(":
             raise ParseError(f"unexpected token {tok!r}")
+        if depth > MAX_NESTING:
+            raise ParseError(
+                f"tangle expression nests more than {MAX_NESTING} nodes deep"
+            )
         head = tokens[pos]
         pos += 1
         if head == "tw":
@@ -161,8 +170,8 @@ def parse_expr(text: str) -> TangleExpr:
         if head == "comp":
             i = int(tokens[pos]); pos += 1
             j = int(tokens[pos]); pos += 1
-            left = parse()
-            right = parse()
+            left = parse(depth + 1)
+            right = parse(depth + 1)
             if tokens[pos] != ")":
                 raise ParseError("missing ')' in comp node")
             pos += 1
@@ -170,7 +179,7 @@ def parse_expr(text: str) -> TangleExpr:
         raise ParseError(f"unknown node {head!r}")
 
     try:
-        out = parse()
+        out = parse(1)
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad tangle expression {text!r}") from exc
     if pos != len(tokens):

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from tanglekit.cli import main
+from tanglekit.tangles import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +185,35 @@ def test_corpus_verify_filtered(capsys):
     names = [c["name"] for c in report["results"]["checks"]]
     assert names and all("jones" in n for n in names)
     assert report["passed"] is True
+
+
+def test_corpus_verify_refuses_filter_matching_no_check(capsys):
+    code = main(["corpus", "verify", "--only", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no check name contains 'nosuch'\n"
+
+
+def nested(depth):
+    """`depth` comp nodes nested down their left operands."""
+    return "(comp 0 0 " * depth + "t0" + " t0)" * depth
+
+
+@pytest.mark.parametrize("command", [
+    ["closure"],
+    ["move", "--site", ",".join(["0"] * MAX_NESTING)],
+    ["obstruct", "trefoil"],
+])
+def test_tangle_nesting_bound(capsys, command):
+    sub, *rest = command
+    assert main(["tangle", sub, nested(MAX_NESTING), *rest]) == 0
+    capsys.readouterr()
+    assert main(["tangle", sub, nested(MAX_NESTING + 1), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: tangle expression nests more than {MAX_NESTING} nodes deep\n"
+    )
 
 
 def test_corpus_verify_rejects_instances_below_one(capsys):

@@ -4,7 +4,8 @@ Each pin is the SHA-256 of everything `cli.main` writes to stdout for
 one command, so any change to a report's bytes (values, key order,
 formatting) moves it.  The pure kernel is forced, so the `backend`
 fields read "pure" whether or not the compiled extension is built;
-`test_backends.py` checks the compiled kernel against the pure one.
+the enumeration pins in `test_enum_golden.py` and `test_determinism`
+check the compiled kernel's output.
 `corpus verify --only free-burnside-kei-sizes` runs Q(3,4) and Q(4,3),
 which take seconds; `test_determinism` pins those two tables.
 """

@@ -1,16 +1,18 @@
-"""Pure-kernel enumeration output pinned to recorded digests.
+"""Enumeration output pinned to recorded digests, for every kernel.
 
-Each pin is a SHA-256 over compact JSON of (status, table rows,
-generator images, deduction count).  A change to which deductions the
-enumerator makes, or to the order in which it creates elements, moves
-the table or the count and so the digest, even when the Kei it finds
+These pins are the one check on kernel output: each runs on the pure
+kernel, and on the compiled one as well whenever it is built.  Each
+pin is a SHA-256 over compact JSON of (status, table rows, generator
+images, deduction count).  A change to which deductions the enumerator
+makes, or to the order in which it creates elements, moves the table
+or the count and so the digest, even when the Kei it finds
 is isomorphic.  A capped run yields only its status and count, so its
 pin sees less.  The cases cover completed and capped runs, both
 universal-relation modes and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
 pins them.  `test_random_presentations_golden` pins one digest over 150
 seeded random presentations.  `test_write_order_golden` pins the order
-of the table writes themselves, which these outputs cannot see.
+of the pure kernel's table writes, which these outputs cannot see.
 """
 
 import hashlib
@@ -28,8 +30,10 @@ from tanglekit.presentation import (
     enumerate_kei,
     free_burnside_presentation,
     fundamental_kei,
+    kernel_backend,
 )
 
+KERNELS = ("pure", "compiled") if kernel_backend() == "compiled" else ("pure",)
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
 
 
@@ -139,8 +143,8 @@ def random_presentation(seed):
 RANDOM_GOLDEN = "33f212f8f9d1fbbb0e209280c816533e90bc597c3aa01f5128b5650acaca2b6f"
 
 
-def run_record(pres, cap, all_pairs) -> list:
-    r = enumerate_kei(pres, cap, universal_on_all_pairs=all_pairs, backend="pure")
+def run_record(pres, cap, all_pairs, backend="pure") -> list:
+    r = enumerate_kei(pres, cap, universal_on_all_pairs=all_pairs, backend=backend)
     return [
         0 if r.completed else 1,
         r.kei.table if r.completed else None,
@@ -156,12 +160,15 @@ def digest(record) -> str:
 
 @pytest.mark.parametrize("cid,make", CASES, ids=[c for c, _ in CASES])
 def test_enumeration_golden(cid, make):
-    assert digest(run_record(*make())) == GOLDEN[cid]
+    for backend in KERNELS:
+        assert digest(run_record(*make(), backend)) == GOLDEN[cid], backend
 
 
 def test_random_presentations_golden():
-    records = [run_record(*random_presentation(seed)) for seed in range(150)]
-    assert digest(records) == RANDOM_GOLDEN
+    for backend in KERNELS:
+        records = [run_record(*random_presentation(seed), backend)
+                   for seed in range(150)]
+        assert digest(records) == RANDOM_GOLDEN, backend
 
 
 WRITE_ORDER_GOLDEN = "f3a84884adda6e02091f674618726c701696bf055cfaab6cec14c88e700f4e02"

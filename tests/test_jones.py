@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from tanglekit import _enumpy
+from tanglekit import _enumpy, presentation
 from tanglekit.coloring import coloring_matrix, smith_normal_form
 from tanglekit.corpus import corpus
 from tanglekit.diagrams import LinkDiagram, braid, braid_closure, parse_pd, unlink
@@ -103,6 +103,8 @@ def seeded_closures(rng, max_crossings=12):
 
 
 def test_bracket_statesum_matches_oracle():
+    """Both kernels' state sums, the compiled one whenever it is built."""
+    kernels = [k for k in (_enumpy, presentation._enumcore) if k is not None]
     rng = random.Random(2005)
     diagrams = [d for d in corpus().values() if d.crossing_count]
     diagrams += [parse_pd("X 0 1 1 0"), parse_pd("X 0 1 1 0\nX 2 3 3 2")]
@@ -110,7 +112,8 @@ def test_bracket_statesum_matches_oracle():
     for d in diagrams:
         want = statesum_oracle(d.crossings, d.arc_count)
         for copy in (d, shuffled(d, rng), shuffled(d, rng)):
-            assert _enumpy.bracket_statesum(copy.crossings, copy.arc_count) == want
+            for kernel in kernels:
+                assert kernel.bracket_statesum(copy.crossings, copy.arc_count) == want
 
 
 def test_bracket_split_circles():
@@ -119,6 +122,12 @@ def test_bracket_split_circles():
         for k in (1, 2, 3):
             with_circles = LinkDiagram(d.crossings, d.arc_count, k)
             assert kauffman_bracket(with_circles) == kauffman_bracket(d) * delta ** k
+
+
+def test_bracket_many_split_circles(shallow_stack):
+    """One running power of delta, not a recursion per circle."""
+    d = LinkDiagram(parse_pd("X 0 1 1 0").crossings, 2, 300)
+    assert jones(d) == MINUS_S_PAIR ** 300
 
 
 def test_bracket_cap():

@@ -167,6 +167,12 @@ def test_isomorphism_after_relabeling():
     assert kei_isomorphic(k, relabeled) is not None
 
 
+def test_isomorphism_search_depth_is_not_recursion(shallow_stack):
+    """Each of the 300 decisions is one search level."""
+    k = trivial_kei(300)
+    assert kei_isomorphic(k, k) == list(range(300))
+
+
 @pytest.mark.parametrize(
     "text,value",
     [("a", 0), ("b", 1), ("b*a", -1), ("a*b", 2), ("a*b*a", -2), ("b*a*b", 3),

@@ -18,10 +18,10 @@ from tanglekit.kei import (
 from tanglekit.presentation import (
     KeiPresentation,
     burnside_kei,
-    core_group_presentation,
     enumerate_kei,
     free_burnside_presentation,
     fundamental_kei,
+    kernel_backend,
     parse_presentation,
     q_kei,
     r_n_relation,
@@ -160,23 +160,26 @@ def test_cap_below_one_is_refused(cap):
 
 
 def test_determinism():
-    a = q_kei(3, 4, cap=4000)
-    b = q_kei(3, 4, cap=4000)
-    assert a.kei.table == b.kei.table
-    assert a.generator_images == b.generator_images
-    assert a.deductions == b.deductions
-    # pinned here rather than in test_enum_golden.py, which stays fast
-    record = json.dumps([a.kei.table, a.generator_images, a.deductions],
-                        separators=(",", ":"))
-    assert hashlib.sha256(record.encode()).hexdigest() == (
-        "5df66457fb6ddee3b29dae7712b5338568a7e5d3fc00eeaa9f5f899f86393712"
-    )
-    c = q_kei(4, 3, cap=4000)
-    record = json.dumps([c.kei.table, c.generator_images, c.deductions],
-                        separators=(",", ":"))
-    assert hashlib.sha256(record.encode()).hexdigest() == (
-        "fcb9a8b78369e0d8d0baa4491515d9abc16ec2da6312d19e87c18871f8b9a664"
-    )
+    # pinned here rather than in test_enum_golden.py, which stays fast;
+    # like those pins, these run on every kernel that is built
+    kernels = ("pure", "compiled") if kernel_backend() == "compiled" else ("pure",)
+    for backend in kernels:
+        a = q_kei(3, 4, cap=4000, backend=backend)
+        b = q_kei(3, 4, cap=4000, backend=backend)
+        assert a.kei.table == b.kei.table
+        assert a.generator_images == b.generator_images
+        assert a.deductions == b.deductions
+        record = json.dumps([a.kei.table, a.generator_images, a.deductions],
+                            separators=(",", ":"))
+        assert hashlib.sha256(record.encode()).hexdigest() == (
+            "5df66457fb6ddee3b29dae7712b5338568a7e5d3fc00eeaa9f5f899f86393712"
+        ), backend
+        c = q_kei(4, 3, cap=4000, backend=backend)
+        record = json.dumps([c.kei.table, c.generator_images, c.deductions],
+                            separators=(",", ":"))
+        assert hashlib.sha256(record.encode()).hexdigest() == (
+            "fcb9a8b78369e0d8d0baa4491515d9abc16ec2da6312d19e87c18871f8b9a664"
+        ), backend
 
 
 def test_universal_on_generator_pairs_differs():
@@ -220,26 +223,8 @@ def test_parse_presentation_refuses_duplicate_records(text, message):
         parse_presentation(text)
 
 
-def test_core_group_presentation():
-    rec = core_group_presentation(TREFOIL)
-    assert len(rec.generators) == 3
-    assert len(rec.relators) == 3
-    for rel in rec.relators:
-        parts = rel.split()
-        assert len(parts) == 4
-        assert parts[0] == parts[2]  # over-generator appears twice
-        assert parts[1].endswith("^-1") and parts[3].endswith("^-1")
-    assert core_group_presentation(unlink(1)).relators == ()
-    hopf = braid_closure(braid([1, 1], strands=2))
-    assert len(core_group_presentation(hopf).generators) == 2
-    assert len(core_group_presentation(hopf).relators) == 2
-    assert "generators" in rec.text() and "relator" in rec.text()
-
-
 @pytest.mark.parametrize("backend", ["compiled", "pure"])
 def test_empty_presentation(backend):
-    from tanglekit.presentation import kernel_backend
-
     if backend == "compiled" and kernel_backend() != "compiled":
         pytest.skip("compiled kernel not built")
     r = enumerate_kei(KeiPresentation(0), cap=10, backend=backend)
@@ -274,8 +259,6 @@ def test_kinked_unknot_kei_is_a_point():
 
 
 def test_memory_guard_reports_cap(monkeypatch):
-    from tanglekit.presentation import kernel_backend
-
     if kernel_backend() != "compiled":
         pytest.skip("compiled kernel not built")
     monkeypatch.setenv("TANGLEKIT_MAX_TABLE_BYTES", "40000")
