@@ -11,6 +11,15 @@ drained and the table is total, it satisfies the axioms, so no final
 checking pass is made; `presentation.enumerate_kei` certifies every
 completed table outside the kernel.
 
+As in HLT coset enumeration, which traces each coset under each
+relator once (Sims, *Computation with Finitely Presented Groups*,
+1994, ch. 5), each relation instance is traced once: a traced instance
+stays closed.  The relations are traced on the first pass only, and a
+universal pass traces only the pairs that include an element created
+since the previous pass began.  Totalize takes the first undefined
+product from bitsets of the roots and the rows.  So a growth step
+costs what it changes, not a rescan of the table.
+
 The defined entries are also indexed by row and by column (Python ints
 used as bitsets), so that, as in Felsch-style coset enumeration (Holt,
 Eick, O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5),
@@ -35,6 +44,7 @@ Status codes: 0 = completed, 1 = cap exceeded.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 COMPLETED = 0
@@ -162,6 +172,28 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     writes is that of calling `find` on every read and `confront` on
     every instance.
 
+    Each relation and each universal instance is traced once.  A traced
+    instance stays closed: every entry a*b = c on its path stays in
+    `tab` as find(a)*find(b) = find(c), because a merge moves or merges
+    each entry of the dead element and drops none, and merges only
+    coarsen the congruence.  Tracing it again, under the roots its
+    elements have now, would define nothing and merge nothing, so it is
+    skipped without changing any write.  Hence the relations are traced
+    on the first pass only, never after a totalize fill.  A universal
+    pass runs over the roots that exist when it starts; `traced_below`
+    is the element count when the previous pass started.  Two roots
+    below it were roots all through that pass, which traced their pair
+    as it stands now, so the pass traces only the pairs that include a
+    root at or above it.  On generator pairs only, that leaves no pair
+    after the first pass.
+
+    Totalize defines the first undefined product (a, b) of roots,
+    ascending in a and then in b.  The bitset `live` holds the roots
+    (`new_element` sets a bit, `merge` clears one), so row a misses
+    exactly the roots in live & ~row[a], and the first a with a nonzero
+    mask and that mask's lowest bit are the pair a scan of the table
+    finds.
+
     Completion stops once the events are drained, neither the relations
     nor r_n deduce anything and the table is total.  As in Felsch-style
     coset enumeration, that table already satisfies the axioms, so no
@@ -187,6 +219,8 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     # occ[v]: the keys put with value v or rewritten to it; None once
     # v is dead
     occ: list[list[tuple[int, int]] | None] = []
+    # bit x is set iff x is a root
+    live = 0
     events: deque[tuple[int, int]] = deque()
     merges = 0
 
@@ -213,11 +247,13 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         return v
 
     def new_element() -> int:
+        nonlocal live
         e = len(parent)
         parent.append(e)
         row.append(0)
         col.append(0)
         occ.append([])
+        live |= 1 << e
         put(e, e, e)
         return e
 
@@ -228,7 +264,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         return len(parent) - merges
 
     def merge(x: int, y: int) -> None:
-        nonlocal merges
+        nonlocal merges, live
         queue = [(x, y)]
         while queue:
             x, y = queue.pop()
@@ -238,6 +274,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
             if rx > ry:
                 rx, ry = ry, rx
             parent[ry] = rx
+            live ^= 1 << ry
             merges += 1
             # keep every value a root
             keys, occ[ry] = occ[ry], None
@@ -365,25 +402,24 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     def progress_marker():
         return (len(parent), merges, len(tab))
 
-    def trace_concrete() -> bool:
-        before = progress_marker()
-        for lhs, rhs in relations:
-            trace_relation(lhs, rhs, [find(g) for g in gen_slots])
-            process_events()
-            if live_count() > cap:
-                return True
-        return progress_marker() != before
+    # the element count when the last universal pass began
+    traced_below = 0
 
     def trace_universal() -> bool:
+        nonlocal traced_below
         before = progress_marker()
         if rn_on_all_pairs:
             domain = live_elements()
         else:
             domain = sorted({find(g) for g in gen_slots})
-        for u in domain:
+        old = bisect_left(domain, traced_below)
+        traced_below = len(parent)
+        fresh = domain[old:]
+        for i, u in enumerate(domain):
             if parent[u] != u:
                 continue
-            for w in domain:
+            # pairs of two older elements were traced by an earlier pass
+            for w in fresh if i < old else domain:
                 if parent[w] != w or u == w:
                     continue
                 ru, rw = find(u), find(w)
@@ -395,24 +431,36 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                     return True
         return progress_marker() != before
 
+    def missing_product() -> tuple[int, int] | None:
+        """The first undefined product (a, b) of roots in scan order."""
+        rest = live
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            gap = live & ~row[a]
+            if gap:
+                return a, (gap & -gap).bit_length() - 1
+            rest ^= low
+        return None
+
     gen_slots = [new_element() for _ in range(m)]
+    process_events()
+    for lhs, rhs in relations:
+        if live_count() > cap:
+            break
+        trace_relation(lhs, rhs, [find(g) for g in gen_slots])
+        process_events()
 
     while True:
-        process_events()
         if live_count() > cap:
             return CAP_EXCEEDED, None, None, merges
-
-        if trace_concrete():
-            continue
         if rn_pattern and trace_universal():
             continue
-
-        # totalize: define the first undefined product in scan order
-        zs = live_elements()
-        missing = next(((a, b) for a in zs for b in zs if (a, b) not in tab), None)
+        missing = missing_product()
         if missing is None:
             break
         fill_product(*missing)
+        process_events()
 
     # compact to a dense table in discovery order
     zs = live_elements()

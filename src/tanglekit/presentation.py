@@ -101,14 +101,19 @@ class KeiPresentation:
 
 def parse_presentation(text: str) -> KeiPresentation:
     m = None
-    index: dict[str, int] = {}
     relations = []
     burnside = None
 
     def resolve(token: str) -> int:
-        if token not in index:
+        """k for the token x<k> with 0 <= k < m, written as `serialize`
+        writes it."""
+        try:
+            k = int(token[1:])
+        except ValueError:
+            k = -1
+        if not 0 <= k < m or token != f"x{k}":
             raise ParseError(f"unknown generator {token!r}")
-        return index[token]
+        return k
 
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -122,7 +127,6 @@ def parse_presentation(text: str) -> KeiPresentation:
                 m = int(rest)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad generator count") from exc
-            index = {f"x{i}": i for i in range(m)}
         elif head == "rel":
             if m is None:
                 raise ParseError(f"line {ln}: rel before gens")
@@ -219,13 +223,18 @@ def enumerate_kei(
     CapExceeded is reported as a result, not raised: finiteness of the
     presented Kei is in general unknown, so hitting the cap is a normal
     outcome.  A cap below 1 is refused with ValueError; a completed table
-    that fails its certificate raises EnumerationFailure.
+    that fails its certificate raises EnumerationFailure.  More generators
+    than the cap stop at once, without calling a kernel.
     """
     if cap is None:
         cap = DEFAULT_CAP
     if cap < 1:
         raise ValueError("cap must be >= 1")
     kernel = _kernel(backend)
+    name = "compiled" if kernel is _enumcore else "pure"
+    if p.generator_count > cap:
+        # both kernels create every generator and stop with no deduction
+        return EnumerationResult(False, None, None, 0, cap, name)
     pattern = () if p.burnside_exponent is None else r_n_relation(p.burnside_exponent)[1]
     status, rows, images, merges = kernel.run_enumeration(
         p.generator_count,
@@ -234,7 +243,6 @@ def enumerate_kei(
         bool(universal_on_all_pairs),
         int(cap),
     )
-    name = "compiled" if kernel is _enumcore else "pure"
     if status != 0:
         return EnumerationResult(False, None, None, merges, cap, name)
     kei = FiniteKei(tuple(tuple(r) for r in rows))

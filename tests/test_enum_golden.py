@@ -12,7 +12,8 @@ universal-relation modes and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
 pins them.  `test_random_presentations_golden` pins one digest over 150
 seeded random presentations.  `test_write_order_golden` pins the order
-of the pure kernel's table writes, which these outputs cannot see.
+of the pure kernel's table writes, which these outputs cannot see, and
+`test_long_growth_write_order_golden` does so on long cap-out runs.
 """
 
 import hashlib
@@ -174,7 +175,7 @@ def test_random_presentations_golden():
 WRITE_ORDER_GOLDEN = "f3a84884adda6e02091f674618726c701696bf055cfaab6cec14c88e700f4e02"
 
 
-def test_write_order_golden(monkeypatch):
+def write_order_digest(monkeypatch, inputs) -> str:
     """`put` schedules exactly one event per table write, so an event
     queue that logs every append logs the order of the writes."""
     log = []
@@ -185,12 +186,35 @@ def test_write_order_golden(monkeypatch):
             super().append(key)
 
     monkeypatch.setattr(_enumpy, "deque", WriteLog)
-    inputs = ([make() for _, make in CASES]
-              + [random_presentation(seed) for seed in range(150)]
-              + [(free_burnside_presentation(4, 3), 4000, True)])
     records = []
     for pres, cap, all_pairs in inputs:
         record = run_record(pres, cap, all_pairs)
         records.append([log[:], record])
         log.clear()
-    assert digest(records) == WRITE_ORDER_GOLDEN
+    return digest(records)
+
+
+def test_write_order_golden(monkeypatch):
+    inputs = ([make() for _, make in CASES]
+              + [random_presentation(seed) for seed in range(150)]
+              + [(free_burnside_presentation(4, 3), 4000, True)])
+    assert write_order_digest(monkeypatch, inputs) == WRITE_ORDER_GOLDEN
+
+
+# A 3-component closure whose BQ5 is the free Q(3,5), so it grows to any cap.
+UNLINK8 = [-2, -1, -1, 1, -1, 1, 1, 2]
+LONG_GROWTH_GOLDEN = "6a01f59c414d3bb488e72396dc49b6da855dbf898c3710f2e7d45fff0ec87128"
+
+
+def test_long_growth_write_order_golden(monkeypatch):
+    """Runs that grow for hundreds of totalize fills and universal
+    passes before their cap.  All but the last stop with 0 merges, so
+    their outputs share one digest and only the write order sees how
+    they grew."""
+    inputs = [
+        (fundamental_kei(corpus()["8_18"]), 2000, True),
+        (fundamental_kei(corpus()["9_40"]), 1000, True),
+        (free_burnside_presentation(3, 3), 2000, False),
+        (fundamental_kei(braid_closure(braid(UNLINK8, 3))).with_burnside(5), 500, True),
+    ]
+    assert write_order_digest(monkeypatch, inputs) == LONG_GROWTH_GOLDEN

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -221,6 +222,25 @@ def test_presentation_validation():
 def test_parse_presentation_refuses_duplicate_records(text, message):
     with pytest.raises(ParseError, match=message):
         parse_presentation(text)
+
+
+@pytest.mark.parametrize("token", ["x01", "x-1", "x+1", "x1_0", "x\uff11", "y", "x", "x3"])
+def test_parse_presentation_refuses_unknown_generator(token):
+    with pytest.raises(ParseError, match="unknown generator"):
+        parse_presentation(f"gens 3\nrel {token} = x0\n")
+
+
+def test_more_generators_than_cap_stop_at_once():
+    """A billion generators are neither indexed by the parser nor created
+    by a kernel: the run is capped before either would start."""
+    pres = parse_presentation("gens 1000000000\nrel x999999999 = x0*x1\n")
+    assert pres.relations == (((999999999,), (0, 1)),)
+    for backend in ("compiled", "pure") if kernel_backend() == "compiled" else ("pure",):
+        start = time.monotonic()
+        r = enumerate_kei(pres, cap=5, backend=backend)
+        assert time.monotonic() - start < 1.0
+        assert not r.completed and r.deductions == 0 and r.cap == 5
+        assert r.backend == backend
 
 
 @pytest.mark.parametrize("backend", ["compiled", "pure"])
