@@ -33,11 +33,14 @@ once, so the event loop reads entries without `find`.  This matters on
 the dense tables of runs that complete.  See `run_enumeration` for why
 both are exact.
 
-The compiled kernel in `_enumcore` is a translation of the enumerator
-onto flat C arrays; both produce identical tables (fixed deduction
-order, merges always keep the smaller element id).  The Kauffman
-bracket contraction here is the only one the library calls; the
-2^c state sum left in `_enumcore` serves as a brute-force reference.
+The compiled kernel in `_enumcore` is an older enumerator on flat C
+arrays: it re-traces every relation on every pass, rescans the table
+to totalize, and ends with an O(n^3) certifying sweep.  The golden pins
+(`tests/test_enum_golden.py`) and `perfbench/parity.py` check that both
+kernels give equal tables, generator images and deduction counts.  The
+Kauffman bracket contraction here is the only one the library calls;
+the 2^c state sum left in `_enumcore` serves as a brute-force
+reference.
 
 Status codes: 0 = completed, 1 = cap exceeded.
 """

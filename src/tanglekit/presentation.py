@@ -6,9 +6,10 @@ left-normed word of length n in u and w whose dihedral value is n;
 imposing it on all element pairs yields the free objects Q(m, n) and
 the Burnside quotient of a link's fundamental Kei.
 
-Enumeration is a completion procedure (see `_enumpy`); the compiled
-kernel `_enumcore` is preferred when it is importable, and either kernel
-can be forced through the `backend` argument.  Whichever kernel runs,
+Enumeration is a completion procedure (see `_enumpy`).  `KERNELS`
+names the kernels this install has, the compiled `_enumcore` first
+when it is built; the first is the default, and any can be forced
+through the `backend` argument.  Whichever kernel runs,
 `enumerate_kei` certifies each completed table once: it must be a Kei
 generated by the generator images, and the images must satisfy every
 relation and r_n.  Generation lets the certificate check axioms 2 and
@@ -21,39 +22,31 @@ from dataclasses import dataclass, replace
 
 from .diagrams import LinkDiagram
 from .errors import EnumerationFailure, ParseError
-from .kei import FiniteKei, eval_word, phi_eval
+from .kei import FiniteKei, check_axioms, eval_word, phi_eval
 from . import _enumpy
 
+# report name -> module of each built kernel, the default first
 try:
     from . import _enumcore
-except ImportError:  # extension not built; pure fallback only
-    _enumcore = None
+    KERNELS = {"compiled": _enumcore, "pure": _enumpy}
+except ImportError:  # extension not built
+    KERNELS = {"pure": _enumpy}
 
 DEFAULT_CAP = 20000
+# r_n is a word of length n, built and traced whole before a cap applies
+MAX_BURNSIDE_EXPONENT = 10**6
 
 
 def kernel_backend() -> str:
     """Name of the kernel used by default: 'compiled' or 'pure'."""
-    return "compiled" if _enumcore is not None else "pure"
-
-
-def _kernel(backend: str | None):
-    if backend is None:
-        return _enumcore if _enumcore is not None else _enumpy
-    if backend == "compiled":
-        if _enumcore is None:
-            raise RuntimeError("compiled kernel is not available")
-        return _enumcore
-    if backend == "pure":
-        return _enumpy
-    raise ValueError(f"unknown backend {backend!r}")
+    return next(iter(KERNELS))
 
 
 def r_n_relation(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The pair (u, alternating word of length n in u and w with dihedral
     value n), as letter tuples with 0 = u and 1 = w."""
-    if n < 2:
-        raise ValueError("the universal relation needs n >= 2")
+    if not 2 <= n <= MAX_BURNSIDE_EXPONENT:
+        raise ValueError(f"the universal relation needs 2 <= n <= {MAX_BURNSIDE_EXPONENT}")
     rhs = tuple((n + i) % 2 for i in range(n))
     assert phi_eval(rhs) == n
     return (0,), rhs
@@ -82,8 +75,9 @@ class KeiPresentation:
                     raise ValueError("empty word in relation")
                 if any(not (0 <= g < self.generator_count) for g in w):
                     raise ValueError("relation references an unknown generator")
-        if self.burnside_exponent is not None and self.burnside_exponent < 2:
-            raise ValueError("burnside exponent must be >= 2")
+        n = self.burnside_exponent
+        if n is not None and not 2 <= n <= MAX_BURNSIDE_EXPONENT:
+            raise ValueError(f"burnside exponent must be in 2..{MAX_BURNSIDE_EXPONENT}")
 
     def with_burnside(self, n: int) -> "KeiPresentation":
         return replace(self, burnside_exponent=n)
@@ -119,7 +113,8 @@ def parse_presentation(text: str) -> KeiPresentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
+        head = line.split(None, 1)[0]
+        rest = line[len(head):]
         if head == "gens":
             if m is not None:
                 raise ParseError(f"line {ln}: duplicate 'gens' record")
@@ -133,8 +128,8 @@ def parse_presentation(text: str) -> KeiPresentation:
             if "=" not in rest:
                 raise ParseError(f"line {ln}: relation needs '='")
             left, right = rest.split("=", 1)
-            lhs = tuple(resolve(t) for t in left.replace(" ", "").split("*") if t)
-            rhs = tuple(resolve(t) for t in right.replace(" ", "").split("*") if t)
+            lhs = tuple(resolve(t) for t in "".join(left.split()).split("*") if t)
+            rhs = tuple(resolve(t) for t in "".join(right.split()).split("*") if t)
             if not lhs or not rhs:
                 raise ParseError(f"line {ln}: empty word in relation")
             relations.append((lhs, rhs))
@@ -192,14 +187,8 @@ def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
         reached |= fresh
     if len(reached) != kei.size:
         raise EnumerationFailure("generator images do not generate the enumerated table")
-    if any(t[x][x] != x for x in range(kei.size)):
+    if check_axioms(kei, gens):
         raise EnumerationFailure("enumerated table violates the Kei axioms")
-    for g in gens:
-        col = [r[g] for r in t]
-        if any(col[y] != x for x, y in enumerate(col)) or any(
-            [col[v] for v in r] != [t[col[x]][c] for c in col] for x, r in enumerate(t)
-        ):
-            raise EnumerationFailure("enumerated table violates the Kei axioms")
     if any(
         eval_word(kei, lhs, images) != eval_word(kei, rhs, images)
         for lhs, rhs in p.relations
@@ -230,13 +219,15 @@ def enumerate_kei(
         cap = DEFAULT_CAP
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    kernel = _kernel(backend)
-    name = "compiled" if kernel is _enumcore else "pure"
+    name = kernel_backend() if backend is None else backend
+    if name not in KERNELS:
+        raise ValueError(
+            f"unknown backend {backend!r}: this install has {', '.join(KERNELS)}")
     if p.generator_count > cap:
         # both kernels create every generator and stop with no deduction
         return EnumerationResult(False, None, None, 0, cap, name)
     pattern = () if p.burnside_exponent is None else r_n_relation(p.burnside_exponent)[1]
-    status, rows, images, merges = kernel.run_enumeration(
+    status, rows, images, merges = KERNELS[name].run_enumeration(
         p.generator_count,
         tuple(p.relations),
         pattern,

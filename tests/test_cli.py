@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tanglekit.cli import main
+from tanglekit.presentation import MAX_BURNSIDE_EXPONENT
 from tanglekit.tangles import MAX_NESTING
 
 
@@ -102,6 +103,20 @@ def test_kei_enum_rejects_duplicate_record(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 3: duplicate 'burnside' record\n"
+
+
+def test_kei_huge_burnside_exponent_is_refused(capsys, tmp_path):
+    """Refused before the length-n word of r_n is built."""
+    pres = tmp_path / "q3.kei"
+    pres.write_text("gens 3\nburnside 99999999999\n")
+    for argv in (["kei", "enum", str(pres), "--cap", "50"],
+                 ["kei", "burnside", "trefoil", "--n", "99999999999"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: burnside exponent must be in 2..{MAX_BURNSIDE_EXPONENT}\n"
+        )
 
 
 def test_kei_iso(capsys, tmp_path):
@@ -268,7 +283,7 @@ def test_kei_enum_reports_failed_certificate(capsys, monkeypatch, tmp_path):
         def run_enumeration(m, relations, pattern, all_pairs, cap):
             return 0, trivial_kei(2).table, [0, 1], 0
 
-    monkeypatch.setattr(presentation, "_kernel", lambda backend: Kernel)
+    monkeypatch.setattr(presentation, "KERNELS", {"pure": Kernel})
     pres = tmp_path / "q23.kei"
     pres.write_text("gens 2\nburnside 3\n")
     assert main(["kei", "enum", str(pres)]) == 2

@@ -27,14 +27,13 @@ from tanglekit import _enumpy
 from tanglekit.corpus import corpus
 from tanglekit.diagrams import braid, braid_closure, parse_pd
 from tanglekit.presentation import (
+    KERNELS,
     KeiPresentation,
     enumerate_kei,
     free_burnside_presentation,
     fundamental_kei,
-    kernel_backend,
 )
 
-KERNELS = ("pure", "compiled") if kernel_backend() == "compiled" else ("pure",)
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
 
 

@@ -104,7 +104,7 @@ def seeded_closures(rng, max_crossings=12):
 
 def test_bracket_statesum_matches_oracle():
     """Both kernels' state sums, the compiled one whenever it is built."""
-    kernels = [k for k in (_enumpy, presentation._enumcore) if k is not None]
+    kernels = presentation.KERNELS.values()
     rng = random.Random(2005)
     diagrams = [d for d in corpus().values() if d.crossing_count]
     diagrams += [parse_pd("X 0 1 1 0"), parse_pd("X 0 1 1 0\nX 2 3 3 2")]

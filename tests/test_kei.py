@@ -132,6 +132,20 @@ def test_axiom_violations_golden_order(name):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", sorted(AXIOM_GOLDEN))
+def test_axiom_violations_at_columns(name):
+    """Restricted to columns, the list is the full one without the (ii)
+    and (iii) entries whose right factor lies elsewhere."""
+    k = AXIOM_GOLDEN[name][0]()
+    full = check_axioms(k)
+    rng = random.Random(k.size)
+    for count in (0, 1, 3, k.size):
+        cols = rng.sample(range(k.size), count)
+        want = [v for v in full if v[0] == 1 or v[-1] in cols]
+        assert check_axioms(k, cols) == want
+        assert check_axioms(k, cols + cols) == want
+
+
 def test_isomorphism_identity():
     k = dihedral_kei(5)
     assert kei_isomorphic(k, k) is not None

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from tanglekit import presentation
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import EnumerationFailure, ParseError
 from tanglekit.kei import (
@@ -17,12 +18,13 @@ from tanglekit.kei import (
     trivial_kei,
 )
 from tanglekit.presentation import (
+    KERNELS,
+    MAX_BURNSIDE_EXPONENT,
     KeiPresentation,
     burnside_kei,
     enumerate_kei,
     free_burnside_presentation,
     fundamental_kei,
-    kernel_backend,
     parse_presentation,
     q_kei,
     r_n_relation,
@@ -47,6 +49,20 @@ def test_r_n_words(n, rhs):
 def test_r_n_rejects_small():
     with pytest.raises(ValueError):
         r_n_relation(1)
+
+
+def test_burnside_exponent_bound():
+    """The bound itself is accepted; one past it is refused."""
+    top = MAX_BURNSIDE_EXPONENT
+    assert len(r_n_relation(top)[1]) == top
+    assert parse_presentation(f"gens 3\nburnside {top}\n").burnside_exponent == top
+    assert fundamental_kei(TREFOIL).with_burnside(top).burnside_exponent == top
+    with pytest.raises(ValueError, match=f"n <= {top}$"):
+        r_n_relation(top + 1)
+    with pytest.raises(ValueError, match=f"must be in 2..{top}$"):
+        parse_presentation(f"gens 3\nburnside {top + 1}\n")
+    with pytest.raises(ValueError, match=f"must be in 2..{top}$"):
+        fundamental_kei(TREFOIL).with_burnside(top + 1)
 
 
 @pytest.mark.parametrize(
@@ -163,8 +179,7 @@ def test_cap_below_one_is_refused(cap):
 def test_determinism():
     # pinned here rather than in test_enum_golden.py, which stays fast;
     # like those pins, these run on every kernel that is built
-    kernels = ("pure", "compiled") if kernel_backend() == "compiled" else ("pure",)
-    for backend in kernels:
+    for backend in KERNELS:
         a = q_kei(3, 4, cap=4000, backend=backend)
         b = q_kei(3, 4, cap=4000, backend=backend)
         assert a.kei.table == b.kei.table
@@ -230,12 +245,19 @@ def test_parse_presentation_refuses_unknown_generator(token):
         parse_presentation(f"gens 3\nrel {token} = x0\n")
 
 
+def test_parse_presentation_splits_on_any_whitespace():
+    spaced = parse_presentation("gens 3\nrel x2 = x0*x1 * x2\nburnside 5\n")
+    tabbed = parse_presentation("gens\t3\nrel\tx2\t= x0\t*\tx1*x2\nburnside\t 5\n")
+    assert tabbed == spaced
+    assert spaced.relations == (((2,), (0, 1, 2)),)
+
+
 def test_more_generators_than_cap_stop_at_once():
     """A billion generators are neither indexed by the parser nor created
     by a kernel: the run is capped before either would start."""
     pres = parse_presentation("gens 1000000000\nrel x999999999 = x0*x1\n")
     assert pres.relations == (((999999999,), (0, 1)),)
-    for backend in ("compiled", "pure") if kernel_backend() == "compiled" else ("pure",):
+    for backend in KERNELS:
         start = time.monotonic()
         r = enumerate_kei(pres, cap=5, backend=backend)
         assert time.monotonic() - start < 1.0
@@ -243,12 +265,18 @@ def test_more_generators_than_cap_stop_at_once():
         assert r.backend == backend
 
 
-@pytest.mark.parametrize("backend", ["compiled", "pure"])
-def test_empty_presentation(backend):
-    if backend == "compiled" and kernel_backend() != "compiled":
-        pytest.skip("compiled kernel not built")
-    r = enumerate_kei(KeiPresentation(0), cap=10, backend=backend)
-    assert r.completed and r.size == 0 and r.generator_images == ()
+def test_empty_presentation():
+    for backend in KERNELS:
+        r = enumerate_kei(KeiPresentation(0), cap=10, backend=backend)
+        assert r.completed and r.size == 0 and r.generator_images == ()
+
+
+def test_unknown_backend_names_the_built_kernels():
+    """An unknown name, or 'compiled' when it is not built."""
+    built = ", ".join(KERNELS)
+    for backend in [b for b in ("nosuch", "compiled") if b not in KERNELS]:
+        with pytest.raises(ValueError, match=f"'{backend}': this install has {built}$"):
+            enumerate_kei(KeiPresentation(0), cap=10, backend=backend)
 
 
 def test_presenting_a_kei_by_its_table_reproduces_it():
@@ -279,7 +307,7 @@ def test_kinked_unknot_kei_is_a_point():
 
 
 def test_memory_guard_reports_cap(monkeypatch):
-    if kernel_backend() != "compiled":
+    if "compiled" not in KERNELS:
         pytest.skip("compiled kernel not built")
     monkeypatch.setenv("TANGLEKIT_MAX_TABLE_BYTES", "40000")
     r = q_kei(3, 4, cap=8000, backend="compiled")
@@ -305,14 +333,13 @@ def test_moving_universal_relation_preserves_iso_class():
 
 def fake_kernel(monkeypatch, rows, images):
     """Make every enumeration 'complete' with the given table and images."""
-    from tanglekit import presentation
 
     class Kernel:
         @staticmethod
         def run_enumeration(m, relations, pattern, all_pairs, cap):
             return 0, rows, images, 0
 
-    monkeypatch.setattr(presentation, "_kernel", lambda backend: Kernel)
+    monkeypatch.setattr(presentation, "KERNELS", {"pure": Kernel})
 
 
 @pytest.mark.parametrize(
