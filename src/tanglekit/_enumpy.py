@@ -201,8 +201,9 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     nor r_n deduce anything and the table is total.  As in Felsch-style
     coset enumeration, that table already satisfies the axioms, so no
     final sweep checks them:
-    (i)   x*x = x is defined when x is created, and a merge folding y
-          into x merges y*y with x;
+    (i)   x*x = x is put when x is created and holds while x is a
+          root, since a value is rewritten only when it dies; a merge
+          folding y into x drops y*y, which then merges nothing;
     (ii)  every entry a*b = c has an event, which applies the
           involution c*b = a;
     (iii) an instance (p*q)*r = (p*r)*(q*r) is seen by the event of
@@ -285,10 +286,9 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
                 if tab.get(key) == ry:
                     tab[key] = rx
                     occ[rx].append(key)
-            # fold the dead row/column into the survivor
-            val = take(ry, ry)
-            if val is not None:
-                queue.append((val, rx))
+            # fold the dead row/column into the survivor; ry*ry, just
+            # rewritten to rx, has nothing to merge
+            take(ry, ry)
             zs = row[ry] | col[ry]
             while zs:
                 low = zs & -zs
@@ -332,9 +332,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
         while events:
             a, b = events.popleft()
             ra, rb = find(a), find(b)
-            c = get((ra, rb))
-            if c is None:
-                continue
+            c = tab[ra, rb]
             seen = merges
             # involution: (a*b)*b = a
             set_entry(c, rb, ra)

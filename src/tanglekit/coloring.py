@@ -141,7 +141,7 @@ def solution_group(rows, cols: int, n: int) -> AbelianGroupStructure:
     """Solutions mod n of an integer system in `cols` unknowns."""
     if not isinstance(n, int) or n < 2:
         raise InvalidModulus(f"modulus must be an integer >= 2, got {n!r}")
-    factors = smith_normal_form(rows) if rows else []
+    factors = smith_normal_form(rows)
     # the invariant factors divide each other, gcd with n keeps that
     # order and n ends the chain: already a divisor chain
     orders = [gcd(n, f) for f in factors] + [n] * (cols - len(factors))

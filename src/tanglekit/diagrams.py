@@ -209,6 +209,12 @@ class Wiring:
         return LinkDiagram(crossings, arcs, circles)
 
 
+# The Jones bracket takes one power of delta per split circle, at a cost
+# quadratic in their number, so a parsed diagram may carry at most this
+# many (summed over its `O` lines).
+MAX_SPLIT_CIRCLES = 1000
+
+
 def parse_pd(text: str) -> LinkDiagram:
     """Parse PD-code text: lines `X a b c d` plus optional `O k` lines."""
     crossings = []
@@ -231,6 +237,9 @@ def parse_pd(text: str) -> LinkDiagram:
             if len(values) != 1 or values[0] < 0:
                 raise ParseError(f"line {ln}: O takes one non-negative count")
             circles += values[0]
+            if circles > MAX_SPLIT_CIRCLES:
+                raise ParseError(
+                    f"line {ln}: more than {MAX_SPLIT_CIRCLES} split circles")
         else:
             raise ParseError(f"line {ln}: unknown record {kind!r}")
 

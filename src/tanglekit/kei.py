@@ -140,49 +140,18 @@ def check_axioms(k: FiniteKei, columns=None) -> list[tuple]:
     return out
 
 
-def _refine_colors(k: FiniteKei) -> tuple[tuple[int, ...], int]:
-    """Iterated structural refinement; isomorphism-invariant coloring."""
-    n = k.size
-    t = k.table
-    colors = [0] * n
-    classes = 1
-    while True:
-        sigs = []
-        for x in range(n):
-            local = sorted(
-                (colors[y], colors[t[x][y]], colors[t[y][x]]) for y in range(n)
-            )
-            sigs.append((colors[x], tuple(local)))
-        lookup: dict = {}
-        new = []
-        for s in sorted(set(sigs)):
-            lookup[s] = len(lookup)
-        for x in range(n):
-            new.append(lookup[sigs[x]])
-        if len(lookup) == classes and new == colors:
-            return tuple(colors), classes
-        colors, classes = new, len(lookup)
-
-
 def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
     """A table-preserving bijection k1 -> k2, or None.
 
-    Backtracking over refinement classes with product propagation;
-    intended for tables up to a few hundred elements.
+    Backtracking search: the first unmapped element of k1 tries each
+    unused element of k2 in ascending order, and every assignment is
+    propagated through the products of mapped elements.  Intended for
+    tables up to a few hundred elements.
     """
     if k1.size != k2.size:
         return None
     n = k1.size
-    if n == 0:
-        return []
-    c1, _ = _refine_colors(k1)
-    c2, _ = _refine_colors(k2)
-    if sorted(c1) != sorted(c2):
-        return None
     t1, t2 = k1.table, k2.table
-    candidates = [
-        [y for y in range(n) if c2[y] == c1[x]] for x in range(n)
-    ]
     mapping: list[int | None] = [None] * n
     used = [False] * n
 
@@ -195,7 +164,7 @@ def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
                 if mapping[a] != b:
                     return False
                 continue
-            if used[b] or c1[a] != c2[b]:
+            if used[b]:
                 return False
             mapping[a] = b
             used[b] = True
@@ -215,8 +184,7 @@ def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
             mapping[a] = None
 
     def choose() -> int | None:
-        pending = [x for x in range(n) if mapping[x] is None]
-        return min(pending, key=lambda v: len(candidates[v])) if pending else None
+        return next((x for x in range(n) if mapping[x] is None), None)
 
     def advance(x: int, ys, trail: list[int]) -> bool:
         """Assign x its next consistent candidate from ys."""
@@ -232,7 +200,7 @@ def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
     decisions: list = []
     x = choose()
     while x is not None:
-        decisions.append((x, iter(candidates[x]), []))
+        decisions.append((x, iter(range(n)), []))
         while decisions:
             x, ys, trail = decisions[-1]
             undo(trail)
@@ -242,7 +210,7 @@ def kei_isomorphic(k1: FiniteKei, k2: FiniteKei) -> list[int] | None:
         else:
             return None
         x = choose()
-    return [int(v) for v in mapping]
+    return mapping
 
 
 def phi_eval(w: tuple[int, ...]) -> int:

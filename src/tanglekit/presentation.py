@@ -236,7 +236,7 @@ def enumerate_kei(
     )
     if status != 0:
         return EnumerationResult(False, None, None, merges, cap, name)
-    kei = FiniteKei(tuple(tuple(r) for r in rows))
+    kei = FiniteKei(tuple(rows))
     _certify(p, kei, images, pattern, universal_on_all_pairs)
     return EnumerationResult(True, kei, tuple(images), merges, cap, name)
 

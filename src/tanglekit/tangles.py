@@ -138,11 +138,23 @@ def serialize_expr(t: TangleExpr) -> str:
 # The parser and the tree walkers recurse once per nesting level, so a
 # parsed expression may nest at most this many parenthesised nodes.
 MAX_NESTING = 200
+# Closures, colorings and the bracket grow with the crossings, so a
+# parsed expression may have at most this many: its x+ and x- leaves
+# plus the |twist| entries of its twist leaves.
+MAX_CROSSINGS = 1000
 
 
 def parse_expr(text: str) -> TangleExpr:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
+    crossings = 0
+
+    def count(k: int) -> None:
+        nonlocal crossings
+        crossings += k
+        if crossings > MAX_CROSSINGS:
+            raise ParseError(
+                f"tangle expression has more than {MAX_CROSSINGS} crossings")
 
     def parse(depth: int) -> TangleExpr:
         nonlocal pos
@@ -151,6 +163,8 @@ def parse_expr(text: str) -> TangleExpr:
         tok = tokens[pos]
         pos += 1
         if tok in ("t0", "tinf", "x+", "x-"):
+            if tok.startswith("x"):
+                count(1)
             return Leaf(tok)
         if tok != "(":
             raise ParseError(f"unexpected token {tok!r}")
@@ -164,6 +178,7 @@ def parse_expr(text: str) -> TangleExpr:
             vals = []
             while tokens[pos] != ")":
                 vals.append(int(tokens[pos]))
+                count(abs(vals[-1]))
                 pos += 1
             pos += 1
             return TwistLeaf(tuple(vals))

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from tanglekit.cli import main
+from tanglekit.diagrams import MAX_SPLIT_CIRCLES
 from tanglekit.presentation import MAX_BURNSIDE_EXPONENT
-from tanglekit.tangles import MAX_NESTING
+from tanglekit.tangles import MAX_CROSSINGS, MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +131,26 @@ def test_kei_iso(capsys, tmp_path):
     assert code == 0 and report["results"]["isomorphic"] is True
 
 
+def test_kei_iso_sizes_differ(capsys, tmp_path):
+    from tanglekit.kei import dihedral_kei
+
+    f1 = tmp_path / "a.txt"
+    f2 = tmp_path / "b.txt"
+    f1.write_text(dihedral_kei(3).serialize())
+    f2.write_text(dihedral_kei(5).serialize())
+    code, report = run_cli(capsys, "kei", "iso", str(f1), str(f2))
+    assert code == 1 and report["passed"] is False
+    assert report["results"] == {"bijection": None, "isomorphic": False}
+
+
+def test_kei_iso_empty_tables(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0\n")
+    code, report = run_cli(capsys, "kei", "iso", str(empty), str(empty))
+    assert code == 0 and report["passed"] is True
+    assert report["results"] == {"bijection": [], "isomorphic": True}
+
+
 def test_kei_check_empty_table(capsys, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -229,6 +250,81 @@ def test_tangle_nesting_bound(capsys, command):
     assert captured.err == (
         f"error: tangle expression nests more than {MAX_NESTING} nodes deep\n"
     )
+
+
+TOO_MANY_CIRCLES = f"error: line 1: more than {MAX_SPLIT_CIRCLES} split circles\n"
+TOO_MANY_CROSSINGS = (
+    f"error: tangle expression has more than {MAX_CROSSINGS} crossings\n")
+
+
+@pytest.mark.parametrize("argv,stdin,message", [
+    (["jones", "-"], "O 99999999999\n", TOO_MANY_CIRCLES),
+    (["invariants", "-"], "O 99999999999\n", TOO_MANY_CIRCLES),
+    (["color", "-", "--n", "3"], "O 99999999999\n", TOO_MANY_CIRCLES),
+    (["kei", "burnside", "-", "--n", "3"], "O 99999999999\n", TOO_MANY_CIRCLES),
+    (["color", "-", "--n", "3"], f"O {MAX_SPLIT_CIRCLES + 1}\n", TOO_MANY_CIRCLES),
+    (["tangle", "closure", "(tw 99999999999)"], "", TOO_MANY_CROSSINGS),
+    (["tangle", "obstruct", "(tw 99999999999)", "unknot"], "", TOO_MANY_CROSSINGS),
+    (["tangle", "closure", f"(tw {MAX_CROSSINGS + 1})"], "", TOO_MANY_CROSSINGS),
+])
+def test_huge_counts_are_refused(capsys, monkeypatch, argv, stdin, message):
+    """Refused by the parser, before any work grows with the count."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+def test_counts_at_their_bounds_are_accepted(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"O {MAX_SPLIT_CIRCLES}\n"))
+    code, report = run_cli(capsys, "color", "-", "--n", "3")
+    assert code == 0 and report["results"]["group"] == [3] * MAX_SPLIT_CIRCLES
+    code, report = run_cli(capsys, "tangle", "closure", f"(tw {MAX_CROSSINGS})")
+    assert code == 0 and report["results"]["crossings"] == MAX_CROSSINGS
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["kei", "enum", "FILE"], "rel x0 = x1\ngens 2\n"),
+    (["kei", "enum", "FILE"], "gens 2\nrel x0 x1\n"),
+    (["kei", "enum", "FILE"], "gens 2\nburnside three\n"),
+    (["kei", "check", "FILE"], "2\n0 2\n1 1\n"),
+    (["kei", "iso", "FILE", "FILE"], "2\n0 0\n"),
+    (["color", "FILE", "--n", "3"], "X 1 2 1 2\nO -1\n"),
+    (["color", "FILE", "--n", "3"], "Y 1 2 1 2\n"),
+    (["jones", "FILE"], "X 1 2 1 3\n"),
+    (["braid", "image", "1 x 2"], ""),
+    (["tangle", "closure", "(comp 0 0 t0"], ""),
+    (["tangle", "closure", "(comp 0 0 t0 t0 t0)"], ""),
+    (["tangle", "closure", "(tw 1 x)"], ""),
+    (["tangle", "closure", "t0 t0"], ""),
+])
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_timings_add_wall_times(capsys):
+    _, plain = run_cli(capsys, "jones", "trefoil")
+    code, timed = run_cli(capsys, "--timings", "jones", "trefoil")
+    assert code == 0 and "wall_time_s" not in plain
+    assert isinstance(timed.pop("wall_time_s"), float)
+    assert timed == plain
+    _, plain = run_cli(capsys, "corpus", "verify", "--only", "coloring")
+    code, timed = run_cli(capsys, "--timings", "corpus", "verify", "--only", "coloring")
+    assert code == 0 and "wall_time_s" in timed
+    checks = timed["results"]["checks"]
+    assert checks and all(isinstance(c.pop("seconds"), float) for c in checks)
+    assert checks == plain["results"]["checks"]
 
 
 def test_corpus_verify_rejects_instances_below_one(capsys):

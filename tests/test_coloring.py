@@ -5,6 +5,7 @@ from math import gcd, prod
 import pytest
 
 from tanglekit.coloring import (
+    AbelianGroupStructure,
     col_group,
     coloring_matrix,
     count_colorings_brute,
@@ -99,6 +100,17 @@ def test_col_group_examples():
     assert col_group(FIG8, 5).cyclic_orders == (5, 5)
     assert col_group(TREFOIL, 5).cyclic_orders == (5,)
     assert col_group(TREFOIL, 3).order == 9
+
+
+def test_group_structure_text():
+    assert str(col_group(parse_pd("O 3"), 5)) == "Z5 + Z5 + Z5"
+    assert str(col_group(FIG8, 5)) == "Z5 + Z5"
+    assert str(AbelianGroupStructure(())) == "0"
+
+
+def test_solution_group_of_no_equations():
+    assert solution_group([], 3, 5).cyclic_orders == (5, 5, 5)
+    assert solution_group([], 0, 5).cyclic_orders == ()
 
 
 def test_invalid_modulus():

@@ -1,7 +1,9 @@
 import pytest
 
 from tanglekit.diagrams import (
+    MAX_SPLIT_CIRCLES,
     BraidWord,
+    LinkDiagram,
     braid,
     braid_closure,
     delta3,
@@ -42,6 +44,49 @@ def test_parse_non_integer():
 def test_arc_multiplicity_validation():
     with pytest.raises(MalformedDiagram):
         parse_pd("X 1 1 1 2")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("O", "line 1: O takes one non-negative count"),
+    ("O 1 2", "line 1: O takes one non-negative count"),
+    ("X 1 2 1 2\nO -1", "line 2: O takes one non-negative count"),
+    ("X 1 2 1 2\n\nY 1 2 1 2", "line 3: unknown record 'Y'"),
+    (f"O {MAX_SPLIT_CIRCLES + 1}", f"line 1: more than {MAX_SPLIT_CIRCLES} split circles"),
+    # the bound is on the sum over all O lines
+    (f"O {MAX_SPLIT_CIRCLES}\n# one more\nO 1",
+     f"line 3: more than {MAX_SPLIT_CIRCLES} split circles"),
+    ("O 99999999999", f"line 1: more than {MAX_SPLIT_CIRCLES} split circles"),
+])
+def test_parse_pd_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_pd(text)
+    assert str(info.value) == message
+
+
+def test_split_circle_bound_is_accepted():
+    d = parse_pd(f"{TREFOIL_PD}\nO {MAX_SPLIT_CIRCLES - 1}\nO 1")
+    assert d.unknotted_split_circles == MAX_SPLIT_CIRCLES
+    assert d.crossing_count == 3
+
+
+@pytest.mark.parametrize("crossings,arcs,circles,message", [
+    (((0, 1, 0),), 2, 0, "crossing (0, 1, 0) does not have 4 ends"),
+    (((0, 1, 0, 1), (2, 3, 2, 2)), 4, 0, "arc 2 appears 3 times, expected 2"),
+    (((1, 2, 1, 2),), 2, 0, "arc ids are not dense in 0..arc_count-1"),
+    (((0, 2, 0, 2),), 3, 0, "arc_count does not match the crossing data"),
+    ((), 0, -1, "negative split circle count"),
+])
+def test_link_diagram_errors(crossings, arcs, circles, message):
+    with pytest.raises(MalformedDiagram) as info:
+        LinkDiagram(crossings, arcs, circles)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["1 x 2", "1 2.0", "s1"])
+def test_parse_braid_errors(text):
+    with pytest.raises(ParseError) as info:
+        parse_braid(text)
+    assert str(info.value) == f"bad braid word {text!r}"
 
 
 def test_serialize_round_trip():

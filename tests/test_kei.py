@@ -247,5 +247,12 @@ def test_parse_kei_rejects_malformed_tables(text):
         parse_kei(text)
 
 
+@pytest.mark.parametrize("text", ["2\n0 2\n1 1\n", "2\n0 -1\n1 1\n"])
+def test_parse_kei_rejects_values_out_of_range(text):
+    with pytest.raises(ValueError) as info:
+        parse_kei(text)
+    assert str(info.value) == "operation table is not square over 0..n-1"
+
+
 def test_parse_kei_empty_table():
     assert parse_kei("0\n").size == 0

@@ -239,6 +239,35 @@ def test_parse_presentation_refuses_duplicate_records(text, message):
         parse_presentation(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("gens two\n", "line 1: bad generator count"),
+    ("rel x0 = x0\ngens 1\n", "line 1: rel before gens"),
+    ("gens 2\n\nrel x0*x1 x0\n", "line 3: relation needs '='"),
+    ("gens 2\nrel x0 = *\n", "line 2: empty word in relation"),
+    ("gens 2\nrel = x1\n", "line 2: empty word in relation"),
+    ("gens 2\nburnside 5.0\n", "line 2: bad burnside exponent"),
+    ("gens 2\nrelation x0 = x1\n", "line 2: unknown record 'relation'"),
+    ("rel_x0 = x1\n", "line 1: unknown record 'rel_x0'"),
+    ("# no records\nburnside 3\n", "missing 'gens' record"),
+    ("", "missing 'gens' record"),
+])
+def test_parse_presentation_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args,message", [
+    ((-1,), "generator count must be non-negative"),
+    ((2, (((0,), ()),)), "empty word in relation"),
+    ((2, (((), (1,)),)), "empty word in relation"),
+])
+def test_kei_presentation_errors(args, message):
+    with pytest.raises(ValueError) as info:
+        KeiPresentation(*args)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("token", ["x01", "x-1", "x+1", "x1_0", "x\uff11", "y", "x", "x3"])
 def test_parse_presentation_refuses_unknown_generator(token):
     with pytest.raises(ParseError, match="unknown generator"):

@@ -10,6 +10,7 @@ from tanglekit.jones import determinant
 from tanglekit.kei import kei_isomorphic, dihedral_kei
 from tanglekit.presentation import enumerate_kei, fundamental_kei
 from tanglekit.tangles import (
+    MAX_CROSSINGS,
     Comp,
     RationalTangle,
     T0,
@@ -234,10 +235,38 @@ def test_expr_parse_round_trip():
     ]
     for e in exprs:
         assert parse_expr(serialize_expr(e)) == e
-    with pytest.raises(ParseError):
-        parse_expr("(comp 0 0 t0)")
-    with pytest.raises(ParseError):
-        parse_expr("(frob 1)")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "unexpected end of tangle expression"),
+    ("(comp 0 0 t0", "unexpected end of tangle expression"),
+    ("(comp 0 0 t0 t0 t0)", "missing ')' in comp node"),
+    ("(tw 1 x)", "bad tangle expression '(tw 1 x)'"),
+    ("(tw 1", "bad tangle expression '(tw 1'"),
+    ("(comp 2 0 t0 t0)", "bad tangle expression '(comp 2 0 t0 t0)'"),
+    ("t0 t0", "trailing tokens in tangle expression"),
+    ("t1", "unexpected token 't1'"),
+    ("(comp 0 0 t0)", "unexpected token ')'"),
+    ("(frob 1)", "unknown node 'frob'"),
+    (f"(tw {MAX_CROSSINGS + 1})",
+     f"tangle expression has more than {MAX_CROSSINGS} crossings"),
+    (f"(tw -{MAX_CROSSINGS - 400} -401)",
+     f"tangle expression has more than {MAX_CROSSINGS} crossings"),
+    # x+ and x- leaves are crossings too
+    (f"(comp 0 0 (tw {MAX_CROSSINGS - 1} 1) x-)",
+     f"tangle expression has more than {MAX_CROSSINGS} crossings"),
+    ("(tw 99999999999)", f"tangle expression has more than {MAX_CROSSINGS} crossings"),
+])
+def test_parse_expr_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert str(info.value) == message
+
+
+def test_crossing_bound_is_accepted():
+    for text in (f"(tw {MAX_CROSSINGS})",
+                 f"(comp 0 0 (tw -{MAX_CROSSINGS - 2}) (comp 0 0 x+ x-))"):
+        assert closure_diagram(parse_expr(text)).crossing_count == MAX_CROSSINGS
 
 
 def test_algebraic_links_have_elementary_coloring():
