@@ -8,6 +8,7 @@ suites are seeded and deterministic for a fixed seed.
 from __future__ import annotations
 
 import functools
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -334,4 +335,61 @@ def run_acceptance(
     chosen = [(fn, args) for fn, args in checks if not only or only in fn.check_name]
     if not chosen:
         raise ValueError(f"no check name contains {only!r}")
-    return [fn(*args) for fn, args in chosen]
+    return _run_chosen(chosen)
+
+
+def _run_chosen(chosen) -> list[CheckResult]:
+    """Run (check, args) pairs and return their results in order.
+
+    The seeded suites (the checks that take arguments) share nothing with
+    the other checks.  Where `os.fork` exists and this process has one
+    thread (forking a threaded process can deadlock), one forked child
+    runs the suites while this process runs the rest; the child sends
+    its results, or its exception, back pickled through a pipe.
+    """
+    import threading
+
+    suites = [(fn, args) for fn, args in chosen if args]
+    others = [(fn, args) for fn, args in chosen if not args]
+    one_thread = threading.active_count() == 1
+    if not (suites and others and one_thread and hasattr(os, "fork")):
+        return [fn(*args) for fn, args in chosen]
+    import pickle
+    import signal
+
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller
+        try:
+            os.close(rfd)
+            try:
+                answer = [fn(*args) for fn, args in suites]
+            except BaseException as exc:
+                answer = exc
+            try:
+                data = pickle.dumps(answer)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(RuntimeError(repr(answer)))
+            with os.fdopen(wfd, "wb") as out:
+                out.write(data)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(wfd)
+    with os.fdopen(rfd, "rb") as pipe:
+        try:
+            mine = [fn(*args) for fn, args in others]
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise RuntimeError(f"the seeded suites' process exited with status {code}")
+    answer = pickle.loads(data)
+    if isinstance(answer, BaseException):
+        raise answer
+    theirs, mine = iter(answer), iter(mine)
+    return [next(theirs) if args else next(mine) for _, args in chosen]

@@ -57,8 +57,7 @@ def emit(args, command: str, inputs: dict, results: dict, passed: bool | None = 
         report["passed"] = passed
     if args.timings:
         report["wall_time_s"] = round(time.perf_counter() - args._t0, 3)
-    json.dump(report, sys.stdout, sort_keys=True, indent=2, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if passed in (None, True) else 1
 
 

@@ -2,10 +2,16 @@
 time budgets.  One pass/fail line is printed per criterion (run pytest
 with -s to see them all)."""
 
+import os
+import threading
+import time
+
 import pytest
 
+from tanglekit import acceptance
 from tanglekit.acceptance import (
     DEFAULT_SEED,
+    _check,
     check_coloring_groups,
     check_coxeter_quotient,
     check_exceptional_burnside,
@@ -14,6 +20,7 @@ from tanglekit.acceptance import (
     check_kei_cardinalities,
     check_reduction_chains,
     check_scope_note,
+    run_acceptance,
     suite_five_halves_move,
     suite_power_insertion_burnside,
     suite_power_insertion_coloring,
@@ -87,3 +94,111 @@ def test_criterion_9_scope_note():
     r = check_scope_note()
     print(f"[PASS] criterion 9: {r.name} - {r.detail}")
     assert r.passed
+
+
+# --- the seeded suites' forked child -------------------------------------
+# "jones" picks criterion 7 and one seeded suite, so run_acceptance forks
+
+
+def facts(results):
+    return [(r.criterion, r.name, r.passed, r.detail) for r in results]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+def test_suites_run_in_one_forked_child(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    sequential = [check_jones_obstruction(), suite_power_insertion_jones(DEFAULT_SEED, 5)]
+    monkeypatch.setattr(os, "fork", counted_fork)
+    results = run_acceptance(instances=5, only="jones")
+    assert forks == [1]
+    assert facts(results) == facts(sequential)
+    assert_no_child_left()
+
+
+def test_no_fork_without_os_fork(monkeypatch):
+    forked = run_acceptance(instances=5, only="jones")
+    monkeypatch.delattr(os, "fork")
+    assert facts(run_acceptance(instances=5, only="jones")) == facts(forked)
+
+
+def test_no_fork_for_one_group_or_a_second_thread(monkeypatch):
+    forked = run_acceptance(instances=5, only="jones")
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    assert facts(run_acceptance(instances=5, only="suite-5-move")) == facts(forked[1:])
+    assert facts(run_acceptance(only="jones-fifth")) == facts(forked[:1])
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        threaded = run_acceptance(instances=5, only="jones")
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+    assert facts(threaded) == facts(forked)
+
+
+def replace_jones_suite(monkeypatch, body):
+    suite = _check(8, "suite-5-move-jones-zeroness")(body)
+    monkeypatch.setattr(acceptance, "suite_power_insertion_jones", suite)
+
+
+def test_child_exception_reraises_in_the_caller(monkeypatch):
+    def body(seed, instances):
+        raise ValueError(f"bad seed {seed}")
+
+    replace_jones_suite(monkeypatch, body)
+    with pytest.raises(ValueError, match="^bad seed 3$"):
+        run_acceptance(seed=3, instances=5, only="jones")
+    assert_no_child_left()
+
+
+def test_child_exception_that_does_not_pickle(monkeypatch):
+    class Unpicklable(Exception):
+        pass
+
+    def body(seed, instances):
+        raise Unpicklable("local class")
+
+    replace_jones_suite(monkeypatch, body)
+    with pytest.raises(RuntimeError, match="Unpicklable"):
+        run_acceptance(instances=5, only="jones")
+    assert_no_child_left()
+
+
+def test_child_that_dies_without_an_answer(monkeypatch):
+    def body(seed, instances):
+        os._exit(3)
+
+    replace_jones_suite(monkeypatch, body)
+    with pytest.raises(RuntimeError, match="status 3"):
+        run_acceptance(instances=5, only="jones")
+    assert_no_child_left()
+
+
+def test_caller_exception_kills_the_child(monkeypatch):
+    @_check(7, "jones-fifth-root")
+    def failing():
+        raise KeyError("headline")
+
+    replace_jones_suite(monkeypatch, lambda seed, instances: time.sleep(60))
+    monkeypatch.setattr(acceptance, "check_jones_obstruction", failing)
+    t0 = time.monotonic()
+    with pytest.raises(KeyError, match="headline"):
+        run_acceptance(instances=5, only="jones")
+    assert time.monotonic() - t0 < 30
+    assert_no_child_left()

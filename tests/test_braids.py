@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tanglekit import braids
 from tanglekit.braids import (
     braids_equal,
     burau_image,
@@ -13,7 +14,7 @@ from tanglekit.braids import (
     verify_reduction_chains,
 )
 from tanglekit.diagrams import braid
-from tanglekit.errors import UnsupportedStrandCount
+from tanglekit.errors import EnumerationFailure, UnsupportedStrandCount
 from tanglekit.laurent import LaurentPoly
 
 
@@ -83,6 +84,16 @@ def test_generator_fifth_power_trivial():
     q = coxeter_quotient()
     assert q.image(w([1] * 5)) == 0
     assert q.image(w([2] * 5)) == 0
+
+
+def test_coset_cap_stops_the_enumeration(monkeypatch):
+    # the presentation defines 715 cosets; __wrapped__ leaves the cached
+    # quotient alone
+    monkeypatch.setattr(braids, "COSET_CAP", 715)
+    with pytest.raises(EnumerationFailure, match="^coset cap 715 exceeded$"):
+        coxeter_quotient.__wrapped__()
+    monkeypatch.setattr(braids, "COSET_CAP", 716)
+    assert coxeter_quotient.__wrapped__().order == 600
 
 
 def test_census_counts():

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from tanglekit.cli import main
+from tanglekit.cli import emit, main
 from tanglekit.diagrams import MAX_SPLIT_CIRCLES
 from tanglekit.presentation import MAX_BURNSIDE_EXPONENT
 from tanglekit.tangles import MAX_CROSSINGS, MAX_NESTING
@@ -388,3 +389,10 @@ def test_kei_enum_reports_failed_certificate(capsys, monkeypatch, tmp_path):
     assert captured.err == (
         "error: enumerated table violates the universal relation\n"
     )
+
+
+def test_emit_refuses_a_value_json_cannot_hold(capsys):
+    args = argparse.Namespace(timings=False)
+    with pytest.raises(TypeError):
+        emit(args, "color", {}, {"group": {5}})
+    assert capsys.readouterr().out == ""

@@ -229,6 +229,28 @@ def test_cyclotomic_ring_arithmetic():
     assert ten.coords == (-1, 0, 0, 0, 0, 0, 0, 0)  # s^10 = -1, so t^5 = -1
 
 
+def test_cyclotomic_addition_is_evaluation_of_the_sum():
+    p, q = LaurentPoly({3: 2, -1: 1}), LaurentPoly({12: 1, 0: 3})
+    total = eval_at_fifth_root(p) + eval_at_fifth_root(q)
+    assert total == eval_at_fifth_root(p + q)
+    assert not total.is_zero()
+    one = CyclotomicValue.one()
+    assert (one + one).coords == (2, 0, 0, 0, 0, 0, 0, 0)
+    assert total + CyclotomicValue.zero() == total
+    assert CyclotomicValue.zero().is_zero()
+
+
+def test_laurent_int_operands():
+    p = LaurentPoly({1: 2, -1: 1})  # 2s + s^-1
+    assert p + 1 == 1 + p == LaurentPoly({1: 2, 0: 1, -1: 1})
+    assert p - 1 == LaurentPoly({1: 2, 0: -1, -1: 1})
+    assert (1 - p).format("s") == "-2*s + 1 - s^-1"
+    assert 3 * p == p * 3 == LaurentPoly({1: 6, -1: 3})
+    assert LaurentPoly.one() == 1
+    assert p - p == 0
+    assert p != 0
+
+
 def test_cyclotomic_reduction_matches_polynomial_division():
     # s^8 - s^6 + s^4 - s^2 + 1 reduces to zero
     phi20 = LaurentPoly({8: 1, 6: -1, 4: 1, 2: -1, 0: 1})
