@@ -50,8 +50,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 
+from .errors import TooLarge
+
 COMPLETED = 0
 CAP_EXCEEDED = 1
+BRACKET_WIDTH_CAP = 16
 
 
 def contraction_order(crossings):
@@ -97,11 +100,18 @@ def bracket_statesum(crossings, arc_count):
     added in `contraction_order`, and the running state maps each
     pairing of the open frontier arcs (which arc the smoothed strand
     entering at an arc leaves by) to a counter of (#A, closed loops).
-    The cost grows with the frontier width, not with the crossing count.
+    The cost grows with the frontier width, not with the crossing count;
+    a width over `BRACKET_WIDTH_CAP` raises TooLarge before any work.
     """
+    order, frontiers = contraction_order(crossings)
+    width = max(map(len, frontiers), default=0)
+    if width > BRACKET_WIDTH_CAP:
+        raise TooLarge(
+            f"frontier width {width} exceeds the bracket cap {BRACKET_WIDTH_CAP}"
+        )
     states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
     frontier: tuple[int, ...] = ()
-    for k, after in zip(*contraction_order(crossings)):
+    for k, after in zip(order, frontiers):
         a, b, c, d = crossings[k]
         smoothings = ((1, ((a, b), (c, d))), (0, ((a, d), (b, c))))
         nxt: dict[tuple, dict[tuple[int, int], int]] = {}

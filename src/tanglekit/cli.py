@@ -135,6 +135,7 @@ def cmd_braid_image(args) -> int:
     w = parse_braid(args.word, strands=3)
     m = burau_image(w)
     q = coxeter_quotient()
+    element = q.image(w)
     return emit(
         args,
         "braid image",
@@ -146,8 +147,8 @@ def cmd_braid_image(args) -> int:
                 "c": m.c.format("t"),
                 "d": m.d.format("t"),
             },
-            "quotient_element": q.image(w),
-            "quotient_word": list(q.words[q.image(w)]),
+            "quotient_element": element,
+            "quotient_word": list(q.words[element]),
         },
     )
 

@@ -2,9 +2,12 @@
 
 At each crossing the two under-strand colors must sum to twice the
 over-strand color mod n.  The solution group is computed exactly from
-the integer Smith normal form of the crossing/strand matrix; a brute
-force counter over all assignments doubles as an independent oracle on
-small diagrams.
+the integer Smith normal form of the crossing/strand matrix.  One pivot
+loop finds it: reduce the pivot's row and column, take a remainder as
+the next pivot, and delete the row and column once they are clear.  A
+coloring row has three nonzero entries, so a row reduction touches few
+rows.  A brute force counter over all assignments doubles as an
+independent oracle on small diagrams.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .diagrams import LinkDiagram
+from .diagrams import LinkDiagram, strand_count
 from .errors import InvalidModulus
 
 
@@ -41,83 +44,68 @@ def coloring_rows(crossings, classes: list[int], cols: int):
 
 
 def coloring_matrix(d: LinkDiagram) -> ColoringMatrix:
-    cols = d.strand_count()
-    return ColoringMatrix(coloring_rows(d.crossings, d.strand_classes(), cols), cols)
+    classes = d.strand_classes()
+    cols = strand_count(classes, d.unknotted_split_circles)
+    return ColoringMatrix(coloring_rows(d.crossings, classes, cols), cols)
+
+
+def _least_entry(m):
+    """(i, j) of a nonzero entry of least absolute value, or None; the
+    first +-1 ends the search, since no nonzero entry is smaller."""
+    best, where = 0, None
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if v and (not best or abs(v) < best):
+                best, where = abs(v), (i, j)
+                if best == 1:
+                    return where
+    return where
 
 
 def smith_normal_form(matrix) -> list[int]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix.
 
-    Exact arbitrary-precision arithmetic; pivots chosen by minimal
-    absolute value.  Only the nonzero diagonal is returned.
+    Exact arbitrary-precision arithmetic in one pivot loop (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 1993, 2.4).  Only
+    the nonzero diagonal is returned.
     """
     m = [list(map(int, row)) for row in matrix]
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
     factors = []
-    top = 0
-    while top < min(rows, cols):
-        # locate a pivot of minimal absolute value in the remaining block
+    pivot = _least_entry(m)
+    while pivot is not None:
+        i, j = pivot
+        prow = m[i]
+        p = prow[j]
+        # reduce the pivot's column by its row and its row by its column;
+        # a remainder is smaller than |p| and becomes the next pivot
         pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-
-        # clear the pivot row and column; restart if a remainder shrinks the pivot
-        while True:
-            p = m[top][top]
-            done = True
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // p
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-                        break
-            if not done:
-                continue
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // p
-                    for i in range(top, rows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for i in range(rows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        done = False
-                        break
-            if done:
-                break
-
-        # divisibility: pivot must divide every later entry
-        p = m[top][top]
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, cols):
-                m[top][j] += m[offender][j]
+        for r, row in enumerate(m):
+            if r != i and row[j]:
+                q = row[j] // p
+                m[r] = row = [a - q * b for a, b in zip(row, prow)]
+                if row[j]:
+                    pivot = (r, j)
+        for k, v in enumerate(prow):
+            if k != j and v:
+                q = v // p
+                for row in m:
+                    row[k] -= q * row[j]
+                if prow[k]:
+                    pivot = (i, k)
+        if pivot is not None:
+            continue
+        # p must divide every other entry, else an offending row is
+        # added to its row and the next pass leaves a smaller remainder
+        offender = abs(p) > 1 and next((row for row in m if any(v % p for v in row)), None)
+        if offender:
+            m[i] = [a + b for a, b in zip(prow, offender)]
+            pivot = (i, j)
             continue
         factors.append(abs(p))
-        top += 1
-
+        del m[i]
+        for row in m:
+            del row[j]
+        pivot = _least_entry(m)
     return factors
 
 

@@ -12,10 +12,10 @@ This is the package's one PD layer.  `Wiring` turns crossing ports and
 the wires joining them into dense PD data, for braid closures here and
 for tangle expressions and their closures in `tangles`, so every
 construction numbers its arcs the same way (and arc numbering fixes
-the generator order of a Kei presentation).  `strand_classes` serves
-closed diagrams and open tangles alike, and `trace_components` gives
-the component walks that `component_count` counts and `jones.writhe`
-orients.
+the generator order of a Kei presentation).  `strand_classes` and
+`strand_count` serve closed diagrams and open tangles alike, and
+`trace_components` gives the component walks that `component_count`
+counts and `jones.writhe` orients.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ class LinkDiagram:
         """Map each arc id to its strand (over-strand edges merged)."""
         return strand_classes(self.crossings, self.arc_count)
 
-    def strand_count(self) -> int:
-        """Coloring variables: one per strand, then one per split circle."""
-        return max(self.strand_classes(), default=-1) + 1 + self.unknotted_split_circles
-
     def component_count(self) -> int:
         return len(trace_components(self)) + self.unknotted_split_circles
 
@@ -117,6 +113,11 @@ def strand_classes(crossings, arc_count: int) -> list[int]:
         _union(parent, b, d)
     label: dict[int, int] = {}
     return [label.setdefault(_find(parent, a), len(label)) for a in range(arc_count)]
+
+
+def strand_count(classes: list[int], circles: int) -> int:
+    """Coloring variables: one per strand, then one per split circle."""
+    return max(classes, default=-1) + 1 + circles
 
 
 Slot = tuple[int, int]  # (crossing index, position in its tuple)

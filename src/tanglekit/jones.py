@@ -23,23 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .diagrams import LinkDiagram, trace_components
-from .errors import TooLarge
 from .laurent import LaurentPoly
 from . import _enumpy as _kernel
 
-BRACKET_WIDTH_CAP = 16
+BRACKET_WIDTH_CAP = _kernel.BRACKET_WIDTH_CAP  # applied by bracket_statesum
 
 
 def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """State-sum bracket in the variable A, single circle normalized to 1."""
     if d.crossing_count == 0 and d.unknotted_split_circles == 0:
         raise ValueError("the empty diagram has no bracket")
-    _, frontiers = _kernel.contraction_order(d.crossings)
-    width = max(map(len, frontiers), default=0)
-    if width > BRACKET_WIDTH_CAP:
-        raise TooLarge(
-            f"frontier width {width} exceeds the bracket cap {BRACKET_WIDTH_CAP}"
-        )
     # the states with k circles contribute delta^(k-1) times their
     # A-polynomial; one running power of delta serves every k
     by_circles: dict[int, dict[int, int]] = {}

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diagrams import LinkDiagram
+from .diagrams import LinkDiagram, strand_count
 from .errors import EnumerationFailure, ParseError
 from .kei import FiniteKei, check_axioms, eval_word, phi_eval
 from . import _enumpy
@@ -127,12 +127,12 @@ def parse_presentation(text: str) -> KeiPresentation:
                 raise ParseError(f"line {ln}: rel before gens")
             if "=" not in rest:
                 raise ParseError(f"line {ln}: relation needs '='")
-            left, right = rest.split("=", 1)
-            lhs = tuple(resolve(t) for t in "".join(left.split()).split("*") if t)
-            rhs = tuple(resolve(t) for t in "".join(right.split()).split("*") if t)
-            if not lhs or not rhs:
+            words = ["".join(side.split()).split("*") for side in rest.split("=", 1)]
+            if not all(any(w) for w in words):
                 raise ParseError(f"line {ln}: empty word in relation")
-            relations.append((lhs, rhs))
+            if any("" in w for w in words):
+                raise ParseError(f"line {ln}: empty factor in relation")
+            relations.append(tuple(tuple(map(resolve, w)) for w in words))
         elif head == "burnside":
             if burnside is not None:
                 raise ParseError(f"line {ln}: duplicate 'burnside' record")
@@ -254,10 +254,8 @@ def fundamental_kei(d: LinkDiagram) -> KeiPresentation:
     """One generator per strand (plus split circles), one relation per
     crossing: outgoing under-strand = incoming under-strand * over-strand."""
     classes = d.strand_classes()
-    relations = []
-    for a, b, c, _ in d.crossings:
-        relations.append(((classes[c],), (classes[a], classes[b])))
-    return KeiPresentation(d.strand_count(), tuple(relations))
+    relations = tuple(((classes[c],), (classes[a], classes[b])) for a, b, c, _ in d.crossings)
+    return KeiPresentation(strand_count(classes, d.unknotted_split_circles), relations)
 
 
 def burnside_kei(

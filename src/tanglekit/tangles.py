@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .coloring import col_group, coloring_rows, solution_group
-from .diagrams import LinkDiagram, Wiring, strand_classes
+from .diagrams import LinkDiagram, Wiring, strand_classes, strand_count
 from .errors import InvalidMoveSite, ParseError
 
 
@@ -380,7 +380,7 @@ def tangle_coloring_counts(t: TangleExpr, n: int) -> tuple[int, int]:
     """(all tangle colorings, colorings vanishing on the boundary) mod n."""
     td = tangle_diagram(t)
     classes = strand_classes(td.crossings, td.arc_count)
-    cols = max(classes, default=-1) + 1 + td.circles
+    cols = strand_count(classes, td.circles)
     rows = coloring_rows(td.crossings, classes, cols)
     pins = tuple(
         tuple(int(j == strand) for j in range(cols))

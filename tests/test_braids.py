@@ -87,8 +87,11 @@ def test_generator_fifth_power_trivial():
 
 
 def test_coset_cap_stops_the_enumeration(monkeypatch):
-    # the presentation defines 715 cosets; __wrapped__ leaves the cached
-    # quotient alone
+    # the presentation defines 715 cosets; calling the enumerator, or
+    # the quotient through __wrapped__, leaves the cached quotient alone
+    monkeypatch.setattr(braids, "COSET_CAP", 599)
+    with pytest.raises(EnumerationFailure, match="^coset cap 599 exceeded$"):
+        braids._coset_enumerate([[0, 2, 0, 3, 1, 3], [0] * 5])
     monkeypatch.setattr(braids, "COSET_CAP", 715)
     with pytest.raises(EnumerationFailure, match="^coset cap 715 exceeded$"):
         coxeter_quotient.__wrapped__()

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from math import gcd, prod
 
@@ -15,6 +17,7 @@ from tanglekit.coloring import (
 )
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import InvalidModulus
+from tanglekit.tangles import closure_diagram, parse_expr
 
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
 FIG8 = braid_closure(braid([1, -2, 1, -2]))
@@ -23,7 +26,7 @@ HOPF = braid_closure(braid([1, 1], strands=2))
 
 def minors_gcd_factors(matrix):
     """Independent SNF oracle: d_k = gcd(k-minors) / gcd((k-1)-minors)."""
-    rows, cols = len(matrix), len(matrix[0])
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
 
     def det(sub):
         n = len(sub)
@@ -74,6 +77,45 @@ def test_snf_rectangular_random():
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         m = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)]
         assert smith_normal_form(m) == minors_gcd_factors(m)
+
+
+@pytest.mark.parametrize("matrix,factors", [
+    ([], []),
+    ([[]], []),
+    ([[0, 0, 0], [0, 0, 0]], []),
+    ([[4, 6, -10]], [2]),
+    ([[6], [-9], [0], [15]], [3]),
+    ([[-2, 0], [0, -4]], [2, 4]),
+    ([[-3, -6], [-9, -4]], [1, 42]),
+    ([[2, 0], [0, 3]], [1, 6]),  # 2 divides no entry of [[3]]
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+    ([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]], [1, 2]),
+    ([[2, 0, 4, 6, -8, 0], [0, 4, 2, 2, 6, 10]], [2, 2]),
+])
+def test_snf_shapes(matrix, factors):
+    assert smith_normal_form(matrix) == factors == minors_gcd_factors(matrix)
+
+
+# sha256 of the JSON list [numerator factors, denominator factors],
+# recorded with an earlier three-phase elimination, since the minors
+# oracle is out of reach at this size
+TWIST_CLOSURE_DIGESTS = {
+    50: "ab358136f48d9d1d88e56891558f7fdfbf09aa2345eca53bd7bae5e4980448cc",
+    100: "1c90e30bf9ddf9fce95ada60fa5035130d322c049cb35d0500ad01a2d818b18c",
+    200: "1a33681af33e3f8eb599f2848c2d726d1d9fcf89e631f43082da67edebd3c6ef",
+}
+
+
+@pytest.mark.parametrize("k", sorted(TWIST_CLOSURE_DIGESTS))
+def test_snf_of_twist_closures(k):
+    t = parse_expr(f"(tw {k})")
+    factors = [
+        smith_normal_form(coloring_matrix(closure_diagram(t, kind)).rows)
+        for kind in ("numerator", "denominator")
+    ]
+    assert factors[0] == [1] * (k - 2) + [k]  # the torus link T(2, k)
+    digest = hashlib.sha256(json.dumps(factors).encode()).hexdigest()
+    assert digest == TWIST_CLOSURE_DIGESTS[k]
 
 
 def test_coloring_matrix_row_sums():

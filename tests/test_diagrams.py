@@ -9,6 +9,7 @@ from tanglekit.diagrams import (
     delta3,
     parse_braid,
     parse_pd,
+    strand_count,
     unlink,
 )
 from tanglekit.errors import MalformedDiagram, ParseError
@@ -21,7 +22,7 @@ def test_parse_trefoil():
     assert d.crossing_count == 3
     assert d.arc_count == 6
     assert d.component_count() == 1
-    assert d.strand_count() == 3
+    assert strand_count(d.strand_classes(), d.unknotted_split_circles) == 3
 
 
 def test_parse_split_circles():

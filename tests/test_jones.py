@@ -139,13 +139,28 @@ def test_bracket_cap():
 
 def test_bracket_cap_refuses_wide_diagram_before_contracting(monkeypatch):
     wide = braid_closure(braid(list(range(1, 10)) * 10))  # frontier width 20
+    order_of = _enumpy.contraction_order
 
-    def no_contraction(*args):
+    def no_contraction():
         raise AssertionError("contraction started on a diagram over the cap")
+        yield
 
-    monkeypatch.setattr(_enumpy, "bracket_statesum", no_contraction)
-    with pytest.raises(TooLarge):
+    # the order's frontiers are real, but walking the order fails
+    monkeypatch.setattr(
+        _enumpy, "contraction_order", lambda c: (no_contraction(), order_of(c)[1])
+    )
+    with pytest.raises(TooLarge, match="^frontier width 20 exceeds the bracket cap 16$"):
         kauffman_bracket(wide)
+
+
+def test_bracket_computes_one_contraction_order(monkeypatch):
+    order_of = _enumpy.contraction_order
+    calls = []
+    monkeypatch.setattr(
+        _enumpy, "contraction_order", lambda c: calls.append(c) or order_of(c)
+    )
+    assert kauffman_bracket(FIG8) == LaurentPoly({8: 1, 4: -1, 0: 1, -4: -1, -8: 1})
+    assert calls == [FIG8.crossings]
 
 
 def test_bracket_forty_crossing_three_braid():
@@ -249,6 +264,12 @@ def test_laurent_int_operands():
     assert LaurentPoly.one() == 1
     assert p - p == 0
     assert p != 0
+    for n in (-3, 0, 1, 5):  # an int acts as the constant polynomial
+        c = LaurentPoly({0: n})
+        assert p + n == p + c and n + p == c + p
+        assert p - n == p - c and n - p == c - p
+        assert p * n == p * c and n * p == c * p
+        assert c == n and p != n
 
 
 def test_cyclotomic_reduction_matches_polynomial_division():

@@ -245,6 +245,11 @@ def test_parse_presentation_refuses_duplicate_records(text, message):
     ("gens 2\n\nrel x0*x1 x0\n", "line 3: relation needs '='"),
     ("gens 2\nrel x0 = *\n", "line 2: empty word in relation"),
     ("gens 2\nrel = x1\n", "line 2: empty word in relation"),
+    ("gens 2\nrel x0**x1 = x1\n", "line 2: empty factor in relation"),
+    ("gens 2\nrel x0 = x1 * * x0\n", "line 2: empty factor in relation"),
+    ("gens 2\nrel *x0 = x1\n", "line 2: empty factor in relation"),
+    ("gens 2\n\nrel x0 = x1*\n", "line 3: empty factor in relation"),
+    ("gens 2\nrel x0**x1 = *x1*\n", "line 2: empty factor in relation"),
     ("gens 2\nburnside 5.0\n", "line 2: bad burnside exponent"),
     ("gens 2\nrelation x0 = x1\n", "line 2: unknown record 'relation'"),
     ("rel_x0 = x1\n", "line 1: unknown record 'rel_x0'"),
