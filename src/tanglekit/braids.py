@@ -323,84 +323,58 @@ class VerificationStep:
 
 
 def _steps() -> list[tuple[str, str, list[int], list[int], list[int] | None]]:
+    """(label, kind, lhs, rhs, conjugator) of every step, in order.
+
+    Each chain below is a start word and its steps (label, kind, rhs,
+    conjugator); a step's lhs is the previous step's rhs.
+    """
     sq12 = _pow([1, 2], 6)  # (s1 s2)^6, square of the center
-    alpha1_bar = _pow([-1, -1, 2], 3)
-    alpha2 = [1, 1, 2, 2, -1, -1, 2, 2, 1, 1, -2, -2]
-    steps = [
-        ("i.1", "exact",
-         alpha1_bar,
-         _pow([-1, -1, 2], 2) + [-2, -1, -2, 1, 2, -1, 2], None),
-        ("i.2", "exact",
-         _pow([-1, -1, 2], 2) + [-2, -1, -2, 1, 2, -1, 2],
-         [-1, -1, 2, -1, -1, -1, -2, 1, 2, -1, 2], None),
-        ("i.3", "exact",
-         [-1, -1, 2, -1, -1, -1, -2, 1, 2, -1, 2],
-         [-1, -1, 2, -1, -1, -1, -2, -2, 1, 2, 2], None),
-        ("i.4", "quotient",
-         [-1, -1, 2, -1, -1, -1, -2, -2, 1, 2, 2],
-         [1, 1, 1, 2, 1, 1, 2, 2, 2, 1, 2, 2], None),
-        ("i.5", "exact",
-         [1, 1, 1, 2, 1, 1, 2, 2, 2, 1, 2, 2],
-         sq12, None),
-        ("ii.1", "conjugate-exact",
-         alpha2,
-         [1, 2, 2, -1, -1, 2] + [2, 1, 1, -2, -2, 1],
-         [-1]),
-        ("ii.2", "quotient",
-         [1, 2, 2, -1, -1, 2] + [2, 1, 1, -2, -2, 1],
-         [1, 2, 2, 1, 1, 1, 2] + [2, 1, 1, 2, 2, 2, 1], None),
-        ("ii.3", "exact",
-         sq12,
-         [1, 1, 2, 2, 2, 1, 2, 2, 1, 1, 1, 2], None),
-        ("ii.4", "exact",
-         sq12,
-         [2, 2, 1, 1, 1, 2, 1, 1, 2, 2, 2, 1], None),
-        ("ii.5", "exact",
-         [1, 2, 2, 1, 1, 1, 2] + [2, 1, 1, 2, 2, 2, 1],
-         sq12 + [-2, -2, -2, -1, -1, -1, -1, -1, -2, -2] + sq12, None),
-        ("ii.6", "quotient",
-         sq12 + [-2, -2, -2, -1, -1, -1, -1, -1, -2, -2] + sq12,
-         _pow([1, 2], 12), None),
-        ("iii.1", "exact",
-         _pow([1, 2], 15),
-         [1, 1, 1, 2, 1, 1, 2, -1] + _pow([1, 2], 12), None),
-        ("iii.2", "exact",
-         [1, 1, 1, 2, 1, 1, 2, -1] + _pow([1, 2], 12),
-         [1, 1, 1, 2] + _pow([1, 2], 3) + [1, 1] + _pow([1, 2], 3)
-         + [2, -1] + _pow([1, 2], 6), None),
-        ("iii.3", "exact",
-         [1, 1, 1, 2] + _pow([1, 2], 3) + [1, 1] + _pow([1, 2], 3)
-         + [2, -1] + _pow([1, 2], 6),
-         [1, 1, 1, 2] + [2, 1, 1, 2, 1, 1] + [1, 1]
-         + [1, 2, 2] + [2, 2, 1, 2, 2, 1] + [1] + [1, 2, 2, 1, 2, 2]
-         + [2, 2] + [2, -1], None),
-        ("iii.4", "exact",
-         [1, 1, 1, 2] + [2, 1, 1, 2, 1, 1] + [1, 1]
-         + [1, 2, 2] + [2, 2, 1, 2, 2, 1] + [1] + [1, 2, 2, 1, 2, 2]
-         + [2, 2] + [2, -1],
-         [1, 1, 1] + [2, 2] + [1, 1] + [2] + [1] * 5 + [2] * 4 + [1]
-         + [2, 2] + [1, 1, 1] + [2, 2] + [1] + [2] * 5 + [-1], None),
-        ("iii.5", "quotient",
-         [1, 1, 1] + [2, 2] + [1, 1] + [2] + [1] * 5 + [2] * 4 + [1]
-         + [2, 2] + [1, 1, 1] + [2, 2] + [1] + [2] * 5 + [-1],
-         _pow([-1, -1, 2, 2], 3), None),
-        ("iii.6", "conjugate-exact",
-         _pow([-1, -1, 2, 2], 3),
-         _pow([-2, -2, 1, 1], 3),
-         [1, 2, 1]),
-        ("iii.7", "quotient",
-         _pow([-2, -2, 1, 1], 3),
-         [-2, -1] * 15, None),
-        ("iii.8", "quotient",
-         _pow([1, 2], 30),
-         [], None),
-        ("iv", "quotient",
-         [-2, -1] * 12,
-         _pow([1, 2], 18), None),
-        ("v", "quotient",
-         [-2, -1] * 6,
-         _pow([1, 2], 24), None),
+    ii_mid = [1, 2, 2, 1, 1, 1, 2] + [2, 1, 1, 2, 2, 2, 1]
+    chains = [
+        (_pow([-1, -1, 2], 3), [  # alpha1 bar
+            ("i.1", "exact", _pow([-1, -1, 2], 2) + [-2, -1, -2, 1, 2, -1, 2], None),
+            ("i.2", "exact", [-1, -1, 2, -1, -1, -1, -2, 1, 2, -1, 2], None),
+            ("i.3", "exact", [-1, -1, 2, -1, -1, -1, -2, -2, 1, 2, 2], None),
+            ("i.4", "quotient", [1, 1, 1, 2, 1, 1, 2, 2, 2, 1, 2, 2], None),
+            ("i.5", "exact", sq12, None),
+        ]),
+        ([1, 1, 2, 2, -1, -1, 2, 2, 1, 1, -2, -2], [  # alpha2
+            ("ii.1", "conjugate-exact",
+             [1, 2, 2, -1, -1, 2] + [2, 1, 1, -2, -2, 1], [-1]),
+            ("ii.2", "quotient", ii_mid, None),
+        ]),
+        (sq12, [("ii.3", "exact", [1, 1, 2, 2, 2, 1, 2, 2, 1, 1, 1, 2], None)]),
+        (sq12, [("ii.4", "exact", [2, 2, 1, 1, 1, 2, 1, 1, 2, 2, 2, 1], None)]),
+        (ii_mid, [
+            ("ii.5", "exact",
+             sq12 + [-2, -2, -2, -1, -1, -1, -1, -1, -2, -2] + sq12, None),
+            ("ii.6", "quotient", _pow([1, 2], 12), None),
+        ]),
+        (_pow([1, 2], 15), [
+            ("iii.1", "exact", [1, 1, 1, 2, 1, 1, 2, -1] + _pow([1, 2], 12), None),
+            ("iii.2", "exact",
+             [1, 1, 1, 2] + _pow([1, 2], 3) + [1, 1] + _pow([1, 2], 3)
+             + [2, -1] + _pow([1, 2], 6), None),
+            ("iii.3", "exact",
+             [1, 1, 1, 2] + [2, 1, 1, 2, 1, 1] + [1, 1]
+             + [1, 2, 2] + [2, 2, 1, 2, 2, 1] + [1] + [1, 2, 2, 1, 2, 2]
+             + [2, 2] + [2, -1], None),
+            ("iii.4", "exact",
+             [1, 1, 1] + [2, 2] + [1, 1] + [2] + [1] * 5 + [2] * 4 + [1]
+             + [2, 2] + [1, 1, 1] + [2, 2] + [1] + [2] * 5 + [-1], None),
+            ("iii.5", "quotient", _pow([-1, -1, 2, 2], 3), None),
+            ("iii.6", "conjugate-exact", _pow([-2, -2, 1, 1], 3), [1, 2, 1]),
+            ("iii.7", "quotient", [-2, -1] * 15, None),
+        ]),
+        (_pow([1, 2], 30), [("iii.8", "quotient", [], None)]),
+        ([-2, -1] * 12, [("iv", "quotient", _pow([1, 2], 18), None)]),
+        ([-2, -1] * 6, [("v", "quotient", _pow([1, 2], 24), None)]),
     ]
+    steps = []
+    for lhs, chain in chains:
+        for label, kind, rhs, conj in chain:
+            steps.append((label, kind, lhs, rhs, conj))
+            lhs = rhs
     return steps
 
 

@@ -46,7 +46,9 @@ def load_diagram(spec: str) -> LinkDiagram:
     )
 
 
-def emit(args, command: str, inputs: dict, results: dict, passed: bool | None = None):
+def emit(args, inputs: dict, results: dict, passed: bool | None = None):
+    """Write the report of the command the parser read into `args`."""
+    command = " ".join(filter(None, (args.command, getattr(args, "sub", None))))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -66,7 +68,6 @@ def cmd_color(args) -> int:
     g = col_group(d, args.n)
     return emit(
         args,
-        "color",
         {"diagram": args.diagram, "n": args.n},
         {
             "group": list(g.cyclic_orders),
@@ -81,7 +82,6 @@ def cmd_kei_check(args) -> int:
     violations = check_axioms(k)
     return emit(
         args,
-        "kei check",
         {"table": args.table},
         {"size": k.size, "violations": [list(v) for v in violations[:50]],
          "violation_count": len(violations)},
@@ -95,7 +95,6 @@ def cmd_kei_iso(args) -> int:
     bijection = kei_isomorphic(k1, k2)
     return emit(
         args,
-        "kei iso",
         {"table1": args.table1, "table2": args.table2},
         {"isomorphic": bijection is not None, "bijection": bijection},
         passed=bijection is not None,
@@ -114,7 +113,7 @@ def cmd_kei_enum(args) -> int:
     }
     if r.completed and args.table:
         results["table"] = [list(row) for row in r.kei.table]
-    return emit(args, "kei enum", {"presentation": args.presentation}, results)
+    return emit(args, {"presentation": args.presentation}, results)
 
 
 def cmd_kei_burnside(args) -> int:
@@ -128,7 +127,7 @@ def cmd_kei_burnside(args) -> int:
     }
     if r.completed and args.table:
         results["table"] = [list(row) for row in r.kei.table]
-    return emit(args, "kei burnside", {"diagram": args.diagram, "n": args.n}, results)
+    return emit(args, {"diagram": args.diagram, "n": args.n}, results)
 
 
 def cmd_braid_image(args) -> int:
@@ -138,7 +137,6 @@ def cmd_braid_image(args) -> int:
     element = q.image(w)
     return emit(
         args,
-        "braid image",
         {"word": args.word},
         {
             "burau": {
@@ -155,7 +153,7 @@ def cmd_braid_image(args) -> int:
 
 def cmd_braid_quotient_order(args) -> int:
     q = coxeter_quotient()
-    return emit(args, "braid quotient-order", {}, {"order": q.order})
+    return emit(args, {}, {"order": q.order})
 
 
 def cmd_braid_census(args) -> int:
@@ -164,7 +162,6 @@ def cmd_braid_census(args) -> int:
     short = sum(1 for r in census if r["min_length"] <= 8)
     return emit(
         args,
-        "braid census",
         {},
         {
             "order": q.order,
@@ -184,7 +181,6 @@ def cmd_braid_verify(args) -> int:
     ok = all(s.passed for s in steps)
     return emit(
         args,
-        "braid verify-prop27",
         {},
         {
             "steps": [
@@ -201,7 +197,6 @@ def cmd_tangle_closure(args) -> int:
     d = closure_diagram(expr, args.kind)
     return emit(
         args,
-        "tangle closure",
         {"expr": args.expr, "kind": args.kind},
         {
             "pd": d.serialize().splitlines(),
@@ -218,7 +213,6 @@ def cmd_tangle_move(args) -> int:
     moved = apply_rational_move(expr, site, args.n, args.q, args.sign)
     return emit(
         args,
-        "tangle move",
         {"expr": args.expr, "site": list(site), "n": args.n, "q": args.q,
          "sign": args.sign},
         {"result": serialize_expr(moved)},
@@ -231,7 +225,6 @@ def cmd_tangle_obstruct(args) -> int:
     verdict = embedding_obstruction(expr, target, args.n)
     return emit(
         args,
-        "tangle obstruct",
         {"expr": args.expr, "target": args.target, "n": args.n},
         {"verdict": verdict},
     )
@@ -241,7 +234,6 @@ def cmd_jones(args) -> int:
     d = load_diagram(args.diagram)
     return emit(
         args,
-        "jones",
         {"diagram": args.diagram},
         {"polynomial_in_sqrt_t": jones(d).format("s")},
     )
@@ -252,7 +244,6 @@ def cmd_jones5(args) -> int:
     value = jones_at_fifth_root(d)
     return emit(
         args,
-        "jones5",
         {"diagram": args.diagram},
         {
             "value_coordinates": list(value.coords),
@@ -271,7 +262,6 @@ def cmd_invariants(args) -> int:
         verdict = "diagram too large"
     return emit(
         args,
-        "invariants",
         {"diagram": args.diagram},
         {
             "components": d.component_count(),
@@ -306,7 +296,6 @@ def cmd_corpus_verify(args) -> int:
     }
     return emit(
         args,
-        "corpus verify",
         {"seed": args.seed, "instances": args.instances, "only": args.only},
         payload,
         passed=ok,
@@ -317,7 +306,6 @@ def cmd_corpus_list(args) -> int:
     entries = corpus()
     return emit(
         args,
-        "corpus list",
         {},
         {
             "entries": [

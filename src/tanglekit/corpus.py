@@ -47,13 +47,15 @@ def parse_corpus(text: str) -> dict[str, LinkDiagram]:
         entries[name] = parse_pd("\n".join(chunk))
         name, chunk = None, []
 
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if line.startswith("name:"):
             flush()
             name = line.split(":", 1)[1].strip()
             if not name:
                 raise CorpusError("empty corpus entry name")
+            # blank lines keep parse_pd's line numbers those of the file
+            chunk = [""] * ln
         else:
             chunk.append(raw)
     flush()

@@ -162,19 +162,10 @@ def five_move_obstruction(d: LinkDiagram) -> str:
 
 
 def determinant(d: LinkDiagram) -> int:
-    """|V(-1)| via s = i, computed as an exact Gaussian integer."""
+    """|V(-1)|: V at s^5 = i, where s^10 = -1 leaves a + b s^5."""
     v = jones(d)
-    re, im = 0, 0
-    for e, c in v.coeffs.items():
-        k = e % 4
-        if k == 0:
-            re += c
-        elif k == 1:
-            im += c
-        elif k == 2:
-            re -= c
-        else:
-            im -= c
+    value = eval_at_fifth_root(LaurentPoly({5 * e: c for e, c in v.coeffs.items()}))
+    re, im = value.coords[0], value.coords[5]
     if re and im:
         raise AssertionError("V(-1) is neither real nor purely imaginary")
     return abs(re) if re else abs(im)

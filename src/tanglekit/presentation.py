@@ -106,7 +106,7 @@ def parse_presentation(text: str) -> KeiPresentation:
         except ValueError:
             k = -1
         if not 0 <= k < m or token != f"x{k}":
-            raise ParseError(f"unknown generator {token!r}")
+            raise ParseError(f"line {ln}: unknown generator {token!r}")
         return k
 
     for ln, raw in enumerate(text.splitlines(), 1):

@@ -91,12 +91,16 @@ def cf_expand(p: int, q: int) -> list[int]:
 # --- expression trees ----------------------------------------------------
 
 
+# each leaf is one twist stage: (crossings, horizontal)
+_LEAF_STAGES = {"t0": (0, True), "tinf": (0, False), "x+": (1, True), "x-": (-1, True)}
+
+
 @dataclass(frozen=True)
 class Leaf:
     kind: str  # one of: t0, tinf, x+, x-
 
     def __post_init__(self):
-        if self.kind not in ("t0", "tinf", "x+", "x-"):
+        if self.kind not in _LEAF_STAGES:
             raise ValueError(f"unknown leaf {self.kind!r}")
 
 
@@ -162,9 +166,8 @@ def parse_expr(text: str) -> TangleExpr:
             raise ParseError("unexpected end of tangle expression")
         tok = tokens[pos]
         pos += 1
-        if tok in ("t0", "tinf", "x+", "x-"):
-            if tok.startswith("x"):
-                count(1)
+        if tok in _LEAF_STAGES:
+            count(abs(_LEAF_STAGES[tok][0]))
             return Leaf(tok)
         if tok != "(":
             raise ParseError(f"unexpected token {tok!r}")
@@ -284,55 +287,34 @@ def _rotated(b: Bounds, times: int) -> Bounds:
     return b
 
 
-def _build_t0(asm: Wiring) -> Bounds:
-    nw, ne = asm.wire()
-    sw, se = asm.wire()
-    return (nw, ne, sw, se)
-
-
-def _build_tinf(asm: Wiring) -> Bounds:
-    nw, sw = asm.wire()
-    ne, se = asm.wire()
-    return (nw, ne, sw, se)
-
-
-def _build_twist_stage(asm: Wiring, count: int, horizontal: bool) -> Bounds:
-    kind = "x+" if count > 0 else "x-"
+def _build_stage(asm: Wiring, count: int, horizontal: bool) -> Bounds:
+    """|count| crossings in a row (horizontal) or a column; with none,
+    the row is the 0-tangle and the column the infinity tangle."""
     if count == 0:
-        return _build_t0(asm) if horizontal else _build_tinf(asm)
+        a, b = asm.wire()
+        c, d = asm.wire()
+        return (a, b, c, d) if horizontal else (a, c, b, d)
+    kind = "x+" if count > 0 else "x-"
+    compose = _h_compose if horizontal else _v_compose
     cur = _crossing(asm, kind)
     for _ in range(abs(count) - 1):
-        nxt = _crossing(asm, kind)
-        cur = _h_compose(asm, cur, nxt) if horizontal else _v_compose(asm, cur, nxt)
-    return cur
-
-
-def _build_twists(asm: Wiring, twists: tuple[int, ...]) -> Bounds:
-    if not twists:
-        return _build_t0(asm)
-    k = len(twists)
-    cur: Bounds | None = None
-    for idx, a in enumerate(twists, 1):
-        horizontal = (idx % 2) == (k % 2)
-        block = _build_twist_stage(asm, a, horizontal)
-        if cur is None:
-            cur = block
-        elif horizontal:
-            cur = _h_compose(asm, cur, block)
-        else:
-            cur = _v_compose(asm, cur, block)
+        cur = compose(asm, cur, _crossing(asm, kind))
     return cur
 
 
 def _build(asm: Wiring, t: TangleExpr) -> Bounds:
     if isinstance(t, Leaf):
-        if t.kind == "t0":
-            return _build_t0(asm)
-        if t.kind == "tinf":
-            return _build_tinf(asm)
-        return _crossing(asm, t.kind)
+        return _build_stage(asm, *_LEAF_STAGES[t.kind])
     if isinstance(t, TwistLeaf):
-        return _build_twists(asm, t.twists)
+        # stages alternate and end with a horizontal one; () is the 0-tangle
+        twists = t.twists or (0,)
+        horizontal = len(twists) % 2 == 1
+        cur = _build_stage(asm, twists[0], horizontal)
+        for a in twists[1:]:
+            horizontal = not horizontal
+            compose = _h_compose if horizontal else _v_compose
+            cur = compose(asm, cur, _build_stage(asm, a, horizontal))
+        return cur
     left = _rotated(_build(asm, t.left), t.i)
     right = _rotated(_build(asm, t.right), t.j)
     return _h_compose(asm, left, right)
@@ -376,8 +358,9 @@ def tangle_diagram(t: TangleExpr) -> TangleDiagram:
 # --- the coloring obstruction to tangle embedding -------------------------
 
 
-def tangle_coloring_counts(t: TangleExpr, n: int) -> tuple[int, int]:
-    """(all tangle colorings, colorings vanishing on the boundary) mod n."""
+def _coloring_system(t: TangleExpr) -> tuple[tuple, int, tuple]:
+    """(rows, columns, pins) of the tangle's coloring equations; the pin
+    rows set each boundary strand to 0."""
     td = tangle_diagram(t)
     classes = strand_classes(td.crossings, td.arc_count)
     cols = strand_count(classes, td.circles)
@@ -386,8 +369,13 @@ def tangle_coloring_counts(t: TangleExpr, n: int) -> tuple[int, int]:
         tuple(int(j == strand) for j in range(cols))
         for strand in sorted({classes[a] for a in td.boundary})
     )
-    total = solution_group(rows, cols, n).order
-    return total, solution_group(rows + pins, cols, n).order
+    return rows, cols, pins
+
+
+def tangle_coloring_counts(t: TangleExpr, n: int) -> tuple[int, int]:
+    """(all tangle colorings, colorings vanishing on the boundary) mod n."""
+    rows, cols, pins = _coloring_system(t)
+    return solution_group(rows, cols, n).order, solution_group(rows + pins, cols, n).order
 
 
 def embedding_obstruction(t: TangleExpr, target: LinkDiagram, n: int) -> str:
@@ -398,7 +386,8 @@ def embedding_obstruction(t: TangleExpr, target: LinkDiagram, n: int) -> str:
     a non-constant coloring extending the constant one outside; a
     target with only constant colorings therefore excludes the tangle.
     """
-    _, pinned = tangle_coloring_counts(t, n)
+    rows, cols, pins = _coloring_system(t)
+    pinned = solution_group(rows + pins, cols, n).order
     target_only_trivial = col_group(target, n).order == n
     if pinned > 1 and target_only_trivial:
         return "obstructed"

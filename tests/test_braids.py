@@ -166,6 +166,15 @@ def test_verification_report_all_pass():
         assert s.passed, s.label
 
 
+def test_reduction_chain_steps_golden():
+    """Every step's label, kind, words and conjugator, in order."""
+    blob = json.dumps(braids._steps())
+    assert (
+        hashlib.sha256(blob.encode()).hexdigest()
+        == "136abf61821e90eb35e665777f8505f14a0283a7b8aa01c7b58cedae50c5413b"
+    )
+
+
 def test_verification_conjugator_recorded():
     steps = {s.label: s for s in verify_reduction_chains()}
     assert steps["ii.1"].conjugator == (-1,)

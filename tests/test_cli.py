@@ -392,7 +392,7 @@ def test_kei_enum_reports_failed_certificate(capsys, monkeypatch, tmp_path):
 
 
 def test_emit_refuses_a_value_json_cannot_hold(capsys):
-    args = argparse.Namespace(timings=False)
+    args = argparse.Namespace(timings=False, command="color")
     with pytest.raises(TypeError):
-        emit(args, "color", {}, {"group": {5}})
+        emit(args, {}, {"group": {5}})
     assert capsys.readouterr().out == ""

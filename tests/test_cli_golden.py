@@ -11,6 +11,7 @@ which take seconds; `test_determinism` pins those two tables.
 """
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -31,6 +32,28 @@ GOLDEN = {
         "f9af3b51994559a5ac26995c33cd4f7c47d8e2ed3a3953bcb245705a910fff22",
     "kei enum q33.kei --table":
         "73fb318a900048812b601d4d2d16604f0311863b3548d9ea0641fb318f87ef32",
+    "color trefoil --n 3": "3bb3cbee659463697bdf34c7f307a86d2b4d5a4e8af00998d0a628684bea0b99",
+    "kei check d4.kei": "a849640c4119c536d340c37361ad59389df8f5c379a94da392ea78f7f480eb7e",
+    "kei iso d4.kei d4p.kei":
+        "47a66c83290f7a6dea65d72e5163d76068a9ef3bd551a82ac60ee510a75c95a6",
+    "braid image '1 1 2 -1'":
+        "08de7a36dd0cb2eaee7cc3aa729580156d985ccf08a6101a8084f9e340cc05e1",
+    "braid quotient-order":
+        "b74b3ce7116c9d071acb350d8187605190811e010808317557a9069113ddf2a5",
+    "braid verify-prop27":
+        "8cf0e1f3955e33d051c3030be3bc655193b9546486180a8d7364ad0a188d88d0",
+    "tangle closure '(comp 0 1 (tw 2 2) x-)' --kind den":
+        "742061c97971b33aca18bf1dbe036a67fbff3381ffadd5576dcdb82a4b21613b",
+    "tangle move '(comp 0 0 t0 (comp 1 0 x+ t0))' --site 1,1 --q 2 --sign -1":
+        "e23438de9b98f8d5112b65da20652ba8feff6a55f6a87cc8fd1b55f3fece3d7f",
+    "tangle obstruct '(comp 1 1 (tw 5) (tw 5))' unknot":
+        "57f12b4c5d4a582678657c3207d06e72c6a7cdc880bdd88d2d970ca83e0dfa3c",
+    "tangle obstruct '(tw 3)' unknot --n 3":
+        "f3645aac71771d0398492476bd0001a48933a4260ae6a23a3c1b351817651f1c",
+    "jones 4_1": "9d93cd7eea5b5fe5fb8e19df8a4187a9f084ae73a842f6668f57618f8b712ff1",
+    "jones5 4_1": "a1909433b23a10e306aff41b7412f5ad28d194fc2848837e2da0ad87f9a93b72",
+    "jones5 trefoil": "dac550448aef9a133ac4b4790ab517f44432fb768ce7feaeb7d30b03da09b149",
+    "corpus list": "c8a0f5db68b45a8ea6e0adf1d74dbf1379de48892087365571c258e06e361716",
 }
 
 VERIFY = {
@@ -62,9 +85,12 @@ GOLDEN.update(
 @pytest.mark.parametrize("command", GOLDEN)
 def test_cli_report_golden(command, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(presentation, "KERNELS", {"pure": _enumpy})
-    # the enum report names its presentation file, so it gets a fixed path
+    # reports name their input files, so these get fixed paths
     monkeypatch.chdir(tmp_path)
     (tmp_path / "q33.kei").write_text("gens 3\nburnside 3\n")
-    assert main(command.split()) == 0
+    (tmp_path / "d4.kei").write_text("4\n0 2 0 2\n3 1 3 1\n2 0 2 0\n1 3 1 3\n")
+    # d4.kei relabelled by 0 1 2 3 -> 2 0 3 1
+    (tmp_path / "d4p.kei").write_text("4\n0 0 1 1\n1 1 0 0\n3 3 2 2\n2 2 3 3\n")
+    assert main(shlex.split(command)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -2,7 +2,7 @@ import pytest
 
 from tanglekit.coloring import col_group, count_colorings_brute, coloring_matrix
 from tanglekit.corpus import CORPUS_EXPECTED, corpus, corpus_entry, parse_corpus
-from tanglekit.errors import CorpusError
+from tanglekit.errors import CorpusError, ParseError
 from tanglekit.jones import determinant, jones
 from tanglekit.laurent import LaurentPoly
 
@@ -65,6 +65,12 @@ def test_corpus_parser_rejects_garbage():
         parse_corpus("X 0 1 2 3")
     with pytest.raises(CorpusError):
         parse_corpus("name: a\nO 1\nname: a\nO 1")
+
+
+def test_corpus_parse_errors_name_the_file_line():
+    text = "name: a\nX 0 1 1 0\n\nname: b\nX 0 1 2\n"
+    with pytest.raises(ParseError, match="^line 5: crossing needs 4 arc ids, got 3$"):
+        parse_corpus(text)
 
 
 def test_round_trip_through_serialization():

@@ -171,6 +171,16 @@ def test_random_presentations_golden():
         assert digest(records) == RANDOM_GOLDEN, backend
 
 
+def test_relation_loop_cap_stop_golden():
+    """The first relation grows the table past the cap, so the run stops
+    before it traces the second."""
+    pres = KeiPresentation(3, (((0, 1, 2), (2, 1, 0)), ((0,), (1,))))
+    for backend in KERNELS:
+        assert digest(run_record(pres, 3, True, backend)) == (
+            "2d3b9c6d5934bbaf313566cd4bf71dc6bad3efdccca24bef554c952e52e06a6f"
+        ), backend
+
+
 WRITE_ORDER_GOLDEN = "f3a84884adda6e02091f674618726c701696bf055cfaab6cec14c88e700f4e02"
 
 

@@ -103,3 +103,32 @@ def test_open_tangle_boundary_and_circles():
     assert td.arc_count == 10
     assert td.boundary == (9, 8, 9, 7)
     assert td.circles == 1
+
+
+# open PD (crossings, arcs, boundary, circles), numerator and
+# denominator closure of each zero-crossing twist word and each leaf
+LEAF_PD = {
+    "(tw)": ((), 2, (0, 0, 1, 1), 0, "O 2\n", "O 1\n"),
+    "(tw 0)": ((), 2, (0, 0, 1, 1), 0, "O 2\n", "O 1\n"),
+    "(tw 0 0)": ((), 2, (0, 1, 0, 1), 0, "O 1\n", "O 2\n"),
+    "t0": ((), 2, (0, 0, 1, 1), 0, "O 2\n", "O 1\n"),
+    "tinf": ((), 2, (0, 1, 0, 1), 0, "O 1\n", "O 2\n"),
+    "x+": (((0, 1, 2, 3),), 4, (3, 2, 0, 1), 0, "X 0 0 1 1\n", "X 0 1 1 0\n"),
+    "x-": (((0, 1, 2, 3),), 4, (2, 1, 3, 0), 0, "X 0 1 1 0\n", "X 0 0 1 1\n"),
+    "(tw 3 0 -2)": (
+        ((0, 1, 2, 3), (1, 4, 5, 2), (4, 6, 7, 5), (8, 9, 7, 6), (10, 11, 9, 8)),
+        12, (3, 11, 0, 10), 0,
+        "X 0 1 2 3\nX 1 4 5 2\nX 4 6 7 5\nX 8 9 7 6\nX 0 3 9 8\n",
+        "X 0 1 2 0\nX 1 3 4 2\nX 3 5 6 4\nX 7 8 6 5\nX 9 9 8 7\n",
+    ),
+}
+
+
+def test_leaf_and_zero_twist_pd():
+    for text, (crossings, arcs, boundary, circles, num, den) in LEAF_PD.items():
+        expr = parse_expr(text)
+        td = tangle_diagram(expr)
+        assert (td.crossings, td.arc_count, td.boundary, td.circles) == (
+            crossings, arcs, boundary, circles), text
+        assert closure_diagram(expr, "numerator").serialize() == num, text
+        assert closure_diagram(expr, "denominator").serialize() == den, text

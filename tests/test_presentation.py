@@ -251,6 +251,8 @@ def test_parse_presentation_refuses_duplicate_records(text, message):
     ("gens 2\n\nrel x0 = x1*\n", "line 3: empty factor in relation"),
     ("gens 2\nrel x0**x1 = *x1*\n", "line 2: empty factor in relation"),
     ("gens 2\nburnside 5.0\n", "line 2: bad burnside exponent"),
+    ("gens 3\n\nrel x3 = x0\n", "line 3: unknown generator 'x3'"),
+    ("gens 3\nrel x0 = x1*y\n", "line 2: unknown generator 'y'"),
     ("gens 2\nrelation x0 = x1\n", "line 2: unknown record 'relation'"),
     ("rel_x0 = x1\n", "line 1: unknown record 'rel_x0'"),
     ("# no records\nburnside 3\n", "missing 'gens' record"),
