@@ -5,12 +5,15 @@ Two oracles:
 * the reduced Burau representation (faithful on three strands), with
   2x2 matrices over exact integer Laurent polynomials, decides equality
   in B_3 itself;
-* coset enumeration of <s1, s2 | s1 s2 s1 = s2 s1 s2, s1^5> realizes
-  the 600-element quotient, in which equality models 5-move
-  equivalence of 3-braids (the fifth power of every conjugate of a
-  generator dies, so inserting five equal letters anywhere is
-  invisible).  The fifth power is the only one the paper uses, so
-  `coxeter_quotient` builds that quotient alone, once per process.
+* coset enumeration of <s1, s2 | s1 s2 s1 = s2 s1 s2, s1^5> over the
+  trivial subgroup realizes the 600-element quotient as its coset
+  table (`action`, the regular permutation representation) with a
+  shortest word per element (`words`); `times` follows a word through
+  the table.  Equality there models 5-move equivalence of 3-braids
+  (the fifth power of every conjugate of a generator dies, so
+  inserting five equal letters anywhere is invisible).  The fifth
+  power is the only one the paper uses, so `coxeter_quotient` builds
+  that quotient alone, once per process.
 """
 
 from __future__ import annotations
@@ -79,18 +82,20 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
 # --- coset enumeration -------------------------------------------------
 
 _INV = {0: 1, 1: 0, 2: 3, 3: 2}
+_LETTERS = (1, -1, 2, -2)  # the signed generator of each table column
+_COLUMN = {g: x for x, g in enumerate(_LETTERS)}
 COSET_CAP = 100000
 
 
 def _coset_enumerate(
     relators: list[list[int]],
-) -> tuple[list[list[int]], list[tuple[int, int]]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """HLT coset enumeration over the trivial subgroup, 2 generators,
     refusing to define more than COSET_CAP cosets.
 
     Returns the completed table with live rows compacted in BFS order
-    from the identity coset, and that BFS tree: coset i >= 1 is first
-    reached as coset x times letter, where (x, letter) = tree[i - 1].
+    from the identity coset, and for each coset the word (letters
+    _LETTERS[column]) on which the BFS first reaches it, a shortest one.
     """
     table: list[list[int | None]] = [[None] * 4]
     p = [0]
@@ -174,66 +179,65 @@ def _coset_enumerate(
 
     order: list[int] = [_find(p, 0)]
     index = {_find(p, 0): 0}
-    tree: list[tuple[int, int]] = []
+    words: list[tuple[int, ...]] = [()]
     for head, c in enumerate(order):  # order grows while it is walked
         for x in range(4):
             d = _find(p, table[c][x])
             if d not in index:
                 index[d] = len(order)
                 order.append(d)
-                tree.append((head, x))
-    action = [[index[_find(p, table[c][x])] for x in range(4)] for c in order]
-    return action, tree
+                words.append(words[head] + (_LETTERS[x],))
+    action = tuple(tuple(index[_find(p, table[c][x])] for x in range(4)) for c in order)
+    return action, tuple(words)
 
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """Finite quotient of B_3 with a full multiplication table.
+    """Finite quotient of B_3 as its coset table over the trivial subgroup.
 
-    Elements are 0..order-1 with 0 the identity; `words` holds one
-    shortest representative word per element (letters +-1, +-2).
+    Elements are 0..order-1 with 0 the identity; `action[x]` is
+    (x s1, x s1^-1, x s2, x s2^-1) and `words[x]` one shortest word
+    (letters +-1, +-2) with image x.
     """
 
-    mult: tuple[tuple[int, ...], ...]
+    action: tuple[tuple[int, ...], ...]
     words: tuple[tuple[int, ...], ...]
     s1: int
     s2: int
 
     @property
     def order(self) -> int:
-        return len(self.mult)
+        return len(self.action)
+
+    def times(self, x: int, letters) -> int:
+        """The element x times the word `letters` (signed generators)."""
+        for g in letters:
+            x = self.action[x][_COLUMN[g]]
+        return x
 
     def inverse(self, x: int) -> int:
-        return self.mult[x].index(0)
+        return self.times(0, [-g for g in reversed(self.words[x])])
 
     def element_order(self, x: int) -> int:
         k, y = 1, x
         while y != 0:
-            y = self.mult[y][x]
+            y = self.times(y, self.words[x])
             k += 1
         return k
 
     def image(self, w: BraidWord) -> int:
         if w.strands != 3:
             raise UnsupportedStrandCount("quotient images are defined for 3-braids")
-        gens = {1: self.s1, 2: self.s2}
-        x = 0
-        for g in w.letters:
-            e = gens[abs(g)]
-            if g < 0:
-                e = self.inverse(e)
-            x = self.mult[x][e]
-        return x
+        return self.times(0, w.letters)
 
     def is_central(self, x: int) -> bool:
-        return all(v == row[x] for v, row in zip(self.mult[x], self.mult))
+        # s1 and s2 generate the group
+        return all(self.times(x, (g,)) == self.times(0, (g,) + self.words[x]) for g in (1, 2))
 
     def conjugacy_classes(self) -> list[list[int]]:
         n = self.order
         cls = [-1] * n
         classes = []
-        i1, i2 = self.inverse(self.s1), self.inverse(self.s2)
-        conjugators = [(i1, self.s1), (i2, self.s2), (self.s1, i1), (self.s2, i2)]  # (g^-1, g)
         for x in range(n):
             if cls[x] != -1:
                 continue
@@ -243,8 +247,8 @@ class QuotientGroup:
             while head < len(orbit):
                 y = orbit[head]
                 head += 1
-                for g_inv, g in conjugators:
-                    z = self.mult[self.mult[g_inv][y]][g]
+                for g in (1, 2, -1, -2):
+                    z = self.times(0, (-g, *self.words[y], g))  # g^-1 y g
                     if cls[z] == -1:
                         cls[z] = len(classes)
                         orbit.append(z)
@@ -260,24 +264,8 @@ def coxeter_quotient() -> QuotientGroup:
         [0, 2, 0, 3, 1, 3],  # s1 s2 s1 s2^-1 s1^-1 s2^-1
         [0] * 5,
     ]
-    action, tree = _coset_enumerate(relators)  # action[x][letter] = x * letter
-    letters_sym = {0: 1, 1: -1, 2: 2, 3: -2}
-
-    # the BFS tree gives shortest representative words, and the full
-    # multiplication table one column per element along it: column
-    # y = x * letter is column x acted on by the letter
-    words: list[tuple[int, ...]] = [()]
-    cols = [list(range(len(action)))]
-    for x, letter in tree:
-        words.append(words[x] + (letters_sym[letter],))
-        cols.append([action[v][letter] for v in cols[x]])
-
-    return QuotientGroup(
-        mult=tuple(zip(*cols)),
-        words=tuple(words),
-        s1=action[0][0],
-        s2=action[0][2],
-    )
+    action, words = _coset_enumerate(relators)
+    return QuotientGroup(action=action, words=words, s1=action[0][0], s2=action[0][2])
 
 
 def quotient_image(w: BraidWord) -> int:

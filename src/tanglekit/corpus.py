@@ -39,11 +39,10 @@ def parse_corpus(text: str) -> dict[str, LinkDiagram]:
     def flush():
         nonlocal name, chunk
         if name is None:
-            if any(line.strip() for line in chunk):
-                raise CorpusError("PD lines before the first name record")
+            for ln, line in enumerate(chunk, 1):
+                if line.strip():
+                    raise CorpusError(f"line {ln}: PD lines before the first name record")
             return
-        if name in entries:
-            raise CorpusError(f"duplicate corpus entry {name!r}")
         entries[name] = parse_pd("\n".join(chunk))
         name, chunk = None, []
 
@@ -53,7 +52,9 @@ def parse_corpus(text: str) -> dict[str, LinkDiagram]:
             flush()
             name = line.split(":", 1)[1].strip()
             if not name:
-                raise CorpusError("empty corpus entry name")
+                raise CorpusError(f"line {ln}: empty corpus entry name")
+            if name in entries:
+                raise CorpusError(f"line {ln}: duplicate corpus entry {name!r}")
             # blank lines keep parse_pd's line numbers those of the file
             chunk = [""] * ln
         else:

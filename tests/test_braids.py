@@ -22,13 +22,19 @@ def w(letters):
     return braid(letters, strands=3)
 
 
-def test_quotient_golden_digest():
-    """Recorded from the numpy-built table this tuple-built one replaced."""
+@pytest.fixture(scope="module")
+def mult():
+    """The quotient's full multiplication table, mult[x][y] = x y,
+    built by following each representative word through `times`."""
     q = coxeter_quotient()
-    blob = json.dumps(
-        [[list(row) for row in q.mult], [list(x) for x in q.words], q.s1, q.s2],
-        separators=(",", ":"),
-    )
+    return [[q.times(x, q.words[y]) for y in range(q.order)] for x in range(q.order)]
+
+
+def test_quotient_golden_digest(mult):
+    """Recorded from an earlier numpy-built multiplication table; the
+    table is now rebuilt from the coset table through `times`."""
+    q = coxeter_quotient()
+    blob = json.dumps([mult, [list(x) for x in q.words], q.s1, q.s2], separators=(",", ":"))
     assert (
         hashlib.sha256(blob.encode()).hexdigest()
         == "90bcaf45f9c728833c512170e80eba55b57bfb53082c41c9a139126e51f9c72f"
@@ -129,6 +135,18 @@ def test_full_twist_central_of_order_ten():
     c = q.image(w([1, 2, 1, 1, 2, 1]))  # square of the half twist
     assert q.is_central(c)
     assert q.element_order(c) == 10
+
+
+def test_quotient_methods_match_the_multiplication_table(mult):
+    q = coxeter_quotient()
+    for x in range(q.order):
+        assert q.times(x, q.words[q.inverse(x)]) == 0
+        assert q.is_central(x) == all(mult[x][y] == mult[y][x] for y in range(q.order))
+        k, y = 1, x
+        while y != 0:
+            y = mult[y][x]
+            k += 1
+        assert q.element_order(x) == k
 
 
 def test_element_orders_divide_group_order():

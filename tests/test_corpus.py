@@ -71,6 +71,12 @@ def test_corpus_parse_errors_name_the_file_line():
     text = "name: a\nX 0 1 1 0\n\nname: b\nX 0 1 2\n"
     with pytest.raises(ParseError, match="^line 5: crossing needs 4 arc ids, got 3$"):
         parse_corpus(text)
+    with pytest.raises(CorpusError, match="^line 4: empty corpus entry name$"):
+        parse_corpus("name: a\nO 1\n\nname:\n")
+    with pytest.raises(CorpusError, match="^line 4: duplicate corpus entry 'a'$"):
+        parse_corpus("name: a\nX 0 1 1 0\n\nname: a\nX 0 1 1 0\n")
+    with pytest.raises(CorpusError, match="^line 3: PD lines before the first name record$"):
+        parse_corpus("\n  \nX 0 1 1 0\n\nname: a\nX 0 1 1 0\n")
 
 
 def test_round_trip_through_serialization():

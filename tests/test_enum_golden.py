@@ -11,7 +11,9 @@ pin sees less.  The cases cover completed and capped runs, both
 universal-relation modes and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
 pins them.  `test_random_presentations_golden` pins one digest over 150
-seeded random presentations.  `test_write_order_golden` pins the order
+seeded random presentations, and `test_universal_pass_dead_pair_golden`
+one input that reaches a guard no other pin does.
+`test_write_order_golden` pins the order
 of the pure kernel's table writes, which these outputs cannot see, and
 `test_long_growth_write_order_golden` does so on long cap-out runs.
 """
@@ -32,6 +34,7 @@ from tanglekit.presentation import (
     enumerate_kei,
     free_burnside_presentation,
     fundamental_kei,
+    parse_presentation,
 )
 
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
@@ -178,6 +181,18 @@ def test_relation_loop_cap_stop_golden():
     for backend in KERNELS:
         assert digest(run_record(pres, 3, True, backend)) == (
             "2d3b9c6d5934bbaf313566cd4bf71dc6bad3efdccca24bef554c952e52e06a6f"
+        ), backend
+
+
+def test_universal_pass_dead_pair_golden():
+    """A universal pass where a merge made by an earlier trace of the
+    inner loop kills `u` and its new root is `w`, so `trace_universal`
+    skips that pair at its `ru == rw` guard (once, by a line trace).
+    It completes with 4 elements after 17 deductions."""
+    pres = parse_presentation("gens 3\nrel x1*x0*x1*x1*x1 = x2*x1*x0*x2\nburnside 4\n")
+    for backend in KERNELS:
+        assert digest(run_record(pres, 50, True, backend)) == (
+            "535b67ea24de6a4fb0c8a4be9b750559f1b86edf7f5a6728314a8a7f0b757ad9"
         ), backend
 
 
