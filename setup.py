@@ -4,8 +4,8 @@ from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("TANGLEKIT_NO_EXT") != "1":
-    # The checked-in C file, generated by Cython from _enumcore.pyx, so
-    # the build needs only a C compiler.  optional=True: if it does not
+    # _enumcore.c is written by hand against the CPython API, so the
+    # build needs only a C compiler.  optional=True: if it does not
     # compile, install with the pure-Python kernel only.
     ext_modules = [
         Extension(

@@ -1,19339 +1,830 @@
-/* Generated by Cython 3.2.8 */
+/* Compiled kernel for finitely presented Kei enumeration.
 
-/* BEGIN: Cython Metadata
-{
-    "distutils": {
-        "depends": [],
-        "extra_compile_args": [
-            "-O3"
-        ],
-        "name": "tanglekit._enumcore",
-        "sources": [
-            "src/tanglekit/_enumcore.pyx"
-        ]
-    },
-    "module_name": "tanglekit._enumcore"
-}
-END: Cython Metadata */
+   `run_enumeration` is a C translation of `_enumpy.run_enumeration`,
+   whose docstring is the specification: it makes the same table writes
+   in the same order (up to the renumbering below), so it returns the
+   same tables, generator images and deduction counts.  Only the layout
+   differs:
 
-#ifndef PY_SSIZE_T_CLEAN
+   - The table is dense: tab[a * pitch + b] holds a*b, or -1 where it is
+     undefined.  The bitsets `row`, `col` and `live` are arrays of
+     64-bit words, `words` of them per element.
+   - A read of the table calls `find` on the value, instead of keeping
+     every value a root through occurrence lists.  `_enumpy` shows that
+     both give the writes of calling `find` on every read.
+   - Element ids are slots of the table.  Before each step that can
+     create elements, `reserve` renumbers the live slots 0.. in
+     discovery order when the dead ones outnumber them, or when the
+     table must grow and the dead ones fill an eighth of it or the
+     budget leaves no room for them.  The enumeration reads nothing of
+     an id but its order (a merge keeps the smaller id; `z` and the
+     totalize pair are scanned ascending), and the renumbering keeps
+     that order, so it changes no write.
+   - The table and its bitsets may not outgrow TANGLEKIT_MAX_TABLE_BYTES
+     (default 1.2e9).  The budget counts live slots only: a step whose
+     live elements, with those it may create, do not fit stops the run
+     with status 2, which `presentation.enumerate_kei` raises as
+     TooLarge.
+
+   Every allocation is checked, and a failed one raises MemoryError.
+   Status codes: 0 = completed, 1 = cap exceeded, 2 = over the table
+   budget.
+
+   `bracket_statesum` is the 2^c brute-force state sum.  No library
+   code calls it: it is the reference that `perfbench/parity.py` and
+   the tests check the contraction in `_enumpy` against. */
+
 #define PY_SSIZE_T_CLEAN
-#endif /* PY_SSIZE_T_CLEAN */
-/* InitLimitedAPI */
-#if defined(Py_LIMITED_API)
-  #if !defined(CYTHON_LIMITED_API)
-  #define CYTHON_LIMITED_API 1
-  #endif
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef _MSC_VER
-  #pragma message ("Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.")
-  #else
-  #warning Limited API usage is enabled with 'CYTHON_LIMITED_API' but 'Py_LIMITED_API' does not define a Python target version. Consider setting 'Py_LIMITED_API' instead.
-  #endif
-#endif
-
-#include "Python.h"
-#ifndef Py_PYTHON_H
-    #error Python headers needed to compile C extensions, please install development version of Python.
-#elif PY_VERSION_HEX < 0x03080000
-    #error Cython requires Python 3.8+.
-#else
-#define __PYX_ABI_VERSION "3_2_8"
-#define CYTHON_HEX_VERSION 0x030208F0
-#define CYTHON_FUTURE_DIVISION 1
-/* CModulePreamble */
-#include <stddef.h>
-#ifndef offsetof
-  #define offsetof(type, member) ( (size_t) & ((type*)0) -> member )
-#endif
-#if !defined(_WIN32) && !defined(WIN32) && !defined(MS_WINDOWS)
-  #ifndef __stdcall
-    #define __stdcall
-  #endif
-  #ifndef __cdecl
-    #define __cdecl
-  #endif
-  #ifndef __fastcall
-    #define __fastcall
-  #endif
-#endif
-#ifndef DL_IMPORT
-  #define DL_IMPORT(t) t
-#endif
-#ifndef DL_EXPORT
-  #define DL_EXPORT(t) t
-#endif
-#define __PYX_COMMA ,
-#ifndef PY_LONG_LONG
-  #define PY_LONG_LONG LONG_LONG
-#endif
-#ifndef Py_HUGE_VAL
-  #define Py_HUGE_VAL HUGE_VAL
-#endif
-#define __PYX_LIMITED_VERSION_HEX PY_VERSION_HEX
-#if defined(GRAALVM_PYTHON)
-  /* For very preliminary testing purposes. Most variables are set the same as PyPy.
-     The existence of this section does not imply that anything works or is even tested */
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 1
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 0
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #undef CYTHON_PEP489_MULTI_PHASE_INIT
-  #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #undef CYTHON_USE_TP_FINALIZE
-  #define CYTHON_USE_TP_FINALIZE 0
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 1
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(PYPY_VERSION)
-  #define CYTHON_COMPILING_IN_PYPY 1
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 1
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_WRITER
-  #define CYTHON_USE_UNICODE_WRITER 0
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #undef CYTHON_AVOID_BORROWED_REFS
-  #define CYTHON_AVOID_BORROWED_REFS 1
-  #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL 0
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #if PY_VERSION_HEX < 0x03090000
-    #undef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 0
-  #elif !defined(CYTHON_PEP489_MULTI_PHASE_INIT)
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #undef CYTHON_USE_MODULE_STATE
-  #define CYTHON_USE_MODULE_STATE 0
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE (PYPY_VERSION_NUM >= 0x07030C00)
-  #endif
-  #undef CYTHON_USE_AM_SEND
-  #define CYTHON_USE_AM_SEND 0
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC (PYPY_VERSION_NUM >= 0x07031100)
-  #endif
-  #undef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 0
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#elif defined(CYTHON_LIMITED_API)
-  #ifdef Py_LIMITED_API
-    #undef __PYX_LIMITED_VERSION_HEX
-    #define __PYX_LIMITED_VERSION_HEX Py_LIMITED_API
-  #endif
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 0
-  #define CYTHON_COMPILING_IN_LIMITED_API 1
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #undef CYTHON_USE_TYPE_SLOTS
-  #define CYTHON_USE_TYPE_SLOTS 0
-  #undef CYTHON_USE_TYPE_SPECS
-  #define CYTHON_USE_TYPE_SPECS 1
-  #undef CYTHON_USE_PYTYPE_LOOKUP
-  #define CYTHON_USE_PYTYPE_LOOKUP 0
-  #undef CYTHON_USE_PYLIST_INTERNALS
-  #define CYTHON_USE_PYLIST_INTERNALS 0
-  #undef CYTHON_USE_UNICODE_INTERNALS
-  #define CYTHON_USE_UNICODE_INTERNALS 0
-  #ifndef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #endif
-  #undef CYTHON_USE_PYLONG_INTERNALS
-  #define CYTHON_USE_PYLONG_INTERNALS 0
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #undef CYTHON_ASSUME_SAFE_MACROS
-  #define CYTHON_ASSUME_SAFE_MACROS 0
-  #undef CYTHON_ASSUME_SAFE_SIZE
-  #define CYTHON_ASSUME_SAFE_SIZE 0
-  #undef CYTHON_UNPACK_METHODS
-  #define CYTHON_UNPACK_METHODS 0
-  #undef CYTHON_FAST_THREAD_STATE
-  #define CYTHON_FAST_THREAD_STATE 0
-  #undef CYTHON_FAST_GIL
-  #define CYTHON_FAST_GIL 0
-  #undef CYTHON_METH_FASTCALL
-  #define CYTHON_METH_FASTCALL (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-  #undef CYTHON_FAST_PYCALL
-  #define CYTHON_FAST_PYCALL 0
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #undef CYTHON_USE_SYS_MONITORING
-  #define CYTHON_USE_SYS_MONITORING 0
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 0
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND (__PYX_LIMITED_VERSION_HEX >= 0x030A0000)
-  #endif
-  #undef CYTHON_USE_DICT_VERSIONS
-  #define CYTHON_USE_DICT_VERSIONS 0
-  #undef CYTHON_USE_EXC_INFO_STACK
-  #define CYTHON_USE_EXC_INFO_STACK 0
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 0
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-  #define CYTHON_USE_FREELISTS 1
-  #endif
-  #undef CYTHON_IMMORTAL_CONSTANTS
-  #define CYTHON_IMMORTAL_CONSTANTS 0
-#else
-  #define CYTHON_COMPILING_IN_PYPY 0
-  #define CYTHON_COMPILING_IN_CPYTHON 1
-  #define CYTHON_COMPILING_IN_LIMITED_API 0
-  #define CYTHON_COMPILING_IN_GRAAL 0
-  #ifdef Py_GIL_DISABLED
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 1
-  #else
-    #define CYTHON_COMPILING_IN_CPYTHON_FREETHREADING 0
-  #endif
-  #if PY_VERSION_HEX < 0x030A0000
-    #undef CYTHON_USE_TYPE_SLOTS
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #elif !defined(CYTHON_USE_TYPE_SLOTS)
-    #define CYTHON_USE_TYPE_SLOTS 1
-  #endif
-  #ifndef CYTHON_USE_TYPE_SPECS
-    #define CYTHON_USE_TYPE_SPECS 0
-  #endif
-  #ifndef CYTHON_USE_PYTYPE_LOOKUP
-    #define CYTHON_USE_PYTYPE_LOOKUP 1
-  #endif
-  #ifndef CYTHON_USE_PYLONG_INTERNALS
-    #define CYTHON_USE_PYLONG_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_PYLIST_INTERNALS
-    #define CYTHON_USE_PYLIST_INTERNALS 0
-  #elif !defined(CYTHON_USE_PYLIST_INTERNALS)
-    #define CYTHON_USE_PYLIST_INTERNALS 1
-  #endif
-  #ifndef CYTHON_USE_UNICODE_INTERNALS
-    #define CYTHON_USE_UNICODE_INTERNALS 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING || PY_VERSION_HEX >= 0x030B00A2
-    #undef CYTHON_USE_UNICODE_WRITER
-    #define CYTHON_USE_UNICODE_WRITER 0
-  #elif !defined(CYTHON_USE_UNICODE_WRITER)
-    #define CYTHON_USE_UNICODE_WRITER 1
-  #endif
-  #ifndef CYTHON_AVOID_BORROWED_REFS
-    #define CYTHON_AVOID_BORROWED_REFS 0
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 1
-  #elif !defined(CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)
-    #define CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS 0
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_MACROS
-    #define CYTHON_ASSUME_SAFE_MACROS 1
-  #endif
-  #ifndef CYTHON_ASSUME_SAFE_SIZE
-    #define CYTHON_ASSUME_SAFE_SIZE 1
-  #endif
-  #ifndef CYTHON_UNPACK_METHODS
-    #define CYTHON_UNPACK_METHODS 1
-  #endif
-  #ifndef CYTHON_FAST_THREAD_STATE
-    #define CYTHON_FAST_THREAD_STATE 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_FAST_GIL
-    #define CYTHON_FAST_GIL 0
-  #elif !defined(CYTHON_FAST_GIL)
-    #define CYTHON_FAST_GIL (PY_VERSION_HEX < 0x030C00A6)
-  #endif
-  #ifndef CYTHON_METH_FASTCALL
-    #define CYTHON_METH_FASTCALL 1
-  #endif
-  #ifndef CYTHON_FAST_PYCALL
-    #define CYTHON_FAST_PYCALL 1
-  #endif
-  #ifndef CYTHON_PEP487_INIT_SUBCLASS
-    #define CYTHON_PEP487_INIT_SUBCLASS 1
-  #endif
-  #ifndef CYTHON_PEP489_MULTI_PHASE_INIT
-    #define CYTHON_PEP489_MULTI_PHASE_INIT 1
-  #endif
-  #ifndef CYTHON_USE_MODULE_STATE
-    #define CYTHON_USE_MODULE_STATE 0
-  #endif
-  #ifndef CYTHON_USE_SYS_MONITORING
-    #define CYTHON_USE_SYS_MONITORING (PY_VERSION_HEX >= 0x030d00B1)
-  #endif
-  #ifndef CYTHON_USE_TP_FINALIZE
-    #define CYTHON_USE_TP_FINALIZE 1
-  #endif
-  #ifndef CYTHON_USE_AM_SEND
-    #define CYTHON_USE_AM_SEND 1
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    #undef CYTHON_USE_DICT_VERSIONS
-    #define CYTHON_USE_DICT_VERSIONS 0
-  #elif !defined(CYTHON_USE_DICT_VERSIONS)
-    #define CYTHON_USE_DICT_VERSIONS  (PY_VERSION_HEX < 0x030C00A5 && !CYTHON_USE_MODULE_STATE)
-  #endif
-  #ifndef CYTHON_USE_EXC_INFO_STACK
-    #define CYTHON_USE_EXC_INFO_STACK 1
-  #endif
-  #ifndef CYTHON_UPDATE_DESCRIPTOR_DOC
-    #define CYTHON_UPDATE_DESCRIPTOR_DOC 1
-  #endif
-  #ifndef CYTHON_USE_FREELISTS
-    #define CYTHON_USE_FREELISTS (!CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-  #if defined(CYTHON_IMMORTAL_CONSTANTS) && PY_VERSION_HEX < 0x030C0000
-    #undef CYTHON_IMMORTAL_CONSTANTS
-    #define CYTHON_IMMORTAL_CONSTANTS 0  // definitely won't work
-  #elif !defined(CYTHON_IMMORTAL_CONSTANTS)
-    #define CYTHON_IMMORTAL_CONSTANTS (PY_VERSION_HEX >= 0x030C0000 && !CYTHON_USE_MODULE_STATE && CYTHON_COMPILING_IN_CPYTHON_FREETHREADING)
-  #endif
-#endif
-#ifndef CYTHON_COMPRESS_STRINGS
-  #define CYTHON_COMPRESS_STRINGS 1
-#endif
-#ifndef CYTHON_FAST_PYCCALL
-#define CYTHON_FAST_PYCCALL  CYTHON_FAST_PYCALL
-#endif
-#ifndef CYTHON_VECTORCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define CYTHON_VECTORCALL  (__PYX_LIMITED_VERSION_HEX >= 0x030C0000)
-#else
-#define CYTHON_VECTORCALL  (CYTHON_FAST_PYCCALL)
-#endif
-#endif
-#if CYTHON_USE_PYLONG_INTERNALS
-  #undef SHIFT
-  #undef BASE
-  #undef MASK
-  #ifdef SIZEOF_VOID_P
-    enum { __pyx_check_sizeof_voidp = 1 / (int)(SIZEOF_VOID_P == sizeof(void*)) };
-  #endif
-#endif
-#ifndef __has_attribute
-  #define __has_attribute(x) 0
-#endif
-#ifndef __has_cpp_attribute
-  #define __has_cpp_attribute(x) 0
-#endif
-#ifndef CYTHON_RESTRICT
-  #if defined(__GNUC__)
-    #define CYTHON_RESTRICT __restrict__
-  #elif defined(_MSC_VER) && _MSC_VER >= 1400
-    #define CYTHON_RESTRICT __restrict
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_RESTRICT restrict
-  #else
-    #define CYTHON_RESTRICT
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(maybe_unused) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(maybe_unused)
-        #define CYTHON_UNUSED [[maybe_unused]]
-      #endif
-    #endif
-  #endif
-#endif
-#ifndef CYTHON_UNUSED
-# if defined(__GNUC__)
-#   if !(defined(__cplusplus)) || (__GNUC__ > 3 || (__GNUC__ == 3 && __GNUC_MINOR__ >= 4))
-#     define CYTHON_UNUSED __attribute__ ((__unused__))
-#   else
-#     define CYTHON_UNUSED
-#   endif
-# elif defined(__ICC) || (defined(__INTEL_COMPILER) && !defined(_MSC_VER))
-#   define CYTHON_UNUSED __attribute__ ((__unused__))
-# else
-#   define CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_UNUSED_VAR
-#  if defined(__cplusplus)
-     template<class T> void CYTHON_UNUSED_VAR( const T& ) { }
-#  else
-#    define CYTHON_UNUSED_VAR(x) (void)(x)
-#  endif
-#endif
-#ifndef CYTHON_MAYBE_UNUSED_VAR
-  #define CYTHON_MAYBE_UNUSED_VAR(x) CYTHON_UNUSED_VAR(x)
-#endif
-#ifndef CYTHON_NCP_UNUSED
-# if CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#  define CYTHON_NCP_UNUSED
-# else
-#  define CYTHON_NCP_UNUSED CYTHON_UNUSED
-# endif
-#endif
-#ifndef CYTHON_USE_CPP_STD_MOVE
-  #if defined(__cplusplus) && (\
-    __cplusplus >= 201103L || (defined(_MSC_VER) && _MSC_VER >= 1600))
-    #define CYTHON_USE_CPP_STD_MOVE 1
-  #else
-    #define CYTHON_USE_CPP_STD_MOVE 0
-  #endif
-#endif
-#define __Pyx_void_to_None(void_result) ((void)(void_result), Py_INCREF(Py_None), Py_None)
+#include <Python.h>
 #include <stdint.h>
-typedef uintptr_t  __pyx_uintptr_t;
-#ifndef CYTHON_FALLTHROUGH
-  #if defined(__cplusplus)
-    /* for clang __has_cpp_attribute(fallthrough) is true even before C++17
-     * but leads to warnings with -pedantic, since it is a C++17 feature */
-    #if ((defined(_MSVC_LANG) && _MSVC_LANG >= 201703L) || __cplusplus >= 201703L)
-      #if __has_cpp_attribute(fallthrough)
-        #define CYTHON_FALLTHROUGH [[fallthrough]]
-      #endif
-    #endif
-    #ifndef CYTHON_FALLTHROUGH
-      #if __has_cpp_attribute(clang::fallthrough)
-        #define CYTHON_FALLTHROUGH [[clang::fallthrough]]
-      #elif __has_cpp_attribute(gnu::fallthrough)
-        #define CYTHON_FALLTHROUGH [[gnu::fallthrough]]
-      #endif
-    #endif
-  #endif
-  #ifndef CYTHON_FALLTHROUGH
-    #if __has_attribute(fallthrough)
-      #define CYTHON_FALLTHROUGH __attribute__((fallthrough))
-    #else
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-  #if defined(__clang__) && defined(__apple_build_version__)
-    #if __apple_build_version__ < 7000000
-      #undef  CYTHON_FALLTHROUGH
-      #define CYTHON_FALLTHROUGH
-    #endif
-  #endif
-#endif
-#ifndef Py_UNREACHABLE
-  #define Py_UNREACHABLE()  assert(0); abort()
-#endif
-#ifdef __cplusplus
-  template <typename T>
-  struct __PYX_IS_UNSIGNED_IMPL {static const bool value = T(0) < T(-1);};
-  #define __PYX_IS_UNSIGNED(type) (__PYX_IS_UNSIGNED_IMPL<type>::value)
-#else
-  #define __PYX_IS_UNSIGNED(type) (((type)-1) > 0)
-#endif
-#if CYTHON_COMPILING_IN_PYPY == 1
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x030A0000)
-#else
-  #define __PYX_NEED_TP_PRINT_SLOT  (PY_VERSION_HEX < 0x03090000)
-#endif
-#define __PYX_REINTERPRET_FUNCION(func_pointer, other_pointer) ((func_pointer)(void(*)(void))(other_pointer))
-
-/* CInitCode */
-#ifndef CYTHON_INLINE
-  #if defined(__clang__)
-    #define CYTHON_INLINE __inline__ __attribute__ ((__unused__))
-  #elif defined(__GNUC__)
-    #define CYTHON_INLINE __inline__
-  #elif defined(_MSC_VER)
-    #define CYTHON_INLINE __inline
-  #elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define CYTHON_INLINE inline
-  #else
-    #define CYTHON_INLINE
-  #endif
-#endif
-
-/* PythonCompatibility */
-#define __PYX_BUILD_PY_SSIZE_T "n"
-#define CYTHON_FORMAT_SSIZE_T "z"
-#define __Pyx_BUILTIN_MODULE_NAME "builtins"
-#define __Pyx_DefaultClassType PyType_Type
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #ifndef CO_OPTIMIZED
-    static int CO_OPTIMIZED;
-    #endif
-    #ifndef CO_NEWLOCALS
-    static int CO_NEWLOCALS;
-    #endif
-    #ifndef CO_VARARGS
-    static int CO_VARARGS;
-    #endif
-    #ifndef CO_VARKEYWORDS
-    static int CO_VARKEYWORDS;
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-    static int CO_ASYNC_GENERATOR;
-    #endif
-    #ifndef CO_GENERATOR
-    static int CO_GENERATOR;
-    #endif
-    #ifndef CO_COROUTINE
-    static int CO_COROUTINE;
-    #endif
-#else
-    #ifndef CO_COROUTINE
-      #define CO_COROUTINE 0x80
-    #endif
-    #ifndef CO_ASYNC_GENERATOR
-      #define CO_ASYNC_GENERATOR 0x200
-    #endif
-#endif
-static int __Pyx_init_co_variables(void);
-#if PY_VERSION_HEX >= 0x030900A4 || defined(Py_IS_TYPE)
-  #define __Pyx_IS_TYPE(ob, type) Py_IS_TYPE(ob, type)
-#else
-  #define __Pyx_IS_TYPE(ob, type) (((const PyObject*)ob)->ob_type == (type))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_Is)
-  #define __Pyx_Py_Is(x, y)  Py_Is(x, y)
-#else
-  #define __Pyx_Py_Is(x, y) ((x) == (y))
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsNone)
-  #define __Pyx_Py_IsNone(ob) Py_IsNone(ob)
-#else
-  #define __Pyx_Py_IsNone(ob) __Pyx_Py_Is((ob), Py_None)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsTrue)
-  #define __Pyx_Py_IsTrue(ob) Py_IsTrue(ob)
-#else
-  #define __Pyx_Py_IsTrue(ob) __Pyx_Py_Is((ob), Py_True)
-#endif
-#if PY_VERSION_HEX >= 0x030A00B1 || defined(Py_IsFalse)
-  #define __Pyx_Py_IsFalse(ob) Py_IsFalse(ob)
-#else
-  #define __Pyx_Py_IsFalse(ob) __Pyx_Py_Is((ob), Py_False)
-#endif
-#define __Pyx_NoneAsNull(obj)  (__Pyx_Py_IsNone(obj) ? NULL : (obj))
-#if PY_VERSION_HEX >= 0x030900F0 && !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyObject_GC_IsFinalized(o) PyObject_GC_IsFinalized(o)
-#else
-  #define __Pyx_PyObject_GC_IsFinalized(o) _PyGC_FINALIZED(o)
-#endif
-#ifndef Py_TPFLAGS_CHECKTYPES
-  #define Py_TPFLAGS_CHECKTYPES 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_INDEX
-  #define Py_TPFLAGS_HAVE_INDEX 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_NEWBUFFER
-  #define Py_TPFLAGS_HAVE_NEWBUFFER 0
-#endif
-#ifndef Py_TPFLAGS_HAVE_FINALIZE
-  #define Py_TPFLAGS_HAVE_FINALIZE 0
-#endif
-#ifndef Py_TPFLAGS_SEQUENCE
-  #define Py_TPFLAGS_SEQUENCE 0
-#endif
-#ifndef Py_TPFLAGS_MAPPING
-  #define Py_TPFLAGS_MAPPING 0
-#endif
-#ifndef Py_TPFLAGS_IMMUTABLETYPE
-  #define Py_TPFLAGS_IMMUTABLETYPE (1UL << 8)
-#endif
-#ifndef Py_TPFLAGS_DISALLOW_INSTANTIATION
-  #define Py_TPFLAGS_DISALLOW_INSTANTIATION (1UL << 7)
-#endif
-#ifndef METH_STACKLESS
-  #define METH_STACKLESS 0
-#endif
-#ifndef METH_FASTCALL
-  #ifndef METH_FASTCALL
-     #define METH_FASTCALL 0x80
-  #endif
-  typedef PyObject *(*__Pyx_PyCFunctionFast) (PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-  typedef PyObject *(*__Pyx_PyCFunctionFastWithKeywords) (PyObject *self, PyObject *const *args,
-                                                          Py_ssize_t nargs, PyObject *kwnames);
-#else
-  #if PY_VERSION_HEX >= 0x030d00A4
-  #  define __Pyx_PyCFunctionFast PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords PyCFunctionFastWithKeywords
-  #else
-  #  define __Pyx_PyCFunctionFast _PyCFunctionFast
-  #  define __Pyx_PyCFunctionFastWithKeywords _PyCFunctionFastWithKeywords
-  #endif
-#endif
-#if CYTHON_METH_FASTCALL
-  #define __Pyx_METH_FASTCALL METH_FASTCALL
-  #define __Pyx_PyCFunction_FastCall __Pyx_PyCFunctionFast
-  #define __Pyx_PyCFunction_FastCallWithKeywords __Pyx_PyCFunctionFastWithKeywords
-#else
-  #define __Pyx_METH_FASTCALL METH_VARARGS
-  #define __Pyx_PyCFunction_FastCall PyCFunction
-  #define __Pyx_PyCFunction_FastCallWithKeywords PyCFunctionWithKeywords
-#endif
-#if CYTHON_VECTORCALL
-  #define __pyx_vectorcallfunc vectorcallfunc
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  PY_VECTORCALL_ARGUMENTS_OFFSET
-  #define __Pyx_PyVectorcall_NARGS(n)  PyVectorcall_NARGS((size_t)(n))
-#else
-  #define __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET  0
-  #define __Pyx_PyVectorcall_NARGS(n)  ((Py_ssize_t)(n))
-#endif
-#if PY_VERSION_HEX >= 0x030900B1
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_CheckExact(func)
-#else
-#define __Pyx_PyCFunction_CheckExact(func)  PyCFunction_Check(func)
-#endif
-#define __Pyx_CyOrPyCFunction_Check(func)  PyCFunction_Check(func)
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  (((PyCFunctionObject*)(func))->m_ml->ml_meth)
-#elif !CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyOrPyCFunction_GET_FUNCTION(func)  PyCFunction_GET_FUNCTION(func)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_CyOrPyCFunction_GET_FLAGS(func)  (((PyCFunctionObject*)(func))->m_ml->ml_flags)
-static CYTHON_INLINE PyObject* __Pyx_CyOrPyCFunction_GET_SELF(PyObject *func) {
-    return (__Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_STATIC) ? NULL : ((PyCFunctionObject*)func)->m_self;
-}
-#endif
-static CYTHON_INLINE int __Pyx__IsSameCFunction(PyObject *func, void (*cfunc)(void)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    return PyCFunction_Check(func) && PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-#else
-    return PyCFunction_Check(func) && PyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-#endif
-}
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCFunction(func, cfunc)
-#if PY_VERSION_HEX < 0x03090000 || (CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000)
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  ((void)m, PyType_FromSpecWithBases(s, b))
-  typedef PyObject *(*__Pyx_PyCMethod)(PyObject *, PyTypeObject *, PyObject *const *, size_t, PyObject *);
-#else
-  #define __Pyx_PyType_FromModuleAndSpec(m, s, b)  PyType_FromModuleAndSpec(m, s, b)
-  #define __Pyx_PyCMethod  PyCMethod
-#endif
-#ifndef METH_METHOD
-  #define METH_METHOD 0x200
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyObject_Malloc)
-  #define PyObject_Malloc(s)   PyMem_Malloc(s)
-  #define PyObject_Free(p)     PyMem_Free(p)
-  #define PyObject_Realloc(p)  PyMem_Realloc(p)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)
-#elif CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) GraalPyFrame_SetLineNumber((frame), (lineno))
-#elif CYTHON_COMPILING_IN_GRAAL
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno) _PyFrame_SetLineNumber((frame), (lineno))
-#else
-  #define __Pyx_PyCode_HasFreeVars(co)  (PyCode_GetNumFree(co) > 0)
-  #define __Pyx_PyFrame_SetLineNumber(frame, lineno)  (frame)->f_lineno = (lineno)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyThreadState_Current PyThreadState_Get()
-#elif !CYTHON_FAST_THREAD_STATE
-  #define __Pyx_PyThreadState_Current PyThreadState_GET()
-#elif PY_VERSION_HEX >= 0x030d00A1
-  #define __Pyx_PyThreadState_Current PyThreadState_GetUnchecked()
-#else
-  #define __Pyx_PyThreadState_Current _PyThreadState_UncheckedGet()
-#endif
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_INLINE void *__Pyx__PyModule_GetState(PyObject *op)
-{
-    void *result;
-    result = PyModule_GetState(op);
-    if (!result)
-        Py_FatalError("Couldn't find the module state");
-    return result;
-}
-#define __Pyx_PyModule_GetState(o) (__pyx_mstatetype *)__Pyx__PyModule_GetState(o)
-#else
-#define __Pyx_PyModule_GetState(op) ((void)op,__pyx_mstate_global)
-#endif
-#define __Pyx_PyObject_GetSlot(obj, name, func_ctype)  __Pyx_PyType_GetSlot(Py_TYPE((PyObject *) obj), name, func_ctype)
-#define __Pyx_PyObject_TryGetSlot(obj, name, func_ctype) __Pyx_PyType_TryGetSlot(Py_TYPE(obj), name, func_ctype)
-#define __Pyx_PyObject_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#define __Pyx_PyObject_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSubSlot(Py_TYPE(obj), sub, name, func_ctype)
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((type)->name)
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype) __Pyx_PyType_GetSlot(type, name, func_ctype)
-  #define __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype) (((type)->sub) ? ((type)->sub->name) : NULL)
-  #define __Pyx_PyType_TryGetSubSlot(type, sub, name, func_ctype) __Pyx_PyType_GetSubSlot(type, sub, name, func_ctype)
-#else
-  #define __Pyx_PyType_GetSlot(type, name, func_ctype)  ((func_ctype) PyType_GetSlot((type), Py_##name))
-  #define __Pyx_PyType_TryGetSlot(type, name, func_ctype)\
-    ((__PYX_LIMITED_VERSION_HEX >= 0x030A0000 ||\
-     (PyType_GetFlags(type) & Py_TPFLAGS_HEAPTYPE) || __Pyx_get_runtime_version() >= 0x030A0000) ?\
-     __Pyx_PyType_GetSlot(type, name, func_ctype) : NULL)
-  #define __Pyx_PyType_GetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_GetSlot(obj, name, func_ctype)
-  #define __Pyx_PyType_TryGetSubSlot(obj, sub, name, func_ctype) __Pyx_PyType_TryGetSlot(obj, name, func_ctype)
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || defined(_PyDict_NewPresized)
-#define __Pyx_PyDict_NewPresized(n)  ((n <= 8) ? PyDict_New() : _PyDict_NewPresized(n))
-#else
-#define __Pyx_PyDict_NewPresized(n)  PyDict_New()
-#endif
-#define __Pyx_PyNumber_Divide(x,y)         PyNumber_TrueDivide(x,y)
-#define __Pyx_PyNumber_InPlaceDivide(x,y)  PyNumber_InPlaceTrueDivide(x,y)
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_UNICODE_INTERNALS
-#define __Pyx_PyDict_GetItemStrWithError(dict, name)  _PyDict_GetItem_KnownHash(dict, name, ((PyASCIIObject *) name)->hash)
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStr(PyObject *dict, PyObject *name) {
-    PyObject *res = __Pyx_PyDict_GetItemStrWithError(dict, name);
-    if (res == NULL) PyErr_Clear();
-    return res;
-}
-#elif !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07020000
-#define __Pyx_PyDict_GetItemStrWithError  PyDict_GetItemWithError
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#else
-static CYTHON_INLINE PyObject * __Pyx_PyDict_GetItemStrWithError(PyObject *dict, PyObject *name) {
-#if CYTHON_COMPILING_IN_PYPY
-    return PyDict_GetItem(dict, name);
-#else
-    PyDictEntry *ep;
-    PyDictObject *mp = (PyDictObject*) dict;
-    long hash = ((PyStringObject *) name)->ob_shash;
-    assert(hash != -1);
-    ep = (mp->ma_lookup)(mp, name, hash);
-    if (ep == NULL) {
-        return NULL;
-    }
-    return ep->me_value;
-#endif
-}
-#define __Pyx_PyDict_GetItemStr           PyDict_GetItem
-#endif
-#if CYTHON_USE_TYPE_SLOTS
-  #define __Pyx_PyType_GetFlags(tp)   (((PyTypeObject *)tp)->tp_flags)
-  #define __Pyx_PyType_HasFeature(type, feature)  ((__Pyx_PyType_GetFlags(type) & (feature)) != 0)
-#else
-  #define __Pyx_PyType_GetFlags(tp)   (PyType_GetFlags((PyTypeObject *)tp))
-  #define __Pyx_PyType_HasFeature(type, feature)  PyType_HasFeature(type, feature)
-#endif
-#define __Pyx_PyObject_GetIterNextFunc(iterator)  __Pyx_PyObject_GetSlot(iterator, tp_iternext, iternextfunc)
-#if CYTHON_USE_TYPE_SPECS
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  {\
-    PyTypeObject *type = Py_TYPE((PyObject*)obj);\
-    assert(__Pyx_PyType_HasFeature(type, Py_TPFLAGS_HEAPTYPE));\
-    PyObject_GC_Del(obj);\
-    Py_DECREF(type);\
-}
-#else
-#define __Pyx_PyHeapTypeObject_GC_Del(obj)  PyObject_GC_Del(obj)
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_PyUnicode_READY(op)       (0)
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_ReadChar(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   ((void)u, 1114111U)
-  #define __Pyx_PyUnicode_KIND(u)         ((void)u, (0))
-  #define __Pyx_PyUnicode_DATA(u)         ((void*)u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   ((void)k, PyUnicode_ReadChar((PyObject*)(d), i))
-  #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GetLength(u))
-#else
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_READY(op)       (0)
-  #else
-    #define __Pyx_PyUnicode_READY(op)       (likely(PyUnicode_IS_READY(op)) ?\
-                                                0 : _PyUnicode_Ready((PyObject *)(op)))
-  #endif
-  #define __Pyx_PyUnicode_READ_CHAR(u, i) PyUnicode_READ_CHAR(u, i)
-  #define __Pyx_PyUnicode_MAX_CHAR_VALUE(u)   PyUnicode_MAX_CHAR_VALUE(u)
-  #define __Pyx_PyUnicode_KIND(u)         ((int)PyUnicode_KIND(u))
-  #define __Pyx_PyUnicode_DATA(u)         PyUnicode_DATA(u)
-  #define __Pyx_PyUnicode_READ(k, d, i)   PyUnicode_READ(k, d, i)
-  #define __Pyx_PyUnicode_WRITE(k, d, i, ch)  PyUnicode_WRITE(k, d, i, (Py_UCS4) ch)
-  #if PY_VERSION_HEX >= 0x030C0000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != PyUnicode_GET_LENGTH(u))
-  #else
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x03090000
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : ((PyCompactUnicodeObject *)(u))->wstr_length))
-    #else
-    #define __Pyx_PyUnicode_IS_TRUE(u)      (0 != (likely(PyUnicode_IS_READY(u)) ? PyUnicode_GET_LENGTH(u) : PyUnicode_GET_SIZE(u)))
-    #endif
-  #endif
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #define __Pyx_PyUnicode_Concat(a, b)      PyNumber_Add(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  PyNumber_Add(a, b)
-#else
-  #define __Pyx_PyUnicode_Concat(a, b)      PyUnicode_Concat(a, b)
-  #define __Pyx_PyUnicode_ConcatSafe(a, b)  ((unlikely((a) == Py_None) || unlikely((b) == Py_None)) ?\
-      PyNumber_Add(a, b) : __Pyx_PyUnicode_Concat(a, b))
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-  #if !defined(PyUnicode_DecodeUnicodeEscape)
-    #define PyUnicode_DecodeUnicodeEscape(s, size, errors)  PyUnicode_Decode(s, size, "unicode_escape", errors)
-  #endif
-  #if !defined(PyUnicode_Contains)
-    #define PyUnicode_Contains(u, s)  PySequence_Contains(u, s)
-  #endif
-  #if !defined(PyByteArray_Check)
-    #define PyByteArray_Check(obj)  PyObject_TypeCheck(obj, &PyByteArray_Type)
-  #endif
-  #if !defined(PyObject_Format)
-    #define PyObject_Format(obj, fmt)  PyObject_CallMethod(obj, "__format__", "O", fmt)
-  #endif
-#endif
-#define __Pyx_PyUnicode_FormatSafe(a, b)  ((unlikely((a) == Py_None || (PyUnicode_Check(b) && !PyUnicode_CheckExact(b)))) ? PyNumber_Remainder(a, b) : PyUnicode_Format(a, b))
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && PyUnstable_Object_IsUniquelyReferenced(obj)) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#elif CYTHON_COMPILING_IN_CPYTHON
-  #define __Pyx_PySequence_ListKeepNew(obj)\
-    (likely(PyList_CheckExact(obj) && Py_REFCNT(obj) == 1) ? __Pyx_NewRef(obj) : PySequence_List(obj))
-#else
-  #define __Pyx_PySequence_ListKeepNew(obj)  PySequence_List(obj)
-#endif
-#ifndef PySet_CheckExact
-  #define PySet_CheckExact(obj)        __Pyx_IS_TYPE(obj, &PySet_Type)
-#endif
-#if PY_VERSION_HEX >= 0x030900A4
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_SET_REFCNT(obj, refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SET_SIZE(obj, size)
-#else
-  #define __Pyx_SET_REFCNT(obj, refcnt) Py_REFCNT(obj) = (refcnt)
-  #define __Pyx_SET_SIZE(obj, size) Py_SIZE(obj) = (size)
-#endif
-enum __Pyx_ReferenceSharing {
-  __Pyx_ReferenceSharing_DefinitelyUnique, // We created it so we know it's unshared - no need to check
-  __Pyx_ReferenceSharing_OwnStrongReference,
-  __Pyx_ReferenceSharing_FunctionArgument,
-  __Pyx_ReferenceSharing_SharedReference, // Never trust it to be unshared because it's a global or similar
-};
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && PY_VERSION_HEX >= 0x030E0000
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing)\
-    (sharing == __Pyx_ReferenceSharing_DefinitelyUnique ? 1 :\
-      (sharing == __Pyx_ReferenceSharing_FunctionArgument ? PyUnstable_Object_IsUniqueReferencedTemporary(o) :\
-      (sharing == __Pyx_ReferenceSharing_OwnStrongReference ? PyUnstable_Object_IsUniquelyReferenced(o) : 0)))
-#elif (CYTHON_COMPILING_IN_CPYTHON && !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING) || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)sharing), Py_REFCNT(o) == 1)
-#else
-#define __Pyx_IS_UNIQUELY_REFERENCED(o, sharing) (((void)o), ((void)sharing), 0)
-#endif
-#if CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyList_GetItemRef(o, i) (likely((i) >= 0) ? PySequence_GetItem(o, i) : (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) PySequence_ITEM(o, i)
-  #endif
-#elif CYTHON_COMPILING_IN_LIMITED_API || !CYTHON_ASSUME_SAFE_MACROS
-  #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    #define __Pyx_PyList_GetItemRef(o, i) PyList_GetItemRef(o, i)
-  #else
-    #define __Pyx_PyList_GetItemRef(o, i) __Pyx_XNewRef(PyList_GetItem(o, i))
-  #endif
-#else
-  #define __Pyx_PyList_GetItemRef(o, i) __Pyx_NewRef(PyList_GET_ITEM(o, i))
-#endif
-#if CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS && !CYTHON_COMPILING_IN_LIMITED_API && CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) (__Pyx_IS_UNIQUELY_REFERENCED(o, unsafe_shared) ?\
-    __Pyx_NewRef(PyList_GET_ITEM(o, i)) : __Pyx_PyList_GetItemRef(o, i))
-#else
-  #define __Pyx_PyList_GetItemRefFast(o, i, unsafe_shared) __Pyx_PyList_GetItemRef(o, i)
-#endif
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyDict_GetItemRef(dict, key, result) PyDict_GetItemRef(dict, key, result)
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyObject_GetItem(dict, key);
-  if (*result == NULL) {
-    if (PyErr_ExceptionMatches(PyExc_KeyError)) {
-      PyErr_Clear();
-      return 0;
-    }
-    return -1;
-  }
-  return 1;
-}
-#else
-static CYTHON_INLINE int __Pyx_PyDict_GetItemRef(PyObject *dict, PyObject *key, PyObject **result) {
-  *result = PyDict_GetItemWithError(dict, key);
-  if (*result == NULL) {
-    return PyErr_Occurred() ? -1 : 0;
-  }
-  Py_INCREF(*result);
-  return 1;
-}
-#endif
-#if defined(CYTHON_DEBUG_VISIT_CONST) && CYTHON_DEBUG_VISIT_CONST
-  #define __Pyx_VISIT_CONST(obj)  Py_VISIT(obj)
-#else
-  #define __Pyx_VISIT_CONST(obj)
-#endif
-#if CYTHON_ASSUME_SAFE_MACROS
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_ITEM(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  Py_SIZE(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) (PyTuple_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GET_ITEM(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) (PyList_SET_ITEM(o, i, v), (0))
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GET_ITEM(o, i)
-#else
-  #define __Pyx_PySequence_ITEM(o, i) PySequence_GetItem(o, i)
-  #define __Pyx_PySequence_SIZE(seq)  PySequence_Size(seq)
-  #define __Pyx_PyTuple_SET_ITEM(o, i, v) PyTuple_SetItem(o, i, v)
-  #define __Pyx_PyTuple_GET_ITEM(o, i) PyTuple_GetItem(o, i)
-  #define __Pyx_PyList_SET_ITEM(o, i, v) PyList_SetItem(o, i, v)
-  #define __Pyx_PyList_GET_ITEM(o, i) PyList_GetItem(o, i)
-#endif
-#if CYTHON_ASSUME_SAFE_SIZE
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_GET_SIZE(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_GET_SIZE(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_GET_SIZE(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_GET_SIZE(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_GET_SIZE(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GET_LENGTH(o)
-#else
-  #define __Pyx_PyTuple_GET_SIZE(o) PyTuple_Size(o)
-  #define __Pyx_PyList_GET_SIZE(o) PyList_Size(o)
-  #define __Pyx_PySet_GET_SIZE(o) PySet_Size(o)
-  #define __Pyx_PyBytes_GET_SIZE(o) PyBytes_Size(o)
-  #define __Pyx_PyByteArray_GET_SIZE(o) PyByteArray_Size(o)
-  #define __Pyx_PyUnicode_GET_LENGTH(o) PyUnicode_GetLength(o)
-#endif
-#if CYTHON_COMPILING_IN_PYPY && !defined(PyUnicode_InternFromString)
-  #define PyUnicode_InternFromString(s) PyUnicode_FromString(s)
-#endif
-#define __Pyx_PyLong_FromHash_t PyLong_FromSsize_t
-#define __Pyx_PyLong_AsHash_t   __Pyx_PyIndex_AsSsize_t
-#if __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-    #define __Pyx_PySendResult PySendResult
-#else
-    typedef enum {
-        PYGEN_RETURN = 0,
-        PYGEN_ERROR = -1,
-        PYGEN_NEXT = 1,
-    } __Pyx_PySendResult;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030A00A3
-  typedef __Pyx_PySendResult (*__Pyx_pyiter_sendfunc)(PyObject *iter, PyObject *value, PyObject **result);
-#else
-  #define __Pyx_pyiter_sendfunc sendfunc
-#endif
-#if !CYTHON_USE_AM_SEND
-#define __PYX_HAS_PY_AM_SEND 0
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030A0000
-#define __PYX_HAS_PY_AM_SEND 1
-#else
-#define __PYX_HAS_PY_AM_SEND 2  // our own backported implementation
-#endif
-#if __PYX_HAS_PY_AM_SEND < 2
-    #define __Pyx_PyAsyncMethodsStruct PyAsyncMethods
-#else
-    typedef struct {
-        unaryfunc am_await;
-        unaryfunc am_aiter;
-        unaryfunc am_anext;
-        __Pyx_pyiter_sendfunc am_send;
-    } __Pyx_PyAsyncMethodsStruct;
-    #define __Pyx_SlotTpAsAsync(s) ((PyAsyncMethods*)(s))
-#endif
-#if CYTHON_USE_AM_SEND && PY_VERSION_HEX < 0x030A00F0
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (1UL << 21)
-#else
-    #define __Pyx_TPFLAGS_HAVE_AM_SEND (0)
-#endif
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_PyInterpreterState_Get() PyInterpreterState_Get()
-#else
-#define __Pyx_PyInterpreterState_Get() PyThreadState_Get()->interp
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030A0000
-#ifdef __cplusplus
-extern "C"
-#endif
-PyAPI_FUNC(void *) PyMem_Calloc(size_t nelem, size_t elsize);
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static int __Pyx_init_co_variable(PyObject *inspect, const char* name, int *write_to) {
-    int value;
-    PyObject *py_value = PyObject_GetAttrString(inspect, name);
-    if (!py_value) return 0;
-    value = (int) PyLong_AsLong(py_value);
-    Py_DECREF(py_value);
-    *write_to = value;
-    return value != -1 || !PyErr_Occurred();
-}
-static int __Pyx_init_co_variables(void) {
-    PyObject *inspect;
-    int result;
-    inspect = PyImport_ImportModule("inspect");
-    result =
-#if !defined(CO_OPTIMIZED)
-        __Pyx_init_co_variable(inspect, "CO_OPTIMIZED", &CO_OPTIMIZED) &&
-#endif
-#if !defined(CO_NEWLOCALS)
-        __Pyx_init_co_variable(inspect, "CO_NEWLOCALS", &CO_NEWLOCALS) &&
-#endif
-#if !defined(CO_VARARGS)
-        __Pyx_init_co_variable(inspect, "CO_VARARGS", &CO_VARARGS) &&
-#endif
-#if !defined(CO_VARKEYWORDS)
-        __Pyx_init_co_variable(inspect, "CO_VARKEYWORDS", &CO_VARKEYWORDS) &&
-#endif
-#if !defined(CO_ASYNC_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_ASYNC_GENERATOR", &CO_ASYNC_GENERATOR) &&
-#endif
-#if !defined(CO_GENERATOR)
-        __Pyx_init_co_variable(inspect, "CO_GENERATOR", &CO_GENERATOR) &&
-#endif
-#if !defined(CO_COROUTINE)
-        __Pyx_init_co_variable(inspect, "CO_COROUTINE", &CO_COROUTINE) &&
-#endif
-        1;
-    Py_DECREF(inspect);
-    return result ? 0 : -1;
-}
-#else
-static int __Pyx_init_co_variables(void) {
-    return 0;  // It's a limited API-only feature
-}
-#endif
-
-/* MathInitCode */
-#if defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)
-  #ifndef _USE_MATH_DEFINES
-    #define _USE_MATH_DEFINES
-  #endif
-#endif
-#include <math.h>
-#if defined(__CYGWIN__) && defined(_LDBL_EQ_DBL)
-#define __Pyx_truncl trunc
-#else
-#define __Pyx_truncl truncl
-#endif
-
-#ifndef CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#define CYTHON_CLINE_IN_TRACEBACK_RUNTIME 0
-#endif
-#ifndef CYTHON_CLINE_IN_TRACEBACK
-#define CYTHON_CLINE_IN_TRACEBACK CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#endif
-#if CYTHON_CLINE_IN_TRACEBACK
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; __pyx_clineno = __LINE__; (void) __pyx_clineno; }
-#else
-#define __PYX_MARK_ERR_POS(f_index, lineno)  { __pyx_filename = __pyx_f[f_index]; (void) __pyx_filename; __pyx_lineno = lineno; (void) __pyx_lineno; (void) __pyx_clineno; }
-#endif
-#define __PYX_ERR(f_index, lineno, Ln_error) \
-    { __PYX_MARK_ERR_POS(f_index, lineno) goto Ln_error; }
-
-#ifdef CYTHON_EXTERN_C
-    #undef __PYX_EXTERN_C
-    #define __PYX_EXTERN_C CYTHON_EXTERN_C
-#elif defined(__PYX_EXTERN_C)
-    #ifdef _MSC_VER
-    #pragma message ("Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.")
-    #else
-    #warning Please do not define the '__PYX_EXTERN_C' macro externally. Use 'CYTHON_EXTERN_C' instead.
-    #endif
-#else
-  #ifdef __cplusplus
-    #define __PYX_EXTERN_C extern "C"
-  #else
-    #define __PYX_EXTERN_C extern
-  #endif
-#endif
-
-#define __PYX_HAVE__tanglekit___enumcore
-#define __PYX_HAVE_API__tanglekit___enumcore
-/* Early includes */
-#include <string.h>
 #include <stdlib.h>
-#ifdef _OPENMP
-#include <omp.h>
-#endif /* _OPENMP */
-
-#if defined(PYREX_WITHOUT_ASSERTIONS) && !defined(CYTHON_WITHOUT_ASSERTIONS)
-#define CYTHON_WITHOUT_ASSERTIONS
-#endif
-
-#ifdef CYTHON_FREETHREADING_COMPATIBLE
-#if CYTHON_FREETHREADING_COMPATIBLE
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_NOT_USED
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#else
-#define __Pyx_FREETHREADING_COMPATIBLE Py_MOD_GIL_USED
-#endif
-#define __PYX_DEFAULT_STRING_ENCODING_IS_ASCII 0
-#define __PYX_DEFAULT_STRING_ENCODING_IS_UTF8 0
-#define __PYX_DEFAULT_STRING_ENCODING ""
-#define __Pyx_PyObject_FromString __Pyx_PyBytes_FromString
-#define __Pyx_PyObject_FromStringAndSize __Pyx_PyBytes_FromStringAndSize
-#define __Pyx_uchar_cast(c) ((unsigned char)c)
-#define __Pyx_long_cast(x) ((long)x)
-#define __Pyx_fits_Py_ssize_t(v, type, is_signed)  (\
-    (sizeof(type) < sizeof(Py_ssize_t))  ||\
-    (sizeof(type) > sizeof(Py_ssize_t) &&\
-          likely(v < (type)PY_SSIZE_T_MAX ||\
-                 v == (type)PY_SSIZE_T_MAX)  &&\
-          (!is_signed || likely(v > (type)PY_SSIZE_T_MIN ||\
-                                v == (type)PY_SSIZE_T_MIN)))  ||\
-    (sizeof(type) == sizeof(Py_ssize_t) &&\
-          (is_signed || likely(v < (type)PY_SSIZE_T_MAX ||\
-                               v == (type)PY_SSIZE_T_MAX)))  )
-static CYTHON_INLINE int __Pyx_is_valid_index(Py_ssize_t i, Py_ssize_t limit) {
-    return (size_t) i < (size_t) limit;
-}
-#if defined (__cplusplus) && __cplusplus >= 201103L
-    #include <cstdlib>
-    #define __Pyx_sst_abs(value) std::abs(value)
-#elif SIZEOF_INT >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) abs(value)
-#elif SIZEOF_LONG >= SIZEOF_SIZE_T
-    #define __Pyx_sst_abs(value) labs(value)
-#elif defined (_MSC_VER)
-    #define __Pyx_sst_abs(value) ((Py_ssize_t)_abs64(value))
-#elif defined (__STDC_VERSION__) && __STDC_VERSION__ >= 199901L
-    #define __Pyx_sst_abs(value) llabs(value)
-#elif defined (__GNUC__)
-    #define __Pyx_sst_abs(value) __builtin_llabs(value)
-#else
-    #define __Pyx_sst_abs(value) ((value<0) ? -value : value)
-#endif
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject*);
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject*, Py_ssize_t* length);
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char*);
-#define __Pyx_PyByteArray_FromStringAndSize(s, l) PyByteArray_FromStringAndSize((const char*)s, l)
-#define __Pyx_PyBytes_FromString        PyBytes_FromString
-#define __Pyx_PyBytes_FromStringAndSize PyBytes_FromStringAndSize
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char*);
-#if CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AS_STRING(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AS_STRING(s)
-#else
-    #define __Pyx_PyBytes_AsWritableString(s)     ((char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableSString(s)    ((signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsWritableUString(s)    ((unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsString(s)     ((const char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsSString(s)    ((const signed char*) PyBytes_AsString(s))
-    #define __Pyx_PyBytes_AsUString(s)    ((const unsigned char*) PyBytes_AsString(s))
-    #define __Pyx_PyByteArray_AsString(s) PyByteArray_AsString(s)
-#endif
-#define __Pyx_PyObject_AsWritableString(s)    ((char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableSString(s)    ((signed char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsWritableUString(s)    ((unsigned char*)(__pyx_uintptr_t) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsSString(s)    ((const signed char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_AsUString(s)    ((const unsigned char*) __Pyx_PyObject_AsString(s))
-#define __Pyx_PyObject_FromCString(s)  __Pyx_PyObject_FromString((const char*)s)
-#define __Pyx_PyBytes_FromCString(s)   __Pyx_PyBytes_FromString((const char*)s)
-#define __Pyx_PyByteArray_FromCString(s)   __Pyx_PyByteArray_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromCString(s) __Pyx_PyUnicode_FromString((const char*)s)
-#define __Pyx_PyUnicode_FromOrdinal(o)       PyUnicode_FromOrdinal((int)o)
-#define __Pyx_PyUnicode_AsUnicode            PyUnicode_AsUnicode
-static CYTHON_INLINE PyObject *__Pyx_NewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_NewRef)
-    return Py_NewRef(obj);
-#else
-    Py_INCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_XNewRef(PyObject *obj) {
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030a0000 || defined(Py_XNewRef)
-    return Py_XNewRef(obj);
-#else
-    Py_XINCREF(obj);
-    return obj;
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b);
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject*);
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject*);
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x);
-#define __Pyx_PySequence_Tuple(obj)\
-    (likely(PyTuple_CheckExact(obj)) ? __Pyx_NewRef(obj) : PySequence_Tuple(obj))
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject*);
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t);
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject*);
-#if CYTHON_ASSUME_SAFE_MACROS
-#define __Pyx_PyFloat_AsDouble(x) (PyFloat_CheckExact(x) ? PyFloat_AS_DOUBLE(x) : PyFloat_AsDouble(x))
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AS_DOUBLE(x)
-#else
-#define __Pyx_PyFloat_AsDouble(x) PyFloat_AsDouble(x)
-#define __Pyx_PyFloat_AS_DOUBLE(x) PyFloat_AsDouble(x)
-#endif
-#define __Pyx_PyFloat_AsFloat(x) ((float) __Pyx_PyFloat_AsDouble(x))
-#define __Pyx_PyNumber_Int(x) (PyLong_CheckExact(x) ? __Pyx_NewRef(x) : PyNumber_Long(x))
-#if CYTHON_USE_PYLONG_INTERNALS
-  #if PY_VERSION_HEX >= 0x030C00A7
-  #ifndef _PyLong_SIGN_MASK
-    #define _PyLong_SIGN_MASK 3
-  #endif
-  #ifndef _PyLong_NON_SIZE_BITS
-    #define _PyLong_NON_SIZE_BITS 3
-  #endif
-  #define __Pyx_PyLong_Sign(x)  (((PyLongObject*)x)->long_value.lv_tag & _PyLong_SIGN_MASK)
-  #define __Pyx_PyLong_IsNeg(x)  ((__Pyx_PyLong_Sign(x) & 2) != 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (!__Pyx_PyLong_IsNeg(x))
-  #define __Pyx_PyLong_IsZero(x)  (__Pyx_PyLong_Sign(x) & 1)
-  #define __Pyx_PyLong_IsPos(x)  (__Pyx_PyLong_Sign(x) == 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  (__Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  ((Py_ssize_t) (((PyLongObject*)x)->long_value.lv_tag >> _PyLong_NON_SIZE_BITS))
-  #define __Pyx_PyLong_SignedDigitCount(x)\
-        ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * __Pyx_PyLong_DigitCount(x))
-  #if defined(PyUnstable_Long_IsCompact) && defined(PyUnstable_Long_CompactValue)
-    #define __Pyx_PyLong_IsCompact(x)     PyUnstable_Long_IsCompact((PyLongObject*) x)
-    #define __Pyx_PyLong_CompactValue(x)  PyUnstable_Long_CompactValue((PyLongObject*) x)
-  #else
-    #define __Pyx_PyLong_IsCompact(x)     (((PyLongObject*)x)->long_value.lv_tag < (2 << _PyLong_NON_SIZE_BITS))
-    #define __Pyx_PyLong_CompactValue(x)  ((1 - (Py_ssize_t) __Pyx_PyLong_Sign(x)) * (Py_ssize_t) __Pyx_PyLong_Digits(x)[0])
-  #endif
-  typedef Py_ssize_t  __Pyx_compact_pylong;
-  typedef size_t  __Pyx_compact_upylong;
-  #else
-  #define __Pyx_PyLong_IsNeg(x)  (Py_SIZE(x) < 0)
-  #define __Pyx_PyLong_IsNonNeg(x)  (Py_SIZE(x) >= 0)
-  #define __Pyx_PyLong_IsZero(x)  (Py_SIZE(x) == 0)
-  #define __Pyx_PyLong_IsPos(x)  (Py_SIZE(x) > 0)
-  #define __Pyx_PyLong_CompactValueUnsigned(x)  ((Py_SIZE(x) == 0) ? 0 : __Pyx_PyLong_Digits(x)[0])
-  #define __Pyx_PyLong_DigitCount(x)  __Pyx_sst_abs(Py_SIZE(x))
-  #define __Pyx_PyLong_SignedDigitCount(x)  Py_SIZE(x)
-  #define __Pyx_PyLong_IsCompact(x)  (Py_SIZE(x) == 0 || Py_SIZE(x) == 1 || Py_SIZE(x) == -1)
-  #define __Pyx_PyLong_CompactValue(x)\
-        ((Py_SIZE(x) == 0) ? (sdigit) 0 : ((Py_SIZE(x) < 0) ? -(sdigit)__Pyx_PyLong_Digits(x)[0] : (sdigit)__Pyx_PyLong_Digits(x)[0]))
-  typedef sdigit  __Pyx_compact_pylong;
-  typedef digit  __Pyx_compact_upylong;
-  #endif
-  #if PY_VERSION_HEX >= 0x030C00A5
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->long_value.ob_digit)
-  #else
-  #define __Pyx_PyLong_Digits(x)  (((PyLongObject*)x)->ob_digit)
-  #endif
-#endif
-#if __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeUTF8(c_str, size, NULL)
-#elif __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_DecodeASCII(c_str, size, NULL)
-#else
-  #define __Pyx_PyUnicode_FromStringAndSize(c_str, size) PyUnicode_Decode(c_str, size, __PYX_DEFAULT_STRING_ENCODING, NULL)
-#endif
-
-
-/* Test for GCC > 2.95 */
-#if defined(__GNUC__)     && (__GNUC__ > 2 || (__GNUC__ == 2 && (__GNUC_MINOR__ > 95)))
-  #define likely(x)   __builtin_expect(!!(x), 1)
-  #define unlikely(x) __builtin_expect(!!(x), 0)
-#else /* !__GNUC__ or GCC < 2.95 */
-  #define likely(x)   (x)
-  #define unlikely(x) (x)
-#endif /* __GNUC__ */
-/* PretendToInitialize */
-#ifdef __cplusplus
-#if __cplusplus > 201103L
-#include <type_traits>
-#endif
-template <typename T>
-static void __Pyx_pretend_to_initialize(T* ptr) {
-#if __cplusplus > 201103L
-    if ((std::is_trivially_default_constructible<T>::value))
-#endif
-        *ptr = T();
-    (void)ptr;
-}
-#else
-static CYTHON_INLINE void __Pyx_pretend_to_initialize(void* ptr) { (void)ptr; }
-#endif
-
-
-#if !CYTHON_USE_MODULE_STATE
-static PyObject *__pyx_m = NULL;
-#endif
-static int __pyx_lineno;
-static int __pyx_clineno = 0;
-static const char * const __pyx_cfilenm = __FILE__;
-static const char *__pyx_filename;
-
-/* #### Code section: filename_table ### */
-
-static const char* const __pyx_f[] = {
-  "src/tanglekit/_enumcore.pyx",
-};
-/* #### Code section: utility_code_proto_before_types ### */
-/* Atomics.proto (used by UnpackUnboundCMethod) */
-#include <pythread.h>
-#ifndef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 1
-#endif
-#define __PYX_CYTHON_ATOMICS_ENABLED() CYTHON_ATOMICS
-#define __PYX_GET_CYTHON_COMPILING_IN_CPYTHON_FREETHREADING() CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __pyx_atomic_int_type int
-#define __pyx_nonatomic_int_type int
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__))
-    #include <stdatomic.h>
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)))
-    #include <atomic>
-#endif
-#if CYTHON_ATOMICS && (defined(__STDC_VERSION__) &&\
-                        (__STDC_VERSION__ >= 201112L) &&\
-                        !defined(__STDC_NO_ATOMICS__) &&\
-                       ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type atomic_int
-    #define __pyx_atomic_ptr_type atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) atomic_fetch_add_explicit(value, 1, memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) atomic_fetch_add_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) atomic_fetch_sub_explicit(value, 1, memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) atomic_load_explicit(value, memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) atomic_load_explicit(value, memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C atomics"
-    #endif
-#elif CYTHON_ATOMICS && (defined(__cplusplus) && (\
-                    (__cplusplus >= 201103L) ||\
-\
-                    (defined(_MSC_VER) && _MSC_VER >= 1700)) &&\
-                    ATOMIC_INT_LOCK_FREE == 2)
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type std::atomic_int
-    #define __pyx_atomic_ptr_type std::atomic_uintptr_t
-    #define __pyx_nonatomic_ptr_type uintptr_t
-    #define __pyx_atomic_incr_relaxed(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_relaxed)
-    #define __pyx_atomic_incr_acq_rel(value) std::atomic_fetch_add_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_decr_acq_rel(value) std::atomic_fetch_sub_explicit(value, 1, std::memory_order_acq_rel)
-    #define __pyx_atomic_sub(value, arg) std::atomic_fetch_sub(value, arg)
-    #define __pyx_atomic_int_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #define __pyx_atomic_load(value) std::atomic_load(value)
-    #define __pyx_atomic_store(value, new_value) std::atomic_store(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) std::atomic_load_explicit(value, std::memory_order_relaxed)
-    #define __pyx_atomic_pointer_load_acquire(value) std::atomic_load_explicit(value, std::memory_order_acquire)
-    #define __pyx_atomic_pointer_exchange(value, new_value) std::atomic_exchange(value, (__pyx_nonatomic_ptr_type)new_value)
-    #define __pyx_atomic_pointer_cmp_exchange(value, expected, desired) std::atomic_compare_exchange_strong(value, expected, desired)
-    #if defined(__PYX_DEBUG_ATOMICS) && defined(_MSC_VER)
-        #pragma message ("Using standard C++ atomics")
-    #elif defined(__PYX_DEBUG_ATOMICS)
-        #warning "Using standard C++ atomics"
-    #endif
-#elif CYTHON_ATOMICS && (__GNUC__ >= 5 || (__GNUC__ == 4 &&\
-                    (__GNUC_MINOR__ > 1 ||\
-                    (__GNUC_MINOR__ == 1 && __GNUC_PATCHLEVEL__ >= 2))))
-    #define __pyx_atomic_ptr_type void*
-    #define __pyx_nonatomic_ptr_type void*
-    #define __pyx_atomic_incr_relaxed(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) __sync_fetch_and_add(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) __sync_fetch_and_sub(value, 1)
-    #define __pyx_atomic_sub(value, arg) __sync_fetch_and_sub(value, arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_store(value, new_value) __sync_lock_test_and_set(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_load_acquire(value) __sync_fetch_and_add(value, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) __sync_lock_test_and_set(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_nonatomic_ptr_type old = __sync_val_compare_and_swap(value, *expected, desired);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Using GNU atomics"
-    #endif
-#elif CYTHON_ATOMICS && defined(_MSC_VER)
-    #include <intrin.h>
-    #undef __pyx_atomic_int_type
-    #define __pyx_atomic_int_type long
-    #define __pyx_atomic_ptr_type void*
-    #undef __pyx_nonatomic_int_type
-    #define __pyx_nonatomic_int_type long
-    #define __pyx_nonatomic_ptr_type void*
-    #pragma intrinsic (_InterlockedExchangeAdd, _InterlockedExchange, _InterlockedCompareExchange, _InterlockedCompareExchangePointer, _InterlockedExchangePointer)
-    #define __pyx_atomic_incr_relaxed(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_incr_acq_rel(value) _InterlockedExchangeAdd(value, 1)
-    #define __pyx_atomic_decr_acq_rel(value) _InterlockedExchangeAdd(value, -1)
-    #define __pyx_atomic_sub(value, arg) _InterlockedExchangeAdd(value, -arg)
-    static CYTHON_INLINE int __pyx_atomic_int_cmp_exchange(__pyx_atomic_int_type* value, __pyx_nonatomic_int_type* expected, __pyx_nonatomic_int_type desired) {
-        __pyx_nonatomic_int_type old = _InterlockedCompareExchange(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #define __pyx_atomic_load(value) _InterlockedExchangeAdd(value, 0)
-    #define __pyx_atomic_store(value, new_value) _InterlockedExchange(value, new_value)
-    #define __pyx_atomic_pointer_load_relaxed(value) *(void * volatile *)value
-    #define __pyx_atomic_pointer_load_acquire(value) _InterlockedCompareExchangePointer(value, 0, 0)
-    #define __pyx_atomic_pointer_exchange(value, new_value) _InterlockedExchangePointer(value, (__pyx_atomic_ptr_type)new_value)
-    static CYTHON_INLINE int __pyx_atomic_pointer_cmp_exchange(__pyx_atomic_ptr_type* value, __pyx_nonatomic_ptr_type* expected, __pyx_nonatomic_ptr_type desired) {
-        __pyx_atomic_ptr_type old = _InterlockedCompareExchangePointer(value, desired, *expected);
-        int result = old == *expected;
-        *expected = old;
-        return result;
-    }
-    #ifdef __PYX_DEBUG_ATOMICS
-        #pragma message ("Using MSVC atomics")
-    #endif
-#else
-    #undef CYTHON_ATOMICS
-    #define CYTHON_ATOMICS 0
-    #ifdef __PYX_DEBUG_ATOMICS
-        #warning "Not using atomics"
-    #endif
-#endif
-
-/* CriticalSectionsDefinition.proto (used by CriticalSections) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection void*
-#define __Pyx_PyCriticalSection2 void*
-#define __Pyx_PyCriticalSection_End(cs)
-#define __Pyx_PyCriticalSection2_End(cs)
-#else
-#define __Pyx_PyCriticalSection PyCriticalSection
-#define __Pyx_PyCriticalSection2 PyCriticalSection2
-#define __Pyx_PyCriticalSection_End PyCriticalSection_End
-#define __Pyx_PyCriticalSection2_End PyCriticalSection2_End
-#endif
-
-/* CriticalSections.proto (used by ParseKeywordsImpl) */
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyCriticalSection_Begin(cs, arg) (void)(cs)
-#define __Pyx_PyCriticalSection2_Begin(cs, arg1, arg2) (void)(cs)
-#else
-#define __Pyx_PyCriticalSection_Begin PyCriticalSection_Begin
-#define __Pyx_PyCriticalSection2_Begin PyCriticalSection2_Begin
-#endif
-#if PY_VERSION_HEX < 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_BEGIN_CRITICAL_SECTION(o) {
-#define __Pyx_END_CRITICAL_SECTION() }
-#else
-#define __Pyx_BEGIN_CRITICAL_SECTION Py_BEGIN_CRITICAL_SECTION
-#define __Pyx_END_CRITICAL_SECTION Py_END_CRITICAL_SECTION
-#endif
-
-/* ForceInitThreads.proto */
-#ifndef __PYX_FORCE_INIT_THREADS
-  #define __PYX_FORCE_INIT_THREADS 0
-#endif
-
-/* NoFastGil.proto */
-#define __Pyx_PyGILState_Ensure PyGILState_Ensure
-#define __Pyx_PyGILState_Release PyGILState_Release
-#define __Pyx_FastGIL_Remember()
-#define __Pyx_FastGIL_Forget()
-#define __Pyx_FastGilFuncInit()
-
-/* IncludeStructmemberH.proto (used by FixUpExtensionType) */
-#include <structmember.h>
-
-/* #### Code section: numeric_typedefs ### */
-/* #### Code section: complex_type_declarations ### */
-/* #### Code section: type_declarations ### */
-
-/*--- Type declarations ---*/
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr;
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr;
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr;
-struct __pyx_t_9tanglekit_9_enumcore_State;
-
-/* "tanglekit/_enumcore.pyx":83
- * 
- * 
- * cdef struct State:             # <<<<<<<<<<<<<<
- *     int *parent
- *     int *tab            # pitch x pitch, row-major, -1 = undefined
-*/
-struct __pyx_t_9tanglekit_9_enumcore_State {
-  int *parent;
-  int *tab;
-  int *ev;
-  int *buf;
-  int n_slots;
-  int pitch;
-  int ev_head;
-  int ev_len;
-  int ev_cap;
-  PY_LONG_LONG merges;
-  PY_LONG_LONG n_entries;
-  PY_LONG_LONG max_bytes;
-  int oom;
-};
-
-/* "tanglekit/_enumcore.pyx":352
- * 
- *     # relation words as flat int tuples
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))             # <<<<<<<<<<<<<<
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)
-*/
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_g;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_g;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-
-/* "tanglekit/_enumcore.pyx":354
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)             # <<<<<<<<<<<<<<
- * 
- *     try:
-*/
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr {
-  PyObject_HEAD
-  PyObject *__pyx_genexpr_arg_0;
-  PyObject *__pyx_v_g;
-  PyObject *__pyx_t_0;
-  Py_ssize_t __pyx_t_1;
-  PyObject *(*__pyx_t_2)(PyObject *);
-};
-
-/* #### Code section: utility_code_proto ### */
-
-/* --- Runtime support code (head) --- */
-/* Refnanny.proto */
-#ifndef CYTHON_REFNANNY
-  #define CYTHON_REFNANNY 0
-#endif
-#if CYTHON_REFNANNY
-  typedef struct {
-    void (*INCREF)(void*, PyObject*, Py_ssize_t);
-    void (*DECREF)(void*, PyObject*, Py_ssize_t);
-    void (*GOTREF)(void*, PyObject*, Py_ssize_t);
-    void (*GIVEREF)(void*, PyObject*, Py_ssize_t);
-    void* (*SetupContext)(const char*, Py_ssize_t, const char*);
-    void (*FinishContext)(void**);
-  } __Pyx_RefNannyAPIStruct;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNanny = NULL;
-  static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname);
-  #define __Pyx_RefNannyDeclarations void *__pyx_refnanny = NULL;
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)\
-          if (acquire_gil) {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-              PyGILState_Release(__pyx_gilstate_save);\
-          } else {\
-              __pyx_refnanny = __Pyx_RefNanny->SetupContext((name), (__LINE__), (__FILE__));\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContextNogil() {\
-              PyGILState_STATE __pyx_gilstate_save = PyGILState_Ensure();\
-              __Pyx_RefNannyFinishContext();\
-              PyGILState_Release(__pyx_gilstate_save);\
-          }
-  #define __Pyx_RefNannyFinishContext()\
-          __Pyx_RefNanny->FinishContext(&__pyx_refnanny)
-  #define __Pyx_INCREF(r)  __Pyx_RefNanny->INCREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_DECREF(r)  __Pyx_RefNanny->DECREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GOTREF(r)  __Pyx_RefNanny->GOTREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_GIVEREF(r) __Pyx_RefNanny->GIVEREF(__pyx_refnanny, (PyObject *)(r), (__LINE__))
-  #define __Pyx_XINCREF(r)  do { if((r) == NULL); else {__Pyx_INCREF(r); }} while(0)
-  #define __Pyx_XDECREF(r)  do { if((r) == NULL); else {__Pyx_DECREF(r); }} while(0)
-  #define __Pyx_XGOTREF(r)  do { if((r) == NULL); else {__Pyx_GOTREF(r); }} while(0)
-  #define __Pyx_XGIVEREF(r) do { if((r) == NULL); else {__Pyx_GIVEREF(r);}} while(0)
-#else
-  #define __Pyx_RefNannyDeclarations
-  #define __Pyx_RefNannySetupContext(name, acquire_gil)
-  #define __Pyx_RefNannyFinishContextNogil()
-  #define __Pyx_RefNannyFinishContext()
-  #define __Pyx_INCREF(r) Py_INCREF(r)
-  #define __Pyx_DECREF(r) Py_DECREF(r)
-  #define __Pyx_GOTREF(r)
-  #define __Pyx_GIVEREF(r)
-  #define __Pyx_XINCREF(r) Py_XINCREF(r)
-  #define __Pyx_XDECREF(r) Py_XDECREF(r)
-  #define __Pyx_XGOTREF(r)
-  #define __Pyx_XGIVEREF(r)
-#endif
-#define __Pyx_Py_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; Py_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_XDECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_XDECREF(tmp);\
-    } while (0)
-#define __Pyx_DECREF_SET(r, v) do {\
-        PyObject *tmp = (PyObject *) r;\
-        r = v; __Pyx_DECREF(tmp);\
-    } while (0)
-#define __Pyx_CLEAR(r)    do { PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);} while(0)
-#define __Pyx_XCLEAR(r)   do { if((r) != NULL) {PyObject* tmp = ((PyObject*)(r)); r = NULL; __Pyx_DECREF(tmp);}} while(0)
-
-/* TupleAndListFromArray.proto (used by fastcall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject* __Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n);
-#endif
-
-/* IncludeStringH.proto (used by BytesEquals) */
 #include <string.h>
 
-/* BytesEquals.proto (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals);
+enum { COMPLETED, CAP_EXCEEDED, TOO_LARGE };
 
-/* UnicodeEquals.proto (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals);
+#define DEFAULT_BUDGET 1200000000LL
+/* bytes of a table `words` wide, per words^2: 64 x 64 ints and the
+   row and column bits of 64 elements */
+#define BYTES_PER_WORD2 (64LL * 64 * 4 + 2 * 64 * 8)
+/* keeps every slot id, up to 64 * MAX_WORDS, an int */
+#define MAX_WORDS ((Py_ssize_t)1 << 24)
+#define BIT(x) ((uint64_t)1 << ((x) & 63))
+#define TRY(expr) do { if ((expr) < 0) return -1; } while (0)
 
-/* fastcall.proto */
-#if CYTHON_AVOID_BORROWED_REFS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_PySequence_ITEM(args, i)
-#elif CYTHON_ASSUME_SAFE_MACROS
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_NewRef(__Pyx_PyTuple_GET_ITEM(args, i))
-#else
-    #define __Pyx_ArgRef_VARARGS(args, i) __Pyx_XNewRef(PyTuple_GetItem(args, i))
-#endif
-#define __Pyx_NumKwargs_VARARGS(kwds) PyDict_Size(kwds)
-#define __Pyx_KwValues_VARARGS(args, nargs) NULL
-#define __Pyx_GetKwValue_VARARGS(kw, kwvalues, s) __Pyx_PyDict_GetItemStrWithError(kw, s)
-#define __Pyx_KwargsAsDict_VARARGS(kw, kwvalues) PyDict_Copy(kw)
-#if CYTHON_METH_FASTCALL
-    #define __Pyx_ArgRef_FASTCALL(args, i) __Pyx_NewRef(args[i])
-    #define __Pyx_NumKwargs_FASTCALL(kwds) __Pyx_PyTuple_GET_SIZE(kwds)
-    #define __Pyx_KwValues_FASTCALL(args, nargs) ((args) + (nargs))
-    static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues);
-  #else
-    #define __Pyx_KwargsAsDict_FASTCALL(kw, kwvalues) _PyStack_AsDict(kwvalues, kw)
-  #endif
-#else
-    #define __Pyx_ArgRef_FASTCALL __Pyx_ArgRef_VARARGS
-    #define __Pyx_NumKwargs_FASTCALL __Pyx_NumKwargs_VARARGS
-    #define __Pyx_KwValues_FASTCALL __Pyx_KwValues_VARARGS
-    #define __Pyx_GetKwValue_FASTCALL __Pyx_GetKwValue_VARARGS
-    #define __Pyx_KwargsAsDict_FASTCALL __Pyx_KwargsAsDict_VARARGS
-#endif
-#define __Pyx_ArgsSlice_VARARGS(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#if CYTHON_METH_FASTCALL || (CYTHON_COMPILING_IN_CPYTHON && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) __Pyx_PyTuple_FromArray(args + start, stop - start)
-#else
-#define __Pyx_ArgsSlice_FASTCALL(args, start, stop) PyTuple_GetSlice(args, start, stop)
-#endif
+/* Reallocate the block at lvalue p to `bytes`, or raise MemoryError
+   and return -1, leaving p as it was. */
+#define RESIZE(p, bytes) do { \
+        void *q_ = PyMem_Realloc(p, bytes); \
+        if (q_ == NULL) { \
+            PyErr_NoMemory(); \
+            return -1; \
+        } \
+        p = q_; \
+    } while (0)
 
-/* py_dict_items.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d);
-
-/* CallCFunction.proto (used by CallUnboundCMethod0) */
-#define __Pyx_CallCFunction(cfunc, self, args)\
-    ((PyCFunction)(void(*)(void))(cfunc)->func)(self, args)
-#define __Pyx_CallCFunctionWithKeywords(cfunc, self, args, kwargs)\
-    ((PyCFunctionWithKeywords)(void(*)(void))(cfunc)->func)(self, args, kwargs)
-#define __Pyx_CallCFunctionFast(cfunc, self, args, nargs)\
-    ((__Pyx_PyCFunctionFast)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs)
-#define __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, nargs, kwnames)\
-    ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))(PyCFunction)(cfunc)->func)(self, args, nargs, kwnames)
-
-/* PyObjectCall.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw);
-#else
-#define __Pyx_PyObject_Call(func, arg, kw) PyObject_Call(func, arg, kw)
-#endif
-
-/* PyObjectCallMethO.proto (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg);
-#endif
-
-/* PyObjectFastCall.proto (used by PyObjectCallOneArg) */
-#define __Pyx_PyObject_FastCall(func, args, nargs)  __Pyx_PyObject_FastCallDict(func, args, (size_t)(nargs), NULL)
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs);
-
-/* PyObjectCallOneArg.proto (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg);
-
-/* PyObjectGetAttrStr.proto (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name);
-#else
-#define __Pyx_PyObject_GetAttrStr(o,n) PyObject_GetAttr(o,n)
-#endif
-
-/* UnpackUnboundCMethod.proto (used by CallUnboundCMethod0) */
+/* a growable array of ints */
 typedef struct {
-    PyObject *type;
-    PyObject **method_name;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && CYTHON_ATOMICS
-    __pyx_atomic_int_type initialized;
-#endif
-    PyCFunction func;
-    PyObject *method;
-    int flag;
-} __Pyx_CachedCFunction;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-static CYTHON_INLINE int __Pyx_CachedCFunction_GetAndSetInitializing(__Pyx_CachedCFunction *cfunc) {
-#if !CYTHON_ATOMICS
-    return 1;
-#else
-    __pyx_nonatomic_int_type expected = 0;
-    if (__pyx_atomic_int_cmp_exchange(&cfunc->initialized, &expected, 1)) {
-        return 0;
-    }
-    return expected;
-#endif
-}
-static CYTHON_INLINE void __Pyx_CachedCFunction_SetFinishedInitializing(__Pyx_CachedCFunction *cfunc) {
-#if CYTHON_ATOMICS
-    __pyx_atomic_store(&cfunc->initialized, 2);
-#endif
-}
-#else
-#define __Pyx_CachedCFunction_GetAndSetInitializing(cfunc) 2
-#define __Pyx_CachedCFunction_SetFinishedInitializing(cfunc)
-#endif
-
-/* CallUnboundCMethod0.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self);
-#else
-#define __Pyx_CallUnboundCMethod0(cfunc, self)  __Pyx__CallUnboundCMethod0(cfunc, self)
-#endif
-
-/* py_dict_values.proto (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d);
-
-/* OwnedDictNext.proto (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue);
-#else
-CYTHON_INLINE
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue);
-#endif
-
-/* RaiseDoubleKeywords.proto (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(const char* func_name, PyObject* kw_name);
-
-/* ParseKeywordsImpl.export */
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name
-);
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* CallUnboundCMethod2.proto */
-CYTHON_UNUSED
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2);
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2);
-#else
-#define __Pyx_CallUnboundCMethod2(cfunc, self, arg1, arg2)  __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2)
-#endif
-
-/* ParseKeywords.proto */
-static CYTHON_INLINE int __Pyx_ParseKeywords(
-    PyObject *kwds, PyObject *const *kwvalues, PyObject ** const argnames[],
-    PyObject *kwds2, PyObject *values[],
-    Py_ssize_t num_pos_args, Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs
-);
-
-/* RaiseArgTupleInvalid.proto */
-static void __Pyx_RaiseArgtupleInvalid(const char* func_name, int exact,
-    Py_ssize_t num_min, Py_ssize_t num_max, Py_ssize_t num_found);
-
-/* GetItemInt.proto */
-#define __Pyx_GetItemInt(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Fast(o, (Py_ssize_t)i, is_list, wraparound, boundscheck, unsafe_shared) :\
-    (is_list ? (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL) :\
-               __Pyx_GetItemInt_Generic(o, to_py_func(i))))
-#define __Pyx_GetItemInt_List(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_List_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "list index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-#define __Pyx_GetItemInt_Tuple(o, i, type, is_signed, to_py_func, is_list, wraparound, boundscheck, has_gil, unsafe_shared)\
-    (__Pyx_fits_Py_ssize_t(i, type, is_signed) ?\
-    __Pyx_GetItemInt_Tuple_Fast(o, (Py_ssize_t)i, wraparound, boundscheck, unsafe_shared) :\
-    (PyErr_SetString(PyExc_IndexError, "tuple index out of range"), (PyObject*)NULL))
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared);
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j);
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i,
-                                                     int is_list, int wraparound, int boundscheck, int unsafe_shared);
-
-/* PyDictContains.proto */
-static CYTHON_INLINE int __Pyx_PyDict_ContainsTF(PyObject* item, PyObject* dict, int eq) {
-    int result = PyDict_Contains(dict, item);
-    return unlikely(result < 0) ? result : (result == (eq == Py_EQ));
-}
-
-/* PyLongBinop.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check);
-#else
-#define __Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check)\
-    (inplace ? PyNumber_InPlaceAdd(op1, op2) : PyNumber_Add(op1, op2))
-#endif
-
-/* DictGetItem.proto */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject *__Pyx_PyDict_GetItem(PyObject *d, PyObject* key);
-#define __Pyx_PyObject_Dict_GetItem(obj, name)\
-    (likely(PyDict_CheckExact(obj)) ?\
-     __Pyx_PyDict_GetItem(obj, name) : PyObject_GetItem(obj, name))
-#else
-#define __Pyx_PyDict_GetItem(d, key) PyObject_GetItem(d, key)
-#define __Pyx_PyObject_Dict_GetItem(obj, name)  PyObject_GetItem(obj, name)
-#endif
-
-/* PyThreadStateGet.proto (used by PyErrFetchRestore) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyThreadState_declare  PyThreadState *__pyx_tstate;
-#define __Pyx_PyThreadState_assign  __pyx_tstate = __Pyx_PyThreadState_Current;
-#if PY_VERSION_HEX >= 0x030C00A6
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->current_exception != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->current_exception ? (PyObject*) Py_TYPE(__pyx_tstate->current_exception) : (PyObject*) NULL)
-#else
-#define __Pyx_PyErr_Occurred()  (__pyx_tstate->curexc_type != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  (__pyx_tstate->curexc_type)
-#endif
-#else
-#define __Pyx_PyThreadState_declare
-#define __Pyx_PyThreadState_assign
-#define __Pyx_PyErr_Occurred()  (PyErr_Occurred() != NULL)
-#define __Pyx_PyErr_CurrentExceptionType()  PyErr_Occurred()
-#endif
-
-/* PyErrFetchRestore.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_Clear() __Pyx_ErrRestore(NULL, NULL, NULL)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  __Pyx_ErrRestoreInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)    __Pyx_ErrFetchInState(PyThreadState_GET(), type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  __Pyx_ErrRestoreInState(__pyx_tstate, type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)    __Pyx_ErrFetchInState(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A6
-#define __Pyx_PyErr_SetNone(exc) (Py_INCREF(exc), __Pyx_ErrRestore((exc), NULL, NULL))
-#else
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#endif
-#else
-#define __Pyx_PyErr_Clear() PyErr_Clear()
-#define __Pyx_PyErr_SetNone(exc) PyErr_SetNone(exc)
-#define __Pyx_ErrRestoreWithState(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchWithState(type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestoreInState(tstate, type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetchInState(tstate, type, value, tb)  PyErr_Fetch(type, value, tb)
-#define __Pyx_ErrRestore(type, value, tb)  PyErr_Restore(type, value, tb)
-#define __Pyx_ErrFetch(type, value, tb)  PyErr_Fetch(type, value, tb)
-#endif
-
-/* GetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_GetException(type, value, tb)  __Pyx__GetException(__pyx_tstate, type, value, tb)
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* SwapException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSwap(type, value, tb)  __Pyx__ExceptionSwap(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb);
-#endif
-
-/* GetTopmostException.proto (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem * __Pyx_PyErr_GetTopmostException(PyThreadState *tstate);
-#endif
-
-/* SaveResetException.proto */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_ExceptionSave(type, value, tb)  __Pyx__ExceptionSave(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb);
-#define __Pyx_ExceptionReset(type, value, tb)  __Pyx__ExceptionReset(__pyx_tstate, type, value, tb)
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb);
-#else
-#define __Pyx_ExceptionSave(type, value, tb)   PyErr_GetExcInfo(type, value, tb)
-#define __Pyx_ExceptionReset(type, value, tb)  PyErr_SetExcInfo(type, value, tb)
-#endif
-
-/* PyObjectCallNoArg.proto (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func);
-
-/* PyObjectGetMethod.proto (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method);
-#endif
-
-/* PyObjectCallMethod0.proto (used by pop) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name);
-
-/* pop.proto */
-static CYTHON_INLINE PyObject* __Pyx__PyObject_Pop(PyObject* L);
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-static CYTHON_INLINE PyObject* __Pyx_PyList_Pop(PyObject* L);
-#define __Pyx_PyObject_Pop(L) (likely(PyList_CheckExact(L)) ?\
-    __Pyx_PyList_Pop(L) : __Pyx__PyObject_Pop(L))
-#else
-#define __Pyx_PyList_Pop(L)  __Pyx__PyObject_Pop(L)
-#define __Pyx_PyObject_Pop(L)  __Pyx__PyObject_Pop(L)
-#endif
-
-/* RaiseTooManyValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected);
-
-/* RaiseNeedMoreValuesToUnpack.proto */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index);
-
-/* IterFinish.proto */
-static CYTHON_INLINE int __Pyx_IterFinish(void);
-
-/* UnpackItemEndCheck.proto */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected);
-
-/* ListAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_PyList_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len) & likely(len > (L->allocated >> 1))) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_PyList_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* ErrOccurredWithGIL.proto */
-static CYTHON_INLINE int __Pyx_ErrOccurredWithGIL(void);
-
-/* RaiseUnboundLocalError.proto */
-static void __Pyx_RaiseUnboundLocalError(const char *varname);
-
-/* pep479.proto */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen);
-
-/* PyErrExceptionMatches.proto (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyErr_ExceptionMatches(err) __Pyx_PyErr_ExceptionMatchesInState(__pyx_tstate, err)
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err);
-#else
-#define __Pyx_PyErr_ExceptionMatches(err)  PyErr_ExceptionMatches(err)
-#endif
-
-/* PyObjectGetAttrStrNoError.proto (used by GetBuiltinName) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name);
-
-/* GetBuiltinName.proto (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name);
-
-/* PyDictVersioning.proto (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-#define __PYX_DICT_VERSION_INIT  ((PY_UINT64_T) -1)
-#define __PYX_GET_DICT_VERSION(dict)  (((PyDictObject*)(dict))->ma_version_tag)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)\
-    (version_var) = __PYX_GET_DICT_VERSION(dict);\
-    (cache_var) = (value);
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP) {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    if (likely(__PYX_GET_DICT_VERSION(DICT) == __pyx_dict_version)) {\
-        (VAR) = __Pyx_XNewRef(__pyx_dict_cached_value);\
-    } else {\
-        (VAR) = __pyx_dict_cached_value = (LOOKUP);\
-        __pyx_dict_version = __PYX_GET_DICT_VERSION(DICT);\
-    }\
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj);
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj);
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version);
-#else
-#define __PYX_GET_DICT_VERSION(dict)  (0)
-#define __PYX_UPDATE_DICT_CACHE(dict, value, cache_var, version_var)
-#define __PYX_PY_DICT_LOOKUP_IF_MODIFIED(VAR, DICT, LOOKUP)  (VAR) = (LOOKUP);
-#endif
-
-/* GetModuleGlobalName.proto */
-#if CYTHON_USE_DICT_VERSIONS
-#define __Pyx_GetModuleGlobalName(var, name)  do {\
-    static PY_UINT64_T __pyx_dict_version = 0;\
-    static PyObject *__pyx_dict_cached_value = NULL;\
-    (var) = (likely(__pyx_dict_version == __PYX_GET_DICT_VERSION(__pyx_mstate_global->__pyx_d))) ?\
-        (likely(__pyx_dict_cached_value) ? __Pyx_NewRef(__pyx_dict_cached_value) : __Pyx_GetBuiltinName(name)) :\
-        __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  do {\
-    PY_UINT64_T __pyx_dict_version;\
-    PyObject *__pyx_dict_cached_value;\
-    (var) = __Pyx__GetModuleGlobalName(name, &__pyx_dict_version, &__pyx_dict_cached_value);\
-} while(0)
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value);
-#else
-#define __Pyx_GetModuleGlobalName(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-#define __Pyx_GetModuleGlobalNameUncached(var, name)  (var) = __Pyx__GetModuleGlobalName(name)
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name);
-#endif
-
-/* ListCompAppend.proto */
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS
-static CYTHON_INLINE int __Pyx_ListComp_Append(PyObject* list, PyObject* x) {
-    PyListObject* L = (PyListObject*) list;
-    Py_ssize_t len = Py_SIZE(list);
-    if (likely(L->allocated > len)) {
-        Py_INCREF(x);
-        #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000
-        L->ob_item[len] = x;
-        #else
-        PyList_SET_ITEM(list, len, x);
-        #endif
-        __Pyx_SET_SIZE(list, len + 1);
-        return 0;
-    }
-    return PyList_Append(list, x);
-}
-#else
-#define __Pyx_ListComp_Append(L,x) PyList_Append(L,x)
-#endif
-
-/* ObjectGetItem.proto */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key);
-#else
-#define __Pyx_PyObject_GetItem(obj, key)  PyObject_GetItem(obj, key)
-#endif
-
-/* PyLongCompare.proto */
-static CYTHON_INLINE int __Pyx_PyLong_BoolEqObjC(PyObject *op1, PyObject *op2, long intval, long inplace);
-
-/* CheckTypeForFreelists.proto */
-#if CYTHON_USE_FREELISTS
-#if CYTHON_USE_TYPE_SPECS
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t) == (expected_tp)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  Py_TPFLAGS_IS_ABSTRACT
-#else
-#define __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, expected_tp, expected_size) ((int) ((t)->tp_basicsize == (expected_size)))
-#define __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS  (Py_TPFLAGS_IS_ABSTRACT | Py_TPFLAGS_HEAPTYPE)
-#endif
-#define __PYX_CHECK_TYPE_FOR_FREELISTS(t, expected_tp, expected_size)\
-    (__PYX_CHECK_FINAL_TYPE_FOR_FREELISTS((t), (expected_tp), (expected_size)) &\
-     (int) (!__Pyx_PyType_HasFeature((t), __PYX_CHECK_TYPE_FOR_FREELIST_FLAGS)))
-#endif
-
-/* AllocateExtensionType.proto */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final);
-
-/* CallTypeTraverse.proto */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#define __Pyx_call_type_traverse(o, always_call, visit, arg) 0
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg);
-#endif
-
-/* LimitedApiGetTypeDict.proto (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp);
-#endif
-
-/* SetItemOnTypeDict.proto (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v);
-#define __Pyx_SetItemOnTypeDict(tp, k, v) __Pyx__SetItemOnTypeDict((PyTypeObject*)tp, k, v)
-
-/* FixUpExtensionType.proto */
-static CYTHON_INLINE int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type);
-
-/* ValidateBasesTuple.proto (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases);
-#endif
-
-/* PyType_Ready.proto */
-CYTHON_UNUSED static int __Pyx_PyType_Ready(PyTypeObject *t);
-
-/* HasAttr.proto (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_HasAttr(o, n)  PyObject_HasAttrWithError(o, n)
-#else
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *, PyObject *);
-#endif
-
-/* ImportImpl.export */
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level);
-
-/* Import.proto */
-static CYTHON_INLINE PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level);
-
-/* dict_setdefault.proto (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value);
-
-/* AddModuleRef.proto (used by FetchSharedCythonModule) */
-#if ((CYTHON_COMPILING_IN_CPYTHON_FREETHREADING ) ||\
-     __PYX_LIMITED_VERSION_HEX < 0x030d0000)
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name);
-#else
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#endif
-
-/* FetchSharedCythonModule.proto (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void);
-
-/* FetchCommonType.proto (used by CommonTypesMetaclass) */
-static PyTypeObject* __Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases);
-
-/* CommonTypesMetaclass.proto (used by CythonFunctionShared) */
-static int __pyx_CommonTypesMetaclass_init(PyObject *module);
-#define __Pyx_CommonTypesMetaclass_USED
-
-/* PyMethodNew.proto (used by CythonFunctionShared) */
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ);
-
-/* PyVectorcallFastCallDict.proto (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw);
-#endif
-
-/* CythonFunctionShared.proto (used by CythonFunction) */
-#define __Pyx_CyFunction_USED
-#define __Pyx_CYFUNCTION_STATICMETHOD  0x01
-#define __Pyx_CYFUNCTION_CLASSMETHOD   0x02
-#define __Pyx_CYFUNCTION_CCLASS        0x04
-#define __Pyx_CYFUNCTION_COROUTINE     0x08
-#define __Pyx_CyFunction_GetClosure(f)\
-    (((__pyx_CyFunctionObject *) (f))->func_closure)
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      (((__pyx_CyFunctionObject *) (f))->func_classobj)
-#else
-  #define __Pyx_CyFunction_GetClassObj(f)\
-      ((PyObject*) ((PyCMethodObject *) (f))->mm_class)
-#endif
-#define __Pyx_CyFunction_SetClassObj(f, classobj)\
-    __Pyx__CyFunction_SetClassObj((__pyx_CyFunctionObject *) (f), (classobj))
-#define __Pyx_CyFunction_Defaults(type, f)\
-    ((type *)(((__pyx_CyFunctionObject *) (f))->defaults))
-#define __Pyx_CyFunction_SetDefaultsGetter(f, g)\
-    ((__pyx_CyFunctionObject *) (f))->defaults_getter = (g)
-typedef struct {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject_HEAD
-    PyObject *func;
-#elif PY_VERSION_HEX < 0x030900B1
-    PyCFunctionObject func;
-#else
-    PyCMethodObject func;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API && CYTHON_METH_FASTCALL
-    __pyx_vectorcallfunc func_vectorcall;
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_weakreflist;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_dict;
-#endif
-    PyObject *func_name;
-    PyObject *func_qualname;
-    PyObject *func_doc;
-    PyObject *func_globals;
-    PyObject *func_code;
-    PyObject *func_closure;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *func_classobj;
-#endif
-    PyObject *defaults;
-    int flags;
-    PyObject *defaults_tuple;
-    PyObject *defaults_kwdict;
-    PyObject *(*defaults_getter)(PyObject *);
-    PyObject *func_annotations;
-    PyObject *func_is_coroutine;
-} __pyx_CyFunctionObject;
-#undef __Pyx_CyOrPyCFunction_Check
-#define __Pyx_CyFunction_Check(obj)  __Pyx_TypeCheck(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-#define __Pyx_CyOrPyCFunction_Check(obj)  __Pyx_TypeCheck2(obj, __pyx_mstate_global->__pyx_CyFunctionType, &PyCFunction_Type)
-#define __Pyx_CyFunction_CheckExact(obj)  __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_CyFunctionType)
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void));
-#undef __Pyx_IsSameCFunction
-#define __Pyx_IsSameCFunction(func, cfunc)   __Pyx__IsSameCyOrCFunction(func, cfunc)
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject* op, PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj);
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func,
-                                                         PyTypeObject *defaults_type);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *m,
-                                                            PyObject *tuple);
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *m,
-                                                             PyObject *dict);
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *m,
-                                                              PyObject *dict);
-static int __pyx_CyFunction_init(PyObject *module);
-#if CYTHON_METH_FASTCALL
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames);
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_func_vectorcall(f) (((__pyx_CyFunctionObject*)f)->func_vectorcall)
-#else
-#define __Pyx_CyFunction_func_vectorcall(f) (((PyCFunctionObject*)f)->vectorcall)
-#endif
-#endif
-
-/* CythonFunction.proto */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml,
-                                      int flags, PyObject* qualname,
-                                      PyObject *closure,
-                                      PyObject *module, PyObject *globals,
-                                      PyObject* code);
-
-/* CLineInTraceback.proto (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line);
-#else
-#define __Pyx_CLineForTraceback(tstate, c_line)  (((CYTHON_CLINE_IN_TRACEBACK)) ? c_line : 0)
-#endif
-
-/* CodeObjectCache.proto (used by AddTraceback) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject __Pyx_CachedCodeObjectType;
-#else
-typedef PyCodeObject __Pyx_CachedCodeObjectType;
-#endif
-typedef struct {
-    __Pyx_CachedCodeObjectType* code_object;
-    int code_line;
-} __Pyx_CodeObjectCacheEntry;
-struct __Pyx_CodeObjectCache {
-    int count;
-    int max_count;
-    __Pyx_CodeObjectCacheEntry* entries;
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_int_type accessor_count;
-  #endif
-};
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line);
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line);
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object);
-
-/* AddTraceback.proto */
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename);
-
-/* GCCDiagnostics.proto */
-#if !defined(__INTEL_COMPILER) && defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 6))
-#define __Pyx_HAS_GCC_DIAGNOSTIC
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *);
-
-/* PyObjectVectorCallKwBuilder.proto (used by CIntToPy) */
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#if CYTHON_VECTORCALL
-#if PY_VERSION_HEX >= 0x03090000
-#define __Pyx_Object_Vectorcall_CallFromBuilder PyObject_Vectorcall
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder _PyObject_Vectorcall
-#endif
-#define __Pyx_MakeVectorcallBuilderKwds(n) PyTuple_New(n)
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n);
-#else
-#define __Pyx_Object_Vectorcall_CallFromBuilder __Pyx_PyObject_FastCallDict
-#define __Pyx_MakeVectorcallBuilderKwds(n) __Pyx_PyDict_NewPresized(n)
-#define __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n) PyDict_SetItem(builder, key, value)
-#define __Pyx_VectorcallBuilder_AddArgStr(key, value, builder, args, n) PyDict_SetItemString(builder, key, value)
-#endif
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value);
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *);
-
-/* CIntToPy.proto */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value);
-
-/* FormatTypeName.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-typedef PyObject *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%U"
-#define __Pyx_DECREF_TypeName(obj) Py_XDECREF(obj)
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-#define __Pyx_PyType_GetFullyQualifiedName PyType_GetFullyQualifiedName
-#else
-static __Pyx_TypeName __Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp);
-#endif
-#else  // !LIMITED_API
-typedef const char *__Pyx_TypeName;
-#define __Pyx_FMT_TYPENAME "%.200s"
-#define __Pyx_PyType_GetFullyQualifiedName(tp) ((tp)->tp_name)
-#define __Pyx_DECREF_TypeName(obj)
-#endif
-
-/* CIntFromPy.proto */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *);
-
-/* FastTypeChecks.proto */
-#if CYTHON_COMPILING_IN_CPYTHON
-#define __Pyx_TypeCheck(obj, type) __Pyx_IsSubtype(Py_TYPE(obj), (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) __Pyx_IsAnySubtype2(Py_TYPE(obj), (PyTypeObject *)type1, (PyTypeObject *)type2)
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject *type);
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2);
-#else
-#define __Pyx_TypeCheck(obj, type) PyObject_TypeCheck(obj, (PyTypeObject *)type)
-#define __Pyx_TypeCheck2(obj, type1, type2) (PyObject_TypeCheck(obj, (PyTypeObject *)type1) || PyObject_TypeCheck(obj, (PyTypeObject *)type2))
-#define __Pyx_PyErr_GivenExceptionMatches(err, type) PyErr_GivenExceptionMatches(err, type)
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *type1, PyObject *type2) {
-    return PyErr_GivenExceptionMatches(err, type1) || PyErr_GivenExceptionMatches(err, type2);
-}
-#endif
-#define __Pyx_PyErr_ExceptionMatches2(err1, err2)  __Pyx_PyErr_GivenExceptionMatches2(__Pyx_PyErr_CurrentExceptionType(), err1, err2)
-#define __Pyx_PyException_Check(obj) __Pyx_TypeCheck(obj, PyExc_Exception)
-#ifdef PyExceptionInstance_Check
-  #define __Pyx_PyBaseException_Check(obj) PyExceptionInstance_Check(obj)
-#else
-  #define __Pyx_PyBaseException_Check(obj) __Pyx_TypeCheck(obj, PyExc_BaseException)
-#endif
-
-/* GetRuntimeVersion.proto */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-static unsigned long __Pyx_cached_runtime_version = 0;
-static void __Pyx_init_runtime_version(void);
-#else
-#define __Pyx_init_runtime_version()
-#endif
-static unsigned long __Pyx_get_runtime_version(void);
-
-/* RaiseException.export */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause);
-
-/* IterNextPlain.proto (used by CoroutineBase) */
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator);
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void);
-#endif
-
-/* PyObjectCall2Args.proto (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2);
-
-/* PyObjectCallMethod1.proto (used by CoroutineBase) */
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg);
-
-/* ReturnWithStopIteration.proto (used by CoroutineBase) */
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext);
-
-/* CoroutineBase.proto (used by Generator) */
-struct __pyx_CoroutineObject;
-typedef PyObject *(*__pyx_coroutine_body_t)(struct __pyx_CoroutineObject *, PyThreadState *, PyObject *);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_ExcInfoStruct  _PyErr_StackItem
-#else
-typedef struct {
-    PyObject *exc_type;
-    PyObject *exc_value;
-    PyObject *exc_traceback;
-} __Pyx_ExcInfoStruct;
-#endif
-typedef struct __pyx_CoroutineObject {
-    PyObject_HEAD
-    __pyx_coroutine_body_t body;
-    PyObject *closure;
-    __Pyx_ExcInfoStruct gi_exc_state;
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *gi_weakreflist;
-#endif
-    PyObject *classobj;
-    PyObject *yieldfrom;
-    __Pyx_pyiter_sendfunc yieldfrom_am_send;
-    PyObject *gi_name;
-    PyObject *gi_qualname;
-    PyObject *gi_modulename;
-    PyObject *gi_code;
-    PyObject *gi_frame;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    PyMonitoringState __pyx_pymonitoring_state[__Pyx_MonitoringEventTypes_CyGen_count];
-    uint64_t __pyx_pymonitoring_version;
-#endif
-    int resume_label;
-    char is_running;
-} __pyx_CoroutineObject;
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-    PyTypeObject *type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-    PyObject *name, PyObject *qualname, PyObject *module_name);
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name);
-static CYTHON_INLINE void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *self);
-static int __Pyx_Coroutine_clear(PyObject *self);
-static __Pyx_PySendResult __Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value);
-static __Pyx_PySendResult __Pyx_Coroutine_Close(PyObject *self, PyObject **retval);
-static PyObject *__Pyx_Coroutine_Throw(PyObject *gen, PyObject *args);
-#if CYTHON_USE_EXC_INFO_STACK
-#define __Pyx_Coroutine_SwapException(self)
-#define __Pyx_Coroutine_ResetAndClearException(self)  __Pyx_Coroutine_ExceptionClear(&(self)->gi_exc_state)
-#else
-#define __Pyx_Coroutine_SwapException(self) {\
-    __Pyx_ExceptionSwap(&(self)->gi_exc_state.exc_type, &(self)->gi_exc_state.exc_value, &(self)->gi_exc_state.exc_traceback);\
-    __Pyx_Coroutine_ResetFrameBackpointer(&(self)->gi_exc_state);\
-    }
-#define __Pyx_Coroutine_ResetAndClearException(self) {\
-    __Pyx_ExceptionReset((self)->gi_exc_state.exc_type, (self)->gi_exc_state.exc_value, (self)->gi_exc_state.exc_traceback);\
-    (self)->gi_exc_state.exc_type = (self)->gi_exc_state.exc_value = (self)->gi_exc_state.exc_traceback = NULL;\
-    }
-#endif
-#if CYTHON_FAST_THREAD_STATE
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__pyx_tstate, pvalue)
-#else
-#define __Pyx_PyGen_FetchStopIterationValue(pvalue)\
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, pvalue)
-#endif
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *tstate, PyObject **pvalue);
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state);
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen);
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen);
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen);
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure);
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send);
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg);
-
-/* Generator.proto */
-#define __Pyx_Generator_USED
-#define __Pyx_Generator_CheckExact(obj) __Pyx_IS_TYPE(obj, __pyx_mstate_global->__pyx_GeneratorType)
-#define __Pyx_Generator_New(body, code, closure, name, qualname, module_name)\
-    __Pyx__Coroutine_New(__pyx_mstate_global->__pyx_GeneratorType, body, code, closure, name, qualname, module_name)
-static PyObject *__Pyx_Generator_Next(PyObject *self);
-static int __pyx_Generator_init(PyObject *module);
-static CYTHON_INLINE PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self);
-
-/* CheckBinaryVersion.proto */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer);
-
-/* DecompressString.proto */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo);
-
-/* MultiPhaseInitModuleState.proto */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-static PyObject *__Pyx_State_FindModule(void*);
-static int __Pyx_State_AddModule(PyObject* module, void*);
-static int __Pyx_State_RemoveModule(void*);
-#elif CYTHON_USE_MODULE_STATE
-#define __Pyx_State_FindModule PyState_FindModule
-#define __Pyx_State_AddModule PyState_AddModule
-#define __Pyx_State_RemoveModule PyState_RemoveModule
-#endif
-
-/* #### Code section: module_declarations ### */
-/* CythonABIVersion.proto */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    #if CYTHON_METH_FASTCALL
-        #define __PYX_FASTCALL_ABI_SUFFIX  "_fastcall"
-    #else
-        #define __PYX_FASTCALL_ABI_SUFFIX
-    #endif
-    #define __PYX_LIMITED_ABI_SUFFIX "limited" __PYX_FASTCALL_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#else
-    #define __PYX_LIMITED_ABI_SUFFIX
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    #define __PYX_AM_SEND_ABI_SUFFIX
-#elif __PYX_HAS_PY_AM_SEND == 2
-    #define __PYX_AM_SEND_ABI_SUFFIX "amsendbackport"
-#else
-    #define __PYX_AM_SEND_ABI_SUFFIX "noamsend"
-#endif
-#ifndef __PYX_MONITORING_ABI_SUFFIX
-    #define __PYX_MONITORING_ABI_SUFFIX
-#endif
-#if CYTHON_USE_TP_FINALIZE
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX
-#else
-    #define __PYX_TP_FINALIZE_ABI_SUFFIX "nofinalize"
-#endif
-#if CYTHON_USE_FREELISTS || !defined(__Pyx_AsyncGen_USED)
-    #define __PYX_FREELISTS_ABI_SUFFIX
-#else
-    #define __PYX_FREELISTS_ABI_SUFFIX "nofreelists"
-#endif
-#define CYTHON_ABI  __PYX_ABI_VERSION __PYX_LIMITED_ABI_SUFFIX __PYX_MONITORING_ABI_SUFFIX __PYX_TP_FINALIZE_ABI_SUFFIX __PYX_FREELISTS_ABI_SUFFIX __PYX_AM_SEND_ABI_SUFFIX
-#define __PYX_ABI_MODULE_NAME "_cython_" CYTHON_ABI
-#define __PYX_TYPE_MODULE_PREFIX __PYX_ABI_MODULE_NAME "."
-
-
-/* Module declarations from "libc.string" */
-
-/* Module declarations from "libc.stdlib" */
-
-/* Module declarations from "tanglekit._enumcore" */
-static CYTHON_INLINE int __pyx_f_9tanglekit_9_enumcore_find(struct __pyx_t_9tanglekit_9_enumcore_State *, int); /*proto*/
-static int __pyx_f_9tanglekit_9_enumcore_grow(struct __pyx_t_9tanglekit_9_enumcore_State *, int); /*proto*/
-static CYTHON_INLINE void __pyx_f_9tanglekit_9_enumcore_push_event(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int); /*proto*/
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9tanglekit_9_enumcore_ti(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int); /*proto*/
-static int __pyx_f_9tanglekit_9_enumcore_new_element(struct __pyx_t_9tanglekit_9_enumcore_State *); /*proto*/
-static void __pyx_f_9tanglekit_9_enumcore_merge(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int); /*proto*/
-static void __pyx_f_9tanglekit_9_enumcore_set_entry(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int, int); /*proto*/
-static CYTHON_INLINE int __pyx_f_9tanglekit_9_enumcore_lookup(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int); /*proto*/
-static void __pyx_f_9tanglekit_9_enumcore_confront(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int, int, int, int, int); /*proto*/
-static void __pyx_f_9tanglekit_9_enumcore_process_events(struct __pyx_t_9tanglekit_9_enumcore_State *); /*proto*/
-static int __pyx_f_9tanglekit_9_enumcore_fill_product(struct __pyx_t_9tanglekit_9_enumcore_State *, int, int); /*proto*/
-/* #### Code section: typeinfo ### */
-/* #### Code section: before_global_var ### */
-#define __Pyx_MODULE_NAME "tanglekit._enumcore"
-extern int __pyx_module_is_main_tanglekit___enumcore;
-int __pyx_module_is_main_tanglekit___enumcore = 0;
-
-/* Implementation of "tanglekit._enumcore" */
-/* #### Code section: global_var ### */
-/* #### Code section: string_decls ### */
-static const char __pyx_k_Compiled_kernel_for_finitely_pre[] = "Compiled kernel for finitely presented Kei enumeration.\n\nLine-for-line translation of `_enumpy` onto flat C arrays: the partial\noperation table is dense (pitch = allocated slot capacity, -1 marks an\nundefined product), the union-find keeps the smaller element id, and\nslot compaction between rounds renumbers live elements in discovery\norder, which leaves the deduction sequence identical to the pure\nkernel's.\n\nA table that would outgrow TANGLEKIT_MAX_TABLE_BYTES (default 1.2e9)\nis reported as a cap-exceeded outcome instead of being allocated.\n";
-/* #### Code section: decls ### */
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_bracket_statesum(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_crossings, int __pyx_v_arc_count); /* proto */
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_15run_enumeration_7genexpr_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_15run_enumeration_7genexpr_3genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_15run_enumeration_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0); /* proto */
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_2run_enumeration(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_relations, PyObject *__pyx_v_rn_pattern, int __pyx_v_rn_on_all_pairs, PyObject *__pyx_v_cap); /* proto */
-static PyObject *__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct__genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-static PyObject *__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr(PyTypeObject *t, PyObject *a, PyObject *k); /*proto*/
-/* #### Code section: late_includes ### */
-/* #### Code section: module_state ### */
-/* SmallCodeConfig */
-#ifndef CYTHON_SMALL_CODE
-#if defined(__clang__)
-    #define CYTHON_SMALL_CODE
-#elif defined(__GNUC__) && (__GNUC__ > 4 || (__GNUC__ == 4 && __GNUC_MINOR__ >= 3))
-    #define CYTHON_SMALL_CODE __attribute__((cold))
-#else
-    #define CYTHON_SMALL_CODE
-#endif
-#endif
-
-typedef struct {
-  PyObject *__pyx_d;
-  PyObject *__pyx_b;
-  PyObject *__pyx_cython_runtime;
-  PyObject *__pyx_empty_tuple;
-  PyObject *__pyx_empty_bytes;
-  PyObject *__pyx_empty_unicode;
-  PyObject *__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr;
-  PyObject *__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr;
-  PyObject *__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr;
-  PyTypeObject *__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr;
-  PyTypeObject *__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr;
-  PyTypeObject *__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_items;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_pop;
-  __Pyx_CachedCFunction __pyx_umethod_PyDict_Type_values;
-  __Pyx_CachedCFunction __pyx_umethod_PyList_Type_pop;
-  PyObject *__pyx_tuple[1];
-  PyObject *__pyx_codeobj_tab[5];
-  PyObject *__pyx_string_tab[105];
-  PyObject *__pyx_number_tab[2];
-/* #### Code section: module_state_contents ### */
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct__genexpr[8];
-int __pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct__genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr[8];
-int __pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr;
-#endif
-
-#if CYTHON_USE_FREELISTS
-struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr[8];
-int __pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr;
-#endif
-/* CommonTypesMetaclass.module_state_decls */
-PyTypeObject *__pyx_CommonTypesMetaclassType;
-
-/* CachedMethodType.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API
-PyObject *__Pyx_CachedMethodType;
-#endif
-
-/* CythonFunctionShared.module_state_decls */
-PyTypeObject *__pyx_CyFunctionType;
-
-/* CodeObjectCache.module_state_decls */
-struct __Pyx_CodeObjectCache __pyx_code_cache;
-
-/* IterNextPlain.module_state_decls */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-PyObject *__Pyx_GetBuiltinNext_LimitedAPI_cache;
-#endif
-
-/* Generator.module_state_decls */
-PyTypeObject *__pyx_GeneratorType;
-
-/* #### Code section: module_state_end ### */
-} __pyx_mstatetype;
-
-#if CYTHON_USE_MODULE_STATE
-#ifdef __cplusplus
-namespace {
-extern struct PyModuleDef __pyx_moduledef;
-} /* anonymous namespace */
-#else
-static struct PyModuleDef __pyx_moduledef;
-#endif
-
-#define __pyx_mstate_global (__Pyx_PyModule_GetState(__Pyx_State_FindModule(&__pyx_moduledef)))
-
-#define __pyx_m (__Pyx_State_FindModule(&__pyx_moduledef))
-#else
-static __pyx_mstatetype __pyx_mstate_global_static =
-#ifdef __cplusplus
-    {};
-#else
-    {0};
-#endif
-static __pyx_mstatetype * const __pyx_mstate_global = &__pyx_mstate_global_static;
-#endif
-/* #### Code section: constant_name_defines ### */
-#define __pyx_kp_u_ __pyx_string_tab[0]
-#define __pyx_kp_u_1200000000 __pyx_string_tab[1]
-#define __pyx_kp_u_disable __pyx_string_tab[2]
-#define __pyx_kp_u_enable __pyx_string_tab[3]
-#define __pyx_kp_u_gc __pyx_string_tab[4]
-#define __pyx_kp_u_isenabled __pyx_string_tab[5]
-#define __pyx_kp_u_src_tanglekit__enumcore_pyx __pyx_string_tab[6]
-#define __pyx_n_u_CAP_EXCEEDED __pyx_string_tab[7]
-#define __pyx_n_u_COMPLETED __pyx_string_tab[8]
-#define __pyx_n_u_Pyx_PyDict_NextRef __pyx_string_tab[9]
-#define __pyx_n_u_TANGLEKIT_MAX_TABLE_BYTES __pyx_string_tab[10]
-#define __pyx_n_u_a_2 __pyx_string_tab[11]
-#define __pyx_n_u_a_count __pyx_string_tab[12]
-#define __pyx_n_u_annotate __pyx_string_tab[13]
-#define __pyx_n_u_arc_count __pyx_string_tab[14]
-#define __pyx_n_u_asyncio_coroutines __pyx_string_tab[15]
-#define __pyx_n_u_b __pyx_string_tab[16]
-#define __pyx_n_u_before_entries __pyx_string_tab[17]
-#define __pyx_n_u_before_merges __pyx_string_tab[18]
-#define __pyx_n_u_before_slots __pyx_string_tab[19]
-#define __pyx_n_u_bracket_statesum __pyx_string_tab[20]
-#define __pyx_n_u_c __pyx_string_tab[21]
-#define __pyx_n_u_cap __pyx_string_tab[22]
-#define __pyx_n_u_cap_i __pyx_string_tab[23]
-#define __pyx_n_u_cc __pyx_string_tab[24]
-#define __pyx_n_u_circles __pyx_string_tab[25]
-#define __pyx_n_u_class_getitem __pyx_string_tab[26]
-#define __pyx_n_u_cline_in_traceback __pyx_string_tab[27]
-#define __pyx_n_u_close __pyx_string_tab[28]
-#define __pyx_n_u_crossings __pyx_string_tab[29]
-#define __pyx_n_u_d __pyx_string_tab[30]
-#define __pyx_n_u_dd __pyx_string_tab[31]
-#define __pyx_n_u_e __pyx_string_tab[32]
-#define __pyx_n_u_environ __pyx_string_tab[33]
-#define __pyx_n_u_f __pyx_string_tab[34]
-#define __pyx_n_u_flat __pyx_string_tab[35]
-#define __pyx_n_u_func __pyx_string_tab[36]
-#define __pyx_n_u_g __pyx_string_tab[37]
-#define __pyx_n_u_gen_slots __pyx_string_tab[38]
-#define __pyx_n_u_genexpr __pyx_string_tab[39]
-#define __pyx_n_u_gens_now __pyx_string_tab[40]
-#define __pyx_n_u_get __pyx_string_tab[41]
-#define __pyx_n_u_i __pyx_string_tab[42]
-#define __pyx_n_u_images __pyx_string_tab[43]
-#define __pyx_n_u_is_coroutine __pyx_string_tab[44]
-#define __pyx_n_u_items __pyx_string_tab[45]
-#define __pyx_n_u_j __pyx_string_tab[46]
-#define __pyx_n_u_key __pyx_string_tab[47]
-#define __pyx_n_u_lhs __pyx_string_tab[48]
-#define __pyx_n_u_m __pyx_string_tab[49]
-#define __pyx_n_u_main __pyx_string_tab[50]
-#define __pyx_n_u_module __pyx_string_tab[51]
-#define __pyx_n_u_name __pyx_string_tab[52]
-#define __pyx_n_u_next __pyx_string_tab[53]
-#define __pyx_n_u_nz __pyx_string_tab[54]
-#define __pyx_n_u_os __pyx_string_tab[55]
-#define __pyx_n_u_out __pyx_string_tab[56]
-#define __pyx_n_u_p __pyx_string_tab[57]
-#define __pyx_n_u_parent __pyx_string_tab[58]
-#define __pyx_n_u_pattern __pyx_string_tab[59]
-#define __pyx_n_u_pop __pyx_string_tab[60]
-#define __pyx_n_u_progress __pyx_string_tab[61]
-#define __pyx_n_u_q_2 __pyx_string_tab[62]
-#define __pyx_n_u_quad __pyx_string_tab[63]
-#define __pyx_n_u_qualname __pyx_string_tab[64]
-#define __pyx_n_u_r __pyx_string_tab[65]
-#define __pyx_n_u_rel_list __pyx_string_tab[66]
-#define __pyx_n_u_relabel __pyx_string_tab[67]
-#define __pyx_n_u_relations __pyx_string_tab[68]
-#define __pyx_n_u_rhs __pyx_string_tab[69]
-#define __pyx_n_u_rn_active __pyx_string_tab[70]
-#define __pyx_n_u_rn_on_all_pairs __pyx_string_tab[71]
-#define __pyx_n_u_rn_pattern __pyx_string_tab[72]
-#define __pyx_n_u_row __pyx_string_tab[73]
-#define __pyx_n_u_rows __pyx_string_tab[74]
-#define __pyx_n_u_ru __pyx_string_tab[75]
-#define __pyx_n_u_run_enumeration __pyx_string_tab[76]
-#define __pyx_n_u_run_enumeration_locals_genexpr __pyx_string_tab[77]
-#define __pyx_n_u_rw __pyx_string_tab[78]
-#define __pyx_n_u_rx __pyx_string_tab[79]
-#define __pyx_n_u_ry __pyx_string_tab[80]
-#define __pyx_n_u_s __pyx_string_tab[81]
-#define __pyx_n_u_send __pyx_string_tab[82]
-#define __pyx_n_u_set_name __pyx_string_tab[83]
-#define __pyx_n_u_setdefault __pyx_string_tab[84]
-#define __pyx_n_u_state __pyx_string_tab[85]
-#define __pyx_n_u_status __pyx_string_tab[86]
-#define __pyx_n_u_sweep_changed __pyx_string_tab[87]
-#define __pyx_n_u_tanglekit__enumcore __pyx_string_tab[88]
-#define __pyx_n_u_target __pyx_string_tab[89]
-#define __pyx_n_u_test __pyx_string_tab[90]
-#define __pyx_n_u_throw __pyx_string_tab[91]
-#define __pyx_n_u_u __pyx_string_tab[92]
-#define __pyx_n_u_v __pyx_string_tab[93]
-#define __pyx_n_u_value __pyx_string_tab[94]
-#define __pyx_n_u_values __pyx_string_tab[95]
-#define __pyx_n_u_w __pyx_string_tab[96]
-#define __pyx_n_u_x __pyx_string_tab[97]
-#define __pyx_n_u_y __pyx_string_tab[98]
-#define __pyx_n_u_zs __pyx_string_tab[99]
-#define __pyx_kp_b_iso88591_AQ_XV1Bb_A_xvQj_A_A_HA_d_4t1Bb __pyx_string_tab[100]
-#define __pyx_kp_b_iso88591_S_Cq_Ba_Ya_Zq_Zq_Zq_WA_Qb_A_B_7 __pyx_string_tab[101]
-#define __pyx_kp_b_iso88591__2 __pyx_string_tab[102]
-#define __pyx_kp_b_iso88591_a __pyx_string_tab[103]
-#define __pyx_kp_b_iso88591_q __pyx_string_tab[104]
-#define __pyx_int_0 __pyx_number_tab[0]
-#define __pyx_int_1 __pyx_number_tab[1]
-/* #### Code section: module_state_clear ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_clear(PyObject *m) {
-  __pyx_mstatetype *clear_module_state = __Pyx_PyModule_GetState(m);
-  if (!clear_module_state) return 0;
-  Py_CLEAR(clear_module_state->__pyx_d);
-  Py_CLEAR(clear_module_state->__pyx_b);
-  Py_CLEAR(clear_module_state->__pyx_cython_runtime);
-  Py_CLEAR(clear_module_state->__pyx_empty_tuple);
-  Py_CLEAR(clear_module_state->__pyx_empty_bytes);
-  Py_CLEAR(clear_module_state->__pyx_empty_unicode);
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __Pyx_State_RemoveModule(NULL);
-  #endif
-  Py_CLEAR(clear_module_state->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr);
-  Py_CLEAR(clear_module_state->__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr);
-  for (int i=0; i<1; ++i) { Py_CLEAR(clear_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<5; ++i) { Py_CLEAR(clear_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<105; ++i) { Py_CLEAR(clear_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { Py_CLEAR(clear_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_clear_contents ### */
-/* CommonTypesMetaclass.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_clear */
-Py_CLEAR(clear_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_clear_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_state_traverse ### */
-#if CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __pyx_m_traverse(PyObject *m, visitproc visit, void *arg) {
-  __pyx_mstatetype *traverse_module_state = __Pyx_PyModule_GetState(m);
-  if (!traverse_module_state) return 0;
-  Py_VISIT(traverse_module_state->__pyx_d);
-  Py_VISIT(traverse_module_state->__pyx_b);
-  Py_VISIT(traverse_module_state->__pyx_cython_runtime);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_tuple);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_bytes);
-  __Pyx_VISIT_CONST(traverse_module_state->__pyx_empty_unicode);
-  Py_VISIT(traverse_module_state->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr);
-  Py_VISIT(traverse_module_state->__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr);
-  for (int i=0; i<1; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_tuple[i]); }
-  for (int i=0; i<5; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_codeobj_tab[i]); }
-  for (int i=0; i<105; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_string_tab[i]); }
-  for (int i=0; i<2; ++i) { __Pyx_VISIT_CONST(traverse_module_state->__pyx_number_tab[i]); }
-/* #### Code section: module_state_traverse_contents ### */
-/* CommonTypesMetaclass.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CommonTypesMetaclassType);
-
-/* CythonFunctionShared.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_CyFunctionType);
-
-/* Generator.module_state_traverse */
-Py_VISIT(traverse_module_state->__pyx_GeneratorType);
-
-/* #### Code section: module_state_traverse_end ### */
-return 0;
-}
-#endif
-/* #### Code section: module_code ### */
-
-/* "tanglekit/_enumcore.pyx":25
- * 
- * 
- * def bracket_statesum(crossings, int arc_count):             # <<<<<<<<<<<<<<
- *     """Kauffman bracket state sum; see the pure kernel for the contract."""
- *     cdef int c = len(crossings)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9tanglekit_9_enumcore_1bracket_statesum(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9tanglekit_9_enumcore_bracket_statesum, "Kauffman bracket state sum; see the pure kernel for the contract.");
-static PyMethodDef __pyx_mdef_9tanglekit_9_enumcore_1bracket_statesum = {"bracket_statesum", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9tanglekit_9_enumcore_1bracket_statesum, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9tanglekit_9_enumcore_bracket_statesum};
-static PyObject *__pyx_pw_9tanglekit_9_enumcore_1bracket_statesum(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  PyObject *__pyx_v_crossings = 0;
-  int __pyx_v_arc_count;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[2] = {0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("bracket_statesum (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_crossings,&__pyx_mstate_global->__pyx_n_u_arc_count,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 25, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 25, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 25, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "bracket_statesum", 0) < (0)) __PYX_ERR(0, 25, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 2; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("bracket_statesum", 1, 2, 2, i); __PYX_ERR(0, 25, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 2)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 25, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 25, __pyx_L3_error)
-    }
-    __pyx_v_crossings = values[0];
-    __pyx_v_arc_count = __Pyx_PyLong_As_int(values[1]); if (unlikely((__pyx_v_arc_count == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 25, __pyx_L3_error)
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("bracket_statesum", 1, 2, 2, __pyx_nargs); __PYX_ERR(0, 25, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tanglekit._enumcore.bracket_statesum", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9tanglekit_9_enumcore_bracket_statesum(__pyx_self, __pyx_v_crossings, __pyx_v_arc_count);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_bracket_statesum(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_v_crossings, int __pyx_v_arc_count) {
-  int __pyx_v_c;
-  int *__pyx_v_flat;
-  int *__pyx_v_parent;
-  PY_LONG_LONG __pyx_v_state;
-  int __pyx_v_i;
-  int __pyx_v_x;
-  int __pyx_v_y;
-  int __pyx_v_rx;
-  int __pyx_v_ry;
-  int __pyx_v_a_count;
-  int __pyx_v_circles;
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int __pyx_v_cc;
-  int __pyx_v_dd;
-  PyObject *__pyx_v_out = 0;
-  PyObject *__pyx_v_quad = NULL;
-  PyObject *__pyx_v_key = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  Py_ssize_t __pyx_t_1;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_t_5;
-  PY_LONG_LONG __pyx_t_6;
-  PY_LONG_LONG __pyx_t_7;
-  PY_LONG_LONG __pyx_t_8;
-  int __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_t_12;
-  int __pyx_t_13;
-  PyObject *__pyx_t_14 = NULL;
-  char const *__pyx_t_15;
-  PyObject *__pyx_t_16 = NULL;
-  PyObject *__pyx_t_17 = NULL;
-  PyObject *__pyx_t_18 = NULL;
-  PyObject *__pyx_t_19 = NULL;
-  PyObject *__pyx_t_20 = NULL;
-  PyObject *__pyx_t_21 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("bracket_statesum", 0);
-
-  /* "tanglekit/_enumcore.pyx":27
- * def bracket_statesum(crossings, int arc_count):
- *     """Kauffman bracket state sum; see the pure kernel for the contract."""
- *     cdef int c = len(crossings)             # <<<<<<<<<<<<<<
- *     cdef int *flat = <int *> malloc(4 * c * sizeof(int))
- *     cdef int *parent = <int *> malloc(arc_count * sizeof(int))
-*/
-  __pyx_t_1 = PyObject_Length(__pyx_v_crossings); if (unlikely(__pyx_t_1 == ((Py_ssize_t)-1))) __PYX_ERR(0, 27, __pyx_L1_error)
-  __pyx_v_c = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":28
- *     """Kauffman bracket state sum; see the pure kernel for the contract."""
- *     cdef int c = len(crossings)
- *     cdef int *flat = <int *> malloc(4 * c * sizeof(int))             # <<<<<<<<<<<<<<
- *     cdef int *parent = <int *> malloc(arc_count * sizeof(int))
- *     cdef long long state
-*/
-  __pyx_v_flat = ((int *)malloc(((4 * __pyx_v_c) * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":29
- *     cdef int c = len(crossings)
- *     cdef int *flat = <int *> malloc(4 * c * sizeof(int))
- *     cdef int *parent = <int *> malloc(arc_count * sizeof(int))             # <<<<<<<<<<<<<<
- *     cdef long long state
- *     cdef int i, x, y, rx, ry, a_count, circles, a, b, cc, dd
-*/
-  __pyx_v_parent = ((int *)malloc((__pyx_v_arc_count * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":32
- *     cdef long long state
- *     cdef int i, x, y, rx, ry, a_count, circles, a, b, cc, dd
- *     cdef dict out = {}             # <<<<<<<<<<<<<<
- *     try:
- *         i = 0
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 32, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_v_out = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tanglekit/_enumcore.pyx":33
- *     cdef int i, x, y, rx, ry, a_count, circles, a, b, cc, dd
- *     cdef dict out = {}
- *     try:             # <<<<<<<<<<<<<<
- *         i = 0
- *         for quad in crossings:
-*/
-  /*try:*/ {
-
-    /* "tanglekit/_enumcore.pyx":34
- *     cdef dict out = {}
- *     try:
- *         i = 0             # <<<<<<<<<<<<<<
- *         for quad in crossings:
- *             flat[i] = quad[0]; flat[i + 1] = quad[1]
-*/
-    __pyx_v_i = 0;
-
-    /* "tanglekit/_enumcore.pyx":35
- *     try:
- *         i = 0
- *         for quad in crossings:             # <<<<<<<<<<<<<<
- *             flat[i] = quad[0]; flat[i + 1] = quad[1]
- *             flat[i + 2] = quad[2]; flat[i + 3] = quad[3]
-*/
-    if (likely(PyList_CheckExact(__pyx_v_crossings)) || PyTuple_CheckExact(__pyx_v_crossings)) {
-      __pyx_t_2 = __pyx_v_crossings; __Pyx_INCREF(__pyx_t_2);
-      __pyx_t_1 = 0;
-      __pyx_t_3 = NULL;
-    } else {
-      __pyx_t_1 = -1; __pyx_t_2 = PyObject_GetIter(__pyx_v_crossings); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 35, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 35, __pyx_L4_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_3)) {
-        if (likely(PyList_CheckExact(__pyx_t_2))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 35, __pyx_L4_error)
-            #endif
-            if (__pyx_t_1 >= __pyx_temp) break;
-          }
-          __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_2, __pyx_t_1, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_1;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_2);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 35, __pyx_L4_error)
-            #endif
-            if (__pyx_t_1 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_2, __pyx_t_1));
-          #else
-          __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_2, __pyx_t_1);
-          #endif
-          ++__pyx_t_1;
-        }
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 35, __pyx_L4_error)
-      } else {
-        __pyx_t_4 = __pyx_t_3(__pyx_t_2);
-        if (unlikely(!__pyx_t_4)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 35, __pyx_L4_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_4);
-      __Pyx_XDECREF_SET(__pyx_v_quad, __pyx_t_4);
-      __pyx_t_4 = 0;
-
-      /* "tanglekit/_enumcore.pyx":36
- *         i = 0
- *         for quad in crossings:
- *             flat[i] = quad[0]; flat[i + 1] = quad[1]             # <<<<<<<<<<<<<<
- *             flat[i + 2] = quad[2]; flat[i + 3] = quad[3]
- *             i += 4
-*/
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_quad, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 36, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 36, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_flat[__pyx_v_i]) = __pyx_t_5;
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_quad, 1, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 36, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 36, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_flat[(__pyx_v_i + 1)]) = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":37
- *         for quad in crossings:
- *             flat[i] = quad[0]; flat[i + 1] = quad[1]
- *             flat[i + 2] = quad[2]; flat[i + 3] = quad[3]             # <<<<<<<<<<<<<<
- *             i += 4
- *         for state in range(1LL << c):
-*/
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_quad, 2, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 37, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 37, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_flat[(__pyx_v_i + 2)]) = __pyx_t_5;
-      __pyx_t_4 = __Pyx_GetItemInt(__pyx_v_quad, 3, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 37, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_5 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_5 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 37, __pyx_L4_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      (__pyx_v_flat[(__pyx_v_i + 3)]) = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":38
- *             flat[i] = quad[0]; flat[i + 1] = quad[1]
- *             flat[i + 2] = quad[2]; flat[i + 3] = quad[3]
- *             i += 4             # <<<<<<<<<<<<<<
- *         for state in range(1LL << c):
- *             for x in range(arc_count):
-*/
-      __pyx_v_i = (__pyx_v_i + 4);
-
-      /* "tanglekit/_enumcore.pyx":35
- *     try:
- *         i = 0
- *         for quad in crossings:             # <<<<<<<<<<<<<<
- *             flat[i] = quad[0]; flat[i + 1] = quad[1]
- *             flat[i + 2] = quad[2]; flat[i + 3] = quad[3]
-*/
-    }
-    __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-    /* "tanglekit/_enumcore.pyx":39
- *             flat[i + 2] = quad[2]; flat[i + 3] = quad[3]
- *             i += 4
- *         for state in range(1LL << c):             # <<<<<<<<<<<<<<
- *             for x in range(arc_count):
- *                 parent[x] = x
-*/
-    __pyx_t_6 = (1LL << __pyx_v_c);
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_state = __pyx_t_8;
-
-      /* "tanglekit/_enumcore.pyx":40
- *             i += 4
- *         for state in range(1LL << c):
- *             for x in range(arc_count):             # <<<<<<<<<<<<<<
- *                 parent[x] = x
- *             a_count = 0
-*/
-      __pyx_t_5 = __pyx_v_arc_count;
-      __pyx_t_9 = __pyx_t_5;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-        __pyx_v_x = __pyx_t_10;
-
-        /* "tanglekit/_enumcore.pyx":41
- *         for state in range(1LL << c):
- *             for x in range(arc_count):
- *                 parent[x] = x             # <<<<<<<<<<<<<<
- *             a_count = 0
- *             for i in range(c):
-*/
-        (__pyx_v_parent[__pyx_v_x]) = __pyx_v_x;
-      }
-
-      /* "tanglekit/_enumcore.pyx":42
- *             for x in range(arc_count):
- *                 parent[x] = x
- *             a_count = 0             # <<<<<<<<<<<<<<
- *             for i in range(c):
- *                 a = flat[4 * i]; b = flat[4 * i + 1]
-*/
-      __pyx_v_a_count = 0;
-
-      /* "tanglekit/_enumcore.pyx":43
- *                 parent[x] = x
- *             a_count = 0
- *             for i in range(c):             # <<<<<<<<<<<<<<
- *                 a = flat[4 * i]; b = flat[4 * i + 1]
- *                 cc = flat[4 * i + 2]; dd = flat[4 * i + 3]
-*/
-      __pyx_t_5 = __pyx_v_c;
-      __pyx_t_9 = __pyx_t_5;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-        __pyx_v_i = __pyx_t_10;
-
-        /* "tanglekit/_enumcore.pyx":44
- *             a_count = 0
- *             for i in range(c):
- *                 a = flat[4 * i]; b = flat[4 * i + 1]             # <<<<<<<<<<<<<<
- *                 cc = flat[4 * i + 2]; dd = flat[4 * i + 3]
- *                 if (state >> i) & 1:
-*/
-        __pyx_v_a = (__pyx_v_flat[(4 * __pyx_v_i)]);
-        __pyx_v_b = (__pyx_v_flat[((4 * __pyx_v_i) + 1)]);
-
-        /* "tanglekit/_enumcore.pyx":45
- *             for i in range(c):
- *                 a = flat[4 * i]; b = flat[4 * i + 1]
- *                 cc = flat[4 * i + 2]; dd = flat[4 * i + 3]             # <<<<<<<<<<<<<<
- *                 if (state >> i) & 1:
- *                     pass
-*/
-        __pyx_v_cc = (__pyx_v_flat[((4 * __pyx_v_i) + 2)]);
-        __pyx_v_dd = (__pyx_v_flat[((4 * __pyx_v_i) + 3)]);
-
-        /* "tanglekit/_enumcore.pyx":46
- *                 a = flat[4 * i]; b = flat[4 * i + 1]
- *                 cc = flat[4 * i + 2]; dd = flat[4 * i + 3]
- *                 if (state >> i) & 1:             # <<<<<<<<<<<<<<
- *                     pass
- *                 else:
-*/
-        __pyx_t_11 = (((__pyx_v_state >> __pyx_v_i) & 1) != 0);
-        if (__pyx_t_11) {
-          goto __pyx_L15;
-        }
-
-        /* "tanglekit/_enumcore.pyx":49
- *                     pass
- *                 else:
- *                     a_count += 1             # <<<<<<<<<<<<<<
- *                     # A-smoothing joins (a,b) and (cc,dd); B joins (a,dd),(b,cc)
- *                     dd, b = b, dd
-*/
-        /*else*/ {
-          __pyx_v_a_count = (__pyx_v_a_count + 1);
-
-          /* "tanglekit/_enumcore.pyx":51
- *                     a_count += 1
- *                     # A-smoothing joins (a,b) and (cc,dd); B joins (a,dd),(b,cc)
- *                     dd, b = b, dd             # <<<<<<<<<<<<<<
- *                 for y in range(2):
- *                     if y == 0:
-*/
-          __pyx_t_12 = __pyx_v_b;
-          __pyx_t_13 = __pyx_v_dd;
-          __pyx_v_dd = __pyx_t_12;
-          __pyx_v_b = __pyx_t_13;
-        }
-        __pyx_L15:;
-
-        /* "tanglekit/_enumcore.pyx":52
- *                     # A-smoothing joins (a,b) and (cc,dd); B joins (a,dd),(b,cc)
- *                     dd, b = b, dd
- *                 for y in range(2):             # <<<<<<<<<<<<<<
- *                     if y == 0:
- *                         rx = a; ry = dd
-*/
-        for (__pyx_t_13 = 0; __pyx_t_13 < 2; __pyx_t_13+=1) {
-          __pyx_v_y = __pyx_t_13;
-
-          /* "tanglekit/_enumcore.pyx":53
- *                     dd, b = b, dd
- *                 for y in range(2):
- *                     if y == 0:             # <<<<<<<<<<<<<<
- *                         rx = a; ry = dd
- *                     else:
-*/
-          __pyx_t_11 = (__pyx_v_y == 0);
-          if (__pyx_t_11) {
-
-            /* "tanglekit/_enumcore.pyx":54
- *                 for y in range(2):
- *                     if y == 0:
- *                         rx = a; ry = dd             # <<<<<<<<<<<<<<
- *                     else:
- *                         rx = b; ry = cc
-*/
-            __pyx_v_rx = __pyx_v_a;
-            __pyx_v_ry = __pyx_v_dd;
-
-            /* "tanglekit/_enumcore.pyx":53
- *                     dd, b = b, dd
- *                 for y in range(2):
- *                     if y == 0:             # <<<<<<<<<<<<<<
- *                         rx = a; ry = dd
- *                     else:
-*/
-            goto __pyx_L18;
-          }
-
-          /* "tanglekit/_enumcore.pyx":56
- *                         rx = a; ry = dd
- *                     else:
- *                         rx = b; ry = cc             # <<<<<<<<<<<<<<
- *                     while parent[rx] != rx:
- *                         parent[rx] = parent[parent[rx]]
-*/
-          /*else*/ {
-            __pyx_v_rx = __pyx_v_b;
-            __pyx_v_ry = __pyx_v_cc;
-          }
-          __pyx_L18:;
-
-          /* "tanglekit/_enumcore.pyx":57
- *                     else:
- *                         rx = b; ry = cc
- *                     while parent[rx] != rx:             # <<<<<<<<<<<<<<
- *                         parent[rx] = parent[parent[rx]]
- *                         rx = parent[rx]
-*/
-          while (1) {
-            __pyx_t_11 = ((__pyx_v_parent[__pyx_v_rx]) != __pyx_v_rx);
-            if (!__pyx_t_11) break;
-
-            /* "tanglekit/_enumcore.pyx":58
- *                         rx = b; ry = cc
- *                     while parent[rx] != rx:
- *                         parent[rx] = parent[parent[rx]]             # <<<<<<<<<<<<<<
- *                         rx = parent[rx]
- *                     while parent[ry] != ry:
-*/
-            (__pyx_v_parent[__pyx_v_rx]) = (__pyx_v_parent[(__pyx_v_parent[__pyx_v_rx])]);
-
-            /* "tanglekit/_enumcore.pyx":59
- *                     while parent[rx] != rx:
- *                         parent[rx] = parent[parent[rx]]
- *                         rx = parent[rx]             # <<<<<<<<<<<<<<
- *                     while parent[ry] != ry:
- *                         parent[ry] = parent[parent[ry]]
-*/
-            __pyx_v_rx = (__pyx_v_parent[__pyx_v_rx]);
-          }
-
-          /* "tanglekit/_enumcore.pyx":60
- *                         parent[rx] = parent[parent[rx]]
- *                         rx = parent[rx]
- *                     while parent[ry] != ry:             # <<<<<<<<<<<<<<
- *                         parent[ry] = parent[parent[ry]]
- *                         ry = parent[ry]
-*/
-          while (1) {
-            __pyx_t_11 = ((__pyx_v_parent[__pyx_v_ry]) != __pyx_v_ry);
-            if (!__pyx_t_11) break;
-
-            /* "tanglekit/_enumcore.pyx":61
- *                         rx = parent[rx]
- *                     while parent[ry] != ry:
- *                         parent[ry] = parent[parent[ry]]             # <<<<<<<<<<<<<<
- *                         ry = parent[ry]
- *                     if rx != ry:
-*/
-            (__pyx_v_parent[__pyx_v_ry]) = (__pyx_v_parent[(__pyx_v_parent[__pyx_v_ry])]);
-
-            /* "tanglekit/_enumcore.pyx":62
- *                     while parent[ry] != ry:
- *                         parent[ry] = parent[parent[ry]]
- *                         ry = parent[ry]             # <<<<<<<<<<<<<<
- *                     if rx != ry:
- *                         if rx < ry:
-*/
-            __pyx_v_ry = (__pyx_v_parent[__pyx_v_ry]);
-          }
-
-          /* "tanglekit/_enumcore.pyx":63
- *                         parent[ry] = parent[parent[ry]]
- *                         ry = parent[ry]
- *                     if rx != ry:             # <<<<<<<<<<<<<<
- *                         if rx < ry:
- *                             parent[ry] = rx
-*/
-          __pyx_t_11 = (__pyx_v_rx != __pyx_v_ry);
-          if (__pyx_t_11) {
-
-            /* "tanglekit/_enumcore.pyx":64
- *                         ry = parent[ry]
- *                     if rx != ry:
- *                         if rx < ry:             # <<<<<<<<<<<<<<
- *                             parent[ry] = rx
- *                         else:
-*/
-            __pyx_t_11 = (__pyx_v_rx < __pyx_v_ry);
-            if (__pyx_t_11) {
-
-              /* "tanglekit/_enumcore.pyx":65
- *                     if rx != ry:
- *                         if rx < ry:
- *                             parent[ry] = rx             # <<<<<<<<<<<<<<
- *                         else:
- *                             parent[rx] = ry
-*/
-              (__pyx_v_parent[__pyx_v_ry]) = __pyx_v_rx;
-
-              /* "tanglekit/_enumcore.pyx":64
- *                         ry = parent[ry]
- *                     if rx != ry:
- *                         if rx < ry:             # <<<<<<<<<<<<<<
- *                             parent[ry] = rx
- *                         else:
-*/
-              goto __pyx_L24;
-            }
-
-            /* "tanglekit/_enumcore.pyx":67
- *                             parent[ry] = rx
- *                         else:
- *                             parent[rx] = ry             # <<<<<<<<<<<<<<
- *             circles = 0
- *             for x in range(arc_count):
-*/
-            /*else*/ {
-              (__pyx_v_parent[__pyx_v_rx]) = __pyx_v_ry;
-            }
-            __pyx_L24:;
-
-            /* "tanglekit/_enumcore.pyx":63
- *                         parent[ry] = parent[parent[ry]]
- *                         ry = parent[ry]
- *                     if rx != ry:             # <<<<<<<<<<<<<<
- *                         if rx < ry:
- *                             parent[ry] = rx
-*/
-          }
-        }
-      }
-
-      /* "tanglekit/_enumcore.pyx":68
- *                         else:
- *                             parent[rx] = ry
- *             circles = 0             # <<<<<<<<<<<<<<
- *             for x in range(arc_count):
- *                 if parent[x] == x:
-*/
-      __pyx_v_circles = 0;
-
-      /* "tanglekit/_enumcore.pyx":69
- *                             parent[rx] = ry
- *             circles = 0
- *             for x in range(arc_count):             # <<<<<<<<<<<<<<
- *                 if parent[x] == x:
- *                     circles += 1
-*/
-      __pyx_t_5 = __pyx_v_arc_count;
-      __pyx_t_9 = __pyx_t_5;
-      for (__pyx_t_10 = 0; __pyx_t_10 < __pyx_t_9; __pyx_t_10+=1) {
-        __pyx_v_x = __pyx_t_10;
-
-        /* "tanglekit/_enumcore.pyx":70
- *             circles = 0
- *             for x in range(arc_count):
- *                 if parent[x] == x:             # <<<<<<<<<<<<<<
- *                     circles += 1
- *             key = (2 * a_count - c, circles)
-*/
-        __pyx_t_11 = ((__pyx_v_parent[__pyx_v_x]) == __pyx_v_x);
-        if (__pyx_t_11) {
-
-          /* "tanglekit/_enumcore.pyx":71
- *             for x in range(arc_count):
- *                 if parent[x] == x:
- *                     circles += 1             # <<<<<<<<<<<<<<
- *             key = (2 * a_count - c, circles)
- *             if key in out:
-*/
-          __pyx_v_circles = (__pyx_v_circles + 1);
-
-          /* "tanglekit/_enumcore.pyx":70
- *             circles = 0
- *             for x in range(arc_count):
- *                 if parent[x] == x:             # <<<<<<<<<<<<<<
- *                     circles += 1
- *             key = (2 * a_count - c, circles)
-*/
-        }
-      }
-
-      /* "tanglekit/_enumcore.pyx":72
- *                 if parent[x] == x:
- *                     circles += 1
- *             key = (2 * a_count - c, circles)             # <<<<<<<<<<<<<<
- *             if key in out:
- *                 out[key] += 1
-*/
-      __pyx_t_2 = __Pyx_PyLong_From_long(((2 * __pyx_v_a_count) - __pyx_v_c)); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 72, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_4 = __Pyx_PyLong_From_int(__pyx_v_circles); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 72, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_14 = PyTuple_New(2); if (unlikely(!__pyx_t_14)) __PYX_ERR(0, 72, __pyx_L4_error)
-      __Pyx_GOTREF(__pyx_t_14);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 72, __pyx_L4_error);
-      __Pyx_GIVEREF(__pyx_t_4);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_14, 1, __pyx_t_4) != (0)) __PYX_ERR(0, 72, __pyx_L4_error);
-      __pyx_t_2 = 0;
-      __pyx_t_4 = 0;
-      __Pyx_XDECREF_SET(__pyx_v_key, __pyx_t_14);
-      __pyx_t_14 = 0;
-
-      /* "tanglekit/_enumcore.pyx":73
- *                     circles += 1
- *             key = (2 * a_count - c, circles)
- *             if key in out:             # <<<<<<<<<<<<<<
- *                 out[key] += 1
- *             else:
-*/
-      __pyx_t_11 = (__Pyx_PyDict_ContainsTF(__pyx_v_key, __pyx_v_out, Py_EQ)); if (unlikely((__pyx_t_11 < 0))) __PYX_ERR(0, 73, __pyx_L4_error)
-      if (__pyx_t_11) {
-
-        /* "tanglekit/_enumcore.pyx":74
- *             key = (2 * a_count - c, circles)
- *             if key in out:
- *                 out[key] += 1             # <<<<<<<<<<<<<<
- *             else:
- *                 out[key] = 1
-*/
-        __Pyx_INCREF(__pyx_v_key);
-        __pyx_t_14 = __pyx_v_key;
-        __pyx_t_4 = __Pyx_PyDict_GetItem(__pyx_v_out, __pyx_t_14); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 74, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_2 = __Pyx_PyLong_AddObjC(__pyx_t_4, __pyx_mstate_global->__pyx_int_1, 1, 1, 0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 74, __pyx_L4_error)
-        __Pyx_GOTREF(__pyx_t_2);
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_t_14, __pyx_t_2) < 0))) __PYX_ERR(0, 74, __pyx_L4_error)
-        __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-        __Pyx_DECREF(__pyx_t_14); __pyx_t_14 = 0;
-
-        /* "tanglekit/_enumcore.pyx":73
- *                     circles += 1
- *             key = (2 * a_count - c, circles)
- *             if key in out:             # <<<<<<<<<<<<<<
- *                 out[key] += 1
- *             else:
-*/
-        goto __pyx_L28;
-      }
-
-      /* "tanglekit/_enumcore.pyx":76
- *                 out[key] += 1
- *             else:
- *                 out[key] = 1             # <<<<<<<<<<<<<<
- *         return out
- *     finally:
-*/
-      /*else*/ {
-        if (unlikely((PyDict_SetItem(__pyx_v_out, __pyx_v_key, __pyx_mstate_global->__pyx_int_1) < 0))) __PYX_ERR(0, 76, __pyx_L4_error)
-      }
-      __pyx_L28:;
-    }
-
-    /* "tanglekit/_enumcore.pyx":77
- *             else:
- *                 out[key] = 1
- *         return out             # <<<<<<<<<<<<<<
- *     finally:
- *         free(flat)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_INCREF(__pyx_v_out);
-    __pyx_r = __pyx_v_out;
-    goto __pyx_L3_return;
-  }
-
-  /* "tanglekit/_enumcore.pyx":79
- *         return out
- *     finally:
- *         free(flat)             # <<<<<<<<<<<<<<
- *         free(parent)
- * 
-*/
-  /*finally:*/ {
-    __pyx_L4_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0;
-      __Pyx_XDECREF(__pyx_t_14); __pyx_t_14 = 0;
-      __Pyx_XDECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_19, &__pyx_t_20, &__pyx_t_21);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_16, &__pyx_t_17, &__pyx_t_18) < 0)) __Pyx_ErrFetch(&__pyx_t_16, &__pyx_t_17, &__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_16);
-      __Pyx_XGOTREF(__pyx_t_17);
-      __Pyx_XGOTREF(__pyx_t_18);
-      __Pyx_XGOTREF(__pyx_t_19);
-      __Pyx_XGOTREF(__pyx_t_20);
-      __Pyx_XGOTREF(__pyx_t_21);
-      __pyx_t_5 = __pyx_lineno; __pyx_t_9 = __pyx_clineno; __pyx_t_15 = __pyx_filename;
-      {
-        free(__pyx_v_flat);
-
-        /* "tanglekit/_enumcore.pyx":80
- *     finally:
- *         free(flat)
- *         free(parent)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-        free(__pyx_v_parent);
-      }
-      __Pyx_XGIVEREF(__pyx_t_19);
-      __Pyx_XGIVEREF(__pyx_t_20);
-      __Pyx_XGIVEREF(__pyx_t_21);
-      __Pyx_ExceptionReset(__pyx_t_19, __pyx_t_20, __pyx_t_21);
-      __Pyx_XGIVEREF(__pyx_t_16);
-      __Pyx_XGIVEREF(__pyx_t_17);
-      __Pyx_XGIVEREF(__pyx_t_18);
-      __Pyx_ErrRestore(__pyx_t_16, __pyx_t_17, __pyx_t_18);
-      __pyx_t_16 = 0; __pyx_t_17 = 0; __pyx_t_18 = 0; __pyx_t_19 = 0; __pyx_t_20 = 0; __pyx_t_21 = 0;
-      __pyx_lineno = __pyx_t_5; __pyx_clineno = __pyx_t_9; __pyx_filename = __pyx_t_15;
-      goto __pyx_L1_error;
-    }
-    __pyx_L3_return: {
-      __pyx_t_21 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "tanglekit/_enumcore.pyx":79
- *         return out
- *     finally:
- *         free(flat)             # <<<<<<<<<<<<<<
- *         free(parent)
- * 
-*/
-      free(__pyx_v_flat);
-
-      /* "tanglekit/_enumcore.pyx":80
- *     finally:
- *         free(flat)
- *         free(parent)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-      free(__pyx_v_parent);
-      __pyx_r = __pyx_t_21;
-      __pyx_t_21 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "tanglekit/_enumcore.pyx":25
- * 
- * 
- * def bracket_statesum(crossings, int arc_count):             # <<<<<<<<<<<<<<
- *     """Kauffman bracket state sum; see the pure kernel for the contract."""
- *     cdef int c = len(crossings)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_14);
-  __Pyx_AddTraceback("tanglekit._enumcore.bracket_statesum", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_out);
-  __Pyx_XDECREF(__pyx_v_quad);
-  __Pyx_XDECREF(__pyx_v_key);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":99
- * 
- * 
- * cdef inline int find(State *s, int x) nogil:             # <<<<<<<<<<<<<<
- *     while s.parent[x] != x:
- *         s.parent[x] = s.parent[s.parent[x]]
-*/
-
-static CYTHON_INLINE int __pyx_f_9tanglekit_9_enumcore_find(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_x) {
-  int __pyx_r;
-  int __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":100
- * 
- * cdef inline int find(State *s, int x) nogil:
- *     while s.parent[x] != x:             # <<<<<<<<<<<<<<
- *         s.parent[x] = s.parent[s.parent[x]]
- *         x = s.parent[x]
-*/
-  while (1) {
-    __pyx_t_1 = ((__pyx_v_s->parent[__pyx_v_x]) != __pyx_v_x);
-    if (!__pyx_t_1) break;
-
-    /* "tanglekit/_enumcore.pyx":101
- * cdef inline int find(State *s, int x) nogil:
- *     while s.parent[x] != x:
- *         s.parent[x] = s.parent[s.parent[x]]             # <<<<<<<<<<<<<<
- *         x = s.parent[x]
- *     return x
-*/
-    (__pyx_v_s->parent[__pyx_v_x]) = (__pyx_v_s->parent[(__pyx_v_s->parent[__pyx_v_x])]);
-
-    /* "tanglekit/_enumcore.pyx":102
- *     while s.parent[x] != x:
- *         s.parent[x] = s.parent[s.parent[x]]
- *         x = s.parent[x]             # <<<<<<<<<<<<<<
- *     return x
- * 
-*/
-    __pyx_v_x = (__pyx_v_s->parent[__pyx_v_x]);
-  }
-
-  /* "tanglekit/_enumcore.pyx":103
- *         s.parent[x] = s.parent[s.parent[x]]
- *         x = s.parent[x]
- *     return x             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_x;
-  goto __pyx_L0;
-
-  /* "tanglekit/_enumcore.pyx":99
- * 
- * 
- * cdef inline int find(State *s, int x) nogil:             # <<<<<<<<<<<<<<
- *     while s.parent[x] != x:
- *         s.parent[x] = s.parent[s.parent[x]]
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":106
- * 
- * 
- * cdef int grow(State *s, int need):             # <<<<<<<<<<<<<<
- *     """Ensure capacity for `need` slots; False on memory-budget refusal."""
- *     cdef int newp = s.pitch
-*/
-
-static int __pyx_f_9tanglekit_9_enumcore_grow(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_need) {
-  int __pyx_v_newp;
-  int *__pyx_v_nt;
-  int *__pyx_v_np_;
-  int *__pyx_v_nb;
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-
-  /* "tanglekit/_enumcore.pyx":108
- * cdef int grow(State *s, int need):
- *     """Ensure capacity for `need` slots; False on memory-budget refusal."""
- *     cdef int newp = s.pitch             # <<<<<<<<<<<<<<
- *     cdef int *nt
- *     cdef int *np_
-*/
-  __pyx_t_1 = __pyx_v_s->pitch;
-  __pyx_v_newp = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":113
- *     cdef int *nb
- *     cdef int a, b
- *     if need <= s.pitch:             # <<<<<<<<<<<<<<
- *         return 1
- *     while newp < need:
-*/
-  __pyx_t_2 = (__pyx_v_need <= __pyx_v_s->pitch);
-  if (__pyx_t_2) {
-
-    /* "tanglekit/_enumcore.pyx":114
- *     cdef int a, b
- *     if need <= s.pitch:
- *         return 1             # <<<<<<<<<<<<<<
- *     while newp < need:
- *         newp *= 2
-*/
-    __pyx_r = 1;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":113
- *     cdef int *nb
- *     cdef int a, b
- *     if need <= s.pitch:             # <<<<<<<<<<<<<<
- *         return 1
- *     while newp < need:
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":115
- *     if need <= s.pitch:
- *         return 1
- *     while newp < need:             # <<<<<<<<<<<<<<
- *         newp *= 2
- *     if (<long long> newp) * newp * sizeof(int) > s.max_bytes:
-*/
-  while (1) {
-    __pyx_t_2 = (__pyx_v_newp < __pyx_v_need);
-    if (!__pyx_t_2) break;
-
-    /* "tanglekit/_enumcore.pyx":116
- *         return 1
- *     while newp < need:
- *         newp *= 2             # <<<<<<<<<<<<<<
- *     if (<long long> newp) * newp * sizeof(int) > s.max_bytes:
- *         s.oom = 1
-*/
-    __pyx_v_newp = (__pyx_v_newp * 2);
-  }
-
-  /* "tanglekit/_enumcore.pyx":117
- *     while newp < need:
- *         newp *= 2
- *     if (<long long> newp) * newp * sizeof(int) > s.max_bytes:             # <<<<<<<<<<<<<<
- *         s.oom = 1
- *         return 0
-*/
-  __pyx_t_2 = (((((PY_LONG_LONG)__pyx_v_newp) * __pyx_v_newp) * (sizeof(int))) > __pyx_v_s->max_bytes);
-  if (__pyx_t_2) {
-
-    /* "tanglekit/_enumcore.pyx":118
- *         newp *= 2
- *     if (<long long> newp) * newp * sizeof(int) > s.max_bytes:
- *         s.oom = 1             # <<<<<<<<<<<<<<
- *         return 0
- *     nt = <int *> malloc((<long long> newp) * newp * sizeof(int))
-*/
-    __pyx_v_s->oom = 1;
-
-    /* "tanglekit/_enumcore.pyx":119
- *     if (<long long> newp) * newp * sizeof(int) > s.max_bytes:
- *         s.oom = 1
- *         return 0             # <<<<<<<<<<<<<<
- *     nt = <int *> malloc((<long long> newp) * newp * sizeof(int))
- *     np_ = <int *> malloc(newp * sizeof(int))
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":117
- *     while newp < need:
- *         newp *= 2
- *     if (<long long> newp) * newp * sizeof(int) > s.max_bytes:             # <<<<<<<<<<<<<<
- *         s.oom = 1
- *         return 0
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":120
- *         s.oom = 1
- *         return 0
- *     nt = <int *> malloc((<long long> newp) * newp * sizeof(int))             # <<<<<<<<<<<<<<
- *     np_ = <int *> malloc(newp * sizeof(int))
- *     nb = <int *> malloc(newp * sizeof(int))
-*/
-  __pyx_v_nt = ((int *)malloc(((((PY_LONG_LONG)__pyx_v_newp) * __pyx_v_newp) * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":121
- *         return 0
- *     nt = <int *> malloc((<long long> newp) * newp * sizeof(int))
- *     np_ = <int *> malloc(newp * sizeof(int))             # <<<<<<<<<<<<<<
- *     nb = <int *> malloc(newp * sizeof(int))
- *     if nt == NULL or np_ == NULL or nb == NULL:
-*/
-  __pyx_v_np_ = ((int *)malloc((__pyx_v_newp * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":122
- *     nt = <int *> malloc((<long long> newp) * newp * sizeof(int))
- *     np_ = <int *> malloc(newp * sizeof(int))
- *     nb = <int *> malloc(newp * sizeof(int))             # <<<<<<<<<<<<<<
- *     if nt == NULL or np_ == NULL or nb == NULL:
- *         if nt != NULL:
-*/
-  __pyx_v_nb = ((int *)malloc((__pyx_v_newp * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":123
- *     np_ = <int *> malloc(newp * sizeof(int))
- *     nb = <int *> malloc(newp * sizeof(int))
- *     if nt == NULL or np_ == NULL or nb == NULL:             # <<<<<<<<<<<<<<
- *         if nt != NULL:
- *             free(nt)
-*/
-  __pyx_t_3 = (__pyx_v_nt == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_np_ == NULL);
-  if (!__pyx_t_3) {
-  } else {
-    __pyx_t_2 = __pyx_t_3;
-    goto __pyx_L8_bool_binop_done;
-  }
-  __pyx_t_3 = (__pyx_v_nb == NULL);
-  __pyx_t_2 = __pyx_t_3;
-  __pyx_L8_bool_binop_done:;
-  if (__pyx_t_2) {
-
-    /* "tanglekit/_enumcore.pyx":124
- *     nb = <int *> malloc(newp * sizeof(int))
- *     if nt == NULL or np_ == NULL or nb == NULL:
- *         if nt != NULL:             # <<<<<<<<<<<<<<
- *             free(nt)
- *         if np_ != NULL:
-*/
-    __pyx_t_2 = (__pyx_v_nt != NULL);
-    if (__pyx_t_2) {
-
-      /* "tanglekit/_enumcore.pyx":125
- *     if nt == NULL or np_ == NULL or nb == NULL:
- *         if nt != NULL:
- *             free(nt)             # <<<<<<<<<<<<<<
- *         if np_ != NULL:
- *             free(np_)
-*/
-      free(__pyx_v_nt);
-
-      /* "tanglekit/_enumcore.pyx":124
- *     nb = <int *> malloc(newp * sizeof(int))
- *     if nt == NULL or np_ == NULL or nb == NULL:
- *         if nt != NULL:             # <<<<<<<<<<<<<<
- *             free(nt)
- *         if np_ != NULL:
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":126
- *         if nt != NULL:
- *             free(nt)
- *         if np_ != NULL:             # <<<<<<<<<<<<<<
- *             free(np_)
- *         if nb != NULL:
-*/
-    __pyx_t_2 = (__pyx_v_np_ != NULL);
-    if (__pyx_t_2) {
-
-      /* "tanglekit/_enumcore.pyx":127
- *             free(nt)
- *         if np_ != NULL:
- *             free(np_)             # <<<<<<<<<<<<<<
- *         if nb != NULL:
- *             free(nb)
-*/
-      free(__pyx_v_np_);
-
-      /* "tanglekit/_enumcore.pyx":126
- *         if nt != NULL:
- *             free(nt)
- *         if np_ != NULL:             # <<<<<<<<<<<<<<
- *             free(np_)
- *         if nb != NULL:
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":128
- *         if np_ != NULL:
- *             free(np_)
- *         if nb != NULL:             # <<<<<<<<<<<<<<
- *             free(nb)
- *         s.oom = 1
-*/
-    __pyx_t_2 = (__pyx_v_nb != NULL);
-    if (__pyx_t_2) {
-
-      /* "tanglekit/_enumcore.pyx":129
- *             free(np_)
- *         if nb != NULL:
- *             free(nb)             # <<<<<<<<<<<<<<
- *         s.oom = 1
- *         return 0
-*/
-      free(__pyx_v_nb);
-
-      /* "tanglekit/_enumcore.pyx":128
- *         if np_ != NULL:
- *             free(np_)
- *         if nb != NULL:             # <<<<<<<<<<<<<<
- *             free(nb)
- *         s.oom = 1
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":130
- *         if nb != NULL:
- *             free(nb)
- *         s.oom = 1             # <<<<<<<<<<<<<<
- *         return 0
- *     memset(nt, 0xFF, (<long long> newp) * newp * sizeof(int))
-*/
-    __pyx_v_s->oom = 1;
-
-    /* "tanglekit/_enumcore.pyx":131
- *             free(nb)
- *         s.oom = 1
- *         return 0             # <<<<<<<<<<<<<<
- *     memset(nt, 0xFF, (<long long> newp) * newp * sizeof(int))
- *     for a in range(s.n_slots):
-*/
-    __pyx_r = 0;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":123
- *     np_ = <int *> malloc(newp * sizeof(int))
- *     nb = <int *> malloc(newp * sizeof(int))
- *     if nt == NULL or np_ == NULL or nb == NULL:             # <<<<<<<<<<<<<<
- *         if nt != NULL:
- *             free(nt)
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":132
- *         s.oom = 1
- *         return 0
- *     memset(nt, 0xFF, (<long long> newp) * newp * sizeof(int))             # <<<<<<<<<<<<<<
- *     for a in range(s.n_slots):
- *         np_[a] = s.parent[a]
-*/
-  (void)(memset(__pyx_v_nt, 0xFF, ((((PY_LONG_LONG)__pyx_v_newp) * __pyx_v_newp) * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":133
- *         return 0
- *     memset(nt, 0xFF, (<long long> newp) * newp * sizeof(int))
- *     for a in range(s.n_slots):             # <<<<<<<<<<<<<<
- *         np_[a] = s.parent[a]
- *         for b in range(s.n_slots):
-*/
-  __pyx_t_1 = __pyx_v_s->n_slots;
-  __pyx_t_4 = __pyx_t_1;
-  for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-    __pyx_v_a = __pyx_t_5;
-
-    /* "tanglekit/_enumcore.pyx":134
- *     memset(nt, 0xFF, (<long long> newp) * newp * sizeof(int))
- *     for a in range(s.n_slots):
- *         np_[a] = s.parent[a]             # <<<<<<<<<<<<<<
- *         for b in range(s.n_slots):
- *             nt[(<long long> a) * newp + b] = s.tab[(<long long> a) * s.pitch + b]
-*/
-    (__pyx_v_np_[__pyx_v_a]) = (__pyx_v_s->parent[__pyx_v_a]);
-
-    /* "tanglekit/_enumcore.pyx":135
- *     for a in range(s.n_slots):
- *         np_[a] = s.parent[a]
- *         for b in range(s.n_slots):             # <<<<<<<<<<<<<<
- *             nt[(<long long> a) * newp + b] = s.tab[(<long long> a) * s.pitch + b]
- *     free(s.tab)
-*/
-    __pyx_t_6 = __pyx_v_s->n_slots;
-    __pyx_t_7 = __pyx_t_6;
-    for (__pyx_t_8 = 0; __pyx_t_8 < __pyx_t_7; __pyx_t_8+=1) {
-      __pyx_v_b = __pyx_t_8;
-
-      /* "tanglekit/_enumcore.pyx":136
- *         np_[a] = s.parent[a]
- *         for b in range(s.n_slots):
- *             nt[(<long long> a) * newp + b] = s.tab[(<long long> a) * s.pitch + b]             # <<<<<<<<<<<<<<
- *     free(s.tab)
- *     free(s.parent)
-*/
-      (__pyx_v_nt[((((PY_LONG_LONG)__pyx_v_a) * __pyx_v_newp) + __pyx_v_b)]) = (__pyx_v_s->tab[((((PY_LONG_LONG)__pyx_v_a) * __pyx_v_s->pitch) + __pyx_v_b)]);
-    }
-  }
-
-  /* "tanglekit/_enumcore.pyx":137
- *         for b in range(s.n_slots):
- *             nt[(<long long> a) * newp + b] = s.tab[(<long long> a) * s.pitch + b]
- *     free(s.tab)             # <<<<<<<<<<<<<<
- *     free(s.parent)
- *     free(s.buf)
-*/
-  free(__pyx_v_s->tab);
-
-  /* "tanglekit/_enumcore.pyx":138
- *             nt[(<long long> a) * newp + b] = s.tab[(<long long> a) * s.pitch + b]
- *     free(s.tab)
- *     free(s.parent)             # <<<<<<<<<<<<<<
- *     free(s.buf)
- *     s.tab = nt
-*/
-  free(__pyx_v_s->parent);
-
-  /* "tanglekit/_enumcore.pyx":139
- *     free(s.tab)
- *     free(s.parent)
- *     free(s.buf)             # <<<<<<<<<<<<<<
- *     s.tab = nt
- *     s.parent = np_
-*/
-  free(__pyx_v_s->buf);
-
-  /* "tanglekit/_enumcore.pyx":140
- *     free(s.parent)
- *     free(s.buf)
- *     s.tab = nt             # <<<<<<<<<<<<<<
- *     s.parent = np_
- *     s.buf = nb
-*/
-  __pyx_v_s->tab = __pyx_v_nt;
-
-  /* "tanglekit/_enumcore.pyx":141
- *     free(s.buf)
- *     s.tab = nt
- *     s.parent = np_             # <<<<<<<<<<<<<<
- *     s.buf = nb
- *     s.pitch = newp
-*/
-  __pyx_v_s->parent = __pyx_v_np_;
-
-  /* "tanglekit/_enumcore.pyx":142
- *     s.tab = nt
- *     s.parent = np_
- *     s.buf = nb             # <<<<<<<<<<<<<<
- *     s.pitch = newp
- *     return 1
-*/
-  __pyx_v_s->buf = __pyx_v_nb;
-
-  /* "tanglekit/_enumcore.pyx":143
- *     s.parent = np_
- *     s.buf = nb
- *     s.pitch = newp             # <<<<<<<<<<<<<<
- *     return 1
- * 
-*/
-  __pyx_v_s->pitch = __pyx_v_newp;
-
-  /* "tanglekit/_enumcore.pyx":144
- *     s.buf = nb
- *     s.pitch = newp
- *     return 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = 1;
-  goto __pyx_L0;
-
-  /* "tanglekit/_enumcore.pyx":106
- * 
- * 
- * cdef int grow(State *s, int need):             # <<<<<<<<<<<<<<
- *     """Ensure capacity for `need` slots; False on memory-budget refusal."""
- *     cdef int newp = s.pitch
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":147
- * 
- * 
- * cdef inline void push_event(State *s, int a, int b):             # <<<<<<<<<<<<<<
- *     cdef int *ne
- *     cdef int i
-*/
-
-static CYTHON_INLINE void __pyx_f_9tanglekit_9_enumcore_push_event(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_a, int __pyx_v_b) {
-  int *__pyx_v_ne;
-  int __pyx_v_i;
-  int __pyx_t_1;
-  long __pyx_t_2;
-  long __pyx_t_3;
-  int __pyx_t_4;
-
-  /* "tanglekit/_enumcore.pyx":150
- *     cdef int *ne
- *     cdef int i
- *     if s.ev_head == s.ev_len:             # <<<<<<<<<<<<<<
- *         s.ev_head = 0
- *         s.ev_len = 0
-*/
-  __pyx_t_1 = (__pyx_v_s->ev_head == __pyx_v_s->ev_len);
-  if (__pyx_t_1) {
-
-    /* "tanglekit/_enumcore.pyx":151
- *     cdef int i
- *     if s.ev_head == s.ev_len:
- *         s.ev_head = 0             # <<<<<<<<<<<<<<
- *         s.ev_len = 0
- *     if 2 * s.ev_len + 2 > s.ev_cap:
-*/
-    __pyx_v_s->ev_head = 0;
-
-    /* "tanglekit/_enumcore.pyx":152
- *     if s.ev_head == s.ev_len:
- *         s.ev_head = 0
- *         s.ev_len = 0             # <<<<<<<<<<<<<<
- *     if 2 * s.ev_len + 2 > s.ev_cap:
- *         if s.ev_head > 0:
-*/
-    __pyx_v_s->ev_len = 0;
-
-    /* "tanglekit/_enumcore.pyx":150
- *     cdef int *ne
- *     cdef int i
- *     if s.ev_head == s.ev_len:             # <<<<<<<<<<<<<<
- *         s.ev_head = 0
- *         s.ev_len = 0
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":153
- *         s.ev_head = 0
- *         s.ev_len = 0
- *     if 2 * s.ev_len + 2 > s.ev_cap:             # <<<<<<<<<<<<<<
- *         if s.ev_head > 0:
- *             for i in range(2 * (s.ev_len - s.ev_head)):
-*/
-  __pyx_t_1 = (((2 * __pyx_v_s->ev_len) + 2) > __pyx_v_s->ev_cap);
-  if (__pyx_t_1) {
-
-    /* "tanglekit/_enumcore.pyx":154
- *         s.ev_len = 0
- *     if 2 * s.ev_len + 2 > s.ev_cap:
- *         if s.ev_head > 0:             # <<<<<<<<<<<<<<
- *             for i in range(2 * (s.ev_len - s.ev_head)):
- *                 s.ev[i] = s.ev[2 * s.ev_head + i]
-*/
-    __pyx_t_1 = (__pyx_v_s->ev_head > 0);
-    if (__pyx_t_1) {
-
-      /* "tanglekit/_enumcore.pyx":155
- *     if 2 * s.ev_len + 2 > s.ev_cap:
- *         if s.ev_head > 0:
- *             for i in range(2 * (s.ev_len - s.ev_head)):             # <<<<<<<<<<<<<<
- *                 s.ev[i] = s.ev[2 * s.ev_head + i]
- *             s.ev_len -= s.ev_head
-*/
-      __pyx_t_2 = (2 * (__pyx_v_s->ev_len - __pyx_v_s->ev_head));
-      __pyx_t_3 = __pyx_t_2;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-        __pyx_v_i = __pyx_t_4;
-
-        /* "tanglekit/_enumcore.pyx":156
- *         if s.ev_head > 0:
- *             for i in range(2 * (s.ev_len - s.ev_head)):
- *                 s.ev[i] = s.ev[2 * s.ev_head + i]             # <<<<<<<<<<<<<<
- *             s.ev_len -= s.ev_head
- *             s.ev_head = 0
-*/
-        (__pyx_v_s->ev[__pyx_v_i]) = (__pyx_v_s->ev[((2 * __pyx_v_s->ev_head) + __pyx_v_i)]);
-      }
-
-      /* "tanglekit/_enumcore.pyx":157
- *             for i in range(2 * (s.ev_len - s.ev_head)):
- *                 s.ev[i] = s.ev[2 * s.ev_head + i]
- *             s.ev_len -= s.ev_head             # <<<<<<<<<<<<<<
- *             s.ev_head = 0
- *         if 2 * s.ev_len + 2 > s.ev_cap:
-*/
-      __pyx_v_s->ev_len = (__pyx_v_s->ev_len - __pyx_v_s->ev_head);
-
-      /* "tanglekit/_enumcore.pyx":158
- *                 s.ev[i] = s.ev[2 * s.ev_head + i]
- *             s.ev_len -= s.ev_head
- *             s.ev_head = 0             # <<<<<<<<<<<<<<
- *         if 2 * s.ev_len + 2 > s.ev_cap:
- *             ne = <int *> malloc(2 * s.ev_cap * sizeof(int))
-*/
-      __pyx_v_s->ev_head = 0;
-
-      /* "tanglekit/_enumcore.pyx":154
- *         s.ev_len = 0
- *     if 2 * s.ev_len + 2 > s.ev_cap:
- *         if s.ev_head > 0:             # <<<<<<<<<<<<<<
- *             for i in range(2 * (s.ev_len - s.ev_head)):
- *                 s.ev[i] = s.ev[2 * s.ev_head + i]
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":159
- *             s.ev_len -= s.ev_head
- *             s.ev_head = 0
- *         if 2 * s.ev_len + 2 > s.ev_cap:             # <<<<<<<<<<<<<<
- *             ne = <int *> malloc(2 * s.ev_cap * sizeof(int))
- *             for i in range(2 * s.ev_len):
-*/
-    __pyx_t_1 = (((2 * __pyx_v_s->ev_len) + 2) > __pyx_v_s->ev_cap);
-    if (__pyx_t_1) {
-
-      /* "tanglekit/_enumcore.pyx":160
- *             s.ev_head = 0
- *         if 2 * s.ev_len + 2 > s.ev_cap:
- *             ne = <int *> malloc(2 * s.ev_cap * sizeof(int))             # <<<<<<<<<<<<<<
- *             for i in range(2 * s.ev_len):
- *                 ne[i] = s.ev[i]
-*/
-      __pyx_v_ne = ((int *)malloc(((2 * __pyx_v_s->ev_cap) * (sizeof(int)))));
-
-      /* "tanglekit/_enumcore.pyx":161
- *         if 2 * s.ev_len + 2 > s.ev_cap:
- *             ne = <int *> malloc(2 * s.ev_cap * sizeof(int))
- *             for i in range(2 * s.ev_len):             # <<<<<<<<<<<<<<
- *                 ne[i] = s.ev[i]
- *             free(s.ev)
-*/
-      __pyx_t_2 = (2 * __pyx_v_s->ev_len);
-      __pyx_t_3 = __pyx_t_2;
-      for (__pyx_t_4 = 0; __pyx_t_4 < __pyx_t_3; __pyx_t_4+=1) {
-        __pyx_v_i = __pyx_t_4;
-
-        /* "tanglekit/_enumcore.pyx":162
- *             ne = <int *> malloc(2 * s.ev_cap * sizeof(int))
- *             for i in range(2 * s.ev_len):
- *                 ne[i] = s.ev[i]             # <<<<<<<<<<<<<<
- *             free(s.ev)
- *             s.ev = ne
-*/
-        (__pyx_v_ne[__pyx_v_i]) = (__pyx_v_s->ev[__pyx_v_i]);
-      }
-
-      /* "tanglekit/_enumcore.pyx":163
- *             for i in range(2 * s.ev_len):
- *                 ne[i] = s.ev[i]
- *             free(s.ev)             # <<<<<<<<<<<<<<
- *             s.ev = ne
- *             s.ev_cap *= 2
-*/
-      free(__pyx_v_s->ev);
-
-      /* "tanglekit/_enumcore.pyx":164
- *                 ne[i] = s.ev[i]
- *             free(s.ev)
- *             s.ev = ne             # <<<<<<<<<<<<<<
- *             s.ev_cap *= 2
- *     s.ev[2 * s.ev_len] = a
-*/
-      __pyx_v_s->ev = __pyx_v_ne;
-
-      /* "tanglekit/_enumcore.pyx":165
- *             free(s.ev)
- *             s.ev = ne
- *             s.ev_cap *= 2             # <<<<<<<<<<<<<<
- *     s.ev[2 * s.ev_len] = a
- *     s.ev[2 * s.ev_len + 1] = b
-*/
-      __pyx_v_s->ev_cap = (__pyx_v_s->ev_cap * 2);
-
-      /* "tanglekit/_enumcore.pyx":159
- *             s.ev_len -= s.ev_head
- *             s.ev_head = 0
- *         if 2 * s.ev_len + 2 > s.ev_cap:             # <<<<<<<<<<<<<<
- *             ne = <int *> malloc(2 * s.ev_cap * sizeof(int))
- *             for i in range(2 * s.ev_len):
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":153
- *         s.ev_head = 0
- *         s.ev_len = 0
- *     if 2 * s.ev_len + 2 > s.ev_cap:             # <<<<<<<<<<<<<<
- *         if s.ev_head > 0:
- *             for i in range(2 * (s.ev_len - s.ev_head)):
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":166
- *             s.ev = ne
- *             s.ev_cap *= 2
- *     s.ev[2 * s.ev_len] = a             # <<<<<<<<<<<<<<
- *     s.ev[2 * s.ev_len + 1] = b
- *     s.ev_len += 1
-*/
-  (__pyx_v_s->ev[(2 * __pyx_v_s->ev_len)]) = __pyx_v_a;
-
-  /* "tanglekit/_enumcore.pyx":167
- *             s.ev_cap *= 2
- *     s.ev[2 * s.ev_len] = a
- *     s.ev[2 * s.ev_len + 1] = b             # <<<<<<<<<<<<<<
- *     s.ev_len += 1
- * 
-*/
-  (__pyx_v_s->ev[((2 * __pyx_v_s->ev_len) + 1)]) = __pyx_v_b;
-
-  /* "tanglekit/_enumcore.pyx":168
- *     s.ev[2 * s.ev_len] = a
- *     s.ev[2 * s.ev_len + 1] = b
- *     s.ev_len += 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_s->ev_len = (__pyx_v_s->ev_len + 1);
-
-  /* "tanglekit/_enumcore.pyx":147
- * 
- * 
- * cdef inline void push_event(State *s, int a, int b):             # <<<<<<<<<<<<<<
- *     cdef int *ne
- *     cdef int i
-*/
-
-  /* function exit code */
-}
-
-/* "tanglekit/_enumcore.pyx":171
- * 
- * 
- * cdef inline long long ti(State *s, int a, int b) nogil:             # <<<<<<<<<<<<<<
- *     return (<long long> a) * s.pitch + b
- * 
-*/
-
-static CYTHON_INLINE PY_LONG_LONG __pyx_f_9tanglekit_9_enumcore_ti(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_a, int __pyx_v_b) {
-  PY_LONG_LONG __pyx_r;
-
-  /* "tanglekit/_enumcore.pyx":172
- * 
- * cdef inline long long ti(State *s, int a, int b) nogil:
- *     return (<long long> a) * s.pitch + b             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = ((((PY_LONG_LONG)__pyx_v_a) * __pyx_v_s->pitch) + __pyx_v_b);
-  goto __pyx_L0;
-
-  /* "tanglekit/_enumcore.pyx":171
- * 
- * 
- * cdef inline long long ti(State *s, int a, int b) nogil:             # <<<<<<<<<<<<<<
- *     return (<long long> a) * s.pitch + b
- * 
-*/
-
-  /* function exit code */
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":175
- * 
- * 
- * cdef int new_element(State *s):             # <<<<<<<<<<<<<<
- *     cdef int e = s.n_slots
- *     if not grow(s, e + 1):
-*/
-
-static int __pyx_f_9tanglekit_9_enumcore_new_element(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s) {
-  int __pyx_v_e;
-  int __pyx_r;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "tanglekit/_enumcore.pyx":176
- * 
- * cdef int new_element(State *s):
- *     cdef int e = s.n_slots             # <<<<<<<<<<<<<<
- *     if not grow(s, e + 1):
- *         return -1
-*/
-  __pyx_t_1 = __pyx_v_s->n_slots;
-  __pyx_v_e = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":177
- * cdef int new_element(State *s):
- *     cdef int e = s.n_slots
- *     if not grow(s, e + 1):             # <<<<<<<<<<<<<<
- *         return -1
- *     s.n_slots += 1
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_grow(__pyx_v_s, (__pyx_v_e + 1)); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 177, __pyx_L1_error)
-  __pyx_t_2 = (!(__pyx_t_1 != 0));
-  if (__pyx_t_2) {
-
-    /* "tanglekit/_enumcore.pyx":178
- *     cdef int e = s.n_slots
- *     if not grow(s, e + 1):
- *         return -1             # <<<<<<<<<<<<<<
- *     s.n_slots += 1
- *     s.parent[e] = e
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":177
- * cdef int new_element(State *s):
- *     cdef int e = s.n_slots
- *     if not grow(s, e + 1):             # <<<<<<<<<<<<<<
- *         return -1
- *     s.n_slots += 1
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":179
- *     if not grow(s, e + 1):
- *         return -1
- *     s.n_slots += 1             # <<<<<<<<<<<<<<
- *     s.parent[e] = e
- *     s.tab[ti(s, e, e)] = e
-*/
-  __pyx_v_s->n_slots = (__pyx_v_s->n_slots + 1);
-
-  /* "tanglekit/_enumcore.pyx":180
- *         return -1
- *     s.n_slots += 1
- *     s.parent[e] = e             # <<<<<<<<<<<<<<
- *     s.tab[ti(s, e, e)] = e
- *     s.n_entries += 1
-*/
-  (__pyx_v_s->parent[__pyx_v_e]) = __pyx_v_e;
-
-  /* "tanglekit/_enumcore.pyx":181
- *     s.n_slots += 1
- *     s.parent[e] = e
- *     s.tab[ti(s, e, e)] = e             # <<<<<<<<<<<<<<
- *     s.n_entries += 1
- *     push_event(s, e, e)
-*/
-  __pyx_t_3 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_e, __pyx_v_e); if (unlikely(__pyx_t_3 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 181, __pyx_L1_error)
-  (__pyx_v_s->tab[__pyx_t_3]) = __pyx_v_e;
-
-  /* "tanglekit/_enumcore.pyx":182
- *     s.parent[e] = e
- *     s.tab[ti(s, e, e)] = e
- *     s.n_entries += 1             # <<<<<<<<<<<<<<
- *     push_event(s, e, e)
- *     return e
-*/
-  __pyx_v_s->n_entries = (__pyx_v_s->n_entries + 1);
-
-  /* "tanglekit/_enumcore.pyx":183
- *     s.tab[ti(s, e, e)] = e
- *     s.n_entries += 1
- *     push_event(s, e, e)             # <<<<<<<<<<<<<<
- *     return e
- * 
-*/
-  __pyx_f_9tanglekit_9_enumcore_push_event(__pyx_v_s, __pyx_v_e, __pyx_v_e); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 183, __pyx_L1_error)
-
-  /* "tanglekit/_enumcore.pyx":184
- *     s.n_entries += 1
- *     push_event(s, e, e)
- *     return e             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_e;
-  goto __pyx_L0;
-
-  /* "tanglekit/_enumcore.pyx":175
- * 
- * 
- * cdef int new_element(State *s):             # <<<<<<<<<<<<<<
- *     cdef int e = s.n_slots
- *     if not grow(s, e + 1):
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.new_element", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":187
- * 
- * 
- * cdef void merge(State *s, int x, int y):             # <<<<<<<<<<<<<<
- *     # explicit work stack; folds the dead row/column into the survivor
- *     cdef list queue = [(x, y)]
-*/
-
-static void __pyx_f_9tanglekit_9_enumcore_merge(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_x, int __pyx_v_y) {
-  PyObject *__pyx_v_queue = 0;
-  int __pyx_v_rx;
-  int __pyx_v_ry;
-  int __pyx_v_z;
-  int __pyx_v_val;
-  int __pyx_v_cur;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  PyObject *__pyx_t_3 = NULL;
-  int __pyx_t_4;
-  PyObject *__pyx_t_5 = NULL;
-  PyObject *(*__pyx_t_6)(PyObject *);
-  int __pyx_t_7;
-  int __pyx_t_8;
-  PY_LONG_LONG __pyx_t_9;
-  int __pyx_t_10;
-  int __pyx_t_11;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("merge", 0);
-
-  /* "tanglekit/_enumcore.pyx":189
- * cdef void merge(State *s, int x, int y):
- *     # explicit work stack; folds the dead row/column into the survivor
- *     cdef list queue = [(x, y)]             # <<<<<<<<<<<<<<
- *     cdef int rx, ry, z, val, cur
- *     while queue:
-*/
-  __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_x); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 189, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_y); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 189, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 189, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_3);
-  __Pyx_GIVEREF(__pyx_t_1);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 189, __pyx_L1_error);
-  __Pyx_GIVEREF(__pyx_t_2);
-  if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_2) != (0)) __PYX_ERR(0, 189, __pyx_L1_error);
-  __pyx_t_1 = 0;
-  __pyx_t_2 = 0;
-  __pyx_t_2 = PyList_New(1); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 189, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  __Pyx_GIVEREF(__pyx_t_3);
-  if (__Pyx_PyList_SET_ITEM(__pyx_t_2, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 189, __pyx_L1_error);
-  __pyx_t_3 = 0;
-  __pyx_v_queue = ((PyObject*)__pyx_t_2);
-  __pyx_t_2 = 0;
-
-  /* "tanglekit/_enumcore.pyx":191
- *     cdef list queue = [(x, y)]
- *     cdef int rx, ry, z, val, cur
- *     while queue:             # <<<<<<<<<<<<<<
- *         x, y = queue.pop()
- *         rx = find(s, x)
-*/
-  while (1) {
-    {
-      Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_v_queue);
-      if (unlikely(((!CYTHON_ASSUME_SAFE_SIZE) && __pyx_temp < 0))) __PYX_ERR(0, 191, __pyx_L1_error)
-      __pyx_t_4 = (__pyx_temp != 0);
-    }
-
-    if (!__pyx_t_4) break;
-
-    /* "tanglekit/_enumcore.pyx":192
- *     cdef int rx, ry, z, val, cur
- *     while queue:
- *         x, y = queue.pop()             # <<<<<<<<<<<<<<
- *         rx = find(s, x)
- *         ry = find(s, y)
-*/
-    __pyx_t_2 = __Pyx_PyList_Pop(__pyx_v_queue); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 192, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_2);
-    if ((likely(PyTuple_CheckExact(__pyx_t_2))) || (PyList_CheckExact(__pyx_t_2))) {
-      PyObject* sequence = __pyx_t_2;
-      Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-      if (unlikely(size != 2)) {
-        if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-        else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-        __PYX_ERR(0, 192, __pyx_L1_error)
-      }
-      #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-      if (likely(PyTuple_CheckExact(sequence))) {
-        __pyx_t_3 = PyTuple_GET_ITEM(sequence, 0);
-        __Pyx_INCREF(__pyx_t_3);
-        __pyx_t_1 = PyTuple_GET_ITEM(sequence, 1);
-        __Pyx_INCREF(__pyx_t_1);
-      } else {
-        __pyx_t_3 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 192, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_3);
-        __pyx_t_1 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-        if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 192, __pyx_L1_error)
-        __Pyx_XGOTREF(__pyx_t_1);
-      }
-      #else
-      __pyx_t_3 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 192, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __pyx_t_1 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 192, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      #endif
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-    } else {
-      Py_ssize_t index = -1;
-      __pyx_t_5 = PyObject_GetIter(__pyx_t_2); if (unlikely(!__pyx_t_5)) __PYX_ERR(0, 192, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_5);
-      __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-      __pyx_t_6 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_5);
-      index = 0; __pyx_t_3 = __pyx_t_6(__pyx_t_5); if (unlikely(!__pyx_t_3)) goto __pyx_L5_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_3);
-      index = 1; __pyx_t_1 = __pyx_t_6(__pyx_t_5); if (unlikely(!__pyx_t_1)) goto __pyx_L5_unpacking_failed;
-      __Pyx_GOTREF(__pyx_t_1);
-      if (__Pyx_IternextUnpackEndCheck(__pyx_t_6(__pyx_t_5), 2) < (0)) __PYX_ERR(0, 192, __pyx_L1_error)
-      __pyx_t_6 = NULL;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      goto __pyx_L6_unpacking_done;
-      __pyx_L5_unpacking_failed:;
-      __Pyx_DECREF(__pyx_t_5); __pyx_t_5 = 0;
-      __pyx_t_6 = NULL;
-      if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-      __PYX_ERR(0, 192, __pyx_L1_error)
-      __pyx_L6_unpacking_done:;
-    }
-    __pyx_t_7 = __Pyx_PyLong_As_int(__pyx_t_3); if (unlikely((__pyx_t_7 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 192, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-    __pyx_t_8 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_8 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 192, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-    __pyx_v_x = __pyx_t_7;
-    __pyx_v_y = __pyx_t_8;
-
-    /* "tanglekit/_enumcore.pyx":193
- *     while queue:
- *         x, y = queue.pop()
- *         rx = find(s, x)             # <<<<<<<<<<<<<<
- *         ry = find(s, y)
- *         if rx == ry:
-*/
-    __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_x); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 193, __pyx_L1_error)
-    __pyx_v_rx = __pyx_t_8;
-
-    /* "tanglekit/_enumcore.pyx":194
- *         x, y = queue.pop()
- *         rx = find(s, x)
- *         ry = find(s, y)             # <<<<<<<<<<<<<<
- *         if rx == ry:
- *             continue
-*/
-    __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_y); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 194, __pyx_L1_error)
-    __pyx_v_ry = __pyx_t_8;
-
-    /* "tanglekit/_enumcore.pyx":195
- *         rx = find(s, x)
- *         ry = find(s, y)
- *         if rx == ry:             # <<<<<<<<<<<<<<
- *             continue
- *         if rx > ry:
-*/
-    __pyx_t_4 = (__pyx_v_rx == __pyx_v_ry);
-    if (__pyx_t_4) {
-
-      /* "tanglekit/_enumcore.pyx":196
- *         ry = find(s, y)
- *         if rx == ry:
- *             continue             # <<<<<<<<<<<<<<
- *         if rx > ry:
- *             rx, ry = ry, rx
-*/
-      goto __pyx_L3_continue;
-
-      /* "tanglekit/_enumcore.pyx":195
- *         rx = find(s, x)
- *         ry = find(s, y)
- *         if rx == ry:             # <<<<<<<<<<<<<<
- *             continue
- *         if rx > ry:
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":197
- *         if rx == ry:
- *             continue
- *         if rx > ry:             # <<<<<<<<<<<<<<
- *             rx, ry = ry, rx
- *         s.parent[ry] = rx
-*/
-    __pyx_t_4 = (__pyx_v_rx > __pyx_v_ry);
-    if (__pyx_t_4) {
-
-      /* "tanglekit/_enumcore.pyx":198
- *             continue
- *         if rx > ry:
- *             rx, ry = ry, rx             # <<<<<<<<<<<<<<
- *         s.parent[ry] = rx
- *         s.merges += 1
-*/
-      __pyx_t_8 = __pyx_v_ry;
-      __pyx_t_7 = __pyx_v_rx;
-      __pyx_v_rx = __pyx_t_8;
-      __pyx_v_ry = __pyx_t_7;
-
-      /* "tanglekit/_enumcore.pyx":197
- *         if rx == ry:
- *             continue
- *         if rx > ry:             # <<<<<<<<<<<<<<
- *             rx, ry = ry, rx
- *         s.parent[ry] = rx
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":199
- *         if rx > ry:
- *             rx, ry = ry, rx
- *         s.parent[ry] = rx             # <<<<<<<<<<<<<<
- *         s.merges += 1
- *         val = s.tab[ti(s, ry, ry)]
-*/
-    (__pyx_v_s->parent[__pyx_v_ry]) = __pyx_v_rx;
-
-    /* "tanglekit/_enumcore.pyx":200
- *             rx, ry = ry, rx
- *         s.parent[ry] = rx
- *         s.merges += 1             # <<<<<<<<<<<<<<
- *         val = s.tab[ti(s, ry, ry)]
- *         if val >= 0:
-*/
-    __pyx_v_s->merges = (__pyx_v_s->merges + 1);
-
-    /* "tanglekit/_enumcore.pyx":201
- *         s.parent[ry] = rx
- *         s.merges += 1
- *         val = s.tab[ti(s, ry, ry)]             # <<<<<<<<<<<<<<
- *         if val >= 0:
- *             s.tab[ti(s, ry, ry)] = -1
-*/
-    __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_ry, __pyx_v_ry); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 201, __pyx_L1_error)
-    __pyx_v_val = (__pyx_v_s->tab[__pyx_t_9]);
-
-    /* "tanglekit/_enumcore.pyx":202
- *         s.merges += 1
- *         val = s.tab[ti(s, ry, ry)]
- *         if val >= 0:             # <<<<<<<<<<<<<<
- *             s.tab[ti(s, ry, ry)] = -1
- *             s.n_entries -= 1
-*/
-    __pyx_t_4 = (__pyx_v_val >= 0);
-    if (__pyx_t_4) {
-
-      /* "tanglekit/_enumcore.pyx":203
- *         val = s.tab[ti(s, ry, ry)]
- *         if val >= 0:
- *             s.tab[ti(s, ry, ry)] = -1             # <<<<<<<<<<<<<<
- *             s.n_entries -= 1
- *             queue.append((val, rx))
-*/
-      __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_ry, __pyx_v_ry); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 203, __pyx_L1_error)
-      (__pyx_v_s->tab[__pyx_t_9]) = -1;
-
-      /* "tanglekit/_enumcore.pyx":204
- *         if val >= 0:
- *             s.tab[ti(s, ry, ry)] = -1
- *             s.n_entries -= 1             # <<<<<<<<<<<<<<
- *             queue.append((val, rx))
- *         for z in range(s.n_slots):
-*/
-      __pyx_v_s->n_entries = (__pyx_v_s->n_entries - 1);
-
-      /* "tanglekit/_enumcore.pyx":205
- *             s.tab[ti(s, ry, ry)] = -1
- *             s.n_entries -= 1
- *             queue.append((val, rx))             # <<<<<<<<<<<<<<
- *         for z in range(s.n_slots):
- *             if s.parent[z] != z:
-*/
-      __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_val); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 205, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_2);
-      __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_rx); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 205, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_1);
-      __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 205, __pyx_L1_error)
-      __Pyx_GOTREF(__pyx_t_3);
-      __Pyx_GIVEREF(__pyx_t_2);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 205, __pyx_L1_error);
-      __Pyx_GIVEREF(__pyx_t_1);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 205, __pyx_L1_error);
-      __pyx_t_2 = 0;
-      __pyx_t_1 = 0;
-      __pyx_t_10 = __Pyx_PyList_Append(__pyx_v_queue, __pyx_t_3); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 205, __pyx_L1_error)
-      __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-      /* "tanglekit/_enumcore.pyx":202
- *         s.merges += 1
- *         val = s.tab[ti(s, ry, ry)]
- *         if val >= 0:             # <<<<<<<<<<<<<<
- *             s.tab[ti(s, ry, ry)] = -1
- *             s.n_entries -= 1
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":206
- *             s.n_entries -= 1
- *             queue.append((val, rx))
- *         for z in range(s.n_slots):             # <<<<<<<<<<<<<<
- *             if s.parent[z] != z:
- *                 continue
-*/
-    __pyx_t_7 = __pyx_v_s->n_slots;
-    __pyx_t_8 = __pyx_t_7;
-    for (__pyx_t_11 = 0; __pyx_t_11 < __pyx_t_8; __pyx_t_11+=1) {
-      __pyx_v_z = __pyx_t_11;
-
-      /* "tanglekit/_enumcore.pyx":207
- *             queue.append((val, rx))
- *         for z in range(s.n_slots):
- *             if s.parent[z] != z:             # <<<<<<<<<<<<<<
- *                 continue
- *             val = s.tab[ti(s, ry, z)]
-*/
-      __pyx_t_4 = ((__pyx_v_s->parent[__pyx_v_z]) != __pyx_v_z);
-      if (__pyx_t_4) {
-
-        /* "tanglekit/_enumcore.pyx":208
- *         for z in range(s.n_slots):
- *             if s.parent[z] != z:
- *                 continue             # <<<<<<<<<<<<<<
- *             val = s.tab[ti(s, ry, z)]
- *             if val >= 0:
-*/
-        goto __pyx_L10_continue;
-
-        /* "tanglekit/_enumcore.pyx":207
- *             queue.append((val, rx))
- *         for z in range(s.n_slots):
- *             if s.parent[z] != z:             # <<<<<<<<<<<<<<
- *                 continue
- *             val = s.tab[ti(s, ry, z)]
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":209
- *             if s.parent[z] != z:
- *                 continue
- *             val = s.tab[ti(s, ry, z)]             # <<<<<<<<<<<<<<
- *             if val >= 0:
- *                 s.tab[ti(s, ry, z)] = -1
-*/
-      __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_ry, __pyx_v_z); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 209, __pyx_L1_error)
-      __pyx_v_val = (__pyx_v_s->tab[__pyx_t_9]);
-
-      /* "tanglekit/_enumcore.pyx":210
- *                 continue
- *             val = s.tab[ti(s, ry, z)]
- *             if val >= 0:             # <<<<<<<<<<<<<<
- *                 s.tab[ti(s, ry, z)] = -1
- *                 cur = s.tab[ti(s, rx, z)]
-*/
-      __pyx_t_4 = (__pyx_v_val >= 0);
-      if (__pyx_t_4) {
-
-        /* "tanglekit/_enumcore.pyx":211
- *             val = s.tab[ti(s, ry, z)]
- *             if val >= 0:
- *                 s.tab[ti(s, ry, z)] = -1             # <<<<<<<<<<<<<<
- *                 cur = s.tab[ti(s, rx, z)]
- *                 if cur < 0:
-*/
-        __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_ry, __pyx_v_z); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 211, __pyx_L1_error)
-        (__pyx_v_s->tab[__pyx_t_9]) = -1;
-
-        /* "tanglekit/_enumcore.pyx":212
- *             if val >= 0:
- *                 s.tab[ti(s, ry, z)] = -1
- *                 cur = s.tab[ti(s, rx, z)]             # <<<<<<<<<<<<<<
- *                 if cur < 0:
- *                     s.tab[ti(s, rx, z)] = val
-*/
-        __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_rx, __pyx_v_z); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 212, __pyx_L1_error)
-        __pyx_v_cur = (__pyx_v_s->tab[__pyx_t_9]);
-
-        /* "tanglekit/_enumcore.pyx":213
- *                 s.tab[ti(s, ry, z)] = -1
- *                 cur = s.tab[ti(s, rx, z)]
- *                 if cur < 0:             # <<<<<<<<<<<<<<
- *                     s.tab[ti(s, rx, z)] = val
- *                     push_event(s, rx, z)
-*/
-        __pyx_t_4 = (__pyx_v_cur < 0);
-        if (__pyx_t_4) {
-
-          /* "tanglekit/_enumcore.pyx":214
- *                 cur = s.tab[ti(s, rx, z)]
- *                 if cur < 0:
- *                     s.tab[ti(s, rx, z)] = val             # <<<<<<<<<<<<<<
- *                     push_event(s, rx, z)
- *                 else:
-*/
-          __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_rx, __pyx_v_z); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 214, __pyx_L1_error)
-          (__pyx_v_s->tab[__pyx_t_9]) = __pyx_v_val;
-
-          /* "tanglekit/_enumcore.pyx":215
- *                 if cur < 0:
- *                     s.tab[ti(s, rx, z)] = val
- *                     push_event(s, rx, z)             # <<<<<<<<<<<<<<
- *                 else:
- *                     s.n_entries -= 1
-*/
-          __pyx_f_9tanglekit_9_enumcore_push_event(__pyx_v_s, __pyx_v_rx, __pyx_v_z); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 215, __pyx_L1_error)
-
-          /* "tanglekit/_enumcore.pyx":213
- *                 s.tab[ti(s, ry, z)] = -1
- *                 cur = s.tab[ti(s, rx, z)]
- *                 if cur < 0:             # <<<<<<<<<<<<<<
- *                     s.tab[ti(s, rx, z)] = val
- *                     push_event(s, rx, z)
-*/
-          goto __pyx_L14;
-        }
-
-        /* "tanglekit/_enumcore.pyx":217
- *                     push_event(s, rx, z)
- *                 else:
- *                     s.n_entries -= 1             # <<<<<<<<<<<<<<
- *                     if cur != val:
- *                         queue.append((cur, val))
-*/
-        /*else*/ {
-          __pyx_v_s->n_entries = (__pyx_v_s->n_entries - 1);
-
-          /* "tanglekit/_enumcore.pyx":218
- *                 else:
- *                     s.n_entries -= 1
- *                     if cur != val:             # <<<<<<<<<<<<<<
- *                         queue.append((cur, val))
- *             val = s.tab[ti(s, z, ry)]
-*/
-          __pyx_t_4 = (__pyx_v_cur != __pyx_v_val);
-          if (__pyx_t_4) {
-
-            /* "tanglekit/_enumcore.pyx":219
- *                     s.n_entries -= 1
- *                     if cur != val:
- *                         queue.append((cur, val))             # <<<<<<<<<<<<<<
- *             val = s.tab[ti(s, z, ry)]
- *             if val >= 0:
-*/
-            __pyx_t_3 = __Pyx_PyLong_From_int(__pyx_v_cur); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 219, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_3);
-            __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_val); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 219, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_1);
-            __pyx_t_2 = PyTuple_New(2); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 219, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_2);
-            __Pyx_GIVEREF(__pyx_t_3);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 0, __pyx_t_3) != (0)) __PYX_ERR(0, 219, __pyx_L1_error);
-            __Pyx_GIVEREF(__pyx_t_1);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_2, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 219, __pyx_L1_error);
-            __pyx_t_3 = 0;
-            __pyx_t_1 = 0;
-            __pyx_t_10 = __Pyx_PyList_Append(__pyx_v_queue, __pyx_t_2); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 219, __pyx_L1_error)
-            __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-            /* "tanglekit/_enumcore.pyx":218
- *                 else:
- *                     s.n_entries -= 1
- *                     if cur != val:             # <<<<<<<<<<<<<<
- *                         queue.append((cur, val))
- *             val = s.tab[ti(s, z, ry)]
-*/
-          }
-        }
-        __pyx_L14:;
-
-        /* "tanglekit/_enumcore.pyx":210
- *                 continue
- *             val = s.tab[ti(s, ry, z)]
- *             if val >= 0:             # <<<<<<<<<<<<<<
- *                 s.tab[ti(s, ry, z)] = -1
- *                 cur = s.tab[ti(s, rx, z)]
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":220
- *                     if cur != val:
- *                         queue.append((cur, val))
- *             val = s.tab[ti(s, z, ry)]             # <<<<<<<<<<<<<<
- *             if val >= 0:
- *                 s.tab[ti(s, z, ry)] = -1
-*/
-      __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_z, __pyx_v_ry); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 220, __pyx_L1_error)
-      __pyx_v_val = (__pyx_v_s->tab[__pyx_t_9]);
-
-      /* "tanglekit/_enumcore.pyx":221
- *                         queue.append((cur, val))
- *             val = s.tab[ti(s, z, ry)]
- *             if val >= 0:             # <<<<<<<<<<<<<<
- *                 s.tab[ti(s, z, ry)] = -1
- *                 cur = s.tab[ti(s, z, rx)]
-*/
-      __pyx_t_4 = (__pyx_v_val >= 0);
-      if (__pyx_t_4) {
-
-        /* "tanglekit/_enumcore.pyx":222
- *             val = s.tab[ti(s, z, ry)]
- *             if val >= 0:
- *                 s.tab[ti(s, z, ry)] = -1             # <<<<<<<<<<<<<<
- *                 cur = s.tab[ti(s, z, rx)]
- *                 if cur < 0:
-*/
-        __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_z, __pyx_v_ry); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 222, __pyx_L1_error)
-        (__pyx_v_s->tab[__pyx_t_9]) = -1;
-
-        /* "tanglekit/_enumcore.pyx":223
- *             if val >= 0:
- *                 s.tab[ti(s, z, ry)] = -1
- *                 cur = s.tab[ti(s, z, rx)]             # <<<<<<<<<<<<<<
- *                 if cur < 0:
- *                     s.tab[ti(s, z, rx)] = val
-*/
-        __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_z, __pyx_v_rx); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 223, __pyx_L1_error)
-        __pyx_v_cur = (__pyx_v_s->tab[__pyx_t_9]);
-
-        /* "tanglekit/_enumcore.pyx":224
- *                 s.tab[ti(s, z, ry)] = -1
- *                 cur = s.tab[ti(s, z, rx)]
- *                 if cur < 0:             # <<<<<<<<<<<<<<
- *                     s.tab[ti(s, z, rx)] = val
- *                     push_event(s, z, rx)
-*/
-        __pyx_t_4 = (__pyx_v_cur < 0);
-        if (__pyx_t_4) {
-
-          /* "tanglekit/_enumcore.pyx":225
- *                 cur = s.tab[ti(s, z, rx)]
- *                 if cur < 0:
- *                     s.tab[ti(s, z, rx)] = val             # <<<<<<<<<<<<<<
- *                     push_event(s, z, rx)
- *                 else:
-*/
-          __pyx_t_9 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_z, __pyx_v_rx); if (unlikely(__pyx_t_9 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 225, __pyx_L1_error)
-          (__pyx_v_s->tab[__pyx_t_9]) = __pyx_v_val;
-
-          /* "tanglekit/_enumcore.pyx":226
- *                 if cur < 0:
- *                     s.tab[ti(s, z, rx)] = val
- *                     push_event(s, z, rx)             # <<<<<<<<<<<<<<
- *                 else:
- *                     s.n_entries -= 1
-*/
-          __pyx_f_9tanglekit_9_enumcore_push_event(__pyx_v_s, __pyx_v_z, __pyx_v_rx); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 226, __pyx_L1_error)
-
-          /* "tanglekit/_enumcore.pyx":224
- *                 s.tab[ti(s, z, ry)] = -1
- *                 cur = s.tab[ti(s, z, rx)]
- *                 if cur < 0:             # <<<<<<<<<<<<<<
- *                     s.tab[ti(s, z, rx)] = val
- *                     push_event(s, z, rx)
-*/
-          goto __pyx_L17;
-        }
-
-        /* "tanglekit/_enumcore.pyx":228
- *                     push_event(s, z, rx)
- *                 else:
- *                     s.n_entries -= 1             # <<<<<<<<<<<<<<
- *                     if cur != val:
- *                         queue.append((cur, val))
-*/
-        /*else*/ {
-          __pyx_v_s->n_entries = (__pyx_v_s->n_entries - 1);
-
-          /* "tanglekit/_enumcore.pyx":229
- *                 else:
- *                     s.n_entries -= 1
- *                     if cur != val:             # <<<<<<<<<<<<<<
- *                         queue.append((cur, val))
- * 
-*/
-          __pyx_t_4 = (__pyx_v_cur != __pyx_v_val);
-          if (__pyx_t_4) {
-
-            /* "tanglekit/_enumcore.pyx":230
- *                     s.n_entries -= 1
- *                     if cur != val:
- *                         queue.append((cur, val))             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-            __pyx_t_2 = __Pyx_PyLong_From_int(__pyx_v_cur); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 230, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_2);
-            __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_v_val); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 230, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_1);
-            __pyx_t_3 = PyTuple_New(2); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 230, __pyx_L1_error)
-            __Pyx_GOTREF(__pyx_t_3);
-            __Pyx_GIVEREF(__pyx_t_2);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 0, __pyx_t_2) != (0)) __PYX_ERR(0, 230, __pyx_L1_error);
-            __Pyx_GIVEREF(__pyx_t_1);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_3, 1, __pyx_t_1) != (0)) __PYX_ERR(0, 230, __pyx_L1_error);
-            __pyx_t_2 = 0;
-            __pyx_t_1 = 0;
-            __pyx_t_10 = __Pyx_PyList_Append(__pyx_v_queue, __pyx_t_3); if (unlikely(__pyx_t_10 == ((int)-1))) __PYX_ERR(0, 230, __pyx_L1_error)
-            __Pyx_DECREF(__pyx_t_3); __pyx_t_3 = 0;
-
-            /* "tanglekit/_enumcore.pyx":229
- *                 else:
- *                     s.n_entries -= 1
- *                     if cur != val:             # <<<<<<<<<<<<<<
- *                         queue.append((cur, val))
- * 
-*/
-          }
-        }
-        __pyx_L17:;
-
-        /* "tanglekit/_enumcore.pyx":221
- *                         queue.append((cur, val))
- *             val = s.tab[ti(s, z, ry)]
- *             if val >= 0:             # <<<<<<<<<<<<<<
- *                 s.tab[ti(s, z, ry)] = -1
- *                 cur = s.tab[ti(s, z, rx)]
-*/
-      }
-      __pyx_L10_continue:;
-    }
-    __pyx_L3_continue:;
-  }
-
-  /* "tanglekit/_enumcore.pyx":187
- * 
- * 
- * cdef void merge(State *s, int x, int y):             # <<<<<<<<<<<<<<
- *     # explicit work stack; folds the dead row/column into the survivor
- *     cdef list queue = [(x, y)]
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_2);
-  __Pyx_XDECREF(__pyx_t_3);
-  __Pyx_XDECREF(__pyx_t_5);
-  __Pyx_AddTraceback("tanglekit._enumcore.merge", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_queue);
-  __Pyx_RefNannyFinishContext();
-}
-
-/* "tanglekit/_enumcore.pyx":233
- * 
- * 
- * cdef void set_entry(State *s, int a, int b, int c):             # <<<<<<<<<<<<<<
- *     cdef int cur
- *     a = find(s, a)
-*/
-
-static void __pyx_f_9tanglekit_9_enumcore_set_entry(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_a, int __pyx_v_b, int __pyx_v_c) {
-  int __pyx_v_cur;
-  int __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "tanglekit/_enumcore.pyx":235
- * cdef void set_entry(State *s, int a, int b, int c):
- *     cdef int cur
- *     a = find(s, a)             # <<<<<<<<<<<<<<
- *     b = find(s, b)
- *     c = find(s, c)
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_a); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 235, __pyx_L1_error)
-  __pyx_v_a = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":236
- *     cdef int cur
- *     a = find(s, a)
- *     b = find(s, b)             # <<<<<<<<<<<<<<
- *     c = find(s, c)
- *     cur = s.tab[ti(s, a, b)]
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_b); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 236, __pyx_L1_error)
-  __pyx_v_b = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":237
- *     a = find(s, a)
- *     b = find(s, b)
- *     c = find(s, c)             # <<<<<<<<<<<<<<
- *     cur = s.tab[ti(s, a, b)]
- *     if cur < 0:
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_c); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 237, __pyx_L1_error)
-  __pyx_v_c = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":238
- *     b = find(s, b)
- *     c = find(s, c)
- *     cur = s.tab[ti(s, a, b)]             # <<<<<<<<<<<<<<
- *     if cur < 0:
- *         s.tab[ti(s, a, b)] = c
-*/
-  __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_a, __pyx_v_b); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 238, __pyx_L1_error)
-  __pyx_v_cur = (__pyx_v_s->tab[__pyx_t_2]);
-
-  /* "tanglekit/_enumcore.pyx":239
- *     c = find(s, c)
- *     cur = s.tab[ti(s, a, b)]
- *     if cur < 0:             # <<<<<<<<<<<<<<
- *         s.tab[ti(s, a, b)] = c
- *         s.n_entries += 1
-*/
-  __pyx_t_3 = (__pyx_v_cur < 0);
-  if (__pyx_t_3) {
-
-    /* "tanglekit/_enumcore.pyx":240
- *     cur = s.tab[ti(s, a, b)]
- *     if cur < 0:
- *         s.tab[ti(s, a, b)] = c             # <<<<<<<<<<<<<<
- *         s.n_entries += 1
- *         push_event(s, a, b)
-*/
-    __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_a, __pyx_v_b); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 240, __pyx_L1_error)
-    (__pyx_v_s->tab[__pyx_t_2]) = __pyx_v_c;
-
-    /* "tanglekit/_enumcore.pyx":241
- *     if cur < 0:
- *         s.tab[ti(s, a, b)] = c
- *         s.n_entries += 1             # <<<<<<<<<<<<<<
- *         push_event(s, a, b)
- *     elif find(s, cur) != c:
-*/
-    __pyx_v_s->n_entries = (__pyx_v_s->n_entries + 1);
-
-    /* "tanglekit/_enumcore.pyx":242
- *         s.tab[ti(s, a, b)] = c
- *         s.n_entries += 1
- *         push_event(s, a, b)             # <<<<<<<<<<<<<<
- *     elif find(s, cur) != c:
- *         merge(s, cur, c)
-*/
-    __pyx_f_9tanglekit_9_enumcore_push_event(__pyx_v_s, __pyx_v_a, __pyx_v_b); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 242, __pyx_L1_error)
-
-    /* "tanglekit/_enumcore.pyx":239
- *     c = find(s, c)
- *     cur = s.tab[ti(s, a, b)]
- *     if cur < 0:             # <<<<<<<<<<<<<<
- *         s.tab[ti(s, a, b)] = c
- *         s.n_entries += 1
-*/
-    goto __pyx_L3;
-  }
-
-  /* "tanglekit/_enumcore.pyx":243
- *         s.n_entries += 1
- *         push_event(s, a, b)
- *     elif find(s, cur) != c:             # <<<<<<<<<<<<<<
- *         merge(s, cur, c)
- * 
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_cur); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 243, __pyx_L1_error)
-  __pyx_t_3 = (__pyx_t_1 != __pyx_v_c);
-  if (__pyx_t_3) {
-
-    /* "tanglekit/_enumcore.pyx":244
- *         push_event(s, a, b)
- *     elif find(s, cur) != c:
- *         merge(s, cur, c)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_f_9tanglekit_9_enumcore_merge(__pyx_v_s, __pyx_v_cur, __pyx_v_c); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 244, __pyx_L1_error)
-
-    /* "tanglekit/_enumcore.pyx":243
- *         s.n_entries += 1
- *         push_event(s, a, b)
- *     elif find(s, cur) != c:             # <<<<<<<<<<<<<<
- *         merge(s, cur, c)
- * 
-*/
-  }
-  __pyx_L3:;
-
-  /* "tanglekit/_enumcore.pyx":233
- * 
- * 
- * cdef void set_entry(State *s, int a, int b, int c):             # <<<<<<<<<<<<<<
- *     cdef int cur
- *     a = find(s, a)
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.set_entry", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "tanglekit/_enumcore.pyx":247
- * 
- * 
- * cdef inline int lookup(State *s, int a, int b) nogil:             # <<<<<<<<<<<<<<
- *     cdef int v = s.tab[ti(s, a, b)]
- *     if v < 0:
-*/
-
-static CYTHON_INLINE int __pyx_f_9tanglekit_9_enumcore_lookup(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_a, int __pyx_v_b) {
-  int __pyx_v_v;
-  int __pyx_r;
-  PY_LONG_LONG __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyGILState_STATE __pyx_gilstate_save;
-
-  /* "tanglekit/_enumcore.pyx":248
- * 
- * cdef inline int lookup(State *s, int a, int b) nogil:
- *     cdef int v = s.tab[ti(s, a, b)]             # <<<<<<<<<<<<<<
- *     if v < 0:
- *         return -1
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_a, __pyx_v_b); if (unlikely(__pyx_t_1 == ((PY_LONG_LONG)-1LL) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 248, __pyx_L1_error)
-  __pyx_v_v = (__pyx_v_s->tab[__pyx_t_1]);
-
-  /* "tanglekit/_enumcore.pyx":249
- * cdef inline int lookup(State *s, int a, int b) nogil:
- *     cdef int v = s.tab[ti(s, a, b)]
- *     if v < 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     return find(s, v)
-*/
-  __pyx_t_2 = (__pyx_v_v < 0);
-  if (__pyx_t_2) {
-
-    /* "tanglekit/_enumcore.pyx":250
- *     cdef int v = s.tab[ti(s, a, b)]
- *     if v < 0:
- *         return -1             # <<<<<<<<<<<<<<
- *     return find(s, v)
- * 
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":249
- * cdef inline int lookup(State *s, int a, int b) nogil:
- *     cdef int v = s.tab[ti(s, a, b)]
- *     if v < 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     return find(s, v)
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":251
- *     if v < 0:
- *         return -1
- *     return find(s, v)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_t_3 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_v); if (unlikely(__pyx_t_3 == ((int)-1) && __Pyx_ErrOccurredWithGIL())) __PYX_ERR(0, 251, __pyx_L1_error)
-  __pyx_r = __pyx_t_3;
-  goto __pyx_L0;
-
-  /* "tanglekit/_enumcore.pyx":247
- * 
- * 
- * cdef inline int lookup(State *s, int a, int b) nogil:             # <<<<<<<<<<<<<<
- *     cdef int v = s.tab[ti(s, a, b)]
- *     if v < 0:
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __pyx_gilstate_save = __Pyx_PyGILState_Ensure();
-  __Pyx_AddTraceback("tanglekit._enumcore.lookup", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __Pyx_PyGILState_Release(__pyx_gilstate_save);
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":254
- * 
- * 
- * cdef void confront(State *s, int gk0, int gk1, int g, int hk0, int hk1, int h):             # <<<<<<<<<<<<<<
- *     if g < 0 and h < 0:
- *         return
-*/
-
-static void __pyx_f_9tanglekit_9_enumcore_confront(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_gk0, int __pyx_v_gk1, int __pyx_v_g, int __pyx_v_hk0, int __pyx_v_hk1, int __pyx_v_h) {
-  int __pyx_t_1;
-  int __pyx_t_2;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "tanglekit/_enumcore.pyx":255
- * 
- * cdef void confront(State *s, int gk0, int gk1, int g, int hk0, int hk1, int h):
- *     if g < 0 and h < 0:             # <<<<<<<<<<<<<<
- *         return
- *     if g < 0:
-*/
-  __pyx_t_2 = (__pyx_v_g < 0);
-  if (__pyx_t_2) {
-  } else {
-    __pyx_t_1 = __pyx_t_2;
-    goto __pyx_L4_bool_binop_done;
-  }
-  __pyx_t_2 = (__pyx_v_h < 0);
-  __pyx_t_1 = __pyx_t_2;
-  __pyx_L4_bool_binop_done:;
-  if (__pyx_t_1) {
-
-    /* "tanglekit/_enumcore.pyx":256
- * cdef void confront(State *s, int gk0, int gk1, int g, int hk0, int hk1, int h):
- *     if g < 0 and h < 0:
- *         return             # <<<<<<<<<<<<<<
- *     if g < 0:
- *         set_entry(s, gk0, gk1, h)
-*/
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":255
- * 
- * cdef void confront(State *s, int gk0, int gk1, int g, int hk0, int hk1, int h):
- *     if g < 0 and h < 0:             # <<<<<<<<<<<<<<
- *         return
- *     if g < 0:
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":257
- *     if g < 0 and h < 0:
- *         return
- *     if g < 0:             # <<<<<<<<<<<<<<
- *         set_entry(s, gk0, gk1, h)
- *     elif h < 0:
-*/
-  __pyx_t_1 = (__pyx_v_g < 0);
-  if (__pyx_t_1) {
-
-    /* "tanglekit/_enumcore.pyx":258
- *         return
- *     if g < 0:
- *         set_entry(s, gk0, gk1, h)             # <<<<<<<<<<<<<<
- *     elif h < 0:
- *         set_entry(s, hk0, hk1, g)
-*/
-    __pyx_f_9tanglekit_9_enumcore_set_entry(__pyx_v_s, __pyx_v_gk0, __pyx_v_gk1, __pyx_v_h); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 258, __pyx_L1_error)
-
-    /* "tanglekit/_enumcore.pyx":257
- *     if g < 0 and h < 0:
- *         return
- *     if g < 0:             # <<<<<<<<<<<<<<
- *         set_entry(s, gk0, gk1, h)
- *     elif h < 0:
-*/
-    goto __pyx_L6;
-  }
-
-  /* "tanglekit/_enumcore.pyx":259
- *     if g < 0:
- *         set_entry(s, gk0, gk1, h)
- *     elif h < 0:             # <<<<<<<<<<<<<<
- *         set_entry(s, hk0, hk1, g)
- *     elif g != h:
-*/
-  __pyx_t_1 = (__pyx_v_h < 0);
-  if (__pyx_t_1) {
-
-    /* "tanglekit/_enumcore.pyx":260
- *         set_entry(s, gk0, gk1, h)
- *     elif h < 0:
- *         set_entry(s, hk0, hk1, g)             # <<<<<<<<<<<<<<
- *     elif g != h:
- *         merge(s, g, h)
-*/
-    __pyx_f_9tanglekit_9_enumcore_set_entry(__pyx_v_s, __pyx_v_hk0, __pyx_v_hk1, __pyx_v_g); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 260, __pyx_L1_error)
-
-    /* "tanglekit/_enumcore.pyx":259
- *     if g < 0:
- *         set_entry(s, gk0, gk1, h)
- *     elif h < 0:             # <<<<<<<<<<<<<<
- *         set_entry(s, hk0, hk1, g)
- *     elif g != h:
-*/
-    goto __pyx_L6;
-  }
-
-  /* "tanglekit/_enumcore.pyx":261
- *     elif h < 0:
- *         set_entry(s, hk0, hk1, g)
- *     elif g != h:             # <<<<<<<<<<<<<<
- *         merge(s, g, h)
- * 
-*/
-  __pyx_t_1 = (__pyx_v_g != __pyx_v_h);
-  if (__pyx_t_1) {
-
-    /* "tanglekit/_enumcore.pyx":262
- *         set_entry(s, hk0, hk1, g)
- *     elif g != h:
- *         merge(s, g, h)             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-    __pyx_f_9tanglekit_9_enumcore_merge(__pyx_v_s, __pyx_v_g, __pyx_v_h); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 262, __pyx_L1_error)
-
-    /* "tanglekit/_enumcore.pyx":261
- *     elif h < 0:
- *         set_entry(s, hk0, hk1, g)
- *     elif g != h:             # <<<<<<<<<<<<<<
- *         merge(s, g, h)
- * 
-*/
-  }
-  __pyx_L6:;
-
-  /* "tanglekit/_enumcore.pyx":254
- * 
- * 
- * cdef void confront(State *s, int gk0, int gk1, int g, int hk0, int hk1, int h):             # <<<<<<<<<<<<<<
- *     if g < 0 and h < 0:
- *         return
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.confront", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "tanglekit/_enumcore.pyx":265
- * 
- * 
- * cdef void process_events(State *s):             # <<<<<<<<<<<<<<
- *     cdef int a, b, ra, rb, c, z, nz, i
- *     cdef int e, f, d
-*/
-
-static void __pyx_f_9tanglekit_9_enumcore_process_events(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s) {
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int __pyx_v_ra;
-  int __pyx_v_rb;
-  int __pyx_v_c;
-  int __pyx_v_z;
-  int __pyx_v_nz;
-  int __pyx_v_i;
-  int __pyx_v_e;
-  int __pyx_v_f;
-  int __pyx_v_d;
-  int __pyx_t_1;
-  int __pyx_t_2;
-  PY_LONG_LONG __pyx_t_3;
-  int __pyx_t_4;
-  int __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  int __pyx_t_8;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "tanglekit/_enumcore.pyx":268
- *     cdef int a, b, ra, rb, c, z, nz, i
- *     cdef int e, f, d
- *     while s.ev_head < s.ev_len:             # <<<<<<<<<<<<<<
- *         a = s.ev[2 * s.ev_head]
- *         b = s.ev[2 * s.ev_head + 1]
-*/
-  while (1) {
-    __pyx_t_1 = (__pyx_v_s->ev_head < __pyx_v_s->ev_len);
-    if (!__pyx_t_1) break;
-
-    /* "tanglekit/_enumcore.pyx":269
- *     cdef int e, f, d
- *     while s.ev_head < s.ev_len:
- *         a = s.ev[2 * s.ev_head]             # <<<<<<<<<<<<<<
- *         b = s.ev[2 * s.ev_head + 1]
- *         s.ev_head += 1
-*/
-    __pyx_v_a = (__pyx_v_s->ev[(2 * __pyx_v_s->ev_head)]);
-
-    /* "tanglekit/_enumcore.pyx":270
- *     while s.ev_head < s.ev_len:
- *         a = s.ev[2 * s.ev_head]
- *         b = s.ev[2 * s.ev_head + 1]             # <<<<<<<<<<<<<<
- *         s.ev_head += 1
- *         ra = find(s, a)
-*/
-    __pyx_v_b = (__pyx_v_s->ev[((2 * __pyx_v_s->ev_head) + 1)]);
-
-    /* "tanglekit/_enumcore.pyx":271
- *         a = s.ev[2 * s.ev_head]
- *         b = s.ev[2 * s.ev_head + 1]
- *         s.ev_head += 1             # <<<<<<<<<<<<<<
- *         ra = find(s, a)
- *         rb = find(s, b)
-*/
-    __pyx_v_s->ev_head = (__pyx_v_s->ev_head + 1);
-
-    /* "tanglekit/_enumcore.pyx":272
- *         b = s.ev[2 * s.ev_head + 1]
- *         s.ev_head += 1
- *         ra = find(s, a)             # <<<<<<<<<<<<<<
- *         rb = find(s, b)
- *         c = s.tab[ti(s, ra, rb)]
-*/
-    __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_a); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 272, __pyx_L1_error)
-    __pyx_v_ra = __pyx_t_2;
-
-    /* "tanglekit/_enumcore.pyx":273
- *         s.ev_head += 1
- *         ra = find(s, a)
- *         rb = find(s, b)             # <<<<<<<<<<<<<<
- *         c = s.tab[ti(s, ra, rb)]
- *         if c < 0:
-*/
-    __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_b); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 273, __pyx_L1_error)
-    __pyx_v_rb = __pyx_t_2;
-
-    /* "tanglekit/_enumcore.pyx":274
- *         ra = find(s, a)
- *         rb = find(s, b)
- *         c = s.tab[ti(s, ra, rb)]             # <<<<<<<<<<<<<<
- *         if c < 0:
- *             continue
-*/
-    __pyx_t_3 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_ra, __pyx_v_rb); if (unlikely(__pyx_t_3 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 274, __pyx_L1_error)
-    __pyx_v_c = (__pyx_v_s->tab[__pyx_t_3]);
-
-    /* "tanglekit/_enumcore.pyx":275
- *         rb = find(s, b)
- *         c = s.tab[ti(s, ra, rb)]
- *         if c < 0:             # <<<<<<<<<<<<<<
- *             continue
- *         c = find(s, c)
-*/
-    __pyx_t_1 = (__pyx_v_c < 0);
-    if (__pyx_t_1) {
-
-      /* "tanglekit/_enumcore.pyx":276
- *         c = s.tab[ti(s, ra, rb)]
- *         if c < 0:
- *             continue             # <<<<<<<<<<<<<<
- *         c = find(s, c)
- *         set_entry(s, c, rb, ra)
-*/
-      goto __pyx_L3_continue;
-
-      /* "tanglekit/_enumcore.pyx":275
- *         rb = find(s, b)
- *         c = s.tab[ti(s, ra, rb)]
- *         if c < 0:             # <<<<<<<<<<<<<<
- *             continue
- *         c = find(s, c)
-*/
-    }
-
-    /* "tanglekit/_enumcore.pyx":277
- *         if c < 0:
- *             continue
- *         c = find(s, c)             # <<<<<<<<<<<<<<
- *         set_entry(s, c, rb, ra)
- *         nz = 0
-*/
-    __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_c); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 277, __pyx_L1_error)
-    __pyx_v_c = __pyx_t_2;
-
-    /* "tanglekit/_enumcore.pyx":278
- *             continue
- *         c = find(s, c)
- *         set_entry(s, c, rb, ra)             # <<<<<<<<<<<<<<
- *         nz = 0
- *         for z in range(s.n_slots):
-*/
-    __pyx_f_9tanglekit_9_enumcore_set_entry(__pyx_v_s, __pyx_v_c, __pyx_v_rb, __pyx_v_ra); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 278, __pyx_L1_error)
-
-    /* "tanglekit/_enumcore.pyx":279
- *         c = find(s, c)
- *         set_entry(s, c, rb, ra)
- *         nz = 0             # <<<<<<<<<<<<<<
- *         for z in range(s.n_slots):
- *             if s.parent[z] == z:
-*/
-    __pyx_v_nz = 0;
-
-    /* "tanglekit/_enumcore.pyx":280
- *         set_entry(s, c, rb, ra)
- *         nz = 0
- *         for z in range(s.n_slots):             # <<<<<<<<<<<<<<
- *             if s.parent[z] == z:
- *                 s.buf[nz] = z
-*/
-    __pyx_t_2 = __pyx_v_s->n_slots;
-    __pyx_t_4 = __pyx_t_2;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_z = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":281
- *         nz = 0
- *         for z in range(s.n_slots):
- *             if s.parent[z] == z:             # <<<<<<<<<<<<<<
- *                 s.buf[nz] = z
- *                 nz += 1
-*/
-      __pyx_t_1 = ((__pyx_v_s->parent[__pyx_v_z]) == __pyx_v_z);
-      if (__pyx_t_1) {
-
-        /* "tanglekit/_enumcore.pyx":282
- *         for z in range(s.n_slots):
- *             if s.parent[z] == z:
- *                 s.buf[nz] = z             # <<<<<<<<<<<<<<
- *                 nz += 1
- *         for i in range(nz):
-*/
-        (__pyx_v_s->buf[__pyx_v_nz]) = __pyx_v_z;
-
-        /* "tanglekit/_enumcore.pyx":283
- *             if s.parent[z] == z:
- *                 s.buf[nz] = z
- *                 nz += 1             # <<<<<<<<<<<<<<
- *         for i in range(nz):
- *             z = s.buf[i]
-*/
-        __pyx_v_nz = (__pyx_v_nz + 1);
-
-        /* "tanglekit/_enumcore.pyx":281
- *         nz = 0
- *         for z in range(s.n_slots):
- *             if s.parent[z] == z:             # <<<<<<<<<<<<<<
- *                 s.buf[nz] = z
- *                 nz += 1
-*/
-      }
-    }
-
-    /* "tanglekit/_enumcore.pyx":284
- *                 s.buf[nz] = z
- *                 nz += 1
- *         for i in range(nz):             # <<<<<<<<<<<<<<
- *             z = s.buf[i]
- *             if s.parent[z] != z:
-*/
-    __pyx_t_2 = __pyx_v_nz;
-    __pyx_t_4 = __pyx_t_2;
-    for (__pyx_t_5 = 0; __pyx_t_5 < __pyx_t_4; __pyx_t_5+=1) {
-      __pyx_v_i = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":285
- *                 nz += 1
- *         for i in range(nz):
- *             z = s.buf[i]             # <<<<<<<<<<<<<<
- *             if s.parent[z] != z:
- *                 continue
-*/
-      __pyx_v_z = (__pyx_v_s->buf[__pyx_v_i]);
-
-      /* "tanglekit/_enumcore.pyx":286
- *         for i in range(nz):
- *             z = s.buf[i]
- *             if s.parent[z] != z:             # <<<<<<<<<<<<<<
- *                 continue
- *             ra = find(s, ra)
-*/
-      __pyx_t_1 = ((__pyx_v_s->parent[__pyx_v_z]) != __pyx_v_z);
-      if (__pyx_t_1) {
-
-        /* "tanglekit/_enumcore.pyx":287
- *             z = s.buf[i]
- *             if s.parent[z] != z:
- *                 continue             # <<<<<<<<<<<<<<
- *             ra = find(s, ra)
- *             rb = find(s, rb)
-*/
-        goto __pyx_L9_continue;
-
-        /* "tanglekit/_enumcore.pyx":286
- *         for i in range(nz):
- *             z = s.buf[i]
- *             if s.parent[z] != z:             # <<<<<<<<<<<<<<
- *                 continue
- *             ra = find(s, ra)
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":288
- *             if s.parent[z] != z:
- *                 continue
- *             ra = find(s, ra)             # <<<<<<<<<<<<<<
- *             rb = find(s, rb)
- *             c = find(s, c)
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_ra); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 288, __pyx_L1_error)
-      __pyx_v_ra = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":289
- *                 continue
- *             ra = find(s, ra)
- *             rb = find(s, rb)             # <<<<<<<<<<<<<<
- *             c = find(s, c)
- *             e = lookup(s, ra, z)
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_rb); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 289, __pyx_L1_error)
-      __pyx_v_rb = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":290
- *             ra = find(s, ra)
- *             rb = find(s, rb)
- *             c = find(s, c)             # <<<<<<<<<<<<<<
- *             e = lookup(s, ra, z)
- *             f = lookup(s, rb, z)
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_c); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 290, __pyx_L1_error)
-      __pyx_v_c = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":291
- *             rb = find(s, rb)
- *             c = find(s, c)
- *             e = lookup(s, ra, z)             # <<<<<<<<<<<<<<
- *             f = lookup(s, rb, z)
- *             if e >= 0 and f >= 0:
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_ra, __pyx_v_z); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 291, __pyx_L1_error)
-      __pyx_v_e = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":292
- *             c = find(s, c)
- *             e = lookup(s, ra, z)
- *             f = lookup(s, rb, z)             # <<<<<<<<<<<<<<
- *             if e >= 0 and f >= 0:
- *                 confront(s, c, z, lookup(s, c, z), e, f, lookup(s, e, f))
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_rb, __pyx_v_z); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 292, __pyx_L1_error)
-      __pyx_v_f = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":293
- *             e = lookup(s, ra, z)
- *             f = lookup(s, rb, z)
- *             if e >= 0 and f >= 0:             # <<<<<<<<<<<<<<
- *                 confront(s, c, z, lookup(s, c, z), e, f, lookup(s, e, f))
- *             d = lookup(s, ra, z)
-*/
-      __pyx_t_7 = (__pyx_v_e >= 0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_1 = __pyx_t_7;
-        goto __pyx_L13_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_f >= 0);
-      __pyx_t_1 = __pyx_t_7;
-      __pyx_L13_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "tanglekit/_enumcore.pyx":294
- *             f = lookup(s, rb, z)
- *             if e >= 0 and f >= 0:
- *                 confront(s, c, z, lookup(s, c, z), e, f, lookup(s, e, f))             # <<<<<<<<<<<<<<
- *             d = lookup(s, ra, z)
- *             f = lookup(s, z, rb)
-*/
-        __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_c, __pyx_v_z); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 294, __pyx_L1_error)
-        __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_e, __pyx_v_f); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 294, __pyx_L1_error)
-        __pyx_f_9tanglekit_9_enumcore_confront(__pyx_v_s, __pyx_v_c, __pyx_v_z, __pyx_t_6, __pyx_v_e, __pyx_v_f, __pyx_t_8); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 294, __pyx_L1_error)
-
-        /* "tanglekit/_enumcore.pyx":293
- *             e = lookup(s, ra, z)
- *             f = lookup(s, rb, z)
- *             if e >= 0 and f >= 0:             # <<<<<<<<<<<<<<
- *                 confront(s, c, z, lookup(s, c, z), e, f, lookup(s, e, f))
- *             d = lookup(s, ra, z)
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":295
- *             if e >= 0 and f >= 0:
- *                 confront(s, c, z, lookup(s, c, z), e, f, lookup(s, e, f))
- *             d = lookup(s, ra, z)             # <<<<<<<<<<<<<<
- *             f = lookup(s, z, rb)
- *             if d >= 0 and f >= 0:
-*/
-      __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_ra, __pyx_v_z); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 295, __pyx_L1_error)
-      __pyx_v_d = __pyx_t_8;
-
-      /* "tanglekit/_enumcore.pyx":296
- *                 confront(s, c, z, lookup(s, c, z), e, f, lookup(s, e, f))
- *             d = lookup(s, ra, z)
- *             f = lookup(s, z, rb)             # <<<<<<<<<<<<<<
- *             if d >= 0 and f >= 0:
- *                 confront(s, d, rb, lookup(s, d, rb), c, f, lookup(s, c, f))
-*/
-      __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_z, __pyx_v_rb); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 296, __pyx_L1_error)
-      __pyx_v_f = __pyx_t_8;
-
-      /* "tanglekit/_enumcore.pyx":297
- *             d = lookup(s, ra, z)
- *             f = lookup(s, z, rb)
- *             if d >= 0 and f >= 0:             # <<<<<<<<<<<<<<
- *                 confront(s, d, rb, lookup(s, d, rb), c, f, lookup(s, c, f))
- *             d = lookup(s, z, ra)
-*/
-      __pyx_t_7 = (__pyx_v_d >= 0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_1 = __pyx_t_7;
-        goto __pyx_L16_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_f >= 0);
-      __pyx_t_1 = __pyx_t_7;
-      __pyx_L16_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "tanglekit/_enumcore.pyx":298
- *             f = lookup(s, z, rb)
- *             if d >= 0 and f >= 0:
- *                 confront(s, d, rb, lookup(s, d, rb), c, f, lookup(s, c, f))             # <<<<<<<<<<<<<<
- *             d = lookup(s, z, ra)
- *             e = lookup(s, z, rb)
-*/
-        __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_d, __pyx_v_rb); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 298, __pyx_L1_error)
-        __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_c, __pyx_v_f); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 298, __pyx_L1_error)
-        __pyx_f_9tanglekit_9_enumcore_confront(__pyx_v_s, __pyx_v_d, __pyx_v_rb, __pyx_t_8, __pyx_v_c, __pyx_v_f, __pyx_t_6); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 298, __pyx_L1_error)
-
-        /* "tanglekit/_enumcore.pyx":297
- *             d = lookup(s, ra, z)
- *             f = lookup(s, z, rb)
- *             if d >= 0 and f >= 0:             # <<<<<<<<<<<<<<
- *                 confront(s, d, rb, lookup(s, d, rb), c, f, lookup(s, c, f))
- *             d = lookup(s, z, ra)
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":299
- *             if d >= 0 and f >= 0:
- *                 confront(s, d, rb, lookup(s, d, rb), c, f, lookup(s, c, f))
- *             d = lookup(s, z, ra)             # <<<<<<<<<<<<<<
- *             e = lookup(s, z, rb)
- *             if d >= 0 and e >= 0:
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_z, __pyx_v_ra); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 299, __pyx_L1_error)
-      __pyx_v_d = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":300
- *                 confront(s, d, rb, lookup(s, d, rb), c, f, lookup(s, c, f))
- *             d = lookup(s, z, ra)
- *             e = lookup(s, z, rb)             # <<<<<<<<<<<<<<
- *             if d >= 0 and e >= 0:
- *                 confront(s, d, rb, lookup(s, d, rb), e, c, lookup(s, e, c))
-*/
-      __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_z, __pyx_v_rb); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 300, __pyx_L1_error)
-      __pyx_v_e = __pyx_t_6;
-
-      /* "tanglekit/_enumcore.pyx":301
- *             d = lookup(s, z, ra)
- *             e = lookup(s, z, rb)
- *             if d >= 0 and e >= 0:             # <<<<<<<<<<<<<<
- *                 confront(s, d, rb, lookup(s, d, rb), e, c, lookup(s, e, c))
- *     s.ev_head = 0
-*/
-      __pyx_t_7 = (__pyx_v_d >= 0);
-      if (__pyx_t_7) {
-      } else {
-        __pyx_t_1 = __pyx_t_7;
-        goto __pyx_L19_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_e >= 0);
-      __pyx_t_1 = __pyx_t_7;
-      __pyx_L19_bool_binop_done:;
-      if (__pyx_t_1) {
-
-        /* "tanglekit/_enumcore.pyx":302
- *             e = lookup(s, z, rb)
- *             if d >= 0 and e >= 0:
- *                 confront(s, d, rb, lookup(s, d, rb), e, c, lookup(s, e, c))             # <<<<<<<<<<<<<<
- *     s.ev_head = 0
- *     s.ev_len = 0
-*/
-        __pyx_t_6 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_d, __pyx_v_rb); if (unlikely(__pyx_t_6 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 302, __pyx_L1_error)
-        __pyx_t_8 = __pyx_f_9tanglekit_9_enumcore_lookup(__pyx_v_s, __pyx_v_e, __pyx_v_c); if (unlikely(__pyx_t_8 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 302, __pyx_L1_error)
-        __pyx_f_9tanglekit_9_enumcore_confront(__pyx_v_s, __pyx_v_d, __pyx_v_rb, __pyx_t_6, __pyx_v_e, __pyx_v_c, __pyx_t_8); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 302, __pyx_L1_error)
-
-        /* "tanglekit/_enumcore.pyx":301
- *             d = lookup(s, z, ra)
- *             e = lookup(s, z, rb)
- *             if d >= 0 and e >= 0:             # <<<<<<<<<<<<<<
- *                 confront(s, d, rb, lookup(s, d, rb), e, c, lookup(s, e, c))
- *     s.ev_head = 0
-*/
-      }
-      __pyx_L9_continue:;
-    }
-    __pyx_L3_continue:;
-  }
-
-  /* "tanglekit/_enumcore.pyx":303
- *             if d >= 0 and e >= 0:
- *                 confront(s, d, rb, lookup(s, d, rb), e, c, lookup(s, e, c))
- *     s.ev_head = 0             # <<<<<<<<<<<<<<
- *     s.ev_len = 0
- * 
-*/
-  __pyx_v_s->ev_head = 0;
-
-  /* "tanglekit/_enumcore.pyx":304
- *                 confront(s, d, rb, lookup(s, d, rb), e, c, lookup(s, e, c))
- *     s.ev_head = 0
- *     s.ev_len = 0             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_v_s->ev_len = 0;
-
-  /* "tanglekit/_enumcore.pyx":265
- * 
- * 
- * cdef void process_events(State *s):             # <<<<<<<<<<<<<<
- *     cdef int a, b, ra, rb, c, z, nz, i
- *     cdef int e, f, d
-*/
-
-  /* function exit code */
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.process_events", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_L0:;
-}
-
-/* "tanglekit/_enumcore.pyx":307
- * 
- * 
- * cdef int fill_product(State *s, int x, int y):             # <<<<<<<<<<<<<<
- *     cdef int v, e
- *     x = find(s, x)
-*/
-
-static int __pyx_f_9tanglekit_9_enumcore_fill_product(struct __pyx_t_9tanglekit_9_enumcore_State *__pyx_v_s, int __pyx_v_x, int __pyx_v_y) {
-  int __pyx_v_v;
-  int __pyx_v_e;
-  int __pyx_r;
-  int __pyx_t_1;
-  PY_LONG_LONG __pyx_t_2;
-  int __pyx_t_3;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-
-  /* "tanglekit/_enumcore.pyx":309
- * cdef int fill_product(State *s, int x, int y):
- *     cdef int v, e
- *     x = find(s, x)             # <<<<<<<<<<<<<<
- *     y = find(s, y)
- *     v = s.tab[ti(s, x, y)]
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_x); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 309, __pyx_L1_error)
-  __pyx_v_x = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":310
- *     cdef int v, e
- *     x = find(s, x)
- *     y = find(s, y)             # <<<<<<<<<<<<<<
- *     v = s.tab[ti(s, x, y)]
- *     if v >= 0:
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_y); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 310, __pyx_L1_error)
-  __pyx_v_y = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":311
- *     x = find(s, x)
- *     y = find(s, y)
- *     v = s.tab[ti(s, x, y)]             # <<<<<<<<<<<<<<
- *     if v >= 0:
- *         return find(s, v)
-*/
-  __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_x, __pyx_v_y); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 311, __pyx_L1_error)
-  __pyx_v_v = (__pyx_v_s->tab[__pyx_t_2]);
-
-  /* "tanglekit/_enumcore.pyx":312
- *     y = find(s, y)
- *     v = s.tab[ti(s, x, y)]
- *     if v >= 0:             # <<<<<<<<<<<<<<
- *         return find(s, v)
- *     e = new_element(s)
-*/
-  __pyx_t_3 = (__pyx_v_v >= 0);
-  if (__pyx_t_3) {
-
-    /* "tanglekit/_enumcore.pyx":313
- *     v = s.tab[ti(s, x, y)]
- *     if v >= 0:
- *         return find(s, v)             # <<<<<<<<<<<<<<
- *     e = new_element(s)
- *     if e < 0:
-*/
-    __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_v); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 313, __pyx_L1_error)
-    __pyx_r = __pyx_t_1;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":312
- *     y = find(s, y)
- *     v = s.tab[ti(s, x, y)]
- *     if v >= 0:             # <<<<<<<<<<<<<<
- *         return find(s, v)
- *     e = new_element(s)
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":314
- *     if v >= 0:
- *         return find(s, v)
- *     e = new_element(s)             # <<<<<<<<<<<<<<
- *     if e < 0:
- *         return -1
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_new_element(__pyx_v_s); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 314, __pyx_L1_error)
-  __pyx_v_e = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":315
- *         return find(s, v)
- *     e = new_element(s)
- *     if e < 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     x = find(s, x)
-*/
-  __pyx_t_3 = (__pyx_v_e < 0);
-  if (__pyx_t_3) {
-
-    /* "tanglekit/_enumcore.pyx":316
- *     e = new_element(s)
- *     if e < 0:
- *         return -1             # <<<<<<<<<<<<<<
- *     x = find(s, x)
- *     y = find(s, y)
-*/
-    __pyx_r = -1;
-    goto __pyx_L0;
-
-    /* "tanglekit/_enumcore.pyx":315
- *         return find(s, v)
- *     e = new_element(s)
- *     if e < 0:             # <<<<<<<<<<<<<<
- *         return -1
- *     x = find(s, x)
-*/
-  }
-
-  /* "tanglekit/_enumcore.pyx":317
- *     if e < 0:
- *         return -1
- *     x = find(s, x)             # <<<<<<<<<<<<<<
- *     y = find(s, y)
- *     s.tab[ti(s, x, y)] = e
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_x); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 317, __pyx_L1_error)
-  __pyx_v_x = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":318
- *         return -1
- *     x = find(s, x)
- *     y = find(s, y)             # <<<<<<<<<<<<<<
- *     s.tab[ti(s, x, y)] = e
- *     s.n_entries += 1
-*/
-  __pyx_t_1 = __pyx_f_9tanglekit_9_enumcore_find(__pyx_v_s, __pyx_v_y); if (unlikely(__pyx_t_1 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 318, __pyx_L1_error)
-  __pyx_v_y = __pyx_t_1;
-
-  /* "tanglekit/_enumcore.pyx":319
- *     x = find(s, x)
- *     y = find(s, y)
- *     s.tab[ti(s, x, y)] = e             # <<<<<<<<<<<<<<
- *     s.n_entries += 1
- *     push_event(s, x, y)
-*/
-  __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_ti(__pyx_v_s, __pyx_v_x, __pyx_v_y); if (unlikely(__pyx_t_2 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 319, __pyx_L1_error)
-  (__pyx_v_s->tab[__pyx_t_2]) = __pyx_v_e;
-
-  /* "tanglekit/_enumcore.pyx":320
- *     y = find(s, y)
- *     s.tab[ti(s, x, y)] = e
- *     s.n_entries += 1             # <<<<<<<<<<<<<<
- *     push_event(s, x, y)
- *     return e
-*/
-  __pyx_v_s->n_entries = (__pyx_v_s->n_entries + 1);
-
-  /* "tanglekit/_enumcore.pyx":321
- *     s.tab[ti(s, x, y)] = e
- *     s.n_entries += 1
- *     push_event(s, x, y)             # <<<<<<<<<<<<<<
- *     return e
- * 
-*/
-  __pyx_f_9tanglekit_9_enumcore_push_event(__pyx_v_s, __pyx_v_x, __pyx_v_y); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 321, __pyx_L1_error)
-
-  /* "tanglekit/_enumcore.pyx":322
- *     s.n_entries += 1
- *     push_event(s, x, y)
- *     return e             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  __pyx_r = __pyx_v_e;
-  goto __pyx_L0;
-
-  /* "tanglekit/_enumcore.pyx":307
- * 
- * 
- * cdef int fill_product(State *s, int x, int y):             # <<<<<<<<<<<<<<
- *     cdef int v, e
- *     x = find(s, x)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.fill_product", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = -1;
-  __pyx_L0:;
-  return __pyx_r;
-}
-
-/* "tanglekit/_enumcore.pyx":325
- * 
- * 
- * def run_enumeration(int m, relations, rn_pattern, bint rn_on_all_pairs, cap):             # <<<<<<<<<<<<<<
- *     cdef State s
- *     cdef int cap_i = int(cap)
-*/
-
-/* Python wrapper */
-static PyObject *__pyx_pw_9tanglekit_9_enumcore_3run_enumeration(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-); /*proto*/
-static PyMethodDef __pyx_mdef_9tanglekit_9_enumcore_3run_enumeration = {"run_enumeration", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9tanglekit_9_enumcore_3run_enumeration, __Pyx_METH_FASTCALL|METH_KEYWORDS, 0};
-static PyObject *__pyx_pw_9tanglekit_9_enumcore_3run_enumeration(PyObject *__pyx_self, 
-#if CYTHON_METH_FASTCALL
-PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
-#else
-PyObject *__pyx_args, PyObject *__pyx_kwds
-#endif
-) {
-  int __pyx_v_m;
-  PyObject *__pyx_v_relations = 0;
-  PyObject *__pyx_v_rn_pattern = 0;
-  int __pyx_v_rn_on_all_pairs;
-  PyObject *__pyx_v_cap = 0;
-  #if !CYTHON_METH_FASTCALL
-  CYTHON_UNUSED Py_ssize_t __pyx_nargs;
-  #endif
-  CYTHON_UNUSED PyObject *const *__pyx_kwvalues;
-  PyObject* values[5] = {0,0,0,0,0};
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  PyObject *__pyx_r = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("run_enumeration (wrapper)", 0);
-  #if !CYTHON_METH_FASTCALL
-  #if CYTHON_ASSUME_SAFE_SIZE
-  __pyx_nargs = PyTuple_GET_SIZE(__pyx_args);
-  #else
-  __pyx_nargs = PyTuple_Size(__pyx_args); if (unlikely(__pyx_nargs < 0)) return NULL;
-  #endif
-  #endif
-  __pyx_kwvalues = __Pyx_KwValues_FASTCALL(__pyx_args, __pyx_nargs);
-  {
-    PyObject ** const __pyx_pyargnames[] = {&__pyx_mstate_global->__pyx_n_u_m,&__pyx_mstate_global->__pyx_n_u_relations,&__pyx_mstate_global->__pyx_n_u_rn_pattern,&__pyx_mstate_global->__pyx_n_u_rn_on_all_pairs,&__pyx_mstate_global->__pyx_n_u_cap,0};
-    const Py_ssize_t __pyx_kwds_len = (__pyx_kwds) ? __Pyx_NumKwargs_FASTCALL(__pyx_kwds) : 0;
-    if (unlikely(__pyx_kwds_len < 0)) __PYX_ERR(0, 325, __pyx_L3_error)
-    if (__pyx_kwds_len > 0) {
-      switch (__pyx_nargs) {
-        case  5:
-        values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 325, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  4:
-        values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 325, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  3:
-        values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 325, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  2:
-        values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 325, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  1:
-        values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-        if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 325, __pyx_L3_error)
-        CYTHON_FALLTHROUGH;
-        case  0: break;
-        default: goto __pyx_L5_argtuple_error;
-      }
-      const Py_ssize_t kwd_pos_args = __pyx_nargs;
-      if (__Pyx_ParseKeywords(__pyx_kwds, __pyx_kwvalues, __pyx_pyargnames, 0, values, kwd_pos_args, __pyx_kwds_len, "run_enumeration", 0) < (0)) __PYX_ERR(0, 325, __pyx_L3_error)
-      for (Py_ssize_t i = __pyx_nargs; i < 5; i++) {
-        if (unlikely(!values[i])) { __Pyx_RaiseArgtupleInvalid("run_enumeration", 1, 5, 5, i); __PYX_ERR(0, 325, __pyx_L3_error) }
-      }
-    } else if (unlikely(__pyx_nargs != 5)) {
-      goto __pyx_L5_argtuple_error;
-    } else {
-      values[0] = __Pyx_ArgRef_FASTCALL(__pyx_args, 0);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[0])) __PYX_ERR(0, 325, __pyx_L3_error)
-      values[1] = __Pyx_ArgRef_FASTCALL(__pyx_args, 1);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[1])) __PYX_ERR(0, 325, __pyx_L3_error)
-      values[2] = __Pyx_ArgRef_FASTCALL(__pyx_args, 2);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[2])) __PYX_ERR(0, 325, __pyx_L3_error)
-      values[3] = __Pyx_ArgRef_FASTCALL(__pyx_args, 3);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[3])) __PYX_ERR(0, 325, __pyx_L3_error)
-      values[4] = __Pyx_ArgRef_FASTCALL(__pyx_args, 4);
-      if (!CYTHON_ASSUME_SAFE_MACROS && unlikely(!values[4])) __PYX_ERR(0, 325, __pyx_L3_error)
-    }
-    __pyx_v_m = __Pyx_PyLong_As_int(values[0]); if (unlikely((__pyx_v_m == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 325, __pyx_L3_error)
-    __pyx_v_relations = values[1];
-    __pyx_v_rn_pattern = values[2];
-    __pyx_v_rn_on_all_pairs = __Pyx_PyObject_IsTrue(values[3]); if (unlikely((__pyx_v_rn_on_all_pairs == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 325, __pyx_L3_error)
-    __pyx_v_cap = values[4];
-  }
-  goto __pyx_L6_skip;
-  __pyx_L5_argtuple_error:;
-  __Pyx_RaiseArgtupleInvalid("run_enumeration", 1, 5, 5, __pyx_nargs); __PYX_ERR(0, 325, __pyx_L3_error)
-  __pyx_L6_skip:;
-  goto __pyx_L4_argument_unpacking_done;
-  __pyx_L3_error:;
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_AddTraceback("tanglekit._enumcore.run_enumeration", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __Pyx_RefNannyFinishContext();
-  return NULL;
-  __pyx_L4_argument_unpacking_done:;
-  __pyx_r = __pyx_pf_9tanglekit_9_enumcore_2run_enumeration(__pyx_self, __pyx_v_m, __pyx_v_relations, __pyx_v_rn_pattern, __pyx_v_rn_on_all_pairs, __pyx_v_cap);
-
-  /* function exit code */
-  for (Py_ssize_t __pyx_temp=0; __pyx_temp < (Py_ssize_t)(sizeof(values)/sizeof(values[0])); ++__pyx_temp) {
-    Py_XDECREF(values[__pyx_temp]);
-  }
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_7genexpr_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "tanglekit/_enumcore.pyx":352
- * 
- *     # relation words as flat int tuples
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))             # <<<<<<<<<<<<<<
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)
-*/
-
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_15run_enumeration_7genexpr_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *)__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct__genexpr(__pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 352, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_9tanglekit_9_enumcore_15run_enumeration_7genexpr_2generator, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[0]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_run_enumeration_locals_genexpr, __pyx_mstate_global->__pyx_n_u_tanglekit__enumcore); if (unlikely(!gen)) __PYX_ERR(0, 352, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.run_enumeration.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-
-static PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_7genexpr_2generator(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
+    int *v;
+    Py_ssize_t len, cap;
+} Ints;
+
+static int push(Ints *b, int x)
 {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *__pyx_cur_scope = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 352, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 352, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 352, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 352, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 352, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 352, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
+    if (b->len == b->cap) {
+        Py_ssize_t cap = b->cap ? 2 * b->cap : 1024;
+        RESIZE(b->v, (size_t)cap * sizeof(int));
+        b->cap = cap;
     }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_g);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_g, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_4 = __Pyx_PyNumber_Int(__pyx_cur_scope->__pyx_v_g); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 352, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_7genexpr_5generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_15run_enumeration_7genexpr_3genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *)__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr(__pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 352, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_9tanglekit_9_enumcore_15run_enumeration_7genexpr_5generator1, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[1]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_run_enumeration_locals_genexpr, __pyx_mstate_global->__pyx_n_u_tanglekit__enumcore); if (unlikely(!gen)) __PYX_ERR(0, 352, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.run_enumeration.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+    b->v[b->len++] = x;
+    return 0;
 }
 
-static PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_7genexpr_5generator1(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
+typedef struct {
+    int *tab;              /* pitch x pitch, row-major, -1 = undefined */
+    uint64_t *row, *col;   /* bit z of row x, and bit x of col z: x*z is defined */
+    uint64_t *live;        /* bit x: x is a root */
+    int *parent;
+    Py_ssize_t words, pitch, max_words;  /* pitch = 64 * words */
+    Py_ssize_t n_slots, n_live;
+    Ints ev;               /* event queue of (a, b) pairs, from ev_head */
+    Py_ssize_t ev_head;
+    Ints stack;            /* merge work stack of (x, y) pairs */
+    long long merges;
+    long long writes;      /* puts + merges: a pass made progress iff it grew */
+    int too_large;
+    /* ids held across a renumbering */
+    int *gens;
+    Py_ssize_t m, traced_below;
+    int *domain;           /* the running universal pass's elements, or NULL */
+    Py_ssize_t n_domain;
+} Table;
+
+static inline int root(int *parent, int x)
 {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *__pyx_cur_scope = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 352, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 352, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 352, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 352, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 352, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 352, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
+    while (parent[x] != x) {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
     }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_g);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_g, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_4 = __Pyx_PyNumber_Int(__pyx_cur_scope->__pyx_v_g); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 352, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 352, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-static PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_2generator2(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value); /* proto */
-
-/* "tanglekit/_enumcore.pyx":354
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)             # <<<<<<<<<<<<<<
- * 
- *     try:
-*/
-
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_15run_enumeration_genexpr(CYTHON_UNUSED PyObject *__pyx_self, PyObject *__pyx_genexpr_arg_0) {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *__pyx_cur_scope;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  __pyx_cur_scope = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *)__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr(__pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-  if (unlikely(!__pyx_cur_scope)) {
-    __pyx_cur_scope = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *)Py_None);
-    __Pyx_INCREF(Py_None);
-    __PYX_ERR(0, 354, __pyx_L1_error)
-  } else {
-    __Pyx_GOTREF((PyObject *)__pyx_cur_scope);
-  }
-  __pyx_cur_scope->__pyx_genexpr_arg_0 = __pyx_genexpr_arg_0;
-  __Pyx_INCREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  __Pyx_GIVEREF(__pyx_cur_scope->__pyx_genexpr_arg_0);
-  {
-    __pyx_CoroutineObject *gen = __Pyx_Generator_New((__pyx_coroutine_body_t) __pyx_gb_9tanglekit_9_enumcore_15run_enumeration_2generator2, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[2]), (PyObject *) __pyx_cur_scope, __pyx_mstate_global->__pyx_n_u_genexpr, __pyx_mstate_global->__pyx_n_u_run_enumeration_locals_genexpr, __pyx_mstate_global->__pyx_n_u_tanglekit__enumcore); if (unlikely(!gen)) __PYX_ERR(0, 354, __pyx_L1_error)
-    __Pyx_DECREF(__pyx_cur_scope);
-    __Pyx_RefNannyFinishContext();
-    return (PyObject *) gen;
-  }
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_AddTraceback("tanglekit._enumcore.run_enumeration.genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __Pyx_DECREF((PyObject *)__pyx_cur_scope);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+    return x;
 }
 
-static PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_2generator2(__pyx_CoroutineObject *__pyx_generator, CYTHON_UNUSED PyThreadState *__pyx_tstate, PyObject *__pyx_sent_value) /* generator body */
+static inline int find(Table *t, int x)
 {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *__pyx_cur_scope = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *)__pyx_generator->closure);
-  PyObject *__pyx_r = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  Py_ssize_t __pyx_t_2;
-  PyObject *(*__pyx_t_3)(PyObject *);
-  PyObject *__pyx_t_4 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  __Pyx_RefNannySetupContext("genexpr", 0);
-  switch (__pyx_generator->resume_label) {
-    case 0: goto __pyx_L3_first_run;
-    case 1: goto __pyx_L6_resume_from_yield;
-    default: /* CPython raises the right error here */
-    __Pyx_RefNannyFinishContext();
-    return NULL;
-  }
-  __pyx_L3_first_run:;
-  if (unlikely(__pyx_sent_value != Py_None)) {
-    if (unlikely(__pyx_sent_value)) PyErr_SetString(PyExc_TypeError, "can't send non-None value to a just-started generator");
-    __PYX_ERR(0, 354, __pyx_L1_error)
-  }
-  if (unlikely(!__pyx_cur_scope->__pyx_genexpr_arg_0)) { __Pyx_RaiseUnboundLocalError(".0"); __PYX_ERR(0, 354, __pyx_L1_error) }
-  if (likely(PyList_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) || PyTuple_CheckExact(__pyx_cur_scope->__pyx_genexpr_arg_0)) {
-    __pyx_t_1 = __pyx_cur_scope->__pyx_genexpr_arg_0; __Pyx_INCREF(__pyx_t_1);
-    __pyx_t_2 = 0;
-    __pyx_t_3 = NULL;
-  } else {
-    __pyx_t_2 = -1; __pyx_t_1 = PyObject_GetIter(__pyx_cur_scope->__pyx_genexpr_arg_0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 354, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_1);
-    __pyx_t_3 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_1); if (unlikely(!__pyx_t_3)) __PYX_ERR(0, 354, __pyx_L1_error)
-  }
-  for (;;) {
-    if (likely(!__pyx_t_3)) {
-      if (likely(PyList_CheckExact(__pyx_t_1))) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 354, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_1, __pyx_t_2, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_2;
-      } else {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_1);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 354, __pyx_L1_error)
-          #endif
-          if (__pyx_t_2 >= __pyx_temp) break;
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        __pyx_t_4 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_1, __pyx_t_2));
-        #else
-        __pyx_t_4 = __Pyx_PySequence_ITEM(__pyx_t_1, __pyx_t_2);
-        #endif
-        ++__pyx_t_2;
-      }
-      if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 354, __pyx_L1_error)
-    } else {
-      __pyx_t_4 = __pyx_t_3(__pyx_t_1);
-      if (unlikely(!__pyx_t_4)) {
-        PyObject* exc_type = PyErr_Occurred();
-        if (exc_type) {
-          if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 354, __pyx_L1_error)
-          PyErr_Clear();
-        }
-        break;
-      }
-    }
-    __Pyx_GOTREF(__pyx_t_4);
-    __Pyx_XGOTREF(__pyx_cur_scope->__pyx_v_g);
-    __Pyx_XDECREF_SET(__pyx_cur_scope->__pyx_v_g, __pyx_t_4);
-    __Pyx_GIVEREF(__pyx_t_4);
-    __pyx_t_4 = 0;
-    __pyx_t_4 = __Pyx_PyNumber_Int(__pyx_cur_scope->__pyx_v_g); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 354, __pyx_L1_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_r = __pyx_t_4;
-    __pyx_t_4 = 0;
-    __Pyx_XGIVEREF(__pyx_t_1);
-    __pyx_cur_scope->__pyx_t_0 = __pyx_t_1;
-    __pyx_cur_scope->__pyx_t_1 = __pyx_t_2;
-    __pyx_cur_scope->__pyx_t_2 = __pyx_t_3;
-    __Pyx_XGIVEREF(__pyx_r);
-    __Pyx_RefNannyFinishContext();
-    __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-    /* return from generator, yielding value */
-    __pyx_generator->resume_label = 1;
-    return __pyx_r;
-    __pyx_L6_resume_from_yield:;
-    __pyx_t_1 = __pyx_cur_scope->__pyx_t_0;
-    __pyx_cur_scope->__pyx_t_0 = 0;
-    __Pyx_XGOTREF(__pyx_t_1);
-    __pyx_t_2 = __pyx_cur_scope->__pyx_t_1;
-    __pyx_t_3 = __pyx_cur_scope->__pyx_t_2;
-    if (unlikely(!__pyx_sent_value)) __PYX_ERR(0, 354, __pyx_L1_error)
-  }
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  CYTHON_MAYBE_UNUSED_VAR(__pyx_cur_scope);
-
-  /* function exit code */
-  __pyx_r = Py_None; __Pyx_INCREF(Py_None);
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  if (__Pyx_PyErr_Occurred()) {
-    __Pyx_Generator_Replace_StopIteration(0);
-    __Pyx_AddTraceback("genexpr", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  }
-  __pyx_L0:;
-  __Pyx_XGIVEREF(__pyx_r);
-  #if !CYTHON_USE_EXC_INFO_STACK
-  __Pyx_Coroutine_ResetAndClearException(__pyx_generator);
-  #endif
-  __pyx_generator->resume_label = -1;
-  __Pyx_Coroutine_clear((PyObject*)__pyx_generator);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
+    return root(t->parent, x);
 }
 
-/* "tanglekit/_enumcore.pyx":325
- * 
- * 
- * def run_enumeration(int m, relations, rn_pattern, bint rn_on_all_pairs, cap):             # <<<<<<<<<<<<<<
- *     cdef State s
- *     cdef int cap_i = int(cap)
-*/
-
-static PyObject *__pyx_pf_9tanglekit_9_enumcore_2run_enumeration(CYTHON_UNUSED PyObject *__pyx_self, int __pyx_v_m, PyObject *__pyx_v_relations, PyObject *__pyx_v_rn_pattern, int __pyx_v_rn_on_all_pairs, PyObject *__pyx_v_cap) {
-  struct __pyx_t_9tanglekit_9_enumcore_State __pyx_v_s;
-  int __pyx_v_cap_i;
-  int __pyx_v_i;
-  int __pyx_v_j;
-  int __pyx_v_a;
-  int __pyx_v_b;
-  int __pyx_v_u;
-  int __pyx_v_w;
-  int __pyx_v_ru;
-  int __pyx_v_rw;
-  int __pyx_v_x;
-  int __pyx_v_y;
-  int __pyx_v_target;
-  int __pyx_v_v;
-  int __pyx_v_p;
-  int __pyx_v_q;
-  int __pyx_v_r;
-  int __pyx_v_c;
-  int __pyx_v_d;
-  int __pyx_v_e;
-  int __pyx_v_f;
-  int __pyx_v_nz;
-  int __pyx_v_status;
-  PY_LONG_LONG __pyx_v_before_slots;
-  PY_LONG_LONG __pyx_v_before_merges;
-  PY_LONG_LONG __pyx_v_before_entries;
-  int __pyx_v_rn_active;
-  PyObject *__pyx_v_gen_slots = 0;
-  PyObject *__pyx_v_zs = 0;
-  PyObject *__pyx_v_rel_list = NULL;
-  PyObject *__pyx_v_pattern = NULL;
-  PyObject *__pyx_v_lhs = NULL;
-  PyObject *__pyx_v_rhs = NULL;
-  PyObject *__pyx_v_gens_now = NULL;
-  PyObject *__pyx_v_sweep_changed = NULL;
-  PyObject *__pyx_v_relabel = NULL;
-  PyObject *__pyx_v_rows = NULL;
-  PyObject *__pyx_v_row = NULL;
-  PyObject *__pyx_v_images = NULL;
-  PyObject *__pyx_7genexpr__pyx_v_lhs = NULL;
-  PyObject *__pyx_7genexpr__pyx_v_rhs = NULL;
-  PyObject *__pyx_7genexpr__pyx_v_0 = NULL;
-  PyObject *__pyx_7genexpr__pyx_v_1 = NULL;
-  PyObject *__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_2generator2 = 0;
-  PyObject *__pyx_8genexpr4__pyx_v_g = NULL;
-  PyObject *__pyx_8genexpr5__pyx_v_g = NULL;
-  int __pyx_8genexpr6__pyx_v_i;
-  PyObject *__pyx_8genexpr7__pyx_v_g = NULL;
-  int __pyx_8genexpr8__pyx_v_i;
-  PyObject *__pyx_8genexpr9__pyx_v_g = NULL;
-  PyObject *__pyx_r = NULL;
-  __Pyx_RefNannyDeclarations
-  PyObject *__pyx_t_1 = NULL;
-  int __pyx_t_2;
-  Py_ssize_t __pyx_t_3;
-  PyObject *__pyx_t_4 = NULL;
-  PY_LONG_LONG __pyx_t_5;
-  int __pyx_t_6;
-  int __pyx_t_7;
-  PyObject *(*__pyx_t_8)(PyObject *);
-  PyObject *__pyx_t_9 = NULL;
-  PyObject *__pyx_t_10 = NULL;
-  PyObject *__pyx_t_11 = NULL;
-  PyObject *__pyx_t_12 = NULL;
-  PyObject *(*__pyx_t_13)(PyObject *);
-  int __pyx_t_14;
-  int __pyx_t_15;
-  int __pyx_t_16;
-  int __pyx_t_17;
-  Py_ssize_t __pyx_t_18;
-  Py_ssize_t __pyx_t_19;
-  Py_ssize_t __pyx_t_20;
-  int __pyx_t_21;
-  int __pyx_t_22;
-  int __pyx_t_23;
-  char const *__pyx_t_24;
-  PyObject *__pyx_t_25 = NULL;
-  PyObject *__pyx_t_26 = NULL;
-  PyObject *__pyx_t_27 = NULL;
-  PyObject *__pyx_t_28 = NULL;
-  PyObject *__pyx_t_29 = NULL;
-  PyObject *__pyx_t_30 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("run_enumeration", 0);
-
-  /* "tanglekit/_enumcore.pyx":327
- * def run_enumeration(int m, relations, rn_pattern, bint rn_on_all_pairs, cap):
- *     cdef State s
- *     cdef int cap_i = int(cap)             # <<<<<<<<<<<<<<
- *     cdef int i, j, a, b, u, w, ru, rw, x, y, target, v
- *     cdef int p, q, r, c, d, e, f, nz, status
-*/
-  __pyx_t_1 = __Pyx_PyNumber_Int(__pyx_v_cap); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 327, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 327, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_cap_i = __pyx_t_2;
-
-  /* "tanglekit/_enumcore.pyx":331
- *     cdef int p, q, r, c, d, e, f, nz, status
- *     cdef long long before_slots, before_merges, before_entries
- *     cdef bint progress, rn_active = len(rn_pattern) > 0             # <<<<<<<<<<<<<<
- *     cdef list gen_slots, zs
- * 
-*/
-  __pyx_t_3 = PyObject_Length(__pyx_v_rn_pattern); if (unlikely(__pyx_t_3 == ((Py_ssize_t)-1))) __PYX_ERR(0, 331, __pyx_L1_error)
-  __pyx_v_rn_active = (__pyx_t_3 > 0);
-
-  /* "tanglekit/_enumcore.pyx":334
- *     cdef list gen_slots, zs
- * 
- *     s.pitch = 256             # <<<<<<<<<<<<<<
- *     s.n_slots = 0
- *     s.ev_head = 0
-*/
-  __pyx_v_s.pitch = 0x100;
-
-  /* "tanglekit/_enumcore.pyx":335
- * 
- *     s.pitch = 256
- *     s.n_slots = 0             # <<<<<<<<<<<<<<
- *     s.ev_head = 0
- *     s.ev_len = 0
-*/
-  __pyx_v_s.n_slots = 0;
-
-  /* "tanglekit/_enumcore.pyx":336
- *     s.pitch = 256
- *     s.n_slots = 0
- *     s.ev_head = 0             # <<<<<<<<<<<<<<
- *     s.ev_len = 0
- *     s.ev_cap = 1024
-*/
-  __pyx_v_s.ev_head = 0;
-
-  /* "tanglekit/_enumcore.pyx":337
- *     s.n_slots = 0
- *     s.ev_head = 0
- *     s.ev_len = 0             # <<<<<<<<<<<<<<
- *     s.ev_cap = 1024
- *     s.merges = 0
-*/
-  __pyx_v_s.ev_len = 0;
-
-  /* "tanglekit/_enumcore.pyx":338
- *     s.ev_head = 0
- *     s.ev_len = 0
- *     s.ev_cap = 1024             # <<<<<<<<<<<<<<
- *     s.merges = 0
- *     s.n_entries = 0
-*/
-  __pyx_v_s.ev_cap = 0x400;
-
-  /* "tanglekit/_enumcore.pyx":339
- *     s.ev_len = 0
- *     s.ev_cap = 1024
- *     s.merges = 0             # <<<<<<<<<<<<<<
- *     s.n_entries = 0
- *     s.oom = 0
-*/
-  __pyx_v_s.merges = 0;
-
-  /* "tanglekit/_enumcore.pyx":340
- *     s.ev_cap = 1024
- *     s.merges = 0
- *     s.n_entries = 0             # <<<<<<<<<<<<<<
- *     s.oom = 0
- *     s.max_bytes = int(os.environ.get("TANGLEKIT_MAX_TABLE_BYTES", "1200000000"))
-*/
-  __pyx_v_s.n_entries = 0;
-
-  /* "tanglekit/_enumcore.pyx":341
- *     s.merges = 0
- *     s.n_entries = 0
- *     s.oom = 0             # <<<<<<<<<<<<<<
- *     s.max_bytes = int(os.environ.get("TANGLEKIT_MAX_TABLE_BYTES", "1200000000"))
- *     while s.pitch > 16 and (<long long> s.pitch) * s.pitch * sizeof(int) > s.max_bytes:
-*/
-  __pyx_v_s.oom = 0;
-
-  /* "tanglekit/_enumcore.pyx":342
- *     s.n_entries = 0
- *     s.oom = 0
- *     s.max_bytes = int(os.environ.get("TANGLEKIT_MAX_TABLE_BYTES", "1200000000"))             # <<<<<<<<<<<<<<
- *     while s.pitch > 16 and (<long long> s.pitch) * s.pitch * sizeof(int) > s.max_bytes:
- *         s.pitch //= 2
-*/
-  __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_os); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_4 = __Pyx_PyObject_GetAttrStr(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_environ); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyObject_GetAttrStr(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_get); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_4 = __Pyx_PyObject_Call(__pyx_t_1, __pyx_mstate_global->__pyx_tuple[0], NULL); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_t_1 = __Pyx_PyNumber_Int(__pyx_t_4); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-  __pyx_t_5 = __Pyx_PyLong_As_PY_LONG_LONG(__pyx_t_1); if (unlikely((__pyx_t_5 == (PY_LONG_LONG)-1) && PyErr_Occurred())) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_s.max_bytes = __pyx_t_5;
-
-  /* "tanglekit/_enumcore.pyx":343
- *     s.oom = 0
- *     s.max_bytes = int(os.environ.get("TANGLEKIT_MAX_TABLE_BYTES", "1200000000"))
- *     while s.pitch > 16 and (<long long> s.pitch) * s.pitch * sizeof(int) > s.max_bytes:             # <<<<<<<<<<<<<<
- *         s.pitch //= 2
- *     s.parent = <int *> malloc(s.pitch * sizeof(int))
-*/
-  while (1) {
-    __pyx_t_7 = (__pyx_v_s.pitch > 16);
-    if (__pyx_t_7) {
-    } else {
-      __pyx_t_6 = __pyx_t_7;
-      goto __pyx_L5_bool_binop_done;
-    }
-    __pyx_t_7 = (((((PY_LONG_LONG)__pyx_v_s.pitch) * __pyx_v_s.pitch) * (sizeof(int))) > __pyx_v_s.max_bytes);
-    __pyx_t_6 = __pyx_t_7;
-    __pyx_L5_bool_binop_done:;
-    if (!__pyx_t_6) break;
-
-    /* "tanglekit/_enumcore.pyx":344
- *     s.max_bytes = int(os.environ.get("TANGLEKIT_MAX_TABLE_BYTES", "1200000000"))
- *     while s.pitch > 16 and (<long long> s.pitch) * s.pitch * sizeof(int) > s.max_bytes:
- *         s.pitch //= 2             # <<<<<<<<<<<<<<
- *     s.parent = <int *> malloc(s.pitch * sizeof(int))
- *     s.buf = <int *> malloc(s.pitch * sizeof(int))
-*/
-    __pyx_v_s.pitch = (__pyx_v_s.pitch / 2);
-  }
-
-  /* "tanglekit/_enumcore.pyx":345
- *     while s.pitch > 16 and (<long long> s.pitch) * s.pitch * sizeof(int) > s.max_bytes:
- *         s.pitch //= 2
- *     s.parent = <int *> malloc(s.pitch * sizeof(int))             # <<<<<<<<<<<<<<
- *     s.buf = <int *> malloc(s.pitch * sizeof(int))
- *     s.tab = <int *> malloc((<long long> s.pitch) * s.pitch * sizeof(int))
-*/
-  __pyx_v_s.parent = ((int *)malloc((__pyx_v_s.pitch * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":346
- *         s.pitch //= 2
- *     s.parent = <int *> malloc(s.pitch * sizeof(int))
- *     s.buf = <int *> malloc(s.pitch * sizeof(int))             # <<<<<<<<<<<<<<
- *     s.tab = <int *> malloc((<long long> s.pitch) * s.pitch * sizeof(int))
- *     s.ev = <int *> malloc(s.ev_cap * sizeof(int))
-*/
-  __pyx_v_s.buf = ((int *)malloc((__pyx_v_s.pitch * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":347
- *     s.parent = <int *> malloc(s.pitch * sizeof(int))
- *     s.buf = <int *> malloc(s.pitch * sizeof(int))
- *     s.tab = <int *> malloc((<long long> s.pitch) * s.pitch * sizeof(int))             # <<<<<<<<<<<<<<
- *     s.ev = <int *> malloc(s.ev_cap * sizeof(int))
- *     memset(s.tab, 0xFF, (<long long> s.pitch) * s.pitch * sizeof(int))
-*/
-  __pyx_v_s.tab = ((int *)malloc(((((PY_LONG_LONG)__pyx_v_s.pitch) * __pyx_v_s.pitch) * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":348
- *     s.buf = <int *> malloc(s.pitch * sizeof(int))
- *     s.tab = <int *> malloc((<long long> s.pitch) * s.pitch * sizeof(int))
- *     s.ev = <int *> malloc(s.ev_cap * sizeof(int))             # <<<<<<<<<<<<<<
- *     memset(s.tab, 0xFF, (<long long> s.pitch) * s.pitch * sizeof(int))
- * 
-*/
-  __pyx_v_s.ev = ((int *)malloc((__pyx_v_s.ev_cap * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":349
- *     s.tab = <int *> malloc((<long long> s.pitch) * s.pitch * sizeof(int))
- *     s.ev = <int *> malloc(s.ev_cap * sizeof(int))
- *     memset(s.tab, 0xFF, (<long long> s.pitch) * s.pitch * sizeof(int))             # <<<<<<<<<<<<<<
- * 
- *     # relation words as flat int tuples
-*/
-  (void)(memset(__pyx_v_s.tab, 0xFF, ((((PY_LONG_LONG)__pyx_v_s.pitch) * __pyx_v_s.pitch) * (sizeof(int)))));
-
-  /* "tanglekit/_enumcore.pyx":352
- * 
- *     # relation words as flat int tuples
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))             # <<<<<<<<<<<<<<
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)
-*/
-  { /* enter inner scope */
-    __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 352, __pyx_L9_error)
-    __Pyx_GOTREF(__pyx_t_1);
-
-    /* "tanglekit/_enumcore.pyx":353
- *     # relation words as flat int tuples
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))
- *                 for lhs, rhs in relations]             # <<<<<<<<<<<<<<
- *     pattern = tuple(int(g) for g in rn_pattern)
- * 
-*/
-    if (likely(PyList_CheckExact(__pyx_v_relations)) || PyTuple_CheckExact(__pyx_v_relations)) {
-      __pyx_t_4 = __pyx_v_relations; __Pyx_INCREF(__pyx_t_4);
-      __pyx_t_3 = 0;
-      __pyx_t_8 = NULL;
-    } else {
-      __pyx_t_3 = -1; __pyx_t_4 = PyObject_GetIter(__pyx_v_relations); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 353, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_8 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_4); if (unlikely(!__pyx_t_8)) __PYX_ERR(0, 353, __pyx_L9_error)
-    }
-    for (;;) {
-      if (likely(!__pyx_t_8)) {
-        if (likely(PyList_CheckExact(__pyx_t_4))) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_4);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 353, __pyx_L9_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_9 = __Pyx_PyList_GetItemRefFast(__pyx_t_4, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-        } else {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyTuple_GET_SIZE(__pyx_t_4);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 353, __pyx_L9_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          __pyx_t_9 = __Pyx_NewRef(PyTuple_GET_ITEM(__pyx_t_4, __pyx_t_3));
-          #else
-          __pyx_t_9 = __Pyx_PySequence_ITEM(__pyx_t_4, __pyx_t_3);
-          #endif
-          ++__pyx_t_3;
-        }
-        if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 353, __pyx_L9_error)
-      } else {
-        __pyx_t_9 = __pyx_t_8(__pyx_t_4);
-        if (unlikely(!__pyx_t_9)) {
-          PyObject* exc_type = PyErr_Occurred();
-          if (exc_type) {
-            if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration))) __PYX_ERR(0, 353, __pyx_L9_error)
-            PyErr_Clear();
-          }
-          break;
-        }
-      }
-      __Pyx_GOTREF(__pyx_t_9);
-      if ((likely(PyTuple_CheckExact(__pyx_t_9))) || (PyList_CheckExact(__pyx_t_9))) {
-        PyObject* sequence = __pyx_t_9;
-        Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-        if (unlikely(size != 2)) {
-          if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-          else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-          __PYX_ERR(0, 353, __pyx_L9_error)
-        }
-        #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-        if (likely(PyTuple_CheckExact(sequence))) {
-          __pyx_t_10 = PyTuple_GET_ITEM(sequence, 0);
-          __Pyx_INCREF(__pyx_t_10);
-          __pyx_t_11 = PyTuple_GET_ITEM(sequence, 1);
-          __Pyx_INCREF(__pyx_t_11);
-        } else {
-          __pyx_t_10 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-          if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 353, __pyx_L9_error)
-          __Pyx_XGOTREF(__pyx_t_10);
-          __pyx_t_11 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-          if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 353, __pyx_L9_error)
-          __Pyx_XGOTREF(__pyx_t_11);
-        }
-        #else
-        __pyx_t_10 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 353, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __pyx_t_11 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 353, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        #endif
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      } else {
-        Py_ssize_t index = -1;
-        __pyx_t_12 = PyObject_GetIter(__pyx_t_9); if (unlikely(!__pyx_t_12)) __PYX_ERR(0, 353, __pyx_L9_error)
-        __Pyx_GOTREF(__pyx_t_12);
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        __pyx_t_13 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_12);
-        index = 0; __pyx_t_10 = __pyx_t_13(__pyx_t_12); if (unlikely(!__pyx_t_10)) goto __pyx_L12_unpacking_failed;
-        __Pyx_GOTREF(__pyx_t_10);
-        index = 1; __pyx_t_11 = __pyx_t_13(__pyx_t_12); if (unlikely(!__pyx_t_11)) goto __pyx_L12_unpacking_failed;
-        __Pyx_GOTREF(__pyx_t_11);
-        if (__Pyx_IternextUnpackEndCheck(__pyx_t_13(__pyx_t_12), 2) < (0)) __PYX_ERR(0, 353, __pyx_L9_error)
-        __pyx_t_13 = NULL;
-        __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        goto __pyx_L13_unpacking_done;
-        __pyx_L12_unpacking_failed:;
-        __Pyx_DECREF(__pyx_t_12); __pyx_t_12 = 0;
-        __pyx_t_13 = NULL;
-        if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-        __PYX_ERR(0, 353, __pyx_L9_error)
-        __pyx_L13_unpacking_done:;
-      }
-      __Pyx_XDECREF_SET(__pyx_7genexpr__pyx_v_lhs, __pyx_t_10);
-      __pyx_t_10 = 0;
-      __Pyx_XDECREF_SET(__pyx_7genexpr__pyx_v_rhs, __pyx_t_11);
-      __pyx_t_11 = 0;
-
-      /* "tanglekit/_enumcore.pyx":352
- * 
- *     # relation words as flat int tuples
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))             # <<<<<<<<<<<<<<
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)
-*/
-      __pyx_t_9 = __pyx_pf_9tanglekit_9_enumcore_15run_enumeration_7genexpr_genexpr(NULL, __pyx_7genexpr__pyx_v_lhs); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 352, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_11 = __Pyx_PySequence_Tuple(__pyx_t_9); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 352, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_9 = __pyx_pf_9tanglekit_9_enumcore_15run_enumeration_7genexpr_3genexpr(NULL, __pyx_7genexpr__pyx_v_rhs); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 352, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_10 = __Pyx_PySequence_Tuple(__pyx_t_9); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 352, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_10);
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-      __pyx_t_9 = PyTuple_New(2); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 352, __pyx_L9_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __Pyx_GIVEREF(__pyx_t_11);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_11) != (0)) __PYX_ERR(0, 352, __pyx_L9_error);
-      __Pyx_GIVEREF(__pyx_t_10);
-      if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, __pyx_t_10) != (0)) __PYX_ERR(0, 352, __pyx_L9_error);
-      __pyx_t_11 = 0;
-      __pyx_t_10 = 0;
-      if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 352, __pyx_L9_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-
-      /* "tanglekit/_enumcore.pyx":353
- *     # relation words as flat int tuples
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))
- *                 for lhs, rhs in relations]             # <<<<<<<<<<<<<<
- *     pattern = tuple(int(g) for g in rn_pattern)
- * 
-*/
-    }
-    __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    __Pyx_XDECREF(__pyx_7genexpr__pyx_v_lhs); __pyx_7genexpr__pyx_v_lhs = 0;
-    __Pyx_XDECREF(__pyx_7genexpr__pyx_v_rhs); __pyx_7genexpr__pyx_v_rhs = 0;
-    goto __pyx_L15_exit_scope;
-    __pyx_L9_error:;
-    __Pyx_XDECREF(__pyx_7genexpr__pyx_v_lhs); __pyx_7genexpr__pyx_v_lhs = 0;
-    __Pyx_XDECREF(__pyx_7genexpr__pyx_v_rhs); __pyx_7genexpr__pyx_v_rhs = 0;
-    goto __pyx_L1_error;
-    __pyx_L15_exit_scope:;
-  } /* exit inner scope */
-  __pyx_v_rel_list = ((PyObject*)__pyx_t_1);
-  __pyx_t_1 = 0;
-
-  /* "tanglekit/_enumcore.pyx":354
- *     rel_list = [(tuple(int(g) for g in lhs), tuple(int(g) for g in rhs))
- *                 for lhs, rhs in relations]
- *     pattern = tuple(int(g) for g in rn_pattern)             # <<<<<<<<<<<<<<
- * 
- *     try:
-*/
-  __pyx_t_1 = __pyx_pf_9tanglekit_9_enumcore_15run_enumeration_genexpr(NULL, __pyx_v_rn_pattern); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 354, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_4 = __Pyx_PySequence_Tuple(__pyx_t_1); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 354, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_4);
-  __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-  __pyx_v_pattern = ((PyObject*)__pyx_t_4);
-  __pyx_t_4 = 0;
-
-  /* "tanglekit/_enumcore.pyx":356
- *     pattern = tuple(int(g) for g in rn_pattern)
- * 
- *     try:             # <<<<<<<<<<<<<<
- *         gen_slots = []
- *         for i in range(m):
-*/
-  /*try:*/ {
-
-    /* "tanglekit/_enumcore.pyx":357
- * 
- *     try:
- *         gen_slots = []             # <<<<<<<<<<<<<<
- *         for i in range(m):
- *             v = new_element(&s)
-*/
-    __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 357, __pyx_L17_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_v_gen_slots = ((PyObject*)__pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "tanglekit/_enumcore.pyx":358
- *     try:
- *         gen_slots = []
- *         for i in range(m):             # <<<<<<<<<<<<<<
- *             v = new_element(&s)
- *             if v < 0:
-*/
-    __pyx_t_2 = __pyx_v_m;
-    __pyx_t_14 = __pyx_t_2;
-    for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_14; __pyx_t_15+=1) {
-      __pyx_v_i = __pyx_t_15;
-
-      /* "tanglekit/_enumcore.pyx":359
- *         gen_slots = []
- *         for i in range(m):
- *             v = new_element(&s)             # <<<<<<<<<<<<<<
- *             if v < 0:
- *                 return CAP_EXCEEDED, None, None, s.merges
-*/
-      __pyx_t_16 = __pyx_f_9tanglekit_9_enumcore_new_element((&__pyx_v_s)); if (unlikely(__pyx_t_16 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 359, __pyx_L17_error)
-      __pyx_v_v = __pyx_t_16;
-
-      /* "tanglekit/_enumcore.pyx":360
- *         for i in range(m):
- *             v = new_element(&s)
- *             if v < 0:             # <<<<<<<<<<<<<<
- *                 return CAP_EXCEEDED, None, None, s.merges
- *             gen_slots.append(v)
-*/
-      __pyx_t_6 = (__pyx_v_v < 0);
-      if (__pyx_t_6) {
-
-        /* "tanglekit/_enumcore.pyx":361
- *             v = new_element(&s)
- *             if v < 0:
- *                 return CAP_EXCEEDED, None, None, s.merges             # <<<<<<<<<<<<<<
- *             gen_slots.append(v)
- * 
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 361, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 361, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 361, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_GIVEREF(__pyx_t_4);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 361, __pyx_L17_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, Py_None) != (0)) __PYX_ERR(0, 361, __pyx_L17_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, Py_None) != (0)) __PYX_ERR(0, 361, __pyx_L17_error);
-        __Pyx_GIVEREF(__pyx_t_1);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_t_1) != (0)) __PYX_ERR(0, 361, __pyx_L17_error);
-        __pyx_t_4 = 0;
-        __pyx_t_1 = 0;
-        __pyx_r = __pyx_t_9;
-        __pyx_t_9 = 0;
-        goto __pyx_L16_return;
-
-        /* "tanglekit/_enumcore.pyx":360
- *         for i in range(m):
- *             v = new_element(&s)
- *             if v < 0:             # <<<<<<<<<<<<<<
- *                 return CAP_EXCEEDED, None, None, s.merges
- *             gen_slots.append(v)
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":362
- *             if v < 0:
- *                 return CAP_EXCEEDED, None, None, s.merges
- *             gen_slots.append(v)             # <<<<<<<<<<<<<<
- * 
- *         while True:
-*/
-      __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_v_v); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 362, __pyx_L17_error)
-      __Pyx_GOTREF(__pyx_t_9);
-      __pyx_t_17 = __Pyx_PyList_Append(__pyx_v_gen_slots, __pyx_t_9); if (unlikely(__pyx_t_17 == ((int)-1))) __PYX_ERR(0, 362, __pyx_L17_error)
-      __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-    }
-
-    /* "tanglekit/_enumcore.pyx":364
- *             gen_slots.append(v)
- * 
- *         while True:             # <<<<<<<<<<<<<<
- *             process_events(&s)
- *             if s.n_slots - s.merges > cap_i:
-*/
-    while (1) {
-
-      /* "tanglekit/_enumcore.pyx":365
- * 
- *         while True:
- *             process_events(&s)             # <<<<<<<<<<<<<<
- *             if s.n_slots - s.merges > cap_i:
- *                 return CAP_EXCEEDED, None, None, s.merges
-*/
-      __pyx_f_9tanglekit_9_enumcore_process_events((&__pyx_v_s)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 365, __pyx_L17_error)
-
-      /* "tanglekit/_enumcore.pyx":366
- *         while True:
- *             process_events(&s)
- *             if s.n_slots - s.merges > cap_i:             # <<<<<<<<<<<<<<
- *                 return CAP_EXCEEDED, None, None, s.merges
- * 
-*/
-      __pyx_t_6 = ((__pyx_v_s.n_slots - __pyx_v_s.merges) > __pyx_v_cap_i);
-      if (__pyx_t_6) {
-
-        /* "tanglekit/_enumcore.pyx":367
- *             process_events(&s)
- *             if s.n_slots - s.merges > cap_i:
- *                 return CAP_EXCEEDED, None, None, s.merges             # <<<<<<<<<<<<<<
- * 
- *             # concrete relations, scan-and-fill with closing deduction
-*/
-        __Pyx_XDECREF(__pyx_r);
-        __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 367, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_1 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 367, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_t_4 = PyTuple_New(4); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 367, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_GIVEREF(__pyx_t_9);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 367, __pyx_L17_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 1, Py_None) != (0)) __PYX_ERR(0, 367, __pyx_L17_error);
-        __Pyx_INCREF(Py_None);
-        __Pyx_GIVEREF(Py_None);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 2, Py_None) != (0)) __PYX_ERR(0, 367, __pyx_L17_error);
-        __Pyx_GIVEREF(__pyx_t_1);
-        if (__Pyx_PyTuple_SET_ITEM(__pyx_t_4, 3, __pyx_t_1) != (0)) __PYX_ERR(0, 367, __pyx_L17_error);
-        __pyx_t_9 = 0;
-        __pyx_t_1 = 0;
-        __pyx_r = __pyx_t_4;
-        __pyx_t_4 = 0;
-        goto __pyx_L16_return;
-
-        /* "tanglekit/_enumcore.pyx":366
- *         while True:
- *             process_events(&s)
- *             if s.n_slots - s.merges > cap_i:             # <<<<<<<<<<<<<<
- *                 return CAP_EXCEEDED, None, None, s.merges
- * 
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":370
- * 
- *             # concrete relations, scan-and-fill with closing deduction
- *             before_slots = s.n_slots             # <<<<<<<<<<<<<<
- *             before_merges = s.merges
- *             before_entries = s.n_entries
-*/
-      __pyx_t_2 = __pyx_v_s.n_slots;
-      __pyx_v_before_slots = __pyx_t_2;
-
-      /* "tanglekit/_enumcore.pyx":371
- *             # concrete relations, scan-and-fill with closing deduction
- *             before_slots = s.n_slots
- *             before_merges = s.merges             # <<<<<<<<<<<<<<
- *             before_entries = s.n_entries
- *             status = 0
-*/
-      __pyx_t_5 = __pyx_v_s.merges;
-      __pyx_v_before_merges = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":372
- *             before_slots = s.n_slots
- *             before_merges = s.merges
- *             before_entries = s.n_entries             # <<<<<<<<<<<<<<
- *             status = 0
- *             for lhs, rhs in rel_list:
-*/
-      __pyx_t_5 = __pyx_v_s.n_entries;
-      __pyx_v_before_entries = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":373
- *             before_merges = s.merges
- *             before_entries = s.n_entries
- *             status = 0             # <<<<<<<<<<<<<<
- *             for lhs, rhs in rel_list:
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
-*/
-      __pyx_v_status = 0;
-
-      /* "tanglekit/_enumcore.pyx":374
- *             before_entries = s.n_entries
- *             status = 0
- *             for lhs, rhs in rel_list:             # <<<<<<<<<<<<<<
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 x = find(&s, <int> gens_now[lhs[0]])
-*/
-      __pyx_t_4 = __pyx_v_rel_list; __Pyx_INCREF(__pyx_t_4);
-      __pyx_t_3 = 0;
-      for (;;) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_4);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 374, __pyx_L17_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        __pyx_t_1 = __Pyx_PyList_GetItemRefFast(__pyx_t_4, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-        if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 374, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        if ((likely(PyTuple_CheckExact(__pyx_t_1))) || (PyList_CheckExact(__pyx_t_1))) {
-          PyObject* sequence = __pyx_t_1;
-          Py_ssize_t size = __Pyx_PySequence_SIZE(sequence);
-          if (unlikely(size != 2)) {
-            if (size > 2) __Pyx_RaiseTooManyValuesError(2);
-            else if (size >= 0) __Pyx_RaiseNeedMoreValuesError(size);
-            __PYX_ERR(0, 374, __pyx_L17_error)
-          }
-          #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-          if (likely(PyTuple_CheckExact(sequence))) {
-            __pyx_t_9 = PyTuple_GET_ITEM(sequence, 0);
-            __Pyx_INCREF(__pyx_t_9);
-            __pyx_t_10 = PyTuple_GET_ITEM(sequence, 1);
-            __Pyx_INCREF(__pyx_t_10);
-          } else {
-            __pyx_t_9 = __Pyx_PyList_GetItemRefFast(sequence, 0, __Pyx_ReferenceSharing_SharedReference);
-            if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 374, __pyx_L17_error)
-            __Pyx_XGOTREF(__pyx_t_9);
-            __pyx_t_10 = __Pyx_PyList_GetItemRefFast(sequence, 1, __Pyx_ReferenceSharing_SharedReference);
-            if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 374, __pyx_L17_error)
-            __Pyx_XGOTREF(__pyx_t_10);
-          }
-          #else
-          __pyx_t_9 = __Pyx_PySequence_ITEM(sequence, 0); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 374, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_10 = __Pyx_PySequence_ITEM(sequence, 1); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 374, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_10);
-          #endif
-          __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        } else {
-          Py_ssize_t index = -1;
-          __pyx_t_11 = PyObject_GetIter(__pyx_t_1); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 374, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_11);
-          __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-          __pyx_t_13 = (CYTHON_COMPILING_IN_LIMITED_API) ? PyIter_Next : __Pyx_PyObject_GetIterNextFunc(__pyx_t_11);
-          index = 0; __pyx_t_9 = __pyx_t_13(__pyx_t_11); if (unlikely(!__pyx_t_9)) goto __pyx_L27_unpacking_failed;
-          __Pyx_GOTREF(__pyx_t_9);
-          index = 1; __pyx_t_10 = __pyx_t_13(__pyx_t_11); if (unlikely(!__pyx_t_10)) goto __pyx_L27_unpacking_failed;
-          __Pyx_GOTREF(__pyx_t_10);
-          if (__Pyx_IternextUnpackEndCheck(__pyx_t_13(__pyx_t_11), 2) < (0)) __PYX_ERR(0, 374, __pyx_L17_error)
-          __pyx_t_13 = NULL;
-          __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-          goto __pyx_L28_unpacking_done;
-          __pyx_L27_unpacking_failed:;
-          __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-          __pyx_t_13 = NULL;
-          if (__Pyx_IterFinish() == 0) __Pyx_RaiseNeedMoreValuesError(index);
-          __PYX_ERR(0, 374, __pyx_L17_error)
-          __pyx_L28_unpacking_done:;
-        }
-        __Pyx_XDECREF_SET(__pyx_v_lhs, __pyx_t_9);
-        __pyx_t_9 = 0;
-        __Pyx_XDECREF_SET(__pyx_v_rhs, __pyx_t_10);
-        __pyx_t_10 = 0;
-
-        /* "tanglekit/_enumcore.pyx":375
- *             status = 0
- *             for lhs, rhs in rel_list:
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]             # <<<<<<<<<<<<<<
- *                 x = find(&s, <int> gens_now[lhs[0]])
- *                 for j in range(1, len(lhs)):
-*/
-        { /* enter inner scope */
-          __pyx_t_1 = PyList_New(0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 375, __pyx_L31_error)
-          __Pyx_GOTREF(__pyx_t_1);
-          __pyx_t_10 = __pyx_v_gen_slots; __Pyx_INCREF(__pyx_t_10);
-          __pyx_t_18 = 0;
-          for (;;) {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_10);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 375, __pyx_L31_error)
-              #endif
-              if (__pyx_t_18 >= __pyx_temp) break;
-            }
-            __pyx_t_9 = __Pyx_PyList_GetItemRefFast(__pyx_t_10, __pyx_t_18, __Pyx_ReferenceSharing_OwnStrongReference);
-            ++__pyx_t_18;
-            if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 375, __pyx_L31_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            __Pyx_XDECREF_SET(__pyx_8genexpr4__pyx_v_g, __pyx_t_9);
-            __pyx_t_9 = 0;
-            __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_8genexpr4__pyx_v_g); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 375, __pyx_L31_error)
-            __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_2)); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 375, __pyx_L31_error)
-            __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_t_14); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 375, __pyx_L31_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            if (unlikely(__Pyx_ListComp_Append(__pyx_t_1, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 375, __pyx_L31_error)
-            __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          }
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __Pyx_XDECREF(__pyx_8genexpr4__pyx_v_g); __pyx_8genexpr4__pyx_v_g = 0;
-          goto __pyx_L35_exit_scope;
-          __pyx_L31_error:;
-          __Pyx_XDECREF(__pyx_8genexpr4__pyx_v_g); __pyx_8genexpr4__pyx_v_g = 0;
-          goto __pyx_L17_error;
-          __pyx_L35_exit_scope:;
-        } /* exit inner scope */
-        __Pyx_XDECREF_SET(__pyx_v_gens_now, ((PyObject*)__pyx_t_1));
-        __pyx_t_1 = 0;
-
-        /* "tanglekit/_enumcore.pyx":376
- *             for lhs, rhs in rel_list:
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 x = find(&s, <int> gens_now[lhs[0]])             # <<<<<<<<<<<<<<
- *                 for j in range(1, len(lhs)):
- *                     x = fill_product(&s, x, find(&s, <int> gens_now[lhs[j]]))
-*/
-        __pyx_t_1 = __Pyx_GetItemInt(__pyx_v_lhs, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 376, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_1);
-        __pyx_t_10 = __Pyx_PyObject_GetItem(__pyx_v_gens_now, __pyx_t_1); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 376, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-        __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_10); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 376, __pyx_L17_error)
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-        __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_14)); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 376, __pyx_L17_error)
-        __pyx_v_x = __pyx_t_2;
-
-        /* "tanglekit/_enumcore.pyx":377
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 x = find(&s, <int> gens_now[lhs[0]])
- *                 for j in range(1, len(lhs)):             # <<<<<<<<<<<<<<
- *                     x = fill_product(&s, x, find(&s, <int> gens_now[lhs[j]]))
- *                     if x < 0:
-*/
-        __pyx_t_18 = PyObject_Length(__pyx_v_lhs); if (unlikely(__pyx_t_18 == ((Py_ssize_t)-1))) __PYX_ERR(0, 377, __pyx_L17_error)
-        __pyx_t_19 = __pyx_t_18;
-        for (__pyx_t_2 = 1; __pyx_t_2 < __pyx_t_19; __pyx_t_2+=1) {
-          __pyx_v_j = __pyx_t_2;
-
-          /* "tanglekit/_enumcore.pyx":378
- *                 x = find(&s, <int> gens_now[lhs[0]])
- *                 for j in range(1, len(lhs)):
- *                     x = fill_product(&s, x, find(&s, <int> gens_now[lhs[j]]))             # <<<<<<<<<<<<<<
- *                     if x < 0:
- *                         return CAP_EXCEEDED, None, None, s.merges
-*/
-          __pyx_t_10 = __Pyx_GetItemInt(__pyx_v_lhs, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 378, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_10);
-          __pyx_t_1 = __Pyx_PyObject_GetItem(__pyx_v_gens_now, __pyx_t_10); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 378, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_1);
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 378, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-          __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_14)); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 378, __pyx_L17_error)
-          __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_fill_product((&__pyx_v_s), __pyx_v_x, __pyx_t_15); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 378, __pyx_L17_error)
-          __pyx_v_x = __pyx_t_14;
-
-          /* "tanglekit/_enumcore.pyx":379
- *                 for j in range(1, len(lhs)):
- *                     x = fill_product(&s, x, find(&s, <int> gens_now[lhs[j]]))
- *                     if x < 0:             # <<<<<<<<<<<<<<
- *                         return CAP_EXCEEDED, None, None, s.merges
- *                     x = find(&s, x)
-*/
-          __pyx_t_6 = (__pyx_v_x < 0);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":380
- *                     x = fill_product(&s, x, find(&s, <int> gens_now[lhs[j]]))
- *                     if x < 0:
- *                         return CAP_EXCEEDED, None, None, s.merges             # <<<<<<<<<<<<<<
- *                     x = find(&s, x)
- *                 target = x
-*/
-            __Pyx_XDECREF(__pyx_r);
-            __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 380, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_1);
-            __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 380, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_10);
-            __pyx_t_9 = PyTuple_New(4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 380, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            __Pyx_GIVEREF(__pyx_t_1);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 380, __pyx_L17_error);
-            __Pyx_INCREF(Py_None);
-            __Pyx_GIVEREF(Py_None);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 1, Py_None) != (0)) __PYX_ERR(0, 380, __pyx_L17_error);
-            __Pyx_INCREF(Py_None);
-            __Pyx_GIVEREF(Py_None);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 2, Py_None) != (0)) __PYX_ERR(0, 380, __pyx_L17_error);
-            __Pyx_GIVEREF(__pyx_t_10);
-            if (__Pyx_PyTuple_SET_ITEM(__pyx_t_9, 3, __pyx_t_10) != (0)) __PYX_ERR(0, 380, __pyx_L17_error);
-            __pyx_t_1 = 0;
-            __pyx_t_10 = 0;
-            __pyx_r = __pyx_t_9;
-            __pyx_t_9 = 0;
-            __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-            goto __pyx_L16_return;
-
-            /* "tanglekit/_enumcore.pyx":379
- *                 for j in range(1, len(lhs)):
- *                     x = fill_product(&s, x, find(&s, <int> gens_now[lhs[j]]))
- *                     if x < 0:             # <<<<<<<<<<<<<<
- *                         return CAP_EXCEEDED, None, None, s.merges
- *                     x = find(&s, x)
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":381
- *                     if x < 0:
- *                         return CAP_EXCEEDED, None, None, s.merges
- *                     x = find(&s, x)             # <<<<<<<<<<<<<<
- *                 target = x
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
-*/
-          __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_x); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 381, __pyx_L17_error)
-          __pyx_v_x = __pyx_t_14;
-        }
-
-        /* "tanglekit/_enumcore.pyx":382
- *                         return CAP_EXCEEDED, None, None, s.merges
- *                     x = find(&s, x)
- *                 target = x             # <<<<<<<<<<<<<<
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 if len(rhs) == 1:
-*/
-        __pyx_v_target = __pyx_v_x;
-
-        /* "tanglekit/_enumcore.pyx":383
- *                     x = find(&s, x)
- *                 target = x
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]             # <<<<<<<<<<<<<<
- *                 if len(rhs) == 1:
- *                     v = find(&s, <int> gens_now[rhs[0]])
-*/
-        { /* enter inner scope */
-          __pyx_t_9 = PyList_New(0); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 383, __pyx_L41_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_10 = __pyx_v_gen_slots; __Pyx_INCREF(__pyx_t_10);
-          __pyx_t_18 = 0;
-          for (;;) {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_10);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 383, __pyx_L41_error)
-              #endif
-              if (__pyx_t_18 >= __pyx_temp) break;
-            }
-            __pyx_t_1 = __Pyx_PyList_GetItemRefFast(__pyx_t_10, __pyx_t_18, __Pyx_ReferenceSharing_OwnStrongReference);
-            ++__pyx_t_18;
-            if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 383, __pyx_L41_error)
-            __Pyx_GOTREF(__pyx_t_1);
-            __Pyx_XDECREF_SET(__pyx_8genexpr5__pyx_v_g, __pyx_t_1);
-            __pyx_t_1 = 0;
-            __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_8genexpr5__pyx_v_g); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 383, __pyx_L41_error)
-            __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_2)); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 383, __pyx_L41_error)
-            __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_t_14); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 383, __pyx_L41_error)
-            __Pyx_GOTREF(__pyx_t_1);
-            if (unlikely(__Pyx_ListComp_Append(__pyx_t_9, (PyObject*)__pyx_t_1))) __PYX_ERR(0, 383, __pyx_L41_error)
-            __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-          }
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __Pyx_XDECREF(__pyx_8genexpr5__pyx_v_g); __pyx_8genexpr5__pyx_v_g = 0;
-          goto __pyx_L45_exit_scope;
-          __pyx_L41_error:;
-          __Pyx_XDECREF(__pyx_8genexpr5__pyx_v_g); __pyx_8genexpr5__pyx_v_g = 0;
-          goto __pyx_L17_error;
-          __pyx_L45_exit_scope:;
-        } /* exit inner scope */
-        __Pyx_DECREF_SET(__pyx_v_gens_now, ((PyObject*)__pyx_t_9));
-        __pyx_t_9 = 0;
-
-        /* "tanglekit/_enumcore.pyx":384
- *                 target = x
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 if len(rhs) == 1:             # <<<<<<<<<<<<<<
- *                     v = find(&s, <int> gens_now[rhs[0]])
- *                     if v != find(&s, target):
-*/
-        __pyx_t_18 = PyObject_Length(__pyx_v_rhs); if (unlikely(__pyx_t_18 == ((Py_ssize_t)-1))) __PYX_ERR(0, 384, __pyx_L17_error)
-        __pyx_t_6 = (__pyx_t_18 == 1);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":385
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 if len(rhs) == 1:
- *                     v = find(&s, <int> gens_now[rhs[0]])             # <<<<<<<<<<<<<<
- *                     if v != find(&s, target):
- *                         merge(&s, v, target)
-*/
-          __pyx_t_9 = __Pyx_GetItemInt(__pyx_v_rhs, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 385, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_10 = __Pyx_PyObject_GetItem(__pyx_v_gens_now, __pyx_t_9); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 385, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_10);
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_10); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 385, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_14)); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 385, __pyx_L17_error)
-          __pyx_v_v = __pyx_t_2;
-
-          /* "tanglekit/_enumcore.pyx":386
- *                 if len(rhs) == 1:
- *                     v = find(&s, <int> gens_now[rhs[0]])
- *                     if v != find(&s, target):             # <<<<<<<<<<<<<<
- *                         merge(&s, v, target)
- *                 else:
-*/
-          __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_target); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 386, __pyx_L17_error)
-          __pyx_t_6 = (__pyx_v_v != __pyx_t_2);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":387
- *                     v = find(&s, <int> gens_now[rhs[0]])
- *                     if v != find(&s, target):
- *                         merge(&s, v, target)             # <<<<<<<<<<<<<<
- *                 else:
- *                     x = find(&s, <int> gens_now[rhs[0]])
-*/
-            __pyx_f_9tanglekit_9_enumcore_merge((&__pyx_v_s), __pyx_v_v, __pyx_v_target); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 387, __pyx_L17_error)
-
-            /* "tanglekit/_enumcore.pyx":386
- *                 if len(rhs) == 1:
- *                     v = find(&s, <int> gens_now[rhs[0]])
- *                     if v != find(&s, target):             # <<<<<<<<<<<<<<
- *                         merge(&s, v, target)
- *                 else:
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":384
- *                 target = x
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 if len(rhs) == 1:             # <<<<<<<<<<<<<<
- *                     v = find(&s, <int> gens_now[rhs[0]])
- *                     if v != find(&s, target):
-*/
-          goto __pyx_L46;
-        }
-
-        /* "tanglekit/_enumcore.pyx":389
- *                         merge(&s, v, target)
- *                 else:
- *                     x = find(&s, <int> gens_now[rhs[0]])             # <<<<<<<<<<<<<<
- *                     for j in range(1, len(rhs) - 1):
- *                         x = fill_product(&s, x, find(&s, <int> gens_now[rhs[j]]))
-*/
-        /*else*/ {
-          __pyx_t_10 = __Pyx_GetItemInt(__pyx_v_rhs, 0, long, 1, __Pyx_PyLong_From_long, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 389, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_10);
-          __pyx_t_9 = __Pyx_PyObject_GetItem(__pyx_v_gens_now, __pyx_t_10); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 389, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-          __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 389, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_2)); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 389, __pyx_L17_error)
-          __pyx_v_x = __pyx_t_14;
-
-          /* "tanglekit/_enumcore.pyx":390
- *                 else:
- *                     x = find(&s, <int> gens_now[rhs[0]])
- *                     for j in range(1, len(rhs) - 1):             # <<<<<<<<<<<<<<
- *                         x = fill_product(&s, x, find(&s, <int> gens_now[rhs[j]]))
- *                         if x < 0:
-*/
-          __pyx_t_18 = PyObject_Length(__pyx_v_rhs); if (unlikely(__pyx_t_18 == ((Py_ssize_t)-1))) __PYX_ERR(0, 390, __pyx_L17_error)
-          __pyx_t_19 = (__pyx_t_18 - 1);
-          __pyx_t_18 = __pyx_t_19;
-          for (__pyx_t_14 = 1; __pyx_t_14 < __pyx_t_18; __pyx_t_14+=1) {
-            __pyx_v_j = __pyx_t_14;
-
-            /* "tanglekit/_enumcore.pyx":391
- *                     x = find(&s, <int> gens_now[rhs[0]])
- *                     for j in range(1, len(rhs) - 1):
- *                         x = fill_product(&s, x, find(&s, <int> gens_now[rhs[j]]))             # <<<<<<<<<<<<<<
- *                         if x < 0:
- *                             return CAP_EXCEEDED, None, None, s.merges
-*/
-            __pyx_t_9 = __Pyx_GetItemInt(__pyx_v_rhs, __pyx_v_j, int, 1, __Pyx_PyLong_From_int, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 391, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_9);
-            __pyx_t_10 = __Pyx_PyObject_GetItem(__pyx_v_gens_now, __pyx_t_9); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 391, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_10);
-            __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-            __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_10); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 391, __pyx_L17_error)
-            __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-            __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_2)); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 391, __pyx_L17_error)
-            __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_fill_product((&__pyx_v_s), __pyx_v_x, __pyx_t_15); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 391, __pyx_L17_error)
-            __pyx_v_x = __pyx_t_2;
-
-            /* "tanglekit/_enumcore.pyx":392
- *                     for j in range(1, len(rhs) - 1):
- *                         x = fill_product(&s, x, find(&s, <int> gens_now[rhs[j]]))
- *                         if x < 0:             # <<<<<<<<<<<<<<
- *                             return CAP_EXCEEDED, None, None, s.merges
- *                         x = find(&s, x)
-*/
-            __pyx_t_6 = (__pyx_v_x < 0);
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":393
- *                         x = fill_product(&s, x, find(&s, <int> gens_now[rhs[j]]))
- *                         if x < 0:
- *                             return CAP_EXCEEDED, None, None, s.merges             # <<<<<<<<<<<<<<
- *                         x = find(&s, x)
- *                     set_entry(&s, x, find(&s, <int> gens_now[rhs[len(rhs) - 1]]),
-*/
-              __Pyx_XDECREF(__pyx_r);
-              __Pyx_GetModuleGlobalName(__pyx_t_10, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 393, __pyx_L17_error)
-              __Pyx_GOTREF(__pyx_t_10);
-              __pyx_t_9 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 393, __pyx_L17_error)
-              __Pyx_GOTREF(__pyx_t_9);
-              __pyx_t_1 = PyTuple_New(4); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 393, __pyx_L17_error)
-              __Pyx_GOTREF(__pyx_t_1);
-              __Pyx_GIVEREF(__pyx_t_10);
-              if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 0, __pyx_t_10) != (0)) __PYX_ERR(0, 393, __pyx_L17_error);
-              __Pyx_INCREF(Py_None);
-              __Pyx_GIVEREF(Py_None);
-              if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 1, Py_None) != (0)) __PYX_ERR(0, 393, __pyx_L17_error);
-              __Pyx_INCREF(Py_None);
-              __Pyx_GIVEREF(Py_None);
-              if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 2, Py_None) != (0)) __PYX_ERR(0, 393, __pyx_L17_error);
-              __Pyx_GIVEREF(__pyx_t_9);
-              if (__Pyx_PyTuple_SET_ITEM(__pyx_t_1, 3, __pyx_t_9) != (0)) __PYX_ERR(0, 393, __pyx_L17_error);
-              __pyx_t_10 = 0;
-              __pyx_t_9 = 0;
-              __pyx_r = __pyx_t_1;
-              __pyx_t_1 = 0;
-              __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-              goto __pyx_L16_return;
-
-              /* "tanglekit/_enumcore.pyx":392
- *                     for j in range(1, len(rhs) - 1):
- *                         x = fill_product(&s, x, find(&s, <int> gens_now[rhs[j]]))
- *                         if x < 0:             # <<<<<<<<<<<<<<
- *                             return CAP_EXCEEDED, None, None, s.merges
- *                         x = find(&s, x)
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":394
- *                         if x < 0:
- *                             return CAP_EXCEEDED, None, None, s.merges
- *                         x = find(&s, x)             # <<<<<<<<<<<<<<
- *                     set_entry(&s, x, find(&s, <int> gens_now[rhs[len(rhs) - 1]]),
- *                               find(&s, target))
-*/
-            __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_x); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 394, __pyx_L17_error)
-            __pyx_v_x = __pyx_t_2;
-          }
-
-          /* "tanglekit/_enumcore.pyx":395
- *                             return CAP_EXCEEDED, None, None, s.merges
- *                         x = find(&s, x)
- *                     set_entry(&s, x, find(&s, <int> gens_now[rhs[len(rhs) - 1]]),             # <<<<<<<<<<<<<<
- *                               find(&s, target))
- *                 process_events(&s)
-*/
-          __pyx_t_19 = PyObject_Length(__pyx_v_rhs); if (unlikely(__pyx_t_19 == ((Py_ssize_t)-1))) __PYX_ERR(0, 395, __pyx_L17_error)
-          __pyx_t_18 = (__pyx_t_19 - 1);
-          __pyx_t_1 = __Pyx_GetItemInt(__pyx_v_rhs, __pyx_t_18, Py_ssize_t, 1, PyLong_FromSsize_t, 0, 0, 0, 1, __Pyx_ReferenceSharing_OwnStrongReference); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 395, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_1);
-          __pyx_t_9 = __Pyx_PyObject_GetItem(__pyx_v_gens_now, __pyx_t_1); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 395, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-          __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_14)); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L17_error)
-
-          /* "tanglekit/_enumcore.pyx":396
- *                         x = find(&s, x)
- *                     set_entry(&s, x, find(&s, <int> gens_now[rhs[len(rhs) - 1]]),
- *                               find(&s, target))             # <<<<<<<<<<<<<<
- *                 process_events(&s)
- *                 if s.n_slots - s.merges > cap_i:
-*/
-          __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_target); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 396, __pyx_L17_error)
-
-          /* "tanglekit/_enumcore.pyx":395
- *                             return CAP_EXCEEDED, None, None, s.merges
- *                         x = find(&s, x)
- *                     set_entry(&s, x, find(&s, <int> gens_now[rhs[len(rhs) - 1]]),             # <<<<<<<<<<<<<<
- *                               find(&s, target))
- *                 process_events(&s)
-*/
-          __pyx_f_9tanglekit_9_enumcore_set_entry((&__pyx_v_s), __pyx_v_x, __pyx_t_2, __pyx_t_14); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 395, __pyx_L17_error)
-        }
-        __pyx_L46:;
-
-        /* "tanglekit/_enumcore.pyx":397
- *                     set_entry(&s, x, find(&s, <int> gens_now[rhs[len(rhs) - 1]]),
- *                               find(&s, target))
- *                 process_events(&s)             # <<<<<<<<<<<<<<
- *                 if s.n_slots - s.merges > cap_i:
- *                     status = 1
-*/
-        __pyx_f_9tanglekit_9_enumcore_process_events((&__pyx_v_s)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 397, __pyx_L17_error)
-
-        /* "tanglekit/_enumcore.pyx":398
- *                               find(&s, target))
- *                 process_events(&s)
- *                 if s.n_slots - s.merges > cap_i:             # <<<<<<<<<<<<<<
- *                     status = 1
- *                     break
-*/
-        __pyx_t_6 = ((__pyx_v_s.n_slots - __pyx_v_s.merges) > __pyx_v_cap_i);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":399
- *                 process_events(&s)
- *                 if s.n_slots - s.merges > cap_i:
- *                     status = 1             # <<<<<<<<<<<<<<
- *                     break
- *             if (status or s.n_slots != before_slots or s.merges != before_merges
-*/
-          __pyx_v_status = 1;
-
-          /* "tanglekit/_enumcore.pyx":400
- *                 if s.n_slots - s.merges > cap_i:
- *                     status = 1
- *                     break             # <<<<<<<<<<<<<<
- *             if (status or s.n_slots != before_slots or s.merges != before_merges
- *                     or s.n_entries != before_entries):
-*/
-          goto __pyx_L26_break;
-
-          /* "tanglekit/_enumcore.pyx":398
- *                               find(&s, target))
- *                 process_events(&s)
- *                 if s.n_slots - s.merges > cap_i:             # <<<<<<<<<<<<<<
- *                     status = 1
- *                     break
-*/
-        }
-
-        /* "tanglekit/_enumcore.pyx":374
- *             before_entries = s.n_entries
- *             status = 0
- *             for lhs, rhs in rel_list:             # <<<<<<<<<<<<<<
- *                 gens_now = [find(&s, <int> g) for g in gen_slots]
- *                 x = find(&s, <int> gens_now[lhs[0]])
-*/
-      }
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      goto __pyx_L52_for_end;
-      __pyx_L26_break:;
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      goto __pyx_L52_for_end;
-      __pyx_L52_for_end:;
-
-      /* "tanglekit/_enumcore.pyx":401
- *                     status = 1
- *                     break
- *             if (status or s.n_slots != before_slots or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                     or s.n_entries != before_entries):
- *                 continue
-*/
-      __pyx_t_7 = (__pyx_v_status != 0);
-      if (!__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L54_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_s.n_slots != __pyx_v_before_slots);
-      if (!__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L54_bool_binop_done;
-      }
-
-      /* "tanglekit/_enumcore.pyx":402
- *                     break
- *             if (status or s.n_slots != before_slots or s.merges != before_merges
- *                     or s.n_entries != before_entries):             # <<<<<<<<<<<<<<
- *                 continue
- * 
-*/
-      __pyx_t_7 = (__pyx_v_s.merges != __pyx_v_before_merges);
-      if (!__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L54_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_s.n_entries != __pyx_v_before_entries);
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L54_bool_binop_done:;
-
-      /* "tanglekit/_enumcore.pyx":401
- *                     status = 1
- *                     break
- *             if (status or s.n_slots != before_slots or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                     or s.n_entries != before_entries):
- *                 continue
-*/
-      if (__pyx_t_6) {
-
-        /* "tanglekit/_enumcore.pyx":403
- *             if (status or s.n_slots != before_slots or s.merges != before_merges
- *                     or s.n_entries != before_entries):
- *                 continue             # <<<<<<<<<<<<<<
- * 
- *             if rn_active:
-*/
-        goto __pyx_L22_continue;
-
-        /* "tanglekit/_enumcore.pyx":401
- *                     status = 1
- *                     break
- *             if (status or s.n_slots != before_slots or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                     or s.n_entries != before_entries):
- *                 continue
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":405
- *                 continue
- * 
- *             if rn_active:             # <<<<<<<<<<<<<<
- *                 before_slots = s.n_slots
- *                 before_merges = s.merges
-*/
-      if (__pyx_v_rn_active) {
-
-        /* "tanglekit/_enumcore.pyx":406
- * 
- *             if rn_active:
- *                 before_slots = s.n_slots             # <<<<<<<<<<<<<<
- *                 before_merges = s.merges
- *                 before_entries = s.n_entries
-*/
-        __pyx_t_14 = __pyx_v_s.n_slots;
-        __pyx_v_before_slots = __pyx_t_14;
-
-        /* "tanglekit/_enumcore.pyx":407
- *             if rn_active:
- *                 before_slots = s.n_slots
- *                 before_merges = s.merges             # <<<<<<<<<<<<<<
- *                 before_entries = s.n_entries
- *                 if rn_on_all_pairs:
-*/
-        __pyx_t_5 = __pyx_v_s.merges;
-        __pyx_v_before_merges = __pyx_t_5;
-
-        /* "tanglekit/_enumcore.pyx":408
- *                 before_slots = s.n_slots
- *                 before_merges = s.merges
- *                 before_entries = s.n_entries             # <<<<<<<<<<<<<<
- *                 if rn_on_all_pairs:
- *                     zs = [i for i in range(s.n_slots) if s.parent[i] == i]
-*/
-        __pyx_t_5 = __pyx_v_s.n_entries;
-        __pyx_v_before_entries = __pyx_t_5;
-
-        /* "tanglekit/_enumcore.pyx":409
- *                 before_merges = s.merges
- *                 before_entries = s.n_entries
- *                 if rn_on_all_pairs:             # <<<<<<<<<<<<<<
- *                     zs = [i for i in range(s.n_slots) if s.parent[i] == i]
- *                 else:
-*/
-        if (__pyx_v_rn_on_all_pairs) {
-
-          /* "tanglekit/_enumcore.pyx":410
- *                 before_entries = s.n_entries
- *                 if rn_on_all_pairs:
- *                     zs = [i for i in range(s.n_slots) if s.parent[i] == i]             # <<<<<<<<<<<<<<
- *                 else:
- *                     zs = sorted({find(&s, <int> g) for g in gen_slots})
-*/
-          { /* enter inner scope */
-            __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 410, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_4);
-            __pyx_t_14 = __pyx_v_s.n_slots;
-            __pyx_t_2 = __pyx_t_14;
-            for (__pyx_t_15 = 0; __pyx_t_15 < __pyx_t_2; __pyx_t_15+=1) {
-              __pyx_8genexpr6__pyx_v_i = __pyx_t_15;
-              __pyx_t_6 = ((__pyx_v_s.parent[__pyx_8genexpr6__pyx_v_i]) == __pyx_8genexpr6__pyx_v_i);
-              if (__pyx_t_6) {
-                __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_8genexpr6__pyx_v_i); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 410, __pyx_L17_error)
-                __Pyx_GOTREF(__pyx_t_9);
-                if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_9))) __PYX_ERR(0, 410, __pyx_L17_error)
-                __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-              }
-            }
-          } /* exit inner scope */
-          __Pyx_XDECREF_SET(__pyx_v_zs, ((PyObject*)__pyx_t_4));
-          __pyx_t_4 = 0;
-
-          /* "tanglekit/_enumcore.pyx":409
- *                 before_merges = s.merges
- *                 before_entries = s.n_entries
- *                 if rn_on_all_pairs:             # <<<<<<<<<<<<<<
- *                     zs = [i for i in range(s.n_slots) if s.parent[i] == i]
- *                 else:
-*/
-          goto __pyx_L59;
-        }
-
-        /* "tanglekit/_enumcore.pyx":412
- *                     zs = [i for i in range(s.n_slots) if s.parent[i] == i]
- *                 else:
- *                     zs = sorted({find(&s, <int> g) for g in gen_slots})             # <<<<<<<<<<<<<<
- *                 status = 0
- *                 for u in zs:
-*/
-        /*else*/ {
-          { /* enter inner scope */
-            __pyx_t_4 = PySet_New(NULL); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 412, __pyx_L65_error)
-            __Pyx_GOTREF(__pyx_t_4);
-            __pyx_t_9 = __pyx_v_gen_slots; __Pyx_INCREF(__pyx_t_9);
-            __pyx_t_3 = 0;
-            for (;;) {
-              {
-                Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_9);
-                #if !CYTHON_ASSUME_SAFE_SIZE
-                if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 412, __pyx_L65_error)
-                #endif
-                if (__pyx_t_3 >= __pyx_temp) break;
-              }
-              __pyx_t_1 = __Pyx_PyList_GetItemRefFast(__pyx_t_9, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-              ++__pyx_t_3;
-              if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 412, __pyx_L65_error)
-              __Pyx_GOTREF(__pyx_t_1);
-              __Pyx_XDECREF_SET(__pyx_8genexpr7__pyx_v_g, __pyx_t_1);
-              __pyx_t_1 = 0;
-              __pyx_t_14 = __Pyx_PyLong_As_int(__pyx_8genexpr7__pyx_v_g); if (unlikely((__pyx_t_14 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 412, __pyx_L65_error)
-              __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_14)); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 412, __pyx_L65_error)
-              __pyx_t_1 = __Pyx_PyLong_From_int(__pyx_t_2); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 412, __pyx_L65_error)
-              __Pyx_GOTREF(__pyx_t_1);
-              if (unlikely(PySet_Add(__pyx_t_4, (PyObject*)__pyx_t_1))) __PYX_ERR(0, 412, __pyx_L65_error)
-              __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-            }
-            __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-            __Pyx_XDECREF(__pyx_8genexpr7__pyx_v_g); __pyx_8genexpr7__pyx_v_g = 0;
-            goto __pyx_L69_exit_scope;
-            __pyx_L65_error:;
-            __Pyx_XDECREF(__pyx_8genexpr7__pyx_v_g); __pyx_8genexpr7__pyx_v_g = 0;
-            goto __pyx_L17_error;
-            __pyx_L69_exit_scope:;
-          } /* exit inner scope */
-          __pyx_t_9 = PySequence_List(__pyx_t_4); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 412, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          if (unlikely((PyList_Sort(__pyx_t_9) < 0))) __PYX_ERR(0, 412, __pyx_L17_error)
-          __Pyx_XDECREF_SET(__pyx_v_zs, __pyx_t_9);
-          __pyx_t_9 = 0;
-        }
-        __pyx_L59:;
-
-        /* "tanglekit/_enumcore.pyx":413
- *                 else:
- *                     zs = sorted({find(&s, <int> g) for g in gen_slots})
- *                 status = 0             # <<<<<<<<<<<<<<
- *                 for u in zs:
- *                     if s.parent[u] != u:
-*/
-        __pyx_v_status = 0;
-
-        /* "tanglekit/_enumcore.pyx":414
- *                     zs = sorted({find(&s, <int> g) for g in gen_slots})
- *                 status = 0
- *                 for u in zs:             # <<<<<<<<<<<<<<
- *                     if s.parent[u] != u:
- *                         continue
-*/
-        __pyx_t_9 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_9);
-        __pyx_t_3 = 0;
-        for (;;) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_9);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 414, __pyx_L17_error)
-            #endif
-            if (__pyx_t_3 >= __pyx_temp) break;
-          }
-          __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_9, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_3;
-          if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 414, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 414, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          __pyx_v_u = __pyx_t_2;
-
-          /* "tanglekit/_enumcore.pyx":415
- *                 status = 0
- *                 for u in zs:
- *                     if s.parent[u] != u:             # <<<<<<<<<<<<<<
- *                         continue
- *                     for w in zs:
-*/
-          __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_u]) != __pyx_v_u);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":416
- *                 for u in zs:
- *                     if s.parent[u] != u:
- *                         continue             # <<<<<<<<<<<<<<
- *                     for w in zs:
- *                         if s.parent[w] != w or u == w:
-*/
-            goto __pyx_L70_continue;
-
-            /* "tanglekit/_enumcore.pyx":415
- *                 status = 0
- *                 for u in zs:
- *                     if s.parent[u] != u:             # <<<<<<<<<<<<<<
- *                         continue
- *                     for w in zs:
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":417
- *                     if s.parent[u] != u:
- *                         continue
- *                     for w in zs:             # <<<<<<<<<<<<<<
- *                         if s.parent[w] != w or u == w:
- *                             continue
-*/
-          __pyx_t_4 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_4);
-          __pyx_t_18 = 0;
-          for (;;) {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_4);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 417, __pyx_L17_error)
-              #endif
-              if (__pyx_t_18 >= __pyx_temp) break;
-            }
-            __pyx_t_1 = __Pyx_PyList_GetItemRefFast(__pyx_t_4, __pyx_t_18, __Pyx_ReferenceSharing_OwnStrongReference);
-            ++__pyx_t_18;
-            if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 417, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_1);
-            __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_t_1); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 417, __pyx_L17_error)
-            __Pyx_DECREF(__pyx_t_1); __pyx_t_1 = 0;
-            __pyx_v_w = __pyx_t_2;
-
-            /* "tanglekit/_enumcore.pyx":418
- *                         continue
- *                     for w in zs:
- *                         if s.parent[w] != w or u == w:             # <<<<<<<<<<<<<<
- *                             continue
- *                         ru = find(&s, u)
-*/
-            __pyx_t_7 = ((__pyx_v_s.parent[__pyx_v_w]) != __pyx_v_w);
-            if (!__pyx_t_7) {
-            } else {
-              __pyx_t_6 = __pyx_t_7;
-              goto __pyx_L76_bool_binop_done;
-            }
-            __pyx_t_7 = (__pyx_v_u == __pyx_v_w);
-            __pyx_t_6 = __pyx_t_7;
-            __pyx_L76_bool_binop_done:;
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":419
- *                     for w in zs:
- *                         if s.parent[w] != w or u == w:
- *                             continue             # <<<<<<<<<<<<<<
- *                         ru = find(&s, u)
- *                         rw = find(&s, w)
-*/
-              goto __pyx_L73_continue;
-
-              /* "tanglekit/_enumcore.pyx":418
- *                         continue
- *                     for w in zs:
- *                         if s.parent[w] != w or u == w:             # <<<<<<<<<<<<<<
- *                             continue
- *                         ru = find(&s, u)
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":420
- *                         if s.parent[w] != w or u == w:
- *                             continue
- *                         ru = find(&s, u)             # <<<<<<<<<<<<<<
- *                         rw = find(&s, w)
- *                         if ru == rw:
-*/
-            __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_u); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 420, __pyx_L17_error)
-            __pyx_v_ru = __pyx_t_2;
-
-            /* "tanglekit/_enumcore.pyx":421
- *                             continue
- *                         ru = find(&s, u)
- *                         rw = find(&s, w)             # <<<<<<<<<<<<<<
- *                         if ru == rw:
- *                             continue
-*/
-            __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_w); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 421, __pyx_L17_error)
-            __pyx_v_rw = __pyx_t_2;
-
-            /* "tanglekit/_enumcore.pyx":422
- *                         ru = find(&s, u)
- *                         rw = find(&s, w)
- *                         if ru == rw:             # <<<<<<<<<<<<<<
- *                             continue
- *                         # close u = (alternating word in u, w)
-*/
-            __pyx_t_6 = (__pyx_v_ru == __pyx_v_rw);
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":423
- *                         rw = find(&s, w)
- *                         if ru == rw:
- *                             continue             # <<<<<<<<<<<<<<
- *                         # close u = (alternating word in u, w)
- *                         x = ru if pattern[0] == 0 else rw
-*/
-              goto __pyx_L73_continue;
-
-              /* "tanglekit/_enumcore.pyx":422
- *                         ru = find(&s, u)
- *                         rw = find(&s, w)
- *                         if ru == rw:             # <<<<<<<<<<<<<<
- *                             continue
- *                         # close u = (alternating word in u, w)
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":425
- *                             continue
- *                         # close u = (alternating word in u, w)
- *                         x = ru if pattern[0] == 0 else rw             # <<<<<<<<<<<<<<
- *                         for j in range(1, len(pattern) - 1):
- *                             y = ru if pattern[j] == 0 else rw
-*/
-            __pyx_t_6 = (__Pyx_PyLong_BoolEqObjC(__Pyx_PyTuple_GET_ITEM(__pyx_v_pattern, 0), __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 425, __pyx_L17_error)
-            if (__pyx_t_6) {
-              __pyx_t_2 = __pyx_v_ru;
-            } else {
-              __pyx_t_2 = __pyx_v_rw;
-            }
-            __pyx_v_x = __pyx_t_2;
-
-            /* "tanglekit/_enumcore.pyx":426
- *                         # close u = (alternating word in u, w)
- *                         x = ru if pattern[0] == 0 else rw
- *                         for j in range(1, len(pattern) - 1):             # <<<<<<<<<<<<<<
- *                             y = ru if pattern[j] == 0 else rw
- *                             x = fill_product(&s, x, find(&s, y))
-*/
-            __pyx_t_19 = __Pyx_PyTuple_GET_SIZE(__pyx_v_pattern); if (unlikely(__pyx_t_19 == ((Py_ssize_t)-1))) __PYX_ERR(0, 426, __pyx_L17_error)
-            __pyx_t_20 = (__pyx_t_19 - 1);
-            __pyx_t_19 = __pyx_t_20;
-            for (__pyx_t_2 = 1; __pyx_t_2 < __pyx_t_19; __pyx_t_2+=1) {
-              __pyx_v_j = __pyx_t_2;
-
-              /* "tanglekit/_enumcore.pyx":427
- *                         x = ru if pattern[0] == 0 else rw
- *                         for j in range(1, len(pattern) - 1):
- *                             y = ru if pattern[j] == 0 else rw             # <<<<<<<<<<<<<<
- *                             x = fill_product(&s, x, find(&s, y))
- *                             if x < 0:
-*/
-              __pyx_t_6 = (__Pyx_PyLong_BoolEqObjC(__Pyx_PyTuple_GET_ITEM(__pyx_v_pattern, __pyx_v_j), __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 427, __pyx_L17_error)
-              if (__pyx_t_6) {
-                __pyx_t_14 = __pyx_v_ru;
-              } else {
-                __pyx_t_14 = __pyx_v_rw;
-              }
-              __pyx_v_y = __pyx_t_14;
-
-              /* "tanglekit/_enumcore.pyx":428
- *                         for j in range(1, len(pattern) - 1):
- *                             y = ru if pattern[j] == 0 else rw
- *                             x = fill_product(&s, x, find(&s, y))             # <<<<<<<<<<<<<<
- *                             if x < 0:
- *                                 return CAP_EXCEEDED, None, None, s.merges
-*/
-              __pyx_t_14 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_y); if (unlikely(__pyx_t_14 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 428, __pyx_L17_error)
-              __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_fill_product((&__pyx_v_s), __pyx_v_x, __pyx_t_14); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 428, __pyx_L17_error)
-              __pyx_v_x = __pyx_t_15;
-
-              /* "tanglekit/_enumcore.pyx":429
- *                             y = ru if pattern[j] == 0 else rw
- *                             x = fill_product(&s, x, find(&s, y))
- *                             if x < 0:             # <<<<<<<<<<<<<<
- *                                 return CAP_EXCEEDED, None, None, s.merges
- *                             x = find(&s, x)
-*/
-              __pyx_t_6 = (__pyx_v_x < 0);
-              if (__pyx_t_6) {
-
-                /* "tanglekit/_enumcore.pyx":430
- *                             x = fill_product(&s, x, find(&s, y))
- *                             if x < 0:
- *                                 return CAP_EXCEEDED, None, None, s.merges             # <<<<<<<<<<<<<<
- *                             x = find(&s, x)
- *                             ru = find(&s, ru)
-*/
-                __Pyx_XDECREF(__pyx_r);
-                __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 430, __pyx_L17_error)
-                __Pyx_GOTREF(__pyx_t_1);
-                __pyx_t_10 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 430, __pyx_L17_error)
-                __Pyx_GOTREF(__pyx_t_10);
-                __pyx_t_11 = PyTuple_New(4); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 430, __pyx_L17_error)
-                __Pyx_GOTREF(__pyx_t_11);
-                __Pyx_GIVEREF(__pyx_t_1);
-                if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 0, __pyx_t_1) != (0)) __PYX_ERR(0, 430, __pyx_L17_error);
-                __Pyx_INCREF(Py_None);
-                __Pyx_GIVEREF(Py_None);
-                if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 1, Py_None) != (0)) __PYX_ERR(0, 430, __pyx_L17_error);
-                __Pyx_INCREF(Py_None);
-                __Pyx_GIVEREF(Py_None);
-                if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 2, Py_None) != (0)) __PYX_ERR(0, 430, __pyx_L17_error);
-                __Pyx_GIVEREF(__pyx_t_10);
-                if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 3, __pyx_t_10) != (0)) __PYX_ERR(0, 430, __pyx_L17_error);
-                __pyx_t_1 = 0;
-                __pyx_t_10 = 0;
-                __pyx_r = __pyx_t_11;
-                __pyx_t_11 = 0;
-                __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-                __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-                goto __pyx_L16_return;
-
-                /* "tanglekit/_enumcore.pyx":429
- *                             y = ru if pattern[j] == 0 else rw
- *                             x = fill_product(&s, x, find(&s, y))
- *                             if x < 0:             # <<<<<<<<<<<<<<
- *                                 return CAP_EXCEEDED, None, None, s.merges
- *                             x = find(&s, x)
-*/
-              }
-
-              /* "tanglekit/_enumcore.pyx":431
- *                             if x < 0:
- *                                 return CAP_EXCEEDED, None, None, s.merges
- *                             x = find(&s, x)             # <<<<<<<<<<<<<<
- *                             ru = find(&s, ru)
- *                             rw = find(&s, rw)
-*/
-              __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_x); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 431, __pyx_L17_error)
-              __pyx_v_x = __pyx_t_15;
-
-              /* "tanglekit/_enumcore.pyx":432
- *                                 return CAP_EXCEEDED, None, None, s.merges
- *                             x = find(&s, x)
- *                             ru = find(&s, ru)             # <<<<<<<<<<<<<<
- *                             rw = find(&s, rw)
- *                         y = ru if pattern[len(pattern) - 1] == 0 else rw
-*/
-              __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_ru); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 432, __pyx_L17_error)
-              __pyx_v_ru = __pyx_t_15;
-
-              /* "tanglekit/_enumcore.pyx":433
- *                             x = find(&s, x)
- *                             ru = find(&s, ru)
- *                             rw = find(&s, rw)             # <<<<<<<<<<<<<<
- *                         y = ru if pattern[len(pattern) - 1] == 0 else rw
- *                         set_entry(&s, x, find(&s, y), find(&s, ru))
-*/
-              __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_rw); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 433, __pyx_L17_error)
-              __pyx_v_rw = __pyx_t_15;
-            }
-
-            /* "tanglekit/_enumcore.pyx":434
- *                             ru = find(&s, ru)
- *                             rw = find(&s, rw)
- *                         y = ru if pattern[len(pattern) - 1] == 0 else rw             # <<<<<<<<<<<<<<
- *                         set_entry(&s, x, find(&s, y), find(&s, ru))
- *                         process_events(&s)
-*/
-            __pyx_t_20 = __Pyx_PyTuple_GET_SIZE(__pyx_v_pattern); if (unlikely(__pyx_t_20 == ((Py_ssize_t)-1))) __PYX_ERR(0, 434, __pyx_L17_error)
-            __pyx_t_19 = (__pyx_t_20 - 1);
-            __pyx_t_6 = (__Pyx_PyLong_BoolEqObjC(__Pyx_PyTuple_GET_ITEM(__pyx_v_pattern, __pyx_t_19), __pyx_mstate_global->__pyx_int_0, 0, 0)); if (unlikely((__pyx_t_6 < 0))) __PYX_ERR(0, 434, __pyx_L17_error)
-            if (__pyx_t_6) {
-              __pyx_t_2 = __pyx_v_ru;
-            } else {
-              __pyx_t_2 = __pyx_v_rw;
-            }
-            __pyx_v_y = __pyx_t_2;
-
-            /* "tanglekit/_enumcore.pyx":435
- *                             rw = find(&s, rw)
- *                         y = ru if pattern[len(pattern) - 1] == 0 else rw
- *                         set_entry(&s, x, find(&s, y), find(&s, ru))             # <<<<<<<<<<<<<<
- *                         process_events(&s)
- *                         if s.n_slots - s.merges > cap_i:
-*/
-            __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_y); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 435, __pyx_L17_error)
-            __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), __pyx_v_ru); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 435, __pyx_L17_error)
-            __pyx_f_9tanglekit_9_enumcore_set_entry((&__pyx_v_s), __pyx_v_x, __pyx_t_2, __pyx_t_15); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 435, __pyx_L17_error)
-
-            /* "tanglekit/_enumcore.pyx":436
- *                         y = ru if pattern[len(pattern) - 1] == 0 else rw
- *                         set_entry(&s, x, find(&s, y), find(&s, ru))
- *                         process_events(&s)             # <<<<<<<<<<<<<<
- *                         if s.n_slots - s.merges > cap_i:
- *                             status = 1
-*/
-            __pyx_f_9tanglekit_9_enumcore_process_events((&__pyx_v_s)); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 436, __pyx_L17_error)
-
-            /* "tanglekit/_enumcore.pyx":437
- *                         set_entry(&s, x, find(&s, y), find(&s, ru))
- *                         process_events(&s)
- *                         if s.n_slots - s.merges > cap_i:             # <<<<<<<<<<<<<<
- *                             status = 1
- *                             break
-*/
-            __pyx_t_6 = ((__pyx_v_s.n_slots - __pyx_v_s.merges) > __pyx_v_cap_i);
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":438
- *                         process_events(&s)
- *                         if s.n_slots - s.merges > cap_i:
- *                             status = 1             # <<<<<<<<<<<<<<
- *                             break
- *                     if status:
-*/
-              __pyx_v_status = 1;
-
-              /* "tanglekit/_enumcore.pyx":439
- *                         if s.n_slots - s.merges > cap_i:
- *                             status = 1
- *                             break             # <<<<<<<<<<<<<<
- *                     if status:
- *                         break
-*/
-              goto __pyx_L74_break;
-
-              /* "tanglekit/_enumcore.pyx":437
- *                         set_entry(&s, x, find(&s, y), find(&s, ru))
- *                         process_events(&s)
- *                         if s.n_slots - s.merges > cap_i:             # <<<<<<<<<<<<<<
- *                             status = 1
- *                             break
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":417
- *                     if s.parent[u] != u:
- *                         continue
- *                     for w in zs:             # <<<<<<<<<<<<<<
- *                         if s.parent[w] != w or u == w:
- *                             continue
-*/
-            __pyx_L73_continue:;
-          }
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          goto __pyx_L83_for_end;
-          __pyx_L74_break:;
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-          goto __pyx_L83_for_end;
-          __pyx_L83_for_end:;
-
-          /* "tanglekit/_enumcore.pyx":440
- *                             status = 1
- *                             break
- *                     if status:             # <<<<<<<<<<<<<<
- *                         break
- *                 if (status or s.n_slots != before_slots
-*/
-          __pyx_t_6 = (__pyx_v_status != 0);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":441
- *                             break
- *                     if status:
- *                         break             # <<<<<<<<<<<<<<
- *                 if (status or s.n_slots != before_slots
- *                         or s.merges != before_merges
-*/
-            goto __pyx_L71_break;
-
-            /* "tanglekit/_enumcore.pyx":440
- *                             status = 1
- *                             break
- *                     if status:             # <<<<<<<<<<<<<<
- *                         break
- *                 if (status or s.n_slots != before_slots
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":414
- *                     zs = sorted({find(&s, <int> g) for g in gen_slots})
- *                 status = 0
- *                 for u in zs:             # <<<<<<<<<<<<<<
- *                     if s.parent[u] != u:
- *                         continue
-*/
-          __pyx_L70_continue:;
-        }
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        goto __pyx_L85_for_end;
-        __pyx_L71_break:;
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        goto __pyx_L85_for_end;
-        __pyx_L85_for_end:;
-
-        /* "tanglekit/_enumcore.pyx":442
- *                     if status:
- *                         break
- *                 if (status or s.n_slots != before_slots             # <<<<<<<<<<<<<<
- *                         or s.merges != before_merges
- *                         or s.n_entries != before_entries):
-*/
-        __pyx_t_7 = (__pyx_v_status != 0);
-        if (!__pyx_t_7) {
-        } else {
-          __pyx_t_6 = __pyx_t_7;
-          goto __pyx_L87_bool_binop_done;
-        }
-
-        /* "tanglekit/_enumcore.pyx":443
- *                         break
- *                 if (status or s.n_slots != before_slots
- *                         or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                         or s.n_entries != before_entries):
- *                     continue
-*/
-        __pyx_t_7 = (__pyx_v_s.n_slots != __pyx_v_before_slots);
-        if (!__pyx_t_7) {
-        } else {
-          __pyx_t_6 = __pyx_t_7;
-          goto __pyx_L87_bool_binop_done;
-        }
-
-        /* "tanglekit/_enumcore.pyx":444
- *                 if (status or s.n_slots != before_slots
- *                         or s.merges != before_merges
- *                         or s.n_entries != before_entries):             # <<<<<<<<<<<<<<
- *                     continue
- * 
-*/
-        __pyx_t_7 = (__pyx_v_s.merges != __pyx_v_before_merges);
-        if (!__pyx_t_7) {
-        } else {
-          __pyx_t_6 = __pyx_t_7;
-          goto __pyx_L87_bool_binop_done;
-        }
-        __pyx_t_7 = (__pyx_v_s.n_entries != __pyx_v_before_entries);
-        __pyx_t_6 = __pyx_t_7;
-        __pyx_L87_bool_binop_done:;
-
-        /* "tanglekit/_enumcore.pyx":442
- *                     if status:
- *                         break
- *                 if (status or s.n_slots != before_slots             # <<<<<<<<<<<<<<
- *                         or s.merges != before_merges
- *                         or s.n_entries != before_entries):
-*/
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":445
- *                         or s.merges != before_merges
- *                         or s.n_entries != before_entries):
- *                     continue             # <<<<<<<<<<<<<<
- * 
- *             # totalize: first undefined product in scan order
-*/
-          goto __pyx_L22_continue;
-
-          /* "tanglekit/_enumcore.pyx":442
- *                     if status:
- *                         break
- *                 if (status or s.n_slots != before_slots             # <<<<<<<<<<<<<<
- *                         or s.merges != before_merges
- *                         or s.n_entries != before_entries):
-*/
-        }
-
-        /* "tanglekit/_enumcore.pyx":405
- *                 continue
- * 
- *             if rn_active:             # <<<<<<<<<<<<<<
- *                 before_slots = s.n_slots
- *                 before_merges = s.merges
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":448
- * 
- *             # totalize: first undefined product in scan order
- *             a = -1             # <<<<<<<<<<<<<<
- *             b = -1
- *             for p in range(s.n_slots):
-*/
-      __pyx_v_a = -1;
-
-      /* "tanglekit/_enumcore.pyx":449
- *             # totalize: first undefined product in scan order
- *             a = -1
- *             b = -1             # <<<<<<<<<<<<<<
- *             for p in range(s.n_slots):
- *                 if s.parent[p] != p:
-*/
-      __pyx_v_b = -1;
-
-      /* "tanglekit/_enumcore.pyx":450
- *             a = -1
- *             b = -1
- *             for p in range(s.n_slots):             # <<<<<<<<<<<<<<
- *                 if s.parent[p] != p:
- *                     continue
-*/
-      __pyx_t_15 = __pyx_v_s.n_slots;
-      __pyx_t_2 = __pyx_t_15;
-      for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_2; __pyx_t_14+=1) {
-        __pyx_v_p = __pyx_t_14;
-
-        /* "tanglekit/_enumcore.pyx":451
- *             b = -1
- *             for p in range(s.n_slots):
- *                 if s.parent[p] != p:             # <<<<<<<<<<<<<<
- *                     continue
- *                 for q in range(s.n_slots):
-*/
-        __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_p]) != __pyx_v_p);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":452
- *             for p in range(s.n_slots):
- *                 if s.parent[p] != p:
- *                     continue             # <<<<<<<<<<<<<<
- *                 for q in range(s.n_slots):
- *                     if s.parent[q] != q:
-*/
-          goto __pyx_L91_continue;
-
-          /* "tanglekit/_enumcore.pyx":451
- *             b = -1
- *             for p in range(s.n_slots):
- *                 if s.parent[p] != p:             # <<<<<<<<<<<<<<
- *                     continue
- *                 for q in range(s.n_slots):
-*/
-        }
-
-        /* "tanglekit/_enumcore.pyx":453
- *                 if s.parent[p] != p:
- *                     continue
- *                 for q in range(s.n_slots):             # <<<<<<<<<<<<<<
- *                     if s.parent[q] != q:
- *                         continue
-*/
-        __pyx_t_16 = __pyx_v_s.n_slots;
-        __pyx_t_21 = __pyx_t_16;
-        for (__pyx_t_22 = 0; __pyx_t_22 < __pyx_t_21; __pyx_t_22+=1) {
-          __pyx_v_q = __pyx_t_22;
-
-          /* "tanglekit/_enumcore.pyx":454
- *                     continue
- *                 for q in range(s.n_slots):
- *                     if s.parent[q] != q:             # <<<<<<<<<<<<<<
- *                         continue
- *                     if s.tab[ti(&s, p, q)] < 0:
-*/
-          __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_q]) != __pyx_v_q);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":455
- *                 for q in range(s.n_slots):
- *                     if s.parent[q] != q:
- *                         continue             # <<<<<<<<<<<<<<
- *                     if s.tab[ti(&s, p, q)] < 0:
- *                         a = p
-*/
-            goto __pyx_L94_continue;
-
-            /* "tanglekit/_enumcore.pyx":454
- *                     continue
- *                 for q in range(s.n_slots):
- *                     if s.parent[q] != q:             # <<<<<<<<<<<<<<
- *                         continue
- *                     if s.tab[ti(&s, p, q)] < 0:
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":456
- *                     if s.parent[q] != q:
- *                         continue
- *                     if s.tab[ti(&s, p, q)] < 0:             # <<<<<<<<<<<<<<
- *                         a = p
- *                         b = q
-*/
-          __pyx_t_5 = __pyx_f_9tanglekit_9_enumcore_ti((&__pyx_v_s), __pyx_v_p, __pyx_v_q); if (unlikely(__pyx_t_5 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 456, __pyx_L17_error)
-          __pyx_t_6 = ((__pyx_v_s.tab[__pyx_t_5]) < 0);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":457
- *                         continue
- *                     if s.tab[ti(&s, p, q)] < 0:
- *                         a = p             # <<<<<<<<<<<<<<
- *                         b = q
- *                         break
-*/
-            __pyx_v_a = __pyx_v_p;
-
-            /* "tanglekit/_enumcore.pyx":458
- *                     if s.tab[ti(&s, p, q)] < 0:
- *                         a = p
- *                         b = q             # <<<<<<<<<<<<<<
- *                         break
- *                 if a >= 0:
-*/
-            __pyx_v_b = __pyx_v_q;
-
-            /* "tanglekit/_enumcore.pyx":459
- *                         a = p
- *                         b = q
- *                         break             # <<<<<<<<<<<<<<
- *                 if a >= 0:
- *                     break
-*/
-            goto __pyx_L95_break;
-
-            /* "tanglekit/_enumcore.pyx":456
- *                     if s.parent[q] != q:
- *                         continue
- *                     if s.tab[ti(&s, p, q)] < 0:             # <<<<<<<<<<<<<<
- *                         a = p
- *                         b = q
-*/
-          }
-          __pyx_L94_continue:;
-        }
-        __pyx_L95_break:;
-
-        /* "tanglekit/_enumcore.pyx":460
- *                         b = q
- *                         break
- *                 if a >= 0:             # <<<<<<<<<<<<<<
- *                     break
- *             if a >= 0:
-*/
-        __pyx_t_6 = (__pyx_v_a >= 0);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":461
- *                         break
- *                 if a >= 0:
- *                     break             # <<<<<<<<<<<<<<
- *             if a >= 0:
- *                 if fill_product(&s, a, b) < 0:
-*/
-          goto __pyx_L92_break;
-
-          /* "tanglekit/_enumcore.pyx":460
- *                         b = q
- *                         break
- *                 if a >= 0:             # <<<<<<<<<<<<<<
- *                     break
- *             if a >= 0:
-*/
-        }
-        __pyx_L91_continue:;
-      }
-      __pyx_L92_break:;
-
-      /* "tanglekit/_enumcore.pyx":462
- *                 if a >= 0:
- *                     break
- *             if a >= 0:             # <<<<<<<<<<<<<<
- *                 if fill_product(&s, a, b) < 0:
- *                     return CAP_EXCEEDED, None, None, s.merges
-*/
-      __pyx_t_6 = (__pyx_v_a >= 0);
-      if (__pyx_t_6) {
-
-        /* "tanglekit/_enumcore.pyx":463
- *                     break
- *             if a >= 0:
- *                 if fill_product(&s, a, b) < 0:             # <<<<<<<<<<<<<<
- *                     return CAP_EXCEEDED, None, None, s.merges
- *                 continue
-*/
-        __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_fill_product((&__pyx_v_s), __pyx_v_a, __pyx_v_b); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 463, __pyx_L17_error)
-        __pyx_t_6 = (__pyx_t_15 < 0);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":464
- *             if a >= 0:
- *                 if fill_product(&s, a, b) < 0:
- *                     return CAP_EXCEEDED, None, None, s.merges             # <<<<<<<<<<<<<<
- *                 continue
- * 
-*/
-          __Pyx_XDECREF(__pyx_r);
-          __Pyx_GetModuleGlobalName(__pyx_t_9, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 464, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_4 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 464, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          __pyx_t_11 = PyTuple_New(4); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 464, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_11);
-          __Pyx_GIVEREF(__pyx_t_9);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 0, __pyx_t_9) != (0)) __PYX_ERR(0, 464, __pyx_L17_error);
-          __Pyx_INCREF(Py_None);
-          __Pyx_GIVEREF(Py_None);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 1, Py_None) != (0)) __PYX_ERR(0, 464, __pyx_L17_error);
-          __Pyx_INCREF(Py_None);
-          __Pyx_GIVEREF(Py_None);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 2, Py_None) != (0)) __PYX_ERR(0, 464, __pyx_L17_error);
-          __Pyx_GIVEREF(__pyx_t_4);
-          if (__Pyx_PyTuple_SET_ITEM(__pyx_t_11, 3, __pyx_t_4) != (0)) __PYX_ERR(0, 464, __pyx_L17_error);
-          __pyx_t_9 = 0;
-          __pyx_t_4 = 0;
-          __pyx_r = __pyx_t_11;
-          __pyx_t_11 = 0;
-          goto __pyx_L16_return;
-
-          /* "tanglekit/_enumcore.pyx":463
- *                     break
- *             if a >= 0:
- *                 if fill_product(&s, a, b) < 0:             # <<<<<<<<<<<<<<
- *                     return CAP_EXCEEDED, None, None, s.merges
- *                 continue
-*/
-        }
-
-        /* "tanglekit/_enumcore.pyx":465
- *                 if fill_product(&s, a, b) < 0:
- *                     return CAP_EXCEEDED, None, None, s.merges
- *                 continue             # <<<<<<<<<<<<<<
- * 
- *             # certifying sweep: all three axioms on the whole table
-*/
-        goto __pyx_L22_continue;
-
-        /* "tanglekit/_enumcore.pyx":462
- *                 if a >= 0:
- *                     break
- *             if a >= 0:             # <<<<<<<<<<<<<<
- *                 if fill_product(&s, a, b) < 0:
- *                     return CAP_EXCEEDED, None, None, s.merges
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":468
- * 
- *             # certifying sweep: all three axioms on the whole table
- *             before_slots = s.n_slots             # <<<<<<<<<<<<<<
- *             before_merges = s.merges
- *             before_entries = s.n_entries
-*/
-      __pyx_t_15 = __pyx_v_s.n_slots;
-      __pyx_v_before_slots = __pyx_t_15;
-
-      /* "tanglekit/_enumcore.pyx":469
- *             # certifying sweep: all three axioms on the whole table
- *             before_slots = s.n_slots
- *             before_merges = s.merges             # <<<<<<<<<<<<<<
- *             before_entries = s.n_entries
- *             nz = 0
-*/
-      __pyx_t_5 = __pyx_v_s.merges;
-      __pyx_v_before_merges = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":470
- *             before_slots = s.n_slots
- *             before_merges = s.merges
- *             before_entries = s.n_entries             # <<<<<<<<<<<<<<
- *             nz = 0
- *             for p in range(s.n_slots):
-*/
-      __pyx_t_5 = __pyx_v_s.n_entries;
-      __pyx_v_before_entries = __pyx_t_5;
-
-      /* "tanglekit/_enumcore.pyx":471
- *             before_merges = s.merges
- *             before_entries = s.n_entries
- *             nz = 0             # <<<<<<<<<<<<<<
- *             for p in range(s.n_slots):
- *                 if s.parent[p] == p:
-*/
-      __pyx_v_nz = 0;
-
-      /* "tanglekit/_enumcore.pyx":472
- *             before_entries = s.n_entries
- *             nz = 0
- *             for p in range(s.n_slots):             # <<<<<<<<<<<<<<
- *                 if s.parent[p] == p:
- *                     s.buf[nz] = p
-*/
-      __pyx_t_15 = __pyx_v_s.n_slots;
-      __pyx_t_2 = __pyx_t_15;
-      for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_2; __pyx_t_14+=1) {
-        __pyx_v_p = __pyx_t_14;
-
-        /* "tanglekit/_enumcore.pyx":473
- *             nz = 0
- *             for p in range(s.n_slots):
- *                 if s.parent[p] == p:             # <<<<<<<<<<<<<<
- *                     s.buf[nz] = p
- *                     nz += 1
-*/
-        __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_p]) == __pyx_v_p);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":474
- *             for p in range(s.n_slots):
- *                 if s.parent[p] == p:
- *                     s.buf[nz] = p             # <<<<<<<<<<<<<<
- *                     nz += 1
- *             zs = [s.buf[i] for i in range(nz)]
-*/
-          (__pyx_v_s.buf[__pyx_v_nz]) = __pyx_v_p;
-
-          /* "tanglekit/_enumcore.pyx":475
- *                 if s.parent[p] == p:
- *                     s.buf[nz] = p
- *                     nz += 1             # <<<<<<<<<<<<<<
- *             zs = [s.buf[i] for i in range(nz)]
- *             for p in zs:
-*/
-          __pyx_v_nz = (__pyx_v_nz + 1);
-
-          /* "tanglekit/_enumcore.pyx":473
- *             nz = 0
- *             for p in range(s.n_slots):
- *                 if s.parent[p] == p:             # <<<<<<<<<<<<<<
- *                     s.buf[nz] = p
- *                     nz += 1
-*/
-        }
-      }
-
-      /* "tanglekit/_enumcore.pyx":476
- *                     s.buf[nz] = p
- *                     nz += 1
- *             zs = [s.buf[i] for i in range(nz)]             # <<<<<<<<<<<<<<
- *             for p in zs:
- *                 if s.parent[p] != p:
-*/
-      { /* enter inner scope */
-        __pyx_t_11 = PyList_New(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 476, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __pyx_t_15 = __pyx_v_nz;
-        __pyx_t_2 = __pyx_t_15;
-        for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_2; __pyx_t_14+=1) {
-          __pyx_8genexpr8__pyx_v_i = __pyx_t_14;
-          __pyx_t_4 = __Pyx_PyLong_From_int((__pyx_v_s.buf[__pyx_8genexpr8__pyx_v_i])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 476, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_4);
-          if (unlikely(__Pyx_ListComp_Append(__pyx_t_11, (PyObject*)__pyx_t_4))) __PYX_ERR(0, 476, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        }
-      } /* exit inner scope */
-      __Pyx_XDECREF_SET(__pyx_v_zs, ((PyObject*)__pyx_t_11));
-      __pyx_t_11 = 0;
-
-      /* "tanglekit/_enumcore.pyx":477
- *                     nz += 1
- *             zs = [s.buf[i] for i in range(nz)]
- *             for p in zs:             # <<<<<<<<<<<<<<
- *                 if s.parent[p] != p:
- *                     continue
-*/
-      __pyx_t_11 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_11);
-      __pyx_t_3 = 0;
-      for (;;) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_11);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 477, __pyx_L17_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_11, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 477, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_15 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 477, __pyx_L17_error)
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_v_p = __pyx_t_15;
-
-        /* "tanglekit/_enumcore.pyx":478
- *             zs = [s.buf[i] for i in range(nz)]
- *             for p in zs:
- *                 if s.parent[p] != p:             # <<<<<<<<<<<<<<
- *                     continue
- *                 v = lookup(&s, p, p)
-*/
-        __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_p]) != __pyx_v_p);
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":479
- *             for p in zs:
- *                 if s.parent[p] != p:
- *                     continue             # <<<<<<<<<<<<<<
- *                 v = lookup(&s, p, p)
- *                 if v >= 0 and v != p:
-*/
-          goto __pyx_L106_continue;
-
-          /* "tanglekit/_enumcore.pyx":478
- *             zs = [s.buf[i] for i in range(nz)]
- *             for p in zs:
- *                 if s.parent[p] != p:             # <<<<<<<<<<<<<<
- *                     continue
- *                 v = lookup(&s, p, p)
-*/
-        }
-
-        /* "tanglekit/_enumcore.pyx":480
- *                 if s.parent[p] != p:
- *                     continue
- *                 v = lookup(&s, p, p)             # <<<<<<<<<<<<<<
- *                 if v >= 0 and v != p:
- *                     merge(&s, v, p)
-*/
-        __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_p, __pyx_v_p); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 480, __pyx_L17_error)
-        __pyx_v_v = __pyx_t_15;
-
-        /* "tanglekit/_enumcore.pyx":481
- *                     continue
- *                 v = lookup(&s, p, p)
- *                 if v >= 0 and v != p:             # <<<<<<<<<<<<<<
- *                     merge(&s, v, p)
- *                 for q in zs:
-*/
-        __pyx_t_7 = (__pyx_v_v >= 0);
-        if (__pyx_t_7) {
-        } else {
-          __pyx_t_6 = __pyx_t_7;
-          goto __pyx_L110_bool_binop_done;
-        }
-        __pyx_t_7 = (__pyx_v_v != __pyx_v_p);
-        __pyx_t_6 = __pyx_t_7;
-        __pyx_L110_bool_binop_done:;
-        if (__pyx_t_6) {
-
-          /* "tanglekit/_enumcore.pyx":482
- *                 v = lookup(&s, p, p)
- *                 if v >= 0 and v != p:
- *                     merge(&s, v, p)             # <<<<<<<<<<<<<<
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:
-*/
-          __pyx_f_9tanglekit_9_enumcore_merge((&__pyx_v_s), __pyx_v_v, __pyx_v_p); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 482, __pyx_L17_error)
-
-          /* "tanglekit/_enumcore.pyx":481
- *                     continue
- *                 v = lookup(&s, p, p)
- *                 if v >= 0 and v != p:             # <<<<<<<<<<<<<<
- *                     merge(&s, v, p)
- *                 for q in zs:
-*/
-        }
-
-        /* "tanglekit/_enumcore.pyx":483
- *                 if v >= 0 and v != p:
- *                     merge(&s, v, p)
- *                 for q in zs:             # <<<<<<<<<<<<<<
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue
-*/
-        __pyx_t_4 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_4);
-        __pyx_t_18 = 0;
-        for (;;) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_4);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 483, __pyx_L17_error)
-            #endif
-            if (__pyx_t_18 >= __pyx_temp) break;
-          }
-          __pyx_t_9 = __Pyx_PyList_GetItemRefFast(__pyx_t_4, __pyx_t_18, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_18;
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 483, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_15 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 483, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __pyx_v_q = __pyx_t_15;
-
-          /* "tanglekit/_enumcore.pyx":484
- *                     merge(&s, v, p)
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:             # <<<<<<<<<<<<<<
- *                         continue
- *                     c = lookup(&s, p, q)
-*/
-          __pyx_t_7 = ((__pyx_v_s.parent[__pyx_v_p]) != __pyx_v_p);
-          if (!__pyx_t_7) {
-          } else {
-            __pyx_t_6 = __pyx_t_7;
-            goto __pyx_L115_bool_binop_done;
-          }
-          __pyx_t_7 = ((__pyx_v_s.parent[__pyx_v_q]) != __pyx_v_q);
-          __pyx_t_6 = __pyx_t_7;
-          __pyx_L115_bool_binop_done:;
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":485
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue             # <<<<<<<<<<<<<<
- *                     c = lookup(&s, p, q)
- *                     if c >= 0:
-*/
-            goto __pyx_L112_continue;
-
-            /* "tanglekit/_enumcore.pyx":484
- *                     merge(&s, v, p)
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:             # <<<<<<<<<<<<<<
- *                         continue
- *                     c = lookup(&s, p, q)
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":486
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue
- *                     c = lookup(&s, p, q)             # <<<<<<<<<<<<<<
- *                     if c >= 0:
- *                         set_entry(&s, c, q, p)
-*/
-          __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_p, __pyx_v_q); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 486, __pyx_L17_error)
-          __pyx_v_c = __pyx_t_15;
-
-          /* "tanglekit/_enumcore.pyx":487
- *                         continue
- *                     c = lookup(&s, p, q)
- *                     if c >= 0:             # <<<<<<<<<<<<<<
- *                         set_entry(&s, c, q, p)
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
-*/
-          __pyx_t_6 = (__pyx_v_c >= 0);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":488
- *                     c = lookup(&s, p, q)
- *                     if c >= 0:
- *                         set_entry(&s, c, q, p)             # <<<<<<<<<<<<<<
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
- *                              or s.n_entries != before_entries)
-*/
-            __pyx_f_9tanglekit_9_enumcore_set_entry((&__pyx_v_s), __pyx_v_c, __pyx_v_q, __pyx_v_p); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 488, __pyx_L17_error)
-
-            /* "tanglekit/_enumcore.pyx":487
- *                         continue
- *                     c = lookup(&s, p, q)
- *                     if c >= 0:             # <<<<<<<<<<<<<<
- *                         set_entry(&s, c, q, p)
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":483
- *                 if v >= 0 and v != p:
- *                     merge(&s, v, p)
- *                 for q in zs:             # <<<<<<<<<<<<<<
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue
-*/
-          __pyx_L112_continue:;
-        }
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-        /* "tanglekit/_enumcore.pyx":477
- *                     nz += 1
- *             zs = [s.buf[i] for i in range(nz)]
- *             for p in zs:             # <<<<<<<<<<<<<<
- *                 if s.parent[p] != p:
- *                     continue
-*/
-        __pyx_L106_continue:;
-      }
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-
-      /* "tanglekit/_enumcore.pyx":489
- *                     if c >= 0:
- *                         set_entry(&s, c, q, p)
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                              or s.n_entries != before_entries)
- *             for p in zs:
-*/
-      __pyx_t_6 = (__pyx_v_s.n_slots != __pyx_v_before_slots);
-      if (!__pyx_t_6) {
-      } else {
-        __pyx_t_4 = __Pyx_PyBool_FromLong(__pyx_t_6); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 489, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_11 = __pyx_t_4;
-        __pyx_t_4 = 0;
-        goto __pyx_L120_bool_binop_done;
-      }
-
-      /* "tanglekit/_enumcore.pyx":490
- *                         set_entry(&s, c, q, p)
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
- *                              or s.n_entries != before_entries)             # <<<<<<<<<<<<<<
- *             for p in zs:
- *                 for q in zs:
-*/
-      __pyx_t_6 = (__pyx_v_s.merges != __pyx_v_before_merges);
-      if (!__pyx_t_6) {
-      } else {
-
-        /* "tanglekit/_enumcore.pyx":489
- *                     if c >= 0:
- *                         set_entry(&s, c, q, p)
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                              or s.n_entries != before_entries)
- *             for p in zs:
-*/
-        __pyx_t_4 = __Pyx_PyBool_FromLong(__pyx_t_6); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 489, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_11 = __pyx_t_4;
-        __pyx_t_4 = 0;
-        goto __pyx_L120_bool_binop_done;
-      }
-
-      /* "tanglekit/_enumcore.pyx":490
- *                         set_entry(&s, c, q, p)
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
- *                              or s.n_entries != before_entries)             # <<<<<<<<<<<<<<
- *             for p in zs:
- *                 for q in zs:
-*/
-      __pyx_t_6 = (__pyx_v_s.n_entries != __pyx_v_before_entries);
-      __pyx_t_4 = __Pyx_PyBool_FromLong(__pyx_t_6); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 490, __pyx_L17_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_11 = __pyx_t_4;
-      __pyx_t_4 = 0;
-      __pyx_L120_bool_binop_done:;
-      __Pyx_XDECREF_SET(__pyx_v_sweep_changed, __pyx_t_11);
-      __pyx_t_11 = 0;
-
-      /* "tanglekit/_enumcore.pyx":491
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
- *                              or s.n_entries != before_entries)
- *             for p in zs:             # <<<<<<<<<<<<<<
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:
-*/
-      __pyx_t_11 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_11);
-      __pyx_t_3 = 0;
-      for (;;) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_11);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 491, __pyx_L17_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        __pyx_t_4 = __Pyx_PyList_GetItemRefFast(__pyx_t_11, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-        if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 491, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __pyx_t_15 = __Pyx_PyLong_As_int(__pyx_t_4); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 491, __pyx_L17_error)
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-        __pyx_v_p = __pyx_t_15;
-
-        /* "tanglekit/_enumcore.pyx":492
- *                              or s.n_entries != before_entries)
- *             for p in zs:
- *                 for q in zs:             # <<<<<<<<<<<<<<
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue
-*/
-        __pyx_t_4 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_4);
-        __pyx_t_18 = 0;
-        for (;;) {
-          {
-            Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_4);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 492, __pyx_L17_error)
-            #endif
-            if (__pyx_t_18 >= __pyx_temp) break;
-          }
-          __pyx_t_9 = __Pyx_PyList_GetItemRefFast(__pyx_t_4, __pyx_t_18, __Pyx_ReferenceSharing_OwnStrongReference);
-          ++__pyx_t_18;
-          if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 492, __pyx_L17_error)
-          __Pyx_GOTREF(__pyx_t_9);
-          __pyx_t_15 = __Pyx_PyLong_As_int(__pyx_t_9); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 492, __pyx_L17_error)
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          __pyx_v_q = __pyx_t_15;
-
-          /* "tanglekit/_enumcore.pyx":493
- *             for p in zs:
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:             # <<<<<<<<<<<<<<
- *                         continue
- *                     d = lookup(&s, p, q)
-*/
-          __pyx_t_7 = ((__pyx_v_s.parent[__pyx_v_p]) != __pyx_v_p);
-          if (!__pyx_t_7) {
-          } else {
-            __pyx_t_6 = __pyx_t_7;
-            goto __pyx_L128_bool_binop_done;
-          }
-          __pyx_t_7 = ((__pyx_v_s.parent[__pyx_v_q]) != __pyx_v_q);
-          __pyx_t_6 = __pyx_t_7;
-          __pyx_L128_bool_binop_done:;
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":494
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue             # <<<<<<<<<<<<<<
- *                     d = lookup(&s, p, q)
- *                     if d < 0:
-*/
-            goto __pyx_L125_continue;
-
-            /* "tanglekit/_enumcore.pyx":493
- *             for p in zs:
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:             # <<<<<<<<<<<<<<
- *                         continue
- *                     d = lookup(&s, p, q)
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":495
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue
- *                     d = lookup(&s, p, q)             # <<<<<<<<<<<<<<
- *                     if d < 0:
- *                         continue
-*/
-          __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_p, __pyx_v_q); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 495, __pyx_L17_error)
-          __pyx_v_d = __pyx_t_15;
-
-          /* "tanglekit/_enumcore.pyx":496
- *                         continue
- *                     d = lookup(&s, p, q)
- *                     if d < 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     for r in zs:
-*/
-          __pyx_t_6 = (__pyx_v_d < 0);
-          if (__pyx_t_6) {
-
-            /* "tanglekit/_enumcore.pyx":497
- *                     d = lookup(&s, p, q)
- *                     if d < 0:
- *                         continue             # <<<<<<<<<<<<<<
- *                     for r in zs:
- *                         if s.parent[r] != r:
-*/
-            goto __pyx_L125_continue;
-
-            /* "tanglekit/_enumcore.pyx":496
- *                         continue
- *                     d = lookup(&s, p, q)
- *                     if d < 0:             # <<<<<<<<<<<<<<
- *                         continue
- *                     for r in zs:
-*/
-          }
-
-          /* "tanglekit/_enumcore.pyx":498
- *                     if d < 0:
- *                         continue
- *                     for r in zs:             # <<<<<<<<<<<<<<
- *                         if s.parent[r] != r:
- *                             continue
-*/
-          __pyx_t_9 = __pyx_v_zs; __Pyx_INCREF(__pyx_t_9);
-          __pyx_t_19 = 0;
-          for (;;) {
-            {
-              Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_9);
-              #if !CYTHON_ASSUME_SAFE_SIZE
-              if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 498, __pyx_L17_error)
-              #endif
-              if (__pyx_t_19 >= __pyx_temp) break;
-            }
-            __pyx_t_10 = __Pyx_PyList_GetItemRefFast(__pyx_t_9, __pyx_t_19, __Pyx_ReferenceSharing_OwnStrongReference);
-            ++__pyx_t_19;
-            if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 498, __pyx_L17_error)
-            __Pyx_GOTREF(__pyx_t_10);
-            __pyx_t_15 = __Pyx_PyLong_As_int(__pyx_t_10); if (unlikely((__pyx_t_15 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 498, __pyx_L17_error)
-            __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-            __pyx_v_r = __pyx_t_15;
-
-            /* "tanglekit/_enumcore.pyx":499
- *                         continue
- *                     for r in zs:
- *                         if s.parent[r] != r:             # <<<<<<<<<<<<<<
- *                             continue
- *                         e = lookup(&s, p, r)
-*/
-            __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_r]) != __pyx_v_r);
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":500
- *                     for r in zs:
- *                         if s.parent[r] != r:
- *                             continue             # <<<<<<<<<<<<<<
- *                         e = lookup(&s, p, r)
- *                         f = lookup(&s, q, r)
-*/
-              goto __pyx_L131_continue;
-
-              /* "tanglekit/_enumcore.pyx":499
- *                         continue
- *                     for r in zs:
- *                         if s.parent[r] != r:             # <<<<<<<<<<<<<<
- *                             continue
- *                         e = lookup(&s, p, r)
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":501
- *                         if s.parent[r] != r:
- *                             continue
- *                         e = lookup(&s, p, r)             # <<<<<<<<<<<<<<
- *                         f = lookup(&s, q, r)
- *                         if e < 0 or f < 0:
-*/
-            __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_p, __pyx_v_r); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 501, __pyx_L17_error)
-            __pyx_v_e = __pyx_t_15;
-
-            /* "tanglekit/_enumcore.pyx":502
- *                             continue
- *                         e = lookup(&s, p, r)
- *                         f = lookup(&s, q, r)             # <<<<<<<<<<<<<<
- *                         if e < 0 or f < 0:
- *                             continue
-*/
-            __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_q, __pyx_v_r); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 502, __pyx_L17_error)
-            __pyx_v_f = __pyx_t_15;
-
-            /* "tanglekit/_enumcore.pyx":503
- *                         e = lookup(&s, p, r)
- *                         f = lookup(&s, q, r)
- *                         if e < 0 or f < 0:             # <<<<<<<<<<<<<<
- *                             continue
- *                         d = lookup(&s, p, q)
-*/
-            __pyx_t_7 = (__pyx_v_e < 0);
-            if (!__pyx_t_7) {
-            } else {
-              __pyx_t_6 = __pyx_t_7;
-              goto __pyx_L135_bool_binop_done;
-            }
-            __pyx_t_7 = (__pyx_v_f < 0);
-            __pyx_t_6 = __pyx_t_7;
-            __pyx_L135_bool_binop_done:;
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":504
- *                         f = lookup(&s, q, r)
- *                         if e < 0 or f < 0:
- *                             continue             # <<<<<<<<<<<<<<
- *                         d = lookup(&s, p, q)
- *                         if d < 0:
-*/
-              goto __pyx_L131_continue;
-
-              /* "tanglekit/_enumcore.pyx":503
- *                         e = lookup(&s, p, r)
- *                         f = lookup(&s, q, r)
- *                         if e < 0 or f < 0:             # <<<<<<<<<<<<<<
- *                             continue
- *                         d = lookup(&s, p, q)
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":505
- *                         if e < 0 or f < 0:
- *                             continue
- *                         d = lookup(&s, p, q)             # <<<<<<<<<<<<<<
- *                         if d < 0:
- *                             break
-*/
-            __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_p, __pyx_v_q); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 505, __pyx_L17_error)
-            __pyx_v_d = __pyx_t_15;
-
-            /* "tanglekit/_enumcore.pyx":506
- *                             continue
- *                         d = lookup(&s, p, q)
- *                         if d < 0:             # <<<<<<<<<<<<<<
- *                             break
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
-*/
-            __pyx_t_6 = (__pyx_v_d < 0);
-            if (__pyx_t_6) {
-
-              /* "tanglekit/_enumcore.pyx":507
- *                         d = lookup(&s, p, q)
- *                         if d < 0:
- *                             break             # <<<<<<<<<<<<<<
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
- *             if (sweep_changed or s.n_slots != before_slots
-*/
-              goto __pyx_L132_break;
-
-              /* "tanglekit/_enumcore.pyx":506
- *                             continue
- *                         d = lookup(&s, p, q)
- *                         if d < 0:             # <<<<<<<<<<<<<<
- *                             break
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
-*/
-            }
-
-            /* "tanglekit/_enumcore.pyx":508
- *                         if d < 0:
- *                             break
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))             # <<<<<<<<<<<<<<
- *             if (sweep_changed or s.n_slots != before_slots
- *                     or s.merges != before_merges
-*/
-            __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_d, __pyx_v_r); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L17_error)
-            __pyx_t_2 = __pyx_f_9tanglekit_9_enumcore_lookup((&__pyx_v_s), __pyx_v_e, __pyx_v_f); if (unlikely(__pyx_t_2 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L17_error)
-            __pyx_f_9tanglekit_9_enumcore_confront((&__pyx_v_s), __pyx_v_d, __pyx_v_r, __pyx_t_15, __pyx_v_e, __pyx_v_f, __pyx_t_2); if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 508, __pyx_L17_error)
-
-            /* "tanglekit/_enumcore.pyx":498
- *                     if d < 0:
- *                         continue
- *                     for r in zs:             # <<<<<<<<<<<<<<
- *                         if s.parent[r] != r:
- *                             continue
-*/
-            __pyx_L131_continue:;
-          }
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          goto __pyx_L138_for_end;
-          __pyx_L132_break:;
-          __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-          goto __pyx_L138_for_end;
-          __pyx_L138_for_end:;
-
-          /* "tanglekit/_enumcore.pyx":492
- *                              or s.n_entries != before_entries)
- *             for p in zs:
- *                 for q in zs:             # <<<<<<<<<<<<<<
- *                     if s.parent[p] != p or s.parent[q] != q:
- *                         continue
-*/
-          __pyx_L125_continue:;
-        }
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-
-        /* "tanglekit/_enumcore.pyx":491
- *             sweep_changed = (s.n_slots != before_slots or s.merges != before_merges
- *                              or s.n_entries != before_entries)
- *             for p in zs:             # <<<<<<<<<<<<<<
- *                 for q in zs:
- *                     if s.parent[p] != p or s.parent[q] != q:
-*/
-      }
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-
-      /* "tanglekit/_enumcore.pyx":509
- *                             break
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
- *             if (sweep_changed or s.n_slots != before_slots             # <<<<<<<<<<<<<<
- *                     or s.merges != before_merges
- *                     or s.n_entries != before_entries):
-*/
-      __pyx_t_7 = __Pyx_PyObject_IsTrue(__pyx_v_sweep_changed); if (unlikely((__pyx_t_7 < 0))) __PYX_ERR(0, 509, __pyx_L17_error)
-      if (!__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L142_bool_binop_done;
-      }
-
-      /* "tanglekit/_enumcore.pyx":510
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
- *             if (sweep_changed or s.n_slots != before_slots
- *                     or s.merges != before_merges             # <<<<<<<<<<<<<<
- *                     or s.n_entries != before_entries):
- *                 continue
-*/
-      __pyx_t_7 = (__pyx_v_s.n_slots != __pyx_v_before_slots);
-      if (!__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L142_bool_binop_done;
-      }
-
-      /* "tanglekit/_enumcore.pyx":511
- *             if (sweep_changed or s.n_slots != before_slots
- *                     or s.merges != before_merges
- *                     or s.n_entries != before_entries):             # <<<<<<<<<<<<<<
- *                 continue
- *             break
-*/
-      __pyx_t_7 = (__pyx_v_s.merges != __pyx_v_before_merges);
-      if (!__pyx_t_7) {
-      } else {
-        __pyx_t_6 = __pyx_t_7;
-        goto __pyx_L142_bool_binop_done;
-      }
-      __pyx_t_7 = (__pyx_v_s.n_entries != __pyx_v_before_entries);
-      __pyx_t_6 = __pyx_t_7;
-      __pyx_L142_bool_binop_done:;
-
-      /* "tanglekit/_enumcore.pyx":509
- *                             break
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
- *             if (sweep_changed or s.n_slots != before_slots             # <<<<<<<<<<<<<<
- *                     or s.merges != before_merges
- *                     or s.n_entries != before_entries):
-*/
-      if (__pyx_t_6) {
-
-        /* "tanglekit/_enumcore.pyx":512
- *                     or s.merges != before_merges
- *                     or s.n_entries != before_entries):
- *                 continue             # <<<<<<<<<<<<<<
- *             break
- * 
-*/
-        goto __pyx_L22_continue;
-
-        /* "tanglekit/_enumcore.pyx":509
- *                             break
- *                         confront(&s, d, r, lookup(&s, d, r), e, f, lookup(&s, e, f))
- *             if (sweep_changed or s.n_slots != before_slots             # <<<<<<<<<<<<<<
- *                     or s.merges != before_merges
- *                     or s.n_entries != before_entries):
-*/
-      }
-
-      /* "tanglekit/_enumcore.pyx":513
- *                     or s.n_entries != before_entries):
- *                 continue
- *             break             # <<<<<<<<<<<<<<
- * 
- *         # compact to a dense table in discovery order
-*/
-      goto __pyx_L23_break;
-      __pyx_L22_continue:;
-    }
-    __pyx_L23_break:;
-
-    /* "tanglekit/_enumcore.pyx":516
- * 
- *         # compact to a dense table in discovery order
- *         nz = 0             # <<<<<<<<<<<<<<
- *         for p in range(s.n_slots):
- *             if s.parent[p] == p:
-*/
-    __pyx_v_nz = 0;
-
-    /* "tanglekit/_enumcore.pyx":517
- *         # compact to a dense table in discovery order
- *         nz = 0
- *         for p in range(s.n_slots):             # <<<<<<<<<<<<<<
- *             if s.parent[p] == p:
- *                 s.buf[nz] = p
-*/
-    __pyx_t_2 = __pyx_v_s.n_slots;
-    __pyx_t_15 = __pyx_t_2;
-    for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_15; __pyx_t_14+=1) {
-      __pyx_v_p = __pyx_t_14;
-
-      /* "tanglekit/_enumcore.pyx":518
- *         nz = 0
- *         for p in range(s.n_slots):
- *             if s.parent[p] == p:             # <<<<<<<<<<<<<<
- *                 s.buf[nz] = p
- *                 nz += 1
-*/
-      __pyx_t_6 = ((__pyx_v_s.parent[__pyx_v_p]) == __pyx_v_p);
-      if (__pyx_t_6) {
-
-        /* "tanglekit/_enumcore.pyx":519
- *         for p in range(s.n_slots):
- *             if s.parent[p] == p:
- *                 s.buf[nz] = p             # <<<<<<<<<<<<<<
- *                 nz += 1
- *         relabel = {}
-*/
-        (__pyx_v_s.buf[__pyx_v_nz]) = __pyx_v_p;
-
-        /* "tanglekit/_enumcore.pyx":520
- *             if s.parent[p] == p:
- *                 s.buf[nz] = p
- *                 nz += 1             # <<<<<<<<<<<<<<
- *         relabel = {}
- *         for i in range(nz):
-*/
-        __pyx_v_nz = (__pyx_v_nz + 1);
-
-        /* "tanglekit/_enumcore.pyx":518
- *         nz = 0
- *         for p in range(s.n_slots):
- *             if s.parent[p] == p:             # <<<<<<<<<<<<<<
- *                 s.buf[nz] = p
- *                 nz += 1
-*/
-      }
-    }
-
-    /* "tanglekit/_enumcore.pyx":521
- *                 s.buf[nz] = p
- *                 nz += 1
- *         relabel = {}             # <<<<<<<<<<<<<<
- *         for i in range(nz):
- *             relabel[s.buf[i]] = i
-*/
-    __pyx_t_11 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 521, __pyx_L17_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_v_relabel = ((PyObject*)__pyx_t_11);
-    __pyx_t_11 = 0;
-
-    /* "tanglekit/_enumcore.pyx":522
- *                 nz += 1
- *         relabel = {}
- *         for i in range(nz):             # <<<<<<<<<<<<<<
- *             relabel[s.buf[i]] = i
- *         rows = []
-*/
-    __pyx_t_2 = __pyx_v_nz;
-    __pyx_t_15 = __pyx_t_2;
-    for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_15; __pyx_t_14+=1) {
-      __pyx_v_i = __pyx_t_14;
-
-      /* "tanglekit/_enumcore.pyx":523
- *         relabel = {}
- *         for i in range(nz):
- *             relabel[s.buf[i]] = i             # <<<<<<<<<<<<<<
- *         rows = []
- *         for i in range(nz):
-*/
-      __pyx_t_11 = __Pyx_PyLong_From_int(__pyx_v_i); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 523, __pyx_L17_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __pyx_t_4 = __Pyx_PyLong_From_int((__pyx_v_s.buf[__pyx_v_i])); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 523, __pyx_L17_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      if (unlikely((PyDict_SetItem(__pyx_v_relabel, __pyx_t_4, __pyx_t_11) < 0))) __PYX_ERR(0, 523, __pyx_L17_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-    }
-
-    /* "tanglekit/_enumcore.pyx":524
- *         for i in range(nz):
- *             relabel[s.buf[i]] = i
- *         rows = []             # <<<<<<<<<<<<<<
- *         for i in range(nz):
- *             p = s.buf[i]
-*/
-    __pyx_t_11 = PyList_New(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 524, __pyx_L17_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_v_rows = ((PyObject*)__pyx_t_11);
-    __pyx_t_11 = 0;
-
-    /* "tanglekit/_enumcore.pyx":525
- *             relabel[s.buf[i]] = i
- *         rows = []
- *         for i in range(nz):             # <<<<<<<<<<<<<<
- *             p = s.buf[i]
- *             row = []
-*/
-    __pyx_t_2 = __pyx_v_nz;
-    __pyx_t_15 = __pyx_t_2;
-    for (__pyx_t_14 = 0; __pyx_t_14 < __pyx_t_15; __pyx_t_14+=1) {
-      __pyx_v_i = __pyx_t_14;
-
-      /* "tanglekit/_enumcore.pyx":526
- *         rows = []
- *         for i in range(nz):
- *             p = s.buf[i]             # <<<<<<<<<<<<<<
- *             row = []
- *             for j in range(nz):
-*/
-      __pyx_v_p = (__pyx_v_s.buf[__pyx_v_i]);
-
-      /* "tanglekit/_enumcore.pyx":527
- *         for i in range(nz):
- *             p = s.buf[i]
- *             row = []             # <<<<<<<<<<<<<<
- *             for j in range(nz):
- *                 q = s.buf[j]
-*/
-      __pyx_t_11 = PyList_New(0); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 527, __pyx_L17_error)
-      __Pyx_GOTREF(__pyx_t_11);
-      __Pyx_XDECREF_SET(__pyx_v_row, ((PyObject*)__pyx_t_11));
-      __pyx_t_11 = 0;
-
-      /* "tanglekit/_enumcore.pyx":528
- *             p = s.buf[i]
- *             row = []
- *             for j in range(nz):             # <<<<<<<<<<<<<<
- *                 q = s.buf[j]
- *                 row.append(relabel[find(&s, s.tab[ti(&s, p, q)])])
-*/
-      __pyx_t_16 = __pyx_v_nz;
-      __pyx_t_21 = __pyx_t_16;
-      for (__pyx_t_22 = 0; __pyx_t_22 < __pyx_t_21; __pyx_t_22+=1) {
-        __pyx_v_j = __pyx_t_22;
-
-        /* "tanglekit/_enumcore.pyx":529
- *             row = []
- *             for j in range(nz):
- *                 q = s.buf[j]             # <<<<<<<<<<<<<<
- *                 row.append(relabel[find(&s, s.tab[ti(&s, p, q)])])
- *             rows.append(tuple(row))
-*/
-        __pyx_v_q = (__pyx_v_s.buf[__pyx_v_j]);
-
-        /* "tanglekit/_enumcore.pyx":530
- *             for j in range(nz):
- *                 q = s.buf[j]
- *                 row.append(relabel[find(&s, s.tab[ti(&s, p, q)])])             # <<<<<<<<<<<<<<
- *             rows.append(tuple(row))
- *         images = [relabel[find(&s, <int> g)] for g in gen_slots]
-*/
-        __pyx_t_5 = __pyx_f_9tanglekit_9_enumcore_ti((&__pyx_v_s), __pyx_v_p, __pyx_v_q); if (unlikely(__pyx_t_5 == ((PY_LONG_LONG)-1LL) && PyErr_Occurred())) __PYX_ERR(0, 530, __pyx_L17_error)
-        __pyx_t_23 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), (__pyx_v_s.tab[__pyx_t_5])); if (unlikely(__pyx_t_23 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 530, __pyx_L17_error)
-        __pyx_t_11 = __Pyx_PyLong_From_int(__pyx_t_23); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 530, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_11);
-        __pyx_t_4 = __Pyx_PyDict_GetItem(__pyx_v_relabel, __pyx_t_11); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 530, __pyx_L17_error)
-        __Pyx_GOTREF(__pyx_t_4);
-        __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-        __pyx_t_17 = __Pyx_PyList_Append(__pyx_v_row, __pyx_t_4); if (unlikely(__pyx_t_17 == ((int)-1))) __PYX_ERR(0, 530, __pyx_L17_error)
-        __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-      }
-
-      /* "tanglekit/_enumcore.pyx":531
- *                 q = s.buf[j]
- *                 row.append(relabel[find(&s, s.tab[ti(&s, p, q)])])
- *             rows.append(tuple(row))             # <<<<<<<<<<<<<<
- *         images = [relabel[find(&s, <int> g)] for g in gen_slots]
- *         return COMPLETED, rows, images, s.merges
-*/
-      __pyx_t_4 = PyList_AsTuple(__pyx_v_row); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 531, __pyx_L17_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_17 = __Pyx_PyList_Append(__pyx_v_rows, __pyx_t_4); if (unlikely(__pyx_t_17 == ((int)-1))) __PYX_ERR(0, 531, __pyx_L17_error)
-      __Pyx_DECREF(__pyx_t_4); __pyx_t_4 = 0;
-    }
-
-    /* "tanglekit/_enumcore.pyx":532
- *                 row.append(relabel[find(&s, s.tab[ti(&s, p, q)])])
- *             rows.append(tuple(row))
- *         images = [relabel[find(&s, <int> g)] for g in gen_slots]             # <<<<<<<<<<<<<<
- *         return COMPLETED, rows, images, s.merges
- *     finally:
-*/
-    { /* enter inner scope */
-      __pyx_t_4 = PyList_New(0); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 532, __pyx_L157_error)
-      __Pyx_GOTREF(__pyx_t_4);
-      __pyx_t_11 = __pyx_v_gen_slots; __Pyx_INCREF(__pyx_t_11);
-      __pyx_t_3 = 0;
-      for (;;) {
-        {
-          Py_ssize_t __pyx_temp = __Pyx_PyList_GET_SIZE(__pyx_t_11);
-          #if !CYTHON_ASSUME_SAFE_SIZE
-          if (unlikely((__pyx_temp < 0))) __PYX_ERR(0, 532, __pyx_L157_error)
-          #endif
-          if (__pyx_t_3 >= __pyx_temp) break;
-        }
-        __pyx_t_9 = __Pyx_PyList_GetItemRefFast(__pyx_t_11, __pyx_t_3, __Pyx_ReferenceSharing_OwnStrongReference);
-        ++__pyx_t_3;
-        if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 532, __pyx_L157_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __Pyx_XDECREF_SET(__pyx_8genexpr9__pyx_v_g, __pyx_t_9);
-        __pyx_t_9 = 0;
-        __pyx_t_2 = __Pyx_PyLong_As_int(__pyx_8genexpr9__pyx_v_g); if (unlikely((__pyx_t_2 == (int)-1) && PyErr_Occurred())) __PYX_ERR(0, 532, __pyx_L157_error)
-        __pyx_t_15 = __pyx_f_9tanglekit_9_enumcore_find((&__pyx_v_s), ((int)__pyx_t_2)); if (unlikely(__pyx_t_15 == ((int)-1) && PyErr_Occurred())) __PYX_ERR(0, 532, __pyx_L157_error)
-        __pyx_t_9 = __Pyx_PyLong_From_int(__pyx_t_15); if (unlikely(!__pyx_t_9)) __PYX_ERR(0, 532, __pyx_L157_error)
-        __Pyx_GOTREF(__pyx_t_9);
-        __pyx_t_10 = __Pyx_PyDict_GetItem(__pyx_v_relabel, __pyx_t_9); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 532, __pyx_L157_error)
-        __Pyx_GOTREF(__pyx_t_10);
-        __Pyx_DECREF(__pyx_t_9); __pyx_t_9 = 0;
-        if (unlikely(__Pyx_ListComp_Append(__pyx_t_4, (PyObject*)__pyx_t_10))) __PYX_ERR(0, 532, __pyx_L157_error)
-        __Pyx_DECREF(__pyx_t_10); __pyx_t_10 = 0;
-      }
-      __Pyx_DECREF(__pyx_t_11); __pyx_t_11 = 0;
-      __Pyx_XDECREF(__pyx_8genexpr9__pyx_v_g); __pyx_8genexpr9__pyx_v_g = 0;
-      goto __pyx_L161_exit_scope;
-      __pyx_L157_error:;
-      __Pyx_XDECREF(__pyx_8genexpr9__pyx_v_g); __pyx_8genexpr9__pyx_v_g = 0;
-      goto __pyx_L17_error;
-      __pyx_L161_exit_scope:;
-    } /* exit inner scope */
-    __pyx_v_images = ((PyObject*)__pyx_t_4);
-    __pyx_t_4 = 0;
-
-    /* "tanglekit/_enumcore.pyx":533
- *             rows.append(tuple(row))
- *         images = [relabel[find(&s, <int> g)] for g in gen_slots]
- *         return COMPLETED, rows, images, s.merges             # <<<<<<<<<<<<<<
- *     finally:
- *         free(s.parent)
-*/
-    __Pyx_XDECREF(__pyx_r);
-    __Pyx_GetModuleGlobalName(__pyx_t_4, __pyx_mstate_global->__pyx_n_u_COMPLETED); if (unlikely(!__pyx_t_4)) __PYX_ERR(0, 533, __pyx_L17_error)
-    __Pyx_GOTREF(__pyx_t_4);
-    __pyx_t_11 = __Pyx_PyLong_From_PY_LONG_LONG(__pyx_v_s.merges); if (unlikely(!__pyx_t_11)) __PYX_ERR(0, 533, __pyx_L17_error)
-    __Pyx_GOTREF(__pyx_t_11);
-    __pyx_t_10 = PyTuple_New(4); if (unlikely(!__pyx_t_10)) __PYX_ERR(0, 533, __pyx_L17_error)
-    __Pyx_GOTREF(__pyx_t_10);
-    __Pyx_GIVEREF(__pyx_t_4);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 0, __pyx_t_4) != (0)) __PYX_ERR(0, 533, __pyx_L17_error);
-    __Pyx_INCREF(__pyx_v_rows);
-    __Pyx_GIVEREF(__pyx_v_rows);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 1, __pyx_v_rows) != (0)) __PYX_ERR(0, 533, __pyx_L17_error);
-    __Pyx_INCREF(__pyx_v_images);
-    __Pyx_GIVEREF(__pyx_v_images);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 2, __pyx_v_images) != (0)) __PYX_ERR(0, 533, __pyx_L17_error);
-    __Pyx_GIVEREF(__pyx_t_11);
-    if (__Pyx_PyTuple_SET_ITEM(__pyx_t_10, 3, __pyx_t_11) != (0)) __PYX_ERR(0, 533, __pyx_L17_error);
-    __pyx_t_4 = 0;
-    __pyx_t_11 = 0;
-    __pyx_r = __pyx_t_10;
-    __pyx_t_10 = 0;
-    goto __pyx_L16_return;
-  }
-
-  /* "tanglekit/_enumcore.pyx":535
- *         return COMPLETED, rows, images, s.merges
- *     finally:
- *         free(s.parent)             # <<<<<<<<<<<<<<
- *         free(s.tab)
- *         free(s.ev)
-*/
-  /*finally:*/ {
-    __pyx_L17_error:;
-    /*exception exit:*/{
-      __Pyx_PyThreadState_declare
-      __Pyx_PyThreadState_assign
-      __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0; __pyx_t_30 = 0;
-      __Pyx_XDECREF(__pyx_t_1); __pyx_t_1 = 0;
-      __Pyx_XDECREF(__pyx_t_10); __pyx_t_10 = 0;
-      __Pyx_XDECREF(__pyx_t_11); __pyx_t_11 = 0;
-      __Pyx_XDECREF(__pyx_t_12); __pyx_t_12 = 0;
-      __Pyx_XDECREF(__pyx_t_4); __pyx_t_4 = 0;
-      __Pyx_XDECREF(__pyx_t_9); __pyx_t_9 = 0;
-       __Pyx_ExceptionSwap(&__pyx_t_28, &__pyx_t_29, &__pyx_t_30);
-      if ( unlikely(__Pyx_GetException(&__pyx_t_25, &__pyx_t_26, &__pyx_t_27) < 0)) __Pyx_ErrFetch(&__pyx_t_25, &__pyx_t_26, &__pyx_t_27);
-      __Pyx_XGOTREF(__pyx_t_25);
-      __Pyx_XGOTREF(__pyx_t_26);
-      __Pyx_XGOTREF(__pyx_t_27);
-      __Pyx_XGOTREF(__pyx_t_28);
-      __Pyx_XGOTREF(__pyx_t_29);
-      __Pyx_XGOTREF(__pyx_t_30);
-      __pyx_t_15 = __pyx_lineno; __pyx_t_2 = __pyx_clineno; __pyx_t_24 = __pyx_filename;
-      {
-        free(__pyx_v_s.parent);
-
-        /* "tanglekit/_enumcore.pyx":536
- *     finally:
- *         free(s.parent)
- *         free(s.tab)             # <<<<<<<<<<<<<<
- *         free(s.ev)
- *         free(s.buf)
-*/
-        free(__pyx_v_s.tab);
-
-        /* "tanglekit/_enumcore.pyx":537
- *         free(s.parent)
- *         free(s.tab)
- *         free(s.ev)             # <<<<<<<<<<<<<<
- *         free(s.buf)
-*/
-        free(__pyx_v_s.ev);
-
-        /* "tanglekit/_enumcore.pyx":538
- *         free(s.tab)
- *         free(s.ev)
- *         free(s.buf)             # <<<<<<<<<<<<<<
-*/
-        free(__pyx_v_s.buf);
-      }
-      __Pyx_XGIVEREF(__pyx_t_28);
-      __Pyx_XGIVEREF(__pyx_t_29);
-      __Pyx_XGIVEREF(__pyx_t_30);
-      __Pyx_ExceptionReset(__pyx_t_28, __pyx_t_29, __pyx_t_30);
-      __Pyx_XGIVEREF(__pyx_t_25);
-      __Pyx_XGIVEREF(__pyx_t_26);
-      __Pyx_XGIVEREF(__pyx_t_27);
-      __Pyx_ErrRestore(__pyx_t_25, __pyx_t_26, __pyx_t_27);
-      __pyx_t_25 = 0; __pyx_t_26 = 0; __pyx_t_27 = 0; __pyx_t_28 = 0; __pyx_t_29 = 0; __pyx_t_30 = 0;
-      __pyx_lineno = __pyx_t_15; __pyx_clineno = __pyx_t_2; __pyx_filename = __pyx_t_24;
-      goto __pyx_L1_error;
-    }
-    __pyx_L16_return: {
-      __pyx_t_30 = __pyx_r;
-      __pyx_r = 0;
-
-      /* "tanglekit/_enumcore.pyx":535
- *         return COMPLETED, rows, images, s.merges
- *     finally:
- *         free(s.parent)             # <<<<<<<<<<<<<<
- *         free(s.tab)
- *         free(s.ev)
-*/
-      free(__pyx_v_s.parent);
-
-      /* "tanglekit/_enumcore.pyx":536
- *     finally:
- *         free(s.parent)
- *         free(s.tab)             # <<<<<<<<<<<<<<
- *         free(s.ev)
- *         free(s.buf)
-*/
-      free(__pyx_v_s.tab);
-
-      /* "tanglekit/_enumcore.pyx":537
- *         free(s.parent)
- *         free(s.tab)
- *         free(s.ev)             # <<<<<<<<<<<<<<
- *         free(s.buf)
-*/
-      free(__pyx_v_s.ev);
-
-      /* "tanglekit/_enumcore.pyx":538
- *         free(s.tab)
- *         free(s.ev)
- *         free(s.buf)             # <<<<<<<<<<<<<<
-*/
-      free(__pyx_v_s.buf);
-      __pyx_r = __pyx_t_30;
-      __pyx_t_30 = 0;
-      goto __pyx_L0;
-    }
-  }
-
-  /* "tanglekit/_enumcore.pyx":325
- * 
- * 
- * def run_enumeration(int m, relations, rn_pattern, bint rn_on_all_pairs, cap):             # <<<<<<<<<<<<<<
- *     cdef State s
- *     cdef int cap_i = int(cap)
-*/
-
-  /* function exit code */
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_1);
-  __Pyx_XDECREF(__pyx_t_4);
-  __Pyx_XDECREF(__pyx_t_9);
-  __Pyx_XDECREF(__pyx_t_10);
-  __Pyx_XDECREF(__pyx_t_11);
-  __Pyx_XDECREF(__pyx_t_12);
-  __Pyx_AddTraceback("tanglekit._enumcore.run_enumeration", __pyx_clineno, __pyx_lineno, __pyx_filename);
-  __pyx_r = NULL;
-  __pyx_L0:;
-  __Pyx_XDECREF(__pyx_v_gen_slots);
-  __Pyx_XDECREF(__pyx_v_zs);
-  __Pyx_XDECREF(__pyx_v_rel_list);
-  __Pyx_XDECREF(__pyx_v_pattern);
-  __Pyx_XDECREF(__pyx_v_lhs);
-  __Pyx_XDECREF(__pyx_v_rhs);
-  __Pyx_XDECREF(__pyx_v_gens_now);
-  __Pyx_XDECREF(__pyx_v_sweep_changed);
-  __Pyx_XDECREF(__pyx_v_relabel);
-  __Pyx_XDECREF(__pyx_v_rows);
-  __Pyx_XDECREF(__pyx_v_row);
-  __Pyx_XDECREF(__pyx_v_images);
-  __Pyx_XDECREF(__pyx_7genexpr__pyx_v_lhs);
-  __Pyx_XDECREF(__pyx_7genexpr__pyx_v_rhs);
-  __Pyx_XDECREF(__pyx_7genexpr__pyx_v_0);
-  __Pyx_XDECREF(__pyx_7genexpr__pyx_v_1);
-  __Pyx_XDECREF(__pyx_gb_9tanglekit_9_enumcore_15run_enumeration_2generator2);
-  __Pyx_XDECREF(__pyx_8genexpr4__pyx_v_g);
-  __Pyx_XDECREF(__pyx_8genexpr5__pyx_v_g);
-  __Pyx_XDECREF(__pyx_8genexpr7__pyx_v_g);
-  __Pyx_XDECREF(__pyx_8genexpr9__pyx_v_g);
-  __Pyx_XGIVEREF(__pyx_r);
-  __Pyx_RefNannyFinishContext();
-  return __pyx_r;
-}
-/* #### Code section: module_exttypes ### */
-
-static PyObject *__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct__genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct__genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct__genexpr[--__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct__genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct__genexpr(PyObject *o) {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *p = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct__genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_g);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct__genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct__genexpr[__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct__genexpr++] = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct__genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *p = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_g) {
-    e = (*v)(p->__pyx_v_g, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct__genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct__genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct__genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr_spec = {
-  "tanglekit._enumcore.__pyx_scope_struct__genexpr",
-  sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "tanglekit._enumcore.""__pyx_scope_struct__genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct__genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct__genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct__genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct__genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr[--__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr(PyObject *o) {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_g);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr[__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr++] = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *p = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_g) {
-    e = (*v)(p->__pyx_v_g, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr_spec = {
-  "tanglekit._enumcore.__pyx_scope_struct_1_genexpr",
-  sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "tanglekit._enumcore.""__pyx_scope_struct_1_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyObject *__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr(PyTypeObject *t, CYTHON_UNUSED PyObject *a, CYTHON_UNUSED PyObject *k) {
-  PyObject *o;
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr > 0) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(t, __pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr))))
-  {
-    o = (PyObject*)__pyx_mstate_global->__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr[--__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr];
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(Py_TYPE(o));
-    #endif
-    memset(o, 0, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr));
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    (void) PyObject_Init(o, t);
-    #else
-    (void) PyObject_INIT(o, t);
-    #endif
-    PyObject_GC_Track(o);
-  } else
-  #endif
-  {
-    o = __Pyx_AllocateExtensionType(t, 1);
-    if (unlikely(!o)) return 0;
-  }
-  return o;
-}
-
-static void __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr(PyObject *o) {
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *p = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *)o;
-  #if CYTHON_USE_TP_FINALIZE
-  if (unlikely(__Pyx_PyObject_GetSlot(o, tp_finalize, destructor)) && !__Pyx_PyObject_GC_IsFinalized(o)) {
-    if (__Pyx_PyObject_GetSlot(o, tp_dealloc, destructor) == __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr) {
-      if (PyObject_CallFinalizerFromDealloc(o)) return;
-    }
-  }
-  #endif
-  PyObject_GC_UnTrack(o);
-  Py_CLEAR(p->__pyx_genexpr_arg_0);
-  Py_CLEAR(p->__pyx_v_g);
-  Py_CLEAR(p->__pyx_t_0);
-  #if CYTHON_USE_FREELISTS
-  if (likely((int)(__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr < 8) & __PYX_CHECK_FINAL_TYPE_FOR_FREELISTS(Py_TYPE(o), __pyx_mstate_global->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr, sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr))))
-  {
-    __pyx_mstate_global->__pyx_freelist_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr[__pyx_mstate_global->__pyx_freecount_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr++] = ((struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *)o);
-  } else
-  #endif
-  {
-    PyTypeObject *tp = Py_TYPE(o);
-    #if CYTHON_USE_TYPE_SLOTS
-    (*tp->tp_free)(o);
-    #else
-    {
-      freefunc tp_free = (freefunc)PyType_GetSlot(tp, Py_tp_free);
-      if (tp_free) tp_free(o);
-    }
-    #endif
-    #if CYTHON_USE_TYPE_SPECS
-    Py_DECREF(tp);
-    #endif
-  }
-}
-
-static int __pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr(PyObject *o, visitproc v, void *a) {
-  int e;
-  struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *p = (struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr *)o;
-  {
-    e = __Pyx_call_type_traverse(o, 1, v, a);
-    if (e) return e;
-  }
-  if (p->__pyx_genexpr_arg_0) {
-    e = (*v)(p->__pyx_genexpr_arg_0, a); if (e) return e;
-  }
-  if (p->__pyx_v_g) {
-    e = (*v)(p->__pyx_v_g, a); if (e) return e;
-  }
-  if (p->__pyx_t_0) {
-    e = (*v)(p->__pyx_t_0, a); if (e) return e;
-  }
-  return 0;
-}
-#if CYTHON_USE_TYPE_SPECS
-static PyType_Slot __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr_slots[] = {
-  {Py_tp_dealloc, (void *)__pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr},
-  {Py_tp_traverse, (void *)__pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr},
-  {Py_tp_new, (void *)__pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr},
-  {0, 0},
-};
-static PyType_Spec __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr_spec = {
-  "tanglekit._enumcore.__pyx_scope_struct_2_genexpr",
-  sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr),
-  0,
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC,
-  __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr_slots,
-};
-#else
-
-static PyTypeObject __pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr = {
-  PyVarObject_HEAD_INIT(0, 0)
-  "tanglekit._enumcore.""__pyx_scope_struct_2_genexpr", /*tp_name*/
-  sizeof(struct __pyx_obj_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr), /*tp_basicsize*/
-  0, /*tp_itemsize*/
-  __pyx_tp_dealloc_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr, /*tp_dealloc*/
-  0, /*tp_vectorcall_offset*/
-  0, /*tp_getattr*/
-  0, /*tp_setattr*/
-  0, /*tp_as_async*/
-  0, /*tp_repr*/
-  0, /*tp_as_number*/
-  0, /*tp_as_sequence*/
-  0, /*tp_as_mapping*/
-  0, /*tp_hash*/
-  0, /*tp_call*/
-  0, /*tp_str*/
-  0, /*tp_getattro*/
-  0, /*tp_setattro*/
-  0, /*tp_as_buffer*/
-  Py_TPFLAGS_DEFAULT|Py_TPFLAGS_HAVE_VERSION_TAG|Py_TPFLAGS_CHECKTYPES|Py_TPFLAGS_HAVE_NEWBUFFER|Py_TPFLAGS_HAVE_GC, /*tp_flags*/
-  0, /*tp_doc*/
-  __pyx_tp_traverse_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr, /*tp_traverse*/
-  0, /*tp_clear*/
-  0, /*tp_richcompare*/
-  0, /*tp_weaklistoffset*/
-  0, /*tp_iter*/
-  0, /*tp_iternext*/
-  0, /*tp_methods*/
-  0, /*tp_members*/
-  0, /*tp_getset*/
-  0, /*tp_base*/
-  0, /*tp_dict*/
-  0, /*tp_descr_get*/
-  0, /*tp_descr_set*/
-  #if !CYTHON_USE_TYPE_SPECS
-  0, /*tp_dictoffset*/
-  #endif
-  0, /*tp_init*/
-  0, /*tp_alloc*/
-  __pyx_tp_new_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr, /*tp_new*/
-  0, /*tp_free*/
-  0, /*tp_is_gc*/
-  0, /*tp_bases*/
-  0, /*tp_mro*/
-  0, /*tp_cache*/
-  0, /*tp_subclasses*/
-  0, /*tp_weaklist*/
-  0, /*tp_del*/
-  0, /*tp_version_tag*/
-  #if CYTHON_USE_TP_FINALIZE
-  0, /*tp_finalize*/
-  #else
-  NULL, /*tp_finalize*/
-  #endif
-  #if !CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM >= 0x07030800
-  0, /*tp_vectorcall*/
-  #endif
-  #if __PYX_NEED_TP_PRINT_SLOT == 1
-  0, /*tp_print*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000
-  0, /*tp_watched*/
-  #endif
-  #if PY_VERSION_HEX >= 0x030d00A4
-  0, /*tp_versions_used*/
-  #endif
-  #if CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX >= 0x03090000 && PY_VERSION_HEX < 0x030a0000
-  0, /*tp_pypy_flags*/
-  #endif
-};
-#endif
-
-static PyMethodDef __pyx_methods[] = {
-  {0, 0, 0, 0}
-};
-/* #### Code section: initfunc_declarations ### */
-static CYTHON_SMALL_CODE int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitGlobals(void); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate); /*proto*/
-static CYTHON_SMALL_CODE int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate); /*proto*/
-/* #### Code section: init_module ### */
-
-static int __Pyx_modinit_global_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_global_init_code", 0);
-  /*--- Global init code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_export_code", 0);
-  /*--- Variable export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_export_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_export_code", 0);
-  /*--- Function export code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_type_init_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_init_code", 0);
-  /*--- Type init code ---*/
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr)) __PYX_ERR(0, 352, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr_spec, __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr) < (0)) __PYX_ERR(0, 352, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr = &__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct__genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr) < (0)) __PYX_ERR(0, 352, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct__genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr)) __PYX_ERR(0, 352, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr_spec, __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 352, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr = &__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr) < (0)) __PYX_ERR(0, 352, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_1_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  #if CYTHON_USE_TYPE_SPECS
-  __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr = (PyTypeObject *) __Pyx_PyType_FromModuleAndSpec(__pyx_m, &__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr_spec, NULL); if (unlikely(!__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr)) __PYX_ERR(0, 354, __pyx_L1_error)
-  if (__Pyx_fix_up_extension_type_from_spec(&__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr_spec, __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr) < (0)) __PYX_ERR(0, 354, __pyx_L1_error)
-  #else
-  __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr = &__pyx_type_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr;
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  #endif
-  #if !CYTHON_USE_TYPE_SPECS
-  if (__Pyx_PyType_Ready(__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr) < (0)) __PYX_ERR(0, 354, __pyx_L1_error)
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount((PyObject*)__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr);
-  #endif
-  #if !CYTHON_COMPILING_IN_LIMITED_API
-  if ((CYTHON_USE_TYPE_SLOTS && CYTHON_USE_PYTYPE_LOOKUP) && likely(!__pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr->tp_dictoffset && __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr->tp_getattro == PyObject_GenericGetAttr)) {
-    __pyx_mstate->__pyx_ptype_9tanglekit_9_enumcore___pyx_scope_struct_2_genexpr->tp_getattro = PyObject_GenericGetAttr;
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-
-static int __Pyx_modinit_type_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_type_import_code", 0);
-  /*--- Type import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_variable_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_variable_import_code", 0);
-  /*--- Variable import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-static int __Pyx_modinit_function_import_code(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_modinit_function_import_code", 0);
-  /*--- Function import code ---*/
-  __Pyx_RefNannyFinishContext();
-  return 0;
-}
-
-#if CYTHON_PEP489_MULTI_PHASE_INIT
-static PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def); /*proto*/
-static int __pyx_pymod_exec__enumcore(PyObject* module); /*proto*/
-static PyModuleDef_Slot __pyx_moduledef_slots[] = {
-  {Py_mod_create, (void*)__pyx_pymod_create},
-  {Py_mod_exec, (void*)__pyx_pymod_exec__enumcore},
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  {Py_mod_gil, __Pyx_FREETHREADING_COMPATIBLE},
-  #endif
-  #if PY_VERSION_HEX >= 0x030C0000 && CYTHON_USE_MODULE_STATE
-  {Py_mod_multiple_interpreters, Py_MOD_MULTIPLE_INTERPRETERS_NOT_SUPPORTED},
-  #endif
-  {0, NULL}
-};
-#endif
-
-#ifdef __cplusplus
-namespace {
-  struct PyModuleDef __pyx_moduledef =
-  #else
-  static struct PyModuleDef __pyx_moduledef =
-  #endif
-  {
-      PyModuleDef_HEAD_INIT,
-      "_enumcore",
-      __pyx_k_Compiled_kernel_for_finitely_pre, /* m_doc */
-    #if CYTHON_USE_MODULE_STATE
-      sizeof(__pyx_mstatetype), /* m_size */
-    #else
-      (CYTHON_PEP489_MULTI_PHASE_INIT) ? 0 : -1, /* m_size */
-    #endif
-      __pyx_methods /* m_methods */,
-    #if CYTHON_PEP489_MULTI_PHASE_INIT
-      __pyx_moduledef_slots, /* m_slots */
-    #else
-      NULL, /* m_reload */
-    #endif
-    #if CYTHON_USE_MODULE_STATE
-      __pyx_m_traverse, /* m_traverse */
-      __pyx_m_clear, /* m_clear */
-      NULL /* m_free */
-    #else
-      NULL, /* m_traverse */
-      NULL, /* m_clear */
-      NULL /* m_free */
-    #endif
-  };
-  #ifdef __cplusplus
-} /* anonymous namespace */
-#endif
-
-/* PyModInitFuncType */
-#ifndef CYTHON_NO_PYINIT_EXPORT
-  #define __Pyx_PyMODINIT_FUNC PyMODINIT_FUNC
-#else
-  #ifdef __cplusplus
-  #define __Pyx_PyMODINIT_FUNC extern "C" PyObject *
-  #else
-  #define __Pyx_PyMODINIT_FUNC PyObject *
-  #endif
-#endif
-
-__Pyx_PyMODINIT_FUNC PyInit__enumcore(void) CYTHON_SMALL_CODE; /*proto*/
-__Pyx_PyMODINIT_FUNC PyInit__enumcore(void)
-#if CYTHON_PEP489_MULTI_PHASE_INIT
+static inline int *cell(Table *t, int a, int b)
 {
-  return PyModuleDef_Init(&__pyx_moduledef);
+    return t->tab + (size_t)a * t->pitch + b;
 }
-/* ModuleCreationPEP489 */
-#if CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-static PY_INT64_T __Pyx_GetCurrentInterpreterId(void) {
-    {
-        PyObject *module = PyImport_ImportModule("_interpreters"); // 3.13+ I think
-        if (!module) {
-            PyErr_Clear(); // just try the 3.8-3.12 version
-            module = PyImport_ImportModule("_xxsubinterpreters");
-            if (!module) goto bad;
-        }
-        PyObject *current = PyObject_CallMethod(module, "get_current", NULL);
-        Py_DECREF(module);
-        if (!current) goto bad;
-        if (PyTuple_Check(current)) {
-            PyObject *new_current = PySequence_GetItem(current, 0);
-            Py_DECREF(current);
-            current = new_current;
-            if (!new_current) goto bad;
-        }
-        long long as_c_int = PyLong_AsLongLong(current);
-        Py_DECREF(current);
-        return as_c_int;
+
+/* a*b as a root, or -1 */
+static inline int get(Table *t, int a, int b)
+{
+    int v = *cell(t, a, b);
+    return v < 0 ? -1 : find(t, v);
+}
+
+static inline uint64_t *bits(Table *t, uint64_t *set, int x)
+{
+    return set + (size_t)x * t->words;
+}
+
+static int push_event(Table *t, int a, int b)
+{
+    Ints *ev = &t->ev;
+    if (t->ev_head == ev->len) {
+        t->ev_head = ev->len = 0;
+    } else if (ev->len == ev->cap && 2 * t->ev_head >= ev->len) {
+        /* the processed half of the queue makes room */
+        ev->len -= t->ev_head;
+        memmove(ev->v, ev->v + t->ev_head, (size_t)ev->len * sizeof(int));
+        t->ev_head = 0;
     }
-  bad:
-    PySys_WriteStderr("__Pyx_GetCurrentInterpreterId failed. Try setting the C define CYTHON_PEP489_MULTI_PHASE_INIT=0\n");
-    return -1;
+    TRY(push(ev, a));
+    return push(ev, b);
 }
-#endif
-#if !CYTHON_USE_MODULE_STATE
-static CYTHON_SMALL_CODE int __Pyx_check_single_interpreter(void) {
-    static PY_INT64_T main_interpreter_id = -1;
-#if CYTHON_COMPILING_IN_GRAAL && defined(GRAALPY_VERSION_NUM) && GRAALPY_VERSION_NUM > 0x19000000
-    PY_INT64_T current_id = GraalPyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_GRAAL
-    PY_INT64_T current_id = PyInterpreterState_GetIDFromThreadState(PyThreadState_Get());
-#elif CYTHON_COMPILING_IN_LIMITED_API && (__PYX_LIMITED_VERSION_HEX < 0x03090000\
-      || ((defined(_WIN32) || defined(WIN32) || defined(MS_WINDOWS)) && __PYX_LIMITED_VERSION_HEX < 0x030A0000))
-    PY_INT64_T current_id = __Pyx_GetCurrentInterpreterId();
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyInterpreterState_Get());
-#else
-    PY_INT64_T current_id = PyInterpreterState_GetID(PyThreadState_Get()->interp);
-#endif
-    if (unlikely(current_id == -1)) {
+
+/* Define a*b = v, v a root, and schedule the entry's event. */
+static int put(Table *t, int a, int b, int v)
+{
+    *cell(t, a, b) = v;
+    bits(t, t->row, a)[b >> 6] |= BIT(b);
+    bits(t, t->col, b)[a >> 6] |= BIT(a);
+    t->writes++;
+    return push_event(t, a, b);
+}
+
+/* Undefine a*b and return its value as a root, or -1. */
+static int take(Table *t, int a, int b)
+{
+    int v = *cell(t, a, b);
+    if (v < 0)
         return -1;
-    }
-    if (main_interpreter_id == -1) {
-        main_interpreter_id = current_id;
+    *cell(t, a, b) = -1;
+    bits(t, t->row, a)[b >> 6] &= ~BIT(b);
+    bits(t, t->col, b)[a >> 6] &= ~BIT(a);
+    return find(t, v);
+}
+
+/* A fresh root in a slot that `reserve` has made room for. */
+static int new_element(Table *t)
+{
+    int e = (int)t->n_slots++;
+    t->parent[e] = e;
+    t->live[e >> 6] |= BIT(e);
+    t->n_live++;
+    return put(t, e, e, e) < 0 ? -1 : e;
+}
+
+/* Move a dead element's entry, of value val, to (a, b) of the survivor. */
+static int fold(Table *t, int val, int a, int b)
+{
+    int cur;
+    if (val < 0)
         return 0;
-    } else if (unlikely(main_interpreter_id != current_id)) {
-        PyErr_SetString(
-            PyExc_ImportError,
-            "Interpreter change detected - this module can only be loaded into one interpreter per process.");
-        return -1;
+    cur = get(t, a, b);
+    if (cur < 0)
+        return put(t, a, b, val);
+    if (cur != val) {
+        TRY(push(&t->stack, cur));
+        return push(&t->stack, val);
     }
     return 0;
 }
-#endif
-static CYTHON_SMALL_CODE int __Pyx_copy_spec_to_module(PyObject *spec, PyObject *moddict, const char* from_name, const char* to_name, int allow_none)
+
+static int merge(Table *t, int x, int y)
 {
-    PyObject *value = PyObject_GetAttrString(spec, from_name);
-    int result = 0;
-    if (likely(value)) {
-        if (allow_none || value != Py_None) {
-            result = PyDict_SetItemString(moddict, to_name, value);
+    TRY(push(&t->stack, x));
+    TRY(push(&t->stack, y));
+    while (t->stack.len) {
+        Py_ssize_t k, nw = (t->n_slots + 63) >> 6;
+        int y0 = find(t, t->stack.v[--t->stack.len]), x0 = find(t, t->stack.v[--t->stack.len]);
+        int rx = Py_MIN(x0, y0), ry = Py_MAX(x0, y0);
+        if (rx == ry)
+            continue;
+        t->parent[ry] = rx;
+        t->live[ry >> 6] &= ~BIT(ry);
+        t->n_live--;
+        t->merges++;
+        t->writes++;
+        /* fold the dead row and column into the survivor's; ry*ry has
+           nothing to merge */
+        take(t, ry, ry);
+        for (k = 0; k < nw; k++) {
+            uint64_t zs = bits(t, t->row, ry)[k] | bits(t, t->col, ry)[k];
+            for (; zs; zs &= zs - 1) {
+                int z = (int)(64 * k) + __builtin_ctzll(zs);
+                TRY(fold(t, take(t, ry, z), rx, z));
+                TRY(fold(t, take(t, z, ry), z, rx));
+            }
         }
-        Py_DECREF(value);
-    } else if (PyErr_ExceptionMatches(PyExc_AttributeError)) {
-        PyErr_Clear();
-    } else {
-        result = -1;
     }
-    return result;
-}
-static CYTHON_SMALL_CODE PyObject* __pyx_pymod_create(PyObject *spec, PyModuleDef *def) {
-    PyObject *module = NULL, *moddict, *modname;
-    CYTHON_UNUSED_VAR(def);
-    #if !CYTHON_USE_MODULE_STATE
-    if (__Pyx_check_single_interpreter())
-        return NULL;
-    #endif
-    if (__pyx_m)
-        return __Pyx_NewRef(__pyx_m);
-    modname = PyObject_GetAttrString(spec, "name");
-    if (unlikely(!modname)) goto bad;
-    module = PyModule_NewObject(modname);
-    Py_DECREF(modname);
-    if (unlikely(!module)) goto bad;
-    moddict = PyModule_GetDict(module);
-    if (unlikely(!moddict)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "loader", "__loader__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "origin", "__file__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "parent", "__package__", 1) < 0)) goto bad;
-    if (unlikely(__Pyx_copy_spec_to_module(spec, moddict, "submodule_search_locations", "__path__", 0) < 0)) goto bad;
-    return module;
-bad:
-    Py_XDECREF(module);
-    return NULL;
+    return 0;
 }
 
-
-static CYTHON_SMALL_CODE int __pyx_pymod_exec__enumcore(PyObject *__pyx_pyinit_module)
-#endif
+static int set_entry(Table *t, int a, int b, int c)
 {
-  int stringtab_initialized = 0;
-  #if CYTHON_USE_MODULE_STATE
-  int pystate_addmodule_run = 0;
-  #endif
-  __pyx_mstatetype *__pyx_mstate = NULL;
-  PyObject *__pyx_t_1 = NULL;
-  PyObject *__pyx_t_2 = NULL;
-  int __pyx_lineno = 0;
-  const char *__pyx_filename = NULL;
-  int __pyx_clineno = 0;
-  __Pyx_RefNannyDeclarations
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  if (__pyx_m) {
-    if (__pyx_m == __pyx_pyinit_module) return 0;
-    PyErr_SetString(PyExc_RuntimeError, "Module '_enumcore' has already been imported. Re-initialisation is not supported.");
+    int cur;
+    a = find(t, a);
+    b = find(t, b);
+    c = find(t, c);
+    cur = get(t, a, b);
+    if (cur < 0)
+        return put(t, a, b, c);
+    return cur != c ? merge(t, cur, c) : 0;
+}
+
+/* Two differing sides g = g0*g1 and h = h0*h1 of one distributivity
+   instance; g or h may be -1. */
+static int confront(Table *t, int g0, int g1, int g, int h0, int h1, int h)
+{
+    if (g < 0)
+        return set_entry(t, g0, g1, h);
+    if (h < 0)
+        return set_entry(t, h0, h1, g);
+    return merge(t, g, h);
+}
+
+/* The first z >= from in row[a] & (row[b] | col[b]) | col[a] & col[b],
+   or -1. */
+static int next_z(Table *t, int a, int b, int from)
+{
+    const uint64_t *ra = bits(t, t->row, a), *ca = bits(t, t->col, a);
+    const uint64_t *rb = bits(t, t->row, b), *cb = bits(t, t->col, b);
+    Py_ssize_t k, nw = (t->n_slots + 63) >> 6;
+    for (k = from >> 6; k < nw; k++) {
+        uint64_t zs = (ra[k] & (rb[k] | cb[k])) | (ca[k] & cb[k]);
+        if (k == from >> 6)
+            zs &= ~(uint64_t)0 << (from & 63);
+        if (zs)
+            return (int)(64 * k) + __builtin_ctzll(zs);
+    }
     return -1;
-  }
-  #else
-  if (__pyx_m) return __Pyx_NewRef(__pyx_m);
-  #endif
-  /*--- Module creation code ---*/
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  __pyx_t_1 = __pyx_pyinit_module;
-  Py_INCREF(__pyx_t_1);
-  #else
-  __pyx_t_1 = PyModule_Create(&__pyx_moduledef); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 1, __pyx_L1_error)
-  #endif
-  #if CYTHON_USE_MODULE_STATE
-  {
-    int add_module_result = __Pyx_State_AddModule(__pyx_t_1, &__pyx_moduledef);
-    __pyx_t_1 = 0; /* transfer ownership from __pyx_t_1 to "_enumcore" pseudovariable */
-    if (unlikely((add_module_result < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    pystate_addmodule_run = 1;
-  }
-  #else
-  __pyx_m = __pyx_t_1;
-  #endif
-  #if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  PyUnstable_Module_SetGIL(__pyx_m, Py_MOD_GIL_USED);
-  #endif
-  __pyx_mstate = __pyx_mstate_global;
-  CYTHON_UNUSED_VAR(__pyx_t_1);
-  __pyx_mstate->__pyx_d = PyModule_GetDict(__pyx_m); if (unlikely(!__pyx_mstate->__pyx_d)) __PYX_ERR(0, 1, __pyx_L1_error)
-  Py_INCREF(__pyx_mstate->__pyx_d);
-  __pyx_mstate->__pyx_b = __Pyx_PyImport_AddModuleRef(__Pyx_BUILTIN_MODULE_NAME); if (unlikely(!__pyx_mstate->__pyx_b)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_cython_runtime = __Pyx_PyImport_AddModuleRef("cython_runtime"); if (unlikely(!__pyx_mstate->__pyx_cython_runtime)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (PyObject_SetAttrString(__pyx_m, "__builtins__", __pyx_mstate->__pyx_b) < 0) __PYX_ERR(0, 1, __pyx_L1_error)
-  /* ImportRefnannyAPI */
-  #if CYTHON_REFNANNY
-  __Pyx_RefNanny = __Pyx_RefNannyImportAPI("refnanny");
-  if (!__Pyx_RefNanny) {
-    PyErr_Clear();
-    __Pyx_RefNanny = __Pyx_RefNannyImportAPI("Cython.Runtime.refnanny");
-    if (!__Pyx_RefNanny)
-        Py_FatalError("failed to import 'refnanny' module");
-  }
-  #endif
-  
-__Pyx_RefNannySetupContext("PyInit__enumcore", 0);
-  __Pyx_init_runtime_version();
-  if (__Pyx_check_binary_version(__PYX_LIMITED_VERSION_HEX, __Pyx_get_runtime_version(), CYTHON_COMPILING_IN_LIMITED_API) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_tuple = PyTuple_New(0); if (unlikely(!__pyx_mstate->__pyx_empty_tuple)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_bytes = PyBytes_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_bytes)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __pyx_mstate->__pyx_empty_unicode = PyUnicode_FromStringAndSize("", 0); if (unlikely(!__pyx_mstate->__pyx_empty_unicode)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Library function declarations ---*/
-  /*--- Initialize various global constants etc. ---*/
-  if (__Pyx_InitConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  stringtab_initialized = 1;
-  if (__Pyx_InitGlobals() < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__pyx_module_is_main_tanglekit___enumcore) {
-    if (PyObject_SetAttr(__pyx_m, __pyx_mstate_global->__pyx_n_u_name, __pyx_mstate_global->__pyx_n_u_main) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  }
-  {
-    PyObject *modules = PyImport_GetModuleDict(); if (unlikely(!modules)) __PYX_ERR(0, 1, __pyx_L1_error)
-    if (!PyDict_GetItemString(modules, "tanglekit._enumcore")) {
-      if (unlikely((PyDict_SetItemString(modules, "tanglekit._enumcore", __pyx_m) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  /*--- Builtin init code ---*/
-  if (__Pyx_InitCachedBuiltins(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Constants init code ---*/
-  if (__Pyx_InitCachedConstants(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  if (__Pyx_CreateCodeObjects(__pyx_mstate) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  /*--- Global type/function init code ---*/
-  (void)__Pyx_modinit_global_init_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_export_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_export_code(__pyx_mstate);
-  if (unlikely((__Pyx_modinit_type_init_code(__pyx_mstate) < 0))) __PYX_ERR(0, 1, __pyx_L1_error)
-  (void)__Pyx_modinit_type_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_variable_import_code(__pyx_mstate);
-  (void)__Pyx_modinit_function_import_code(__pyx_mstate);
-  /*--- Execution code ---*/
-
-  /* "tanglekit/_enumcore.pyx":16
- * """
- * 
- * import os             # <<<<<<<<<<<<<<
- * 
- * from libc.stdlib cimport free, malloc
-*/
-  __pyx_t_1 = __Pyx_Import(__pyx_mstate_global->__pyx_n_u_os, 0, 0, NULL, 0); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 16, __pyx_L1_error)
-  __pyx_t_2 = __pyx_t_1;
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_os, __pyx_t_2) < (0)) __PYX_ERR(0, 16, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "tanglekit/_enumcore.pyx":21
- * from libc.string cimport memset
- * 
- * COMPLETED = 0             # <<<<<<<<<<<<<<
- * CAP_EXCEEDED = 1
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_COMPLETED, __pyx_mstate_global->__pyx_int_0) < (0)) __PYX_ERR(0, 21, __pyx_L1_error)
-
-  /* "tanglekit/_enumcore.pyx":22
- * 
- * COMPLETED = 0
- * CAP_EXCEEDED = 1             # <<<<<<<<<<<<<<
- * 
- * 
-*/
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_CAP_EXCEEDED, __pyx_mstate_global->__pyx_int_1) < (0)) __PYX_ERR(0, 22, __pyx_L1_error)
-
-  /* "tanglekit/_enumcore.pyx":25
- * 
- * 
- * def bracket_statesum(crossings, int arc_count):             # <<<<<<<<<<<<<<
- *     """Kauffman bracket state sum; see the pure kernel for the contract."""
- *     cdef int c = len(crossings)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9tanglekit_9_enumcore_1bracket_statesum, 0, __pyx_mstate_global->__pyx_n_u_bracket_statesum, NULL, __pyx_mstate_global->__pyx_n_u_tanglekit__enumcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[3])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 25, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_bracket_statesum, __pyx_t_2) < (0)) __PYX_ERR(0, 25, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "tanglekit/_enumcore.pyx":325
- * 
- * 
- * def run_enumeration(int m, relations, rn_pattern, bint rn_on_all_pairs, cap):             # <<<<<<<<<<<<<<
- *     cdef State s
- *     cdef int cap_i = int(cap)
-*/
-  __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9tanglekit_9_enumcore_3run_enumeration, 0, __pyx_mstate_global->__pyx_n_u_run_enumeration, NULL, __pyx_mstate_global->__pyx_n_u_tanglekit__enumcore, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[4])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 325, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030E0000
-  PyUnstable_Object_EnableDeferredRefcount(__pyx_t_2);
-  #endif
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_run_enumeration, __pyx_t_2) < (0)) __PYX_ERR(0, 325, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /* "tanglekit/_enumcore.pyx":1
- * # cython: language_level=3             # <<<<<<<<<<<<<<
- * # cython: boundscheck=False, wraparound=False, cdivision=True
- * """Compiled kernel for finitely presented Kei enumeration.
-*/
-  __pyx_t_2 = __Pyx_PyDict_NewPresized(0); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_t_2);
-  if (PyDict_SetItem(__pyx_mstate_global->__pyx_d, __pyx_mstate_global->__pyx_n_u_test, __pyx_t_2) < (0)) __PYX_ERR(0, 1, __pyx_L1_error)
-  __Pyx_DECREF(__pyx_t_2); __pyx_t_2 = 0;
-
-  /*--- Wrapped vars code ---*/
-
-  goto __pyx_L0;
-  __pyx_L1_error:;
-  __Pyx_XDECREF(__pyx_t_2);
-  if (__pyx_m) {
-    if (__pyx_mstate->__pyx_d && stringtab_initialized) {
-      __Pyx_AddTraceback("init tanglekit._enumcore", __pyx_clineno, __pyx_lineno, __pyx_filename);
-    }
-    #if !CYTHON_USE_MODULE_STATE
-    Py_CLEAR(__pyx_m);
-    #else
-    Py_DECREF(__pyx_m);
-    if (pystate_addmodule_run) {
-      PyObject *tp, *value, *tb;
-      PyErr_Fetch(&tp, &value, &tb);
-      PyState_RemoveModule(&__pyx_moduledef);
-      PyErr_Restore(tp, value, tb);
-    }
-    #endif
-  } else if (!PyErr_Occurred()) {
-    PyErr_SetString(PyExc_ImportError, "init tanglekit._enumcore");
-  }
-  __pyx_L0:;
-  __Pyx_RefNannyFinishContext();
-  #if CYTHON_PEP489_MULTI_PHASE_INIT
-  return (__pyx_m != NULL) ? 0 : -1;
-  #else
-  return __pyx_m;
-  #endif
 }
-/* #### Code section: pystring_table ### */
-/* #### Code section: cached_builtins ### */
 
-static int __Pyx_InitCachedBuiltins(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-
-  /* Cached unbound methods */
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_items.method_name = &__pyx_mstate->__pyx_n_u_items;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.type = (PyObject*)&PyDict_Type;
-  __pyx_mstate->__pyx_umethod_PyDict_Type_values.method_name = &__pyx_mstate->__pyx_n_u_values;
-  __pyx_mstate->__pyx_umethod_PyList_Type_pop.type = (PyObject*)&PyList_Type;
-  __pyx_mstate->__pyx_umethod_PyList_Type_pop.method_name = &__pyx_mstate->__pyx_n_u_pop;
-  return 0;
-}
-/* #### Code section: cached_constants ### */
-
-static int __Pyx_InitCachedConstants(__pyx_mstatetype *__pyx_mstate) {
-  __Pyx_RefNannyDeclarations
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  __Pyx_RefNannySetupContext("__Pyx_InitCachedConstants", 0);
-
-  /* "tanglekit/_enumcore.pyx":342
- *     s.n_entries = 0
- *     s.oom = 0
- *     s.max_bytes = int(os.environ.get("TANGLEKIT_MAX_TABLE_BYTES", "1200000000"))             # <<<<<<<<<<<<<<
- *     while s.pitch > 16 and (<long long> s.pitch) * s.pitch * sizeof(int) > s.max_bytes:
- *         s.pitch //= 2
-*/
-  __pyx_mstate_global->__pyx_tuple[0] = PyTuple_Pack(2, __pyx_mstate_global->__pyx_n_u_TANGLEKIT_MAX_TABLE_BYTES, __pyx_mstate_global->__pyx_kp_u_1200000000); if (unlikely(!__pyx_mstate_global->__pyx_tuple[0])) __PYX_ERR(0, 342, __pyx_L1_error)
-  __Pyx_GOTREF(__pyx_mstate_global->__pyx_tuple[0]);
-  __Pyx_GIVEREF(__pyx_mstate_global->__pyx_tuple[0]);
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_tuple;
-    for (Py_ssize_t i=0; i<1; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  __Pyx_RefNannyFinishContext();
-  return 0;
-  __pyx_L1_error:;
-  __Pyx_RefNannyFinishContext();
-  return -1;
-}
-/* #### Code section: init_constants ### */
-
-static int __Pyx_InitConstants(__pyx_mstatetype *__pyx_mstate) {
-  CYTHON_UNUSED_VAR(__pyx_mstate);
-  {
-    const struct { const unsigned int length: 12; } index[] = {{1},{10},{7},{6},{2},{9},{27},{12},{9},{20},{25},{1},{7},{12},{9},{18},{1},{14},{13},{12},{16},{1},{3},{5},{2},{7},{17},{18},{5},{9},{1},{2},{1},{7},{1},{4},{8},{1},{9},{7},{8},{3},{1},{6},{13},{5},{1},{3},{3},{1},{8},{10},{8},{4},{2},{2},{3},{1},{6},{7},{3},{8},{1},{4},{12},{1},{8},{7},{9},{3},{9},{15},{10},{3},{4},{2},{15},{32},{2},{2},{2},{1},{4},{12},{10},{5},{6},{13},{19},{6},{8},{5},{1},{1},{5},{6},{1},{1},{1},{2},{523},{2329},{2},{2},{2}};
-    #if (CYTHON_COMPRESS_STRINGS) == 2 /* compression: bz2 (1928 bytes) */
-const char* const cstring = "BZh91AY&SY\253h\303\021\000\002\005\177\377\377\377\377\377\377\243\375\345\277\377\377\376\277\377\377\373@@@@@@@@@@@@@\000@\000`\007=\367\001\352.Y\260j\207q\351@\203\3004\322% i\231CF i\215\014\324\363M&)\2244=&\365OP4\r\000\000\032i\2102h\006F\202I\000 \200h\202i\244b\006\200\0324\000\000\320\000\000\000\000\0004hh50h\224\247\223H\321\223@\365#\002`\000\000@\301\030\214LA\202i\202i\210\364F\312d\000\224\323P\242\221\344\215\006 h=#\3244mF\233&\364\321\024\000\320z\206\21526\246\323\3254h\007\250\323\324y\241\020 \300\000\000\000\000\000\000\000\002`\000\000\000#\000\0010\000%%'\352jz\231\244i\241\246\200\032\032i\223M\032\000\000\000\001\246\232di\240\000\000\000\001h\302\240\351\237\334n\306\360Fh7\316\016\027b\245\225\255-w\021`\\#\243)\014\003\013\026\200\260Z21\370\202~\251\024(\275e\006I\332\000\242\004t\200\334\"\256\201\324\003dH\3118)\033\\\300\303!@\221\\n\323f\274t\312*\260 \212\023\353Z-\375\326\263\31232j\245fH\014`\200\203)qL\274E\351\027\245\230X\255&\231\321\224\251A\231\225\035H\022f\217\r\367\324\200R\245\243D\231\205\"JAU5b\354RFa\204\231\253{\002\261QT\255tg\303=z\247\276\302\314\256\264\2212d\013\243t\222U\231H\340\201b\3030)\010\240\304\216j]K\340\272\221\"!\370P\025Yk(HE\360t\340\231\302\347\n\025y\0074\037\016\261\321\354b\2574\331%\"Q0\005\230\316\245\244\333]\255\031:e\324*\255\236Q\002X\024v@\344\333yq6\004\\\220\"@\004\003U\222\214\ryR\220$\214\037c\264\251svQ\374\277\217\323\312\373\037\365\365k\305\350\357fKBA\210\214B\332\201l\274\334\340l&]\025\246B\314|\344\007\001\201\200\341\354\036\302\316\001\232 \330\202\\5\232\3153s*\223\001~h\321h\366\376#\255\370`\026\253H\002F!\210a\304\346P\345+T4\265\212\006FJ\204HiK:\257[z\244\002G;\337\344\365\257\240\250\221EEy\217\256\272t(\211\316\262\325\253\337sgmAd\255\215\320\200A\014\332p8ftV)A\355R\224\256t\354\345\331q\237\227\223<o\025\263\323\317\203>0\220q\200\342\301\337\207 elZP\204\305\026\222\256N]\\\017\355\360)\024\nD\311\233\327\3764\372\276K\005\225\213'\200\367\276\276\024\002""\002\206b\nEt;d\022\305\206P9\272\335FH\310\203`\203w\271)\264\321m\322\276\202\"8\"F\222\n\320\274\367\267T&R\213i;`W0\214\004,0\\\037\241iO\347\367I\367e\214,\330\375\342\255\245\224\014\004\226\316IGxK\037\233\344\362\210\321\320\"4 \320aZV&e\025\033STG\226\271d7e\223\033\201\253eAX\246}m\320\321\257wI\330eG\364\240B\255\375\320w!\215V\236qgFs8s\343\233W\031\277\321\274\331\225\305\316\325\303MI\367\261\226\022\311\261\351\376\256\337P\253\025O\270\245s\263\224v\242\006\013\216egm\316\254W)\367pE\317!3\236\322\343\340\304\207)\313>[\237\033\257\342\307\205\215\326&p6\033\372\266R\023\346>9]\031\300\302\256M\266R\337\204\362'\245\271:\313\263P\351\315U\237\265\333\374+q\036\203g\320~o\300\254*\303\237\256qQL;\3219\3479HP\356\2021\311\303\006\310\036\257gL\367\300 \245\005\265\265U\203$\265*\234\274\332\223)\377\222\301\344\007\232 \345~k\255\203\237'\346\347I\271<wx\026\352\210\002\344\tp\330k\300\332m\301\000\272\003\001\014(v\177\211\303\302\343\311\2301fg\346\001\252\234\350\311\031\267\205f\317f!]\3237s:\375\263\234x\255\232\234\032\226\264k[\215\246\3158\\\354\036\345\253f\250KI\027q<\327(r\355\rZ\266\361\323\034\233\013\335\213`\324\344\3546\001\302\013,\225M\333\372\355u\354l\347::b\237*\232\r\017\032\032G\247]}\243*\276\306\365V\376\223O$\211\242U\250n9W\016\320\345\275\265a\226\276nWk\234\326\352cq\203\016\217\037\001\201&1\312\343\"}\233\016\031\255];T.\232r\320\335\263\213\274\320\330P\0226\216C\332@\236\352C1M\205a\t\272\347\025Q=\203\202\024\037B\2251\302(\017E\t\035\230>\356Wa\314\317\266\022\337v\246\354\275\377\306\"\250\022\346\362<\354\324\014\276'\355\225\360W\370d\014V\004\205\333^>\0170\331\2249I\221\363\321\265\006\336\362\217*S\025\346\336n\334\250\207\t\250\032g[\237\322\244|\3355YA\032HI(\n\r\002\027c\365\343\n\271_\206\206\213\010\331\341\nQ\200^i\355\013\001\0071|<\327\213\223\201\306\nL\243\006\345F\177\233\272[b\217\3024\202}i\206\301\216\023\335tH\225\023\2264\260\032\315\374\210:T\251\246s\364\360\341\302\026\264\225dLB\232k\215\031T""N\204\241Q\230\301E\010\301\000\013\002\217ku\350\272?*-\005h[e\010\323\247\270\350\224vusz\tF0M\343i\233\224\310\365\252\026\211J\222\025\310`B\2767\311\327\227\013_],\312\221\026t0;Vu\216dc\203j\022\311\0221E2Tz7F\241r/\241{Az\221$\211\261;\021\357g\205\305\306)\367q\224\n\210AdN\017KWa]q\212d\376S@\322\356_\321\216%\346L\230\314u3\224\344\3021;\014\377\215\0352\365\3201\"Pl\262D\232J\374\214\350j+\256\215\305\024I\010\313?\030\272?\326-Y/\233\311\242h\353RYu\313\016\252\273a9S\023\274\313\350\026\355\220\204\251R\240\021D\242\310\230\317\264\320\336\344\014\031\223sI\024u\325\205\210$\237VA9\026[\006\335\234\267j\275\201\210Ew]\013h\272:a\204\307\364bZp\2062\0144\367\301p|\022^R\034\222!\004\275\375\321\020\244t\203\321\222ELa\317n\343CA\0321g8F\373\354\350\205\311\007\371\217-\215\303\261\320\023\264M,\262\350=\325\342\214\22222k\221aF\025t\311\013\325\307\352V\\n^.=fbqF\035\232\016\r\314,\214\001q\304\325\340U\253w*\2473\022\241\251\271}4\327\374k\361./\207/e\254\234\345Lb\027\224\314\036!X$[\230\245\312c\2345jw\212\337\255]UH\246D0OB\010\224p\214\307\355AA \004\n\267?rV\025\225d\275&\231\352\354\267\275]\n\320J\022\305n\266\246{M\016\322\275-\3055\006@\362\013\335\022Y\244\224\200C\030r\220YU\352\021/\004\305\n\010\256\364MC\324:\322\251\206\231/\002e\222\031\236\232&\207\371\246v\t\377\213\271\"\234(HU\264a\210\200";
-    PyObject *data = __Pyx_DecompressString(cstring, 1928, 2);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #elif (CYTHON_COMPRESS_STRINGS) != 0 /* compression: zlib (1997 bytes) */
-const char* const cstring = "x\332\235VMS\333h\022\036\363\2218;\236\214\205m \301L\020\204P{\030f\r\024\311VMeK\030\007\262\223\231\215\3010\231\375(\225,\013\320\304\310\266^\031\314lm*G\037u|\217:\352\250\243\216>\372\230\243\216\376\t\363\023\346\351W\306@\206\324n-e\244\367\253\373}\272\373\351n\375\245\260\366\247\341_\315dZ\265n\030\026=\217u\223\305\243\032\263\365o\034\315:\256\033oM\347\033\325\260\332\247z\3036V\233\027\235\242\362Z-\275)\226J\333\245\355\342\337\276\177\375\252T)m\253\352\353\213\016\376\267M\335Q\1770:\316\236qTQ~\330yU\372\356eE\375^y\243V\224\255W%u\353\247Ji_\323T\275\321\266\034U\325,\253\341h\216\201\221\255\307\213\032\273\260t\263\261\212\353\032m\307\264\014V\255\032G\270\033 \034\333\3044\236\235\032\366\361h\302\352\r\207UmM\177k8*#\215\014\200u\255\211\237j\352\272n\332z\335`\252\252\3275\306\324c\3031\035\343\224\246\270@5-\325\201\254Q\205\274^o0C\267\033\214\231\3261\253\325j\360\315\231i7\254\243\243\272\006\304GmKW\325\343c\303\212/\305\300\3504\001\305b\252\3258'\315\346\251\006d\252\311\324\221\rt\033\373\371\255qQ?a\270\366T\303\225\370;m\324\332u\203F\226v\2127T9\326/\r\006\241fS\263apSs\034\303\266\232\215f\323n\034\333\006c\255V[\253\251*\236\365X\310\266\215\272Z7\231\203\267V5\352\364r\314\206\305\354\023f[\252\246;\346\031T\250\r\214\353u\265\251\2316\255\0175\333\215s\374\230\335\266\333\226\010\263a\013\351\217\246\253\337\326\033\272Vg\317W\207\006\333\347v\307\276`\340\013\3000x=\006\203Q\3158\322\332u'\216\002\036m\306\316\r\243\251\352'\340\223Q\033\261ju\304*G\203\377\340[:\217\347\t\000\265\317\316\264z\333\020\017v\336\271\370\205\275O\014&$7\343*n9\232\310\271o\370\241W\360\266\274\252?\346/\372J41\343v\370\231W\366~\016\306\002\371\327;\237M\346\\\254NF\311TW\241\307.\246\251\264\233psn\215\313|\203;C\371I\277\022H\201\034oN\271k\356\001\177\3145lox-\241\274\024d\203r\240E)\311\225H\323K\234 \005\314\023B\223bZ\210\322\323\256\346\2669n\301\340\306F\326\335\346\t>\305\327x\305\313z\025_\202\322-\277J@\243t\316\255p\211/\362-^""\365\306\274\307\236\341o\370-l-\006[A5L\220\364\013\276\304\367\261If\345\026xk\220\235\345\023\274\310[\264Y\3429\240mE\331\031\327\346\031\\?;\217\303\223^yp9\210\262\017\371\023/\201\253\367\375D4\373\025\216\237y\207~\301\177\021\310A\201\316\223+\225\377\371\330\214\313\000\250\034\315\316\361u\200ND\371EO\3666}ip9\370\275\0132\356&\254$3\022Q\366\021\340\2462\360\364\036bf{\031(M}\331u\334u\010\341d\301\335\345\312@\014v \233\374\262\333\032P\024\273\345(~\021\025r\356>|*\375\232\374lr\331+\"R)\370K\243\270\337y\377SWC\344\337\377\303M\\{\375\275\333\372\375\353_\256L\257\037\273J<[r\313n\225'\275\tO\371\260\274\325\303\346\037\272r\367\251\273\350\026\021\332W~\302\237\r\246\202B\260\023\256\205\377\354O\365\013}p\353^wNP\rJ;\356\031/\303q\347\340U\"\326\274\213\360\301\005|\307[C(FK\213\037i\023[\207\335g\302O2\177\026\237\246\333\013\335\027\356\n\317\203\332'\340L\"\230\t\307BA\360t\327&2\177x\370\265\177\020<\006A\005\033f\340\341\211\373]\303\335p[\003\342\177\326\025\374/\341\254\346\266(*\237\003\216\202\000\302\3516\030\217\360\314\270\357\020\352\3158\017r\356\217\264=H\336\213R\017\005v\021\237\226{\017\034.\360]d\215vC\004`\276\310\307\307\362\261\342y\362\002i*\307,\200\302(=\207#\333 \230\344-Ar\335\257\005\313A\3532;\210\034\207\3363\320\255\010\372'\256\230\315p\272\214\013\301\371\224\247`\250\373\031\177\033~\220\202\245\3400|\326+\364\212\275V?\021'\000\000F\263\217\370;\3770\330\014\245P\216D\252\000\023\327=)J?\340\322'qd\210\177\2102\345\3255\251i\257\003@\343\010\223r\231c\227\302eJ\212\362%\306\301\247\204f\371$?@b\254\003\272\344/\373v E\263y\021\177\311_\362\367\203\211@A\201\321\303\351\260\003K\306\005\253\220\\k|\017P\362K\336\363`:8\013\313\241FbW\227g\257.\247\232\"\303\224\243`7T\302\375^\242\227\351)\275\203\376\"4}EIY\240\034\211\322\224\324-\020D$\327K\322\357%Q\343d\241+\312\346(Zw\221\3362\3773\004\376\023\024\203V\230\354\215\367\ndz\213\177\016\033\020zi@t\210\322\217b]\013\204(J\313\200%\013\315Q\366\201(i\333\250>\007""\300U\360\377\n\353\244p\245'\365\226z\373\375\304 +DQj\020Y\217\371O\340\252\215\240\035*\303\010Q\354\245\370\312\27388.\256\235}\020\273R\024\036\312'\262\211\241\224\026\341\321\014\034\235\237\247xT\010F,pcB\305\2128\220\237\037\300\213/\274\225\241\363\357\"\366X(y9\001e\311/\373f`\2078\270\340\335\361\2161\325\241}',\320B\312W\206\013\333a\002\026-!o\363\217P\303\246\274B\264\260\342\275\003#7a\245L\207'\206t\205*yd\252|sr\rJ|o&,\206\347=\340\225\207\320u?\213-\315gH\361Z(\207\005\034\000\342'P\320\242:M\276x\351\355a\222\024\r%\277\014j\300\025\344=\362\031\234\271\003\3235~\341\217\373\205\370\374\256`\203\030~'`ds\224\303S\350o\242\311]Un\312\333a!FbP\307\003I\256\272\216\227\270-J\264B\231\260'\202\234\301e\216\277\346\227\311Xe\370x@j\327\250\206\013\326Q!Bk\247\305oGBL4\366\354\034\177\356O\373g\242\005\247\245O\326\232\377\216[4\332'\004\031UM\010\2702UI>\216f\336\366J\224C\261\212\362\355F\307\205<^\031\302\037\303\267B\025\246\0179/\017Iv\033\203\253\344\177\177\0075\241\0300T\246\230\317w\204\033c\337]\265\360\253\340g\340\002a\242\t\177|M\202(y\353 \310<\245\335\034U\313\021\346\377\377RQ6o\317/Y\344\025\321T\036\255|<\215k\025u\362-\321\370n\221\030\2253l-\014K\330>\300\211\006\022\254\243>dQ\267\306{\233}\251/\367\327\373\372\207\362\036\031v\237\374\351\375\021\265M\213-K\306\336\276^\216\242\324\027\240\305\275\373\361\007\302\260\321\201Y\242i\335\025\001F\002\340\240\233E\177?\"n\320\367Ir\n\335\377zg\244\230+#\226\320w\307G\2153!\024\200l$y\363\013/\226\023\274x\212\265\247\260\235\276\037\023\024@\361\201\2718,\362\231P\211\253l\213|\rXI\"\342\n\204\037\017\243\262\211\214\257\0049\320\035\020\376\r,I\352\024\303O |\332|z\300\345\000H\177\003j#\212\302";
-    PyObject *data = __Pyx_DecompressString(cstring, 1997, 1);
-    if (unlikely(!data)) __PYX_ERR(0, 1, __pyx_L1_error)
-    const char* const bytes = __Pyx_PyBytes_AsString(data);
-    #if !CYTHON_ASSUME_SAFE_MACROS
-    if (likely(bytes)); else { Py_DECREF(data); __PYX_ERR(0, 1, __pyx_L1_error) }
-    #endif
-    #else /* compression: none (3551 bytes) */
-const char* const bytes = "?1200000000disableenablegcisenabledsrc/tanglekit/_enumcore.pyxCAP_EXCEEDEDCOMPLETED__Pyx_PyDict_NextRefTANGLEKIT_MAX_TABLE_BYTESaa_count__annotate__arc_countasyncio.coroutinesbbefore_entriesbefore_mergesbefore_slotsbracket_statesumccapcap_icccircles__class_getitem__cline_in_tracebackclosecrossingsdddeenvironfflat__func__ggen_slotsgenexprgens_nowgetiimages_is_coroutineitemsjkeylhsm__main____module____name__nextnzosoutpparentpatternpopprogressqquad__qualname__rrel_listrelabelrelationsrhsrn_activern_on_all_pairsrn_patternrowrowsrurun_enumerationrun_enumeration.<locals>.genexprrwrxryssend__set_name__setdefaultstatestatussweep_changedtanglekit._enumcoretarget__test__throwuvvaluevalueswxyzs\200\001\340\004\021\220\023\220A\220Q\330\004\025\220X\230V\2401\240B\240b\250\002\250\"\250A\330\004\027\220x\230v\240Q\240j\260\002\260!\360\006\000\005\025\220A\330\004\005\330\010\014\210A\330\010\014\210H\220A\330\014\020\220\001\220\025\220d\230!\2304\230t\2401\240B\240b\250\005\250T\260\021\260!\330\014\020\220\001\220\022\2202\220U\230$\230a\230t\2404\240q\250\002\250\"\250E\260\024\260Q\260a\330\014\021\220\021\330\010\014\210I\220U\230!\2304\230s\240!\330\014\020\220\005\220U\230!\2301\330\020\026\220a\220u\230A\330\014\026\220a\330\014\020\220\005\220U\230!\2301\330\020\024\220D\230\001\230\022\2302\230T\240\024\240T\250\021\250\"\250B\250b\260\002\260!\330\020\025\220T\230\021\230\"\230B\230b\240\002\240$\240e\2504\250q\260\002\260\"\260B\260b\270\001\330\020\024\220F\230#\230S\240\002\240!\360\006\000\025 \230q\340\024\030\230\004\230C\230q\330\020\024\220E\230\025\230a\230q\330\024\027\220r\230\023\230A\330\030\035\230S\240\005\240Q\340\030\035\230S\240\005\240Q\330\024\032\230&\240\001\240\024\240S\250\001\330\030\036\230a\230v\240V\2501\250F\260!\2601\330\030\035\230V\2401\240A\330\024\032\230&\240\001\240\024\240S\250\001\330\030\036\230a\230v\240V\2501\250F\260!\2601\330\030\035\230V\2401\240A\330\024\027\220s\230#\230Q\330\030\033\2303\230b\240\001\330\034\"\240!""\2406\250\021\340\034\"\240!\2406\250\021\330\014\026\220a\330\014\020\220\005\220U\230!\2301\330\020\023\2206\230\021\230#\230S\240\001\330\024\037\230q\330\014\023\2202\220R\220x\230r\240\023\240A\330\014\017\210t\2203\220a\330\020\023\2201\220H\230A\340\020\023\2201\220G\2301\330\010\017\210q\340\010\014\210A\210Q\330\010\014\210A\210Q\200\001\340\004\025\220S\230\001\230\021\360\010\000\005%\240C\240q\250\014\260B\260a\360\006\000\005\006\200Y\210a\330\004\005\200[\220\001\330\004\005\200[\220\001\330\004\005\200Z\210q\330\004\005\200Z\210q\330\004\005\200Z\210q\330\004\005\200]\220!\330\004\005\200W\210A\330\004\005\200]\220#\220Q\220b\230\010\240\004\240A\320%B\300!\330\004\n\210!\2107\220\"\220C\220u\230L\250\001\250\030\260\022\2601\260G\2702\270\\\310\022\3101\310A\330\010\t\210\033\220A\330\004\005\200Z\210x\220v\230Q\230a\230w\240b\250\001\330\004\005\200W\210H\220F\230!\2301\230G\2402\240Q\330\004\005\200W\210H\220F\230\"\230L\250\001\250\030\260\022\2601\260G\2702\270Q\330\004\005\200V\2108\2206\230\021\230!\2308\2402\240Q\330\004\n\210!\2101\210F\220'\230\034\240Q\240h\250b\260\001\260\027\270\002\270!\360\006\000\005\020\210r\220\025\220d\320\032-\250U\260$\260a\330\020\024\220E\230\027\240\001\330\004\016\210e\2204\220q\340\004\005\330\010\024\220A\330\010\014\210E\220\025\220a\220q\330\014\020\220\013\2301\230A\230Q\330\014\017\210r\220\022\2201\330\020\027\220~\240V\2506\260\021\260!\330\014\025\220W\230A\230Q\340\010\t\330\014\032\230!\2301\230A\330\014\017\210q\220\t\230\022\2301\230H\240B\240a\330\020\027\220~\240V\2506\260\021\260!\360\006\000\r\034\2301\230A\330\014\034\230A\230Q\330\014\035\230Q\230a\330\014\025\220Q\330\014\020\220\005\220W\230A\330\020\033\2301\230D\240\001\240\021\240#\240V\2503\250d\260%\260q\330\020\024\220D\230\001\230\021\230#\230V\2408\2501\250C\250q\260\001\330\020\024\220E\230\025\230a\230s\240#\240Q\240a\330\024\030\230\014\240A\240Q\240c\250\023\250D\260\001\260\021\260#\260V\2708\3001\300C\300q\310\001\330\024""\027\220r\230\022\2301\330\030\037\230~\250V\2606\270\021\270!\330\024\030\230\004\230A\230Q\230c\240\021\330\020\031\230\021\330\020\033\2301\230D\240\001\240\021\240#\240V\2503\250d\260%\260q\330\020\023\2203\220a\220u\230C\230q\330\024\030\230\004\230A\230Q\230c\240\026\240x\250q\260\003\2601\260A\330\024\027\220r\230\023\230D\240\001\240\021\240#\240Q\330\030\035\230Q\230a\230s\240#\240Q\340\024\030\230\004\230A\230Q\230c\240\026\240x\250q\260\003\2601\260A\330\024\030\230\005\230U\240!\2403\240c\250\021\250%\250r\260\021\330\030\034\230L\250\001\250\021\250#\250S\260\004\260A\260Q\260c\270\026\270x\300q\310\003\3101\310A\330\030\033\2302\230R\230q\330\034#\240>\260\026\260v\270Q\270a\330\030\034\230D\240\001\240\021\240#\240Q\330\024\035\230Q\230a\230s\240#\240T\250\021\250!\2503\250f\260H\270A\270S\300\001\300\023\300A\300U\310\"\310A\330\036\"\240!\2401\240C\240q\330\020\036\230a\230q\240\001\330\020\023\2201\220I\230R\230q\240\010\250\002\250!\330\024\035\230Q\330\024\025\330\014\020\220\007\220s\230!\2309\240C\240}\260C\260q\270\010\300\003\3001\330\024\027\220q\230\013\2403\240a\330\020\021\340\014\017\210q\330\020\037\230q\240\001\330\020 \240\001\240\021\330\020!\240\021\240!\330\020\023\2201\330\024\031\230\021\230\"\230D\240\005\240U\250!\2501\250J\260c\270\021\270'\300\021\300#\300S\310\001\340\024\037\230q\240\001\240\024\240Q\240a\240s\250&\260\003\2604\260u\270A\330\020\031\230\021\330\020\024\220E\230\021\330\024\027\220q\230\007\230q\240\003\2403\240a\330\030\031\330\024\030\230\005\230Q\330\030\033\2301\230G\2401\240C\240s\250\"\250C\250r\260\023\260A\330\034\035\330\030\035\230T\240\021\240!\2403\240a\330\030\035\230T\240\021\240!\2403\240a\330\030\033\2303\230c\240\021\330\034\035\340\030\034\230F\240'\250\021\250#\250S\260\007\260q\330\030\034\230E\240\025\240a\240s\250#\250Q\250i\260r\270\021\330\034 \240\006\240g\250Q\250c\260\023\260G\2701\330\034 \240\014\250A\250Q\250c\260\023\260D\270\001\270\021\270#\270Q\330\034\037\230r\240\022\2401""\330 '\240~\260V\2706\300\021\300!\330\034 \240\004\240A\240Q\240c\250\021\330\034!\240\024\240Q\240a\240s\250!\330\034!\240\024\240Q\240a\240s\250!\330\030\034\230F\240'\250\021\250#\250Q\250i\260r\270\023\270C\270w\300a\330\030!\240\021\240!\2403\240c\250\024\250Q\250a\250s\260$\260d\270!\2701\270C\270q\330\030&\240a\240q\250\001\330\030\033\2301\230I\240R\240q\250\010\260\002\260!\330\034%\240Q\330\034\035\330\024\027\220q\330\030\031\330\020\024\220G\2303\230a\230y\250\003\2501\330\030\033\2301\230H\240C\240q\330\030\033\2301\230K\240s\250!\330\024\025\360\006\000\r\022\220\021\330\014\021\220\021\330\014\020\220\005\220U\230!\2301\230A\330\020\023\2201\220G\2301\230C\230s\240!\330\024\025\330\020\024\220E\230\025\230a\230q\240\001\330\024\027\220q\230\007\230q\240\003\2403\240a\330\030\031\330\024\027\220q\230\004\230A\230R\230q\240\001\240\023\240C\240t\2502\250Q\330\030\034\230A\330\030\034\230A\330\030\031\330\020\023\2202\220S\230\001\330\024\025\330\014\017\210r\220\023\220A\330\020\023\220<\230q\240\001\240\023\240C\240s\250\"\250A\330\024\033\230>\250\026\250v\260Q\260a\330\020\021\360\006\000\r\034\2301\230A\330\014\034\230A\230Q\330\014\035\230Q\230a\330\014\021\220\021\330\014\020\220\005\220U\230!\2301\230A\330\020\023\2201\220G\2301\230C\230s\240!\330\024\025\220T\230\021\230&\240\001\330\024\032\230!\330\014\021\220\021\220!\2204\220q\230\003\2304\230u\240E\250\021\250!\330\014\020\220\005\220Q\330\020\023\2201\220G\2301\230C\230s\240!\330\024\025\330\020\024\220F\230!\2301\230C\230s\240!\330\020\023\2202\220S\230\002\230$\230b\240\003\2401\330\024\031\230\021\230!\2303\230c\240\021\330\020\024\220E\230\021\330\024\027\220q\230\007\230q\240\003\2403\240b\250\003\2501\250G\2601\260C\260s\270!\330\030\031\330\024\030\230\006\230a\230q\240\003\2403\240a\330\024\027\220r\230\023\230A\330\030!\240\021\240!\2403\240c\250\023\250A\330\014\035\230Q\230i\240s\250-\260s\270!\2708\3003\300a\330\035 \240\001\240\033\250C\250q\330\014\020\220\005\220Q\330\020""\024\220E\230\021\330\024\027\220q\230\007\230q\240\003\2403\240b\250\003\2501\250G\2601\260C\260s\270!\330\030\031\330\024\030\230\006\230a\230q\240\003\2403\240a\330\024\027\220r\230\022\2301\330\030\031\330\024\030\230\005\230Q\330\030\033\2301\230G\2401\240C\240s\250!\330\034\035\330\030\034\230F\240!\2401\240C\240s\250!\330\030\034\230F\240!\2401\240C\240s\250!\330\030\033\2302\230R\230r\240\023\240B\240b\250\001\330\034\035\330\030\034\230F\240!\2401\240C\240s\250!\330\030\033\2302\230R\230q\330\034\035\330\030 \240\001\240\021\240#\240S\250\003\2506\260\021\260!\2603\260c\270\024\270S\300\003\3006\310\021\310!\3103\310c\320QR\330\014\020\220\016\230c\240\021\240)\2503\250a\330\024\027\220q\230\010\240\003\2401\330\024\027\220q\230\013\2403\240a\330\020\021\330\014\r\360\006\000\t\016\210Q\330\010\014\210E\220\025\220a\220q\230\001\330\014\017\210q\220\007\220q\230\003\2303\230a\330\020\021\220\024\220Q\220f\230A\330\020\026\220a\330\010\022\220!\330\010\014\210E\220\025\220a\220q\330\014\023\2201\220A\220T\230\021\230&\240\001\330\010\017\210q\330\010\014\210E\220\025\220a\220q\330\014\020\220\001\220\024\220Q\220a\330\014\022\220!\330\014\020\220\005\220U\230!\2301\330\020\024\220A\220T\230\021\230!\330\020\023\2207\230!\2307\240!\2404\240q\250\001\250\023\250A\250T\260\021\260\"\260A\260Q\260c\270\023\270A\330\014\020\220\007\220q\230\005\230Q\230a\330\010\021\220\021\220'\230\021\230$\230a\230q\240\003\2406\250\024\250T\260\025\260a\330\010\017\210{\230&\240\010\250\001\250\021\340\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\330\010\014\210A\210Q\210a\230!\260a\220q";
-    PyObject *data = NULL;
-    CYTHON_UNUSED_VAR(__Pyx_DecompressString);
-    #endif
-    PyObject **stringtab = __pyx_mstate->__pyx_string_tab;
-    Py_ssize_t pos = 0;
-    for (int i = 0; i < 100; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyUnicode_DecodeUTF8(bytes + pos, bytes_length, NULL);
-      if (likely(string) && i >= 7) PyUnicode_InternInPlace(&string);
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-      stringtab[i] = string;
-      pos += bytes_length;
-    }
-    for (int i = 100; i < 105; i++) {
-      Py_ssize_t bytes_length = index[i].length;
-      PyObject *string = PyBytes_FromStringAndSize(bytes + pos, bytes_length);
-      stringtab[i] = string;
-      pos += bytes_length;
-      if (unlikely(!string)) {
-        Py_XDECREF(data);
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    Py_XDECREF(data);
-    for (Py_ssize_t i = 0; i < 105; i++) {
-      if (unlikely(PyObject_Hash(stringtab[i]) == -1)) {
-        __PYX_ERR(0, 1, __pyx_L1_error)
-      }
-    }
-    #if CYTHON_IMMORTAL_CONSTANTS
-    {
-      PyObject **table = stringtab + 100;
-      for (Py_ssize_t i=0; i<5; ++i) {
-        #if PY_VERSION_HEX >= 0x030F0000
-        PyUnstable_SetImmortal(table[i]);
-        #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-        if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-        #if PY_VERSION_HEX < 0x030E0000
-        if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-        #else
-        if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-        #endif
-        {
-          Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-        }
-        #else
-        if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-        Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-        #endif
-      }
-    }
-    #endif
-  }
-  {
-    PyObject **numbertab = __pyx_mstate->__pyx_number_tab + 0;
-    int8_t const cint_constants_1[] = {0,1};
-    for (int i = 0; i < 2; i++) {
-      numbertab[i] = PyLong_FromLong(cint_constants_1[i - 0]);
-      if (unlikely(!numbertab[i])) __PYX_ERR(0, 1, __pyx_L1_error)
-    }
-  }
-  #if CYTHON_IMMORTAL_CONSTANTS
-  {
-    PyObject **table = __pyx_mstate->__pyx_number_tab;
-    for (Py_ssize_t i=0; i<2; ++i) {
-      #if PY_VERSION_HEX >= 0x030F0000
-      PyUnstable_SetImmortal(table[i]);
-      #elif CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-      if ((PY_SSIZE_T_MAX <= _Py_IMMORTAL_REFCNT_LOCAL)) break;
-      #if PY_VERSION_HEX < 0x030E0000
-      if (_Py_IsOwnedByCurrentThread(table[i]) && Py_REFCNT(table[i]) == 1)
-      #else
-      if (PyUnstable_Object_IsUniquelyReferenced(table[i]))
-      #endif
-      {
-        Py_SET_REFCNT(table[i], ((Py_ssize_t)_Py_IMMORTAL_REFCNT_LOCAL + 1));
-      }
-      #else
-      if ((PY_SSIZE_T_MAX < _Py_IMMORTAL_INITIAL_REFCNT)) break;
-      Py_SET_REFCNT(table[i], _Py_IMMORTAL_INITIAL_REFCNT);
-      #endif
-    }
-  }
-  #endif
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: init_codeobjects ### */
-typedef struct {
-    unsigned int argcount : 3;
-    unsigned int num_posonly_args : 1;
-    unsigned int num_kwonly_args : 1;
-    unsigned int nlocals : 6;
-    unsigned int flags : 10;
-    unsigned int first_line : 9;
-} __Pyx_PyCode_New_function_description;
-/* NewCodeObj.proto */
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-);
-
-
-static int __Pyx_CreateCodeObjects(__pyx_mstatetype *__pyx_mstate) {
-  PyObject* tuple_dedup_map = PyDict_New();
-  if (unlikely(!tuple_dedup_map)) return -1;
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 352};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_g};
-    __pyx_mstate_global->__pyx_codeobj_tab[0] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_tanglekit__enumcore_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591__2, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[0])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 352};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_g};
-    __pyx_mstate_global->__pyx_codeobj_tab[1] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_tanglekit__enumcore_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_a, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[1])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {0, 0, 0, 1, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS|CO_GENERATOR), 354};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_g};
-    __pyx_mstate_global->__pyx_codeobj_tab[2] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_tanglekit__enumcore_pyx, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_kp_b_iso88591_q, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[2])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {2, 0, 0, 20, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 25};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_crossings, __pyx_mstate->__pyx_n_u_arc_count, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_flat, __pyx_mstate->__pyx_n_u_parent, __pyx_mstate->__pyx_n_u_state, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_y, __pyx_mstate->__pyx_n_u_rx, __pyx_mstate->__pyx_n_u_ry, __pyx_mstate->__pyx_n_u_a_count, __pyx_mstate->__pyx_n_u_circles, __pyx_mstate->__pyx_n_u_a_2, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_cc, __pyx_mstate->__pyx_n_u_dd, __pyx_mstate->__pyx_n_u_out, __pyx_mstate->__pyx_n_u_quad, __pyx_mstate->__pyx_n_u_key};
-    __pyx_mstate_global->__pyx_codeobj_tab[3] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_tanglekit__enumcore_pyx, __pyx_mstate->__pyx_n_u_bracket_statesum, __pyx_mstate->__pyx_kp_b_iso88591_AQ_XV1Bb_A_xvQj_A_A_HA_d_4t1Bb, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[3])) goto bad;
-  }
-  {
-    const __Pyx_PyCode_New_function_description descr = {5, 0, 0, 57, (unsigned int)(CO_OPTIMIZED|CO_NEWLOCALS), 325};
-    PyObject* const varnames[] = {__pyx_mstate->__pyx_n_u_m, __pyx_mstate->__pyx_n_u_relations, __pyx_mstate->__pyx_n_u_rn_pattern, __pyx_mstate->__pyx_n_u_rn_on_all_pairs, __pyx_mstate->__pyx_n_u_cap, __pyx_mstate->__pyx_n_u_s, __pyx_mstate->__pyx_n_u_cap_i, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_j, __pyx_mstate->__pyx_n_u_a_2, __pyx_mstate->__pyx_n_u_b, __pyx_mstate->__pyx_n_u_u, __pyx_mstate->__pyx_n_u_w, __pyx_mstate->__pyx_n_u_ru, __pyx_mstate->__pyx_n_u_rw, __pyx_mstate->__pyx_n_u_x, __pyx_mstate->__pyx_n_u_y, __pyx_mstate->__pyx_n_u_target, __pyx_mstate->__pyx_n_u_v, __pyx_mstate->__pyx_n_u_p, __pyx_mstate->__pyx_n_u_q_2, __pyx_mstate->__pyx_n_u_r, __pyx_mstate->__pyx_n_u_c, __pyx_mstate->__pyx_n_u_d, __pyx_mstate->__pyx_n_u_e, __pyx_mstate->__pyx_n_u_f, __pyx_mstate->__pyx_n_u_nz, __pyx_mstate->__pyx_n_u_status, __pyx_mstate->__pyx_n_u_before_slots, __pyx_mstate->__pyx_n_u_before_merges, __pyx_mstate->__pyx_n_u_before_entries, __pyx_mstate->__pyx_n_u_progress, __pyx_mstate->__pyx_n_u_rn_active, __pyx_mstate->__pyx_n_u_gen_slots, __pyx_mstate->__pyx_n_u_zs, __pyx_mstate->__pyx_n_u_rel_list, __pyx_mstate->__pyx_n_u_pattern, __pyx_mstate->__pyx_n_u_lhs, __pyx_mstate->__pyx_n_u_rhs, __pyx_mstate->__pyx_n_u_gens_now, __pyx_mstate->__pyx_n_u_sweep_changed, __pyx_mstate->__pyx_n_u_relabel, __pyx_mstate->__pyx_n_u_rows, __pyx_mstate->__pyx_n_u_row, __pyx_mstate->__pyx_n_u_images, __pyx_mstate->__pyx_n_u_lhs, __pyx_mstate->__pyx_n_u_rhs, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_genexpr, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_g, __pyx_mstate->__pyx_n_u_i, __pyx_mstate->__pyx_n_u_g};
-    __pyx_mstate_global->__pyx_codeobj_tab[4] = __Pyx_PyCode_New(descr, varnames, __pyx_mstate->__pyx_kp_u_src_tanglekit__enumcore_pyx, __pyx_mstate->__pyx_n_u_run_enumeration, __pyx_mstate->__pyx_kp_b_iso88591_S_Cq_Ba_Ya_Zq_Zq_Zq_WA_Qb_A_B_7, tuple_dedup_map); if (unlikely(!__pyx_mstate_global->__pyx_codeobj_tab[4])) goto bad;
-  }
-  Py_DECREF(tuple_dedup_map);
-  return 0;
-  bad:
-  Py_DECREF(tuple_dedup_map);
-  return -1;
-}
-/* #### Code section: init_globals ### */
-
-static int __Pyx_InitGlobals(void) {
-  /* PythonCompatibility.init */
-  if (likely(__Pyx_init_co_variables() == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CommonTypesMetaclass.init */
-  if (likely(__pyx_CommonTypesMetaclass_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CachedMethodType.init */
-  #if CYTHON_COMPILING_IN_LIMITED_API
-  {
-      PyObject *typesModule=NULL;
-      typesModule = PyImport_ImportModule("types");
-      if (typesModule) {
-          __pyx_mstate_global->__Pyx_CachedMethodType = PyObject_GetAttrString(typesModule, "MethodType");
-          Py_DECREF(typesModule);
-      }
-  } // error handling follows
-  #endif
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* CythonFunctionShared.init */
-  if (likely(__pyx_CyFunction_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  /* Generator.init */
-  if (likely(__pyx_Generator_init(__pyx_m) == 0)); else
-  
-  if (unlikely(PyErr_Occurred())) __PYX_ERR(0, 1, __pyx_L1_error)
-
-  return 0;
-  __pyx_L1_error:;
-  return -1;
-}
-/* #### Code section: cleanup_globals ### */
-/* #### Code section: cleanup_module ### */
-/* #### Code section: main_method ### */
-/* #### Code section: utility_code_pragmas ### */
-#ifdef _MSC_VER
-#pragma warning( push )
-/* Warning 4127: conditional expression is constant
- * Cython uses constant conditional expressions to allow in inline functions to be optimized at
- * compile-time, so this warning is not useful
- */
-#pragma warning( disable : 4127 )
-#endif
-
-
-
-/* #### Code section: utility_code_def ### */
-
-/* --- Runtime support code --- */
-/* Refnanny */
-#if CYTHON_REFNANNY
-static __Pyx_RefNannyAPIStruct *__Pyx_RefNannyImportAPI(const char *modname) {
-    PyObject *m = NULL, *p = NULL;
-    void *r = NULL;
-    m = PyImport_ImportModule(modname);
-    if (!m) goto end;
-    p = PyObject_GetAttrString(m, "RefNannyAPI");
-    if (!p) goto end;
-    r = PyLong_AsVoidPtr(p);
-end:
-    Py_XDECREF(p);
-    Py_XDECREF(m);
-    return (__Pyx_RefNannyAPIStruct *)r;
-}
-#endif
-
-/* TupleAndListFromArray (used by fastcall) */
-#if !CYTHON_COMPILING_IN_CPYTHON && CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
+static int process_events(Table *t)
 {
-    PyObject *res;
-    Py_ssize_t i;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
+    while (t->ev_head < t->ev.len) {
+        int a = t->ev.v[t->ev_head], b = t->ev.v[t->ev_head + 1];
+        int ra = find(t, a), rb = find(t, b), c = get(t, ra, rb);
+        int z = -1, d, e, f, g, h;
+        long long seen = t->merges;
+        t->ev_head += 2;
+        /* involution: (a*b)*b = a */
+        TRY(set_entry(t, c, rb, ra));
+        for (;;) {
+            if (t->merges != seen) {
+                seen = t->merges;
+                ra = find(t, ra);
+                rb = find(t, rb);
+                c = find(t, c);
+            }
+            if ((z = next_z(t, ra, rb, z + 1)) < 0)
+                break;
+            d = get(t, ra, z);
+            if (d >= 0) {
+                /* entry as p*q in (p*q)*z = (p*z)*(q*z) */
+                f = get(t, rb, z);
+                if (f >= 0) {
+                    g = get(t, c, z);
+                    h = get(t, d, f);
+                    if (g != h) {
+                        TRY(confront(t, c, z, g, d, f, h));
+                        d = get(t, ra, z);
+                    }
+                }
+                /* entry as p*r in (p*q)*b = (p*b)*(q*b), q = z */
+                if (d >= 0 && (f = get(t, z, rb)) >= 0) {
+                    g = get(t, d, rb);
+                    h = get(t, c, f);
+                    if (g != h)
+                        TRY(confront(t, d, rb, g, c, f, h));
+                }
+            }
+            /* entry as q*r in (z*a)*b = (z*b)*(a*b) */
+            d = get(t, z, ra);
+            if (d >= 0 && (e = get(t, z, rb)) >= 0) {
+                g = get(t, d, rb);
+                h = get(t, e, c);
+                if (g != h)
+                    TRY(confront(t, d, rb, g, e, c, h));
+            }
+        }
     }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
+    t->ev_head = t->ev.len = 0;
+    return 0;
+}
+
+/* x*y for roots x and y, defining a fresh element if it is missing. */
+static int fill_product(Table *t, int x, int y)
+{
+    int v = get(t, x, y);
+    if (v >= 0)
+        return v;
+    if ((v = new_element(t)) < 0 || put(t, x, y, v) < 0)
+        return -1;
+    return v;
+}
+
+/* The most elements tracing lhs = rhs can create. */
+static Py_ssize_t trace_need(Py_ssize_t nl, Py_ssize_t nr)
+{
+    return nl - 1 + (nr > 1 ? nr - 2 : 0);
+}
+
+/* Trace lhs = rhs under env, a sequence of roots: fill every product
+   along both words, except that the last product of rhs is closed as a
+   deduction.  Filling never merges, so env and the values stay roots. */
+static int trace(Table *t, const int *lhs, Py_ssize_t nl, const int *rhs,
+                 Py_ssize_t nr, const int *env)
+{
+    int x = env[lhs[0]], y = env[rhs[0]];
+    Py_ssize_t i;
+    for (i = 1; i < nl; i++)
+        TRY(x = fill_product(t, x, env[lhs[i]]));
+    if (nr == 1)
+        return y != x ? merge(t, y, x) : 0;
+    for (i = 1; i < nr - 1; i++)
+        TRY(y = fill_product(t, y, env[rhs[i]]));
+    return set_entry(t, y, env[rhs[nr - 1]], x);
+}
+
+/* Renumber the live slots 0.. in discovery order.  Called between
+   traces, with no event queued; `held` (ids the caller keeps), the
+   generator slots, `traced_below` and the running pass's domain (where
+   a dead element becomes -1) are remapped. */
+static int compact(Table *t, int *held, int nheld)
+{
+    Py_ssize_t n = t->n_slots, live = 0, below = 0, i, j;
+    int *map = NULL;
+    RESIZE(map, (size_t)Py_MAX(n, 1) * sizeof(int));
     for (i = 0; i < n; i++) {
-        Py_INCREF(src[i]);
-        if (unlikely(__Pyx_PyTuple_SET_ITEM(res, i, src[i]) < (0))) {
-            Py_DECREF(res);
-            return NULL;
-        }
+        map[i] = t->parent[i] == i ? (int)live++ : -1;
+        below += i < t->traced_below && map[i] >= 0;
     }
-    return res;
-}
-#elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE void __Pyx_copy_object_array(PyObject *const *CYTHON_RESTRICT src, PyObject** CYTHON_RESTRICT dest, Py_ssize_t length) {
-    PyObject *v;
-    Py_ssize_t i;
-    for (i = 0; i < length; i++) {
-        v = dest[i] = src[i];
-        Py_INCREF(v);
+    for (i = 0; i < nheld; i++)
+        held[i] = map[find(t, held[i])];
+    for (i = 0; i < t->m; i++)
+        t->gens[i] = map[find(t, t->gens[i])];
+    for (i = 0; t->domain && i < t->n_domain; i++)
+        if (t->domain[i] >= 0)
+            t->domain[i] = map[t->domain[i]];
+    t->traced_below = below;
+    /* ids only move down, so each write lands at or before its read */
+    for (i = 0; i < n; i++) {
+        int *src = t->tab + (size_t)i * t->pitch, *dst;
+        if (map[i] < 0)
+            continue;
+        dst = t->tab + (size_t)map[i] * t->pitch;
+        for (j = 0; j < n; j++)
+            if (map[j] >= 0)
+                dst[map[j]] = src[j] < 0 ? -1 : map[find(t, src[j])];
+        for (j = live; j < n; j++)
+            dst[j] = -1;
     }
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyTuple_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return __Pyx_NewRef(__pyx_mstate_global->__pyx_empty_tuple);
-    }
-    res = PyTuple_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyTupleObject*)res)->ob_item, n);
-    return res;
-}
-static CYTHON_INLINE PyObject *
-__Pyx_PyList_FromArray(PyObject *const *src, Py_ssize_t n)
-{
-    PyObject *res;
-    if (n <= 0) {
-        return PyList_New(0);
-    }
-    res = PyList_New(n);
-    if (unlikely(res == NULL)) return NULL;
-    __Pyx_copy_object_array(src, ((PyListObject*)res)->ob_item, n);
-    return res;
-}
-#endif
-
-/* BytesEquals (used by UnicodeEquals) */
-static CYTHON_INLINE int __Pyx_PyBytes_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL ||\
-        !(CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS)
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    if (s1 == s2) {
-        return (equals == Py_EQ);
-    } else if (PyBytes_CheckExact(s1) & PyBytes_CheckExact(s2)) {
-        const char *ps1, *ps2;
-        Py_ssize_t length = PyBytes_GET_SIZE(s1);
-        if (length != PyBytes_GET_SIZE(s2))
-            return (equals == Py_NE);
-        ps1 = PyBytes_AS_STRING(s1);
-        ps2 = PyBytes_AS_STRING(s2);
-        if (ps1[0] != ps2[0]) {
-            return (equals == Py_NE);
-        } else if (length == 1) {
-            return (equals == Py_EQ);
-        } else {
-            int result;
-#if CYTHON_USE_UNICODE_INTERNALS && (PY_VERSION_HEX < 0x030B0000)
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyBytesObject*)s1)->ob_shash;
-            hash2 = ((PyBytesObject*)s2)->ob_shash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                return (equals == Py_NE);
+    for (i = live; i < n; i++)
+        memset(t->tab + (size_t)i * t->pitch, 0xff, (size_t)n * sizeof(int));
+    memset(t->row, 0, (size_t)n * t->words * sizeof(uint64_t));
+    memset(t->col, 0, (size_t)n * t->words * sizeof(uint64_t));
+    memset(t->live, 0, (size_t)t->words * sizeof(uint64_t));
+    for (i = 0; i < live; i++) {
+        const int *r = t->tab + (size_t)i * t->pitch;
+        t->parent[i] = (int)i;
+        t->live[i >> 6] |= BIT(i);
+        for (j = 0; j < live; j++)
+            if (r[j] >= 0) {
+                bits(t, t->row, (int)i)[j >> 6] |= BIT(j);
+                bits(t, t->col, (int)j)[i >> 6] |= BIT(i);
             }
-#endif
-            result = memcmp(ps1, ps2, (size_t)length);
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & PyBytes_CheckExact(s2)) {
-        return (equals == Py_NE);
-    } else if ((s2 == Py_None) & PyBytes_CheckExact(s1)) {
-        return (equals == Py_NE);
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
     }
-#endif
-}
-
-/* UnicodeEquals (used by fastcall) */
-static CYTHON_INLINE int __Pyx_PyUnicode_Equals(PyObject* s1, PyObject* s2, int equals) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-    return PyObject_RichCompareBool(s1, s2, equals);
-#else
-    int s1_is_unicode, s2_is_unicode;
-    if (s1 == s2) {
-        goto return_eq;
-    }
-    s1_is_unicode = PyUnicode_CheckExact(s1);
-    s2_is_unicode = PyUnicode_CheckExact(s2);
-    if (s1_is_unicode & s2_is_unicode) {
-        Py_ssize_t length, length2;
-        int kind;
-        void *data1, *data2;
-        #if !CYTHON_COMPILING_IN_LIMITED_API
-        if (unlikely(__Pyx_PyUnicode_READY(s1) < 0) || unlikely(__Pyx_PyUnicode_READY(s2) < 0))
-            return -1;
-        #endif
-        length = __Pyx_PyUnicode_GET_LENGTH(s1);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length < 0)) return -1;
-        #endif
-        length2 = __Pyx_PyUnicode_GET_LENGTH(s2);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(length2 < 0)) return -1;
-        #endif
-        if (length != length2) {
-            goto return_ne;
-        }
-#if CYTHON_USE_UNICODE_INTERNALS
-        {
-            Py_hash_t hash1, hash2;
-            hash1 = ((PyASCIIObject*)s1)->hash;
-            hash2 = ((PyASCIIObject*)s2)->hash;
-            if (hash1 != hash2 && hash1 != -1 && hash2 != -1) {
-                goto return_ne;
-            }
-        }
-#endif
-        kind = __Pyx_PyUnicode_KIND(s1);
-        if (kind != __Pyx_PyUnicode_KIND(s2)) {
-            goto return_ne;
-        }
-        data1 = __Pyx_PyUnicode_DATA(s1);
-        data2 = __Pyx_PyUnicode_DATA(s2);
-        if (__Pyx_PyUnicode_READ(kind, data1, 0) != __Pyx_PyUnicode_READ(kind, data2, 0)) {
-            goto return_ne;
-        } else if (length == 1) {
-            goto return_eq;
-        } else {
-            int result = memcmp(data1, data2, (size_t)(length * kind));
-            return (equals == Py_EQ) ? (result == 0) : (result != 0);
-        }
-    } else if ((s1 == Py_None) & s2_is_unicode) {
-        goto return_ne;
-    } else if ((s2 == Py_None) & s1_is_unicode) {
-        goto return_ne;
-    } else {
-        int result;
-        PyObject* py_result = PyObject_RichCompare(s1, s2, equals);
-        if (!py_result)
-            return -1;
-        result = __Pyx_PyObject_IsTrue(py_result);
-        Py_DECREF(py_result);
-        return result;
-    }
-return_eq:
-    return (equals == Py_EQ);
-return_ne:
-    return (equals == Py_NE);
-#endif
-}
-
-/* fastcall */
-#if CYTHON_METH_FASTCALL
-static CYTHON_INLINE PyObject * __Pyx_GetKwValue_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues, PyObject *s)
-{
-    Py_ssize_t i, n = __Pyx_PyTuple_GET_SIZE(kwnames);
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    if (unlikely(n == -1)) return NULL;
-    #endif
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        if (s == namei) return kwvalues[i];
-    }
-    for (i = 0; i < n; i++)
-    {
-        PyObject *namei = __Pyx_PyTuple_GET_ITEM(kwnames, i);
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!namei)) return NULL;
-        #endif
-        int eq = __Pyx_PyUnicode_Equals(s, namei, Py_EQ);
-        if (unlikely(eq != 0)) {
-            if (unlikely(eq < 0)) return NULL;
-            return kwvalues[i];
-        }
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030d0000 || CYTHON_COMPILING_IN_LIMITED_API
-CYTHON_UNUSED static PyObject *__Pyx_KwargsAsDict_FASTCALL(PyObject *kwnames, PyObject *const *kwvalues) {
-    Py_ssize_t i, nkwargs;
-    PyObject *dict;
-#if !CYTHON_ASSUME_SAFE_SIZE
-    nkwargs = PyTuple_Size(kwnames);
-    if (unlikely(nkwargs < 0)) return NULL;
-#else
-    nkwargs = PyTuple_GET_SIZE(kwnames);
-#endif
-    dict = PyDict_New();
-    if (unlikely(!dict))
-        return NULL;
-    for (i=0; i<nkwargs; i++) {
-#if !CYTHON_ASSUME_SAFE_MACROS
-        PyObject *key = PyTuple_GetItem(kwnames, i);
-        if (!key) goto bad;
-#else
-        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
-#endif
-        if (unlikely(PyDict_SetItem(dict, key, kwvalues[i]) < 0))
-            goto bad;
-    }
-    return dict;
-bad:
-    Py_DECREF(dict);
-    return NULL;
-}
-#endif
-#endif
-
-/* PyObjectCall (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *result;
-    ternaryfunc call = Py_TYPE(func)->tp_call;
-    if (unlikely(!call))
-        return PyObject_Call(func, arg, kw);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = (*call)(func, arg, kw);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectCallMethO (used by PyObjectFastCall) */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallMethO(PyObject *func, PyObject *arg) {
-    PyObject *self, *result;
-    PyCFunction cfunc;
-    cfunc = __Pyx_CyOrPyCFunction_GET_FUNCTION(func);
-    self = __Pyx_CyOrPyCFunction_GET_SELF(func);
-    if (unlikely(Py_EnterRecursiveCall(" while calling a Python object")))
-        return NULL;
-    result = cfunc(self, arg);
-    Py_LeaveRecursiveCall();
-    if (unlikely(!result) && unlikely(!PyErr_Occurred())) {
-        PyErr_SetString(
-            PyExc_SystemError,
-            "NULL result without error in PyObject_Call");
-    }
-    return result;
-}
-#endif
-
-/* PyObjectFastCall (used by PyObjectCallOneArg) */
-#if PY_VERSION_HEX < 0x03090000 || CYTHON_COMPILING_IN_LIMITED_API
-static PyObject* __Pyx_PyObject_FastCall_fallback(PyObject *func, PyObject * const*args, size_t nargs, PyObject *kwargs) {
-    PyObject *argstuple;
-    PyObject *result = 0;
-    size_t i;
-    argstuple = PyTuple_New((Py_ssize_t)nargs);
-    if (unlikely(!argstuple)) return NULL;
-    for (i = 0; i < nargs; i++) {
-        Py_INCREF(args[i]);
-        if (__Pyx_PyTuple_SET_ITEM(argstuple, (Py_ssize_t)i, args[i]) != (0)) goto bad;
-    }
-    result = __Pyx_PyObject_Call(func, argstuple, kwargs);
-  bad:
-    Py_DECREF(argstuple);
-    return result;
-}
-#endif
-#if CYTHON_VECTORCALL && !CYTHON_COMPILING_IN_LIMITED_API
-  #if PY_VERSION_HEX < 0x03090000
-    #define __Pyx_PyVectorcall_Function(callable) _PyVectorcall_Function(callable)
-  #elif CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE vectorcallfunc __Pyx_PyVectorcall_Function(PyObject *callable) {
-    PyTypeObject *tp = Py_TYPE(callable);
-    #if defined(__Pyx_CyFunction_USED)
-    if (__Pyx_CyFunction_CheckExact(callable)) {
-        return __Pyx_CyFunction_func_vectorcall(callable);
-    }
-    #endif
-    if (!PyType_HasFeature(tp, Py_TPFLAGS_HAVE_VECTORCALL)) {
-        return NULL;
-    }
-    assert(PyCallable_Check(callable));
-    Py_ssize_t offset = tp->tp_vectorcall_offset;
-    assert(offset > 0);
-    vectorcallfunc ptr;
-    memcpy(&ptr, (char *) callable + offset, sizeof(ptr));
-    return ptr;
-}
-  #else
-    #define __Pyx_PyVectorcall_Function(callable) PyVectorcall_Function(callable)
-  #endif
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_FastCallDict(PyObject *func, PyObject *const *args, size_t _nargs, PyObject *kwargs) {
-    Py_ssize_t nargs = __Pyx_PyVectorcall_NARGS(_nargs);
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (nargs == 0 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_NOARGS))
-            return __Pyx_PyObject_CallMethO(func, NULL);
-    }
-    else if (nargs == 1 && kwargs == NULL) {
-        if (__Pyx_CyOrPyCFunction_Check(func) && likely( __Pyx_CyOrPyCFunction_GET_FLAGS(func) & METH_O))
-            return __Pyx_PyObject_CallMethO(func, args[0]);
-    }
-#endif
-    if (kwargs == NULL) {
-        #if CYTHON_VECTORCALL
-          #if CYTHON_COMPILING_IN_LIMITED_API
-            return PyObject_Vectorcall(func, args, _nargs, NULL);
-          #else
-            vectorcallfunc f = __Pyx_PyVectorcall_Function(func);
-            if (f) {
-                return f(func, args, _nargs, NULL);
-            }
-          #endif
-        #endif
-    }
-    if (nargs == 0) {
-        return __Pyx_PyObject_Call(func, __pyx_mstate_global->__pyx_empty_tuple, kwargs);
-    }
-    #if PY_VERSION_HEX >= 0x03090000 && !CYTHON_COMPILING_IN_LIMITED_API
-    return PyObject_VectorcallDict(func, args, (size_t)nargs, kwargs);
-    #else
-    return __Pyx_PyObject_FastCall_fallback(func, args, (size_t)nargs, kwargs);
-    #endif
-}
-
-/* PyObjectCallOneArg (used by CallUnboundCMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallOneArg(PyObject *func, PyObject *arg) {
-    PyObject *args[2] = {NULL, arg};
-    return __Pyx_PyObject_FastCall(func, args+1, 1 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetAttrStr (used by UnpackUnboundCMethod) */
-#if CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStr(PyObject* obj, PyObject* attr_name) {
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro))
-        return tp->tp_getattro(obj, attr_name);
-    return PyObject_GetAttr(obj, attr_name);
-}
-#endif
-
-/* UnpackUnboundCMethod (used by CallUnboundCMethod0) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *args, PyObject *kwargs) {
-    PyObject *result;
-    PyObject *selfless_args = PyTuple_GetSlice(args, 1, PyTuple_Size(args));
-    if (unlikely(!selfless_args)) return NULL;
-    result = PyObject_Call(method, selfless_args, kwargs);
-    Py_DECREF(selfless_args);
-    return result;
-}
-#elif CYTHON_COMPILING_IN_PYPY && PY_VERSION_HEX < 0x03090000
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject **args, Py_ssize_t nargs, PyObject *kwnames) {
-        return _PyObject_Vectorcall
-            (method, args ? args+1 : NULL, nargs ? nargs-1 : 0, kwnames);
-}
-#else
-static PyObject *__Pyx_SelflessCall(PyObject *method, PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames) {
-    return
-#if PY_VERSION_HEX < 0x03090000
-    _PyObject_Vectorcall
-#else
-    PyObject_Vectorcall
-#endif
-        (method, args ? args+1 : NULL, nargs ? (size_t) nargs-1 : 0, kwnames);
-}
-#endif
-static PyMethodDef __Pyx_UnboundCMethod_Def = {
-     "CythonUnboundCMethod",
-     __PYX_REINTERPRET_FUNCION(PyCFunction, __Pyx_SelflessCall),
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030C0000
-     METH_VARARGS | METH_KEYWORDS,
-#else
-     METH_FASTCALL | METH_KEYWORDS,
-#endif
-     NULL
-};
-static int __Pyx_TryUnpackUnboundCMethod(__Pyx_CachedCFunction* target) {
-    PyObject *method, *result=NULL;
-    method = __Pyx_PyObject_GetAttrStr(target->type, *target->method_name);
-    if (unlikely(!method))
-        return -1;
-    result = method;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (likely(__Pyx_TypeCheck(method, &PyMethodDescr_Type)))
-    {
-        PyMethodDescrObject *descr = (PyMethodDescrObject*) method;
-        target->func = descr->d_method->ml_meth;
-        target->flag = descr->d_method->ml_flags & ~(METH_CLASS | METH_STATIC | METH_COEXIST | METH_STACKLESS);
-    } else
-#endif
-#if CYTHON_COMPILING_IN_PYPY
-#else
-    if (PyCFunction_Check(method))
-#endif
-    {
-        PyObject *self;
-        int self_found;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        self = PyObject_GetAttrString(method, "__self__");
-        if (!self) {
-            PyErr_Clear();
-        }
-#else
-        self = PyCFunction_GET_SELF(method);
-#endif
-        self_found = (self && self != Py_None);
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        Py_XDECREF(self);
-#endif
-        if (self_found) {
-            PyObject *unbound_method = PyCFunction_New(&__Pyx_UnboundCMethod_Def, method);
-            if (unlikely(!unbound_method)) return -1;
-            Py_DECREF(method);
-            result = unbound_method;
-        }
-    }
-#if !CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    if (unlikely(target->method)) {
-        Py_DECREF(result);
-    } else
-#endif
-    target->method = result;
+    t->n_slots = live;
+    PyMem_Free(map);
     return 0;
 }
 
-/* CallUnboundCMethod0 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject* __Pyx_CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        if (likely(cfunc->flag == METH_NOARGS))
-            return __Pyx_CallCFunction(cfunc, self, NULL);
-        if (likely(cfunc->flag == METH_FASTCALL))
-            return __Pyx_CallCFunctionFast(cfunc, self, NULL, 0);
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, NULL, 0, NULL);
-        if (likely(cfunc->flag == (METH_VARARGS | METH_KEYWORDS)))
-            return __Pyx_CallCFunctionWithKeywords(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple, NULL);
-        if (cfunc->flag == METH_VARARGS)
-            return __Pyx_CallCFunction(cfunc, self, __pyx_mstate_global->__pyx_empty_tuple);
-        return __Pyx__CallUnboundCMethod0(cfunc, self);
+/* Widen the first n of `rows` rows in place, after a realloc, from w0
+   to w1 bytes each, `used` of them kept; every other byte is `fill`.
+   Row a moves up from a * w0 to a * w1, so the last row goes first. */
+static void widen(char *m, Py_ssize_t n, Py_ssize_t rows, size_t used, size_t w0,
+                  size_t w1, int fill)
+{
+    Py_ssize_t a;
+    for (a = n - 1; a >= 0; a--) {
+        memmove(m + a * w1, m + a * w0, used);
+        memset(m + a * w1 + used, fill, w1 - used);
     }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod0(&tmp_cfunc, self);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod0(cfunc, self);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
-}
-#endif
-static PyObject* __Pyx__CallUnboundCMethod0(__Pyx_CachedCFunction* cfunc, PyObject* self) {
-    PyObject *result;
-    if (unlikely(!cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-    result = __Pyx_PyObject_CallOneArg(cfunc->method, self);
-    return result;
+    memset(m + n * w1, fill, (size_t)(rows - n) * w1);
 }
 
-/* py_dict_items (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Items(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_items, d);
+/* Grow to `words` words per row in place, so that a realloc need not
+   hold the old and the new table at once.  A failure ends the run. */
+static int grow(Table *t, Py_ssize_t words)
+{
+    Py_ssize_t pitch = 64 * words, n = t->n_slots;
+    size_t old_row = (size_t)t->words * sizeof(uint64_t), new_row = (size_t)words * sizeof(uint64_t);
+    RESIZE(t->tab, (size_t)pitch * pitch * sizeof(int));
+    RESIZE(t->row, pitch * new_row);
+    RESIZE(t->col, pitch * new_row);
+    RESIZE(t->live, new_row);
+    RESIZE(t->parent, (size_t)pitch * sizeof(int));
+    widen((char *)t->tab, n, pitch, (size_t)n * sizeof(int), (size_t)t->pitch * sizeof(int),
+          (size_t)pitch * sizeof(int), 0xff);
+    widen((char *)t->row, n, pitch, old_row, old_row, new_row, 0);
+    widen((char *)t->col, n, pitch, old_row, old_row, new_row, 0);
+    memset((char *)t->live + old_row, 0, new_row - old_row);
+    t->words = words;
+    t->pitch = pitch;
+    return 0;
 }
 
-/* py_dict_values (used by OwnedDictNext) */
-static CYTHON_INLINE PyObject* __Pyx_PyDict_Values(PyObject* d) {
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_values, d);
-}
-
-/* OwnedDictNext (used by ParseKeywordsImpl) */
-#if CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, PyObject **ppos, PyObject **pkey, PyObject **pvalue) {
-    PyObject *next = NULL;
-    if (!*ppos) {
-        if (pvalue) {
-            PyObject *dictview = pkey ? __Pyx_PyDict_Items(p) : __Pyx_PyDict_Values(p);
-            if (unlikely(!dictview)) goto bad;
-            *ppos = PyObject_GetIter(dictview);
-            Py_DECREF(dictview);
-        } else {
-            *ppos = PyObject_GetIter(p);
-        }
-        if (unlikely(!*ppos)) goto bad;
-    }
-    next = PyIter_Next(*ppos);
-    if (!next) {
-        if (PyErr_Occurred()) goto bad;
+/* Make room for `need` new elements: renumber or grow, or set
+   `too_large` and fail when the live elements and the new ones do not
+   fit the budget.  Called with no event queued. */
+static int reserve(Table *t, Py_ssize_t need, int *held, int nheld)
+{
+    Py_ssize_t dead = t->n_slots - t->n_live;
+    Py_ssize_t words = Py_MAX(t->words + t->words / 2 + 1, (t->n_slots + need + 63) / 64);
+    int grows = t->n_slots + need > t->pitch;
+    if (words > t->max_words)
+        words = t->max_words;
+    if (dead > t->n_live
+        || (dead && grows && (8 * dead >= t->n_slots || 64 * words < t->n_slots + need)))
+        TRY(compact(t, held, nheld));
+    if (t->n_slots + need <= t->pitch)
         return 0;
+    if (64 * words < t->n_slots + need) {
+        t->too_large = 1;
+        return -1;
     }
-    if (pkey && pvalue) {
-        *pkey = __Pyx_PySequence_ITEM(next, 0);
-        if (unlikely(*pkey)) goto bad;
-        *pvalue = __Pyx_PySequence_ITEM(next, 1);
-        if (unlikely(*pvalue)) goto bad;
-        Py_DECREF(next);
-    } else if (pkey) {
-        *pkey = next;
-    } else {
-        assert(pvalue);
-        *pvalue = next;
-    }
-    return 1;
-  bad:
-    Py_XDECREF(next);
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-    PyErr_FormatUnraisable("Exception ignored in __Pyx_PyDict_NextRef");
-#else
-    PyErr_WriteUnraisable(__pyx_mstate_global->__pyx_n_u_Pyx_PyDict_NextRef);
-#endif
-    if (pkey) *pkey = NULL;
-    if (pvalue) *pvalue = NULL;
+    return grow(t, words);
+}
+
+/* Store in ab the first undefined product (a, b) of roots in scan
+   order; 0 if the table is total. */
+static int missing_product(Table *t, int ab[2])
+{
+    Py_ssize_t k, j, nw = (t->n_slots + 63) >> 6;
+    uint64_t rest, gap;
+    for (k = 0; k < nw; k++)
+        for (rest = t->live[k]; rest; rest &= rest - 1) {
+            int a = (int)(64 * k) + __builtin_ctzll(rest);
+            for (j = 0; j < nw; j++)
+                if ((gap = t->live[j] & ~bits(t, t->row, a)[j])) {
+                    ab[0] = a;
+                    ab[1] = (int)(64 * j) + __builtin_ctzll(gap);
+                    return 1;
+                }
+        }
     return 0;
 }
-#else // !CYTHON_AVOID_BORROWED_REFS
-static int __Pyx_PyDict_NextRef(PyObject *p, Py_ssize_t *ppos, PyObject **pkey, PyObject **pvalue) {
-    int result = PyDict_Next(p, ppos, pkey, pvalue);
-    if (likely(result == 1)) {
-        if (pkey) Py_INCREF(*pkey);
-        if (pvalue) Py_INCREF(*pvalue);
-    }
-    return result;
-}
-#endif
 
-/* RaiseDoubleKeywords (used by ParseKeywordsImpl) */
-static void __Pyx_RaiseDoubleKeywordsError(
-    const char* func_name,
-    PyObject* kw_name)
+static int cmp_int(const void *a, const void *b)
 {
-    PyErr_Format(PyExc_TypeError,
-        "%s() got multiple values for keyword argument '%U'", func_name, kw_name);
+    int x = *(const int *)a, y = *(const int *)b;
+    return (x > y) - (x < y);
 }
 
-/* CallUnboundCMethod2 */
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE PyObject *__Pyx_CallUnboundCMethod2(__Pyx_CachedCFunction *cfunc, PyObject *self, PyObject *arg1, PyObject *arg2) {
-    int was_initialized = __Pyx_CachedCFunction_GetAndSetInitializing(cfunc);
-    if (likely(was_initialized == 2 && cfunc->func)) {
-        PyObject *args[2] = {arg1, arg2};
-        if (cfunc->flag == METH_FASTCALL) {
-            return __Pyx_CallCFunctionFast(cfunc, self, args, 2);
+/* One universal pass over the roots that exist when it starts, tracing
+   only the pairs with a root at or above `traced_below`: 1 if it wrote
+   anything or passed the cap, 0 if not. */
+static int trace_universal(Table *t, const int *pattern, Py_ssize_t np,
+                           int all_pairs, long long cap)
+{
+    static const int u_word[1] = {0};
+    long long before = t->writes;
+    Py_ssize_t i, j, n = 0, old = 0, size = all_pairs ? t->n_live : t->m;
+    int *dom;
+    RESIZE(t->domain, (size_t)Py_MAX(size, 1) * sizeof(int));
+    dom = t->domain;
+    if (all_pairs) {
+        for (i = 0; i < t->n_slots; i++)
+            if (t->parent[i] == i)
+                dom[n++] = (int)i;
+    } else {
+        for (i = 0; i < t->m; i++)
+            dom[i] = find(t, t->gens[i]);
+        qsort(dom, (size_t)t->m, sizeof(int), cmp_int);
+        for (i = 0; i < t->m; i++)
+            if (n == 0 || dom[i] != dom[n - 1])
+                dom[n++] = dom[i];
+    }
+    t->n_domain = n;
+    while (old < n && dom[old] < t->traced_below)
+        old++;
+    t->traced_below = t->n_slots;
+    for (i = 0; i < n && t->n_live <= cap; i++) {
+        int u = dom[i];
+        if (u < 0 || t->parent[u] != u)
+            continue;
+        /* pairs of two older elements were traced by an earlier pass */
+        for (j = i < old ? old : 0; j < n && t->n_live <= cap; j++) {
+            int w = dom[j], env[2];
+            if (w < 0 || t->parent[w] != w || u == w || find(t, u) == find(t, w))
+                continue;
+            TRY(reserve(t, trace_need(1, np), &u, 1));
+            env[0] = find(t, u);
+            env[1] = dom[j];
+            TRY(trace(t, u_word, 1, pattern, np, env));
+            TRY(process_events(t));
         }
-        if (cfunc->flag == (METH_FASTCALL | METH_KEYWORDS))
-            return __Pyx_CallCFunctionFastWithKeywords(cfunc, self, args, 2, NULL);
     }
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    else if (unlikely(was_initialized == 1)) {
-        __Pyx_CachedCFunction tmp_cfunc = {
-#ifndef __cplusplus
-            0
-#endif
-        };
-        tmp_cfunc.type = cfunc->type;
-        tmp_cfunc.method_name = cfunc->method_name;
-        return __Pyx__CallUnboundCMethod2(&tmp_cfunc, self, arg1, arg2);
-    }
-#endif
-    PyObject *result = __Pyx__CallUnboundCMethod2(cfunc, self, arg1, arg2);
-    __Pyx_CachedCFunction_SetFinishedInitializing(cfunc);
-    return result;
+    PyMem_Free(dom);
+    t->domain = NULL;
+    return t->n_live > cap || t->writes != before;
 }
-#endif
-static PyObject* __Pyx__CallUnboundCMethod2(__Pyx_CachedCFunction* cfunc, PyObject* self, PyObject* arg1, PyObject* arg2){
-    if (unlikely(!cfunc->func && !cfunc->method) && unlikely(__Pyx_TryUnpackUnboundCMethod(cfunc) < 0)) return NULL;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if (cfunc->func && (cfunc->flag & METH_VARARGS)) {
-        PyObject *result = NULL;
-        PyObject *args = PyTuple_New(2);
-        if (unlikely(!args)) return NULL;
-        Py_INCREF(arg1);
-        PyTuple_SET_ITEM(args, 0, arg1);
-        Py_INCREF(arg2);
-        PyTuple_SET_ITEM(args, 1, arg2);
-        if (cfunc->flag & METH_KEYWORDS)
-            result = __Pyx_CallCFunctionWithKeywords(cfunc, self, args, NULL);
+
+/* The completion loop of `_enumpy.run_enumeration`: a status, or -1. */
+static int enumerate(Table *t, const Ints *letters, const Ints *starts,
+                     const Ints *pattern, int all_pairs, long long cap)
+{
+    Py_ssize_t g, r, n_rel = (starts->len - 1) / 2;
+    int *env, ab[2];
+    TRY(reserve(t, t->m, NULL, 0));
+    RESIZE(t->gens, (size_t)Py_MAX(2 * t->m, 1) * sizeof(int));
+    env = t->gens + t->m;
+    for (g = 0; g < t->m; g++)
+        TRY(t->gens[g] = new_element(t));
+    TRY(process_events(t));
+    for (r = 0; r < n_rel && t->n_live <= cap; r++) {
+        const int *lhs = letters->v + starts->v[2 * r], *rhs = letters->v + starts->v[2 * r + 1];
+        Py_ssize_t nl = rhs - lhs, nr = starts->v[2 * r + 2] - starts->v[2 * r + 1];
+        TRY(reserve(t, trace_need(nl, nr), NULL, 0));
+        for (g = 0; g < t->m; g++)
+            env[g] = find(t, t->gens[g]);
+        TRY(trace(t, lhs, nl, rhs, nr, env));
+        TRY(process_events(t));
+    }
+    for (;;) {
+        if (t->n_live > cap)
+            return CAP_EXCEEDED;
+        if (pattern->len) {
+            int progress = trace_universal(t, pattern->v, pattern->len, all_pairs, cap);
+            TRY(progress);
+            if (progress)
+                continue;
+        }
+        if (!missing_product(t, ab))
+            return COMPLETED;
+        TRY(reserve(t, 1, ab, 2));
+        TRY(fill_product(t, ab[0], ab[1]));
+        TRY(process_events(t));
+    }
+}
+
+/* (rows, images) of a completed table, renumbered in discovery order. */
+static PyObject *completed_table(Table *t)
+{
+    PyObject *rows, *images, *item;
+    Py_ssize_t i, j;
+    if (t->n_slots > t->n_live && compact(t, NULL, 0) < 0)
+        return NULL;
+    if ((rows = PyList_New(t->n_slots)) == NULL)
+        return NULL;
+    for (i = 0; i < t->n_slots; i++) {
+        if ((item = PyTuple_New(t->n_slots)) == NULL)
+            goto fail;
+        PyList_SET_ITEM(rows, i, item);
+        for (j = 0; j < t->n_slots; j++) {
+            PyObject *v = PyLong_FromLong(get(t, (int)i, (int)j));
+            if (v == NULL)
+                goto fail;
+            PyTuple_SET_ITEM(item, j, v);
+        }
+    }
+    if ((images = PyList_New(t->m)) == NULL)
+        goto fail;
+    for (i = 0; i < t->m; i++) {
+        if ((item = PyLong_FromLong(find(t, t->gens[i]))) == NULL) {
+            Py_DECREF(images);
+            goto fail;
+        }
+        PyList_SET_ITEM(images, i, item);
+    }
+    return Py_BuildValue("(iNNL)", COMPLETED, rows, images, t->merges);
+fail:
+    Py_DECREF(rows);
+    return NULL;
+}
+
+/* Append the letters of `word`, each in [0, bound), to out. */
+static int read_word(PyObject *word, Py_ssize_t bound, Ints *out)
+{
+    PyObject *seq = PySequence_Fast(word, "a word must be a sequence of letters");
+    Py_ssize_t i;
+    if (seq == NULL)
+        return -1;
+    for (i = 0; i < PySequence_Fast_GET_SIZE(seq); i++) {
+        Py_ssize_t x = PyNumber_AsSsize_t(PySequence_Fast_GET_ITEM(seq, i), PyExc_OverflowError);
+        if (x == -1 && PyErr_Occurred())
+            break;
+        if (x < 0 || x >= bound) {
+            PyErr_SetString(PyExc_ValueError, "a word has a letter out of range");
+            break;
+        }
+        if (push(out, (int)x) < 0)
+            break;
+    }
+    Py_DECREF(seq);
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* The most words a table may have under TANGLEKIT_MAX_TABLE_BYTES. */
+static int read_budget(Table *t)
+{
+    const char *text = getenv("TANGLEKIT_MAX_TABLE_BYTES");
+    long long budget = DEFAULT_BUDGET;
+    Py_ssize_t lo = 0, hi = MAX_WORDS;
+    if (text != NULL) {
+        char *end;
+        budget = strtoll(text, &end, 10);
+        if (end == text || *end != '\0') {
+            PyErr_SetString(PyExc_ValueError, "TANGLEKIT_MAX_TABLE_BYTES must be an integer");
+            return -1;
+        }
+    }
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi + 1) / 2;
+        if (BYTES_PER_WORD2 * mid * mid <= budget)
+            lo = mid;
         else
-            result = __Pyx_CallCFunction(cfunc, self, args);
-        Py_DECREF(args);
-        return result;
+            hi = mid - 1;
     }
-#endif
-    {
-        PyObject *args[4] = {NULL, self, arg1, arg2};
-        return __Pyx_PyObject_FastCall(cfunc->method, args+1, 3 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-    }
-}
-
-/* ParseKeywordsImpl (used by ParseKeywords) */
-static int __Pyx_ValidateDuplicatePosArgs(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char* function_name)
-{
-    PyObject ** const *name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *key = **name;
-        int found = PyDict_Contains(kwds, key);
-        if (unlikely(found)) {
-            if (found == 1) __Pyx_RaiseDoubleKeywordsError(function_name, key);
-            goto bad;
-        }
-        name++;
-    }
-    return 0;
-bad:
-    return -1;
-}
-#if CYTHON_USE_UNICODE_INTERNALS
-static CYTHON_INLINE int __Pyx_UnicodeKeywordsEqual(PyObject *s1, PyObject *s2) {
-    int kind;
-    Py_ssize_t len = PyUnicode_GET_LENGTH(s1);
-    if (len != PyUnicode_GET_LENGTH(s2)) return 0;
-    kind = PyUnicode_KIND(s1);
-    if (kind != PyUnicode_KIND(s2)) return 0;
-    const void *data1 = PyUnicode_DATA(s1);
-    const void *data2 = PyUnicode_DATA(s2);
-    return (memcmp(data1, data2, (size_t) len * (size_t) kind) == 0);
-}
-#endif
-static int __Pyx_MatchKeywordArg_str(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    #if CYTHON_USE_UNICODE_INTERNALS
-    Py_hash_t key_hash = ((PyASCIIObject*)key)->hash;
-    if (unlikely(key_hash == -1)) {
-        key_hash = PyObject_Hash(key);
-        if (unlikely(key_hash == -1))
-            goto bad;
-    }
-    #endif
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (key_hash == ((PyASCIIObject*)name_str)->hash && __Pyx_UnicodeKeywordsEqual(name_str, key)) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) {
-                *index_found = (size_t) (name - argnames);
-                return 1;
-            }
-        }
-        #endif
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        PyObject *name_str = **name;
-        #if CYTHON_USE_UNICODE_INTERNALS
-        if (unlikely(key_hash == ((PyASCIIObject*)name_str)->hash)) {
-            if (__Pyx_UnicodeKeywordsEqual(name_str, key))
-                goto arg_passed_twice;
-        }
-        #else
-        #if CYTHON_ASSUME_SAFE_SIZE
-        if (PyUnicode_GET_LENGTH(name_str) == PyUnicode_GET_LENGTH(key))
-        #endif
-        {
-            if (unlikely(name_str == key)) goto arg_passed_twice;
-            int cmp = PyUnicode_Compare(name_str, key);
-            if (cmp < 0 && unlikely(PyErr_Occurred())) goto bad;
-            if (cmp == 0) goto arg_passed_twice;
-        }
-        #endif
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-bad:
-    return -1;
-}
-static int __Pyx_MatchKeywordArg_nostr(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    PyObject ** const *name;
-    if (unlikely(!PyUnicode_Check(key))) goto invalid_keyword_type;
-    name = first_kw_arg;
-    while (*name) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (cmp == 1) {
-            *index_found = (size_t) (name - argnames);
-            return 1;
-        }
-        if (unlikely(cmp == -1)) goto bad;
-        name++;
-    }
-    name = argnames;
-    while (name != first_kw_arg) {
-        int cmp = PyObject_RichCompareBool(**name, key, Py_EQ);
-        if (unlikely(cmp != 0)) {
-            if (cmp == 1) goto arg_passed_twice;
-            else goto bad;
-        }
-        name++;
-    }
-    return 0;
-arg_passed_twice:
-    __Pyx_RaiseDoubleKeywordsError(function_name, key);
-    goto bad;
-invalid_keyword_type:
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() keywords must be strings", function_name);
-    goto bad;
-bad:
-    return -1;
-}
-static CYTHON_INLINE int __Pyx_MatchKeywordArg(
-    PyObject *key,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    size_t *index_found,
-    const char *function_name)
-{
-    return likely(PyUnicode_CheckExact(key)) ?
-        __Pyx_MatchKeywordArg_str(key, argnames, first_kw_arg, index_found, function_name) :
-        __Pyx_MatchKeywordArg_nostr(key, argnames, first_kw_arg, index_found, function_name);
-}
-static void __Pyx_RejectUnknownKeyword(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject ** const *first_kw_arg,
-    const char *function_name)
-{
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos = NULL;
-    #else
-    Py_ssize_t pos = 0;
-    #endif
-    PyObject *key = NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(kwds);
-    while (
-        #if CYTHON_AVOID_BORROWED_REFS
-        __Pyx_PyDict_NextRef(kwds, &pos, &key, NULL)
-        #else
-        PyDict_Next(kwds, &pos, &key, NULL)
-        #endif
-    ) {
-        PyObject** const *name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (!*name) {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp != 1) {
-                if (cmp == 0) {
-                    PyErr_Format(PyExc_TypeError,
-                        "%s() got an unexpected keyword argument '%U'",
-                        function_name, key);
-                }
-                #if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(key);
-                #endif
-                break;
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        #endif
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(pos);
-    #endif
-    assert(PyErr_Occurred());
-}
-static int __Pyx_ParseKeywordDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t extracted = 0;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    name = first_kw_arg;
-    while (*name && num_kwargs > extracted) {
-        PyObject * key = **name;
-        PyObject *value;
-        int found = 0;
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        found = PyDict_GetItemRef(kwds, key, &value);
-        #else
-        value = PyDict_GetItemWithError(kwds, key);
-        if (value) {
-            Py_INCREF(value);
-            found = 1;
-        } else {
-            if (unlikely(PyErr_Occurred())) goto bad;
-        }
-        #endif
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            extracted++;
-        }
-        name++;
-    }
-    if (num_kwargs > extracted) {
-        if (ignore_unknown_kwargs) {
-            if (unlikely(__Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name) == -1))
-                goto bad;
-        } else {
-            __Pyx_RejectUnknownKeyword(kwds, argnames, first_kw_arg, function_name);
-            goto bad;
-        }
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordDictToDict(
-    PyObject *kwds,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    const char* function_name)
-{
-    PyObject** const *name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    Py_ssize_t len;
-#if !CYTHON_COMPILING_IN_PYPY || defined(PyArg_ValidateKeywordArguments)
-    if (unlikely(!PyArg_ValidateKeywordArguments(kwds))) return -1;
-#endif
-    if (PyDict_Update(kwds2, kwds) < 0) goto bad;
-    name = first_kw_arg;
-    while (*name) {
-        PyObject *key = **name;
-        PyObject *value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && (PY_VERSION_HEX >= 0x030d00A2 || defined(PyDict_Pop))
-        int found = PyDict_Pop(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-        }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-        int found = PyDict_GetItemRef(kwds2, key, &value);
-        if (found) {
-            if (unlikely(found < 0)) goto bad;
-            values[name-argnames] = value;
-            if (unlikely(PyDict_DelItem(kwds2, key) < 0)) goto bad;
-        }
-#else
-    #if CYTHON_COMPILING_IN_CPYTHON
-        value = _PyDict_Pop(kwds2, key, kwds2);
-    #else
-        value = __Pyx_CallUnboundCMethod2(&__pyx_mstate_global->__pyx_umethod_PyDict_Type_pop, kwds2, key, kwds2);
-    #endif
-        if (value == kwds2) {
-            Py_DECREF(value);
-        } else {
-            if (unlikely(!value)) goto bad;
-            values[name-argnames] = value;
-        }
-#endif
-        name++;
-    }
-    len = PyDict_Size(kwds2);
-    if (len > 0) {
-        return __Pyx_ValidateDuplicatePosArgs(kwds, argnames, first_kw_arg, function_name);
-    } else if (unlikely(len == -1)) {
-        goto bad;
-    }
-    return 0;
-bad:
-    return -1;
-}
-static int __Pyx_ParseKeywordsTuple(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    PyObject *key = NULL;
-    PyObject** const * name;
-    PyObject** const *first_kw_arg = argnames + num_pos_args;
-    for (Py_ssize_t pos = 0; pos < num_kwargs; pos++) {
-#if CYTHON_AVOID_BORROWED_REFS
-        key = __Pyx_PySequence_ITEM(kwds, pos);
-#else
-        key = __Pyx_PyTuple_GET_ITEM(kwds, pos);
-#endif
-#if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(!key)) goto bad;
-#endif
-        name = first_kw_arg;
-        while (*name && (**name != key)) name++;
-        if (*name) {
-            PyObject *value = kwvalues[pos];
-            values[name-argnames] = __Pyx_NewRef(value);
-        } else {
-            size_t index_found = 0;
-            int cmp = __Pyx_MatchKeywordArg(key, argnames, first_kw_arg, &index_found, function_name);
-            if (cmp == 1) {
-                PyObject *value = kwvalues[pos];
-                values[index_found] = __Pyx_NewRef(value);
-            } else {
-                if (unlikely(cmp == -1)) goto bad;
-                if (kwds2) {
-                    PyObject *value = kwvalues[pos];
-                    if (unlikely(PyDict_SetItem(kwds2, key, value))) goto bad;
-                } else if (!ignore_unknown_kwargs) {
-                    goto invalid_keyword;
-                }
-            }
-        }
-        #if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(key);
-        key = NULL;
-        #endif
-    }
-    return 0;
-invalid_keyword:
-    PyErr_Format(PyExc_TypeError,
-        "%s() got an unexpected keyword argument '%U'",
-        function_name, key);
-    goto bad;
-bad:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(key);
-    #endif
-    return -1;
-}
-
-/* ParseKeywords */
-static int __Pyx_ParseKeywords(
-    PyObject *kwds,
-    PyObject * const *kwvalues,
-    PyObject ** const argnames[],
-    PyObject *kwds2,
-    PyObject *values[],
-    Py_ssize_t num_pos_args,
-    Py_ssize_t num_kwargs,
-    const char* function_name,
-    int ignore_unknown_kwargs)
-{
-    if (CYTHON_METH_FASTCALL && likely(PyTuple_Check(kwds)))
-        return __Pyx_ParseKeywordsTuple(kwds, kwvalues, argnames, kwds2, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-    else if (kwds2)
-        return __Pyx_ParseKeywordDictToDict(kwds, argnames, kwds2, values, num_pos_args, function_name);
-    else
-        return __Pyx_ParseKeywordDict(kwds, argnames, values, num_pos_args, num_kwargs, function_name, ignore_unknown_kwargs);
-}
-
-/* RaiseArgTupleInvalid */
-static void __Pyx_RaiseArgtupleInvalid(
-    const char* func_name,
-    int exact,
-    Py_ssize_t num_min,
-    Py_ssize_t num_max,
-    Py_ssize_t num_found)
-{
-    Py_ssize_t num_expected;
-    const char *more_or_less;
-    if (num_found < num_min) {
-        num_expected = num_min;
-        more_or_less = "at least";
-    } else {
-        num_expected = num_max;
-        more_or_less = "at most";
-    }
-    if (exact) {
-        more_or_less = "exactly";
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "%.200s() takes %.8s %" CYTHON_FORMAT_SSIZE_T "d positional argument%.1s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-                 func_name, more_or_less, num_expected,
-                 (num_expected == 1) ? "" : "s", num_found);
-}
-
-/* GetItemInt */
-static PyObject *__Pyx_GetItemInt_Generic(PyObject *o, PyObject* j) {
-    PyObject *r;
-    if (unlikely(!j)) return NULL;
-    r = PyObject_GetItem(o, j);
-    Py_DECREF(j);
-    return r;
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_List_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyList_GET_SIZE(o);
-    }
-    if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS || !CYTHON_ASSUME_SAFE_MACROS)) {
-        return __Pyx_PyList_GetItemRefFast(o, wrapped_i, unsafe_shared);
-    } else
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyList_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyList_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Tuple_Fast(PyObject *o, Py_ssize_t i,
-                                                              int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    Py_ssize_t wrapped_i = i;
-    if (wraparound & unlikely(i < 0)) {
-        wrapped_i += PyTuple_GET_SIZE(o);
-    }
-    if ((!boundscheck) || likely(__Pyx_is_valid_index(wrapped_i, PyTuple_GET_SIZE(o)))) {
-        return __Pyx_NewRef(PyTuple_GET_ITEM(o, wrapped_i));
-    }
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-#else
-    (void)wraparound;
-    (void)boundscheck;
-    return PySequence_GetItem(o, i);
-#endif
-}
-static CYTHON_INLINE PyObject *__Pyx_GetItemInt_Fast(PyObject *o, Py_ssize_t i, int is_list,
-                                                     int wraparound, int boundscheck, int unsafe_shared) {
-    CYTHON_MAYBE_UNUSED_VAR(unsafe_shared);
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-    if (is_list || PyList_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyList_GET_SIZE(o);
-        if ((CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS)) {
-            return __Pyx_PyList_GetItemRefFast(o, n, unsafe_shared);
-        } else if ((!boundscheck) || (likely(__Pyx_is_valid_index(n, PyList_GET_SIZE(o))))) {
-            return __Pyx_NewRef(PyList_GET_ITEM(o, n));
-        }
-    } else
-    #if !CYTHON_AVOID_BORROWED_REFS
-    if (PyTuple_CheckExact(o)) {
-        Py_ssize_t n = ((!wraparound) | likely(i >= 0)) ? i : i + PyTuple_GET_SIZE(o);
-        if ((!boundscheck) || likely(__Pyx_is_valid_index(n, PyTuple_GET_SIZE(o)))) {
-            return __Pyx_NewRef(PyTuple_GET_ITEM(o, n));
-        }
-    } else
-    #endif
-#endif
-#if CYTHON_USE_TYPE_SLOTS && !CYTHON_COMPILING_IN_PYPY
-    {
-        PyMappingMethods *mm = Py_TYPE(o)->tp_as_mapping;
-        PySequenceMethods *sm = Py_TYPE(o)->tp_as_sequence;
-        if (!is_list && mm && mm->mp_subscript) {
-            PyObject *r, *key = PyLong_FromSsize_t(i);
-            if (unlikely(!key)) return NULL;
-            r = mm->mp_subscript(o, key);
-            Py_DECREF(key);
-            return r;
-        }
-        if (is_list || likely(sm && sm->sq_item)) {
-            if (wraparound && unlikely(i < 0) && likely(sm->sq_length)) {
-                Py_ssize_t l = sm->sq_length(o);
-                if (likely(l >= 0)) {
-                    i += l;
-                } else {
-                    if (!PyErr_ExceptionMatches(PyExc_OverflowError))
-                        return NULL;
-                    PyErr_Clear();
-                }
-            }
-            return sm->sq_item(o, i);
-        }
-    }
-#else
-    if (is_list || !PyMapping_Check(o)) {
-        return PySequence_GetItem(o, i);
-    }
-#endif
-    (void)wraparound;
-    (void)boundscheck;
-    return __Pyx_GetItemInt_Generic(o, PyLong_FromSsize_t(i));
-}
-
-/* PyLongBinop */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject* __Pyx_Fallback___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, int inplace) {
-    return (inplace ? PyNumber_InPlaceAdd : PyNumber_Add)(op1, op2);
-}
-#if CYTHON_USE_PYLONG_INTERNALS
-static PyObject* __Pyx_Unpacked___Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(inplace);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    long a;
-    const PY_LONG_LONG llb = intval;
-    PY_LONG_LONG lla;
-    if (unlikely(__Pyx_PyLong_IsZero(op1))) {
-        return __Pyx_NewRef(op2);
-    }
-    const int is_positive = __Pyx_PyLong_IsPos(op1);
-    const digit* digits = __Pyx_PyLong_Digits(op1);
-    const Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-    if (likely(size == 1)) {
-        a = (long) digits[0];
-        if (!is_positive) a *= -1;
-    } else {
-        switch (size) {
-            case 2:
-                if (8 * sizeof(long) - 1 > 2 * PyLong_SHIFT) {
-                    a = (long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 3:
-                if (8 * sizeof(long) - 1 > 3 * PyLong_SHIFT) {
-                    a = (long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-            case 4:
-                if (8 * sizeof(long) - 1 > 4 * PyLong_SHIFT) {
-                    a = (long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0]));
-                    if (!is_positive) a *= -1;
-                    goto calculate_long;
-                } else if (8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT) {
-                    lla = (PY_LONG_LONG) (((((((((unsigned PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (unsigned PY_LONG_LONG)digits[0]));
-                    if (!is_positive) lla *= -1;
-                    goto calculate_long_long;
-                }
-                break;
-        }
-        return PyLong_Type.tp_as_number->nb_add(op1, op2);
-    }
-    calculate_long:
-        {
-            long x;
-            x = a + b;
-            return PyLong_FromLong(x);
-        }
-    calculate_long_long:
-        {
-            PY_LONG_LONG llx;
-            llx = lla + llb;
-            return PyLong_FromLongLong(llx);
-        }
-    
-}
-#endif
-static PyObject* __Pyx_Float___Pyx_PyLong_AddObjC(PyObject *float_val, long intval, int zerodivision_check) {
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    const long b = intval;
-    double a = __Pyx_PyFloat_AS_DOUBLE(float_val);
-        double result;
-        
-        result = ((double)a) + (double)b;
-        return PyFloat_FromDouble(result);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyLong_AddObjC(PyObject *op1, PyObject *op2, long intval, int inplace, int zerodivision_check) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(zerodivision_check);
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        return __Pyx_Unpacked___Pyx_PyLong_AddObjC(op1, op2, intval, inplace, zerodivision_check);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        return __Pyx_Float___Pyx_PyLong_AddObjC(op1, intval, zerodivision_check);
-    }
-    return __Pyx_Fallback___Pyx_PyLong_AddObjC(op1, op2, inplace);
-}
-#endif
-
-/* DictGetItem */
-#if !CYTHON_COMPILING_IN_PYPY
-static PyObject *__Pyx_PyDict_GetItem(PyObject *d, PyObject* key) {
-    PyObject *value;
-    if (unlikely(__Pyx_PyDict_GetItemRef(d, key, &value) == 0)) { // no value, no error
-        if (unlikely(PyTuple_Check(key))) {
-            PyObject* args = PyTuple_Pack(1, key);
-            if (likely(args)) {
-                PyErr_SetObject(PyExc_KeyError, args);
-                Py_DECREF(args);
-            }
-        } else {
-            PyErr_SetObject(PyExc_KeyError, key);
-        }
-    }
-    return value;
-}
-#endif
-
-/* PyErrFetchRestore */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx_ErrRestoreInState(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *tmp_value;
-    assert(type == NULL || (value != NULL && type == (PyObject*) Py_TYPE(value)));
-    if (value) {
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (unlikely(((PyBaseExceptionObject*) value)->traceback != tb))
-        #endif
-            PyException_SetTraceback(value, tb);
-    }
-    tmp_value = tstate->current_exception;
-    tstate->current_exception = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-#else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    tmp_type = tstate->curexc_type;
-    tmp_value = tstate->curexc_value;
-    tmp_tb = tstate->curexc_traceback;
-    tstate->curexc_type = type;
-    tstate->curexc_value = value;
-    tstate->curexc_traceback = tb;
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#endif
-}
-static CYTHON_INLINE void __Pyx_ErrFetchInState(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject* exc_value;
-    exc_value = tstate->current_exception;
-    tstate->current_exception = 0;
-    *value = exc_value;
-    *type = NULL;
-    *tb = NULL;
-    if (exc_value) {
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        *tb = ((PyBaseExceptionObject*) exc_value)->traceback;
-        Py_XINCREF(*tb);
-        #else
-        *tb = PyException_GetTraceback(exc_value);
-        #endif
-    }
-#else
-    *type = tstate->curexc_type;
-    *value = tstate->curexc_value;
-    *tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-#endif
-}
-#endif
-
-/* GetException */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx__GetException(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb)
-#else
-static int __Pyx_GetException(PyObject **type, PyObject **value, PyObject **tb)
-#endif
-{
-    PyObject *local_type = NULL, *local_value, *local_tb = NULL;
-#if CYTHON_FAST_THREAD_STATE
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if PY_VERSION_HEX >= 0x030C0000
-    local_value = tstate->current_exception;
-    tstate->current_exception = 0;
-  #else
-    local_type = tstate->curexc_type;
-    local_value = tstate->curexc_value;
-    local_tb = tstate->curexc_traceback;
-    tstate->curexc_type = 0;
-    tstate->curexc_value = 0;
-    tstate->curexc_traceback = 0;
-  #endif
-#elif __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    local_value = PyErr_GetRaisedException();
-#else
-    PyErr_Fetch(&local_type, &local_value, &local_tb);
-#endif
-#if __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    if (likely(local_value)) {
-        local_type = (PyObject*) Py_TYPE(local_value);
-        Py_INCREF(local_type);
-        local_tb = PyException_GetTraceback(local_value);
-    }
-#else
-    PyErr_NormalizeException(&local_type, &local_value, &local_tb);
-#if CYTHON_FAST_THREAD_STATE
-    if (unlikely(tstate->curexc_type))
-#else
-    if (unlikely(PyErr_Occurred()))
-#endif
-        goto bad;
-    if (local_tb) {
-        if (unlikely(PyException_SetTraceback(local_value, local_tb) < 0))
-            goto bad;
-    }
-#endif // __PYX_LIMITED_VERSION_HEX > 0x030C0000
-    Py_XINCREF(local_tb);
-    Py_XINCREF(local_type);
-    Py_XINCREF(local_value);
-    *type = local_type;
-    *value = local_value;
-    *tb = local_tb;
-#if CYTHON_FAST_THREAD_STATE
-    #if CYTHON_USE_EXC_INFO_STACK
-    {
-        _PyErr_StackItem *exc_info = tstate->exc_info;
-      #if PY_VERSION_HEX >= 0x030B00a4
-        tmp_value = exc_info->exc_value;
-        exc_info->exc_value = local_value;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-        Py_XDECREF(local_type);
-        Py_XDECREF(local_tb);
-      #else
-        tmp_type = exc_info->exc_type;
-        tmp_value = exc_info->exc_value;
-        tmp_tb = exc_info->exc_traceback;
-        exc_info->exc_type = local_type;
-        exc_info->exc_value = local_value;
-        exc_info->exc_traceback = local_tb;
-      #endif
-    }
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = local_type;
-    tstate->exc_value = local_value;
-    tstate->exc_traceback = local_tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    PyErr_SetHandledException(local_value);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_tb);
-#else
-    PyErr_SetExcInfo(local_type, local_value, local_tb);
-#endif
-    return 0;
-#if __PYX_LIMITED_VERSION_HEX <= 0x030C0000
-bad:
-    *type = 0;
-    *value = 0;
-    *tb = 0;
-    Py_XDECREF(local_type);
-    Py_XDECREF(local_value);
-    Py_XDECREF(local_tb);
-    return -1;
-#endif
-}
-
-/* SwapException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSwap(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_value = exc_info->exc_value;
-    exc_info->exc_value = *value;
-    if (tmp_value == NULL || tmp_value == Py_None) {
-        Py_XDECREF(tmp_value);
-        tmp_value = NULL;
-        tmp_type = NULL;
-        tmp_tb = NULL;
-    } else {
-        tmp_type = (PyObject*) Py_TYPE(tmp_value);
-        Py_INCREF(tmp_type);
-        #if CYTHON_COMPILING_IN_CPYTHON
-        tmp_tb = ((PyBaseExceptionObject*) tmp_value)->traceback;
-        Py_XINCREF(tmp_tb);
-        #else
-        tmp_tb = PyException_GetTraceback(tmp_value);
-        #endif
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = *type;
-    exc_info->exc_value = *value;
-    exc_info->exc_traceback = *tb;
-  #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = *type;
-    tstate->exc_value = *value;
-    tstate->exc_traceback = *tb;
-  #endif
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#else
-static CYTHON_INLINE void __Pyx_ExceptionSwap(PyObject **type, PyObject **value, PyObject **tb) {
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    PyErr_GetExcInfo(&tmp_type, &tmp_value, &tmp_tb);
-    PyErr_SetExcInfo(*type, *value, *tb);
-    *type = tmp_type;
-    *value = tmp_value;
-    *tb = tmp_tb;
-}
-#endif
-
-/* GetTopmostException (used by SaveResetException) */
-#if CYTHON_USE_EXC_INFO_STACK && CYTHON_FAST_THREAD_STATE
-static _PyErr_StackItem *
-__Pyx_PyErr_GetTopmostException(PyThreadState *tstate)
-{
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    while ((exc_info->exc_value == NULL || exc_info->exc_value == Py_None) &&
-           exc_info->previous_item != NULL)
-    {
-        exc_info = exc_info->previous_item;
-    }
-    return exc_info;
-}
-#endif
-
-/* SaveResetException */
-#if CYTHON_FAST_THREAD_STATE
-static CYTHON_INLINE void __Pyx__ExceptionSave(PyThreadState *tstate, PyObject **type, PyObject **value, PyObject **tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    PyObject *exc_value = exc_info->exc_value;
-    if (exc_value == NULL || exc_value == Py_None) {
-        *value = NULL;
-        *type = NULL;
-        *tb = NULL;
-    } else {
-        *value = exc_value;
-        Py_INCREF(*value);
-        *type = (PyObject*) Py_TYPE(exc_value);
-        Py_INCREF(*type);
-        *tb = PyException_GetTraceback(exc_value);
-    }
-  #elif CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = __Pyx_PyErr_GetTopmostException(tstate);
-    *type = exc_info->exc_type;
-    *value = exc_info->exc_value;
-    *tb = exc_info->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #else
-    *type = tstate->exc_type;
-    *value = tstate->exc_value;
-    *tb = tstate->exc_traceback;
-    Py_XINCREF(*type);
-    Py_XINCREF(*value);
-    Py_XINCREF(*tb);
-  #endif
-}
-static CYTHON_INLINE void __Pyx__ExceptionReset(PyThreadState *tstate, PyObject *type, PyObject *value, PyObject *tb) {
-  #if CYTHON_USE_EXC_INFO_STACK && PY_VERSION_HEX >= 0x030B00a4
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    PyObject *tmp_value = exc_info->exc_value;
-    exc_info->exc_value = value;
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(type);
-    Py_XDECREF(tb);
-  #else
-    PyObject *tmp_type, *tmp_value, *tmp_tb;
-    #if CYTHON_USE_EXC_INFO_STACK
-    _PyErr_StackItem *exc_info = tstate->exc_info;
-    tmp_type = exc_info->exc_type;
-    tmp_value = exc_info->exc_value;
-    tmp_tb = exc_info->exc_traceback;
-    exc_info->exc_type = type;
-    exc_info->exc_value = value;
-    exc_info->exc_traceback = tb;
-    #else
-    tmp_type = tstate->exc_type;
-    tmp_value = tstate->exc_value;
-    tmp_tb = tstate->exc_traceback;
-    tstate->exc_type = type;
-    tstate->exc_value = value;
-    tstate->exc_traceback = tb;
-    #endif
-    Py_XDECREF(tmp_type);
-    Py_XDECREF(tmp_value);
-    Py_XDECREF(tmp_tb);
-  #endif
-}
-#endif
-
-/* PyObjectCallNoArg (used by PyObjectCallMethod0) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_CallNoArg(PyObject *func) {
-    PyObject *arg[2] = {NULL, NULL};
-    return __Pyx_PyObject_FastCall(func, arg + 1, 0 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectGetMethod (used by PyObjectCallMethod0) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static int __Pyx_PyObject_GetMethod(PyObject *obj, PyObject *name, PyObject **method) {
-    PyObject *attr;
-#if CYTHON_UNPACK_METHODS && CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_PYTYPE_LOOKUP
-    __Pyx_TypeName type_name;
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyObject *descr;
-    descrgetfunc f = NULL;
-    PyObject **dictptr, *dict;
-    int meth_found = 0;
-    assert (*method == NULL);
-    if (unlikely(tp->tp_getattro != PyObject_GenericGetAttr)) {
-        attr = __Pyx_PyObject_GetAttrStr(obj, name);
-        goto try_unpack;
-    }
-    if (unlikely(tp->tp_dict == NULL) && unlikely(PyType_Ready(tp) < 0)) {
-        return 0;
-    }
-    descr = _PyType_Lookup(tp, name);
-    if (likely(descr != NULL)) {
-        Py_INCREF(descr);
-#if defined(Py_TPFLAGS_METHOD_DESCRIPTOR) && Py_TPFLAGS_METHOD_DESCRIPTOR
-        if (__Pyx_PyType_HasFeature(Py_TYPE(descr), Py_TPFLAGS_METHOD_DESCRIPTOR))
-#else
-        #ifdef __Pyx_CyFunction_USED
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type) || __Pyx_CyFunction_Check(descr)))
-        #else
-        if (likely(PyFunction_Check(descr) || __Pyx_IS_TYPE(descr, &PyMethodDescr_Type)))
-        #endif
-#endif
-        {
-            meth_found = 1;
-        } else {
-            f = Py_TYPE(descr)->tp_descr_get;
-            if (f != NULL && PyDescr_IsData(descr)) {
-                attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-                Py_DECREF(descr);
-                goto try_unpack;
-            }
-        }
-    }
-    dictptr = _PyObject_GetDictPtr(obj);
-    if (dictptr != NULL && (dict = *dictptr) != NULL) {
-        Py_INCREF(dict);
-        attr = __Pyx_PyDict_GetItemStr(dict, name);
-        if (attr != NULL) {
-            Py_INCREF(attr);
-            Py_DECREF(dict);
-            Py_XDECREF(descr);
-            goto try_unpack;
-        }
-        Py_DECREF(dict);
-    }
-    if (meth_found) {
-        *method = descr;
-        return 1;
-    }
-    if (f != NULL) {
-        attr = f(descr, obj, (PyObject *)Py_TYPE(obj));
-        Py_DECREF(descr);
-        goto try_unpack;
-    }
-    if (likely(descr != NULL)) {
-        *method = descr;
-        return 0;
-    }
-    type_name = __Pyx_PyType_GetFullyQualifiedName(tp);
-    PyErr_Format(PyExc_AttributeError,
-                 "'" __Pyx_FMT_TYPENAME "' object has no attribute '%U'",
-                 type_name, name);
-    __Pyx_DECREF_TypeName(type_name);
-    return 0;
-#else
-    attr = __Pyx_PyObject_GetAttrStr(obj, name);
-    goto try_unpack;
-#endif
-try_unpack:
-#if CYTHON_UNPACK_METHODS
-    if (likely(attr) && PyMethod_Check(attr) && likely(PyMethod_GET_SELF(attr) == obj)) {
-        PyObject *function = PyMethod_GET_FUNCTION(attr);
-        Py_INCREF(function);
-        Py_DECREF(attr);
-        *method = function;
-        return 1;
-    }
-#endif
-    *method = attr;
-    return 0;
-}
-#endif
-
-/* PyObjectCallMethod0 (used by pop) */
-static PyObject* __Pyx_PyObject_CallMethod0(PyObject* obj, PyObject* method_name) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[1] = {obj};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_CallNoArg;
-    return PyObject_VectorcallMethod(method_name, args, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result = NULL;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_CallOneArg(method, obj);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) goto bad;
-    result = __Pyx_PyObject_CallNoArg(method);
-    Py_DECREF(method);
-bad:
-    return result;
-#endif
-}
-
-/* pop */
-static CYTHON_INLINE PyObject* __Pyx__PyObject_Pop(PyObject* L) {
-    if (__Pyx_IS_TYPE(L, &PySet_Type)) {
-        return PySet_Pop(L);
-    }
-    return __Pyx_PyObject_CallMethod0(L, __pyx_mstate_global->__pyx_n_u_pop);
-}
-#if CYTHON_USE_PYLIST_INTERNALS && CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-static CYTHON_INLINE PyObject* __Pyx_PyList_Pop(PyObject* L) {
-    if (likely(PyList_GET_SIZE(L) > (((PyListObject*)L)->allocated >> 1))) {
-        __Pyx_SET_SIZE(L, Py_SIZE(L) - 1);
-        return PyList_GET_ITEM(L, PyList_GET_SIZE(L));
-    }
-    return __Pyx_CallUnboundCMethod0(&__pyx_mstate_global->__pyx_umethod_PyList_Type_pop, L);
-}
-#endif
-
-/* RaiseTooManyValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseTooManyValuesError(Py_ssize_t expected) {
-    PyErr_Format(PyExc_ValueError,
-                 "too many values to unpack (expected %" CYTHON_FORMAT_SSIZE_T "d)", expected);
-}
-
-/* RaiseNeedMoreValuesToUnpack */
-static CYTHON_INLINE void __Pyx_RaiseNeedMoreValuesError(Py_ssize_t index) {
-    PyErr_Format(PyExc_ValueError,
-                 "need more than %" CYTHON_FORMAT_SSIZE_T "d value%.1s to unpack",
-                 index, (index == 1) ? "" : "s");
-}
-
-/* IterFinish */
-static CYTHON_INLINE int __Pyx_IterFinish(void) {
-    PyObject* exc_type;
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    exc_type = __Pyx_PyErr_CurrentExceptionType();
-    if (unlikely(exc_type)) {
-        if (unlikely(!__Pyx_PyErr_GivenExceptionMatches(exc_type, PyExc_StopIteration)))
-            return -1;
-        __Pyx_PyErr_Clear();
-        return 0;
-    }
+    t->max_words = lo;
     return 0;
 }
 
-/* UnpackItemEndCheck */
-static int __Pyx_IternextUnpackEndCheck(PyObject *retval, Py_ssize_t expected) {
-    if (unlikely(retval)) {
-        Py_DECREF(retval);
-        __Pyx_RaiseTooManyValuesError(expected);
-        return -1;
-    }
-    return __Pyx_IterFinish();
-}
+PyDoc_STRVAR(run_enumeration_doc,
+"run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap)\n--\n\n"
+"Enumerate the Kei presented by m generators and the given relations,\n"
+"as `_enumpy.run_enumeration` does.  Returns (status, table_rows,\n"
+"generator_images, merge_count); status 2 means the table would\n"
+"outgrow TANGLEKIT_MAX_TABLE_BYTES.");
 
-/* ErrOccurredWithGIL */
-static CYTHON_INLINE int __Pyx_ErrOccurredWithGIL(void) {
-  int err;
-  PyGILState_STATE _save = PyGILState_Ensure();
-  err = !!PyErr_Occurred();
-  PyGILState_Release(_save);
-  return err;
-}
-
-/* RaiseUnboundLocalError */
-static void __Pyx_RaiseUnboundLocalError(const char *varname) {
-    PyErr_Format(PyExc_UnboundLocalError, "local variable '%s' referenced before assignment", varname);
-}
-
-/* pep479 */
-static void __Pyx_Generator_Replace_StopIteration(int in_async_gen) {
-    PyObject *exc, *val, *tb, *cur_exc, *new_exc;
-    __Pyx_PyThreadState_declare
-    int is_async_stopiteration = 0;
-    CYTHON_MAYBE_UNUSED_VAR(in_async_gen);
-    __Pyx_PyThreadState_assign
-    cur_exc = __Pyx_PyErr_CurrentExceptionType();
-    if (likely(!__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopIteration))) {
-        if (in_async_gen && unlikely(__Pyx_PyErr_GivenExceptionMatches(cur_exc, PyExc_StopAsyncIteration))) {
-            is_async_stopiteration = 1;
-        } else {
-            return;
-        }
-    }
-    __Pyx_GetException(&exc, &val, &tb);
-    Py_XDECREF(exc);
-    Py_XDECREF(tb);
-    new_exc = PyObject_CallFunction(PyExc_RuntimeError, "s",
-        is_async_stopiteration ? "async generator raised StopAsyncIteration" :
-        in_async_gen ? "async generator raised StopIteration" :
-        "generator raised StopIteration");
-    if (!new_exc) {
-        Py_XDECREF(val);
-        return;
-    }
-    PyException_SetCause(new_exc, val); // steals ref to val
-    PyErr_SetObject(PyExc_RuntimeError, new_exc);
-    Py_DECREF(new_exc);
-}
-
-/* PyErrExceptionMatches (used by PyObjectGetAttrStrNoError) */
-#if CYTHON_FAST_THREAD_STATE
-static int __Pyx_PyErr_ExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        if (__Pyx_PyErr_GivenExceptionMatches(exc_type, PyTuple_GET_ITEM(tuple, i))) return 1;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_ExceptionMatchesInState(PyThreadState* tstate, PyObject* err) {
-    int result;
-    PyObject *exc_type;
-#if PY_VERSION_HEX >= 0x030C00A6
-    PyObject *current_exception = tstate->current_exception;
-    if (unlikely(!current_exception)) return 0;
-    exc_type = (PyObject*) Py_TYPE(current_exception);
-    if (exc_type == err) return 1;
-#else
-    exc_type = tstate->curexc_type;
-    if (exc_type == err) return 1;
-    if (unlikely(!exc_type)) return 0;
-#endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(exc_type);
-    #endif
-    if (unlikely(PyTuple_Check(err))) {
-        result = __Pyx_PyErr_ExceptionMatchesTuple(exc_type, err);
-    } else {
-        result = __Pyx_PyErr_GivenExceptionMatches(exc_type, err);
-    }
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(exc_type);
-    #endif
-    return result;
-}
-#endif
-
-/* PyObjectGetAttrStrNoError (used by GetBuiltinName) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static void __Pyx_PyObject_GetAttrStr_ClearAttributeError(void) {
-    __Pyx_PyThreadState_declare
-    __Pyx_PyThreadState_assign
-    if (likely(__Pyx_PyErr_ExceptionMatches(PyExc_AttributeError)))
-        __Pyx_PyErr_Clear();
-}
-#endif
-static CYTHON_INLINE PyObject* __Pyx_PyObject_GetAttrStrNoError(PyObject* obj, PyObject* attr_name) {
-    PyObject *result;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-    (void) PyObject_GetOptionalAttr(obj, attr_name, &result);
-    return result;
-#else
-#if CYTHON_COMPILING_IN_CPYTHON && CYTHON_USE_TYPE_SLOTS
-    PyTypeObject* tp = Py_TYPE(obj);
-    if (likely(tp->tp_getattro == PyObject_GenericGetAttr)) {
-        return _PyObject_GenericGetAttrWithDict(obj, attr_name, NULL, 1);
-    }
-#endif
-    result = __Pyx_PyObject_GetAttrStr(obj, attr_name);
-    if (unlikely(!result)) {
-        __Pyx_PyObject_GetAttrStr_ClearAttributeError();
-    }
-    return result;
-#endif
-}
-
-/* GetBuiltinName (used by GetModuleGlobalName) */
-static PyObject *__Pyx_GetBuiltinName(PyObject *name) {
-    PyObject* result = __Pyx_PyObject_GetAttrStrNoError(__pyx_mstate_global->__pyx_b, name);
-    if (unlikely(!result) && !PyErr_Occurred()) {
-        PyErr_Format(PyExc_NameError,
-            "name '%U' is not defined", name);
-    }
-    return result;
-}
-
-/* PyDictVersioning (used by GetModuleGlobalName) */
-#if CYTHON_USE_DICT_VERSIONS && CYTHON_USE_TYPE_SLOTS
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_tp_dict_version(PyObject *obj) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    return likely(dict) ? __PYX_GET_DICT_VERSION(dict) : 0;
-}
-static CYTHON_INLINE PY_UINT64_T __Pyx_get_object_dict_version(PyObject *obj) {
-    PyObject **dictptr = NULL;
-    Py_ssize_t offset = Py_TYPE(obj)->tp_dictoffset;
-    if (offset) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        dictptr = (likely(offset > 0)) ? (PyObject **) ((char *)obj + offset) : _PyObject_GetDictPtr(obj);
-#else
-        dictptr = _PyObject_GetDictPtr(obj);
-#endif
-    }
-    return (dictptr && *dictptr) ? __PYX_GET_DICT_VERSION(*dictptr) : 0;
-}
-static CYTHON_INLINE int __Pyx_object_dict_version_matches(PyObject* obj, PY_UINT64_T tp_dict_version, PY_UINT64_T obj_dict_version) {
-    PyObject *dict = Py_TYPE(obj)->tp_dict;
-    if (unlikely(!dict) || unlikely(tp_dict_version != __PYX_GET_DICT_VERSION(dict)))
-        return 0;
-    return obj_dict_version == __Pyx_get_object_dict_version(obj);
-}
-#endif
-
-/* GetModuleGlobalName */
-#if CYTHON_USE_DICT_VERSIONS
-static PyObject *__Pyx__GetModuleGlobalName(PyObject *name, PY_UINT64_T *dict_version, PyObject **dict_cached_value)
-#else
-static CYTHON_INLINE PyObject *__Pyx__GetModuleGlobalName(PyObject *name)
-#endif
+static PyObject *run_enumeration(PyObject *self, PyObject *args)
 {
-    PyObject *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!__pyx_m)) {
-        if (!PyErr_Occurred())
-            PyErr_SetNone(PyExc_NameError);
+    Py_ssize_t m, r;
+    PyObject *relations, *pattern_obj, *cap_obj, *rels, *lhs, *rhs, *out = NULL;
+    int all_pairs, overflow, status;
+    long long cap;
+    Ints letters = {0}, starts = {0}, pattern = {0};
+    Table t;
+    (void)self;
+    memset(&t, 0, sizeof t);
+    if (!PyArg_ParseTuple(args, "nOOpO:run_enumeration", &m, &relations, &pattern_obj,
+                          &all_pairs, &cap_obj))
+        return NULL;
+    cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
+    if (cap == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        cap = overflow > 0 ? LLONG_MAX : -1;
+    if (m < 0) {
+        PyErr_SetString(PyExc_ValueError, "generator count must be non-negative");
         return NULL;
     }
-    result = PyObject_GetAttr(__pyx_m, name);
-    if (likely(result)) {
-        return result;
-    }
-    PyErr_Clear();
-#elif CYTHON_AVOID_BORROWED_REFS || CYTHON_AVOID_THREAD_UNSAFE_BORROWED_REFS
-    if (unlikely(__Pyx_PyDict_GetItemRef(__pyx_mstate_global->__pyx_d, name, &result) == -1)) PyErr_Clear();
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return result;
-    }
-#else
-    result = _PyDict_GetItem_KnownHash(__pyx_mstate_global->__pyx_d, name, ((PyASCIIObject *) name)->hash);
-    __PYX_UPDATE_DICT_CACHE(__pyx_mstate_global->__pyx_d, result, *dict_cached_value, *dict_version)
-    if (likely(result)) {
-        return __Pyx_NewRef(result);
-    }
-    PyErr_Clear();
-#endif
-    return __Pyx_GetBuiltinName(name);
-}
-
-/* ObjectGetItem */
-#if CYTHON_USE_TYPE_SLOTS
-static PyObject *__Pyx_PyObject_GetIndex(PyObject *obj, PyObject *index) {
-    PyObject *runerr = NULL;
-    Py_ssize_t key_value;
-    key_value = __Pyx_PyIndex_AsSsize_t(index);
-    if (likely(key_value != -1 || !(runerr = PyErr_Occurred()))) {
-        return __Pyx_GetItemInt_Fast(obj, key_value, 0, 1, 1, 1);
-    }
-    if (PyErr_GivenExceptionMatches(runerr, PyExc_OverflowError)) {
-        __Pyx_TypeName index_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(index));
-        PyErr_Clear();
-        PyErr_Format(PyExc_IndexError,
-            "cannot fit '" __Pyx_FMT_TYPENAME "' into an index-sized integer", index_type_name);
-        __Pyx_DECREF_TypeName(index_type_name);
-    }
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem_Slow(PyObject *obj, PyObject *key) {
-    __Pyx_TypeName obj_type_name;
-    if (likely(PyType_Check(obj))) {
-        PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(obj, __pyx_mstate_global->__pyx_n_u_class_getitem);
-        if (!meth) {
-            PyErr_Clear();
-        } else {
-            PyObject *result = __Pyx_PyObject_CallOneArg(meth, key);
-            Py_DECREF(meth);
-            return result;
-        }
-    }
-    obj_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(obj));
-    PyErr_Format(PyExc_TypeError,
-        "'" __Pyx_FMT_TYPENAME "' object is not subscriptable", obj_type_name);
-    __Pyx_DECREF_TypeName(obj_type_name);
-    return NULL;
-}
-static PyObject *__Pyx_PyObject_GetItem(PyObject *obj, PyObject *key) {
-    PyTypeObject *tp = Py_TYPE(obj);
-    PyMappingMethods *mm = tp->tp_as_mapping;
-    PySequenceMethods *sm = tp->tp_as_sequence;
-    if (likely(mm && mm->mp_subscript)) {
-        return mm->mp_subscript(obj, key);
-    }
-    if (likely(sm && sm->sq_item)) {
-        return __Pyx_PyObject_GetIndex(obj, key);
-    }
-    return __Pyx_PyObject_GetItem_Slow(obj, key);
-}
-#endif
-
-/* PyLongCompare */
-static CYTHON_INLINE int __Pyx_PyLong_BoolEqObjC(PyObject *op1, PyObject *op2, long intval, long inplace) {
-    CYTHON_MAYBE_UNUSED_VAR(intval);
-    CYTHON_UNUSED_VAR(inplace);
-    if (op1 == op2) {
-        return 1;
-    }
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(PyLong_CheckExact(op1))) {
-        int unequal;
-        unsigned long uintval;
-        Py_ssize_t size = __Pyx_PyLong_DigitCount(op1);
-        const digit* digits = __Pyx_PyLong_Digits(op1);
-        if (intval == 0) {
-            return (__Pyx_PyLong_IsZero(op1) == 1);
-        } else if (intval < 0) {
-            if (__Pyx_PyLong_IsNonNeg(op1))
-                return 0;
-            intval = -intval;
-        } else {
-            if (__Pyx_PyLong_IsNeg(op1))
-                return 0;
-        }
-        uintval = (unsigned long) intval;
-#if PyLong_SHIFT * 4 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 4)) {
-            unequal = (size != 5) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[4] != ((uintval >> (4 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 3 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 3)) {
-            unequal = (size != 4) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[3] != ((uintval >> (3 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 2 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 2)) {
-            unequal = (size != 3) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK)) | (digits[2] != ((uintval >> (2 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-#if PyLong_SHIFT * 1 < SIZEOF_LONG*8
-        if (uintval >> (PyLong_SHIFT * 1)) {
-            unequal = (size != 2) || (digits[0] != (uintval & (unsigned long) PyLong_MASK))
-                 | (digits[1] != ((uintval >> (1 * PyLong_SHIFT)) & (unsigned long) PyLong_MASK));
-        } else
-#endif
-            unequal = (size != 1) || (((unsigned long) digits[0]) != (uintval & (unsigned long) PyLong_MASK));
-        return (unequal == 0);
-    }
-    #endif
-    if (PyFloat_CheckExact(op1)) {
-        const long b = intval;
-        double a = __Pyx_PyFloat_AS_DOUBLE(op1);
-        return ((double)a == (double)b);
-    }
-    return __Pyx_PyObject_IsTrueAndDecref(
-        PyObject_RichCompare(op1, op2, Py_EQ));
-}
-
-/* AllocateExtensionType */
-static PyObject *__Pyx_AllocateExtensionType(PyTypeObject *t, int is_final) {
-    if (is_final || likely(!__Pyx_PyType_HasFeature(t, Py_TPFLAGS_IS_ABSTRACT))) {
-        allocfunc alloc_func = __Pyx_PyType_GetSlot(t, tp_alloc, allocfunc);
-        return alloc_func(t, 0);
-    } else {
-        newfunc tp_new = __Pyx_PyType_TryGetSlot(&PyBaseObject_Type, tp_new, newfunc);
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (!tp_new) {
-            PyObject *new_str = PyUnicode_FromString("__new__");
-            if (likely(new_str)) {
-                PyObject *o = PyObject_CallMethodObjArgs((PyObject *)&PyBaseObject_Type, new_str, t, NULL);
-                Py_DECREF(new_str);
-                return o;
-            } else
-                return NULL;
-        } else
-    #endif
-        return tp_new(t, __pyx_mstate_global->__pyx_empty_tuple, 0);
-    }
-}
-
-/* CallTypeTraverse */
-#if !CYTHON_USE_TYPE_SPECS || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x03090000)
-#else
-static int __Pyx_call_type_traverse(PyObject *o, int always_call, visitproc visit, void *arg) {
-    #if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x03090000
-    if (__Pyx_get_runtime_version() < 0x03090000) return 0;
-    #endif
-    if (!always_call) {
-        PyTypeObject *base = __Pyx_PyObject_GetSlot(o, tp_base, PyTypeObject*);
-        unsigned long flags = PyType_GetFlags(base);
-        if (flags & Py_TPFLAGS_HEAPTYPE) {
-            return 0;
-        }
-    }
-    Py_VISIT((PyObject*)Py_TYPE(o));
-    return 0;
-}
-#endif
-
-/* LimitedApiGetTypeDict (used by SetItemOnTypeDict) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static Py_ssize_t __Pyx_GetTypeDictOffset(void) {
-    PyObject *tp_dictoffset_o;
-    Py_ssize_t tp_dictoffset;
-    tp_dictoffset_o = PyObject_GetAttrString((PyObject*)(&PyType_Type), "__dictoffset__");
-    if (unlikely(!tp_dictoffset_o)) return -1;
-    tp_dictoffset = PyLong_AsSsize_t(tp_dictoffset_o);
-    Py_DECREF(tp_dictoffset_o);
-    if (unlikely(tp_dictoffset == 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' doesn't have a dictoffset");
-        return -1;
-    } else if (unlikely(tp_dictoffset < 0)) {
-        PyErr_SetString(
-            PyExc_TypeError,
-            "'type' has an unexpected negative dictoffset. "
-            "Please report this as Cython bug");
-        return -1;
-    }
-    return tp_dictoffset;
-}
-static PyObject *__Pyx_GetTypeDict(PyTypeObject *tp) {
-    static Py_ssize_t tp_dictoffset = 0;
-    if (unlikely(tp_dictoffset == 0)) {
-        tp_dictoffset = __Pyx_GetTypeDictOffset();
-        if (unlikely(tp_dictoffset == -1 && PyErr_Occurred())) {
-            tp_dictoffset = 0; // try again next time?
-            return NULL;
-        }
-    }
-    return *(PyObject**)((char*)tp + tp_dictoffset);
-}
-#endif
-
-/* SetItemOnTypeDict (used by FixUpExtensionType) */
-static int __Pyx__SetItemOnTypeDict(PyTypeObject *tp, PyObject *k, PyObject *v) {
-    int result;
-    PyObject *tp_dict;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    tp_dict = __Pyx_GetTypeDict(tp);
-    if (unlikely(!tp_dict)) return -1;
-#else
-    tp_dict = tp->tp_dict;
-#endif
-    result = PyDict_SetItem(tp_dict, k, v);
-    if (likely(!result)) {
-        PyType_Modified(tp);
-        if (unlikely(PyObject_HasAttr(v, __pyx_mstate_global->__pyx_n_u_set_name))) {
-            PyObject *setNameResult = PyObject_CallMethodObjArgs(v, __pyx_mstate_global->__pyx_n_u_set_name,  (PyObject *) tp, k, NULL);
-            if (!setNameResult) return -1;
-            Py_DECREF(setNameResult);
-        }
-    }
-    return result;
-}
-
-/* FixUpExtensionType */
-static int __Pyx_fix_up_extension_type_from_spec(PyType_Spec *spec, PyTypeObject *type) {
-#if __PYX_LIMITED_VERSION_HEX > 0x030900B1
-    CYTHON_UNUSED_VAR(spec);
-    CYTHON_UNUSED_VAR(type);
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#else
-    const PyType_Slot *slot = spec->slots;
-    int changed = 0;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    while (slot && slot->slot && slot->slot != Py_tp_members)
-        slot++;
-    if (slot && slot->slot == Py_tp_members) {
-#if !CYTHON_COMPILING_IN_CPYTHON
-        const
-#endif  // !CYTHON_COMPILING_IN_CPYTHON)
-            PyMemberDef *memb = (PyMemberDef*) slot->pfunc;
-        while (memb && memb->name) {
-            if (memb->name[0] == '_' && memb->name[1] == '_') {
-                if (strcmp(memb->name, "__weaklistoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_weaklistoffset = memb->offset;
-                    changed = 1;
-                }
-                else if (strcmp(memb->name, "__dictoffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_dictoffset = memb->offset;
-                    changed = 1;
-                }
-#if CYTHON_METH_FASTCALL
-                else if (strcmp(memb->name, "__vectorcalloffset__") == 0) {
-                    assert(memb->type == T_PYSSIZET);
-                    assert(memb->flags == READONLY);
-                    type->tp_vectorcall_offset = memb->offset;
-                    changed = 1;
-                }
-#endif  // CYTHON_METH_FASTCALL
-#if !CYTHON_COMPILING_IN_PYPY
-                else if (strcmp(memb->name, "__module__") == 0) {
-                    PyObject *descr;
-                    assert(memb->type == T_OBJECT);
-                    assert(memb->flags == 0 || memb->flags == READONLY);
-                    descr = PyDescr_NewMember(type, memb);
-                    if (unlikely(!descr))
-                        return -1;
-                    int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                    Py_DECREF(descr);
-                    if (unlikely(set_item_result < 0)) {
-                        return -1;
-                    }
-                    changed = 1;
-                }
-#endif  // !CYTHON_COMPILING_IN_PYPY
-            }
-            memb++;
-        }
-    }
-#endif  // !CYTHON_COMPILING_IN_LIMITED_API
-#if !CYTHON_COMPILING_IN_PYPY
-    slot = spec->slots;
-    while (slot && slot->slot && slot->slot != Py_tp_getset)
-        slot++;
-    if (slot && slot->slot == Py_tp_getset) {
-        PyGetSetDef *getset = (PyGetSetDef*) slot->pfunc;
-        while (getset && getset->name) {
-            if (getset->name[0] == '_' && getset->name[1] == '_' && strcmp(getset->name, "__module__") == 0) {
-                PyObject *descr = PyDescr_NewGetSet(type, getset);
-                if (unlikely(!descr))
-                    return -1;
-                #if CYTHON_COMPILING_IN_LIMITED_API
-                PyObject *pyname = PyUnicode_FromString(getset->name);
-                if (unlikely(!pyname)) {
-                    Py_DECREF(descr);
-                    return -1;
-                }
-                int set_item_result = __Pyx_SetItemOnTypeDict(type, pyname, descr);
-                Py_DECREF(pyname);
-                #else
-                CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-                int set_item_result = PyDict_SetItem(type->tp_dict, PyDescr_NAME(descr), descr);
-                #endif
-                Py_DECREF(descr);
-                if (unlikely(set_item_result < 0)) {
-                    return -1;
-                }
-                changed = 1;
-            }
-            ++getset;
-        }
-    }
-#else
-    CYTHON_UNUSED_VAR(__Pyx__SetItemOnTypeDict);
-#endif  // !CYTHON_COMPILING_IN_PYPY
-    if (changed)
-        PyType_Modified(type);
-#endif  // PY_VERSION_HEX > 0x030900B1
-    return 0;
-}
-
-/* ValidateBasesTuple (used by PyType_Ready) */
-#if CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_LIMITED_API || CYTHON_USE_TYPE_SPECS
-static int __Pyx_validate_bases_tuple(const char *type_name, Py_ssize_t dictoffset, PyObject *bases) {
-    Py_ssize_t i, n;
-#if CYTHON_ASSUME_SAFE_SIZE
-    n = PyTuple_GET_SIZE(bases);
-#else
-    n = PyTuple_Size(bases);
-    if (unlikely(n < 0)) return -1;
-#endif
-    for (i = 1; i < n; i++)
-    {
-        PyTypeObject *b;
-#if CYTHON_AVOID_BORROWED_REFS
-        PyObject *b0 = PySequence_GetItem(bases, i);
-        if (!b0) return -1;
-#elif CYTHON_ASSUME_SAFE_MACROS
-        PyObject *b0 = PyTuple_GET_ITEM(bases, i);
-#else
-        PyObject *b0 = PyTuple_GetItem(bases, i);
-        if (!b0) return -1;
-#endif
-        b = (PyTypeObject*) b0;
-        if (!__Pyx_PyType_HasFeature(b, Py_TPFLAGS_HEAPTYPE))
-        {
-            __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-            PyErr_Format(PyExc_TypeError,
-                "base class '" __Pyx_FMT_TYPENAME "' is not a heap type", b_name);
-            __Pyx_DECREF_TypeName(b_name);
-#if CYTHON_AVOID_BORROWED_REFS
-            Py_DECREF(b0);
-#endif
-            return -1;
-        }
-        if (dictoffset == 0)
-        {
-            Py_ssize_t b_dictoffset = 0;
-#if CYTHON_USE_TYPE_SLOTS
-            b_dictoffset = b->tp_dictoffset;
-#else
-            PyObject *py_b_dictoffset = PyObject_GetAttrString((PyObject*)b, "__dictoffset__");
-            if (!py_b_dictoffset) goto dictoffset_return;
-            b_dictoffset = PyLong_AsSsize_t(py_b_dictoffset);
-            Py_DECREF(py_b_dictoffset);
-            if (b_dictoffset == -1 && PyErr_Occurred()) goto dictoffset_return;
-#endif
-            if (b_dictoffset) {
-                {
-                    __Pyx_TypeName b_name = __Pyx_PyType_GetFullyQualifiedName(b);
-                    PyErr_Format(PyExc_TypeError,
-                        "extension type '%.200s' has no __dict__ slot, "
-                        "but base type '" __Pyx_FMT_TYPENAME "' has: "
-                        "either add 'cdef dict __dict__' to the extension type "
-                        "or add '__slots__ = [...]' to the base type",
-                        type_name, b_name);
-                    __Pyx_DECREF_TypeName(b_name);
-                }
-#if !CYTHON_USE_TYPE_SLOTS
-              dictoffset_return:
-#endif
-#if CYTHON_AVOID_BORROWED_REFS
-                Py_DECREF(b0);
-#endif
-                return -1;
-            }
-        }
-#if CYTHON_AVOID_BORROWED_REFS
-        Py_DECREF(b0);
-#endif
-    }
-    return 0;
-}
-#endif
-
-/* PyType_Ready */
-CYTHON_UNUSED static int __Pyx_PyType_HasMultipleInheritance(PyTypeObject *t) {
-    while (t) {
-        PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-        if (bases) {
-            return 1;
-        }
-        t = __Pyx_PyType_GetSlot(t, tp_base, PyTypeObject*);
-    }
-    return 0;
-}
-static int __Pyx_PyType_Ready(PyTypeObject *t) {
-#if CYTHON_USE_TYPE_SPECS || !CYTHON_COMPILING_IN_CPYTHON || defined(PYSTON_MAJOR_VERSION)
-    (void)__Pyx_PyObject_CallMethod0;
-#if CYTHON_USE_TYPE_SPECS
-    (void)__Pyx_validate_bases_tuple;
-#endif
-    return PyType_Ready(t);
-#else
-    int r;
-    if (!__Pyx_PyType_HasMultipleInheritance(t)) {
-        return PyType_Ready(t);
-    }
-    PyObject *bases = __Pyx_PyType_GetSlot(t, tp_bases, PyObject*);
-    if (bases && unlikely(__Pyx_validate_bases_tuple(t->tp_name, t->tp_dictoffset, bases) == -1))
-        return -1;
-#if !defined(PYSTON_MAJOR_VERSION)
-    {
-        int gc_was_enabled;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        gc_was_enabled = PyGC_Disable();
-        (void)__Pyx_PyObject_CallMethod0;
-    #else
-        PyObject *ret, *py_status;
-        PyObject *gc = NULL;
-        #if (!CYTHON_COMPILING_IN_PYPY || PYPY_VERSION_NUM+0 >= 0x07030400) &&\
-                !CYTHON_COMPILING_IN_GRAAL
-        gc = PyImport_GetModule(__pyx_mstate_global->__pyx_kp_u_gc);
-        #endif
-        if (unlikely(!gc)) gc = PyImport_Import(__pyx_mstate_global->__pyx_kp_u_gc);
-        if (unlikely(!gc)) return -1;
-        py_status = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_isenabled);
-        if (unlikely(!py_status)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-        gc_was_enabled = __Pyx_PyObject_IsTrue(py_status);
-        Py_DECREF(py_status);
-        if (gc_was_enabled > 0) {
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_disable);
-            if (unlikely(!ret)) {
-                Py_DECREF(gc);
-                return -1;
-            }
-            Py_DECREF(ret);
-        } else if (unlikely(gc_was_enabled == -1)) {
-            Py_DECREF(gc);
-            return -1;
-        }
-    #endif
-        t->tp_flags |= Py_TPFLAGS_HEAPTYPE;
-#if PY_VERSION_HEX >= 0x030A0000
-        t->tp_flags |= Py_TPFLAGS_IMMUTABLETYPE;
-#endif
-#else
-        (void)__Pyx_PyObject_CallMethod0;
-#endif
-    r = PyType_Ready(t);
-#if !defined(PYSTON_MAJOR_VERSION)
-        t->tp_flags &= ~Py_TPFLAGS_HEAPTYPE;
-    #if PY_VERSION_HEX >= 0x030A00b1
-        if (gc_was_enabled)
-            PyGC_Enable();
-    #else
-        if (gc_was_enabled) {
-            PyObject *tp, *v, *tb;
-            PyErr_Fetch(&tp, &v, &tb);
-            ret = __Pyx_PyObject_CallMethod0(gc, __pyx_mstate_global->__pyx_kp_u_enable);
-            if (likely(ret || r == -1)) {
-                Py_XDECREF(ret);
-                PyErr_Restore(tp, v, tb);
-            } else {
-                Py_XDECREF(tp);
-                Py_XDECREF(v);
-                Py_XDECREF(tb);
-                r = -1;
-            }
-        }
-        Py_DECREF(gc);
-    #endif
-    }
-#endif
-    return r;
-#endif
-}
-
-/* HasAttr (used by ImportImpl) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static CYTHON_INLINE int __Pyx_HasAttr(PyObject *o, PyObject *n) {
-    PyObject *r;
-    if (unlikely(!PyUnicode_Check(n))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "hasattr(): attribute name must be string");
-        return -1;
-    }
-    r = __Pyx_PyObject_GetAttrStrNoError(o, n);
-    if (!r) {
-        return (unlikely(PyErr_Occurred())) ? -1 : 0;
-    } else {
-        Py_DECREF(r);
-        return 1;
-    }
-}
-#endif
-
-/* ImportImpl (used by Import) */
-static int __Pyx__Import_GetModule(PyObject *qualname, PyObject **module) {
-    PyObject *imported_module = PyImport_GetModule(qualname);
-    if (unlikely(!imported_module)) {
-        *module = NULL;
-        if (PyErr_Occurred()) {
-            return -1;
-        }
-        return 0;
-    }
-    *module = imported_module;
-    return 1;
-}
-static int __Pyx__Import_Lookup(PyObject *qualname, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject **module) {
-    PyObject *imported_module;
-    PyObject *top_level_package_name;
-    Py_ssize_t i;
-    int status, module_found;
-    Py_ssize_t dot_index;
-    module_found = __Pyx__Import_GetModule(qualname, &imported_module);
-    if (unlikely(!module_found || module_found == -1)) {
-        *module = NULL;
-        return module_found;
-    }
-    if (imported_names) {
-        for (i = 0; i < len_imported_names; i++) {
-            PyObject *imported_name = imported_names[i];
-#if __PYX_LIMITED_VERSION_HEX < 0x030d0000
-            int has_imported_attribute = PyObject_HasAttr(imported_module, imported_name);
-#else
-            int has_imported_attribute = PyObject_HasAttrWithError(imported_module, imported_name);
-            if (unlikely(has_imported_attribute == -1)) goto error;
-#endif
-            if (!has_imported_attribute) {
-                goto not_found;
-            }
-        }
-        *module = imported_module;
-        return 1;
-    }
-    dot_index = PyUnicode_FindChar(qualname, '.', 0, PY_SSIZE_T_MAX, 1);
-    if (dot_index == -1) {
-        *module = imported_module;
-        return 1;
-    }
-    if (unlikely(dot_index == -2)) goto error;
-    top_level_package_name = PyUnicode_Substring(qualname, 0, dot_index);
-    if (unlikely(!top_level_package_name)) goto error;
-    Py_DECREF(imported_module);
-    status = __Pyx__Import_GetModule(top_level_package_name, module);
-    Py_DECREF(top_level_package_name);
-    return status;
-error:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return -1;
-not_found:
-    Py_DECREF(imported_module);
-    *module = NULL;
-    return 0;
-}
-static PyObject *__Pyx__Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, PyObject *moddict, int level) {
-    PyObject *module = 0;
-    PyObject *empty_dict = 0;
-    PyObject *from_list = 0;
-    int module_found;
-    if (!qualname) {
-        qualname = name;
-    }
-    module_found = __Pyx__Import_Lookup(qualname, imported_names, len_imported_names, &module);
-    if (likely(module_found == 1)) {
-        return module;
-    } else if (unlikely(module_found == -1)) {
+    if ((rels = PySequence_Fast(relations, "relations must be a sequence")) == NULL)
         return NULL;
-    }
-    empty_dict = PyDict_New();
-    if (unlikely(!empty_dict))
-        goto bad;
-    if (imported_names) {
-#if CYTHON_COMPILING_IN_CPYTHON
-        from_list = __Pyx_PyList_FromArray(imported_names, len_imported_names);
-        if (unlikely(!from_list))
-            goto bad;
-#else
-        from_list = PyList_New(len_imported_names);
-        if (unlikely(!from_list)) goto bad;
-        for (Py_ssize_t i=0; i<len_imported_names; ++i) {
-            if (PyList_SetItem(from_list, i, __Pyx_NewRef(imported_names[i])) < 0) goto bad;
-        }
-#endif
-    }
-    if (level == -1) {
-        const char* package_sep = strchr(__Pyx_MODULE_NAME, '.');
-        if (package_sep != (0)) {
-            module = PyImport_ImportModuleLevelObject(
-                name, moddict, empty_dict, from_list, 1);
-            if (unlikely(!module)) {
-                if (unlikely(!PyErr_ExceptionMatches(PyExc_ImportError)))
-                    goto bad;
-                PyErr_Clear();
-            }
-        }
-        level = 0;
-    }
-    if (!module) {
-        module = PyImport_ImportModuleLevelObject(
-            name, moddict, empty_dict, from_list, level);
-    }
-bad:
-    Py_XDECREF(from_list);
-    Py_XDECREF(empty_dict);
-    return module;
-}
-
-/* Import */
-static PyObject *__Pyx_Import(PyObject *name, PyObject *const *imported_names, Py_ssize_t len_imported_names, PyObject *qualname, int level) {
-    return __Pyx__Import(name, imported_names, len_imported_names, qualname, __pyx_mstate_global->__pyx_d, level);
-}
-
-/* dict_setdefault (used by FetchCommonType) */
-static CYTHON_INLINE PyObject *__Pyx_PyDict_SetDefault(PyObject *d, PyObject *key, PyObject *default_value) {
-    PyObject* value;
-#if __PYX_LIMITED_VERSION_HEX >= 0x030F0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4)
-    PyDict_SetDefaultRef(d, key, default_value, &value);
-#elif CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    PyObject *args[] = {d, key, default_value};
-    value = PyObject_VectorcallMethod(__pyx_mstate_global->__pyx_n_u_setdefault, args, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_CallMethodObjArgs(d, __pyx_mstate_global->__pyx_n_u_setdefault, key, default_value, NULL);
-#else
-    value = PyDict_SetDefault(d, key, default_value);
-    if (unlikely(!value)) return NULL;
-    Py_INCREF(value);
-#endif
-    return value;
-}
-
-/* AddModuleRef (used by FetchSharedCythonModule) */
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-  static PyObject *__Pyx_PyImport_AddModuleObjectRef(PyObject *name) {
-      PyObject *module_dict = PyImport_GetModuleDict();
-      PyObject *m;
-      if (PyMapping_GetOptionalItem(module_dict, name, &m) < 0) {
-          return NULL;
-      }
-      if (m != NULL && PyModule_Check(m)) {
-          return m;
-      }
-      Py_XDECREF(m);
-      m = PyModule_NewObject(name);
-      if (m == NULL)
-          return NULL;
-      if (PyDict_CheckExact(module_dict)) {
-          PyObject *new_m;
-          (void)PyDict_SetDefaultRef(module_dict, name, m, &new_m);
-          Py_DECREF(m);
-          return new_m;
-      } else {
-           if (PyObject_SetItem(module_dict, name, m) != 0) {
-                Py_DECREF(m);
-                return NULL;
-            }
-            return m;
-      }
-  }
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *py_name = PyUnicode_FromString(name);
-      if (!py_name) return NULL;
-      PyObject *module = __Pyx_PyImport_AddModuleObjectRef(py_name);
-      Py_DECREF(py_name);
-      return module;
-  }
-#elif __PYX_LIMITED_VERSION_HEX >= 0x030d0000
-  #define __Pyx_PyImport_AddModuleRef(name) PyImport_AddModuleRef(name)
-#else
-  static PyObject *__Pyx_PyImport_AddModuleRef(const char *name) {
-      PyObject *module = PyImport_AddModule(name);
-      Py_XINCREF(module);
-      return module;
-  }
-#endif
-
-/* FetchSharedCythonModule (used by FetchCommonType) */
-static PyObject *__Pyx_FetchSharedCythonABIModule(void) {
-    return __Pyx_PyImport_AddModuleRef(__PYX_ABI_MODULE_NAME);
-}
-
-/* FetchCommonType (used by CommonTypesMetaclass) */
-#if __PYX_LIMITED_VERSION_HEX < 0x030C0000
-static PyObject* __Pyx_PyType_FromMetaclass(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *result = __Pyx_PyType_FromModuleAndSpec(module, spec, bases);
-    if (result && metaclass) {
-        PyObject *old_tp = (PyObject*)Py_TYPE(result);
-    Py_INCREF((PyObject*)metaclass);
-#if __PYX_LIMITED_VERSION_HEX >= 0x03090000
-        Py_SET_TYPE(result, metaclass);
-#else
-        result->ob_type = metaclass;
-#endif
-        Py_DECREF(old_tp);
-    }
-    return result;
-}
-#else
-#define __Pyx_PyType_FromMetaclass(me, mo, s, b) PyType_FromMetaclass(me, mo, s, b)
-#endif
-static int __Pyx_VerifyCachedType(PyObject *cached_type,
-                               const char *name,
-                               Py_ssize_t expected_basicsize) {
-    Py_ssize_t basicsize;
-    if (!PyType_Check(cached_type)) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s is not a type object", name);
-        return -1;
-    }
-    if (expected_basicsize == 0) {
-        return 0; // size is inherited, nothing useful to check
-    }
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_basicsize;
-    py_basicsize = PyObject_GetAttrString(cached_type, "__basicsize__");
-    if (unlikely(!py_basicsize)) return -1;
-    basicsize = PyLong_AsSsize_t(py_basicsize);
-    Py_DECREF(py_basicsize);
-    py_basicsize = NULL;
-    if (unlikely(basicsize == (Py_ssize_t)-1) && PyErr_Occurred()) return -1;
-#else
-    basicsize = ((PyTypeObject*) cached_type)->tp_basicsize;
-#endif
-    if (basicsize != expected_basicsize) {
-        PyErr_Format(PyExc_TypeError,
-            "Shared Cython type %.200s has the wrong size, try recompiling",
-            name);
-        return -1;
-    }
-    return 0;
-}
-static PyTypeObject *__Pyx_FetchCommonTypeFromSpec(PyTypeObject *metaclass, PyObject *module, PyType_Spec *spec, PyObject *bases) {
-    PyObject *abi_module = NULL, *cached_type = NULL, *abi_module_dict, *new_cached_type, *py_object_name;
-    int get_item_ref_result;
-    const char* object_name = strrchr(spec->name, '.');
-    object_name = object_name ? object_name+1 : spec->name;
-    py_object_name = PyUnicode_FromString(object_name);
-    if (!py_object_name) return NULL;
-    abi_module = __Pyx_FetchSharedCythonABIModule();
-    if (!abi_module) goto done;
-    abi_module_dict = PyModule_GetDict(abi_module);
-    if (!abi_module_dict) goto done;
-    get_item_ref_result = __Pyx_PyDict_GetItemRef(abi_module_dict, py_object_name, &cached_type);
-    if (get_item_ref_result == 1) {
-        if (__Pyx_VerifyCachedType(
-              cached_type,
-              object_name,
-              spec->basicsize) < 0) {
-            goto bad;
-        }
+    t.m = m;
+    if (read_budget(&t) < 0 || push(&starts, 0) < 0)
         goto done;
-    } else if (unlikely(get_item_ref_result == -1)) {
-        goto bad;
-    }
-    cached_type = __Pyx_PyType_FromMetaclass(
-        metaclass,
-        CYTHON_USE_MODULE_STATE ? module : abi_module,
-        spec, bases);
-    if (unlikely(!cached_type)) goto bad;
-    if (unlikely(__Pyx_fix_up_extension_type_from_spec(spec, (PyTypeObject *) cached_type) < 0)) goto bad;
-    new_cached_type = __Pyx_PyDict_SetDefault(abi_module_dict, py_object_name, cached_type);
-    if (unlikely(new_cached_type != cached_type)) {
-        if (unlikely(!new_cached_type)) goto bad;
-        Py_DECREF(cached_type);
-        cached_type = new_cached_type;
-        if (__Pyx_VerifyCachedType(
-                cached_type,
-                object_name,
-                spec->basicsize) < 0) {
-            goto bad;
+    for (r = 0; r < PySequence_Fast_GET_SIZE(rels); r++) {
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(rels, r), "OO:relation", &lhs, &rhs)
+            || read_word(lhs, m, &letters) < 0 || push(&starts, (int)letters.len) < 0
+            || read_word(rhs, m, &letters) < 0 || push(&starts, (int)letters.len) < 0)
+            goto done;
+        if (starts.v[starts.len - 1] == starts.v[starts.len - 2]
+            || starts.v[starts.len - 2] == starts.v[starts.len - 3]) {
+            PyErr_SetString(PyExc_ValueError, "empty word in relation");
+            goto done;
         }
-        goto done;
-    } else {
-        Py_DECREF(new_cached_type);
     }
+    if (read_word(pattern_obj, 2, &pattern) < 0)
+        goto done;
+    status = enumerate(&t, &letters, &starts, &pattern, all_pairs, cap);
+    if (status == COMPLETED)
+        out = completed_table(&t);
+    else if (status > 0 || t.too_large)
+        out = Py_BuildValue("(iOOL)", status > 0 ? status : TOO_LARGE, Py_None, Py_None, t.merges);
 done:
-    Py_XDECREF(abi_module);
-    Py_DECREF(py_object_name);
-    assert(cached_type == NULL || PyType_Check(cached_type));
-    return (PyTypeObject *) cached_type;
-bad:
-    Py_XDECREF(cached_type);
-    cached_type = NULL;
-    goto done;
+    Py_DECREF(rels);
+    PyMem_Free(letters.v);
+    PyMem_Free(starts.v);
+    PyMem_Free(pattern.v);
+    PyMem_Free(t.tab);
+    PyMem_Free(t.row);
+    PyMem_Free(t.col);
+    PyMem_Free(t.live);
+    PyMem_Free(t.parent);
+    PyMem_Free(t.ev.v);
+    PyMem_Free(t.stack.v);
+    PyMem_Free(t.gens);
+    PyMem_Free(t.domain);
+    return out;
 }
 
-/* CommonTypesMetaclass (used by CythonFunctionShared) */
-static PyObject* __pyx_CommonTypesMetaclass_get_module(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED void* context) {
-    return PyUnicode_FromString(__PYX_ABI_MODULE_NAME);
-}
-#if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject* __pyx_CommonTypesMetaclass_call(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *args, CYTHON_UNUSED PyObject *kwds) {
-    PyErr_SetString(PyExc_TypeError, "Cannot instantiate Cython internal types");
-    return NULL;
-}
-static int __pyx_CommonTypesMetaclass_setattr(CYTHON_UNUSED PyObject *self, CYTHON_UNUSED PyObject *attr, CYTHON_UNUSED PyObject *value) {
-    PyErr_SetString(PyExc_TypeError, "Cython internal types are immutable");
-    return -1;
-}
-#endif
-static PyGetSetDef __pyx_CommonTypesMetaclass_getset[] = {
-    {"__module__", __pyx_CommonTypesMetaclass_get_module, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_CommonTypesMetaclass_slots[] = {
-    {Py_tp_getset, (void *)__pyx_CommonTypesMetaclass_getset},
-    #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {Py_tp_call, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_new, (void*)__pyx_CommonTypesMetaclass_call},
-    {Py_tp_setattro, (void*)__pyx_CommonTypesMetaclass_setattr},
-    #endif
-    {0, 0}
-};
-static PyType_Spec __pyx_CommonTypesMetaclass_spec = {
-    __PYX_TYPE_MODULE_PREFIX "_common_types_metatype",
-    0,
-    0,
-    Py_TPFLAGS_IMMUTABLETYPE |
-    Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT,
-    __pyx_CommonTypesMetaclass_slots
-};
-static int __pyx_CommonTypesMetaclass_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    PyObject *bases = PyTuple_Pack(1, &PyType_Type);
-    if (unlikely(!bases)) {
-        return -1;
-    }
-    mstate->__pyx_CommonTypesMetaclassType = __Pyx_FetchCommonTypeFromSpec(NULL, module, &__pyx_CommonTypesMetaclass_spec, bases);
-    Py_DECREF(bases);
-    if (unlikely(mstate->__pyx_CommonTypesMetaclassType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-
-/* PyMethodNew (used by CythonFunctionShared) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030C0000
-    {
-        PyObject *args[] = {func, self};
-        result = PyObject_Vectorcall(__pyx_mstate_global->__Pyx_CachedMethodType, args, 2, NULL);
-    }
-    #else
-    result = PyObject_CallFunctionObjArgs(__pyx_mstate_global->__Pyx_CachedMethodType, func, self, NULL);
-    #endif
-    return result;
-}
-#else
-static PyObject *__Pyx_PyMethod_New(PyObject *func, PyObject *self, PyObject *typ) {
-    CYTHON_UNUSED_VAR(typ);
-    if (!self)
-        return __Pyx_NewRef(func);
-    return PyMethod_New(func, self);
-}
-#endif
-
-/* PyVectorcallFastCallDict (used by CythonFunctionShared) */
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static PyObject *__Pyx_PyVectorcall_FastCallDict_kw(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
+static void join(int *parent, int x, int y)
 {
-    PyObject *res = NULL;
-    PyObject *kwnames;
-    PyObject **newargs;
-    PyObject **kwvalues;
-    Py_ssize_t i;
-    #if CYTHON_AVOID_BORROWED_REFS
-    PyObject *pos;
-    #else
-    Py_ssize_t pos;
-    #endif
-    size_t j;
-    PyObject *key, *value;
-    unsigned long keys_are_strings;
-    #if !CYTHON_ASSUME_SAFE_SIZE
-    Py_ssize_t nkw = PyDict_Size(kw);
-    if (unlikely(nkw == -1)) return NULL;
-    #else
-    Py_ssize_t nkw = PyDict_GET_SIZE(kw);
-    #endif
-    newargs = (PyObject **)PyMem_Malloc((nargs + (size_t)nkw) * sizeof(args[0]));
-    if (unlikely(newargs == NULL)) {
+    x = root(parent, x);
+    y = root(parent, y);
+    parent[Py_MAX(x, y)] = Py_MIN(x, y);
+}
+
+PyDoc_STRVAR(bracket_statesum_doc,
+"bracket_statesum(crossings, arc_count)\n--\n\n"
+"Kauffman bracket state sum by brute force over all 2**c states: the\n"
+"same {(exponent, circles): multiplicity} as `_enumpy.bracket_statesum`.");
+
+static PyObject *bracket_statesum(PyObject *self, PyObject *args)
+{
+    PyObject *crossings, *seq, *out = NULL;
+    Py_ssize_t arcs, c, i, k, x;
+    int *quad = NULL, *parent = NULL;
+    long long *count = NULL, state;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "On:bracket_statesum", &crossings, &arcs))
+        return NULL;
+    if ((seq = PySequence_Fast(crossings, "crossings must be a sequence")) == NULL)
+        return NULL;
+    c = PySequence_Fast_GET_SIZE(seq);
+    if (c > 62 || arcs < 0 || arcs > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, c > 62 ? "the state sum takes at most 62 crossings"
+                                                 : "arc count out of range");
+        goto done;
+    }
+    quad = PyMem_Malloc((size_t)(4 * c + 1) * sizeof(int));
+    parent = PyMem_Malloc((size_t)(arcs + 1) * sizeof(int));
+    count = PyMem_Calloc((size_t)(c + 1) * (arcs + 1), sizeof(long long));
+    if (quad == NULL || parent == NULL || count == NULL) {
         PyErr_NoMemory();
-        return NULL;
-    }
-    for (j = 0; j < nargs; j++) newargs[j] = args[j];
-    kwnames = PyTuple_New(nkw);
-    if (unlikely(kwnames == NULL)) {
-        PyMem_Free(newargs);
-        return NULL;
-    }
-    kwvalues = newargs + nargs;
-    pos = 0;
-    i = 0;
-    keys_are_strings = Py_TPFLAGS_UNICODE_SUBCLASS;
-    while (__Pyx_PyDict_NextRef(kw, &pos, &key, &value)) {
-        keys_are_strings &=
-        #if CYTHON_COMPILING_IN_LIMITED_API
-            PyType_GetFlags(Py_TYPE(key));
-        #else
-            Py_TYPE(key)->tp_flags;
-        #endif
-        #if !CYTHON_ASSUME_SAFE_MACROS
-        if (unlikely(PyTuple_SetItem(kwnames, i, key) < 0)) goto cleanup;
-        #else
-        PyTuple_SET_ITEM(kwnames, i, key);
-        #endif
-        kwvalues[i] = value;
-        i++;
-    }
-    if (unlikely(!keys_are_strings)) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        goto cleanup;
-    }
-    res = vc(func, newargs, nargs, kwnames);
-cleanup:
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_DECREF(pos);
-    #endif
-    Py_DECREF(kwnames);
-    for (i = 0; i < nkw; i++)
-        Py_DECREF(kwvalues[i]);
-    PyMem_Free(newargs);
-    return res;
-}
-static CYTHON_INLINE PyObject *__Pyx_PyVectorcall_FastCallDict(PyObject *func, __pyx_vectorcallfunc vc, PyObject *const *args, size_t nargs, PyObject *kw)
-{
-    Py_ssize_t kw_size =
-        likely(kw == NULL) ?
-        0 :
-#if !CYTHON_ASSUME_SAFE_SIZE
-        PyDict_Size(kw);
-#else
-        PyDict_GET_SIZE(kw);
-#endif
-    if (kw_size == 0) {
-        return vc(func, args, nargs, NULL);
-    }
-#if !CYTHON_ASSUME_SAFE_SIZE
-    else if (unlikely(kw_size == -1)) {
-        return NULL;
-    }
-#endif
-    return __Pyx_PyVectorcall_FastCallDict_kw(func, vc, args, nargs, kw);
-}
-#endif
-
-/* CythonFunctionShared (used by CythonFunction) */
-#if CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunctionNoMethod(PyObject *func, void (*cfunc)(void)) {
-    if (__Pyx_CyFunction_Check(func)) {
-        return PyCFunction_GetFunction(((__pyx_CyFunctionObject*)func)->func) == (PyCFunction) cfunc;
-    } else if (PyCFunction_Check(func)) {
-        return PyCFunction_GetFunction(func) == (PyCFunction) cfunc;
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if ((PyObject*)Py_TYPE(func) == __pyx_mstate_global->__Pyx_CachedMethodType) {
-        int result;
-        PyObject *newFunc = PyObject_GetAttr(func, __pyx_mstate_global->__pyx_n_u_func);
-        if (unlikely(!newFunc)) {
-            PyErr_Clear(); // It's only an optimization, so don't throw an error
-            return 0;
-        }
-        result = __Pyx__IsSameCyOrCFunctionNoMethod(newFunc, cfunc);
-        Py_DECREF(newFunc);
-        return result;
-    }
-    return __Pyx__IsSameCyOrCFunctionNoMethod(func, cfunc);
-}
-#else
-static CYTHON_INLINE int __Pyx__IsSameCyOrCFunction(PyObject *func, void (*cfunc)(void)) {
-    if (PyMethod_Check(func)) {
-        func = PyMethod_GET_FUNCTION(func);
-    }
-    return __Pyx_CyOrPyCFunction_Check(func) && __Pyx_CyOrPyCFunction_GET_FUNCTION(func) == (PyCFunction) cfunc;
-}
-#endif
-static CYTHON_INLINE void __Pyx__CyFunction_SetClassObj(__pyx_CyFunctionObject* f, PyObject* classobj) {
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    __Pyx_Py_XDECREF_SET(
-        __Pyx_CyFunction_GetClassObj(f),
-            ((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#else
-    __Pyx_Py_XDECREF_SET(
-        ((PyCMethodObject *) (f))->mm_class,
-        (PyTypeObject*)((classobj) ? __Pyx_NewRef(classobj) : NULL));
-#endif
-}
-static PyObject *
-__Pyx_CyFunction_get_doc_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_doc == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_doc = PyObject_GetAttrString(op->func, "__doc__");
-        if (unlikely(!op->func_doc)) return NULL;
-#else
-        if (((PyCFunctionObject*)op)->m_ml->ml_doc) {
-            op->func_doc = PyUnicode_FromString(((PyCFunctionObject*)op)->m_ml->ml_doc);
-            if (unlikely(op->func_doc == NULL))
-                return NULL;
-        } else {
-            Py_INCREF(Py_None);
-            return Py_None;
-        }
-#endif
-    }
-    Py_INCREF(op->func_doc);
-    return op->func_doc;
-}
-static PyObject *
-__Pyx_CyFunction_get_doc(__pyx_CyFunctionObject *op, void *closure) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(closure);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_doc_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_doc(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        value = Py_None;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_doc, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_name_locked(__pyx_CyFunctionObject *op)
-{
-    if (unlikely(op->func_name == NULL)) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-        op->func_name = PyObject_GetAttrString(op->func, "__name__");
-#else
-        op->func_name = PyUnicode_InternFromString(((PyCFunctionObject*)op)->m_ml->ml_name);
-#endif
-        if (unlikely(op->func_name == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_name);
-    return op->func_name;
-}
-static PyObject *
-__Pyx_CyFunction_get_name(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_name_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_name(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_name, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_qualname(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    PyObject *result;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    Py_INCREF(op->func_qualname);
-    result = op->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_qualname(__pyx_CyFunctionObject *op, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_qualname, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *
-__Pyx_CyFunction_get_dict(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(op->func_dict == NULL)) {
-        op->func_dict = PyDict_New();
-        if (unlikely(op->func_dict == NULL))
-            return NULL;
-    }
-    Py_INCREF(op->func_dict);
-    return op->func_dict;
-}
-#endif
-static PyObject *
-__Pyx_CyFunction_get_globals(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(op->func_globals);
-    return op->func_globals;
-}
-static PyObject *
-__Pyx_CyFunction_get_closure(__pyx_CyFunctionObject *op, void *context)
-{
-    CYTHON_UNUSED_VAR(op);
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(Py_None);
-    return Py_None;
-}
-static PyObject *
-__Pyx_CyFunction_get_code(__pyx_CyFunctionObject *op, void *context)
-{
-    PyObject* result = (op->func_code) ? op->func_code : Py_None;
-    CYTHON_UNUSED_VAR(context);
-    Py_INCREF(result);
-    return result;
-}
-static int
-__Pyx_CyFunction_init_defaults(__pyx_CyFunctionObject *op) {
-    int result = 0;
-    PyObject *res = op->defaults_getter((PyObject *) op);
-    if (unlikely(!res))
-        return -1;
-    #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-    op->defaults_tuple = PyTuple_GET_ITEM(res, 0);
-    Py_INCREF(op->defaults_tuple);
-    op->defaults_kwdict = PyTuple_GET_ITEM(res, 1);
-    Py_INCREF(op->defaults_kwdict);
-    #else
-    op->defaults_tuple = __Pyx_PySequence_ITEM(res, 0);
-    if (unlikely(!op->defaults_tuple)) result = -1;
-    else {
-        op->defaults_kwdict = __Pyx_PySequence_ITEM(res, 1);
-        if (unlikely(!op->defaults_kwdict)) result = -1;
-    }
-    #endif
-    Py_DECREF(res);
-    return result;
-}
-static int
-__Pyx_CyFunction_set_defaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyTuple_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__defaults__ must be set to a tuple object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__defaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_tuple, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_tuple;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_tuple;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_defaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result = NULL;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_defaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int
-__Pyx_CyFunction_set_kwdefaults(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value) {
-        value = Py_None;
-    } else if (unlikely(value != Py_None && !PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__kwdefaults__ must be set to a dict object");
-        return -1;
-    }
-    PyErr_WarnEx(PyExc_RuntimeWarning, "changes to cyfunction.__kwdefaults__ will not "
-                 "currently affect the values used in function calls", 1);
-    Py_INCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->defaults_kwdict, value);
-    __Pyx_END_CRITICAL_SECTION();
-    return 0;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->defaults_kwdict;
-    if (unlikely(!result)) {
-        if (op->defaults_getter) {
-            if (unlikely(__Pyx_CyFunction_init_defaults(op) < 0)) return NULL;
-            result = op->defaults_kwdict;
-        } else {
-            result = Py_None;
-        }
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_kwdefaults(__pyx_CyFunctionObject *op, void *context) {
-    PyObject* result;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    result = __Pyx_CyFunction_get_kwdefaults_locked(op);
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static int __Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value);
-static int
-__Pyx_CyFunction_set_annotations(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (!value || value == Py_None) {
-        value = NULL;
-    } else if (unlikely(!PyDict_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__annotations__ must be set to a dict object");
-        return -1;
-    }
-    Py_XINCREF(value);
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, value);
-    __Pyx_END_CRITICAL_SECTION();
-    if (unlikely(__Pyx_CyFunction_set_annotate_in_dict_if_exists((PyObject*) op, Py_None) < 0)) return -1;
-    return 0;
-}
-static int
-__Pyx_CyFunction_get_dict_if_exists(PyObject *op_in, PyObject **dict) {
-    /* Return 1 if the function dict exists, 0 otherwise.  This cannot fail:
-     * _PyObject_GetDictPtr() may clear errors internally, but never reports them. */
-#if CYTHON_COMPILING_IN_PYPY
-    *dict = PyObject_GenericGetDict(op_in, NULL);
-#elif CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX < 0x030C0000
-    *dict = ((__pyx_CyFunctionObject*) op_in)->func_dict;
-#else
-    PyObject **dictptr = _PyObject_GetDictPtr(op_in);
-    *dict = likely(dictptr) ? *dictptr : NULL;
-#endif
-    return *dict ? 1 : 0;
-}
-static int
-__Pyx_CyFunction_get_annotate_from_dict_if_exists(PyObject *op_in, PyObject **annotate) {
-    PyObject *dict;
-    int dict_found;
-    *annotate = NULL;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return __Pyx_PyDict_GetItemRef(dict, __pyx_mstate_global->__pyx_n_u_annotate, annotate);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict_if_exists(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int dict_found;
-    dict_found = __Pyx_CyFunction_get_dict_if_exists(op_in, &dict);
-    if (!dict_found) return 0;
-    return PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-}
-static int
-__Pyx_CyFunction_set_annotate_in_dict(PyObject *op_in, PyObject *value) {
-    PyObject *dict;
-    int result;
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    dict = __Pyx_CyFunction_get_dict((__pyx_CyFunctionObject*) op_in, NULL);
-#else
-    dict = PyObject_GenericGetDict(op_in, NULL);
-#endif
-    if (unlikely(!dict)) return -1;
-    result = PyDict_SetItem(dict, __pyx_mstate_global->__pyx_n_u_annotate, value);
-    Py_DECREF(dict);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations_locked(__pyx_CyFunctionObject *op) {
-    PyObject* result = op->func_annotations;
-    if (unlikely(!result)) {
-        result = PyDict_New();
-        if (unlikely(!result)) return NULL;
-        op->func_annotations = result;
-    }
-    Py_INCREF(result);
-    return result;
-}
-static PyObject *
-__Pyx_CyFunction_get_annotations(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    PyObject *result = NULL;
-    __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-    CYTHON_UNUSED_VAR(context);
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    result = __Pyx_XNewRef(op->func_annotations);
-    __Pyx_END_CRITICAL_SECTION();
-    if (result) return result;
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (!annotate || annotate == Py_None) {
-        Py_XDECREF(annotate);
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        result = __Pyx_CyFunction_get_annotations_locked(op);
-        __Pyx_END_CRITICAL_SECTION();
-        return result;
-    }
-    PyObject *format = PyLong_FromLong(1L);  // annotationlib.Format.VALUE
-    if (likely(format)) {
-        result = __Pyx_PyObject_CallOneArg(annotate, format);
-        Py_DECREF(format);
-    }
-    Py_DECREF(annotate);
-    if (unlikely(!result)) return NULL;
-    if (unlikely(!PyDict_Check(result))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must return a dict");
-        Py_DECREF(result);
-        return NULL;
-    }
-    __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-    __Pyx_Py_XDECREF_SET(op->func_annotations, __Pyx_NewRef(result));
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_CyFunction_annotate_impl(PyObject *self, PyObject *args) {
-    CYTHON_UNUSED_VAR(args);
-    if (unlikely(!self)) {
-        PyErr_SetString(PyExc_SystemError, "cython __annotate__ called without 'self' argument");
-    }
-    Py_XINCREF(self);
-    return self;
-}
-static PyMethodDef __Pyx_CyFunction_annotate_method = {
-    "__annotate__",
-    (PyCFunction)(void (*)(void))__Pyx_CyFunction_annotate_impl,
-    METH_VARARGS,
-    "Placeholder __annotate__ function to allow 'functools.wraps' to work "
-    "on Cython functions."
-};
-static PyObject *
-__Pyx_CyFunction_get_annotate(PyObject *op_in, void *context) {
-    PyObject *annotate = NULL;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(__Pyx_CyFunction_get_annotate_from_dict_if_exists(op_in, &annotate) < 0)) return NULL;
-    if (annotate) return annotate;
-    PyObject *annotations = __Pyx_CyFunction_get_annotations(op_in, NULL);
-    if (unlikely(!annotations)) return NULL;
-    PyObject *method = PyCFunction_New(
-        &__Pyx_CyFunction_annotate_method,
-        annotations);
-    Py_DECREF(annotations);
-    return method;
-}
-static int
-__Pyx_CyFunction_set_annotate(PyObject *op_in, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    if (value == NULL) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ cannot be deleted");
-        return -1;
-    }
-    if (unlikely(value != Py_None && !PyCallable_Check(value))) {
-        PyErr_SetString(PyExc_TypeError, "__annotate__ must be callable or None");
-        return -1;
-    }
-    if (value != Py_None) {
-        __pyx_CyFunctionObject *op = (__pyx_CyFunctionObject*) op_in;
-        __Pyx_BEGIN_CRITICAL_SECTION(op_in);
-        Py_CLEAR(op->func_annotations);
-        __Pyx_END_CRITICAL_SECTION();
-    }
-    return __Pyx_CyFunction_set_annotate_in_dict(op_in, value);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine_value(__pyx_CyFunctionObject *op) {
-    int is_coroutine = op->flags & __Pyx_CYFUNCTION_COROUTINE;
-    if (is_coroutine) {
-        PyObject *is_coroutine_value, *module, *fromlist, *marker = __pyx_mstate_global->__pyx_n_u_is_coroutine;
-        fromlist = PyList_New(1);
-        if (unlikely(!fromlist)) return NULL;
-        Py_INCREF(marker);
-#if CYTHON_ASSUME_SAFE_MACROS
-        PyList_SET_ITEM(fromlist, 0, marker);
-#else
-        if (unlikely(PyList_SetItem(fromlist, 0, marker) < 0)) {
-            Py_DECREF(fromlist);
-            return NULL;
-        }
-#endif
-        module = PyImport_ImportModuleLevelObject(__pyx_mstate_global->__pyx_n_u_asyncio_coroutines, NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-        if (unlikely(!module)) goto ignore;
-        is_coroutine_value = __Pyx_PyObject_GetAttrStr(module, marker);
-        Py_DECREF(module);
-        if (likely(is_coroutine_value)) {
-            return is_coroutine_value;
-        }
-ignore:
-        PyErr_Clear();
-    }
-    return __Pyx_PyBool_FromLong(is_coroutine);
-}
-static PyObject *
-__Pyx_CyFunction_get_is_coroutine(__pyx_CyFunctionObject *op, void *context) {
-    PyObject *result;
-    CYTHON_UNUSED_VAR(context);
-    if (op->func_is_coroutine) {
-        return __Pyx_NewRef(op->func_is_coroutine);
-    }
-    result = __Pyx_CyFunction_get_is_coroutine_value(op);
-    if (unlikely(!result))
-        return NULL;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    if (op->func_is_coroutine) {
-        Py_DECREF(result);
-        result = __Pyx_NewRef(op->func_is_coroutine);
-    } else {
-        op->func_is_coroutine = __Pyx_NewRef(result);
-    }
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_CyFunction_raise_argument_count_error(__pyx_CyFunctionObject *func, const char* message, Py_ssize_t size) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        py_name, message, size);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s (%" CYTHON_FORMAT_SSIZE_T "d given)",
-        name, message, size);
-#endif
-}
-static void __Pyx_CyFunction_raise_type_error(__pyx_CyFunctionObject *func, const char* message) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *py_name = __Pyx_CyFunction_get_name(func, NULL);
-    if (!py_name) return;
-    PyErr_Format(PyExc_TypeError,
-        "%.200S() %s",
-        py_name, message);
-    Py_DECREF(py_name);
-#else
-    const char* name = ((PyCFunctionObject*)func)->m_ml->ml_name;
-    PyErr_Format(PyExc_TypeError,
-        "%.200s() %s",
-        name, message);
-#endif
-}
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx_CyFunction_get_module(__pyx_CyFunctionObject *op, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_GetAttrString(op->func, "__module__");
-}
-static int
-__Pyx_CyFunction_set_module(__pyx_CyFunctionObject *op, PyObject* value, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    return PyObject_SetAttrString(op->func, "__module__", value);
-}
-#endif
-static PyGetSetDef __pyx_CyFunction_getsets[] = {
-    {"func_doc", (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"__doc__",  (getter)__Pyx_CyFunction_get_doc, (setter)__Pyx_CyFunction_set_doc, 0, 0},
-    {"func_name", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__name__", (getter)__Pyx_CyFunction_get_name, (setter)__Pyx_CyFunction_set_name, 0, 0},
-    {"__qualname__", (getter)__Pyx_CyFunction_get_qualname, (setter)__Pyx_CyFunction_set_qualname, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    {"func_dict", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)__Pyx_CyFunction_get_dict, (setter)PyObject_GenericSetDict, 0, 0},
-#else
-    {"func_dict", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-    {"__dict__", (getter)PyObject_GenericGetDict, (setter)PyObject_GenericSetDict, 0, 0},
-#endif
-    {"func_globals", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"__globals__", (getter)__Pyx_CyFunction_get_globals, 0, 0, 0},
-    {"func_closure", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"__closure__", (getter)__Pyx_CyFunction_get_closure, 0, 0, 0},
-    {"func_code", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"__code__", (getter)__Pyx_CyFunction_get_code, 0, 0, 0},
-    {"func_defaults", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__defaults__", (getter)__Pyx_CyFunction_get_defaults, (setter)__Pyx_CyFunction_set_defaults, 0, 0},
-    {"__kwdefaults__", (getter)__Pyx_CyFunction_get_kwdefaults, (setter)__Pyx_CyFunction_set_kwdefaults, 0, 0},
-    {"__annotations__", (getter)__Pyx_CyFunction_get_annotations, (setter)__Pyx_CyFunction_set_annotations, 0, 0},
-    {"__annotate__", (getter)__Pyx_CyFunction_get_annotate, (setter)__Pyx_CyFunction_set_annotate, 0, 0},
-    {"_is_coroutine", (getter)__Pyx_CyFunction_get_is_coroutine, 0, 0, 0},
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", (getter)__Pyx_CyFunction_get_module, (setter)__Pyx_CyFunction_set_module, 0, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyMemberDef __pyx_CyFunction_members[] = {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    {"__module__", T_OBJECT, offsetof(PyCFunctionObject, m_module), 0, 0},
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__dictoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_dict), READONLY, 0},
-#endif
-#if CYTHON_METH_FASTCALL
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_vectorcall), READONLY, 0},
-#else
-    {"__vectorcalloffset__", T_PYSSIZET, offsetof(PyCFunctionObject, vectorcall), READONLY, 0},
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CyFunctionObject, func_weakreflist), READONLY, 0},
-#else
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(PyCFunctionObject, m_weakreflist), READONLY, 0},
-#endif
-#endif
-    {0, 0, 0,  0, 0}
-};
-static PyObject *
-__Pyx_CyFunction_reduce(__pyx_CyFunctionObject *m, PyObject *args)
-{
-    PyObject *result = NULL;
-    CYTHON_UNUSED_VAR(args);
-    __Pyx_BEGIN_CRITICAL_SECTION(m);
-    Py_INCREF(m->func_qualname);
-    result = m->func_qualname;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyMethodDef __pyx_CyFunction_methods[] = {
-    {"__reduce__", (PyCFunction)__Pyx_CyFunction_reduce, METH_VARARGS, 0},
-    {0, 0, 0, 0}
-};
-#if CYTHON_COMPILING_IN_LIMITED_API
-#define __Pyx_CyFunction_weakreflist(cyfunc) ((cyfunc)->func_weakreflist)
-#else
-#define __Pyx_CyFunction_weakreflist(cyfunc) (((PyCFunctionObject*)cyfunc)->m_weakreflist)
-#endif
-static PyObject *__Pyx_CyFunction_Init(__pyx_CyFunctionObject *op, PyMethodDef *ml, int flags, PyObject* qualname,
-                                       PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunctionObject *cf = (PyCFunctionObject*) op;
-#endif
-    if (unlikely(op == NULL))
-        return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    op->func = PyCFunction_NewEx(ml, (PyObject*)op, module);
-    if (unlikely(!op->func)) return NULL;
-#endif
-    op->flags = flags;
-    __Pyx_CyFunction_weakreflist(op) = NULL;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    cf->m_ml = ml;
-    cf->m_self = (PyObject *) op;
-#endif
-    Py_XINCREF(closure);
-    op->func_closure = closure;
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    Py_XINCREF(module);
-    cf->m_module = module;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_dict = NULL;
-#endif
-    op->func_name = NULL;
-    Py_INCREF(qualname);
-    op->func_qualname = qualname;
-    op->func_doc = NULL;
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    op->func_classobj = NULL;
-#else
-    ((PyCMethodObject*)op)->mm_class = NULL;
-#endif
-    op->func_globals = globals;
-    Py_INCREF(op->func_globals);
-    Py_XINCREF(code);
-    op->func_code = code;
-    op->defaults = NULL;
-    op->defaults_tuple = NULL;
-    op->defaults_kwdict = NULL;
-    op->defaults_getter = NULL;
-    op->func_annotations = NULL;
-    op->func_is_coroutine = NULL;
-#if CYTHON_METH_FASTCALL
-    switch (ml->ml_flags & (METH_VARARGS | METH_FASTCALL | METH_NOARGS | METH_O | METH_KEYWORDS | METH_METHOD)) {
-    case METH_NOARGS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_NOARGS;
-        break;
-    case METH_O:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_O;
-        break;
-    case METH_METHOD | METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD;
-        break;
-    case METH_FASTCALL | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS;
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        __Pyx_CyFunction_func_vectorcall(op) = NULL;
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        Py_DECREF(op);
-        return NULL;
-    }
-#endif
-    return (PyObject *) op;
-}
-static int
-__Pyx_CyFunction_clear(__pyx_CyFunctionObject *m)
-{
-    Py_CLEAR(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func);
-#else
-    Py_CLEAR(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(m->func_dict);
-#elif PY_VERSION_HEX < 0x030d0000
-    _PyObject_ClearManagedDict((PyObject*)m);
-#else
-    PyObject_ClearManagedDict((PyObject*)m);
-#endif
-    Py_CLEAR(m->func_name);
-    Py_CLEAR(m->func_qualname);
-    Py_CLEAR(m->func_doc);
-    Py_CLEAR(m->func_globals);
-    Py_CLEAR(m->func_code);
-#if PY_VERSION_HEX < 0x030900B1 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_CLEAR(__Pyx_CyFunction_GetClassObj(m));
-#else
-    {
-        PyObject *cls = (PyObject*) ((PyCMethodObject *) (m))->mm_class;
-        ((PyCMethodObject *) (m))->mm_class = NULL;
-        Py_XDECREF(cls);
-    }
-#endif
-    Py_CLEAR(m->defaults_tuple);
-    Py_CLEAR(m->defaults_kwdict);
-    Py_CLEAR(m->func_annotations);
-    Py_CLEAR(m->func_is_coroutine);
-    Py_CLEAR(m->defaults);
-    return 0;
-}
-static void __Pyx__CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    if (__Pyx_CyFunction_weakreflist(m) != NULL)
-        PyObject_ClearWeakRefs((PyObject *) m);
-    __Pyx_CyFunction_clear(m);
-    __Pyx_PyHeapTypeObject_GC_Del(m);
-}
-static void __Pyx_CyFunction_dealloc(__pyx_CyFunctionObject *m)
-{
-    PyObject_GC_UnTrack(m);
-    __Pyx__CyFunction_dealloc(m);
-}
-static int __Pyx_CyFunction_traverse(__pyx_CyFunctionObject *m, visitproc visit, void *arg)
-{
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)m, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(m->func_closure);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func);
-#else
-    Py_VISIT(((PyCFunctionObject*)m)->m_module);
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    Py_VISIT(m->func_dict);
-#else
-    {
-        int e =
-#if PY_VERSION_HEX < 0x030d0000
-            _PyObject_VisitManagedDict
-#else
-            PyObject_VisitManagedDict
-#endif
-                ((PyObject*)m, visit, arg);
-        if (e != 0) return e;
-    }
-#endif
-    __Pyx_VISIT_CONST(m->func_name);
-    __Pyx_VISIT_CONST(m->func_qualname);
-    Py_VISIT(m->func_doc);
-    Py_VISIT(m->func_globals);
-    __Pyx_VISIT_CONST(m->func_code);
-    Py_VISIT(__Pyx_CyFunction_GetClassObj(m));
-    Py_VISIT(m->defaults_tuple);
-    Py_VISIT(m->defaults_kwdict);
-    Py_VISIT(m->func_annotations);
-    Py_VISIT(m->func_is_coroutine);
-    Py_VISIT(m->defaults);
-    return 0;
-}
-static PyObject*
-__Pyx_CyFunction_repr(__pyx_CyFunctionObject *op)
-{
-    PyObject *repr;
-    __Pyx_BEGIN_CRITICAL_SECTION(op);
-    repr = PyUnicode_FromFormat("<cyfunction %U at %p>",
-                                op->func_qualname, (void *)op);
-    __Pyx_END_CRITICAL_SECTION();
-    return repr;
-}
-static PyObject * __Pyx_CyFunction_CallMethod(PyObject *func, PyObject *self, PyObject *arg, PyObject *kw) {
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *f = ((__pyx_CyFunctionObject*)func)->func;
-    PyCFunction meth;
-    int flags;
-    meth = PyCFunction_GetFunction(f);
-    if (unlikely(!meth)) return NULL;
-    flags = PyCFunction_GetFlags(f);
-    if (unlikely(flags < 0)) return NULL;
-#else
-    PyCFunctionObject* f = (PyCFunctionObject*)func;
-    PyCFunction meth = f->m_ml->ml_meth;
-    int flags = f->m_ml->ml_flags;
-#endif
-    Py_ssize_t size;
-    switch (flags & (METH_VARARGS | METH_KEYWORDS | METH_NOARGS | METH_O)) {
-    case METH_VARARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0))
-            return (*meth)(self, arg);
-        break;
-    case METH_VARARGS | METH_KEYWORDS:
-        return (*(PyCFunctionWithKeywords)(void(*)(void))meth)(self, arg, kw);
-    case METH_NOARGS:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 0))
-                return (*meth)(self, NULL);
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes no arguments", size);
-            return NULL;
-        }
-        break;
-    case METH_O:
-        if (likely(kw == NULL || PyDict_Size(kw) == 0)) {
-#if CYTHON_ASSUME_SAFE_SIZE
-            size = PyTuple_GET_SIZE(arg);
-#else
-            size = PyTuple_Size(arg);
-            if (unlikely(size < 0)) return NULL;
-#endif
-            if (likely(size == 1)) {
-                PyObject *result, *arg0;
-                #if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                arg0 = PyTuple_GET_ITEM(arg, 0);
-                #else
-                arg0 = __Pyx_PySequence_ITEM(arg, 0); if (unlikely(!arg0)) return NULL;
-                #endif
-                result = (*meth)(self, arg0);
-                #if !(CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS)
-                Py_DECREF(arg0);
-                #endif
-                return result;
-            }
-            __Pyx_CyFunction_raise_argument_count_error(
-                (__pyx_CyFunctionObject*)func,
-                "takes exactly one argument", size);
-            return NULL;
-        }
-        break;
-    default:
-        PyErr_SetString(PyExc_SystemError, "Bad call flags for CyFunction");
-        return NULL;
-    }
-    __Pyx_CyFunction_raise_type_error(
-        (__pyx_CyFunctionObject*)func, "takes no keyword arguments");
-    return NULL;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_Call(PyObject *func, PyObject *arg, PyObject *kw) {
-    PyObject *self, *result;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)func)->func);
-    if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-    self = ((PyCFunctionObject*)func)->m_self;
-#endif
-    result = __Pyx_CyFunction_CallMethod(func, self, arg, kw);
-    return result;
-}
-static PyObject *__Pyx_CyFunction_CallAsMethod(PyObject *func, PyObject *args, PyObject *kw) {
-    PyObject *result;
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *) func;
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-     __pyx_vectorcallfunc vc = __Pyx_CyFunction_func_vectorcall(cyfunc);
-    if (vc) {
-#if CYTHON_ASSUME_SAFE_MACROS && CYTHON_ASSUME_SAFE_SIZE
-        return __Pyx_PyVectorcall_FastCallDict(func, vc, &PyTuple_GET_ITEM(args, 0), (size_t)PyTuple_GET_SIZE(args), kw);
-#else
-        (void) &__Pyx_PyVectorcall_FastCallDict;
-        return PyVectorcall_Call(func, args, kw);
-#endif
-    }
-#endif
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        Py_ssize_t argc;
-        PyObject *new_args;
-        PyObject *self;
-#if CYTHON_ASSUME_SAFE_SIZE
-        argc = PyTuple_GET_SIZE(args);
-#else
-        argc = PyTuple_Size(args);
-        if (unlikely(argc < 0)) return NULL;
-#endif
-        new_args = PyTuple_GetSlice(args, 1, argc);
-        if (unlikely(!new_args))
-            return NULL;
-        self = PyTuple_GetItem(args, 0);
-        if (unlikely(!self)) {
-            Py_DECREF(new_args);
-            PyErr_Format(PyExc_TypeError,
-                         "unbound method %.200S() needs an argument",
-                         cyfunc->func_qualname);
-            return NULL;
-        }
-        result = __Pyx_CyFunction_CallMethod(func, self, new_args, kw);
-        Py_DECREF(new_args);
-    } else {
-        result = __Pyx_CyFunction_Call(func, args, kw);
-    }
-    return result;
-}
-#if CYTHON_METH_FASTCALL && CYTHON_VECTORCALL
-static CYTHON_INLINE int __Pyx_CyFunction_Vectorcall_CheckArgs(__pyx_CyFunctionObject *cyfunc, Py_ssize_t nargs, PyObject *kwnames)
-{
-    int ret = 0;
-    if ((cyfunc->flags & __Pyx_CYFUNCTION_CCLASS) && !(cyfunc->flags & __Pyx_CYFUNCTION_STATICMETHOD)) {
-        if (unlikely(nargs < 1)) {
-            __Pyx_CyFunction_raise_type_error(
-                cyfunc, "needs an argument");
-            return -1;
-        }
-        ret = 1;
-    }
-    if (unlikely(kwnames) && unlikely(__Pyx_PyTuple_GET_SIZE(kwnames))) {
-        __Pyx_CyFunction_raise_type_error(
-            cyfunc, "takes no keyword arguments");
-        return -1;
-    }
-    return ret;
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_NOARGS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 0)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes no arguments", nargs);
-        return NULL;
-    }
-    return meth(self, NULL);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_O(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, kwnames)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    if (unlikely(nargs != 1)) {
-        __Pyx_CyFunction_raise_argument_count_error(
-            cyfunc, "takes exactly one argument", nargs);
-        return NULL;
-    }
-    return meth(self, args[0]);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    return ((__Pyx_PyCFunctionFastWithKeywords)(void(*)(void))meth)(self, args, nargs, kwnames);
-}
-static PyObject * __Pyx_CyFunction_Vectorcall_FASTCALL_KEYWORDS_METHOD(PyObject *func, PyObject *const *args, size_t nargsf, PyObject *kwnames)
-{
-    __pyx_CyFunctionObject *cyfunc = (__pyx_CyFunctionObject *)func;
-    PyTypeObject *cls = (PyTypeObject *) __Pyx_CyFunction_GetClassObj(cyfunc);
-    Py_ssize_t nargs = PyVectorcall_NARGS(nargsf);
-    PyObject *self;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    PyCFunction meth = PyCFunction_GetFunction(cyfunc->func);
-    if (unlikely(!meth)) return NULL;
-#else
-    PyCFunction meth = ((PyCFunctionObject*)cyfunc)->m_ml->ml_meth;
-#endif
-    switch (__Pyx_CyFunction_Vectorcall_CheckArgs(cyfunc, nargs, NULL)) {
-    case 1:
-        self = args[0];
-        args += 1;
-        nargs -= 1;
-        break;
-    case 0:
-#if CYTHON_COMPILING_IN_LIMITED_API
-        self = PyCFunction_GetSelf(((__pyx_CyFunctionObject*)cyfunc)->func);
-        if (unlikely(!self) && PyErr_Occurred()) return NULL;
-#else
-        self = ((PyCFunctionObject*)cyfunc)->m_self;
-#endif
-        break;
-    default:
-        return NULL;
-    }
-    #if PY_VERSION_HEX < 0x030e00A6
-    size_t nargs_value = (size_t) nargs;
-    #else
-    Py_ssize_t nargs_value = nargs;
-    #endif
-    return ((__Pyx_PyCMethod)(void(*)(void))meth)(self, cls, args, nargs_value, kwnames);
-}
-#endif
-static PyType_Slot __pyx_CyFunctionType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_CyFunction_dealloc},
-    {Py_tp_repr, (void *)__Pyx_CyFunction_repr},
-    {Py_tp_call, (void *)__Pyx_CyFunction_CallAsMethod},
-    {Py_tp_traverse, (void *)__Pyx_CyFunction_traverse},
-    {Py_tp_clear, (void *)__Pyx_CyFunction_clear},
-    {Py_tp_methods, (void *)__pyx_CyFunction_methods},
-    {Py_tp_members, (void *)__pyx_CyFunction_members},
-    {Py_tp_getset, (void *)__pyx_CyFunction_getsets},
-    {Py_tp_descr_get, (void *)__Pyx_PyMethod_New},
-    {0, 0},
-};
-static PyType_Spec __pyx_CyFunctionType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "cython_function_or_method",
-    sizeof(__pyx_CyFunctionObject),
-    0,
-#ifdef Py_TPFLAGS_METHOD_DESCRIPTOR
-    Py_TPFLAGS_METHOD_DESCRIPTOR |
-#endif
-#if CYTHON_METH_FASTCALL
-#if defined(Py_TPFLAGS_HAVE_VECTORCALL)
-    Py_TPFLAGS_HAVE_VECTORCALL |
-#elif defined(_Py_TPFLAGS_HAVE_VECTORCALL)
-    _Py_TPFLAGS_HAVE_VECTORCALL |
-#endif
-#endif // CYTHON_METH_FASTCALL
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_DICT |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_BASETYPE,
-    __pyx_CyFunctionType_slots
-};
-static int __pyx_CyFunction_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_CyFunctionType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_CyFunctionType_spec, NULL);
-    if (unlikely(mstate->__pyx_CyFunctionType == NULL)) {
-        return -1;
-    }
-    return 0;
-}
-static CYTHON_INLINE PyObject *__Pyx_CyFunction_InitDefaults(PyObject *func, PyTypeObject *defaults_type) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults = PyObject_CallObject((PyObject*)defaults_type, NULL); // _PyObject_New(defaults_type);
-    if (unlikely(!m->defaults))
-        return NULL;
-    return m->defaults;
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsTuple(PyObject *func, PyObject *tuple) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_tuple = tuple;
-    Py_INCREF(tuple);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetDefaultsKwDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->defaults_kwdict = dict;
-    Py_INCREF(dict);
-}
-static CYTHON_INLINE void __Pyx_CyFunction_SetAnnotationsDict(PyObject *func, PyObject *dict) {
-    __pyx_CyFunctionObject *m = (__pyx_CyFunctionObject *) func;
-    m->func_annotations = dict;
-    Py_INCREF(dict);
-}
-
-/* CythonFunction */
-static PyObject *__Pyx_CyFunction_New(PyMethodDef *ml, int flags, PyObject* qualname,
-                                      PyObject *closure, PyObject *module, PyObject* globals, PyObject* code) {
-    PyObject *op = __Pyx_CyFunction_Init(
-        PyObject_GC_New(__pyx_CyFunctionObject, __pyx_mstate_global->__pyx_CyFunctionType),
-        ml, flags, qualname, closure, module, globals, code
-    );
-    if (likely(op)) {
-        PyObject_GC_Track(op);
-    }
-    return op;
-}
-
-/* CLineInTraceback (used by AddTraceback) */
-#if CYTHON_CLINE_IN_TRACEBACK && CYTHON_CLINE_IN_TRACEBACK_RUNTIME
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-#define __Pyx_PyProbablyModule_GetDict(o) __Pyx_XNewRef(PyModule_GetDict(o))
-#elif !CYTHON_COMPILING_IN_CPYTHON || CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-#define __Pyx_PyProbablyModule_GetDict(o) PyObject_GenericGetDict(o, NULL);
-#else
-PyObject* __Pyx_PyProbablyModule_GetDict(PyObject *o) {
-    PyObject **dict_ptr = _PyObject_GetDictPtr(o);
-    return dict_ptr ? __Pyx_XNewRef(*dict_ptr) : NULL;
-}
-#endif
-static int __Pyx_CLineForTraceback(PyThreadState *tstate, int c_line) {
-    PyObject *use_cline = NULL;
-    PyObject *ptype, *pvalue, *ptraceback;
-    PyObject *cython_runtime_dict;
-    CYTHON_MAYBE_UNUSED_VAR(tstate);
-    if (unlikely(!__pyx_mstate_global->__pyx_cython_runtime)) {
-        return c_line;
-    }
-    __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-    cython_runtime_dict = __Pyx_PyProbablyModule_GetDict(__pyx_mstate_global->__pyx_cython_runtime);
-    if (likely(cython_runtime_dict)) {
-        __PYX_PY_DICT_LOOKUP_IF_MODIFIED(
-            use_cline, cython_runtime_dict,
-            __Pyx_PyDict_SetDefault(cython_runtime_dict, __pyx_mstate_global->__pyx_n_u_cline_in_traceback, Py_False))
-    }
-    if (use_cline == NULL || use_cline == Py_False || (use_cline != Py_True && PyObject_Not(use_cline) != 0)) {
-        c_line = 0;
-    }
-    Py_XDECREF(use_cline);
-    Py_XDECREF(cython_runtime_dict);
-    __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-    return c_line;
-}
-#endif
-
-/* CodeObjectCache (used by AddTraceback) */
-static int __pyx_bisect_code_objects(__Pyx_CodeObjectCacheEntry* entries, int count, int code_line) {
-    int start = 0, mid = 0, end = count - 1;
-    if (end >= 0 && code_line > entries[end].code_line) {
-        return count;
-    }
-    while (start < end) {
-        mid = start + (end - start) / 2;
-        if (code_line < entries[mid].code_line) {
-            end = mid;
-        } else if (code_line > entries[mid].code_line) {
-             start = mid + 1;
-        } else {
-            return mid;
-        }
-    }
-    if (code_line <= entries[mid].code_line) {
-        return mid;
-    } else {
-        return mid + 1;
-    }
-}
-static __Pyx_CachedCodeObjectType *__pyx__find_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line) {
-    __Pyx_CachedCodeObjectType* code_object;
-    int pos;
-    if (unlikely(!code_line) || unlikely(!code_cache->entries)) {
-        return NULL;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if (unlikely(pos >= code_cache->count) || unlikely(code_cache->entries[pos].code_line != code_line)) {
-        return NULL;
-    }
-    code_object = code_cache->entries[pos].code_object;
-    Py_INCREF(code_object);
-    return code_object;
-}
-static __Pyx_CachedCodeObjectType *__pyx_find_code_object(int code_line) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__find_code_object;
-    return NULL; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just miss.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type old_count = __pyx_atomic_incr_acq_rel(&code_cache->accessor_count);
-    if (old_count < 0) {
-        __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-        return NULL;
-    }
-#endif
-    __Pyx_CachedCodeObjectType *result = __pyx__find_code_object(code_cache, code_line);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_decr_acq_rel(&code_cache->accessor_count);
-#endif
-    return result;
-#endif
-}
-static void __pyx__insert_code_object(struct __Pyx_CodeObjectCache *code_cache, int code_line, __Pyx_CachedCodeObjectType* code_object)
-{
-    int pos, i;
-    __Pyx_CodeObjectCacheEntry* entries = code_cache->entries;
-    if (unlikely(!code_line)) {
-        return;
-    }
-    if (unlikely(!entries)) {
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Malloc(64*sizeof(__Pyx_CodeObjectCacheEntry));
-        if (likely(entries)) {
-            code_cache->entries = entries;
-            code_cache->max_count = 64;
-            code_cache->count = 1;
-            entries[0].code_line = code_line;
-            entries[0].code_object = code_object;
-            Py_INCREF(code_object);
-        }
-        return;
-    }
-    pos = __pyx_bisect_code_objects(code_cache->entries, code_cache->count, code_line);
-    if ((pos < code_cache->count) && unlikely(code_cache->entries[pos].code_line == code_line)) {
-        __Pyx_CachedCodeObjectType* tmp = entries[pos].code_object;
-        entries[pos].code_object = code_object;
-        Py_INCREF(code_object);
-        Py_DECREF(tmp);
-        return;
-    }
-    if (code_cache->count == code_cache->max_count) {
-        int new_max = code_cache->max_count + 64;
-        entries = (__Pyx_CodeObjectCacheEntry*)PyMem_Realloc(
-            code_cache->entries, ((size_t)new_max) * sizeof(__Pyx_CodeObjectCacheEntry));
-        if (unlikely(!entries)) {
-            return;
-        }
-        code_cache->entries = entries;
-        code_cache->max_count = new_max;
-    }
-    for (i=code_cache->count; i>pos; i--) {
-        entries[i] = entries[i-1];
-    }
-    entries[pos].code_line = code_line;
-    entries[pos].code_object = code_object;
-    code_cache->count++;
-    Py_INCREF(code_object);
-}
-static void __pyx_insert_code_object(int code_line, __Pyx_CachedCodeObjectType* code_object) {
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING && !CYTHON_ATOMICS
-    (void)__pyx__insert_code_object;
-    return; // Most implementation should have atomics. But otherwise, don't make it thread-safe, just fail.
-#else
-    struct __Pyx_CodeObjectCache *code_cache = &__pyx_mstate_global->__pyx_code_cache;
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_nonatomic_int_type expected = 0;
-    if (!__pyx_atomic_int_cmp_exchange(&code_cache->accessor_count, &expected, INT_MIN)) {
-        return;
-    }
-#endif
-    __pyx__insert_code_object(code_cache, code_line, code_object);
-#if CYTHON_COMPILING_IN_CPYTHON_FREETHREADING
-    __pyx_atomic_sub(&code_cache->accessor_count, INT_MIN);
-#endif
-#endif
-}
-
-/* AddTraceback */
-#include "compile.h"
-#include "frameobject.h"
-#include "traceback.h"
-#if PY_VERSION_HEX >= 0x030b00a6 && !CYTHON_COMPILING_IN_LIMITED_API && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#if CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *__Pyx_PyCode_Replace_For_AddTraceback(PyObject *code, PyObject *scratch_dict,
-                                                       PyObject *firstlineno, PyObject *name) {
-    PyObject *replace = NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_firstlineno", firstlineno))) return NULL;
-    if (unlikely(PyDict_SetItemString(scratch_dict, "co_name", name))) return NULL;
-    replace = PyObject_GetAttrString(code, "replace");
-    if (likely(replace)) {
-        PyObject *result = PyObject_Call(replace, __pyx_mstate_global->__pyx_empty_tuple, scratch_dict);
-        Py_DECREF(replace);
-        return result;
-    }
-    PyErr_Clear();
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyObject *code_object = NULL, *py_py_line = NULL, *py_funcname = NULL, *dict = NULL;
-    PyObject *replace = NULL, *getframe = NULL, *frame = NULL;
-    PyObject *exc_type, *exc_value, *exc_traceback;
-    int success = 0;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(__Pyx_PyThreadState_Current, c_line);
-    }
-    PyErr_Fetch(&exc_type, &exc_value, &exc_traceback);
-    code_object = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!code_object) {
-        code_object = Py_CompileString("_getframe()", filename, Py_eval_input);
-        if (unlikely(!code_object)) goto bad;
-        py_py_line = PyLong_FromLong(py_line);
-        if (unlikely(!py_py_line)) goto bad;
-        if (c_line) {
-            py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        } else {
-            py_funcname = PyUnicode_FromString(funcname);
-        }
-        if (unlikely(!py_funcname)) goto bad;
-        dict = PyDict_New();
-        if (unlikely(!dict)) goto bad;
-        {
-            PyObject *old_code_object = code_object;
-            code_object = __Pyx_PyCode_Replace_For_AddTraceback(code_object, dict, py_py_line, py_funcname);
-            Py_DECREF(old_code_object);
-        }
-        if (unlikely(!code_object)) goto bad;
-        __pyx_insert_code_object(c_line ? -c_line : py_line, code_object);
-    } else {
-        dict = PyDict_New();
-    }
-    getframe = PySys_GetObject("_getframe");
-    if (unlikely(!getframe)) goto bad;
-    if (unlikely(PyDict_SetItemString(dict, "_getframe", getframe))) goto bad;
-    frame = PyEval_EvalCode(code_object, dict, dict);
-    if (unlikely(!frame) || frame == Py_None) goto bad;
-    success = 1;
-  bad:
-    PyErr_Restore(exc_type, exc_value, exc_traceback);
-    Py_XDECREF(code_object);
-    Py_XDECREF(py_py_line);
-    Py_XDECREF(py_funcname);
-    Py_XDECREF(dict);
-    Py_XDECREF(replace);
-    if (success) {
-        PyTraceBack_Here(
-            (struct _frame*)frame);
-    }
-    Py_XDECREF(frame);
-}
-#else
-static PyCodeObject* __Pyx_CreateCodeObjectForTraceback(
-            const char *funcname, int c_line,
-            int py_line, const char *filename) {
-    PyCodeObject *py_code = NULL;
-    PyObject *py_funcname = NULL;
-    if (c_line) {
-        py_funcname = PyUnicode_FromFormat( "%s (%s:%d)", funcname, __pyx_cfilenm, c_line);
-        if (!py_funcname) goto bad;
-        funcname = PyUnicode_AsUTF8(py_funcname);
-        if (!funcname) goto bad;
-    }
-    py_code = PyCode_NewEmpty(filename, funcname, py_line);
-    Py_XDECREF(py_funcname);
-    return py_code;
-bad:
-    Py_XDECREF(py_funcname);
-    return NULL;
-}
-static void __Pyx_AddTraceback(const char *funcname, int c_line,
-                               int py_line, const char *filename) {
-    PyCodeObject *py_code = 0;
-    PyFrameObject *py_frame = 0;
-    PyThreadState *tstate = __Pyx_PyThreadState_Current;
-    PyObject *ptype, *pvalue, *ptraceback;
-    if (c_line) {
-        c_line = __Pyx_CLineForTraceback(tstate, c_line);
-    }
-    py_code = __pyx_find_code_object(c_line ? -c_line : py_line);
-    if (!py_code) {
-        __Pyx_ErrFetchInState(tstate, &ptype, &pvalue, &ptraceback);
-        py_code = __Pyx_CreateCodeObjectForTraceback(
-            funcname, c_line, py_line, filename);
-        if (!py_code) {
-            /* If the code object creation fails, then we should clear the
-               fetched exception references and propagate the new exception */
-            Py_XDECREF(ptype);
-            Py_XDECREF(pvalue);
-            Py_XDECREF(ptraceback);
-            goto bad;
-        }
-        __Pyx_ErrRestoreInState(tstate, ptype, pvalue, ptraceback);
-        __pyx_insert_code_object(c_line ? -c_line : py_line, py_code);
-    }
-    py_frame = PyFrame_New(
-        tstate,            /*PyThreadState *tstate,*/
-        py_code,           /*PyCodeObject *code,*/
-        __pyx_mstate_global->__pyx_d,    /*PyObject *globals,*/
-        0                  /*PyObject *locals*/
-    );
-    if (!py_frame) goto bad;
-    __Pyx_PyFrame_SetLineNumber(py_frame, py_line);
-    PyTraceBack_Here(py_frame);
-bad:
-    Py_XDECREF(py_code);
-    Py_XDECREF(py_frame);
-}
-#endif
-
-/* CIntFromPyVerify */
-#define __PYX_VERIFY_RETURN_INT(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 0)
-#define __PYX_VERIFY_RETURN_INT_EXC(target_type, func_type, func_value)\
-    __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, 1)
-#define __PYX__VERIFY_RETURN_INT(target_type, func_type, func_value, exc)\
-    {\
-        func_type value = func_value;\
-        if (sizeof(target_type) < sizeof(func_type)) {\
-            if (unlikely(value != (func_type) (target_type) value)) {\
-                func_type zero = 0;\
-                if (exc && unlikely(value == (func_type)-1 && PyErr_Occurred()))\
-                    return (target_type) -1;\
-                if (is_unsigned && unlikely(value < zero))\
-                    goto raise_neg_overflow;\
-                else\
-                    goto raise_overflow;\
-            }\
-        }\
-        return (target_type) value;\
-    }
-
-/* CIntFromPy */
-static CYTHON_INLINE int __Pyx_PyLong_As_int(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        int val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (int) -1;
-        val = __Pyx_PyLong_As_int(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 2 * PyLong_SHIFT)) {
-                            return (int) (((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 3 * PyLong_SHIFT)) {
-                            return (int) (((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) >= 4 * PyLong_SHIFT)) {
-                            return (int) (((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (int) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(int) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(int) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(int, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(int) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(int) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                            return (int) ((((((int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(int) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(int) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                            return (int) ((((((((int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(int) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) (((int)-1)*(((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(int) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(int, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(int) - 1 > 4 * PyLong_SHIFT)) {
-                            return (int) ((((((((((int)digits[3]) << PyLong_SHIFT) | (int)digits[2]) << PyLong_SHIFT) | (int)digits[1]) << PyLong_SHIFT) | (int)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(int) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, long, PyLong_AsLong(x))
-        } else if ((sizeof(int) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(int, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        int val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (int) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (int) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (int) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (int) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(int) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((int) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(int) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((int) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((int) 1) << (sizeof(int) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (int) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to int");
-    return (int) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to int");
-    return (int) -1;
-}
-
-/* PyObjectVectorCallKwBuilder (used by CIntToPy) */
-#if CYTHON_VECTORCALL
-static int __Pyx_VectorcallBuilder_AddArg(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_PyObject_FastCallDict;
-    Py_INCREF(key);
-    if (__Pyx_PyTuple_SET_ITEM(builder, n, key) != (0)) return -1;
-    args[n] = value;
-    return 0;
-}
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    (void)__Pyx_VectorcallBuilder_AddArgStr;
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return __Pyx_VectorcallBuilder_AddArg(key, value, builder, args, n);
-}
-static int __Pyx_VectorcallBuilder_AddArgStr(const char *key, PyObject *value, PyObject *builder, PyObject **args, int n) {
-    PyObject *pyKey = PyUnicode_FromString(key);
-    if (!pyKey) return -1;
-    return __Pyx_VectorcallBuilder_AddArg(pyKey, value, builder, args, n);
-}
-#else // CYTHON_VECTORCALL
-CYTHON_UNUSED static int __Pyx_VectorcallBuilder_AddArg_Check(PyObject *key, PyObject *value, PyObject *builder, CYTHON_UNUSED PyObject **args, CYTHON_UNUSED int n) {
-    if (unlikely(!PyUnicode_Check(key))) {
-        PyErr_SetString(PyExc_TypeError, "keywords must be strings");
-        return -1;
-    }
-    return PyDict_SetItem(builder, key, value);
-}
-#endif
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_long(long value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(long) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(long) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(long) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(long) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(long),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(long));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_PY_LONG_LONG(PY_LONG_LONG value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(PY_LONG_LONG) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(PY_LONG_LONG) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(PY_LONG_LONG),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(PY_LONG_LONG));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* CIntFromPy */
-static CYTHON_INLINE PY_LONG_LONG __Pyx_PyLong_As_PY_LONG_LONG(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const PY_LONG_LONG neg_one = (PY_LONG_LONG) -1, const_zero = (PY_LONG_LONG) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        PY_LONG_LONG val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (PY_LONG_LONG) -1;
-        val = __Pyx_PyLong_As_PY_LONG_LONG(tmp);
-        Py_DECREF(tmp);
-        return val;
-    }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) >= 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0]));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (PY_LONG_LONG) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(PY_LONG_LONG) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(PY_LONG_LONG) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(PY_LONG_LONG) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) (((PY_LONG_LONG)-1)*(((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(PY_LONG_LONG) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(PY_LONG_LONG, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(PY_LONG_LONG) - 1 > 4 * PyLong_SHIFT)) {
-                            return (PY_LONG_LONG) ((((((((((PY_LONG_LONG)digits[3]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[2]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[1]) << PyLong_SHIFT) | (PY_LONG_LONG)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(PY_LONG_LONG) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, long, PyLong_AsLong(x))
-        } else if ((sizeof(PY_LONG_LONG) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(PY_LONG_LONG, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        PY_LONG_LONG val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (PY_LONG_LONG) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (PY_LONG_LONG) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (PY_LONG_LONG) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (PY_LONG_LONG) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(PY_LONG_LONG) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(PY_LONG_LONG) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((PY_LONG_LONG) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((PY_LONG_LONG) 1) << (sizeof(PY_LONG_LONG) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (PY_LONG_LONG) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to PY_LONG_LONG");
-    return (PY_LONG_LONG) -1;
-}
-
-/* CIntToPy */
-static CYTHON_INLINE PyObject* __Pyx_PyLong_From_int(int value) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const int neg_one = (int) -1, const_zero = (int) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (is_unsigned) {
-        if (sizeof(int) < sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(unsigned long)) {
-            return PyLong_FromUnsignedLong((unsigned long) value);
-#if !CYTHON_COMPILING_IN_PYPY
-        } else if (sizeof(int) <= sizeof(unsigned PY_LONG_LONG)) {
-            return PyLong_FromUnsignedLongLong((unsigned PY_LONG_LONG) value);
-#endif
-        }
-    } else {
-        if (sizeof(int) <= sizeof(long)) {
-            return PyLong_FromLong((long) value);
-        } else if (sizeof(int) <= sizeof(PY_LONG_LONG)) {
-            return PyLong_FromLongLong((PY_LONG_LONG) value);
-        }
-    }
-    {
-        unsigned char *bytes = (unsigned char *)&value;
-#if !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d00A4
-        if (is_unsigned) {
-            return PyLong_FromUnsignedNativeBytes(bytes, sizeof(value), -1);
-        } else {
-            return PyLong_FromNativeBytes(bytes, sizeof(value), -1);
-        }
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX < 0x030d0000
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        return _PyLong_FromByteArray(bytes, sizeof(int),
-                                     little, !is_unsigned);
-#else
-        int one = 1; int little = (int)*(unsigned char *)&one;
-        PyObject *from_bytes, *result = NULL, *kwds = NULL;
-        PyObject *py_bytes = NULL, *order_str = NULL;
-        from_bytes = PyObject_GetAttrString((PyObject*)&PyLong_Type, "from_bytes");
-        if (!from_bytes) return NULL;
-        py_bytes = PyBytes_FromStringAndSize((char*)bytes, sizeof(int));
-        if (!py_bytes) goto limited_bad;
-        order_str = PyUnicode_FromString(little ? "little" : "big");
-        if (!order_str) goto limited_bad;
-        {
-            PyObject *args[3+(CYTHON_VECTORCALL ? 1 : 0)] = { NULL, py_bytes, order_str };
-            if (!is_unsigned) {
-                kwds = __Pyx_MakeVectorcallBuilderKwds(1);
-                if (!kwds) goto limited_bad;
-                if (__Pyx_VectorcallBuilder_AddArgStr("signed", __Pyx_NewRef(Py_True), kwds, args+3, 0) < 0) goto limited_bad;
-            }
-            result = __Pyx_Object_Vectorcall_CallFromBuilder(from_bytes, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET, kwds);
-        }
-        limited_bad:
-        Py_XDECREF(kwds);
-        Py_XDECREF(order_str);
-        Py_XDECREF(py_bytes);
-        Py_XDECREF(from_bytes);
-        return result;
-#endif
-    }
-}
-
-/* FormatTypeName */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030d0000
-static __Pyx_TypeName
-__Pyx_PyType_GetFullyQualifiedName(PyTypeObject* tp)
-{
-    PyObject *module = NULL, *name = NULL, *result = NULL;
-    #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-    name = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_qualname);
-    #else
-    name = PyType_GetQualName(tp);
-    #endif
-    if (unlikely(name == NULL) || unlikely(!PyUnicode_Check(name))) goto bad;
-    module = __Pyx_PyObject_GetAttrStr((PyObject *)tp,
-                                               __pyx_mstate_global->__pyx_n_u_module);
-    if (unlikely(module == NULL) || unlikely(!PyUnicode_Check(module))) goto bad;
-    if (PyUnicode_CompareWithASCIIString(module, "builtins") == 0) {
-        result = name;
-        name = NULL;
         goto done;
     }
-    result = PyUnicode_FromFormat("%U.%U", module, name);
-    if (unlikely(result == NULL)) goto bad;
-  done:
-    Py_XDECREF(name);
-    Py_XDECREF(module);
-    return result;
-  bad:
-    PyErr_Clear();
-    if (name) {
-        result = name;
-        name = NULL;
-    } else {
-        result = __Pyx_NewRef(__pyx_mstate_global->__pyx_kp_u_);
+    for (i = 0; i < c; i++) {
+        int *q = quad + 4 * i;
+        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(seq, i), "iiii:crossing",
+                              q, q + 1, q + 2, q + 3))
+            goto done;
+        for (k = 0; k < 4; k++)
+            if (q[k] < 0 || q[k] >= arcs) {
+                PyErr_SetString(PyExc_ValueError, "arc label out of range");
+                goto done;
+            }
     }
-    goto done;
-}
-#endif
-
-/* CIntFromPy */
-static CYTHON_INLINE long __Pyx_PyLong_As_long(PyObject *x) {
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wconversion"
-#endif
-    const long neg_one = (long) -1, const_zero = (long) 0;
-#ifdef __Pyx_HAS_GCC_DIAGNOSTIC
-#pragma GCC diagnostic pop
-#endif
-    const int is_unsigned = neg_one > const_zero;
-    if (unlikely(!PyLong_Check(x))) {
-        long val;
-        PyObject *tmp = __Pyx_PyNumber_Long(x);
-        if (!tmp) return (long) -1;
-        val = __Pyx_PyLong_As_long(tmp);
-        Py_DECREF(tmp);
-        return val;
+    for (state = 0; state < (1LL << c); state++) {
+        Py_ssize_t n_a = 0, circles = 0;
+        for (x = 0; x < arcs; x++)
+            parent[x] = (int)x;
+        for (i = 0; i < c; i++) {
+            const int *q = quad + 4 * i;
+            /* an A-smoothing joins (a, b) and (c, d), a B one (a, d) and (b, c) */
+            int a_side = !((state >> i) & 1);
+            n_a += a_side;
+            join(parent, q[0], a_side ? q[1] : q[3]);
+            join(parent, a_side ? q[3] : q[1], q[2]);
+        }
+        for (x = 0; x < arcs; x++)
+            circles += parent[x] == x;
+        count[n_a * (arcs + 1) + circles]++;
     }
-    if (is_unsigned) {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (unlikely(__Pyx_PyLong_IsNeg(x))) {
-            goto raise_neg_overflow;
-        } else if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_upylong, __Pyx_PyLong_CompactValueUnsigned(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_DigitCount(x)) {
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 2 * PyLong_SHIFT)) {
-                            return (long) (((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 3 * PyLong_SHIFT)) {
-                            return (long) (((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) >= 4 * PyLong_SHIFT)) {
-                            return (long) (((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0]));
-                        }
-                    }
-                    break;
+    if ((out = PyDict_New()) == NULL)
+        goto done;
+    for (i = 0; i <= c; i++)
+        for (x = 0; x <= arcs; x++) {
+            PyObject *key, *val;
+            int bad;
+            if (!count[i * (arcs + 1) + x])
+                continue;
+            key = Py_BuildValue("(nn)", 2 * i - c, x);
+            val = PyLong_FromLongLong(count[i * (arcs + 1) + x]);
+            bad = key == NULL || val == NULL || PyDict_SetItem(out, key, val) < 0;
+            Py_XDECREF(key);
+            Py_XDECREF(val);
+            if (bad) {
+                Py_CLEAR(out);
+                goto done;
             }
         }
-#endif
-#if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX < 0x030C00A7
-        if (unlikely(Py_SIZE(x) < 0)) {
-            goto raise_neg_overflow;
-        }
-#else
-        {
-            int result = PyObject_RichCompareBool(x, Py_False, Py_LT);
-            if (unlikely(result < 0))
-                return (long) -1;
-            if (unlikely(result == 1))
-                goto raise_neg_overflow;
-        }
-#endif
-        if ((sizeof(long) <= sizeof(unsigned long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned long, PyLong_AsUnsignedLong(x))
-        } else if ((sizeof(long) <= sizeof(unsigned PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, unsigned PY_LONG_LONG, PyLong_AsUnsignedLongLong(x))
-        }
-    } else {
-#if CYTHON_USE_PYLONG_INTERNALS
-        if (__Pyx_PyLong_IsCompact(x)) {
-            __PYX_VERIFY_RETURN_INT(long, __Pyx_compact_pylong, __Pyx_PyLong_CompactValue(x))
-        } else {
-            const digit* digits = __Pyx_PyLong_Digits(x);
-            assert(__Pyx_PyLong_DigitCount(x) > 1);
-            switch (__Pyx_PyLong_SignedDigitCount(x)) {
-                case -2:
-                    if ((8 * sizeof(long) - 1 > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 2:
-                    if ((8 * sizeof(long) > 1 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 2 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                            return (long) ((((((long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -3:
-                    if ((8 * sizeof(long) - 1 > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 3:
-                    if ((8 * sizeof(long) > 2 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 3 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                            return (long) ((((((((long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case -4:
-                    if ((8 * sizeof(long) - 1 > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, long, -(long) (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) (((long)-1)*(((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-                case 4:
-                    if ((8 * sizeof(long) > 3 * PyLong_SHIFT)) {
-                        if ((8 * sizeof(unsigned long) > 4 * PyLong_SHIFT)) {
-                            __PYX_VERIFY_RETURN_INT(long, unsigned long, (((((((((unsigned long)digits[3]) << PyLong_SHIFT) | (unsigned long)digits[2]) << PyLong_SHIFT) | (unsigned long)digits[1]) << PyLong_SHIFT) | (unsigned long)digits[0])))
-                        } else if ((8 * sizeof(long) - 1 > 4 * PyLong_SHIFT)) {
-                            return (long) ((((((((((long)digits[3]) << PyLong_SHIFT) | (long)digits[2]) << PyLong_SHIFT) | (long)digits[1]) << PyLong_SHIFT) | (long)digits[0])));
-                        }
-                    }
-                    break;
-            }
-        }
-#endif
-        if ((sizeof(long) <= sizeof(long))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, long, PyLong_AsLong(x))
-        } else if ((sizeof(long) <= sizeof(PY_LONG_LONG))) {
-            __PYX_VERIFY_RETURN_INT_EXC(long, PY_LONG_LONG, PyLong_AsLongLong(x))
-        }
-    }
-    {
-        long val;
-        int ret = -1;
-#if PY_VERSION_HEX >= 0x030d00A6 && !CYTHON_COMPILING_IN_LIMITED_API
-        Py_ssize_t bytes_copied = PyLong_AsNativeBytes(
-            x, &val, sizeof(val), Py_ASNATIVEBYTES_NATIVE_ENDIAN | (is_unsigned ? Py_ASNATIVEBYTES_UNSIGNED_BUFFER | Py_ASNATIVEBYTES_REJECT_NEGATIVE : 0));
-        if (unlikely(bytes_copied == -1)) {
-        } else if (unlikely(bytes_copied > (Py_ssize_t) sizeof(val))) {
-            goto raise_overflow;
-        } else {
-            ret = 0;
-        }
-#elif PY_VERSION_HEX < 0x030d0000 && !(CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API) || defined(_PyLong_AsByteArray)
-        int one = 1; int is_little = (int)*(unsigned char *)&one;
-        unsigned char *bytes = (unsigned char *)&val;
-        ret = _PyLong_AsByteArray((PyLongObject *)x,
-                                    bytes, sizeof(val),
-                                    is_little, !is_unsigned);
-#else
-        PyObject *v;
-        PyObject *stepval = NULL, *mask = NULL, *shift = NULL;
-        int bits, remaining_bits, is_negative = 0;
-        int chunk_size = (sizeof(long) < 8) ? 30 : 62;
-        if (likely(PyLong_CheckExact(x))) {
-            v = __Pyx_NewRef(x);
-        } else {
-            v = PyNumber_Long(x);
-            if (unlikely(!v)) return (long) -1;
-            assert(PyLong_CheckExact(v));
-        }
-        {
-            int result = PyObject_RichCompareBool(v, Py_False, Py_LT);
-            if (unlikely(result < 0)) {
-                Py_DECREF(v);
-                return (long) -1;
-            }
-            is_negative = result == 1;
-        }
-        if (is_unsigned && unlikely(is_negative)) {
-            Py_DECREF(v);
-            goto raise_neg_overflow;
-        } else if (is_negative) {
-            stepval = PyNumber_Invert(v);
-            Py_DECREF(v);
-            if (unlikely(!stepval))
-                return (long) -1;
-        } else {
-            stepval = v;
-        }
-        v = NULL;
-        val = (long) 0;
-        mask = PyLong_FromLong((1L << chunk_size) - 1); if (unlikely(!mask)) goto done;
-        shift = PyLong_FromLong(chunk_size); if (unlikely(!shift)) goto done;
-        for (bits = 0; bits < (int) sizeof(long) * 8 - chunk_size; bits += chunk_size) {
-            PyObject *tmp, *digit;
-            long idigit;
-            digit = PyNumber_And(stepval, mask);
-            if (unlikely(!digit)) goto done;
-            idigit = PyLong_AsLong(digit);
-            Py_DECREF(digit);
-            if (unlikely(idigit < 0)) goto done;
-            val |= ((long) idigit) << bits;
-            tmp = PyNumber_Rshift(stepval, shift);
-            if (unlikely(!tmp)) goto done;
-            Py_DECREF(stepval); stepval = tmp;
-        }
-        Py_DECREF(shift); shift = NULL;
-        Py_DECREF(mask); mask = NULL;
-        {
-            long idigit = PyLong_AsLong(stepval);
-            if (unlikely(idigit < 0)) goto done;
-            remaining_bits = ((int) sizeof(long) * 8) - bits - (is_unsigned ? 0 : 1);
-            if (unlikely(idigit >= (1L << remaining_bits)))
-                goto raise_overflow;
-            val |= ((long) idigit) << bits;
-        }
-        if (!is_unsigned) {
-            if (unlikely(val & (((long) 1) << (sizeof(long) * 8 - 1))))
-                goto raise_overflow;
-            if (is_negative)
-                val = ~val;
-        }
-        ret = 0;
-    done:
-        Py_XDECREF(shift);
-        Py_XDECREF(mask);
-        Py_XDECREF(stepval);
-#endif
-        if (unlikely(ret))
-            return (long) -1;
-        return val;
-    }
-raise_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "value too large to convert to long");
-    return (long) -1;
-raise_neg_overflow:
-    PyErr_SetString(PyExc_OverflowError,
-        "can't convert negative value to long");
-    return (long) -1;
-}
-
-/* FastTypeChecks */
-#if CYTHON_COMPILING_IN_CPYTHON
-static int __Pyx_InBases(PyTypeObject *a, PyTypeObject *b) {
-    while (a) {
-        a = __Pyx_PyType_GetSlot(a, tp_base, PyTypeObject*);
-        if (a == b)
-            return 1;
-    }
-    return b == &PyBaseObject_Type;
-}
-static CYTHON_INLINE int __Pyx_IsSubtype(PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (a == b) return 1;
-    mro = a->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            if (PyTuple_GET_ITEM(mro, i) == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(a, b);
-}
-static CYTHON_INLINE int __Pyx_IsAnySubtype2(PyTypeObject *cls, PyTypeObject *a, PyTypeObject *b) {
-    PyObject *mro;
-    if (cls == a || cls == b) return 1;
-    mro = cls->tp_mro;
-    if (likely(mro)) {
-        Py_ssize_t i, n;
-        n = PyTuple_GET_SIZE(mro);
-        for (i = 0; i < n; i++) {
-            PyObject *base = PyTuple_GET_ITEM(mro, i);
-            if (base == (PyObject *)a || base == (PyObject *)b)
-                return 1;
-        }
-        return 0;
-    }
-    return __Pyx_InBases(cls, a) || __Pyx_InBases(cls, b);
-}
-static CYTHON_INLINE int __Pyx_inner_PyErr_GivenExceptionMatches2(PyObject *err, PyObject* exc_type1, PyObject *exc_type2) {
-    if (exc_type1) {
-        return __Pyx_IsAnySubtype2((PyTypeObject*)err, (PyTypeObject*)exc_type1, (PyTypeObject*)exc_type2);
-    } else {
-        return __Pyx_IsSubtype((PyTypeObject*)err, (PyTypeObject*)exc_type2);
-    }
-}
-static int __Pyx_PyErr_GivenExceptionMatchesTuple(PyObject *exc_type, PyObject *tuple) {
-    Py_ssize_t i, n;
-    assert(PyExceptionClass_Check(exc_type));
-    n = PyTuple_GET_SIZE(tuple);
-    for (i=0; i<n; i++) {
-        if (exc_type == PyTuple_GET_ITEM(tuple, i)) return 1;
-    }
-    for (i=0; i<n; i++) {
-        PyObject *t = PyTuple_GET_ITEM(tuple, i);
-        if (likely(PyExceptionClass_Check(t))) {
-            if (__Pyx_inner_PyErr_GivenExceptionMatches2(exc_type, NULL, t)) return 1;
-        } else {
-        }
-    }
-    return 0;
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches(PyObject *err, PyObject* exc_type) {
-    if (likely(err == exc_type)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        if (likely(PyExceptionClass_Check(exc_type))) {
-            return __Pyx_inner_PyErr_GivenExceptionMatches2(err, NULL, exc_type);
-        } else if (likely(PyTuple_Check(exc_type))) {
-            return __Pyx_PyErr_GivenExceptionMatchesTuple(err, exc_type);
-        } else {
-        }
-    }
-    return PyErr_GivenExceptionMatches(err, exc_type);
-}
-static CYTHON_INLINE int __Pyx_PyErr_GivenExceptionMatches2(PyObject *err, PyObject *exc_type1, PyObject *exc_type2) {
-    assert(PyExceptionClass_Check(exc_type1));
-    assert(PyExceptionClass_Check(exc_type2));
-    if (likely(err == exc_type1 || err == exc_type2)) return 1;
-    if (likely(PyExceptionClass_Check(err))) {
-        return __Pyx_inner_PyErr_GivenExceptionMatches2(err, exc_type1, exc_type2);
-    }
-    return (PyErr_GivenExceptionMatches(err, exc_type1) || PyErr_GivenExceptionMatches(err, exc_type2));
-}
-#endif
-
-/* GetRuntimeVersion */
-#if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-void __Pyx_init_runtime_version(void) {
-    if (__Pyx_cached_runtime_version == 0) {
-        const char* rt_version = Py_GetVersion();
-        unsigned long version = 0;
-        unsigned long factor = 0x01000000UL;
-        unsigned int digit = 0;
-        int i = 0;
-        while (factor) {
-            while ('0' <= rt_version[i] && rt_version[i] <= '9') {
-                digit = digit * 10 + (unsigned int) (rt_version[i] - '0');
-                ++i;
-            }
-            version += factor * digit;
-            if (rt_version[i] != '.')
-                break;
-            digit = 0;
-            factor >>= 8;
-            ++i;
-        }
-        __Pyx_cached_runtime_version = version;
-    }
-}
-#endif
-static unsigned long __Pyx_get_runtime_version(void) {
-#if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-    return Py_Version & ~0xFFUL;
-#else
-    return __Pyx_cached_runtime_version;
-#endif
-}
-
-/* RaiseException (used by CoroutineBase) */
-static void __Pyx_Raise(PyObject *type, PyObject *value, PyObject *tb, PyObject *cause) {
-    PyObject* owned_instance = NULL;
-    if (tb == Py_None) {
-        tb = 0;
-    } else if (tb && !PyTraceBack_Check(tb)) {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: arg 3 must be a traceback or None");
-        goto bad;
-    }
-    if (value == Py_None)
-        value = 0;
-    if (PyExceptionInstance_Check(type)) {
-        if (value) {
-            PyErr_SetString(PyExc_TypeError,
-                "instance exception may not have a separate value");
-            goto bad;
-        }
-        value = type;
-        type = (PyObject*) Py_TYPE(value);
-    } else if (PyExceptionClass_Check(type)) {
-        PyObject *instance_class = NULL;
-        if (value && PyExceptionInstance_Check(value)) {
-            instance_class = (PyObject*) Py_TYPE(value);
-            if (instance_class != type) {
-                int is_subclass = PyObject_IsSubclass(instance_class, type);
-                if (!is_subclass) {
-                    instance_class = NULL;
-                } else if (unlikely(is_subclass == -1)) {
-                    goto bad;
-                } else {
-                    type = instance_class;
-                }
-            }
-        }
-        if (!instance_class) {
-            PyObject *args;
-            if (!value)
-                args = PyTuple_New(0);
-            else if (PyTuple_Check(value)) {
-                Py_INCREF(value);
-                args = value;
-            } else
-                args = PyTuple_Pack(1, value);
-            if (!args)
-                goto bad;
-            owned_instance = PyObject_Call(type, args, NULL);
-            Py_DECREF(args);
-            if (!owned_instance)
-                goto bad;
-            value = owned_instance;
-            if (!PyExceptionInstance_Check(value)) {
-                PyErr_Format(PyExc_TypeError,
-                             "calling %R should have returned an instance of "
-                             "BaseException, not %R",
-                             type, Py_TYPE(value));
-                goto bad;
-            }
-        }
-    } else {
-        PyErr_SetString(PyExc_TypeError,
-            "raise: exception class must be a subclass of BaseException");
-        goto bad;
-    }
-    if (cause) {
-        PyObject *fixed_cause;
-        if (cause == Py_None) {
-            fixed_cause = NULL;
-        } else if (PyExceptionClass_Check(cause)) {
-            fixed_cause = PyObject_CallObject(cause, NULL);
-            if (fixed_cause == NULL)
-                goto bad;
-        } else if (PyExceptionInstance_Check(cause)) {
-            fixed_cause = cause;
-            Py_INCREF(fixed_cause);
-        } else {
-            PyErr_SetString(PyExc_TypeError,
-                            "exception causes must derive from "
-                            "BaseException");
-            goto bad;
-        }
-        PyException_SetCause(value, fixed_cause);
-    }
-    PyErr_SetObject(type, value);
-    if (tb) {
-#if PY_VERSION_HEX >= 0x030C00A6
-        PyException_SetTraceback(value, tb);
-#elif CYTHON_FAST_THREAD_STATE
-        PyThreadState *tstate = __Pyx_PyThreadState_Current;
-        PyObject* tmp_tb = tstate->curexc_traceback;
-        if (tb != tmp_tb) {
-            Py_INCREF(tb);
-            tstate->curexc_traceback = tb;
-            Py_XDECREF(tmp_tb);
-        }
-#else
-        PyObject *tmp_type, *tmp_value, *tmp_tb;
-        PyErr_Fetch(&tmp_type, &tmp_value, &tmp_tb);
-        Py_INCREF(tb);
-        PyErr_Restore(tmp_type, tmp_value, tb);
-        Py_XDECREF(tmp_tb);
-#endif
-    }
-bad:
-    Py_XDECREF(owned_instance);
-    return;
-}
-
-/* IterNextPlain (used by CoroutineBase) */
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-static PyObject *__Pyx_GetBuiltinNext_LimitedAPI(void) {
-    if (unlikely(!__pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache))
-        __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache = __Pyx_GetBuiltinName(__pyx_mstate_global->__pyx_n_u_next);
-    return __pyx_mstate_global->__Pyx_GetBuiltinNext_LimitedAPI_cache;
-}
-#endif
-static CYTHON_INLINE PyObject *__Pyx_PyIter_Next_Plain(PyObject *iterator) {
-#if CYTHON_COMPILING_IN_LIMITED_API && __PYX_LIMITED_VERSION_HEX < 0x030A0000
-    PyObject *result;
-    PyObject *next = __Pyx_GetBuiltinNext_LimitedAPI();
-    if (unlikely(!next)) return NULL;
-    result = PyObject_CallFunctionObjArgs(next, iterator, NULL);
-    return result;
-#else
-    (void)__Pyx_GetBuiltinName; // only for early limited API
-    iternextfunc iternext = __Pyx_PyObject_GetIterNextFunc(iterator);
-    assert(iternext);
-    return iternext(iterator);
-#endif
-}
-
-/* PyObjectCall2Args (used by PyObjectCallMethod1) */
-static CYTHON_INLINE PyObject* __Pyx_PyObject_Call2Args(PyObject* function, PyObject* arg1, PyObject* arg2) {
-    PyObject *args[3] = {NULL, arg1, arg2};
-    return __Pyx_PyObject_FastCall(function, args+1, 2 | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-}
-
-/* PyObjectCallMethod1 (used by CoroutineBase) */
-#if !(CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000)))
-static PyObject* __Pyx__PyObject_CallMethod1(PyObject* method, PyObject* arg) {
-    PyObject *result = __Pyx_PyObject_CallOneArg(method, arg);
-    Py_DECREF(method);
-    return result;
-}
-#endif
-static PyObject* __Pyx_PyObject_CallMethod1(PyObject* obj, PyObject* method_name, PyObject* arg) {
-#if CYTHON_VECTORCALL && (__PYX_LIMITED_VERSION_HEX >= 0x030C0000 || (!CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x03090000))
-    PyObject *args[2] = {obj, arg};
-    (void) __Pyx_PyObject_CallOneArg;
-    (void) __Pyx_PyObject_Call2Args;
-    return PyObject_VectorcallMethod(method_name, args, 2 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-#else
-    PyObject *method = NULL, *result;
-    int is_method = __Pyx_PyObject_GetMethod(obj, method_name, &method);
-    if (likely(is_method)) {
-        result = __Pyx_PyObject_Call2Args(method, obj, arg);
-        Py_DECREF(method);
-        return result;
-    }
-    if (unlikely(!method)) return NULL;
-    return __Pyx__PyObject_CallMethod1(method, arg);
-#endif
-}
-
-/* ReturnWithStopIteration (used by CoroutineBase) */
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async);
-static CYTHON_INLINE void __Pyx_ReturnWithStopIteration(PyObject* value, int async, int iternext) {
-    if (value == Py_None) {
-        if (async || !iternext)
-            PyErr_SetNone(async ? PyExc_StopAsyncIteration : PyExc_StopIteration);
-        return;
-    }
-    __Pyx__ReturnWithStopIteration(value, async);
-}
-static void __Pyx__ReturnWithStopIteration(PyObject* value, int async) {
-#if CYTHON_COMPILING_IN_CPYTHON
-    __Pyx_PyThreadState_declare
-#endif
-    PyObject *exc;
-    PyObject *exc_type = async ? PyExc_StopAsyncIteration : PyExc_StopIteration;
-#if CYTHON_COMPILING_IN_CPYTHON
-    if ((PY_VERSION_HEX >= (0x030C00A6)) || unlikely(PyTuple_Check(value) || PyExceptionInstance_Check(value))) {
-        if (PY_VERSION_HEX >= (0x030e00A1)) {
-            exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-        } else {
-            PyObject *args_tuple = PyTuple_New(1);
-            if (unlikely(!args_tuple)) return;
-            Py_INCREF(value);
-            PyTuple_SET_ITEM(args_tuple, 0, value);
-            exc = PyObject_Call(exc_type, args_tuple, NULL);
-            Py_DECREF(args_tuple);
-        }
-        if (unlikely(!exc)) return;
-    } else {
-        Py_INCREF(value);
-        exc = value;
-    }
-    #if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    #if CYTHON_USE_EXC_INFO_STACK
-    if (!__pyx_tstate->exc_info->exc_value)
-    #else
-    if (!__pyx_tstate->exc_type)
-    #endif
-    {
-        Py_INCREF(exc_type);
-        __Pyx_ErrRestore(exc_type, exc, NULL);
-        return;
-    }
-    #endif
-#else
-    exc = __Pyx_PyObject_CallOneArg(exc_type, value);
-    if (unlikely(!exc)) return;
-#endif
-    PyErr_SetObject(exc_type, exc);
-    Py_DECREF(exc);
-}
-
-/* CoroutineBase (used by Generator) */
-#if !CYTHON_COMPILING_IN_LIMITED_API
-#include <frameobject.h>
-#if PY_VERSION_HEX >= 0x030b00a6 && !defined(PYPY_VERSION)
-  #ifndef Py_BUILD_CORE
-    #define Py_BUILD_CORE 1
-  #endif
-  #include "internal/pycore_frame.h"
-#endif
-#endif // CYTHON_COMPILING_IN_LIMITED_API
-static CYTHON_INLINE void
-__Pyx_Coroutine_Undelegate(__pyx_CoroutineObject *gen) {
-#if CYTHON_USE_AM_SEND
-    gen->yieldfrom_am_send = NULL;
-#endif
-    Py_CLEAR(gen->yieldfrom);
-}
-static int __Pyx_PyGen__FetchStopIterationValue(PyThreadState *__pyx_tstate, PyObject **pvalue) {
-    PyObject *et, *ev, *tb;
-    PyObject *value = NULL;
-    CYTHON_UNUSED_VAR(__pyx_tstate);
-    __Pyx_ErrFetch(&et, &ev, &tb);
-    if (!et) {
-        Py_XDECREF(tb);
-        Py_XDECREF(ev);
-        Py_INCREF(Py_None);
-        *pvalue = Py_None;
-        return 0;
-    }
-    if (likely(et == PyExc_StopIteration)) {
-        if (!ev) {
-            Py_INCREF(Py_None);
-            value = Py_None;
-        }
-        else if (likely(__Pyx_IS_TYPE(ev, (PyTypeObject*)PyExc_StopIteration))) {
-            #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL
-            value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-            if (unlikely(!value)) goto limited_api_failure;
-            #else
-            value = ((PyStopIterationObject *)ev)->value;
-            Py_INCREF(value);
-            #endif
-            Py_DECREF(ev);
-        }
-        else if (unlikely(PyTuple_Check(ev))) {
-            Py_ssize_t tuple_size = __Pyx_PyTuple_GET_SIZE(ev);
-            #if !CYTHON_ASSUME_SAFE_SIZE
-            if (unlikely(tuple_size < 0)) {
-                Py_XDECREF(tb);
-                Py_DECREF(ev);
-                Py_DECREF(et);
-                return -1;
-            }
-            #endif
-            if (tuple_size >= 1) {
-#if CYTHON_ASSUME_SAFE_MACROS && !CYTHON_AVOID_BORROWED_REFS
-                value = PyTuple_GET_ITEM(ev, 0);
-                Py_INCREF(value);
-#elif CYTHON_ASSUME_SAFE_MACROS
-                value = PySequence_ITEM(ev, 0);
-#else
-                value = PySequence_GetItem(ev, 0);
-                if (!value) goto limited_api_failure;
-#endif
-            } else {
-                Py_INCREF(Py_None);
-                value = Py_None;
-            }
-            Py_DECREF(ev);
-        }
-        else if (!__Pyx_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration)) {
-            value = ev;
-        }
-        if (likely(value)) {
-            Py_XDECREF(tb);
-            Py_DECREF(et);
-            *pvalue = value;
-            return 0;
-        }
-    } else if (!__Pyx_PyErr_GivenExceptionMatches(et, PyExc_StopIteration)) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    PyErr_NormalizeException(&et, &ev, &tb);
-    if (unlikely(!PyObject_TypeCheck(ev, (PyTypeObject*)PyExc_StopIteration))) {
-        __Pyx_ErrRestore(et, ev, tb);
-        return -1;
-    }
-    Py_XDECREF(tb);
-    Py_DECREF(et);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    value = PyObject_GetAttr(ev, __pyx_mstate_global->__pyx_n_u_value);
-#else
-    value = ((PyStopIterationObject *)ev)->value;
-    Py_INCREF(value);
-#endif
-    Py_DECREF(ev);
-#if CYTHON_COMPILING_IN_LIMITED_API
-    if (unlikely(!value)) return -1;
-#endif
-    *pvalue = value;
-    return 0;
-#if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_GRAAL || !CYTHON_ASSUME_SAFE_MACROS
-  limited_api_failure:
-    Py_XDECREF(et);
-    Py_XDECREF(tb);
-    Py_XDECREF(ev);
-    return -1;
-#endif
-}
-static CYTHON_INLINE
-__Pyx_PySendResult __Pyx_Coroutine_status_from_result(PyObject **retval) {
-    if (*retval) {
-        return PYGEN_NEXT;
-    } else if (likely(__Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, retval) == 0)) {
-        return PYGEN_RETURN;
-    } else {
-        return PYGEN_ERROR;
-    }
-}
-static CYTHON_INLINE
-void __Pyx_Coroutine_ExceptionClear(__Pyx_ExcInfoStruct *exc_state) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_CLEAR(exc_state->exc_value);
-#else
-    PyObject *t, *v, *tb;
-    t = exc_state->exc_type;
-    v = exc_state->exc_value;
-    tb = exc_state->exc_traceback;
-    exc_state->exc_type = NULL;
-    exc_state->exc_value = NULL;
-    exc_state->exc_traceback = NULL;
-    Py_XDECREF(t);
-    Py_XDECREF(v);
-    Py_XDECREF(tb);
-#endif
-}
-#define __Pyx_Coroutine_AlreadyRunningError(gen)  (__Pyx__Coroutine_AlreadyRunningError(gen), (PyObject*)NULL)
-static void __Pyx__Coroutine_AlreadyRunningError(__pyx_CoroutineObject *gen) {
-    const char *msg;
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if ((0)) {
-    #ifdef __Pyx_Coroutine_USED
-    } else if (__Pyx_Coroutine_Check((PyObject*)gen)) {
-        msg = "coroutine already executing";
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    } else if (__Pyx_AsyncGen_CheckExact((PyObject*)gen)) {
-        msg = "async generator already executing";
-    #endif
-    } else {
-        msg = "generator already executing";
-    }
-    PyErr_SetString(PyExc_ValueError, msg);
-}
-static void __Pyx_Coroutine_AlreadyTerminatedError(PyObject *gen, PyObject *value, int closing) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    CYTHON_MAYBE_UNUSED_VAR(closing);
-    #ifdef __Pyx_Coroutine_USED
-    if (!closing && __Pyx_Coroutine_Check(gen)) {
-        PyErr_SetString(PyExc_RuntimeError, "cannot reuse already awaited coroutine");
-    } else
-    #endif
-    if (value) {
-        #ifdef __Pyx_AsyncGen_USED
-        if (__Pyx_AsyncGen_CheckExact(gen))
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        else
-        #endif
-        PyErr_SetNone(PyExc_StopIteration);
-    }
-}
-static
-__Pyx_PySendResult __Pyx_Coroutine_SendEx(__pyx_CoroutineObject *self, PyObject *value, PyObject **result, int closing) {
-    __Pyx_PyThreadState_declare
-    PyThreadState *tstate;
-    __Pyx_ExcInfoStruct *exc_state;
-    PyObject *retval;
-    assert(__Pyx_Coroutine_get_is_running(self));  // Callers should ensure is_running
-    if (unlikely(self->resume_label == -1)) {
-        __Pyx_Coroutine_AlreadyTerminatedError((PyObject*)self, value, closing);
-        return PYGEN_ERROR;
-    }
-#if CYTHON_FAST_THREAD_STATE
-    __Pyx_PyThreadState_assign
-    tstate = __pyx_tstate;
-#else
-    tstate = __Pyx_PyThreadState_Current;
-#endif
-    exc_state = &self->gi_exc_state;
-    if (exc_state->exc_value) {
-        #if CYTHON_COMPILING_IN_LIMITED_API || CYTHON_COMPILING_IN_PYPY
-        #else
-        PyObject *exc_tb;
-        #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-        exc_tb = PyException_GetTraceback(exc_state->exc_value);
-        #elif PY_VERSION_HEX >= 0x030B00a4
-        exc_tb = ((PyBaseExceptionObject*) exc_state->exc_value)->traceback;
-        #else
-        exc_tb = exc_state->exc_traceback;
-        #endif
-        if (exc_tb) {
-            PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-            PyFrameObject *f = tb->tb_frame;
-            assert(f->f_back == NULL);
-            #if PY_VERSION_HEX >= 0x030B00A1
-            f->f_back = PyThreadState_GetFrame(tstate);
-            #else
-            Py_XINCREF(tstate->frame);
-            f->f_back = tstate->frame;
-            #endif
-            #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_CPYTHON
-            Py_DECREF(exc_tb);
-            #endif
-        }
-        #endif
-    }
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state->previous_item = tstate->exc_info;
-    tstate->exc_info = exc_state;
-#else
-    if (exc_state->exc_type) {
-        __Pyx_ExceptionSwap(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    } else {
-        __Pyx_Coroutine_ExceptionClear(exc_state);
-        __Pyx_ExceptionSave(&exc_state->exc_type, &exc_state->exc_value, &exc_state->exc_traceback);
-    }
-#endif
-    retval = self->body(self, tstate, value);
-#if CYTHON_USE_EXC_INFO_STACK
-    exc_state = &self->gi_exc_state;
-    tstate->exc_info = exc_state->previous_item;
-    exc_state->previous_item = NULL;
-    __Pyx_Coroutine_ResetFrameBackpointer(exc_state);
-#endif
-    *result = retval;
-    if (self->resume_label == -1) {
-        return likely(retval) ? PYGEN_RETURN : PYGEN_ERROR;
-    }
-    return PYGEN_NEXT;
-}
-static CYTHON_INLINE void __Pyx_Coroutine_ResetFrameBackpointer(__Pyx_ExcInfoStruct *exc_state) {
-#if CYTHON_COMPILING_IN_PYPY || CYTHON_COMPILING_IN_LIMITED_API
-    CYTHON_UNUSED_VAR(exc_state);
-#else
-    PyObject *exc_tb;
-    #if PY_VERSION_HEX >= 0x030B00a4
-    if (!exc_state->exc_value) return;
-    exc_tb = PyException_GetTraceback(exc_state->exc_value);
-    #else
-    exc_tb = exc_state->exc_traceback;
-    #endif
-    if (likely(exc_tb)) {
-        PyTracebackObject *tb = (PyTracebackObject *) exc_tb;
-        PyFrameObject *f = tb->tb_frame;
-        Py_CLEAR(f->f_back);
-        #if PY_VERSION_HEX >= 0x030B00a4
-        Py_DECREF(exc_tb);
-        #endif
-    }
-#endif
-}
-#define __Pyx_Coroutine_MethodReturnFromResult(gen, result, retval, iternext)\
-    ((result) == PYGEN_NEXT ? (retval) : __Pyx__Coroutine_MethodReturnFromResult(gen, result, retval, iternext))
-static PyObject *
-__Pyx__Coroutine_MethodReturnFromResult(PyObject* gen, __Pyx_PySendResult result, PyObject *retval, int iternext) {
-    CYTHON_MAYBE_UNUSED_VAR(gen);
-    if (likely(result == PYGEN_RETURN)) {
-        int is_async = 0;
-        #ifdef __Pyx_AsyncGen_USED
-        is_async = __Pyx_AsyncGen_CheckExact(gen);
-        #endif
-        __Pyx_ReturnWithStopIteration(retval, is_async, iternext);
-        Py_XDECREF(retval);
-    }
-    return NULL;
-}
-#if CYTHON_COMPILING_IN_CPYTHON
-static CYTHON_INLINE
-PyObject *__Pyx_PyGen_Send(PyGenObject *gen, PyObject *arg) {
-#if PY_VERSION_HEX <= 0x030A00A1
-    return _PyGen_Send(gen, arg);
-#else
-    PyObject *result;
-    if (PyIter_Send((PyObject*)gen, arg ? arg : Py_None, &result) == PYGEN_RETURN) {
-        if (PyAsyncGen_CheckExact(gen)) {
-            assert(result == Py_None);
-            PyErr_SetNone(PyExc_StopAsyncIteration);
-        }
-        else if (result == Py_None) {
-            PyErr_SetNone(PyExc_StopIteration);
-        }
-        else {
-#if PY_VERSION_HEX < 0x030d00A1
-            _PyGen_SetStopIterationValue(result);
-#else
-            if (!PyTuple_Check(result) && !PyExceptionInstance_Check(result)) {
-                PyErr_SetObject(PyExc_StopIteration, result);
-            } else {
-                PyObject *exc = __Pyx_PyObject_CallOneArg(PyExc_StopIteration, result);
-                if (likely(exc != NULL)) {
-                    PyErr_SetObject(PyExc_StopIteration, exc);
-                    Py_DECREF(exc);
-                }
-            }
-#endif
-        }
-        Py_DECREF(result);
-        result = NULL;
-    }
-    return result;
-#endif
-}
-#endif
-static CYTHON_INLINE __Pyx_PySendResult
-__Pyx_Coroutine_FinishDelegation(__pyx_CoroutineObject *gen, PyObject** retval) {
-    __Pyx_PySendResult result;
-    PyObject *val = NULL;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_PyGen__FetchStopIterationValue(__Pyx_PyThreadState_Current, &val);
-    result = __Pyx_Coroutine_SendEx(gen, val, retval, 0);
-    Py_XDECREF(val);
-    return result;
-}
-#if CYTHON_USE_AM_SEND
-static __Pyx_PySendResult
-__Pyx_Coroutine_SendToDelegate(__pyx_CoroutineObject *gen, __Pyx_pyiter_sendfunc gen_am_send, PyObject *value, PyObject **retval) {
-    PyObject *ret = NULL;
-    __Pyx_PySendResult delegate_result, result;
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    delegate_result = gen_am_send(gen->yieldfrom, value, &ret);
-    if (delegate_result == PYGEN_NEXT) {
-        assert (ret != NULL);
-        *retval = ret;
-        return PYGEN_NEXT;
-    }
-    assert (delegate_result != PYGEN_ERROR || ret == NULL);
-    __Pyx_Coroutine_Undelegate(gen);
-    result = __Pyx_Coroutine_SendEx(gen, ret, retval, 0);
-    Py_XDECREF(ret);
-    return result;
-}
-#endif
-static PyObject *__Pyx_Coroutine_Send(PyObject *self, PyObject *value) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result = __Pyx_Coroutine_AmSend(self, value, &retval);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_AmSend(PyObject *self, PyObject *value, PyObject **retval) {
-    __Pyx_PySendResult result;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, value, retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-      #if !CYTHON_USE_AM_SEND
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_Check(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, value);
-        } else
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-            ret = __Pyx_async_gen_asend_send(yf, value);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        if (PyCoro_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, value == Py_None ? NULL : value);
-        } else
-        #endif
-      #endif
-        {
-            #if !CYTHON_COMPILING_IN_LIMITED_API || __PYX_LIMITED_VERSION_HEX >= 0x03080000
-            if (value == Py_None && PyIter_Check(yf))
-                ret = __Pyx_PyIter_Next_Plain(yf);
-            else
-            #endif
-                ret = __Pyx_PyObject_CallMethod1(yf, __pyx_mstate_global->__pyx_n_u_send, value);
-        }
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            *retval = ret;
-            return PYGEN_NEXT;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, value, retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return result;
-}
-static int __Pyx_Coroutine_CloseIter(__pyx_CoroutineObject *gen, PyObject *yf) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    CYTHON_UNUSED_VAR(gen);
-    assert(__Pyx_Coroutine_get_is_running(gen));
-    #ifdef __Pyx_Generator_USED
-    if (__Pyx_Generator_CheckExact(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    #endif
-    #ifdef __Pyx_Coroutine_USED
-    if (__Pyx_Coroutine_Check(yf)) {
-        result = __Pyx_Coroutine_Close(yf, &retval);
-    } else
-    if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-        result = __Pyx_CoroutineAwait_Close((__pyx_CoroutineAwaitObject*)yf);
-    } else
-    #endif
-    #ifdef __Pyx_AsyncGen_USED
-    if (__pyx_PyAsyncGenASend_CheckExact(yf)) {
-        retval = __Pyx_async_gen_asend_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    if (__pyx_PyAsyncGenAThrow_CheckExact(yf)) {
-        retval = __Pyx_async_gen_athrow_close(yf, NULL);
-        result = PYGEN_RETURN;
-    } else
-    #endif
-    {
-        PyObject *meth;
-        result = PYGEN_RETURN;
-        meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_close);
-        if (unlikely(!meth)) {
-            if (unlikely(PyErr_Occurred())) {
-                PyErr_WriteUnraisable(yf);
-            }
-        } else {
-            retval = __Pyx_PyObject_CallNoArg(meth);
-            Py_DECREF(meth);
-            if (unlikely(!retval)) {
-                result = PYGEN_ERROR;
-            }
-        }
-    }
-    Py_XDECREF(retval);
-    return result == PYGEN_ERROR ? -1 : 0;
-}
-static PyObject *__Pyx_Generator_Next(PyObject *self) {
-    __Pyx_PySendResult result;
-    PyObject *retval = NULL;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    #if CYTHON_USE_AM_SEND
-    if (gen->yieldfrom_am_send) {
-        result = __Pyx_Coroutine_SendToDelegate(gen, gen->yieldfrom_am_send, Py_None, &retval);
-    } else
-    #endif
-    if (gen->yieldfrom) {
-        PyObject *yf = gen->yieldfrom;
-        PyObject *ret;
-        #ifdef __Pyx_Generator_USED
-        if (__Pyx_Generator_CheckExact(yf)) {
-            ret = __Pyx_Generator_Next(yf);
-        } else
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-        if (__Pyx_Coroutine_CheckExact(yf)) {
-            ret = __Pyx_Coroutine_Send(yf, Py_None);
-        } else
-        #endif
-        #if CYTHON_COMPILING_IN_CPYTHON && (PY_VERSION_HEX < 0x030A00A3 || !CYTHON_USE_AM_SEND)
-        if (PyGen_CheckExact(yf)) {
-            ret = __Pyx_PyGen_Send((PyGenObject*)yf, NULL);
-        } else
-        #endif
-            ret = __Pyx_PyIter_Next_Plain(yf);
-        if (likely(ret)) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &retval);
-    } else {
-        result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    }
-    __Pyx_Coroutine_unset_is_running(gen);
-    return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 1);
-}
-static PyObject *__Pyx_Coroutine_Close_Method(PyObject *self, PyObject *arg) {
-    PyObject *retval = NULL;
-    __Pyx_PySendResult result;
-    CYTHON_UNUSED_VAR(arg);
-    result = __Pyx_Coroutine_Close(self, &retval);
-    if (unlikely(result == PYGEN_ERROR))
-        return NULL;
-    Py_XDECREF(retval);
-    Py_RETURN_NONE;
-}
-static __Pyx_PySendResult
-__Pyx_Coroutine_Close(PyObject *self, PyObject **retval) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PySendResult result;
-    PyObject *yf;
-    int err = 0;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        *retval = __Pyx_Coroutine_AlreadyRunningError(gen);
-        return PYGEN_ERROR;
-    }
-    yf = gen->yieldfrom;
-    if (yf) {
-        Py_INCREF(yf);
-        err = __Pyx_Coroutine_CloseIter(gen, yf);
-        __Pyx_Coroutine_Undelegate(gen);
-        Py_DECREF(yf);
-    }
-    if (err == 0)
-        PyErr_SetNone(PyExc_GeneratorExit);
-    result = __Pyx_Coroutine_SendEx(gen, NULL, retval, 1);
-    if (result == PYGEN_ERROR) {
-        __Pyx_PyThreadState_declare
-        __Pyx_PyThreadState_assign
-        __Pyx_Coroutine_unset_is_running(gen);
-        if (!__Pyx_PyErr_Occurred()) {
-            return PYGEN_RETURN;
-        } else if (likely(__Pyx_PyErr_ExceptionMatches2(PyExc_GeneratorExit, PyExc_StopIteration))) {
-            __Pyx_PyErr_Clear();
-            return PYGEN_RETURN;
-        }
-        return PYGEN_ERROR;
-    } else if (likely(result == PYGEN_RETURN && *retval == Py_None)) {
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_RETURN;
-    } else {
-        const char *msg;
-        Py_DECREF(*retval);
-        *retval = NULL;
-        if ((0)) {
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_Coroutine_Check(self)) {
-            msg = "coroutine ignored GeneratorExit";
-        #endif
-        #ifdef __Pyx_AsyncGen_USED
-        } else if (__Pyx_AsyncGen_CheckExact(self)) {
-            msg = "async generator ignored GeneratorExit";
-        #endif
-        } else {
-            msg = "generator ignored GeneratorExit";
-        }
-        PyErr_SetString(PyExc_RuntimeError, msg);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return PYGEN_ERROR;
-    }
-}
-static PyObject *__Pyx__Coroutine_Throw(PyObject *self, PyObject *typ, PyObject *val, PyObject *tb,
-                                        PyObject *args, int close_on_genexit) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject *yf;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen)))
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    yf = gen->yieldfrom;
-    if (yf) {
-        __Pyx_PySendResult result;
-        PyObject *ret;
-        Py_INCREF(yf);
-        if (__Pyx_PyErr_GivenExceptionMatches(typ, PyExc_GeneratorExit) && close_on_genexit) {
-            int err = __Pyx_Coroutine_CloseIter(gen, yf);
-            Py_DECREF(yf);
-            __Pyx_Coroutine_Undelegate(gen);
-            if (err < 0)
-                goto propagate_exception;
-            goto throw_here;
-        }
-        if (0
-        #ifdef __Pyx_Generator_USED
-            || __Pyx_Generator_CheckExact(yf)
-        #endif
-        #ifdef __Pyx_Coroutine_USED
-            || __Pyx_Coroutine_Check(yf)
-        #endif
-            ) {
-            ret = __Pyx__Coroutine_Throw(yf, typ, val, tb, args, close_on_genexit);
-        #ifdef __Pyx_Coroutine_USED
-        } else if (__Pyx_CoroutineAwait_CheckExact(yf)) {
-            ret = __Pyx__Coroutine_Throw(((__pyx_CoroutineAwaitObject*)yf)->coroutine, typ, val, tb, args, close_on_genexit);
-        #endif
-        } else {
-            PyObject *meth = __Pyx_PyObject_GetAttrStrNoError(yf, __pyx_mstate_global->__pyx_n_u_throw);
-            if (unlikely(!meth)) {
-                Py_DECREF(yf);
-                if (unlikely(PyErr_Occurred())) {
-                    __Pyx_Coroutine_unset_is_running(gen);
-                    return NULL;
-                }
-                __Pyx_Coroutine_Undelegate(gen);
-                goto throw_here;
-            }
-            if (likely(args)) {
-                ret = __Pyx_PyObject_Call(meth, args, NULL);
-            } else {
-                PyObject *cargs[4] = {NULL, typ, val, tb};
-                size_t nargs = 1U + (val != NULL) + (tb != NULL);
-                ret = __Pyx_PyObject_FastCall(meth, cargs+1, nargs | __Pyx_PY_VECTORCALL_ARGUMENTS_OFFSET);
-            }
-            Py_DECREF(meth);
-        }
-        Py_DECREF(yf);
-        if (ret) {
-            __Pyx_Coroutine_unset_is_running(gen);
-            return ret;
-        }
-        result = __Pyx_Coroutine_FinishDelegation(gen, &ret);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, ret, 0);
-    }
-throw_here:
-    __Pyx_Raise(typ, val, tb, NULL);
-propagate_exception:
-    {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, NULL, &retval, 0);
-        __Pyx_Coroutine_unset_is_running(gen);
-        return __Pyx_Coroutine_MethodReturnFromResult(self, result, retval, 0);
-    }
-}
-static PyObject *__Pyx_Coroutine_Throw(PyObject *self, PyObject *args) {
-    PyObject *typ;
-    PyObject *val = NULL;
-    PyObject *tb = NULL;
-    if (unlikely(!PyArg_UnpackTuple(args, "throw", 1, 3, &typ, &val, &tb)))
-        return NULL;
-    return __Pyx__Coroutine_Throw(self, typ, val, tb, args, 1);
-}
-static CYTHON_INLINE int __Pyx_Coroutine_traverse_excstate(__Pyx_ExcInfoStruct *exc_state, visitproc visit, void *arg) {
-#if PY_VERSION_HEX >= 0x030B00a4
-    Py_VISIT(exc_state->exc_value);
-#else
-    Py_VISIT(exc_state->exc_type);
-    Py_VISIT(exc_state->exc_value);
-    Py_VISIT(exc_state->exc_traceback);
-#endif
-    return 0;
-}
-static int __Pyx_Coroutine_traverse(__pyx_CoroutineObject *gen, visitproc visit, void *arg) {
-    {
-        int e = __Pyx_call_type_traverse((PyObject*)gen, 1, visit, arg);
-        if (e) return e;
-    }
-    Py_VISIT(gen->closure);
-    Py_VISIT(gen->classobj);
-    Py_VISIT(gen->yieldfrom);
-    return __Pyx_Coroutine_traverse_excstate(&gen->gi_exc_state, visit, arg);
-}
-static int __Pyx_Coroutine_clear(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    Py_CLEAR(gen->closure);
-    Py_CLEAR(gen->classobj);
-    __Pyx_Coroutine_Undelegate(gen);
-    __Pyx_Coroutine_ExceptionClear(&gen->gi_exc_state);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)gen)->ag_finalizer);
-    }
-#endif
-    Py_CLEAR(gen->gi_code);
-    Py_CLEAR(gen->gi_frame);
-    Py_CLEAR(gen->gi_name);
-    Py_CLEAR(gen->gi_qualname);
-    Py_CLEAR(gen->gi_modulename);
-    return 0;
-}
-static void __Pyx_Coroutine_dealloc(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    PyObject_GC_UnTrack(gen);
-    #if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    if (gen->gi_weakreflist != NULL)
-    #endif
-        PyObject_ClearWeakRefs(self);
-    if (gen->resume_label >= 0) {
-        PyObject_GC_Track(self);
-#if CYTHON_USE_TP_FINALIZE
-        if (unlikely(PyObject_CallFinalizerFromDealloc(self)))
-#else
-        {
-            destructor del = __Pyx_PyObject_GetSlot(gen, tp_del, destructor);
-            if (del) del(self);
-        }
-        if (unlikely(Py_REFCNT(self) > 0))
-#endif
-        {
-            return;
-        }
-        PyObject_GC_UnTrack(self);
-    }
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        /* We have to handle this case for asynchronous generators
-           right here, because this code has to be between UNTRACK
-           and GC_Del. */
-        Py_CLEAR(((__pyx_PyAsyncGenObject*)self)->ag_finalizer);
-    }
-#endif
-    __Pyx_Coroutine_clear(self);
-    __Pyx_PyHeapTypeObject_GC_Del(gen);
-}
-#if CYTHON_USE_TP_FINALIZE
-static void __Pyx_Coroutine_del(PyObject *self) {
-    PyObject *error_type, *error_value, *error_traceback;
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject *) self;
-    __Pyx_PyThreadState_declare
-    if (gen->resume_label < 0) {
-        return;
-    }
-    __Pyx_PyThreadState_assign
-    __Pyx_ErrFetch(&error_type, &error_value, &error_traceback);
-#ifdef __Pyx_AsyncGen_USED
-    if (__Pyx_AsyncGen_CheckExact(self)) {
-        __pyx_PyAsyncGenObject *agen = (__pyx_PyAsyncGenObject*)self;
-        PyObject *finalizer = agen->ag_finalizer;
-        if (finalizer && !agen->ag_closed) {
-            PyObject *res = __Pyx_PyObject_CallOneArg(finalizer, self);
-            if (unlikely(!res)) {
-                PyErr_WriteUnraisable(self);
-            } else {
-                Py_DECREF(res);
-            }
-            __Pyx_ErrRestore(error_type, error_value, error_traceback);
-            return;
-        }
-    }
-#endif
-    if (unlikely(gen->resume_label == 0 && !error_value)) {
-#ifdef __Pyx_Coroutine_USED
-#ifdef __Pyx_Generator_USED
-    if (!__Pyx_Generator_CheckExact(self))
-#endif
-        {
-        PyObject_GC_UnTrack(self);
-        if (unlikely(PyErr_WarnFormat(PyExc_RuntimeWarning, 1, "coroutine '%.50S' was never awaited", gen->gi_qualname) < 0))
-            PyErr_WriteUnraisable(self);
-        PyObject_GC_Track(self);
-        }
-#endif
-    } else {
-        PyObject *retval = NULL;
-        __Pyx_PySendResult result = __Pyx_Coroutine_Close(self, &retval);
-        if (result == PYGEN_ERROR) {
-            PyErr_WriteUnraisable(self);
-        } else {
-            Py_XDECREF(retval);
-        }
-    }
-    __Pyx_ErrRestore(error_type, error_value, error_traceback);
-}
-#endif
-static PyObject *
-__Pyx_Coroutine_get_name(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_name;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_name(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__name__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_name, value);
-    return 0;
-}
-static PyObject *
-__Pyx_Coroutine_get_qualname(__pyx_CoroutineObject *self, void *context)
-{
-    PyObject *name = self->gi_qualname;
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(!name)) name = Py_None;
-    Py_INCREF(name);
-    return name;
-}
-static int
-__Pyx_Coroutine_set_qualname(__pyx_CoroutineObject *self, PyObject *value, void *context)
-{
-    CYTHON_UNUSED_VAR(context);
-    if (unlikely(value == NULL || !PyUnicode_Check(value))) {
-        PyErr_SetString(PyExc_TypeError,
-                        "__qualname__ must be set to a string object");
-        return -1;
-    }
-    Py_INCREF(value);
-    __Pyx_Py_XDECREF_SET(self->gi_qualname, value);
-    return 0;
-}
-#if !CYTHON_COMPILING_IN_LIMITED_API
-static PyObject *
-__Pyx__Coroutine_get_frame_locked(__pyx_CoroutineObject *self) {
-    PyObject *frame;
-    frame = self->gi_frame;
-    if (!frame) {
-        if (unlikely(!self->gi_code)) {
-            Py_RETURN_NONE;
-        }
-        PyObject *globals = PyDict_New();
-        if (unlikely(!globals)) return NULL;
-        frame = (PyObject *) PyFrame_New(
-            PyThreadState_Get(),            /*PyThreadState *tstate,*/
-            (PyCodeObject*) self->gi_code,  /*PyCodeObject *code,*/
-            globals,                        /*PyObject *globals,*/
-            0                               /*PyObject *locals*/
-        );
-        Py_DECREF(globals);
-        if (unlikely(!frame))
-            return NULL;
-        if (unlikely(self->gi_frame)) {
-            Py_DECREF(frame);
-            frame = self->gi_frame;
-        } else {
-            self->gi_frame = frame;
-        }
-    }
-    Py_INCREF(frame);
-    return frame;
-}
-#endif
-static PyObject *
-__Pyx__Coroutine_get_frame(__pyx_CoroutineObject *self)
-{
-#if !CYTHON_COMPILING_IN_LIMITED_API
-    PyObject *frame;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)self);
-    frame = __Pyx__Coroutine_get_frame_locked(self);
-    __Pyx_END_CRITICAL_SECTION();
-    return frame;
-#else
-    CYTHON_UNUSED_VAR(self);
-    Py_RETURN_NONE;
-#endif
-}
-static PyObject *
-__Pyx_Coroutine_get_frame(__pyx_CoroutineObject *self, void *context) {
-    CYTHON_UNUSED_VAR(context);
-    PyObject *frame = self->gi_frame;
-    if (frame)
-        return __Pyx_NewRef(frame);
-    return __Pyx__Coroutine_get_frame(self);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_New(
-            PyTypeObject* type, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    __pyx_CoroutineObject *gen = PyObject_GC_New(__pyx_CoroutineObject, type);
-    if (unlikely(!gen))
-        return NULL;
-    return __Pyx__Coroutine_NewInit(gen, body, code, closure, name, qualname, module_name);
-}
-static __pyx_CoroutineObject *__Pyx__Coroutine_NewInit(
-            __pyx_CoroutineObject *gen, __pyx_coroutine_body_t body, PyObject *code, PyObject *closure,
-            PyObject *name, PyObject *qualname, PyObject *module_name) {
-    gen->body = body;
-    gen->closure = closure;
-    Py_XINCREF(closure);
-    gen->is_running = 0;
-    gen->resume_label = 0;
-    gen->classobj = NULL;
-    gen->yieldfrom = NULL;
-    gen->yieldfrom_am_send = NULL;
-    #if PY_VERSION_HEX >= 0x030B00a4 && !CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_exc_state.exc_value = NULL;
-    #else
-    gen->gi_exc_state.exc_type = NULL;
-    gen->gi_exc_state.exc_value = NULL;
-    gen->gi_exc_state.exc_traceback = NULL;
-    #endif
-#if CYTHON_USE_EXC_INFO_STACK
-    gen->gi_exc_state.previous_item = NULL;
-#endif
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    gen->gi_weakreflist = NULL;
-#endif
-    Py_XINCREF(qualname);
-    gen->gi_qualname = qualname;
-    Py_XINCREF(name);
-    gen->gi_name = name;
-    Py_XINCREF(module_name);
-    gen->gi_modulename = module_name;
-    Py_XINCREF(code);
-    gen->gi_code = code;
-    gen->gi_frame = NULL;
-#if CYTHON_USE_SYS_MONITORING && (CYTHON_PROFILE || CYTHON_TRACE)
-    memset(gen->__pyx_pymonitoring_state, 0, sizeof(gen->__pyx_pymonitoring_state));
-    gen->__pyx_pymonitoring_version = 0;
-#endif
-    PyObject_GC_Track(gen);
-    return gen;
-}
-static char __Pyx_Coroutine_test_and_set_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    gen->is_running = 1;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static void __Pyx_Coroutine_unset_is_running(__pyx_CoroutineObject *gen) {
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    assert(gen->is_running);
-    gen->is_running = 0;
-    __Pyx_END_CRITICAL_SECTION();
-}
-static char __Pyx_Coroutine_get_is_running(__pyx_CoroutineObject *gen) {
-    char result;
-    __Pyx_BEGIN_CRITICAL_SECTION((PyObject*)gen);
-    result = gen->is_running;
-    __Pyx_END_CRITICAL_SECTION();
-    return result;
-}
-static PyObject *__Pyx_Coroutine_get_is_running_getter(PyObject *gen, void *closure) {
-    CYTHON_UNUSED_VAR(closure);
-    char result = __Pyx_Coroutine_get_is_running((__pyx_CoroutineObject*)gen);
-    if (result) Py_RETURN_TRUE;
-    else Py_RETURN_FALSE;
-}
-#if __PYX_HAS_PY_AM_SEND == 2
-static void __Pyx_SetBackportTypeAmSend(PyTypeObject *type, __Pyx_PyAsyncMethodsStruct *static_amsend_methods, __Pyx_pyiter_sendfunc am_send) {
-    Py_ssize_t ptr_offset = (char*)(type->tp_as_async) - (char*)type;
-    if (ptr_offset < 0 || ptr_offset > type->tp_basicsize) {
-        return;
-    }
-    memcpy((void*)static_amsend_methods, (void*)(type->tp_as_async), sizeof(*type->tp_as_async));
-    static_amsend_methods->am_send = am_send;
-    type->tp_as_async = __Pyx_SlotTpAsAsync(static_amsend_methods);
-}
-#endif
-static PyObject *__Pyx_Coroutine_fail_reduce_ex(PyObject *self, PyObject *arg) {
-    CYTHON_UNUSED_VAR(arg);
-    __Pyx_TypeName self_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE((PyObject*)self));
-    PyErr_Format(PyExc_TypeError, "cannot pickle '" __Pyx_FMT_TYPENAME "' object",
-                         self_type_name);
-    __Pyx_DECREF_TypeName(self_type_name);
-    return NULL;
-}
-
-/* Generator */
-static PyMethodDef __pyx_Generator_methods[] = {
-    {"send", (PyCFunction) __Pyx_Coroutine_Send, METH_O,
-     PyDoc_STR("send(arg) -> send 'arg' into generator,\nreturn next yielded value or raise StopIteration.")},
-    {"throw", (PyCFunction) __Pyx_Coroutine_Throw, METH_VARARGS,
-     PyDoc_STR("throw(typ[,val[,tb]]) -> raise exception in generator,\nreturn next yielded value or raise StopIteration.")},
-    {"close", (PyCFunction) __Pyx_Coroutine_Close_Method, METH_NOARGS,
-     PyDoc_STR("close() -> raise GeneratorExit inside generator.")},
-    {"__reduce_ex__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_O, 0},
-    {"__reduce__", (PyCFunction) __Pyx_Coroutine_fail_reduce_ex, METH_NOARGS, 0},
-    {0, 0, 0, 0}
-};
-static PyMemberDef __pyx_Generator_memberlist[] = {
-    {"gi_yieldfrom", T_OBJECT, offsetof(__pyx_CoroutineObject, yieldfrom), READONLY,
-     PyDoc_STR("object being iterated by 'yield from', or None")},
-    {"gi_code", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_code), READONLY, NULL},
-    {"__module__", T_OBJECT, offsetof(__pyx_CoroutineObject, gi_modulename), 0, 0},
-#if PY_VERSION_HEX < 0x030C0000 || CYTHON_COMPILING_IN_LIMITED_API
-    {"__weaklistoffset__", T_PYSSIZET, offsetof(__pyx_CoroutineObject, gi_weakreflist), READONLY, 0},
-#endif
-    {0, 0, 0, 0, 0}
-};
-static PyGetSetDef __pyx_Generator_getsets[] = {
-    {"__name__", (getter)__Pyx_Coroutine_get_name, (setter)__Pyx_Coroutine_set_name,
-     PyDoc_STR("name of the generator"), 0},
-    {"__qualname__", (getter)__Pyx_Coroutine_get_qualname, (setter)__Pyx_Coroutine_set_qualname,
-     PyDoc_STR("qualified name of the generator"), 0},
-    {"gi_frame", (getter)__Pyx_Coroutine_get_frame, NULL,
-     PyDoc_STR("Frame of the generator"), 0},
-    {"gi_running", __Pyx_Coroutine_get_is_running_getter, NULL, NULL, NULL},
-    {0, 0, 0, 0, 0}
-};
-static PyType_Slot __pyx_GeneratorType_slots[] = {
-    {Py_tp_dealloc, (void *)__Pyx_Coroutine_dealloc},
-    {Py_tp_traverse, (void *)__Pyx_Coroutine_traverse},
-    {Py_tp_iter, (void *)PyObject_SelfIter},
-    {Py_tp_iternext, (void *)__Pyx_Generator_Next},
-    {Py_tp_methods, (void *)__pyx_Generator_methods},
-    {Py_tp_members, (void *)__pyx_Generator_memberlist},
-    {Py_tp_getset, (void *)__pyx_Generator_getsets},
-    {Py_tp_getattro, (void *) PyObject_GenericGetAttr},
-#if CYTHON_USE_TP_FINALIZE
-    {Py_tp_finalize, (void *)__Pyx_Coroutine_del},
-#endif
-#if __PYX_HAS_PY_AM_SEND == 1
-    {Py_am_send, (void *)__Pyx_Coroutine_AmSend},
-#endif
-    {0, 0},
-};
-static PyType_Spec __pyx_GeneratorType_spec = {
-    __PYX_TYPE_MODULE_PREFIX "generator",
-    sizeof(__pyx_CoroutineObject),
-    0,
-#if PY_VERSION_HEX >= 0x030C0000 && !CYTHON_COMPILING_IN_LIMITED_API
-    Py_TPFLAGS_MANAGED_WEAKREF |
-#endif
-    Py_TPFLAGS_IMMUTABLETYPE | Py_TPFLAGS_DISALLOW_INSTANTIATION |
-    Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | __Pyx_TPFLAGS_HAVE_AM_SEND,
-    __pyx_GeneratorType_slots
-};
-#if __PYX_HAS_PY_AM_SEND == 2
-static __Pyx_PyAsyncMethodsStruct __pyx_Generator_as_async;
-#endif
-static int __pyx_Generator_init(PyObject *module) {
-    __pyx_mstatetype *mstate = __Pyx_PyModule_GetState(module);
-    mstate->__pyx_GeneratorType = __Pyx_FetchCommonTypeFromSpec(
-        mstate->__pyx_CommonTypesMetaclassType, module, &__pyx_GeneratorType_spec, NULL);
-    if (unlikely(!mstate->__pyx_GeneratorType)) {
-        return -1;
-    }
-#if __PYX_HAS_PY_AM_SEND == 2
-    __Pyx_SetBackportTypeAmSend(mstate->__pyx_GeneratorType, &__pyx_Generator_as_async, &__Pyx_Coroutine_AmSend);
-#endif
-    return 0;
-}
-static PyObject *__Pyx_Generator_GetInlinedResult(PyObject *self) {
-    __pyx_CoroutineObject *gen = (__pyx_CoroutineObject*) self;
-    PyObject *retval = NULL;
-    if (unlikely(__Pyx_Coroutine_test_and_set_is_running(gen))) {
-        return __Pyx_Coroutine_AlreadyRunningError(gen);
-    }
-    __Pyx_PySendResult result = __Pyx_Coroutine_SendEx(gen, Py_None, &retval, 0);
-    __Pyx_Coroutine_unset_is_running(gen);
-    (void) result;
-    assert (result == PYGEN_RETURN || result == PYGEN_ERROR);
-    assert ((result == PYGEN_RETURN && retval != NULL) || (result == PYGEN_ERROR && retval == NULL));
-    return retval;
-}
-
-/* CheckBinaryVersion */
-static int __Pyx_check_binary_version(unsigned long ct_version, unsigned long rt_version, int allow_newer) {
-    const unsigned long MAJOR_MINOR = 0xFFFF0000UL;
-    if ((rt_version & MAJOR_MINOR) == (ct_version & MAJOR_MINOR))
-        return 0;
-    if (likely(allow_newer && (rt_version & MAJOR_MINOR) > (ct_version & MAJOR_MINOR)))
-        return 1;
-    {
-        char message[200];
-        PyOS_snprintf(message, sizeof(message),
-                      "compile time Python version %d.%d "
-                      "of module '%.100s' "
-                      "%s "
-                      "runtime version %d.%d",
-                       (int) (ct_version >> 24), (int) ((ct_version >> 16) & 0xFF),
-                       __Pyx_MODULE_NAME,
-                       (allow_newer) ? "was newer than" : "does not match",
-                       (int) (rt_version >> 24), (int) ((rt_version >> 16) & 0xFF)
-       );
-        return PyErr_WarnEx(NULL, message, 1);
-    }
-}
-
-/* NewCodeObj */
-#if CYTHON_COMPILING_IN_LIMITED_API
-    static PyObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                       PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                       PyObject *fv, PyObject *cell, PyObject* fn,
-                                       PyObject *name, int fline, PyObject *lnos) {
-        PyObject *exception_table = NULL;
-        PyObject *types_module=NULL, *code_type=NULL, *result=NULL;
-        #if __PYX_LIMITED_VERSION_HEX < 0x030b0000
-        PyObject *version_info;
-        PyObject *py_minor_version = NULL;
-        #endif
-        long minor_version = 0;
-        PyObject *type, *value, *traceback;
-        PyErr_Fetch(&type, &value, &traceback);
-        #if __PYX_LIMITED_VERSION_HEX >= 0x030b0000
-        minor_version = 11;
-        #else
-        if (!(version_info = PySys_GetObject("version_info"))) goto end;
-        if (!(py_minor_version = PySequence_GetItem(version_info, 1))) goto end;
-        minor_version = PyLong_AsLong(py_minor_version);
-        Py_DECREF(py_minor_version);
-        if (minor_version == -1 && PyErr_Occurred()) goto end;
-        #endif
-        if (!(types_module = PyImport_ImportModule("types"))) goto end;
-        if (!(code_type = PyObject_GetAttrString(types_module, "CodeType"))) goto end;
-        if (minor_version <= 7) {
-            (void)p;
-            result = PyObject_CallFunction(code_type, "iiiiiOOOOOOiOOO", a, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else if (minor_version <= 10) {
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOiOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, fline, lnos, fv, cell);
-        } else {
-            if (!(exception_table = PyBytes_FromStringAndSize(NULL, 0))) goto end;
-            result = PyObject_CallFunction(code_type, "iiiiiiOOOOOOOiOOOO", a,p, k, l, s, f, code,
-                          c, n, v, fn, name, name, fline, lnos, exception_table, fv, cell);
-        }
-    end:
-        Py_XDECREF(code_type);
-        Py_XDECREF(exception_table);
-        Py_XDECREF(types_module);
-        if (type) {
-            PyErr_Restore(type, value, traceback);
-        }
-        return result;
-    }
-#elif PY_VERSION_HEX >= 0x030B0000
-  static PyCodeObject* __Pyx__PyCode_New(int a, int p, int k, int l, int s, int f,
-                                         PyObject *code, PyObject *c, PyObject* n, PyObject *v,
-                                         PyObject *fv, PyObject *cell, PyObject* fn,
-                                         PyObject *name, int fline, PyObject *lnos) {
-    PyCodeObject *result;
-    result =
-      #if PY_VERSION_HEX >= 0x030C0000
-        PyUnstable_Code_NewWithPosOnlyArgs
-      #else
-        PyCode_NewWithPosOnlyArgs
-      #endif
-        (a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, name, fline, lnos, __pyx_mstate_global->__pyx_empty_bytes);
-    #if CYTHON_COMPILING_IN_CPYTHON && PY_VERSION_HEX >= 0x030c00A1
-    if (likely(result))
-        result->_co_firsttraceable = 0;
-    #endif
-    return result;
-  }
-#elif !CYTHON_COMPILING_IN_PYPY
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_NewWithPosOnlyArgs(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#else
-  #define __Pyx__PyCode_New(a, p, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)\
-          PyCode_New(a, k, l, s, f, code, c, n, v, fv, cell, fn, name, fline, lnos)
-#endif
-static PyObject* __Pyx_PyCode_New(
-        const __Pyx_PyCode_New_function_description descr,
-        PyObject * const *varnames,
-        PyObject *filename,
-        PyObject *funcname,
-        PyObject *line_table,
-        PyObject *tuple_dedup_map
-) {
-    PyObject *code_obj = NULL, *varnames_tuple_dedup = NULL, *code_bytes = NULL;
-    Py_ssize_t var_count = (Py_ssize_t) descr.nlocals;
-    PyObject *varnames_tuple = PyTuple_New(var_count);
-    if (unlikely(!varnames_tuple)) return NULL;
-    for (Py_ssize_t i=0; i < var_count; i++) {
-        Py_INCREF(varnames[i]);
-        if (__Pyx_PyTuple_SET_ITEM(varnames_tuple, i, varnames[i]) != (0)) goto done;
-    }
-    #if CYTHON_COMPILING_IN_LIMITED_API
-    varnames_tuple_dedup = PyDict_GetItem(tuple_dedup_map, varnames_tuple);
-    if (!varnames_tuple_dedup) {
-        if (unlikely(PyDict_SetItem(tuple_dedup_map, varnames_tuple, varnames_tuple) < 0)) goto done;
-        varnames_tuple_dedup = varnames_tuple;
-    }
-    #else
-    varnames_tuple_dedup = PyDict_SetDefault(tuple_dedup_map, varnames_tuple, varnames_tuple);
-    if (unlikely(!varnames_tuple_dedup)) goto done;
-    #endif
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_INCREF(varnames_tuple_dedup);
-    #endif
-    if (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table != NULL && !CYTHON_COMPILING_IN_GRAAL) {
-        Py_ssize_t line_table_length = __Pyx_PyBytes_GET_SIZE(line_table);
-        #if !CYTHON_ASSUME_SAFE_SIZE
-        if (unlikely(line_table_length == -1)) goto done;
-        #endif
-        Py_ssize_t code_len = (line_table_length * 2 + 4) & ~3LL;
-        code_bytes = PyBytes_FromStringAndSize(NULL, code_len);
-        if (unlikely(!code_bytes)) goto done;
-        char* c_code_bytes = PyBytes_AsString(code_bytes);
-        if (unlikely(!c_code_bytes)) goto done;
-        memset(c_code_bytes, 0, (size_t) code_len);
-    }
-    code_obj = (PyObject*) __Pyx__PyCode_New(
-        (int) descr.argcount,
-        (int) descr.num_posonly_args,
-        (int) descr.num_kwonly_args,
-        (int) descr.nlocals,
-        0,
-        (int) descr.flags,
-        code_bytes ? code_bytes : __pyx_mstate_global->__pyx_empty_bytes,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        varnames_tuple_dedup,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        __pyx_mstate_global->__pyx_empty_tuple,
-        filename,
-        funcname,
-        (int) descr.first_line,
-        (__PYX_LIMITED_VERSION_HEX >= (0x030b0000) && line_table) ? line_table : __pyx_mstate_global->__pyx_empty_bytes
-    );
 done:
-    Py_XDECREF(code_bytes);
-    #if CYTHON_AVOID_BORROWED_REFS
-    Py_XDECREF(varnames_tuple_dedup);
-    #endif
-    Py_DECREF(varnames_tuple);
-    return code_obj;
+    Py_DECREF(seq);
+    PyMem_Free(quad);
+    PyMem_Free(parent);
+    PyMem_Free(count);
+    return out;
 }
 
-/* DecompressString */
-static PyObject *__Pyx_DecompressString(const char *s, Py_ssize_t length, int algo) {
-    PyObject *module = NULL, *decompress, *compressed_bytes, *decompressed;
-    const char* module_name = algo == 3 ? "compression.zstd" : algo == 2 ? "bz2" : "zlib";
-    PyObject *methodname = PyUnicode_FromString("decompress");
-    if (unlikely(!methodname)) return NULL;
-    #if __PYX_LIMITED_VERSION_HEX >= 0x030e0000
-    if (algo == 3) {
-        PyObject *fromlist = Py_BuildValue("[O]", methodname);
-        if (unlikely(!fromlist)) goto bad;
-        module = PyImport_ImportModuleLevel("compression.zstd", NULL, NULL, fromlist, 0);
-        Py_DECREF(fromlist);
-    } else
-    #endif
-        module = PyImport_ImportModule(module_name);
-    if (unlikely(!module)) goto import_failed;
-    decompress = PyObject_GetAttr(module, methodname);
-    if (unlikely(!decompress)) goto import_failed;
-    {
-        #ifdef __cplusplus
-            char *memview_bytes = const_cast<char*>(s);
-        #else
-            #if defined(__clang__)
-              #pragma clang diagnostic push
-              #pragma clang diagnostic ignored "-Wcast-qual"
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic push
-              #pragma GCC diagnostic ignored "-Wcast-qual"
-            #endif
-            char *memview_bytes = (char*) s;
-            #if defined(__clang__)
-              #pragma clang diagnostic pop
-            #elif !defined(__INTEL_COMPILER) && defined(__GNUC__)
-              #pragma GCC diagnostic pop
-            #endif
-        #endif
-        #if CYTHON_COMPILING_IN_LIMITED_API && !defined(PyBUF_READ)
-        int memview_flags = 0x100;
-        #else
-        int memview_flags = PyBUF_READ;
-        #endif
-        compressed_bytes = PyMemoryView_FromMemory(memview_bytes, length, memview_flags);
-    }
-    if (unlikely(!compressed_bytes)) {
-        Py_DECREF(decompress);
-        goto bad;
-    }
-    decompressed = PyObject_CallFunctionObjArgs(decompress, compressed_bytes, NULL);
-    Py_DECREF(compressed_bytes);
-    Py_DECREF(decompress);
-    Py_DECREF(module);
-    Py_DECREF(methodname);
-    return decompressed;
-import_failed:
-    PyErr_Format(PyExc_ImportError,
-        "Failed to import '%.20s.decompress' - cannot initialise module strings. "
-        "String compression was configured with the C macro 'CYTHON_COMPRESS_STRINGS=%d'.",
-        module_name, algo);
-bad:
-    Py_XDECREF(module);
-    Py_DECREF(methodname);
-    return NULL;
-}
+static PyMethodDef methods[] = {
+    {"run_enumeration", run_enumeration, METH_VARARGS, run_enumeration_doc},
+    {"bracket_statesum", bracket_statesum, METH_VARARGS, bracket_statesum_doc},
+    {NULL, NULL, 0, NULL},
+};
 
-#include <string.h>
-static CYTHON_INLINE Py_ssize_t __Pyx_ssize_strlen(const char *s) {
-    size_t len = strlen(s);
-    if (unlikely(len > (size_t) PY_SSIZE_T_MAX)) {
-        PyErr_SetString(PyExc_OverflowError, "byte string is too long");
-        return -1;
-    }
-    return (Py_ssize_t) len;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyUnicode_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return __Pyx_PyUnicode_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE PyObject* __Pyx_PyByteArray_FromString(const char* c_str) {
-    Py_ssize_t len = __Pyx_ssize_strlen(c_str);
-    if (unlikely(len < 0)) return NULL;
-    return PyByteArray_FromStringAndSize(c_str, len);
-}
-static CYTHON_INLINE const char* __Pyx_PyObject_AsString(PyObject* o) {
-    Py_ssize_t ignore;
-    return __Pyx_PyObject_AsStringAndSize(o, &ignore);
-}
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-static CYTHON_INLINE const char* __Pyx_PyUnicode_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-    if (unlikely(__Pyx_PyUnicode_READY(o) == -1)) return NULL;
-#if CYTHON_COMPILING_IN_LIMITED_API
-    {
-        const char* result;
-        Py_ssize_t unicode_length;
-        CYTHON_MAYBE_UNUSED_VAR(unicode_length); // only for __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        #if __PYX_LIMITED_VERSION_HEX < 0x030A0000
-        if (unlikely(PyArg_Parse(o, "s#", &result, length) < 0)) return NULL;
-        #else
-        result = PyUnicode_AsUTF8AndSize(o, length);
-        #endif
-        #if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-        unicode_length = PyUnicode_GetLength(o);
-        if (unlikely(unicode_length < 0)) return NULL;
-        if (unlikely(unicode_length != *length)) {
-            PyUnicode_AsASCIIString(o);
-            return NULL;
-        }
-        #endif
-        return result;
-    }
-#else
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII
-    if (likely(PyUnicode_IS_ASCII(o))) {
-        *length = PyUnicode_GET_LENGTH(o);
-        return PyUnicode_AsUTF8(o);
-    } else {
-        PyUnicode_AsASCIIString(o);
-        return NULL;
-    }
-#else
-    return PyUnicode_AsUTF8AndSize(o, length);
-#endif
-#endif
-}
-#endif
-static CYTHON_INLINE const char* __Pyx_PyObject_AsStringAndSize(PyObject* o, Py_ssize_t *length) {
-#if __PYX_DEFAULT_STRING_ENCODING_IS_ASCII || __PYX_DEFAULT_STRING_ENCODING_IS_UTF8
-    if (PyUnicode_Check(o)) {
-        return __Pyx_PyUnicode_AsStringAndSize(o, length);
-    } else
-#endif
-    if (PyByteArray_Check(o)) {
-#if (CYTHON_ASSUME_SAFE_SIZE && CYTHON_ASSUME_SAFE_MACROS) || (CYTHON_COMPILING_IN_PYPY && (defined(PyByteArray_AS_STRING) && defined(PyByteArray_GET_SIZE)))
-        *length = PyByteArray_GET_SIZE(o);
-        return PyByteArray_AS_STRING(o);
-#else
-        *length = PyByteArray_Size(o);
-        if (*length == -1) return NULL;
-        return PyByteArray_AsString(o);
-#endif
-    } else
-    {
-        char* result;
-        int r = PyBytes_AsStringAndSize(o, &result, length);
-        if (unlikely(r < 0)) {
-            return NULL;
-        } else {
-            return result;
-        }
-    }
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrue(PyObject* x) {
-   int is_true = x == Py_True;
-   if (is_true | (x == Py_False) | (x == Py_None)) return is_true;
-   else return PyObject_IsTrue(x);
-}
-static CYTHON_INLINE int __Pyx_PyObject_IsTrueAndDecref(PyObject* x) {
-    int retval;
-    if (unlikely(!x)) return -1;
-    retval = __Pyx_PyObject_IsTrue(x);
-    Py_DECREF(x);
-    return retval;
-}
-static PyObject* __Pyx_PyNumber_LongWrongResultType(PyObject* result) {
-    __Pyx_TypeName result_type_name = __Pyx_PyType_GetFullyQualifiedName(Py_TYPE(result));
-    if (PyLong_Check(result)) {
-        if (PyErr_WarnFormat(PyExc_DeprecationWarning, 1,
-                "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ").  "
-                "The ability to return an instance of a strict subclass of int is deprecated, "
-                "and may be removed in a future version of Python.",
-                result_type_name)) {
-            __Pyx_DECREF_TypeName(result_type_name);
-            Py_DECREF(result);
-            return NULL;
-        }
-        __Pyx_DECREF_TypeName(result_type_name);
-        return result;
-    }
-    PyErr_Format(PyExc_TypeError,
-                 "__int__ returned non-int (type " __Pyx_FMT_TYPENAME ")",
-                 result_type_name);
-    __Pyx_DECREF_TypeName(result_type_name);
-    Py_DECREF(result);
-    return NULL;
-}
-static CYTHON_INLINE PyObject* __Pyx_PyNumber_Long(PyObject* x) {
-#if CYTHON_USE_TYPE_SLOTS
-  PyNumberMethods *m;
-#endif
-  PyObject *res = NULL;
-  if (likely(PyLong_Check(x)))
-      return __Pyx_NewRef(x);
-#if CYTHON_USE_TYPE_SLOTS
-  m = Py_TYPE(x)->tp_as_number;
-  if (likely(m && m->nb_int)) {
-      res = m->nb_int(x);
-  }
-#else
-  if (!PyBytes_CheckExact(x) && !PyUnicode_CheckExact(x)) {
-      res = PyNumber_Long(x);
-  }
-#endif
-  if (likely(res)) {
-      if (unlikely(!PyLong_CheckExact(res))) {
-          return __Pyx_PyNumber_LongWrongResultType(res);
-      }
-  }
-  else if (!PyErr_Occurred()) {
-      PyErr_SetString(PyExc_TypeError,
-                      "an integer is required");
-  }
-  return res;
-}
-static CYTHON_INLINE Py_ssize_t __Pyx_PyIndex_AsSsize_t(PyObject* b) {
-  Py_ssize_t ival;
-  PyObject *x;
-  if (likely(PyLong_CheckExact(b))) {
-    #if CYTHON_USE_PYLONG_INTERNALS
-    if (likely(__Pyx_PyLong_IsCompact(b))) {
-        return __Pyx_PyLong_CompactValue(b);
-    } else {
-      const digit* digits = __Pyx_PyLong_Digits(b);
-      const Py_ssize_t size = __Pyx_PyLong_SignedDigitCount(b);
-      switch (size) {
-         case 2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -2:
-           if (8 * sizeof(Py_ssize_t) > 2 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -3:
-           if (8 * sizeof(Py_ssize_t) > 3 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case 4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return (Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-         case -4:
-           if (8 * sizeof(Py_ssize_t) > 4 * PyLong_SHIFT) {
-             return -(Py_ssize_t) (((((((((size_t)digits[3]) << PyLong_SHIFT) | (size_t)digits[2]) << PyLong_SHIFT) | (size_t)digits[1]) << PyLong_SHIFT) | (size_t)digits[0]));
-           }
-           break;
-      }
-    }
-    #endif
-    return PyLong_AsSsize_t(b);
-  }
-  x = PyNumber_Index(b);
-  if (!x) return -1;
-  ival = PyLong_AsSsize_t(x);
-  Py_DECREF(x);
-  return ival;
-}
-static CYTHON_INLINE Py_hash_t __Pyx_PyIndex_AsHash_t(PyObject* o) {
-  if (sizeof(Py_hash_t) == sizeof(Py_ssize_t)) {
-    return (Py_hash_t) __Pyx_PyIndex_AsSsize_t(o);
-  } else {
-    Py_ssize_t ival;
-    PyObject *x;
-    x = PyNumber_Index(o);
-    if (!x) return -1;
-    ival = PyLong_AsLong(x);
-    Py_DECREF(x);
-    return ival;
-  }
-}
-static CYTHON_INLINE PyObject *__Pyx_Owned_Py_None(int b) {
-    CYTHON_UNUSED_VAR(b);
-    return __Pyx_NewRef(Py_None);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyBool_FromLong(long b) {
-  return __Pyx_NewRef(b ? Py_True: Py_False);
-}
-static CYTHON_INLINE PyObject * __Pyx_PyLong_FromSize_t(size_t ival) {
-    return PyLong_FromSize_t(ival);
-}
+static struct PyModuleDef module = {
+    PyModuleDef_HEAD_INIT, "tanglekit._enumcore",
+    "Compiled kernel for finitely presented Kei enumeration; see _enumcore.c.",
+    -1, methods, NULL, NULL, NULL, NULL,
+};
 
-
-/* MultiPhaseInitModuleState */
-#if CYTHON_PEP489_MULTI_PHASE_INIT && CYTHON_USE_MODULE_STATE
-#ifndef CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#if (CYTHON_COMPILING_IN_LIMITED_API || PY_VERSION_HEX >= 0x030C0000)
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 1
-#else
-  #define CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE 0
-#endif
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE && !CYTHON_ATOMICS
-#error "Module state with PEP489 requires atomics. Currently that's one of\
- C11, C++11, gcc atomic intrinsics or MSVC atomic intrinsics"
-#endif
-#if !CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-#define __Pyx_ModuleStateLookup_Lock()
-#define __Pyx_ModuleStateLookup_Unlock()
-#elif !CYTHON_COMPILING_IN_LIMITED_API && PY_VERSION_HEX >= 0x030d0000
-static PyMutex __Pyx_ModuleStateLookup_mutex = {0};
-#define __Pyx_ModuleStateLookup_Lock() PyMutex_Lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() PyMutex_Unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(__cplusplus) && __cplusplus >= 201103L
-#include <mutex>
-static std::mutex __Pyx_ModuleStateLookup_mutex;
-#define __Pyx_ModuleStateLookup_Lock() __Pyx_ModuleStateLookup_mutex.lock()
-#define __Pyx_ModuleStateLookup_Unlock() __Pyx_ModuleStateLookup_mutex.unlock()
-#elif defined(__STDC_VERSION__) && (__STDC_VERSION__ > 201112L) && !defined(__STDC_NO_THREADS__)
-#include <threads.h>
-static mtx_t __Pyx_ModuleStateLookup_mutex;
-static once_flag __Pyx_ModuleStateLookup_mutex_once_flag = ONCE_FLAG_INIT;
-static void __Pyx_ModuleStateLookup_initialize_mutex(void) {
-    mtx_init(&__Pyx_ModuleStateLookup_mutex, mtx_plain);
+PyMODINIT_FUNC PyInit__enumcore(void)
+{
+    return PyModule_Create(&module);
 }
-#define __Pyx_ModuleStateLookup_Lock()\
-  call_once(&__Pyx_ModuleStateLookup_mutex_once_flag, __Pyx_ModuleStateLookup_initialize_mutex);\
-  mtx_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() mtx_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(HAVE_PTHREAD_H)
-#include <pthread.h>
-static pthread_mutex_t __Pyx_ModuleStateLookup_mutex = PTHREAD_MUTEX_INITIALIZER;
-#define __Pyx_ModuleStateLookup_Lock() pthread_mutex_lock(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() pthread_mutex_unlock(&__Pyx_ModuleStateLookup_mutex)
-#elif defined(_WIN32)
-#include <Windows.h>  // synchapi.h on its own doesn't work
-static SRWLOCK __Pyx_ModuleStateLookup_mutex = SRWLOCK_INIT;
-#define __Pyx_ModuleStateLookup_Lock() AcquireSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#define __Pyx_ModuleStateLookup_Unlock() ReleaseSRWLockExclusive(&__Pyx_ModuleStateLookup_mutex)
-#else
-#error "No suitable lock available for CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE.\
- Requires C standard >= C11, or C++ standard >= C++11,\
- or pthreads, or the Windows 32 API, or Python >= 3.13."
-#endif
-typedef struct {
-    int64_t id;
-    PyObject *module;
-} __Pyx_InterpreterIdAndModule;
-typedef struct {
-    char interpreter_id_as_index;
-    Py_ssize_t count;
-    Py_ssize_t allocated;
-    __Pyx_InterpreterIdAndModule table[1];
-} __Pyx_ModuleStateLookupData;
-#define __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE 32
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_int_type __Pyx_ModuleStateLookup_read_counter = 0;
-#endif
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static __pyx_atomic_ptr_type __Pyx_ModuleStateLookup_data = 0;
-#else
-static __Pyx_ModuleStateLookupData* __Pyx_ModuleStateLookup_data = NULL;
-#endif
-static __Pyx_InterpreterIdAndModule* __Pyx_State_FindModuleStateLookupTableLowerBound(
-        __Pyx_InterpreterIdAndModule* table,
-        Py_ssize_t count,
-        int64_t interpreterId) {
-    __Pyx_InterpreterIdAndModule* begin = table;
-    __Pyx_InterpreterIdAndModule* end = begin + count;
-    if (begin->id == interpreterId) {
-        return begin;
-    }
-    while ((end - begin) > __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-        __Pyx_InterpreterIdAndModule* halfway = begin + (end - begin)/2;
-        if (halfway->id == interpreterId) {
-            return halfway;
-        }
-        if (halfway->id < interpreterId) {
-            begin = halfway;
-        } else {
-            end = halfway;
-        }
-    }
-    for (; begin < end; ++begin) {
-        if (begin->id >= interpreterId) return begin;
-    }
-    return begin;
-}
-static PyObject *__Pyx_State_FindModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return NULL;
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData* data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-    {
-        __pyx_atomic_incr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        if (likely(data)) {
-            __Pyx_ModuleStateLookupData* new_data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_acquire(&__Pyx_ModuleStateLookup_data);
-            if (likely(data == new_data)) {
-                goto read_finished;
-            }
-        }
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-        __Pyx_ModuleStateLookup_Lock();
-        __pyx_atomic_incr_relaxed(&__Pyx_ModuleStateLookup_read_counter);
-        data = (__Pyx_ModuleStateLookupData*)__pyx_atomic_pointer_load_relaxed(&__Pyx_ModuleStateLookup_data);
-        __Pyx_ModuleStateLookup_Unlock();
-    }
-  read_finished:;
-#else
-    __Pyx_ModuleStateLookupData* data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_InterpreterIdAndModule* found = NULL;
-    if (unlikely(!data)) goto end;
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            found = data->table+interpreter_id;
-        }
-    } else {
-        found = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-    }
-  end:
-    {
-        PyObject *result=NULL;
-        if (found && found->id == interpreter_id) {
-            result = found->module;
-        }
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-        __pyx_atomic_decr_acq_rel(&__Pyx_ModuleStateLookup_read_counter);
-#endif
-        return result;
-    }
-}
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-static void __Pyx_ModuleStateLookup_wait_until_no_readers(void) {
-    while (__pyx_atomic_load(&__Pyx_ModuleStateLookup_read_counter) != 0);
-}
-#else
-#define __Pyx_ModuleStateLookup_wait_until_no_readers()
-#endif
-static int __Pyx_State_AddModuleInterpIdAsIndex(__Pyx_ModuleStateLookupData **old_data, PyObject* module, int64_t interpreter_id) {
-    Py_ssize_t to_allocate = (*old_data)->allocated;
-    while (to_allocate <= interpreter_id) {
-        if (to_allocate == 0) to_allocate = 1;
-        else to_allocate *= 2;
-    }
-    __Pyx_ModuleStateLookupData *new_data = *old_data;
-    if (to_allocate != (*old_data)->allocated) {
-         new_data = (__Pyx_ModuleStateLookupData *)realloc(
-            *old_data,
-            sizeof(__Pyx_ModuleStateLookupData)+(to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-        if (!new_data) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        for (Py_ssize_t i = new_data->allocated; i < to_allocate; ++i) {
-            new_data->table[i].id = i;
-            new_data->table[i].module = NULL;
-        }
-        new_data->allocated = to_allocate;
-    }
-    new_data->table[interpreter_id].module = module;
-    if (new_data->count < interpreter_id+1) {
-        new_data->count = interpreter_id+1;
-    }
-    *old_data = new_data;
-    return 0;
-}
-static void __Pyx_State_ConvertFromInterpIdAsIndex(__Pyx_ModuleStateLookupData *data) {
-    __Pyx_InterpreterIdAndModule *read = data->table;
-    __Pyx_InterpreterIdAndModule *write = data->table;
-    __Pyx_InterpreterIdAndModule *end = read + data->count;
-    for (; read<end; ++read) {
-        if (read->module) {
-            write->id = read->id;
-            write->module = read->module;
-            ++write;
-        }
-    }
-    data->count = write - data->table;
-    for (; write<end; ++write) {
-        write->id = 0;
-        write->module = NULL;
-    }
-    data->interpreter_id_as_index = 0;
-}
-static int __Pyx_State_AddModule(PyObject* module, CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    int result = 0;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *old_data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *old_data = __Pyx_ModuleStateLookup_data;
-#endif
-    __Pyx_ModuleStateLookupData *new_data = old_data;
-    if (!new_data) {
-        new_data = (__Pyx_ModuleStateLookupData *)calloc(1, sizeof(__Pyx_ModuleStateLookupData));
-        if (!new_data) {
-            result = -1;
-            PyErr_NoMemory();
-            goto end;
-        }
-        new_data->allocated = 1;
-        new_data->interpreter_id_as_index = 1;
-    }
-    __Pyx_ModuleStateLookup_wait_until_no_readers();
-    if (new_data->interpreter_id_as_index) {
-        if (interpreter_id < __PYX_MODULE_STATE_LOOKUP_SMALL_SIZE) {
-            result = __Pyx_State_AddModuleInterpIdAsIndex(&new_data, module, interpreter_id);
-            goto end;
-        }
-        __Pyx_State_ConvertFromInterpIdAsIndex(new_data);
-    }
-    {
-        Py_ssize_t insert_at = 0;
-        {
-            __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-                new_data->table, new_data->count, interpreter_id);
-            assert(lower_bound);
-            insert_at = lower_bound - new_data->table;
-            if (unlikely(insert_at < new_data->count && lower_bound->id == interpreter_id)) {
-                lower_bound->module = module;
-                goto end;  // already in table, nothing more to do
-            }
-        }
-        if (new_data->count+1 >= new_data->allocated) {
-            Py_ssize_t to_allocate = (new_data->count+1)*2;
-            new_data =
-                (__Pyx_ModuleStateLookupData*)realloc(
-                    new_data,
-                    sizeof(__Pyx_ModuleStateLookupData) +
-                    (to_allocate-1)*sizeof(__Pyx_InterpreterIdAndModule));
-            if (!new_data) {
-                result = -1;
-                new_data = old_data;
-                PyErr_NoMemory();
-                goto end;
-            }
-            new_data->allocated = to_allocate;
-        }
-        ++new_data->count;
-        int64_t last_id = interpreter_id;
-        PyObject *last_module = module;
-        for (Py_ssize_t i=insert_at; i<new_data->count; ++i) {
-            int64_t current_id = new_data->table[i].id;
-            new_data->table[i].id = last_id;
-            last_id = current_id;
-            PyObject *current_module = new_data->table[i].module;
-            new_data->table[i].module = last_module;
-            last_module = current_module;
-        }
-    }
-  end:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, new_data);
-#else
-    __Pyx_ModuleStateLookup_data = new_data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return result;
-}
-static int __Pyx_State_RemoveModule(CYTHON_UNUSED void* dummy) {
-    int64_t interpreter_id = PyInterpreterState_GetID(__Pyx_PyInterpreterState_Get());
-    if (interpreter_id == -1) return -1;
-    __Pyx_ModuleStateLookup_Lock();
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __Pyx_ModuleStateLookupData *data = (__Pyx_ModuleStateLookupData *)
-            __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, 0);
-#else
-    __Pyx_ModuleStateLookupData *data = __Pyx_ModuleStateLookup_data;
-#endif
-    if (data->interpreter_id_as_index) {
-        if (interpreter_id < data->count) {
-            data->table[interpreter_id].module = NULL;
-        }
-        goto done;
-    }
-    {
-        __Pyx_ModuleStateLookup_wait_until_no_readers();
-        __Pyx_InterpreterIdAndModule* lower_bound = __Pyx_State_FindModuleStateLookupTableLowerBound(
-            data->table, data->count, interpreter_id);
-        if (!lower_bound) goto done;
-        if (lower_bound->id != interpreter_id) goto done;
-        __Pyx_InterpreterIdAndModule *end = data->table+data->count;
-        for (;lower_bound<end-1; ++lower_bound) {
-            lower_bound->id = (lower_bound+1)->id;
-            lower_bound->module = (lower_bound+1)->module;
-        }
-    }
-    --data->count;
-    if (data->count == 0) {
-        free(data);
-        data = NULL;
-    }
-  done:
-#if CYTHON_MODULE_STATE_LOOKUP_THREAD_SAFE
-    __pyx_atomic_pointer_exchange(&__Pyx_ModuleStateLookup_data, data);
-#else
-    __Pyx_ModuleStateLookup_data = data;
-#endif
-    __Pyx_ModuleStateLookup_Unlock();
-    return 0;
-}
-#endif
-
-/* #### Code section: utility_code_pragmas_end ### */
-#ifdef _MSC_VER
-#pragma warning( pop )
-#endif
-
-
-
-/* #### Code section: end ### */
-#endif /* Py_PYTHON_H */

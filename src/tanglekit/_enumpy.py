@@ -33,16 +33,18 @@ once, so the event loop reads entries without `find`.  This matters on
 the dense tables of runs that complete.  See `run_enumeration` for why
 both are exact.
 
-The compiled kernel in `_enumcore` is an older enumerator on flat C
-arrays: it re-traces every relation on every pass, rescans the table
-to totalize, and ends with an O(n^3) certifying sweep.  The golden pins
-(`tests/test_enum_golden.py`) and `perfbench/parity.py` check that both
-kernels give equal tables, generator images and deduction counts.  The
-Kauffman bracket contraction here is the only one the library calls;
-the 2^c state sum left in `_enumcore` serves as a brute-force
+The compiled kernel in `_enumcore.c` is a C translation of
+`run_enumeration`, with this docstring as its specification; it holds
+the table densely, reads values through `find` instead of occurrence
+lists, and renumbers its live elements between traces.  The golden
+pins (`tests/test_enum_golden.py`) and `perfbench/parity.py` check that
+both kernels give equal tables, generator images and deduction counts.
+The Kauffman bracket contraction here is the only one the library
+calls; the 2^c state sum in `_enumcore` serves as a brute-force
 reference.
 
-Status codes: 0 = completed, 1 = cap exceeded.
+Status codes: 0 = completed, 1 = cap exceeded; the compiled kernel
+also returns 2 when its table would outgrow its memory budget.
 """
 
 from __future__ import annotations

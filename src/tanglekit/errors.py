@@ -35,7 +35,9 @@ class InvalidMoveSite(TangleKitError):
 
 
 class TooLarge(TangleKitError):
-    """Diagram exceeds the frontier-width cap of the bracket contraction."""
+    """A limit on work or memory refused the input: a diagram wider than
+    the bracket contraction's frontier-width cap, or a Kei table that
+    would outgrow the compiled kernel's TANGLEKIT_MAX_TABLE_BYTES."""
 
 
 class CorpusError(TangleKitError):

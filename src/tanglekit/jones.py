@@ -71,7 +71,14 @@ def writhe(d: LinkDiagram, orientation: tuple[bool, ...] | None = None) -> int:
 
 
 def jones(d: LinkDiagram, orientation: tuple[bool, ...] | None = None) -> LaurentPoly:
-    """Jones polynomial in s = t^(1/2) (exponents of t are halves of s)."""
+    """Jones polynomial in s = t^(1/2) (exponents of t are halves of s).
+
+    Each component is oriented along its walk in `trace_components`, or
+    against it where its `orientation` flag is set.  A knot's polynomial
+    does not depend on this; reversing one component of a link
+    multiplies its polynomial by a power of s, so the closures of two
+    braids of the same link may differ by a factor s^k.
+    """
     bracket = kauffman_bracket(d)
     w = writhe(d, orientation)
     signed = bracket.shift(-3 * w) if w % 2 == 0 else -bracket.shift(-3 * w)

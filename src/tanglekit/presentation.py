@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagrams import LinkDiagram, strand_count
-from .errors import EnumerationFailure, ParseError
+from .errors import EnumerationFailure, ParseError, TooLarge
 from .kei import FiniteKei, check_axioms, eval_word, phi_eval
 from . import _enumpy
 
@@ -213,7 +213,8 @@ def enumerate_kei(
     presented Kei is in general unknown, so hitting the cap is a normal
     outcome.  A cap below 1 is refused with ValueError; a completed table
     that fails its certificate raises EnumerationFailure.  More generators
-    than the cap stop at once, without calling a kernel.
+    than the cap stop at once, without calling a kernel.  A compiled run
+    whose table would outgrow TANGLEKIT_MAX_TABLE_BYTES raises TooLarge.
     """
     if cap is None:
         cap = DEFAULT_CAP
@@ -234,6 +235,9 @@ def enumerate_kei(
         bool(universal_on_all_pairs),
         int(cap),
     )
+    if status == 2:
+        raise TooLarge(
+            "the Kei table would outgrow its memory budget (TANGLEKIT_MAX_TABLE_BYTES)")
     if status != 0:
         return EnumerationResult(False, None, None, merges, cap, name)
     kei = FiniteKei(tuple(rows))

@@ -391,6 +391,23 @@ def test_kei_enum_reports_failed_certificate(capsys, monkeypatch, tmp_path):
     )
 
 
+def test_kei_enum_over_the_memory_budget_is_an_error(capsys, monkeypatch, tmp_path):
+    from tanglekit.presentation import KERNELS
+
+    if "compiled" not in KERNELS:
+        pytest.skip("compiled kernel not built")
+    monkeypatch.setenv("TANGLEKIT_MAX_TABLE_BYTES", "20000")
+    pres = tmp_path / "q34.kei"
+    pres.write_text("gens 3\nburnside 4\n")
+    assert main(["kei", "enum", str(pres)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the Kei table would outgrow its memory budget"
+        " (TANGLEKIT_MAX_TABLE_BYTES)\n"
+    )
+
+
 def test_emit_refuses_a_value_json_cannot_hold(capsys):
     args = argparse.Namespace(timings=False, command="color")
     with pytest.raises(TypeError):

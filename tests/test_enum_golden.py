@@ -11,8 +11,10 @@ pin sees less.  The cases cover completed and capped runs, both
 universal-relation modes and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
 pins them.  `test_random_presentations_golden` pins one digest over 150
-seeded random presentations, and `test_universal_pass_dead_pair_golden`
-one input that reaches a guard no other pin does.
+seeded random presentations, `test_universal_pass_dead_pair_golden`
+one input that reaches a guard no other pin does, and
+`test_totalize_renumbering_golden` inputs on which the compiled kernel
+renumbers its slots before a totalize fill.
 `test_write_order_golden` pins the order
 of the pure kernel's table writes, which these outputs cannot see, and
 `test_long_growth_write_order_golden` does so on long cap-out runs.
@@ -193,6 +195,32 @@ def test_universal_pass_dead_pair_golden():
     for backend in KERNELS:
         assert digest(run_record(pres, 50, True, backend)) == (
             "535b67ea24de6a4fb0c8a4be9b750559f1b86edf7f5a6728314a8a7f0b757ad9"
+        ), backend
+
+
+def test_totalize_renumbering_golden():
+    """Two presentations that complete with 3 elements, and Q(3,6) and
+    Q(5,4) on generator pairs, which stop at cap 100.  On each, the
+    compiled kernel renumbers its slots to make room for a totalize
+    fill, a renumbering that the other pins do not reach; on the first
+    two, the pair to fill is itself renumbered."""
+    inputs = [
+        (KeiPresentation(4, (((0, 0, 1, 2, 0), (3, 1, 3, 3, 3, 3)),
+                             ((0,), (0, 1, 1)),
+                             ((3, 2, 2, 2, 3, 1), (3, 3, 3, 3)),
+                             ((1, 0, 1, 2, 1), (1, 2, 2, 0)),
+                             ((1, 0, 1, 3), (0, 3, 2, 3, 2)),
+                             ((3, 2, 2, 2, 0), (0,)))), 100, False),
+        (KeiPresentation(4, (((2, 1, 1), (2, 3, 0, 1)),
+                             ((1, 1, 1, 1, 3), (2, 0, 0)),
+                             ((0, 2, 1, 2), (2, 1)),
+                             ((1, 3), (1, 1)))), 10, False),
+        (free_burnside_presentation(3, 6), 100, False),
+        (free_burnside_presentation(5, 4), 100, False),
+    ]
+    for backend in KERNELS:
+        assert digest([run_record(*case, backend) for case in inputs]) == (
+            "84175a4698478627526f7e4344539052e345b976ef4d1d039bd671a147a04147"
         ), backend
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from tanglekit import presentation
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
-from tanglekit.errors import EnumerationFailure, ParseError
+from tanglekit.errors import EnumerationFailure, ParseError, TooLarge
 from tanglekit.kei import (
     check_axioms,
     core_kei,
@@ -342,14 +342,28 @@ def test_kinked_unknot_kei_is_a_point():
     assert r.completed and r.size == 1
 
 
-def test_memory_guard_reports_cap(monkeypatch):
+def test_memory_budget_raises_too_large(monkeypatch):
+    """A table over TANGLEKIT_MAX_TABLE_BYTES is refused as its own
+    limit, not reported as a run that stopped at the cap."""
     if "compiled" not in KERNELS:
         pytest.skip("compiled kernel not built")
     monkeypatch.setenv("TANGLEKIT_MAX_TABLE_BYTES", "40000")
-    r = q_kei(3, 4, cap=8000, backend="compiled")
-    assert not r.completed
+    with pytest.raises(TooLarge, match="memory budget") as err:
+        q_kei(3, 4, cap=8000, backend="compiled")
+    assert "cap" not in str(err.value)
     monkeypatch.delenv("TANGLEKIT_MAX_TABLE_BYTES")
     assert q_kei(3, 4, cap=8000, backend="compiled").size == 96
+
+
+def test_memory_budget_counts_live_elements(monkeypatch):
+    """Q(3,4) creates 189 elements but holds at most 97 live at once, so
+    it completes under a budget that a table of 128 elements fits and
+    one of all 189 does not: merged elements' slots are reused."""
+    if "compiled" not in KERNELS:
+        pytest.skip("compiled kernel not built")
+    monkeypatch.setenv("TANGLEKIT_MAX_TABLE_BYTES", "100000")
+    r = q_kei(3, 4, cap=8000, backend="compiled")
+    assert r.completed and r.size == 96 and r.deductions == 93
 
 
 def test_moving_universal_relation_preserves_iso_class():
