@@ -479,36 +479,20 @@ static int missing_product(Table *t, int ab[2])
     return 0;
 }
 
-static int cmp_int(const void *a, const void *b)
-{
-    int x = *(const int *)a, y = *(const int *)b;
-    return (x > y) - (x < y);
-}
-
 /* One universal pass over the roots that exist when it starts, tracing
    only the pairs with a root at or above `traced_below`: 1 if it wrote
    anything or passed the cap, 0 if not. */
-static int trace_universal(Table *t, const int *pattern, Py_ssize_t np,
-                           int all_pairs, long long cap)
+static int trace_universal(Table *t, const int *pattern, Py_ssize_t np, long long cap)
 {
     static const int u_word[1] = {0};
     long long before = t->writes;
-    Py_ssize_t i, j, n = 0, old = 0, size = all_pairs ? t->n_live : t->m;
+    Py_ssize_t i, j, n = 0, old = 0;
     int *dom;
-    RESIZE(t->domain, (size_t)Py_MAX(size, 1) * sizeof(int));
+    RESIZE(t->domain, (size_t)Py_MAX(t->n_live, 1) * sizeof(int));
     dom = t->domain;
-    if (all_pairs) {
-        for (i = 0; i < t->n_slots; i++)
-            if (t->parent[i] == i)
-                dom[n++] = (int)i;
-    } else {
-        for (i = 0; i < t->m; i++)
-            dom[i] = find(t, t->gens[i]);
-        qsort(dom, (size_t)t->m, sizeof(int), cmp_int);
-        for (i = 0; i < t->m; i++)
-            if (n == 0 || dom[i] != dom[n - 1])
-                dom[n++] = dom[i];
-    }
+    for (i = 0; i < t->n_slots; i++)
+        if (t->parent[i] == i)
+            dom[n++] = (int)i;
     t->n_domain = n;
     while (old < n && dom[old] < t->traced_below)
         old++;
@@ -536,7 +520,7 @@ static int trace_universal(Table *t, const int *pattern, Py_ssize_t np,
 
 /* The completion loop of `_enumpy.run_enumeration`: a status, or -1. */
 static int enumerate(Table *t, const Ints *letters, const Ints *starts,
-                     const Ints *pattern, int all_pairs, long long cap)
+                     const Ints *pattern, long long cap)
 {
     Py_ssize_t g, r, n_rel = (starts->len - 1) / 2;
     int *env, ab[2];
@@ -559,7 +543,7 @@ static int enumerate(Table *t, const Ints *letters, const Ints *starts,
         if (t->n_live > cap)
             return CAP_EXCEEDED;
         if (pattern->len) {
-            int progress = trace_universal(t, pattern->v, pattern->len, all_pairs, cap);
+            int progress = trace_universal(t, pattern->v, pattern->len, cap);
             TRY(progress);
             if (progress)
                 continue;
@@ -655,7 +639,7 @@ static int read_budget(Table *t)
 }
 
 PyDoc_STRVAR(run_enumeration_doc,
-"run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap)\n--\n\n"
+"run_enumeration(m, relations, rn_pattern, cap)\n--\n\n"
 "Enumerate the Kei presented by m generators and the given relations,\n"
 "as `_enumpy.run_enumeration` does.  Returns (status, table_rows,\n"
 "generator_images, merge_count); status 2 means the table would\n"
@@ -665,14 +649,13 @@ static PyObject *run_enumeration(PyObject *self, PyObject *args)
 {
     Py_ssize_t m, r;
     PyObject *relations, *pattern_obj, *cap_obj, *rels, *lhs, *rhs, *out = NULL;
-    int all_pairs, overflow, status;
+    int overflow, status;
     long long cap;
     Ints letters = {0}, starts = {0}, pattern = {0};
     Table t;
     (void)self;
     memset(&t, 0, sizeof t);
-    if (!PyArg_ParseTuple(args, "nOOpO:run_enumeration", &m, &relations, &pattern_obj,
-                          &all_pairs, &cap_obj))
+    if (!PyArg_ParseTuple(args, "nOOO:run_enumeration", &m, &relations, &pattern_obj, &cap_obj))
         return NULL;
     cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
     if (cap == -1 && PyErr_Occurred())
@@ -701,7 +684,7 @@ static PyObject *run_enumeration(PyObject *self, PyObject *args)
     }
     if (read_word(pattern_obj, 2, &pattern) < 0)
         goto done;
-    status = enumerate(&t, &letters, &starts, &pattern, all_pairs, cap);
+    status = enumerate(&t, &letters, &starts, &pattern, cap);
     if (status == COMPLETED)
         out = completed_table(&t);
     else if (status > 0 || t.too_large)

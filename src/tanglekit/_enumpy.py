@@ -138,16 +138,15 @@ def bracket_statesum(crossings, arc_count):
             for (n_a, loops), mult in states[()].items()}
 
 
-def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
+def run_enumeration(m, relations, rn_pattern, cap):
     """Enumerate the Kei presented by m generators and the given relations.
 
     relations: sequence of (lhs, rhs) pairs, each a tuple of generator
       indices naming a left-normed word.
     rn_pattern: tuple over {0, 1} giving the right side of the universal
       relation as a left-normed word in (u, w) = (0, 1); the left side is
-      always u.  Empty tuple disables the universal relation.
-    rn_on_all_pairs: instantiate the universal relation on all element
-      pairs (True) or on generator pairs only (False).
+      always u.  Empty tuple disables the universal relation; otherwise
+      it is imposed on every pair of elements.
 
     Returns (status, table_rows, generator_images, merge_count).
 
@@ -199,8 +198,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     is the element count when the previous pass started.  Two roots
     below it were roots all through that pass, which traced their pair
     as it stands now, so the pass traces only the pairs that include a
-    root at or above it.  On generator pairs only, that leaves no pair
-    after the first pass.
+    root at or above it.
 
     Totalize defines the first undefined product (a, b) of roots,
     ascending in a and then in b.  The bitset `live` holds the roots
@@ -421,10 +419,7 @@ def run_enumeration(m, relations, rn_pattern, rn_on_all_pairs, cap):
     def trace_universal() -> bool:
         nonlocal traced_below
         before = progress_marker()
-        if rn_on_all_pairs:
-            domain = live_elements()
-        else:
-            domain = sorted({find(g) for g in gen_slots})
+        domain = live_elements()
         old = bisect_left(domain, traced_below)
         traced_below = len(parent)
         fresh = domain[old:]

@@ -86,7 +86,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("negative powers are only defined for monomials")
+            raise ValueError("negative powers are not supported")
         result = LaurentPoly.one()
         base = self
         while n:

@@ -11,9 +11,10 @@ names the kernels this install has, the compiled `_enumcore` first
 when it is built; the first is the default, and any can be forced
 through the `backend` argument.  Whichever kernel runs,
 `enumerate_kei` certifies each completed table once: it must be a Kei
-generated by the generator images, and the images must satisfy every
-relation and r_n.  Generation lets the certificate check axioms 2 and
-3 at the images' columns only (see `_certify`).
+generated by the generator images, the images must satisfy every
+relation, and r_n must hold on every pair.  Generation lets the
+certificate check axioms 2 and 3 at the images' columns only (see
+`_certify`).
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ class EnumerationResult:
         return self.kei.size if self.kei is not None else None
 
 
-def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
+def _certify(p, kei, images, pattern) -> None:
     """Raise EnumerationFailure unless the images generate `kei`, `kei`
-    satisfies the axioms, and under `images` every relation holds and
-    r_n holds on the pairs it was imposed on.
+    satisfies the axioms, under `images` every relation holds, and r_n
+    holds on every pair of elements.
 
     Generation is checked first: right multiplication by the images
     must reach every element from the images.  Axiom 1, x*x = x, is
@@ -194,9 +195,9 @@ def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
         for lhs, rhs in p.relations
     ):
         raise EnumerationFailure("generator images violate a relation")
-    domain = range(kei.size) if universal_on_all_pairs else gens
+    elements = range(kei.size)
     if pattern and any(
-        eval_word(kei, pattern, (u, w)) != u for u in domain for w in domain
+        eval_word(kei, pattern, (u, w)) != u for u in elements for w in elements
     ):
         raise EnumerationFailure("enumerated table violates the universal relation")
 
@@ -204,7 +205,6 @@ def _certify(p, kei, images, pattern, universal_on_all_pairs) -> None:
 def enumerate_kei(
     p: KeiPresentation,
     cap: int | None = None,
-    universal_on_all_pairs: bool = True,
     backend: str | None = None,
 ) -> EnumerationResult:
     """Run the completion procedure on a presentation.
@@ -229,19 +229,14 @@ def enumerate_kei(
         return EnumerationResult(False, None, None, 0, cap, name)
     pattern = () if p.burnside_exponent is None else r_n_relation(p.burnside_exponent)[1]
     status, rows, images, merges = KERNELS[name].run_enumeration(
-        p.generator_count,
-        tuple(p.relations),
-        pattern,
-        bool(universal_on_all_pairs),
-        int(cap),
-    )
+        p.generator_count, tuple(p.relations), pattern, int(cap))
     if status == 2:
         raise TooLarge(
             "the Kei table would outgrow its memory budget (TANGLEKIT_MAX_TABLE_BYTES)")
     if status != 0:
         return EnumerationResult(False, None, None, merges, cap, name)
     kei = FiniteKei(tuple(rows))
-    _certify(p, kei, images, pattern, universal_on_all_pairs)
+    _certify(p, kei, images, pattern)
     return EnumerationResult(True, kei, tuple(images), merges, cap, name)
 
 

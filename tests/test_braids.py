@@ -68,6 +68,8 @@ def test_burau_inverses_cancel():
 def test_burau_strand_guard():
     with pytest.raises(UnsupportedStrandCount):
         burau_image(braid([1], strands=2))
+    with pytest.raises(UnsupportedStrandCount, match="defined for 3-braids"):
+        coxeter_quotient().image(braid([3], strands=4))
 
 
 def test_reduction_chain_word_identity():

@@ -65,6 +65,8 @@ def test_corpus_parser_rejects_garbage():
         parse_corpus("X 0 1 2 3")
     with pytest.raises(CorpusError):
         parse_corpus("name: a\nO 1\nname: a\nO 1")
+    with pytest.raises(CorpusError, match="^no corpus entry named 'nosuch'$"):
+        corpus_entry("nosuch")
 
 
 def test_corpus_parse_errors_name_the_file_line():

@@ -172,6 +172,8 @@ def test_braid_word_validation():
         BraidWord(0, ())
     with pytest.raises(ValueError):
         BraidWord(2, (0,))
+    with pytest.raises(ValueError, match="different strand counts"):
+        braid([1], strands=2) * braid([1], strands=3)
 
 
 def test_braid_word_algebra():

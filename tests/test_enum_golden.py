@@ -7,8 +7,9 @@ images, deduction count).  A change to which deductions the enumerator
 makes, or to the order in which it creates elements, moves the table
 or the count and so the digest, even when the Kei it finds
 is isomorphic.  A capped run yields only its status and count, so its
-pin sees less.  The cases cover completed and capped runs, both
-universal-relation modes and seeded presentations with relations.
+pin sees less.  The cases cover completed and capped runs, r_n on all
+pairs and, written as relations by `on_generator_pairs`, on generator
+pairs only, and seeded presentations with relations.
 Q(3,4) and Q(4,3) take seconds and are left out; `test_determinism`
 pins them.  `test_random_presentations_golden` pins one digest over 150
 seeded random presentations, `test_universal_pass_dead_pair_golden`
@@ -37,9 +38,23 @@ from tanglekit.presentation import (
     free_burnside_presentation,
     fundamental_kei,
     parse_presentation,
+    r_n_relation,
 )
 
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
+
+
+def on_generator_pairs(pres):
+    """`pres` with its r_n imposed on generator pairs only: the
+    relations x_i = r_n(x_i, x_j) for i != j, in lexicographic (i, j)
+    order, take the place of the universal relation."""
+    if pres.burnside_exponent is None:
+        return pres
+    rhs = r_n_relation(pres.burnside_exponent)[1]
+    m = pres.generator_count
+    pairs = tuple(((i,), tuple((i, j)[x] for x in rhs))
+                  for i in range(m) for j in range(m) if i != j)
+    return KeiPresentation(m, pres.relations + pairs)
 
 
 def free(m, n, cap, all_pairs=True):
@@ -133,7 +148,7 @@ GOLDEN = {
 
 def random_presentation(seed):
     """1-4 generators, up to 4 relations between words of 1-4 letters,
-    an optional r_2..r_5 in either universal mode, cap 20-200."""
+    an optional r_2..r_5 on all pairs or on generator pairs, cap 20-200."""
     rng = random.Random(seed)
     m = rng.randint(1, 4)
 
@@ -149,7 +164,9 @@ RANDOM_GOLDEN = "33f212f8f9d1fbbb0e209280c816533e90bc597c3aa01f5128b5650acaca2b6
 
 
 def run_record(pres, cap, all_pairs, backend="pure") -> list:
-    r = enumerate_kei(pres, cap, universal_on_all_pairs=all_pairs, backend=backend)
+    if not all_pairs:
+        pres = on_generator_pairs(pres)
+    r = enumerate_kei(pres, cap, backend=backend)
     return [
         0 if r.completed else 1,
         r.kei.table if r.completed else None,
@@ -200,10 +217,10 @@ def test_universal_pass_dead_pair_golden():
 
 def test_totalize_renumbering_golden():
     """Two presentations that complete with 3 elements, and Q(3,6) and
-    Q(5,4) on generator pairs, which stop at cap 100.  On each, the
-    compiled kernel renumbers its slots to make room for a totalize
-    fill, a renumbering that the other pins do not reach; on the first
-    two, the pair to fill is itself renumbered."""
+    Q(5,4) with r_n on generator pairs only, as relations, which stop
+    at cap 100.  On each, the compiled kernel renumbers its slots to
+    make room for a totalize fill, a renumbering that the other pins do
+    not reach; on the first two, the pair to fill is itself renumbered."""
     inputs = [
         (KeiPresentation(4, (((0, 0, 1, 2, 0), (3, 1, 3, 3, 3, 3)),
                              ((0,), (0, 1, 1)),

@@ -272,6 +272,13 @@ def test_laurent_int_operands():
         assert c == n and p != n
 
 
+def test_laurent_negative_power_is_refused():
+    """Every negative power is refused, a monomial's too."""
+    for p in (LaurentPoly.var(1), LaurentPoly({1: 2, -1: 1})):
+        with pytest.raises(ValueError, match="^negative powers are not supported$"):
+            p ** -1
+
+
 def test_cyclotomic_reduction_matches_polynomial_division():
     # s^8 - s^6 + s^4 - s^2 + 1 reduces to zero
     phi20 = LaurentPoly({8: 1, 6: -1, 4: 1, 2: -1, 0: 1})

@@ -64,6 +64,12 @@ def test_core_rejects_non_group():
     # associativity failure
     with pytest.raises(NotAGroup):
         core_kei([[0, 1, 2], [1, 2, 2], [2, 0, 1]])
+    for table in ([[0, 1], [1]], [[0, 2], [1, 0]]):
+        with pytest.raises(NotAGroup, match="not square over 0..n-1"):
+            core_kei(table)
+    # identity 0 and self-inverses, but (1*1)*2 = 2 != 1*(1*2) = 1
+    with pytest.raises(NotAGroup, match="not associative"):
+        core_kei([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
 
 
 def test_axiom_violation_reporting():

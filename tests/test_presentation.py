@@ -29,6 +29,7 @@ from tanglekit.presentation import (
     q_kei,
     r_n_relation,
 )
+from test_enum_golden import on_generator_pairs
 
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
 FIG8 = braid_closure(braid([1, -2, 1, -2]))
@@ -199,18 +200,17 @@ def test_determinism():
 
 
 def test_universal_on_generator_pairs_differs():
-    """Imposing r_n on generator pairs only is weaker: Q(3,3) does not
-    collapse to 9 elements within a generous cap."""
+    """Imposing r_n on generator pairs only, as the relations of
+    `on_generator_pairs`, is weaker: Q(3,3) does not collapse to 9
+    elements within a generous cap."""
     pres = free_burnside_presentation(3, 3)
-    allp = enumerate_kei(pres, cap=4000, universal_on_all_pairs=True)
-    genp = enumerate_kei(pres, cap=4000, universal_on_all_pairs=False)
+    allp = enumerate_kei(pres, cap=4000)
+    genp = enumerate_kei(on_generator_pairs(pres), cap=4000)
     assert allp.completed and allp.size == 9
     assert not genp.completed
     # the two-generator case happens to agree
     allp2 = enumerate_kei(free_burnside_presentation(2, 3), cap=400)
-    genp2 = enumerate_kei(
-        free_burnside_presentation(2, 3), cap=400, universal_on_all_pairs=False
-    )
+    genp2 = enumerate_kei(on_generator_pairs(free_burnside_presentation(2, 3)), cap=400)
     assert allp2.size == genp2.size == 3
 
 
@@ -386,7 +386,7 @@ def fake_kernel(monkeypatch, rows, images):
 
     class Kernel:
         @staticmethod
-        def run_enumeration(m, relations, pattern, all_pairs, cap):
+        def run_enumeration(m, relations, pattern, cap):
             return 0, rows, images, 0
 
     monkeypatch.setattr(presentation, "KERNELS", {"pure": Kernel})
@@ -424,13 +424,14 @@ def test_certificate_refuses_wrong_table(monkeypatch, text, rows, images, match)
 
 
 def test_certificate_checks_universal_relation_where_imposed(monkeypatch):
-    # imposed on generator pairs only, r_3 leaves a 6-element Kei
-    # generated by its images, in which r_3 fails on the pair (0, 5)
+    # imposed on generator pairs only, as relations, r_3 leaves a
+    # 6-element Kei generated by its images, in which r_3 fails on the
+    # pair (0, 5)
     pres = parse_presentation("gens 3\nrel x0*x2*x1 = x2*x0\nburnside 3\n")
-    genp = enumerate_kei(pres, universal_on_all_pairs=False)
+    genp = enumerate_kei(on_generator_pairs(pres))
     assert genp.size == 6 and genp.generator_images == (0, 1, 2)
     fake_kernel(monkeypatch, genp.kei.table, list(genp.generator_images))
-    r = enumerate_kei(pres, universal_on_all_pairs=False)
+    r = enumerate_kei(on_generator_pairs(pres))
     assert r.completed and r.kei == genp.kei
     with pytest.raises(EnumerationFailure, match="universal relation"):
         enumerate_kei(pres)

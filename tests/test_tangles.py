@@ -6,12 +6,13 @@ import pytest
 from tanglekit.coloring import col_group, count_colorings_brute
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import InvalidMoveSite, ParseError
-from tanglekit.jones import determinant
+from tanglekit.jones import determinant, kauffman_bracket, writhe
 from tanglekit.kei import kei_isomorphic, dihedral_kei
 from tanglekit.presentation import enumerate_kei, fundamental_kei
 from tanglekit.tangles import (
     MAX_CROSSINGS,
     Comp,
+    Leaf,
     RationalTangle,
     T0,
     TINF,
@@ -172,8 +173,12 @@ def test_apply_move_bad_site():
     for site in ((2,), (-1,)):
         with pytest.raises(InvalidMoveSite):
             apply_rational_move(Comp(0, 0, XPLUS, T0), site, 5, 2, 1)
+    with pytest.raises(InvalidMoveSite, match="walks past a leaf"):
+        apply_rational_move(Comp(0, 0, XPLUS, T0), (1, 0), 5, 2, 1)
     with pytest.raises(ValueError):
         apply_rational_move(T0, (), 4, 2, 1)  # not a reduced fraction
+    with pytest.raises(ValueError, match="sign must be"):
+        apply_rational_move(T0, (), 5, 2, sign=2)
 
 
 def test_move_preserves_colorings():
@@ -260,6 +265,22 @@ def test_expr_parse_round_trip():
 def test_parse_expr_errors(text, message):
     with pytest.raises(ParseError) as info:
         parse_expr(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: kauffman_bracket(unlink(0)), "the empty diagram has no bracket"),
+    (lambda: writhe(HOPF, (True,)), "need 2 orientation flags"),
+    (lambda: dihedral_kei(0), "n must be positive"),
+    (lambda: cf_expand(1, 0), "cf_expand needs a finite fraction with q >= 1"),
+    (lambda: Leaf("x"), "unknown leaf 'x'"),
+    (lambda: closure_diagram(T0, "sideways"),
+     "closure kind must be numerator or denominator, got 'sideways'"),
+], ids=["bracket-empty", "writhe-flags", "dihedral-0", "cf-q0", "leaf-kind",
+        "closure-kind"])
+def test_arguments_out_of_range_raise_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message
 
 
