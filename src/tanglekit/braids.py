@@ -5,15 +5,15 @@ Two oracles:
 * the reduced Burau representation (faithful on three strands), with
   2x2 matrices over exact integer Laurent polynomials, decides equality
   in B_3 itself;
-* coset enumeration of <s1, s2 | s1 s2 s1 = s2 s1 s2, s1^5> over the
-  trivial subgroup realizes the 600-element quotient as its coset
-  table (`action`, the regular permutation representation) with a
-  shortest word per element (`words`); `times` follows a word through
-  the table.  Equality there models 5-move equivalence of 3-braids
-  (the fifth power of every conjugate of a generator dies, so
-  inserting five equal letters anywhere is invisible).  The fifth
-  power is the only one the paper uses, so `coxeter_quotient` builds
-  that quotient alone, once per process.
+* the 600-element quotient <s1, s2 | s1 s2 s1 = s2 s1 s2, s1^5> is
+  SL(2,5) x Z/5; a breadth-first search over that faithful image gives
+  its right regular action (`action`) with a shortest word per element
+  (`words`), and `times` follows a word through the action.  Equality
+  there models 5-move equivalence of 3-braids (the fifth power of
+  every conjugate of a generator dies, so inserting five equal letters
+  anywhere is invisible).  The fifth power is the only one the paper
+  uses, so `coxeter_quotient` builds that quotient alone, once per
+  process.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .diagrams import BraidWord, _find, braid
-from .errors import EnumerationFailure, UnsupportedStrandCount
+from .diagrams import BraidWord, braid
+from .errors import UnsupportedStrandCount
 from .laurent import LaurentPoly
 
 
@@ -79,121 +79,31 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     return burau_image(u) == burau_image(v)
 
 
-# --- coset enumeration -------------------------------------------------
+# --- the fifth-power quotient -------------------------------------------
 
-_INV = {0: 1, 1: 0, 2: 3, 3: 2}
-_LETTERS = (1, -1, 2, -2)  # the signed generator of each table column
+_LETTERS = (1, -1, 2, -2)  # the signed generator of each action column
 _COLUMN = {g: x for x, g in enumerate(_LETTERS)}
-COSET_CAP = 100000
+# each letter's image in SL(2,5) x Z/5: a 2x2 matrix over F_5, row-major,
+# and the exponent sum mod 5
+_IMAGE = {
+    1: ((1, 1, 0, 1), 1),
+    -1: ((1, 4, 0, 1), 4),
+    2: ((1, 0, 4, 1), 1),
+    -2: ((1, 0, 1, 1), 4),
+}
 
 
-def _coset_enumerate(
-    relators: list[list[int]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """HLT coset enumeration over the trivial subgroup, 2 generators,
-    refusing to define more than COSET_CAP cosets.
-
-    Returns the completed table with live rows compacted in BFS order
-    from the identity coset, and for each coset the word (letters
-    _LETTERS[column]) on which the BFS first reaches it, a shortest one.
-    """
-    table: list[list[int | None]] = [[None] * 4]
-    p = [0]
-
-    def define(alpha: int, x: int) -> int:
-        if len(table) >= COSET_CAP:
-            raise EnumerationFailure(f"coset cap {COSET_CAP} exceeded")
-        beta = len(table)
-        table.append([None] * 4)
-        p.append(beta)
-        table[alpha][x] = beta
-        table[beta][_INV[x]] = alpha
-        return beta
-
-    def coincidence(a: int, b: int) -> None:
-        queue: list[int] = []
-
-        def merge(x: int, y: int) -> None:
-            x, y = _find(p, x), _find(p, y)
-            if x == y:
-                return
-            if x > y:
-                x, y = y, x
-            p[y] = x
-            queue.append(y)
-
-        merge(a, b)
-        i = 0
-        while i < len(queue):
-            y = queue[i]
-            i += 1
-            for x in range(4):
-                d = table[y][x]
-                if d is None:
-                    continue
-                table[d][_INV[x]] = None
-                mu, nu = _find(p, y), _find(p, d)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
-                elif table[nu][_INV[x]] is not None:
-                    merge(mu, table[nu][_INV[x]])
-                else:
-                    table[mu][x] = nu
-                    table[nu][_INV[x]] = mu
-
-    def scan_and_fill(alpha: int, word: list[int]) -> None:
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][_INV[word[j]]] is not None:
-                b = table[b][_INV[word[j]]]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][word[i]] = b
-                table[b][_INV[word[i]]] = f
-                return
-            define(f, word[i])
-
-    alpha = 0
-    while alpha < len(table):
-        if _find(p, alpha) == alpha:
-            for rel in relators:
-                scan_and_fill(alpha, rel)
-                if _find(p, alpha) != alpha:
-                    break
-            if _find(p, alpha) == alpha:
-                for x in range(4):
-                    if table[alpha][x] is None:
-                        define(alpha, x)
-        alpha += 1
-
-    order: list[int] = [_find(p, 0)]
-    index = {_find(p, 0): 0}
-    words: list[tuple[int, ...]] = [()]
-    for head, c in enumerate(order):  # order grows while it is walked
-        for x in range(4):
-            d = _find(p, table[c][x])
-            if d not in index:
-                index[d] = len(order)
-                order.append(d)
-                words.append(words[head] + (_LETTERS[x],))
-    action = tuple(tuple(index[_find(p, table[c][x])] for x in range(4)) for c in order)
-    return action, tuple(words)
+def _image_times(x, g: int):
+    """The image x times the image of the letter g."""
+    (a, b, c, d), e = x
+    (p, q, r, s), f = _IMAGE[g]
+    m = ((a * p + b * r) % 5, (a * q + b * s) % 5, (c * p + d * r) % 5, (c * q + d * s) % 5)
+    return m, (e + f) % 5
 
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """Finite quotient of B_3 as its coset table over the trivial subgroup.
+    """Finite quotient of B_3 as the right regular action of its generators.
 
     Elements are 0..order-1 with 0 the identity; `action[x]` is
     (x s1, x s1^-1, x s2, x s2^-1) and `words[x]` one shortest word
@@ -258,14 +168,38 @@ class QuotientGroup:
 
 @functools.cache
 def coxeter_quotient() -> QuotientGroup:
-    """The quotient of B_3 by the normal closure of s1**5, Coxeter's
-    finite group of order 600."""
-    relators = [
-        [0, 2, 0, 3, 1, 3],  # s1 s2 s1 s2^-1 s1^-1 s2^-1
-        [0] * 5,
-    ]
-    action, words = _coset_enumerate(relators)
-    return QuotientGroup(action=action, words=words, s1=action[0][0], s2=action[0][2])
+    """The quotient Q of B_3 by the normal closure of s1**5, Coxeter's
+    finite group of order 600, as SL(2,5) x Z/5.
+
+    s1 and s2 go to the matrices [[1,1],[0,1]] and [[1,0],[-1,1]] over
+    F_5, each paired with 1 in Z/5 (`_IMAGE`).  The map is faithful:
+
+    * both images satisfy s1 s2 s1 = s2 s1 s2 and s1^5 = 1, so the map
+      factors through Q;
+    * the two unitriangular matrices generate SL(2,5), and the exponent
+      sum maps onto Z/5, so the image projects onto both factors;
+    * SL(2,5) is perfect, so it has no Z/5 quotient, and by Goursat's
+      lemma the image is the whole product, of order 600;
+    * Q has order 600 (Coxeter, 1957), so the map from Q onto
+      SL(2,5) x Z/5 is an isomorphism.
+
+    A breadth-first search from the identity, trying the letters in the
+    column order (s1, s1^-1, s2, s2^-1), numbers the elements.  That
+    numbering depends only on the Cayley graph, not on the image.
+    """
+    identity = ((1, 0, 0, 1), 0)
+    elements, index, words, action = [identity], {identity: 0}, [()], []
+    for head, x in enumerate(elements):  # elements grows while it is walked
+        row = []
+        for g in _LETTERS:
+            y = _image_times(x, g)
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                words.append(words[head] + (g,))
+            row.append(index[y])
+        action.append(tuple(row))
+    return QuotientGroup(tuple(action), tuple(words), s1=action[0][0], s2=action[0][2])
 
 
 def quotient_image(w: BraidWord) -> int:

@@ -321,7 +321,10 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
         letters = tuple(int(t) for t in text.split())
     except ValueError as exc:
         raise ParseError(f"bad braid word {text!r}") from exc
-    return braid(letters, strands)
+    try:
+        return braid(letters, strands)
+    except ValueError as exc:
+        raise ParseError(f"bad braid word {text!r}: {exc}") from exc
 
 
 def braid_closure(w: BraidWord) -> LinkDiagram:

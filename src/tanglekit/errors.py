@@ -26,8 +26,7 @@ class UnsupportedStrandCount(TangleKitError):
 
 
 class EnumerationFailure(TangleKitError):
-    """An enumeration failed: coset enumeration exceeded its capacity, or a
-    completed Kei table failed its certificate."""
+    """A completed Kei table failed its certificate."""
 
 
 class InvalidMoveSite(TangleKitError):

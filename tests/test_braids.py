@@ -14,7 +14,7 @@ from tanglekit.braids import (
     verify_reduction_chains,
 )
 from tanglekit.diagrams import braid
-from tanglekit.errors import EnumerationFailure, UnsupportedStrandCount
+from tanglekit.errors import UnsupportedStrandCount
 from tanglekit.laurent import LaurentPoly
 
 
@@ -31,8 +31,9 @@ def mult():
 
 
 def test_quotient_golden_digest(mult):
-    """Recorded from an earlier numpy-built multiplication table; the
-    table is now rebuilt from the coset table through `times`."""
+    """Recorded from an earlier numpy-built multiplication table and
+    kept unchanged through every later build of the quotient; the
+    table is rebuilt here through `times`."""
     q = coxeter_quotient()
     blob = json.dumps([mult, [list(x) for x in q.words], q.s1, q.s2], separators=(",", ":"))
     assert (
@@ -94,17 +95,18 @@ def test_generator_fifth_power_trivial():
     assert q.image(w([2] * 5)) == 0
 
 
-def test_coset_cap_stops_the_enumeration(monkeypatch):
-    # the presentation defines 715 cosets; calling the enumerator, or
-    # the quotient through __wrapped__, leaves the cached quotient alone
-    monkeypatch.setattr(braids, "COSET_CAP", 599)
-    with pytest.raises(EnumerationFailure, match="^coset cap 599 exceeded$"):
-        braids._coset_enumerate([[0, 2, 0, 3, 1, 3], [0] * 5])
-    monkeypatch.setattr(braids, "COSET_CAP", 715)
-    with pytest.raises(EnumerationFailure, match="^coset cap 715 exceeded$"):
-        coxeter_quotient.__wrapped__()
-    monkeypatch.setattr(braids, "COSET_CAP", 716)
-    assert coxeter_quotient.__wrapped__().order == 600
+def test_quotient_satisfies_the_presentation():
+    q = coxeter_quotient()
+    for x in range(q.order):
+        assert q.times(x, (1, 2, 1)) == q.times(x, (2, 1, 2))
+        assert q.times(x, (1,) * 5) == x and q.times(x, (2,) * 5) == x
+    columns = list(zip(*q.action))
+    for col in columns:
+        assert sorted(col) == list(range(q.order))
+    for s, s_inv in (columns[0:2], columns[2:4]):
+        assert all(s_inv[s[x]] == x for x in range(q.order))
+    # a fresh build, past the cache, gives the same group
+    assert coxeter_quotient.__wrapped__() == q
 
 
 def test_census_counts():

@@ -298,6 +298,7 @@ def test_counts_at_their_bounds_are_accepted(capsys, monkeypatch):
     (["color", "FILE", "--n", "3"], "Y 1 2 1 2\n"),
     (["jones", "FILE"], "X 1 2 1 3\n"),
     (["braid", "image", "1 x 2"], ""),
+    (["braid", "image", "1 5"], ""),
     (["tangle", "closure", "(comp 0 0 t0"], ""),
     (["tangle", "closure", "(comp 0 0 t0 t0 t0)"], ""),
     (["tangle", "closure", "(tw 1 x)"], ""),

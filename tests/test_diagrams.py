@@ -90,6 +90,16 @@ def test_parse_braid_errors(text):
     assert str(info.value) == f"bad braid word {text!r}"
 
 
+@pytest.mark.parametrize("text,strands,message", [
+    ("1 5", 3, "bad braid word '1 5': letter 5 not a generator of B_3"),
+    ("0", None, "bad braid word '0': letter 0 not a generator of B_1"),
+], ids=["5-in-B3", "0"])
+def test_parse_braid_refuses_letters_outside_the_group(text, strands, message):
+    with pytest.raises(ParseError) as info:
+        parse_braid(text, strands=strands)
+    assert str(info.value) == message
+
+
 def test_serialize_round_trip():
     d = parse_pd(TREFOIL_PD)
     assert parse_pd(d.serialize()) == d
