@@ -2,7 +2,9 @@
 bundled for the test suite and the `corpus verify` command.
 
 Each check returns a result record; the randomized move-invariance
-suites are seeded and deterministic for a fixed seed.
+suites are seeded and deterministic for a fixed seed.  The three suites
+that insert a power into a 3-braid draw their instances from one
+generator, `_power_insertions`, and differ only in what they compare.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .braids import conjugacy_census, coxeter_quotient, verify_reduction_chains
 from .coloring import col_group, count_colorings_brute, coloring_matrix
@@ -215,32 +218,38 @@ def _random_expr(rng: random.Random, depth: int) -> TangleExpr:
     )
 
 
-def _random_b3_word(rng: random.Random, max_len: int) -> list[int]:
-    return [rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, max_len))]
+def _power_insertions(rng: random.Random, max_len: int, n: int | None = None):
+    """Endless n-move instances: (closure of a random 3-braid word, closure
+    of the word with a generator's n-th power inserted, n).
 
-
-def _insert_power(rng: random.Random, word: list[int], n: int) -> list[int]:
-    pos = rng.randint(0, len(word))
-    gen = rng.choice((1, 2)) * rng.choice((1, -1))
-    return word[:pos] + [gen] * n + word[pos:]
+    Draws, in order: n from (3, 4, 5) unless given, the word's length
+    and letters, the insertion position, the generator and its sign.
+    """
+    while True:
+        k = rng.choice((3, 4, 5)) if n is None else n
+        word = [rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, max_len))]
+        pos = rng.randint(0, len(word))
+        gen = rng.choice((1, 2)) * rng.choice((1, -1))
+        inserted = word[:pos] + [gen] * k + word[pos:]
+        yield braid_closure(braid(word, 3)), braid_closure(braid(inserted, 3)), k
 
 
 @_check(8, "suite-5/2-move-col5")
 def suite_five_halves_move(seed: int, instances: int):
     rng = random.Random(seed)
+    kinds = ("numerator", "denominator")
     done = failures = 0
     while done < instances:
         expr = _random_expr(rng, 4)
         sites = leaf_sites(expr, "t0")
         if not sites:
             continue
+        before = [col_group(closure_diagram(expr, kind), 5) for kind in kinds]
         for site in sites:
             sign = rng.choice((1, -1))
             moved = apply_rational_move(expr, site, 5, 2, sign)
-            for kind in ("numerator", "denominator"):
-                before = col_group(closure_diagram(expr, kind), 5)
-                after = col_group(closure_diagram(moved, kind), 5)
-                if before != after:
+            for kind, group in zip(kinds, before):
+                if col_group(closure_diagram(moved, kind), 5) != group:
                     failures += 1
             done += 1
             if done >= instances:
@@ -250,44 +259,29 @@ def suite_five_halves_move(seed: int, instances: int):
 
 @_check(8, "suite-n-move-coln")
 def suite_power_insertion_coloring(seed: int, instances: int):
-    rng = random.Random(seed + 1)
-    done = failures = 0
-    while done < instances:
-        n = rng.choice((3, 4, 5))
-        word = _random_b3_word(rng, 10)
-        inserted = _insert_power(rng, word, n)
-        before = col_group(braid_closure(braid(word, 3)), n)
-        after = col_group(braid_closure(braid(inserted, 3)), n)
-        if before != after:
-            failures += 1
-        done += 1
-    return failures == 0, f"instances={done} failures={failures}"
+    pairs = _power_insertions(random.Random(seed + 1), 10)
+    failures = sum(col_group(d, n) != col_group(moved, n)
+                   for d, moved, n in islice(pairs, instances))
+    return failures == 0, f"instances={instances} failures={failures}"
 
 
 @_check(8, "suite-5-move-jones-zeroness")
 def suite_power_insertion_jones(seed: int, instances: int):
-    rng = random.Random(seed + 2)
-    done = failures = 0
-    while done < instances:
-        word = _random_b3_word(rng, 8)
-        inserted = _insert_power(rng, word, 5)
-        before = jones_at_fifth_root(braid_closure(braid(word, 3))).is_zero()
-        after = jones_at_fifth_root(braid_closure(braid(inserted, 3))).is_zero()
-        if before != after:
-            failures += 1
-        done += 1
-    return failures == 0, f"instances={done} failures={failures}"
+    pairs = _power_insertions(random.Random(seed + 2), 8, 5)
+    failures = sum(
+        jones_at_fifth_root(d).is_zero() != jones_at_fifth_root(moved).is_zero()
+        for d, moved, _ in islice(pairs, instances))
+    return failures == 0, f"instances={instances} failures={failures}"
 
 
 @_check(8, "suite-3-move-bq3-iso")
 def suite_power_insertion_burnside(seed: int, instances: int):
-    rng = random.Random(seed + 3)
+    pairs = _power_insertions(random.Random(seed + 3), 10, 3)
     done = failures = capped = 0
     while done < instances:
-        word = _random_b3_word(rng, 10)
-        inserted = _insert_power(rng, word, 3)
-        r1 = burnside_kei(braid_closure(braid(word, 3)), 3, cap=KEI_CAP)
-        r2 = burnside_kei(braid_closure(braid(inserted, 3)), 3, cap=KEI_CAP)
+        d, moved, n = next(pairs)
+        r1 = burnside_kei(d, n, cap=KEI_CAP)
+        r2 = burnside_kei(moved, n, cap=KEI_CAP)
         if not (r1.completed and r2.completed):
             capped += 1
             continue

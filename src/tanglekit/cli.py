@@ -101,33 +101,25 @@ def cmd_kei_iso(args) -> int:
     )
 
 
+def _enumeration_report(args, inputs: dict, r, **extra) -> int:
+    """Report a Kei enumeration; `--table` adds the table once it completed."""
+    results = {"completed": r.completed, "size": r.size,
+               "deductions": r.deductions, "cap": r.cap, **extra}
+    if r.completed and args.table:
+        results["table"] = [list(row) for row in r.kei.table]
+    return emit(args, inputs, results)
+
+
 def cmd_kei_enum(args) -> int:
     pres = parse_presentation(Path(args.presentation).read_text())
     r = enumerate_kei(pres, cap=args.cap)
-    results = {
-        "completed": r.completed,
-        "size": r.size,
-        "deductions": r.deductions,
-        "cap": r.cap,
-        "backend": r.backend,
-    }
-    if r.completed and args.table:
-        results["table"] = [list(row) for row in r.kei.table]
-    return emit(args, {"presentation": args.presentation}, results)
+    return _enumeration_report(args, {"presentation": args.presentation}, r,
+                               backend=r.backend)
 
 
 def cmd_kei_burnside(args) -> int:
-    d = load_diagram(args.diagram)
-    r = burnside_kei(d, args.n, cap=args.cap)
-    results = {
-        "completed": r.completed,
-        "size": r.size,
-        "deductions": r.deductions,
-        "cap": r.cap,
-    }
-    if r.completed and args.table:
-        results["table"] = [list(row) for row in r.kei.table]
-    return emit(args, {"diagram": args.diagram, "n": args.n}, results)
+    r = burnside_kei(load_diagram(args.diagram), args.n, cap=args.cap)
+    return _enumeration_report(args, {"diagram": args.diagram, "n": args.n}, r)
 
 
 def cmd_braid_image(args) -> int:

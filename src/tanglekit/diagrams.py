@@ -6,7 +6,9 @@ and positions 1 and 3 the over-strand.  Labels name the *edges* of the
 diagram (segments between crossing ends); the two over-strand edges at
 a crossing belong to the same strand of the link, and `strand_classes`
 merges them into the arcs used by colorings and Kei presentations.
-Crossing-free circles are carried as an explicit counter.
+Crossing-free circles are carried as an explicit counter.  A
+`LinkDiagram` refuses PD data that no plane diagram has: each connected
+piece of its crossing graph must bound c + 2 faces (`_faces`).
 
 This is the package's one PD layer.  `Wiring` turns crossing ports and
 the wires joining them into dense PD data, for braid closures here and
@@ -48,21 +50,25 @@ class LinkDiagram:
     unknotted_split_circles: int = 0
 
     def __post_init__(self):
-        seen: dict[int, int] = {}
-        for x in self.crossings:
+        ends: dict[int, list[int]] = {}  # arc -> its ends, as 4 * crossing + position
+        for k, x in enumerate(self.crossings):
             if len(x) != 4:
                 raise MalformedDiagram(f"crossing {x!r} does not have 4 ends")
-            for a in x:
-                seen[a] = seen.get(a, 0) + 1
-        for a, k in seen.items():
-            if k != 2:
-                raise MalformedDiagram(f"arc {a} appears {k} times, expected 2")
-        if seen and (min(seen) != 0 or max(seen) != self.arc_count - 1):
+            for pos, a in enumerate(x):
+                ends.setdefault(a, []).append(4 * k + pos)
+        for a, slots in ends.items():
+            if len(slots) != 2:
+                raise MalformedDiagram(f"arc {a} appears {len(slots)} times, expected 2")
+        if ends and (min(ends) != 0 or max(ends) != self.arc_count - 1):
             raise MalformedDiagram("arc ids are not dense in 0..arc_count-1")
-        if len(seen) != self.arc_count:
+        if len(ends) != self.arc_count:
             raise MalformedDiagram("arc_count does not match the crossing data")
         if self.unknotted_split_circles < 0:
             raise MalformedDiagram("negative split circle count")
+        faces, want = _faces(len(self.crossings), ends.values())
+        if faces != want:
+            raise MalformedDiagram(
+                f"PD code is not planar: {faces} faces where a plane diagram has {want}")
 
     @property
     def crossing_count(self) -> int:
@@ -99,6 +105,35 @@ class LinkDiagram:
         if self.unknotted_split_circles:
             lines.append(f"O {self.unknotted_split_circles}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _faces(crossing_count: int, arcs) -> tuple[int, int]:
+    """Faces that PD data traces, and the number a plane diagram has.
+
+    `arcs` gives each arc's two ends as 4 * crossing + position.  A face
+    is traced by following an arc to its other end and stepping one
+    position back in that crossing's counterclockwise tuple.  A connected
+    piece of c crossings (4-valent, so 2c edges) bounds c + 2 faces in
+    the plane by Euler's formula, and fewer on a surface of higher genus.
+    """
+    other = [0] * (4 * crossing_count)
+    parent = list(range(crossing_count))
+    for e, f in arcs:
+        other[e], other[f] = f, e
+        _union(parent, e // 4, f // 4)
+    pieces = sum(_find(parent, k) == k for k in range(crossing_count))
+    seen = [False] * len(other)
+    faces = 0
+    for start in range(len(other)):
+        if seen[start]:
+            continue
+        faces += 1
+        end = start
+        while not seen[end]:
+            seen[end] = True
+            end = other[end]  # the arc's other end, then one position back
+            end = end - 1 if end % 4 else end + 3
+    return faces, crossing_count + 2 * pieces
 
 
 def strand_classes(crossings, arc_count: int) -> list[int]:

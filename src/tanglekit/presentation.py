@@ -123,6 +123,8 @@ def parse_presentation(text: str) -> KeiPresentation:
                 m = int(rest)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad generator count") from exc
+            if m < 0:
+                raise ParseError(f"line {ln}: generator count must be non-negative")
         elif head == "rel":
             if m is None:
                 raise ParseError(f"line {ln}: rel before gens")

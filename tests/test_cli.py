@@ -303,6 +303,8 @@ def test_counts_at_their_bounds_are_accepted(capsys, monkeypatch):
     (["tangle", "closure", "(comp 0 0 t0 t0 t0)"], ""),
     (["tangle", "closure", "(tw 1 x)"], ""),
     (["tangle", "closure", "t0 t0"], ""),
+    (["jones", "FILE"], "X 7 4 7 2\nX 4 3 5 6\nX 5 1 0 6\nX 0 1 3 2\n"),  # not planar
+    (["kei", "enum", "FILE"], "gens -1\n"),
 ])
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv, text):
     path = tmp_path / "input.txt"

@@ -1,3 +1,5 @@
+import importlib.resources
+
 import pytest
 
 from tanglekit.coloring import col_group, count_colorings_brute, coloring_matrix
@@ -86,3 +88,27 @@ def test_round_trip_through_serialization():
         from tanglekit.diagrams import parse_pd
 
         assert parse_pd(d.serialize()) == d, name
+
+
+@pytest.fixture
+def corpus_dir(tmp_path, monkeypatch):
+    """`corpus()` reads `data/corpus.txt` under a temporary directory."""
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+    corpus.cache_clear()
+    yield tmp_path
+    corpus.cache_clear()
+
+
+def test_corpus_file_missing(corpus_dir):
+    with pytest.raises(CorpusError, match="^embedded corpus file is missing$"):
+        corpus()
+
+
+def test_corpus_file_lacking_an_entry(corpus_dir):
+    (corpus_dir / "data").mkdir()
+    (corpus_dir / "data" / "corpus.txt").write_text(
+        "name: trefoil\nX 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3\n")
+    with pytest.raises(CorpusError) as info:
+        corpus()
+    missing = sorted(set(CORPUS_EXPECTED) - {"trefoil"})
+    assert str(info.value) == f"corpus entries missing: {missing}"

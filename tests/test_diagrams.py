@@ -76,6 +76,8 @@ def test_split_circle_bound_is_accepted():
     (((1, 2, 1, 2),), 2, 0, "arc ids are not dense in 0..arc_count-1"),
     (((0, 2, 0, 2),), 3, 0, "arc_count does not match the crossing data"),
     ((), 0, -1, "negative split circle count"),
+    (((0, 1, 0, 1),), 2, 0,
+     "PD code is not planar: 1 faces where a plane diagram has 3"),
 ])
 def test_link_diagram_errors(crossings, arcs, circles, message):
     with pytest.raises(MalformedDiagram) as info:

@@ -8,7 +8,7 @@ from tanglekit import _enumpy, presentation
 from tanglekit.coloring import coloring_matrix, smith_normal_form
 from tanglekit.corpus import corpus
 from tanglekit.diagrams import LinkDiagram, braid, braid_closure, parse_pd, unlink
-from tanglekit.errors import TooLarge
+from tanglekit.errors import MalformedDiagram, TooLarge
 from tanglekit.jones import (
     CyclotomicValue,
     determinant,
@@ -272,6 +272,18 @@ def test_laurent_int_operands():
         assert c == n and p != n
 
 
+def test_laurent_zero_hash_repr_and_foreign_equality():
+    zero, p = LaurentPoly.zero(), LaurentPoly({2: 1, 0: -3})
+    assert zero.is_zero() and not zero and zero.format("s") == "0"
+    assert not p.is_zero() and p
+    assert repr(p) == "LaurentPoly(t^2 - 3)" and repr(zero) == "LaurentPoly(0)"
+    same = LaurentPoly({0: -3, 2: 1, 5: 0})  # another build of p
+    assert same == p and hash(same) == hash(p)
+    assert {p: "p", zero: "zero"}[same] == "p"
+    for foreign in ("t^2 - 3", None, 1.5, (2, 0)):
+        assert (p == foreign) is False and p != foreign
+
+
 def test_laurent_negative_power_is_refused():
     """Every negative power is refused, a monomial's too."""
     for p in (LaurentPoly.var(1), LaurentPoly({1: 2, -1: 1})):
@@ -314,6 +326,26 @@ def test_link_zeroness_stable_across_orientations():
 
 def jones_at_fifth_root_with(d, orientation):
     return eval_at_fifth_root(jones(d, orientation)).is_zero()
+
+
+def test_random_pd_codes_are_refused_or_have_a_determinant():
+    """A PD code that no plane diagram has is refused, so every code that
+    parses has a Jones value at -1 that is real or purely imaginary."""
+    rng = random.Random(2005)
+    refused = 0
+    for _ in range(400):
+        c = rng.randint(1, 6)
+        arcs = [a for a in range(2 * c) for _ in (0, 1)]
+        rng.shuffle(arcs)
+        text = "\n".join(
+            "X " + " ".join(map(str, arcs[i:i + 4])) for i in range(0, 4 * c, 4))
+        try:
+            d = parse_pd(text)
+        except MalformedDiagram:
+            refused += 1
+            continue
+        assert isinstance(determinant(d), int)
+    assert 0 < refused < 400
 
 
 def test_determinants():

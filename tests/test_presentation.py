@@ -241,6 +241,7 @@ def test_parse_presentation_refuses_duplicate_records(text, message):
 
 @pytest.mark.parametrize("text,message", [
     ("gens two\n", "line 1: bad generator count"),
+    ("gens -1\n", "line 1: generator count must be non-negative"),
     ("rel x0 = x0\ngens 1\n", "line 1: rel before gens"),
     ("gens 2\n\nrel x0*x1 x0\n", "line 3: relation needs '='"),
     ("gens 2\nrel x0 = *\n", "line 2: empty word in relation"),

@@ -48,6 +48,13 @@ def test_fraction_reduction():
     assert fraction_of_twists([2, 2, 0]).fraction() == (2, 5)
 
 
+def test_fraction_str():
+    assert str(RationalTangle.make(3, 0)) == "inf"
+    assert str(RationalTangle.make(4, -6)) == "-2/3"
+    assert str(RationalTangle.make(-10, -4)) == "5/2"
+    assert str(fraction_of_twists([])) == "0/1"
+
+
 def test_rotate_examples():
     assert rotate(RationalTangle.make(0, 1)).is_infinity
     assert rotate(RationalTangle.make(5, 2)).fraction() == (-2, 5)
