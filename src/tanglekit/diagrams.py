@@ -245,9 +245,9 @@ class Wiring:
         return LinkDiagram(crossings, arcs, circles)
 
 
-# The Jones bracket takes one power of delta per split circle, at a cost
-# quadratic in their number, so a parsed diagram may carry at most this
-# many (summed over its `O` lines).
+# A parsed diagram may carry at most this many split circles (summed over
+# its `O` lines): each adds a term to the Jones polynomial, a coloring
+# column and a Kei generator.
 MAX_SPLIT_CIRCLES = 1000
 
 

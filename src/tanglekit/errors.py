@@ -5,7 +5,7 @@ class TangleKitError(Exception):
     """Base class for all tanglekit errors."""
 
 
-class ParseError(TangleKitError):
+class ParseError(TangleKitError, ValueError):
     """Input text could not be tokenized/parsed."""
 
 

@@ -33,21 +33,19 @@ def kauffman_bracket(d: LinkDiagram) -> LaurentPoly:
     """State-sum bracket in the variable A, single circle normalized to 1."""
     if d.crossing_count == 0 and d.unknotted_split_circles == 0:
         raise ValueError("the empty diagram has no bracket")
-    # the states with k circles contribute delta^(k-1) times their
-    # A-polynomial; one running power of delta serves every k
-    by_circles: dict[int, dict[int, int]] = {}
+    # a state with k + 1 circles contributes delta^k times its A-monomial,
+    # and delta^k = (-1)^k sum_j C(k, j) A^(2k - 4j) by the binomial theorem
+    coeffs: dict[int, int] = {}
     for (exponent, circles), mult in _kernel.bracket_statesum(
         d.crossings, d.arc_count
     ).items():
-        by_circles.setdefault(circles + d.unknotted_split_circles, {})[exponent] = mult
-    delta = LaurentPoly({2: -1, -2: -1})
-    power, k = LaurentPoly.one(), 1  # power = delta^(k-1)
-    total = LaurentPoly.zero()
-    for circles in sorted(by_circles):
-        while k < circles:
-            power, k = power * delta, k + 1
-        total = total + power * LaurentPoly(by_circles[circles])
-    return total
+        k = circles + d.unknotted_split_circles - 1
+        c = -mult if k % 2 else mult  # mult * (-1)^k C(k, j), from j = 0
+        for j in range(k + 1):
+            e = exponent + 2 * k - 4 * j
+            coeffs[e] = coeffs.get(e, 0) + c
+            c = c * (k - j) // (j + 1)
+    return LaurentPoly(coeffs)
 
 
 def writhe(d: LinkDiagram, orientation: tuple[bool, ...] | None = None) -> int:

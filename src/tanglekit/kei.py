@@ -51,7 +51,10 @@ def parse_kei(text: str) -> FiniteKei:
         raise ParseError(f"negative Kei table size {n}")
     if len(vals) != n * n:
         raise ParseError(f"expected {n * n} table entries, got {len(vals)}")
-    return FiniteKei(tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n)))
+    try:
+        return FiniteKei(tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n)))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def dihedral_kei(n: int) -> FiniteKei:

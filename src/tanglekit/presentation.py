@@ -13,8 +13,8 @@ through the `backend` argument.  Whichever kernel runs,
 `enumerate_kei` certifies each completed table once: it must be a Kei
 generated by the generator images, the images must satisfy every
 relation, and r_n must hold on every pair.  Generation lets the
-certificate check axioms 2 and 3 at the images' columns only (see
-`_certify`).
+certificate check axioms 2 and 3, and r_n, at the images' columns only
+(see `_certify`).
 """
 
 from __future__ import annotations
@@ -143,6 +143,9 @@ def parse_presentation(text: str) -> KeiPresentation:
                 burnside = int(rest)
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad burnside exponent") from exc
+            if not 2 <= burnside <= MAX_BURNSIDE_EXPONENT:
+                raise ParseError(
+                    f"line {ln}: burnside exponent must be in 2..{MAX_BURNSIDE_EXPONENT}")
         else:
             raise ParseError(f"line {ln}: unknown record {head!r}")
     if m is None:
@@ -173,14 +176,15 @@ def _certify(p, kei, images, pattern) -> None:
 
     Generation is checked first: right multiplication by the images
     must reach every element from the images.  Axiom 1, x*x = x, is
-    then checked at every x, but axioms 2 and 3 only at the images'
-    columns.  Write R_y for x -> x*y; axioms 2 and 3 at column y say
-    that R_y is an involution and an endomorphism.  If they hold at
-    column g, then z*(y*g) = ((z*g)*y)*g, so R_{y*g} = R_g R_y R_g is
-    the conjugate of R_y by R_g and is an involutive endomorphism
-    whenever R_y is (Joyce, J. Pure Appl. Algebra 23, 1982).  Every
-    element is an image or some y*g with g an image and y reached
-    earlier, so axioms 2 and 3 hold at every column.
+    then checked at every x, but axioms 2 and 3 and r_n only at the
+    images' columns.  Write R_y for x -> x*y; axioms 2 and 3 at column y
+    say that R_y is an involutive endomorphism.  If they hold at column
+    g, then z*(y*g) = ((z*g)*y)*g, so R_{y*g} = R_g R_y R_g is one
+    whenever R_y is (Joyce, J. Pure Appl. Algebra 23, 1982).  R_g is
+    then an automorphism, so r_n(u, y*g) = R_g(r_n(u*g, y)), which is
+    R_g(u*g) = u when r_n holds at column y.  Every element is an image
+    or some y*g with g an image and y reached earlier, so the axioms and
+    r_n hold at every column.
     """
     t = kei.table
     gens = set(images)
@@ -197,9 +201,8 @@ def _certify(p, kei, images, pattern) -> None:
         for lhs, rhs in p.relations
     ):
         raise EnumerationFailure("generator images violate a relation")
-    elements = range(kei.size)
     if pattern and any(
-        eval_word(kei, pattern, (u, w)) != u for u in elements for w in elements
+        eval_word(kei, pattern, (u, g)) != u for u in range(kei.size) for g in gens
     ):
         raise EnumerationFailure("enumerated table violates the universal relation")
 

@@ -198,6 +198,8 @@ def parse_expr(text: str) -> TangleExpr:
 
     try:
         out = parse(1)
+    except ParseError:
+        raise
     except (IndexError, ValueError) as exc:
         raise ParseError(f"bad tangle expression {text!r}") from exc
     if pos != len(tokens):

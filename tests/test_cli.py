@@ -111,13 +111,13 @@ def test_kei_huge_burnside_exponent_is_refused(capsys, tmp_path):
     """Refused before the length-n word of r_n is built."""
     pres = tmp_path / "q3.kei"
     pres.write_text("gens 3\nburnside 99999999999\n")
-    for argv in (["kei", "enum", str(pres), "--cap", "50"],
-                 ["kei", "burnside", "trefoil", "--n", "99999999999"]):
+    for argv, where in ((["kei", "enum", str(pres), "--cap", "50"], "line 2: "),
+                        (["kei", "burnside", "trefoil", "--n", "99999999999"], "")):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: burnside exponent must be in 2..{MAX_BURNSIDE_EXPONENT}\n"
+            f"error: {where}burnside exponent must be in 2..{MAX_BURNSIDE_EXPONENT}\n"
         )
 
 

@@ -125,7 +125,8 @@ def test_bracket_split_circles():
 
 
 def test_bracket_many_split_circles(shallow_stack):
-    """One running power of delta, not a recursion per circle."""
+    """delta^k written out by the binomial theorem, not a recursion per
+    circle."""
     d = LinkDiagram(parse_pd("X 0 1 1 0").crossings, 2, 300)
     assert jones(d) == MINUS_S_PAIR ** 300
 

@@ -246,7 +246,8 @@ def test_serialize_round_trip():
 
 
 @pytest.mark.parametrize(
-    "text", ["", "  \n", "2\n0 x\n1 1\n", "-1\n", "2\n0 0\n1\n", "2\n0 0 1 1 0\n"]
+    "text",
+    ["", "  \n", "2\n0 x\n1 1\n", "-1\n", "2\n0 0\n1\n", "2\n0 0 1 1 0\n", "2\n0 5\n1 1\n"],
 )
 def test_parse_kei_rejects_malformed_tables(text):
     with pytest.raises(ParseError):

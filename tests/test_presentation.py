@@ -5,6 +5,8 @@ import time
 import pytest
 
 from tanglekit import presentation
+from tanglekit.coloring import col_group, solution_group
+from tanglekit.corpus import corpus
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import EnumerationFailure, ParseError, TooLarge
 from tanglekit.kei import (
@@ -29,7 +31,7 @@ from tanglekit.presentation import (
     q_kei,
     r_n_relation,
 )
-from test_enum_golden import on_generator_pairs
+from test_enum_golden import on_generator_pairs, random_presentation
 
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
 FIG8 = braid_closure(braid([1, -2, 1, -2]))
@@ -252,6 +254,7 @@ def test_parse_presentation_refuses_duplicate_records(text, message):
     ("gens 2\n\nrel x0 = x1*\n", "line 3: empty factor in relation"),
     ("gens 2\nrel x0**x1 = *x1*\n", "line 2: empty factor in relation"),
     ("gens 2\nburnside 5.0\n", "line 2: bad burnside exponent"),
+    ("gens 3\nburnside 1\n", f"line 2: burnside exponent must be in 2..{MAX_BURNSIDE_EXPONENT}"),
     ("gens 3\n\nrel x3 = x0\n", "line 3: unknown generator 'x3'"),
     ("gens 3\nrel x0 = x1*y\n", "line 2: unknown generator 'y'"),
     ("gens 2\nrelation x0 = x1\n", "line 2: unknown record 'relation'"),
@@ -436,3 +439,64 @@ def test_certificate_checks_universal_relation_where_imposed(monkeypatch):
     assert r.completed and r.kei == genp.kei
     with pytest.raises(EnumerationFailure, match="universal relation"):
         enumerate_kei(pres)
+
+
+def maps_into_dihedral(kei, images, p):
+    """The number of Kei maps f from `kei` into R_p.  Since the images
+    generate `kei`, f is a Kei map iff f(x*g) = 2 f(g) - f(x) at the images'
+    columns g (the induction of `presentation._certify`)."""
+    rows = []
+    for g in set(images):
+        for x in range(kei.size):
+            row = [0] * kei.size
+            row[kei.table[x][g]] += 1
+            row[x] += 1
+            row[g] -= 2
+            rows.append(row)
+    return solution_group(rows, kei.size, p).order
+
+
+def word_row(w, m):
+    """The left-normed word w as a linear form in R_p, where w*x = 2x - w."""
+    row = [0] * m
+    row[w[0]] = 1
+    for g in w[1:]:
+        row = [-c for c in row]
+        row[g] += 2
+    return row
+
+
+def solutions_in_dihedral(pres, p):
+    """The number of generator values in R_p satisfying `pres`.  In R_p,
+    r_n(u, w) = u + n(w - u), so r_n holds on the whole subkei that the
+    values x_i generate iff n(x_i - x_0) = 0 for every i."""
+    m = pres.generator_count
+    rows = [[a - b for a, b in zip(word_row(lhs, m), word_row(rhs, m))]
+            for lhs, rhs in pres.relations]
+    n = pres.burnside_exponent
+    if n is not None:
+        rows += [[n * (k == i) - n * (k == 0) for k in range(m)] for i in range(1, m)]
+    return solution_group(rows, m, p).order
+
+
+def test_maps_into_dihedral_kei_count_solutions():
+    """A completed table is the presented Kei, so its maps into R_p
+    are the solutions of the presentation there: p^m for Q(m, n) and
+    the Fox p-colorings for BQ_n(L), whenever p divides n.  A table
+    that merges two elements it should keep apart has fewer maps."""
+    cases = [(q_kei, (3, 3), 3), (q_kei, (2, 5), 5)]
+    cases += [(burnside_kei, (d, n), n) for d in corpus().values() for n in (3, 5)]
+    # each about a second of pure enumeration
+    heavy = [(q_kei, (4, 3), 3), (q_kei, (3, 4), 2), (q_kei, (3, 4), 4)]
+    for backend in KERNELS:
+        for run, args, p in cases + heavy * (backend == "compiled"):
+            r = run(*args, backend=backend)
+            want = p ** args[0] if run is q_kei else col_group(args[0], p).order
+            assert maps_into_dihedral(r.kei, r.generator_images, p) == want, (args, p)
+        for seed in range(150):
+            pres, cap, all_pairs = random_presentation(seed)
+            pres = pres if all_pairs else on_generator_pairs(pres)
+            r = enumerate_kei(pres, cap, backend=backend)
+            for p in range(2, 6) if r.completed else ():
+                assert (maps_into_dihedral(r.kei, r.generator_images, p)
+                        == solutions_in_dihedral(pres, p)), (seed, p)

@@ -6,7 +6,7 @@ import pytest
 from tanglekit.coloring import col_group, count_colorings_brute
 from tanglekit.diagrams import braid, braid_closure, parse_pd, unlink
 from tanglekit.errors import InvalidMoveSite, ParseError
-from tanglekit.jones import determinant, kauffman_bracket, writhe
+from tanglekit.jones import determinant, jones, kauffman_bracket, writhe
 from tanglekit.kei import kei_isomorphic, dihedral_kei
 from tanglekit.presentation import enumerate_kei, fundamental_kei
 from tanglekit.tangles import (
@@ -31,6 +31,7 @@ from tanglekit.tangles import (
     tangle_coloring_counts,
     tangle_diagram,
 )
+from test_markov import up_to_power
 
 TREFOIL = parse_pd("X 1 4 2 5\nX 3 6 4 1\nX 5 2 6 3")
 HOPF = braid_closure(braid([1, 1], strands=2))
@@ -140,6 +141,20 @@ def test_fraction_determinant_functoriality():
             fr = fraction_of_twists(word)
             d = closure_diagram(TwistLeaf(word), "numerator")
             assert determinant(d) == abs(fr.p), word
+
+
+def test_equal_fractions_give_equal_numerator_closures():
+    """Conway: rational tangles of equal fraction are isotopic, so their
+    numerator closures are one link.  The components and the Jones
+    polynomial must agree, for links up to a factor s^k (orientation)."""
+    seen = {}
+    for length in range(1, 5):
+        for word in itertools.product((-3, -2, -1, 1, 2, 3), repeat=length):
+            d = closure_diagram(TwistLeaf(word), "numerator")
+            v, comps = jones(d), d.component_count()
+            key = (comps, v.coeffs if comps == 1 else up_to_power(v))
+            first = seen.setdefault(fraction_of_twists(word), (word, key))
+            assert key == first[1], (word, first[0])
 
 
 def test_two_bridge_coloring_order_from_fraction():
