@@ -3,15 +3,13 @@
    `run_enumeration` is a C translation of `_enumpy.run_enumeration`,
    whose docstring is the specification: it makes the same table writes
    in the same order (up to the renumbering below), so it returns the
-   same tables, generator images and deduction counts.  Only the layout
-   differs:
+   same tables, generator images and deduction counts.  As there, `get`
+   reads every value through `find`.  Only the layout differs:
 
    - The table is dense: tab[a * pitch + b] holds a*b, or -1 where it is
-     undefined.  The bitsets `row`, `col` and `live` are arrays of
-     64-bit words, `words` of them per element.
-   - A read of the table calls `find` on the value, instead of keeping
-     every value a root through occurrence lists.  `_enumpy` shows that
-     both give the writes of calling `find` on every read.
+     undefined, where `_enumpy` keeps a dict per element.  The bitsets
+     `row`, `col` and `live` are arrays of 64-bit words, `words` of them
+     per element.
    - Element ids are slots of the table.  Before each step that can
      create elements, `reserve` renumbers the live slots 0.. in
      discovery order when the dead ones outnumber them, or when the

@@ -26,22 +26,19 @@ Eick, O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5),
 a deduction is processed only where it can act: an event visits only
 the elements that complete a distributivity instance, and a merge
 walks only the dead element's defined entries.  This matters on the
-sparse tables of runs that stop at their cap.  Every value in the
-table is kept a root: an occurrence index lists the entries holding
-each value, and a merge rewrites the dead element's occurrences at
-once, so the event loop reads entries without `find`.  This matters on
-the dense tables of runs that complete.  See `run_enumeration` for why
-both are exact.
+sparse tables of runs that stop at their cap.  The table keeps one
+dict per element, and a merge leaves the entries that hold the dead
+element as they are: every read of a value goes through `find`.  See
+`run_enumeration` for why this is exact.
 
 The compiled kernel in `_enumcore.c` is a C translation of
 `run_enumeration`, with this docstring as its specification; it holds
-the table densely, reads values through `find` instead of occurrence
-lists, and renumbers its live elements between traces.  The golden
-pins (`tests/test_enum_golden.py`) and `perfbench/parity.py` check that
-both kernels give equal tables, generator images and deduction counts.
-The Kauffman bracket contraction here is the only one the library
-calls; the 2^c state sum in `_enumcore` serves as a brute-force
-reference.
+the table densely and renumbers its live elements between traces.
+The golden pins (`tests/test_enum_golden.py`) and `perfbench/parity.py`
+check that both kernels give equal tables, generator images and
+deduction counts.  The Kauffman bracket contraction here is the only
+one the library calls; the 2^c state sum in `_enumcore` serves as a
+brute-force reference.
 
 Status codes: 0 = completed, 1 = cap exceeded; the compiled kernel
 also returns 2 when its table would outgrow its memory budget.
@@ -154,41 +151,37 @@ def run_enumeration(m, relations, rn_pattern, cap):
     current roots of the generators, and each universal instance
     r_n(u, w) as the relation ((0,), rn_pattern) under env (u, w).
 
-    `put` and `take` are the only writes to `tab`, which maps (x, z) to
-    x*z, and keep the bitsets `row` and `col` in step with it; `put`
-    also schedules the entry's event, so (ii) below holds by
-    construction.  An event on an entry a*b visits z in ascending
-    order, but only the z where one of its three distributivity
-    patterns has both inputs defined: row[a] & (row[b] | col[b]) |
-    col[a] & col[b].  At any other z a visit would only call `find`, so
-    the deduction order, the tables and the merge count are exactly
-    those of visiting every z.  The mask is rebuilt after every visit,
-    so entries defined and merges made during the scan are still seen.
-    A merge likewise walks only the z with an entry in the dead
-    element's row or column; at every other z there is nothing to move.
+    `put` and `take` are the only calls that define or undefine an entry
+    of `rows`, where rows[x][z] holds x*z, and they keep the bitsets
+    `row` and `col` in step with it; `put` also schedules the entry's
+    event, so (ii) below holds by construction.  An event on an entry
+    a*b visits z in ascending order, but only the z where one of its
+    three distributivity patterns has both inputs defined: row[a] &
+    (row[b] | col[b]) | col[a] & col[b].  At any other z a visit would
+    only call `find`, so the deduction order, the tables and the merge
+    count are exactly those of visiting every z.  The mask is rebuilt
+    after every visit, so entries defined and merges made during the
+    scan are still seen.  A merge likewise walks only the z with an
+    entry in the dead element's row or column; at every other z there
+    is nothing to move.
 
-    Keys and values of `tab` are always roots.  Keys are, because a
-    merge moves the dead element's row and column.  Values are, because
-    `put` records each key in `occ[v]`, the occurrence list of its
-    value v, and a merge folding ry into rx rewrites every entry whose
-    value is still ry to rx, right after `parent[ry] = rx` and before
-    it moves ry's row and column.  A key leaves `tab` only when one of
-    its elements dies, and is never put again, so a key listed in
-    `occ[ry]` and still in `tab` holds exactly ry; keys taken since
-    stay listed until their value dies, when the whole list is dropped.
-    A read of `tab` thus gives the value `find` would give, and the
-    event loop calls `find` on its roots ra, rb and c only after a merge
-    has happened; path compression is not observable.  The event loop
-    calls `confront` only when its two sides differ: with both missing
-    or both equal it writes nothing and merges nothing.  After a
+    Keys of the table are always roots, because a merge moves the dead
+    element's row and column.  Values need not be: a merge leaves an
+    entry that holds the dead element as it is.  So every value is read
+    through `get`, which calls `find` on it and stores the root back, as
+    path compression does; neither is observable.  The event loop calls
+    `find` on its roots ra, rb and c only after a merge has happened,
+    since until then they stay roots.  It calls `confront` only when
+    its two sides differ: with both missing or both equal it writes
+    nothing and merges nothing.  After a
     `confront`, the entries the next pattern reads are read again,
     since it may have written or merged them.  So the order of table
     writes is that of calling `find` on every read and `confront` on
     every instance.
 
     Each relation and each universal instance is traced once.  A traced
-    instance stays closed: every entry a*b = c on its path stays in
-    `tab` as find(a)*find(b) = find(c), because a merge moves or merges
+    instance stays closed: every entry a*b = c on its path stays in the
+    table as find(a)*find(b) = find(c), because a merge moves or merges
     each entry of the dead element and drops none, and merges only
     coarsen the congruence.  Tracing it again, under the roots its
     elements have now, would define nothing and merge nothing, so it is
@@ -211,9 +204,9 @@ def run_enumeration(m, relations, rn_pattern, cap):
     nor r_n deduce anything and the table is total.  As in Felsch-style
     coset enumeration, that table already satisfies the axioms, so no
     final sweep checks them:
-    (i)   x*x = x is put when x is created and holds while x is a
-          root, since a value is rewritten only when it dies; a merge
-          folding y into x drops y*y, which then merges nothing;
+    (i)   x*x = x is put when x is created and stays in the table
+          while x is a root; a merge folding y into x drops y*y, which
+          then merges nothing;
     (ii)  every entry a*b = c has an event, which applies the
           involution c*b = a;
     (iii) an instance (p*q)*r = (p*r)*(q*r) is seen by the event of
@@ -226,17 +219,16 @@ def run_enumeration(m, relations, rn_pattern, cap):
           whose involution gives (p*q)*r = e*f.
     """
     parent: list[int] = []
-    tab: dict[tuple[int, int], int] = {}
-    # bit z of row[x], and bit x of col[z], is set iff (x, z) is in tab
+    # rows[x][z] holds x*z up to `find`; `get` reads it as a root
+    rows: list[dict[int, int]] = []
+    # bit z of row[x], and bit x of col[z], is set iff x*z is defined
     row: list[int] = []
     col: list[int] = []
-    # occ[v]: the keys put with value v or rewritten to it; None once
-    # v is dead
-    occ: list[list[tuple[int, int]] | None] = []
     # bit x is set iff x is a root
     live = 0
     events: deque[tuple[int, int]] = deque()
     merges = 0
+    puts = 0
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -244,29 +236,38 @@ def run_enumeration(m, relations, rn_pattern, cap):
             x = parent[x]
         return x
 
+    def get(a: int, b: int) -> int | None:
+        """a*b as a root, or None."""
+        v = rows[a].get(b)
+        if v is None or parent[v] == v:
+            return v
+        rows[a][b] = v = find(v)
+        return v
+
     def put(a: int, b: int, v: int) -> None:
-        """Define a*b = v, v a root, and schedule the entry's event."""
-        key = (a, b)
-        tab[key] = v
-        occ[v].append(key)
+        """Define a*b = v and schedule the entry's event."""
+        nonlocal puts
+        rows[a][b] = v
         row[a] |= 1 << b
         col[b] |= 1 << a
-        events.append(key)
+        puts += 1
+        events.append((a, b))
 
     def take(a: int, b: int) -> int | None:
-        v = tab.pop((a, b), None)
+        v = rows[a].pop(b, None)
         if v is not None:
             row[a] ^= 1 << b
             col[b] ^= 1 << a
+            v = find(v)
         return v
 
     def new_element() -> int:
         nonlocal live
         e = len(parent)
         parent.append(e)
+        rows.append({})
         row.append(0)
         col.append(0)
-        occ.append([])
         live |= 1 << e
         put(e, e, e)
         return e
@@ -290,14 +291,8 @@ def run_enumeration(m, relations, rn_pattern, cap):
             parent[ry] = rx
             live ^= 1 << ry
             merges += 1
-            # keep every value a root
-            keys, occ[ry] = occ[ry], None
-            for key in keys:
-                if tab.get(key) == ry:
-                    tab[key] = rx
-                    occ[rx].append(key)
-            # fold the dead row/column into the survivor; ry*ry, just
-            # rewritten to rx, has nothing to merge
+            # fold the dead row/column into the survivor; ry*ry has
+            # nothing to merge
             take(ry, ry)
             zs = row[ry] | col[ry]
             while zs:
@@ -306,14 +301,14 @@ def run_enumeration(m, relations, rn_pattern, cap):
                 z = low.bit_length() - 1
                 val = take(ry, z)
                 if val is not None:
-                    cur = tab.get((rx, z))
+                    cur = get(rx, z)
                     if cur is None:
                         put(rx, z, val)
                     elif cur != val:
                         queue.append((cur, val))
                 val = take(z, ry)
                 if val is not None:
-                    cur = tab.get((z, rx))
+                    cur = get(z, rx)
                     if cur is None:
                         put(z, rx, val)
                     elif cur != val:
@@ -321,7 +316,7 @@ def run_enumeration(m, relations, rn_pattern, cap):
 
     def set_entry(a: int, b: int, c: int) -> None:
         a, b, c = find(a), find(b), find(c)
-        cur = tab.get((a, b))
+        cur = get(a, b)
         if cur is None:
             put(a, b, c)
         elif cur != c:
@@ -338,11 +333,10 @@ def run_enumeration(m, relations, rn_pattern, cap):
             merge(g, h)
 
     def process_events() -> None:
-        get = tab.get
         while events:
             a, b = events.popleft()
             ra, rb = find(a), find(b)
-            c = tab[ra, rb]
+            c = get(ra, rb)
             seen = merges
             # involution: (a*b)*b = a
             set_entry(c, rb, ra)
@@ -357,35 +351,35 @@ def run_enumeration(m, relations, rn_pattern, cap):
                 if not zs:
                     break
                 z += (zs & -zs).bit_length()
-                d = get((ra, z))
+                d = get(ra, z)
                 if d is not None:
                     # entry as p*q in (p*q)*z = (p*z)*(q*z)
-                    f = get((rb, z))
+                    f = get(rb, z)
                     if f is not None:
-                        g, h = get((c, z)), get((d, f))
+                        g, h = get(c, z), get(d, f)
                         if g != h:
                             confront((c, z), g, (d, f), h)
-                            d = get((ra, z))
+                            d = get(ra, z)
                     # entry as p*r in (p*q)*b = (p*b)*(q*b), q = z
                     if d is not None:
-                        f = get((z, rb))
+                        f = get(z, rb)
                         if f is not None:
-                            g, h = get((d, rb)), get((c, f))
+                            g, h = get(d, rb), get(c, f)
                             if g != h:
                                 confront((d, rb), g, (c, f), h)
                 # entry as q*r in (z*a)*b = (z*b)*(a*b)
-                d = get((z, ra))
+                d = get(z, ra)
                 if d is not None:
-                    e = get((z, rb))
+                    e = get(z, rb)
                     if e is not None:
-                        g, h = get((d, rb)), get((e, c))
+                        g, h = get(d, rb), get(e, c)
                         if g != h:
                             confront((d, rb), g, (e, c), h)
 
     def fill_product(x: int, y: int) -> int:
         """x*y for roots x and y, defining a fresh element if the product
         is missing."""
-        v = tab.get((x, y))
+        v = get(x, y)
         if v is not None:
             return v
         e = new_element()
@@ -410,15 +404,12 @@ def run_enumeration(m, relations, rn_pattern, cap):
             y = fill_product(y, env[sym])
         set_entry(y, env[rhs[-1]], x)
 
-    def progress_marker():
-        return (len(parent), merges, len(tab))
-
     # the element count when the last universal pass began
     traced_below = 0
 
     def trace_universal() -> bool:
         nonlocal traced_below
-        before = progress_marker()
+        before = puts + merges
         domain = live_elements()
         old = bisect_left(domain, traced_below)
         traced_below = len(parent)
@@ -437,7 +428,7 @@ def run_enumeration(m, relations, rn_pattern, cap):
                 process_events()
                 if live_count() > cap:
                     return True
-        return progress_marker() != before
+        return puts + merges != before
 
     def missing_product() -> tuple[int, int] | None:
         """The first undefined product (a, b) of roots in scan order."""
@@ -473,10 +464,6 @@ def run_enumeration(m, relations, rn_pattern, cap):
     # compact to a dense table in discovery order
     zs = live_elements()
     relabel = {x: i for i, x in enumerate(zs)}
-    size = len(zs)
-    rows = [[0] * size for _ in range(size)]
-    for a in zs:
-        for b in zs:
-            rows[relabel[a]][relabel[b]] = relabel[tab[(a, b)]]
+    table = [tuple(relabel[get(a, b)] for b in zs) for a in zs]
     images = [relabel[find(g)] for g in gen_slots]
-    return COMPLETED, [tuple(r) for r in rows], images, merges
+    return COMPLETED, table, images, merges

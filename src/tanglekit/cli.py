@@ -18,7 +18,7 @@ from .braids import conjugacy_census, coxeter_quotient, burau_image, verify_redu
 from .coloring import col_group, has_nontrivial_colorings
 from .corpus import CORPUS_EXPECTED, corpus, corpus_names
 from .diagrams import LinkDiagram, parse_braid, parse_pd
-from .errors import TangleKitError, TooLarge
+from .errors import ParseError, TangleKitError, TooLarge
 from .jones import five_move_obstruction, five_move_verdict, jones, jones_at_fifth_root
 from .kei import check_axioms, kei_isomorphic, parse_kei
 from .presentation import (
@@ -201,7 +201,11 @@ def cmd_tangle_closure(args) -> int:
 
 def cmd_tangle_move(args) -> int:
     expr = parse_expr(args.expr)
-    site = tuple(int(x) for x in args.site.split(",")) if args.site else ()
+    try:
+        site = tuple(int(x) for x in args.site.split(",")) if args.site else ()
+    except ValueError:
+        raise ParseError(
+            f"bad site {args.site!r}: steps are comma-separated 0s and 1s") from None
     moved = apply_rational_move(expr, site, args.n, args.q, args.sign)
     return emit(
         args,

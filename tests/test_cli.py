@@ -184,6 +184,15 @@ def test_tangle_move_bad_site_step(capsys):
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_tangle_move_site_that_is_not_integers(capsys):
+    for site in ("0,", " ", "a"):
+        code = main(["tangle", "move", "(comp 0 0 x+ t0)", "--site", site])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: bad site {site!r}: steps are comma-separated 0s and 1s\n")
+
+
 def test_tangle_obstruct(capsys):
     expr = "(comp 0 0 (tw 2 2) (comp 0 0 tinf tinf))"
     code, report = run_cli(capsys, "tangle", "obstruct", expr, "unknot", "--n", "5")

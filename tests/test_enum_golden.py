@@ -17,8 +17,10 @@ one input that reaches a guard no other pin does, and
 `test_totalize_renumbering_golden` inputs on which the compiled kernel
 renumbers its slots before a totalize fill.
 `test_write_order_golden` pins the order
-of the pure kernel's table writes, which these outputs cannot see, and
-`test_long_growth_write_order_golden` does so on long cap-out runs.
+of the pure kernel's table writes, which these outputs cannot see,
+`test_long_growth_write_order_golden` does so on long cap-out runs, and
+`test_many_merges_write_order_golden` on a run that merges as often as
+it grows.
 """
 
 import hashlib
@@ -287,3 +289,19 @@ def test_long_growth_write_order_golden(monkeypatch):
         (fundamental_kei(braid_closure(braid(UNLINK8, 3))).with_burnside(5), 500, True),
     ]
     assert write_order_digest(monkeypatch, inputs) == LONG_GROWTH_GOLDEN
+
+
+MANY_MERGES_GOLDEN = "f1f6626beee23bf1a893cad575641fa25185c012371b0e627c3adcbc1410ec81"
+
+
+def test_many_merges_write_order_golden(monkeypatch):
+    """Q(4,4) at cap 2000 makes 1,997 merges before its cap, so many of
+    the values it reads were stored before their element died.  The
+    pure kernel's write order, with its output, is pinned; every other
+    kernel's output is pinned to the same stop and deduction count."""
+    q44 = (free_burnside_presentation(4, 4), 2000, True)
+    for backend in KERNELS.keys() - {"pure"}:
+        assert digest(run_record(*q44, backend)) == (
+            "dd2a0954404cc231aebf6a26c2be3cbca97bce209011d67b25d0f5c87d4cef63"
+        ), backend
+    assert write_order_digest(monkeypatch, [q44]) == MANY_MERGES_GOLDEN
