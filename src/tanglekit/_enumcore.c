@@ -4,7 +4,9 @@
    whose docstring is the specification: it makes the same table writes
    in the same order (up to the renumbering below), so it returns the
    same tables, generator images and deduction counts.  As there, `get`
-   reads every value through `find`.  Only the layout differs:
+   reads every value through `find`, and `settle` is the one step that
+   defines an entry or queues a clash, for deductions and merges alike.
+   Only the layout differs:
 
    - The table is dense: tab[a * pitch + b] holds a*b, or -1 where it is
      undefined, where `_enumpy` keeps a dict per element.  The bitsets
@@ -143,7 +145,7 @@ static int push_event(Table *t, int a, int b)
     return push(ev, b);
 }
 
-/* Define a*b = v, v a root, and schedule the entry's event. */
+/* Define a*b = v and schedule the entry's event. */
 static int put(Table *t, int a, int b, int v)
 {
     *cell(t, a, b) = v;
@@ -153,7 +155,7 @@ static int put(Table *t, int a, int b, int v)
     return push_event(t, a, b);
 }
 
-/* Undefine a*b and return its value as a root, or -1. */
+/* Undefine a*b and return its value, or -1. */
 static int take(Table *t, int a, int b)
 {
     int v = *cell(t, a, b);
@@ -162,7 +164,7 @@ static int take(Table *t, int a, int b)
     *cell(t, a, b) = -1;
     bits(t, t->row, a)[b >> 6] &= ~BIT(b);
     bits(t, t->col, b)[a >> 6] &= ~BIT(a);
-    return find(t, v);
+    return v;
 }
 
 /* A fresh root in a slot that `reserve` has made room for. */
@@ -175,18 +177,18 @@ static int new_element(Table *t)
     return put(t, e, e, e) < 0 ? -1 : e;
 }
 
-/* Move a dead element's entry, of value val, to (a, b) of the survivor. */
-static int fold(Table *t, int val, int a, int b)
+/* Define a*b = v for roots a and b, or push a clash; nothing if v < 0. */
+static int settle(Table *t, int a, int b, int v)
 {
     int cur;
-    if (val < 0)
+    if (v < 0)
         return 0;
     cur = get(t, a, b);
     if (cur < 0)
-        return put(t, a, b, val);
-    if (cur != val) {
+        return put(t, a, b, v);
+    if (cur != find(t, v)) {
         TRY(push(&t->stack, cur));
-        return push(&t->stack, val);
+        return push(&t->stack, v);
     }
     return 0;
 }
@@ -213,8 +215,8 @@ static int merge(Table *t, int x, int y)
             uint64_t zs = bits(t, t->row, ry)[k] | bits(t, t->col, ry)[k];
             for (; zs; zs &= zs - 1) {
                 int z = (int)(64 * k) + __builtin_ctzll(zs);
-                TRY(fold(t, take(t, ry, z), rx, z));
-                TRY(fold(t, take(t, z, ry), z, rx));
+                TRY(settle(t, rx, z, take(t, ry, z)));
+                TRY(settle(t, z, rx, take(t, z, ry)));
             }
         }
     }
@@ -223,14 +225,11 @@ static int merge(Table *t, int x, int y)
 
 static int set_entry(Table *t, int a, int b, int c)
 {
-    int cur;
-    a = find(t, a);
-    b = find(t, b);
-    c = find(t, c);
-    cur = get(t, a, b);
-    if (cur < 0)
-        return put(t, a, b, c);
-    return cur != c ? merge(t, cur, c) : 0;
+    TRY(settle(t, find(t, a), find(t, b), c));
+    if (!t->stack.len)
+        return 0;
+    t->stack.len -= 2;
+    return merge(t, t->stack.v[t->stack.len], t->stack.v[t->stack.len + 1]);
 }
 
 /* Two differing sides g = g0*g1 and h = h0*h1 of one distributivity
@@ -502,7 +501,7 @@ static int trace_universal(Table *t, const int *pattern, Py_ssize_t np, long lon
         /* pairs of two older elements were traced by an earlier pass */
         for (j = i < old ? old : 0; j < n && t->n_live <= cap; j++) {
             int w = dom[j], env[2];
-            if (w < 0 || t->parent[w] != w || u == w || find(t, u) == find(t, w))
+            if (w < 0 || t->parent[w] != w || find(t, u) == w)
                 continue;
             TRY(reserve(t, trace_need(1, np), &u, 1));
             env[0] = find(t, u);

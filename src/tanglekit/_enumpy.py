@@ -27,9 +27,8 @@ a deduction is processed only where it can act: an event visits only
 the elements that complete a distributivity instance, and a merge
 walks only the dead element's defined entries.  This matters on the
 sparse tables of runs that stop at their cap.  The table keeps one
-dict per element, and a merge leaves the entries that hold the dead
-element as they are: every read of a value goes through `find`.  See
-`run_enumeration` for why this is exact.
+dict per element and stores each value as given, root or not: every
+read goes through `find`.  See `run_enumeration` for why this is exact.
 
 The compiled kernel in `_enumcore.c` is a C translation of
 `run_enumeration`, with this docstring as its specification; it holds
@@ -167,17 +166,19 @@ def run_enumeration(m, relations, rn_pattern, cap):
 
     Keys of the table are always roots, because a merge moves the dead
     element's row and column.  Values need not be: a merge leaves an
-    entry that holds the dead element as it is.  So every value is read
-    through `get`, which calls `find` on it and stores the root back, as
-    path compression does; neither is observable.  The event loop calls
-    `find` on its roots ra, rb and c only after a merge has happened,
-    since until then they stay roots.  It calls `confront` only when
-    its two sides differ: with both missing or both equal it writes
-    nothing and merges nothing.  After a
-    `confront`, the entries the next pattern reads are read again,
-    since it may have written or merged them.  So the order of table
-    writes is that of calling `find` on every read and `confront` on
-    every instance.
+    entry that holds the dead element as it is, and `settle(a, b, v)`,
+    the one step by which `set_entry` and a merge write, stores v as
+    given.  It puts a*b = v if a*b is undefined, and else queues the
+    pair in `clashes` for `merge` when find(v) differs.  So every value
+    is read through `get`, which calls `find` on it and stores the root
+    back, as path compression does; neither is observable.  The event
+    loop calls `find` on its roots ra, rb and c only after a merge has
+    happened, since until then they stay roots.  It calls `confront`
+    only when its two sides differ: with both missing or both equal it
+    writes nothing and merges nothing.  After a `confront`, the entries
+    the next pattern reads are read again, since it may have written
+    or merged them.  So the order of table writes is that of calling
+    `find` on every read and `confront` on every instance.
 
     Each relation and each universal instance is traced once.  A traced
     instance stays closed: every entry a*b = c on its path stays in the
@@ -191,7 +192,8 @@ def run_enumeration(m, relations, rn_pattern, cap):
     is the element count when the previous pass started.  Two roots
     below it were roots all through that pass, which traced their pair
     as it stands now, so the pass traces only the pairs that include a
-    root at or above it.
+    root at or above it.  Its pair tested, w is a root, so the pair is
+    traced under (find(u), w), or skipped if find(u) = w.
 
     Totalize defines the first undefined product (a, b) of roots,
     ascending in a and then in b.  The bitset `live` holds the roots
@@ -227,6 +229,8 @@ def run_enumeration(m, relations, rn_pattern, cap):
     # bit x is set iff x is a root
     live = 0
     events: deque[tuple[int, int]] = deque()
+    # pairs for `merge` to unite
+    clashes: list[tuple[int, int]] = []
     merges = 0
     puts = 0
 
@@ -258,8 +262,17 @@ def run_enumeration(m, relations, rn_pattern, cap):
         if v is not None:
             row[a] ^= 1 << b
             col[b] ^= 1 << a
-            v = find(v)
         return v
+
+    def settle(a: int, b: int, v: int | None) -> None:
+        """Define a*b = v, or queue a clash with its value; v may be None."""
+        if v is None:
+            return
+        cur = get(a, b)
+        if cur is None:
+            put(a, b, v)
+        elif cur != find(v):
+            clashes.append((cur, v))
 
     def new_element() -> int:
         nonlocal live
@@ -280,9 +293,9 @@ def run_enumeration(m, relations, rn_pattern, cap):
 
     def merge(x: int, y: int) -> None:
         nonlocal merges, live
-        queue = [(x, y)]
-        while queue:
-            x, y = queue.pop()
+        clashes.append((x, y))
+        while clashes:
+            x, y = clashes.pop()
             rx, ry = find(x), find(y)
             if rx == ry:
                 continue
@@ -299,28 +312,13 @@ def run_enumeration(m, relations, rn_pattern, cap):
                 low = zs & -zs
                 zs ^= low
                 z = low.bit_length() - 1
-                val = take(ry, z)
-                if val is not None:
-                    cur = get(rx, z)
-                    if cur is None:
-                        put(rx, z, val)
-                    elif cur != val:
-                        queue.append((cur, val))
-                val = take(z, ry)
-                if val is not None:
-                    cur = get(z, rx)
-                    if cur is None:
-                        put(z, rx, val)
-                    elif cur != val:
-                        queue.append((cur, val))
+                settle(rx, z, take(ry, z))
+                settle(z, rx, take(z, ry))
 
     def set_entry(a: int, b: int, c: int) -> None:
-        a, b, c = find(a), find(b), find(c)
-        cur = get(a, b)
-        if cur is None:
-            put(a, b, c)
-        elif cur != c:
-            merge(cur, c)
+        settle(find(a), find(b), c)
+        if clashes:
+            merge(*clashes.pop())
 
     def confront(gkey, g, hkey, h) -> None:
         """Two differing sides of one distributivity instance: g or h
@@ -419,12 +417,12 @@ def run_enumeration(m, relations, rn_pattern, cap):
                 continue
             # pairs of two older elements were traced by an earlier pass
             for w in fresh if i < old else domain:
-                if parent[w] != w or u == w:
+                if parent[w] != w:
                     continue
-                ru, rw = find(u), find(w)
-                if ru == rw:
+                ru = find(u)
+                if ru == w:
                     continue
-                trace_relation((0,), rn_pattern, (ru, rw))
+                trace_relation((0,), rn_pattern, (ru, w))
                 process_events()
                 if live_count() > cap:
                     return True

@@ -208,7 +208,7 @@ def test_relation_loop_cap_stop_golden():
 def test_universal_pass_dead_pair_golden():
     """A universal pass where a merge made by an earlier trace of the
     inner loop kills `u` and its new root is `w`, so `trace_universal`
-    skips that pair at its `ru == rw` guard (once, by a line trace).
+    skips that pair at its `find(u) == w` guard (once, by a line trace).
     It completes with 4 elements after 17 deductions."""
     pres = parse_presentation("gens 3\nrel x1*x0*x1*x1*x1 = x2*x1*x0*x2\nburnside 4\n")
     for backend in KERNELS:

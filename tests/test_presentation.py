@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import time
 
@@ -500,3 +501,76 @@ def test_maps_into_dihedral_kei_count_solutions():
             for p in range(2, 6) if r.completed else ():
                 assert (maps_into_dihedral(r.kei, r.generator_images, p)
                         == solutions_in_dihedral(pres, p)), (seed, p)
+
+
+def group_table(elements, times):
+    """The multiplication table of the group on `elements` under `times`."""
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[times(x, y)] for y in elements] for x in elements]
+
+
+def heisenberg3(x, y):
+    """Upper unitriangular 3x3 matrices over Z/3 as (a, b, c)."""
+    return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3)
+
+
+def dihedral8(x, y):
+    """rho^r sigma^s as (r, s), where sigma rho = rho^-1 sigma."""
+    return ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 2)
+
+
+def quaternion(x, y):
+    """Hamilton's product of (a, b, c, d) = a + bi + cj + dk."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def maps_into(kei, images, target):
+    """The number of Kei maps from `kei` into the Kei `target`, by brute
+    force over the values of the generator images: each choice is
+    extended along the images' columns by f(x*g) = f(x)*f(g), and counts
+    if that never clashes (the induction of `presentation._certify`)."""
+    gens = sorted(set(images))
+    count = 0
+    for values in itertools.product(range(target.size), repeat=len(gens)):
+        f = [None] * kei.size
+        for g, v in zip(gens, values):
+            f[g] = v
+        todo, clash = list(gens), False
+        while todo and not clash:
+            x = todo.pop()
+            for g in gens:
+                y, v = kei.table[x][g], target.table[f[x]][f[g]]
+                if f[y] is None:
+                    f[y] = v
+                    todo.append(y)
+                clash |= f[y] != v
+        count += not clash
+    return count
+
+
+def test_maps_into_core_kei_are_free():
+    """The core Kei of a group whose exponent divides n satisfies r_n,
+    so every choice of generator values extends to a Kei map from
+    Q(m, n): |T|^m maps into each target T.  The targets are the cores
+    of the Heisenberg group mod 3 (exponent 3) and of D4 and Q8
+    (exponent 4), none of them abelian.  A table that merges two
+    elements it should keep apart can have fewer maps."""
+    units = [tuple(s * (k == i) for k in range(4)) for i in range(4) for s in (1, -1)]
+    targets = {
+        3: [core_kei(group_table(list(itertools.product(range(3), repeat=3)), heisenberg3))],
+        4: [core_kei(group_table(list(itertools.product(range(4), range(2))), dihedral8)),
+            core_kei(group_table(units, quaternion))],
+    }
+    for n, keis in targets.items():
+        rhs = r_n_relation(n)[1]
+        for t in keis:
+            assert all(eval_word(t, rhs, (u, w)) == u
+                       for u in range(t.size) for w in range(t.size)), (n, t.size)
+    for backend in KERNELS:
+        for m, n in [(2, 3), (3, 3), (2, 4), (3, 4)]:
+            r = q_kei(m, n, backend=backend)
+            for t in targets[n]:
+                assert maps_into(r.kei, r.generator_images, t) == t.size ** m, (backend, m, n)
