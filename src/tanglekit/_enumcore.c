@@ -130,29 +130,18 @@ static inline uint64_t *bits(Table *t, uint64_t *set, int x)
     return set + (size_t)x * t->words;
 }
 
-static int push_event(Table *t, int a, int b)
-{
-    Ints *ev = &t->ev;
-    if (t->ev_head == ev->len) {
-        t->ev_head = ev->len = 0;
-    } else if (ev->len == ev->cap && 2 * t->ev_head >= ev->len) {
-        /* the processed half of the queue makes room */
-        ev->len -= t->ev_head;
-        memmove(ev->v, ev->v + t->ev_head, (size_t)ev->len * sizeof(int));
-        t->ev_head = 0;
-    }
-    TRY(push(ev, a));
-    return push(ev, b);
-}
-
-/* Define a*b = v and schedule the entry's event. */
+/* Define a*b = v and append the entry's event to the queue, a FIFO as
+   `_enumpy`'s deque is; a drained queue restarts at the front. */
 static int put(Table *t, int a, int b, int v)
 {
     *cell(t, a, b) = v;
     bits(t, t->row, a)[b >> 6] |= BIT(b);
     bits(t, t->col, b)[a >> 6] |= BIT(a);
     t->writes++;
-    return push_event(t, a, b);
+    if (t->ev_head == t->ev.len)
+        t->ev_head = t->ev.len = 0;
+    TRY(push(&t->ev, a));
+    return push(&t->ev, b);
 }
 
 /* Undefine a*b and return its value, or -1. */
@@ -309,7 +298,6 @@ static int process_events(Table *t)
             }
         }
     }
-    t->ev_head = t->ev.len = 0;
     return 0;
 }
 
@@ -642,10 +630,12 @@ PyDoc_STRVAR(run_enumeration_doc,
 "generator_images, merge_count); status 2 means the table would\n"
 "outgrow TANGLEKIT_MAX_TABLE_BYTES.");
 
+#define NOT_A_PAIR "a relation must be a pair of words"
+
 static PyObject *run_enumeration(PyObject *self, PyObject *args)
 {
     Py_ssize_t m, r;
-    PyObject *relations, *pattern_obj, *cap_obj, *rels, *lhs, *rhs, *out = NULL;
+    PyObject *relations, *pattern_obj, *cap_obj, *rels, *pair = NULL, *out = NULL;
     int overflow, status;
     long long cap;
     Ints letters = {0}, starts = {0}, pattern = {0};
@@ -669,9 +659,14 @@ static PyObject *run_enumeration(PyObject *self, PyObject *args)
     if (read_budget(&t) < 0 || push(&starts, 0) < 0)
         goto done;
     for (r = 0; r < PySequence_Fast_GET_SIZE(rels); r++) {
-        if (!PyArg_ParseTuple(PySequence_Fast_GET_ITEM(rels, r), "OO:relation", &lhs, &rhs)
-            || read_word(lhs, m, &letters) < 0 || push(&starts, (int)letters.len) < 0
-            || read_word(rhs, m, &letters) < 0 || push(&starts, (int)letters.len) < 0)
+        Py_XSETREF(pair, PySequence_Fast(PySequence_Fast_GET_ITEM(rels, r), NOT_A_PAIR));
+        if (pair != NULL && PySequence_Fast_GET_SIZE(pair) != 2)
+            PyErr_SetString(PyExc_TypeError, NOT_A_PAIR);
+        if (PyErr_Occurred()
+            || read_word(PySequence_Fast_GET_ITEM(pair, 0), m, &letters) < 0
+            || push(&starts, (int)letters.len) < 0
+            || read_word(PySequence_Fast_GET_ITEM(pair, 1), m, &letters) < 0
+            || push(&starts, (int)letters.len) < 0)
             goto done;
         if (starts.v[starts.len - 1] == starts.v[starts.len - 2]
             || starts.v[starts.len - 2] == starts.v[starts.len - 3]) {
@@ -688,6 +683,7 @@ static PyObject *run_enumeration(PyObject *self, PyObject *args)
         out = Py_BuildValue("(iOOL)", status > 0 ? status : TOO_LARGE, Py_None, Py_None, t.merges);
 done:
     Py_DECREF(rels);
+    Py_XDECREF(pair);
     PyMem_Free(letters.v);
     PyMem_Free(starts.v);
     PyMem_Free(pattern.v);

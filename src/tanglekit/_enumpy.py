@@ -175,10 +175,11 @@ def run_enumeration(m, relations, rn_pattern, cap):
     loop calls `find` on its roots ra, rb and c only after a merge has
     happened, since until then they stay roots.  It calls `confront`
     only when its two sides differ: with both missing or both equal it
-    writes nothing and merges nothing.  After a `confront`, the entries
-    the next pattern reads are read again, since it may have written
-    or merged them.  So the order of table writes is that of calling
-    `find` on every read and `confront` on every instance.
+    writes nothing and merges nothing.  After a `confront` the next
+    pattern reads its entries again, under the keys the visit began with
+    (ra, rb, c, z), not their roots, so an entry whose key it merged away
+    reads as undefined.  So table writes come in the order of calling
+    `find` on every value read but on no key within a visit.
 
     Each relation and each universal instance is traced once.  A traced
     instance stays closed: every entry a*b = c on its path stays in the

@@ -70,6 +70,8 @@ class KeiPresentation:
     def __post_init__(self):
         if self.generator_count < 0:
             raise ValueError("generator count must be non-negative")
+        object.__setattr__(
+            self, "relations", tuple((tuple(lhs), tuple(rhs)) for lhs, rhs in self.relations))
         for lhs, rhs in self.relations:
             for w in (lhs, rhs):
                 if len(w) == 0:
@@ -234,7 +236,7 @@ def enumerate_kei(
         return EnumerationResult(False, None, None, 0, cap, name)
     pattern = () if p.burnside_exponent is None else r_n_relation(p.burnside_exponent)[1]
     status, rows, images, merges = KERNELS[name].run_enumeration(
-        p.generator_count, tuple(p.relations), pattern, int(cap))
+        p.generator_count, p.relations, pattern, int(cap))
     if status == 2:
         raise TooLarge(
             "the Kei table would outgrow its memory budget (TANGLEKIT_MAX_TABLE_BYTES)")

@@ -18,9 +18,10 @@ one input that reaches a guard no other pin does, and
 renumbers its slots before a totalize fill.
 `test_write_order_golden` pins the order
 of the pure kernel's table writes, which these outputs cannot see,
-`test_long_growth_write_order_golden` does so on long cap-out runs, and
+`test_long_growth_write_order_golden` does so on long cap-out runs,
 `test_many_merges_write_order_golden` on a run that merges as often as
-it grows.
+it grows, and `test_dead_key_write_order_golden` on a run where a
+pattern reads under a key that a merge in the same visit killed.
 """
 
 import hashlib
@@ -305,3 +306,16 @@ def test_many_merges_write_order_golden(monkeypatch):
             "dd2a0954404cc231aebf6a26c2be3cbca97bce209011d67b25d0f5c87d4cef63"
         ), backend
     assert write_order_digest(monkeypatch, [q44]) == MANY_MERGES_GOLDEN
+
+
+DEAD_KEY_GOLDEN = "7a24b3d8221fdbf994c7f455ed015d8f214beb555125dcaeced3fef11b964e16"
+
+
+def test_dead_key_write_order_golden(monkeypatch):
+    """BQ3 of 9_49, which completes with 1 element after 8 merges.  A
+    `confront` merges away a key that the next pattern of the same
+    visit reads, and that pattern reads the entry as undefined.  A
+    kernel that resolved the keys through `find` would give the same
+    outputs here, but its 46th of 53 writes would differ."""
+    bq3 = (fundamental_kei(corpus()["9_49"]).with_burnside(3), 8000, True)
+    assert write_order_digest(monkeypatch, [bq3]) == DEAD_KEY_GOLDEN

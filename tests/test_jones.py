@@ -116,6 +116,21 @@ def test_bracket_statesum_matches_oracle():
                 assert kernel.bracket_statesum(copy.crossings, copy.arc_count) == want
 
 
+@pytest.mark.parametrize("crossings,arc_count,error,message", [
+    ([(0, 0, 0, 0)] * 63, 1, ValueError, "the state sum takes at most 62 crossings"),
+    ([], -1, ValueError, "arc count out of range"),
+    ([(0, 1, 1)], 2, TypeError, "crossing() takes exactly 4 arguments (3 given)"),
+    ([(0, 1, 1, 2)], 2, ValueError, "arc label out of range"),
+    ([(0, 1, 1, -1)], 2, ValueError, "arc label out of range"),
+])
+def test_compiled_statesum_refuses_bad_input(crossings, arc_count, error, message):
+    if "compiled" not in presentation.KERNELS:
+        pytest.skip("compiled kernel not built")
+    with pytest.raises(error) as info:
+        presentation.KERNELS["compiled"].bracket_statesum(crossings, arc_count)
+    assert str(info.value) == message
+
+
 def test_bracket_split_circles():
     delta = LaurentPoly({2: -1, -2: -1})
     for d in (parse_pd("X 0 1 1 0"), TREFOIL, FIG8):

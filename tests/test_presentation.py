@@ -371,6 +371,63 @@ def test_memory_budget_counts_live_elements(monkeypatch):
     assert r.completed and r.size == 96 and r.deductions == 93
 
 
+def test_relations_given_as_lists_are_held_as_tuples():
+    """A presentation written with lists equals and hashes as its tuple
+    form, and every kernel enumerates the two alike, also when called
+    with the lists."""
+    listed = KeiPresentation(2, [[[0], [1, 0]]], 3)
+    tupled = KeiPresentation(2, (((0,), (1, 0)),), 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.relations == tupled.relations
+    for backend, kernel in KERNELS.items():
+        r = enumerate_kei(listed, backend=backend)
+        assert r == enumerate_kei(tupled, backend=backend)
+        assert r.size == 1 and r.deductions == 1
+        assert kernel.run_enumeration(2, [[[0], [1, 0]]], [1, 0, 1], 3) == (
+            kernel.run_enumeration(2, tupled.relations, (1, 0, 1), 3))
+
+
+def compiled_kernel():
+    if "compiled" not in KERNELS:
+        pytest.skip("compiled kernel not built")
+    return KERNELS["compiled"]
+
+
+@pytest.mark.parametrize("m,relations,pattern,error,message", [
+    (2, (5,), (), TypeError, "a relation must be a pair of words"),
+    (2, (((0,),),), (), TypeError, "a relation must be a pair of words"),
+    (2, (((0,), (1,), (0,)),), (), TypeError, "a relation must be a pair of words"),
+    (2, ((5, (1,)),), (), TypeError, "a word must be a sequence of letters"),
+    (2, (((0,), (2,)),), (), ValueError, "a word has a letter out of range"),
+    (2, (((-1,), (1,)),), (), ValueError, "a word has a letter out of range"),
+    (2, (((0,), (2**63,)),), (), OverflowError,
+     "cannot fit 'int' into an index-sized integer"),
+    (2, (((0,), ()),), (), ValueError, "empty word in relation"),
+    (2, (((), (1,)),), (), ValueError, "empty word in relation"),
+    (2, (), (1, 2), ValueError, "a word has a letter out of range"),
+    (-1, (), (), ValueError, "generator count must be non-negative"),
+])
+def test_compiled_kernel_refuses_bad_input(m, relations, pattern, error, message):
+    with pytest.raises(error) as info:
+        compiled_kernel().run_enumeration(m, relations, pattern, 10)
+    assert str(info.value) == message
+
+
+def test_cap_past_the_c_range():
+    """The compiled kernel reads a cap above LLONG_MAX as no cap and one
+    below LLONG_MIN as a cap every run exceeds."""
+    for backend in KERNELS:
+        assert q_kei(2, 3, cap=2**70, backend=backend).size == 3
+    assert compiled_kernel().run_enumeration(2, (), (1, 0, 1), -2**70) == (1, None, None, 0)
+
+
+def test_memory_budget_must_be_an_integer(monkeypatch):
+    compiled_kernel()
+    monkeypatch.setenv("TANGLEKIT_MAX_TABLE_BYTES", "1.2e9")
+    with pytest.raises(ValueError, match="^TANGLEKIT_MAX_TABLE_BYTES must be an integer$"):
+        q_kei(2, 3, backend="compiled")
+
+
 def test_moving_universal_relation_preserves_iso_class():
     import random
 
